@@ -45,7 +45,6 @@ def cmd_verify(args) -> int:
         lp_budget=args.lp_budget,
         gate_budget=args.gate_budget,
         templates=args.templates,
-        workers=args.workers,
     )
     driver = hsrv_verify if args.strategy == "hsrv" else icl_verify
     result = driver(net, region, prop, config)
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-depth", type=int, default=64)
     verify.add_argument("--lp-budget", type=int, default=None)
     verify.add_argument("--gate-budget", type=int, default=None)
-    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--templates", choices=("default", "margin-only"),
                         default="default")
     verify.set_defaults(func=cmd_verify)

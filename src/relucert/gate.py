@@ -147,7 +147,6 @@ def exact_solve(store: Store, subset, learned=(), budget: Budget | None = None,
         if out.status == lp.INFEASIBLE:
             cert = GuardedCertificate.make(lits, FarkasCertificate.make(out.dual))
             cert = _drop_zero_guards(cert, store.layout)
-            assert certmod.check_guarded(store, cert).ok
             known.append(cert)
             cover.append(cert)
             return None
@@ -200,9 +199,9 @@ def _model_violates_exactness(store: Store, model: dict[int, Fraction], unit: Un
 
 
 def exactness_gate(store: Store, budget: Budget, learned=(),
-                   gate_lp_limit: int | None = None,
-                   minimize: bool = True) -> GateOutcome:
-    """Abstraction-refinement loop over exact subsets S, starting from S = {}.
+                   gate_lp_limit: int | None = None, start=()) -> GateOutcome:
+    """Abstraction-refinement loop over exact subsets S, starting from
+    S = start (the empty set, or every unstable unit for the hybrid strategy).
 
     Sat models are validated by exact forward evaluation; spurious models
     grow S by the most-violated unit, which provably eliminates them.  At
@@ -210,7 +209,7 @@ def exactness_gate(store: Store, budget: Budget, learned=(),
     """
     budget.gate_calls += 1
     unstable = sorted(store.unstable)
-    subset: set[Unit] = set()
+    subset: set[Unit] = set(start)
     out = GateOutcome(DEFER, reason=BUDGET)
     spent = budget.lp_calls
     while True:
@@ -226,10 +225,7 @@ def exactness_gate(store: Store, budget: Budget, learned=(),
             return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements,
                                exact_subset=frozenset(subset))
         if res.status == UNSAT:
-            certs = res.cover
-            if minimize:
-                certs = [minimize_core(store, c, budget) for c in certs]
-            return GateOutcome(PRUNE, certificates=certs, refinements=out.refinements,
+            return GateOutcome(PRUNE, certificates=res.cover, refinements=out.refinements,
                                exact_subset=frozenset(subset))
         model = res.model
         x = tuple(model.get(store.layout.input_index(k), _ZERO)
@@ -253,6 +249,5 @@ def exactness_gate(store: Store, budget: Budget, learned=(),
             for cid in store.hull_ids.get(unit, []):
                 store.retire(cid)
         subset |= picked
-        prev_model = model
         out.refinements += 1
         assert out.refinements <= len(unstable)

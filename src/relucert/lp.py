@@ -3,7 +3,9 @@
 Two-phase primal simplex with Bland's rule, dense tableau of Fractions.
 Optimal outcomes carry a dual vector with lambda^T A = g^T and
 lambda^T b = value; infeasible outcomes carry a Farkas vector with
-lambda^T A = 0 and lambda^T b < 0.  Both are re-verified before returning.
+lambda^T A = 0 and lambda^T b < 0.  Both are re-verified with the exact
+checkers of `certs` before returning (the one place LP results are
+self-checked); a failure raises `SelfCheckFailed`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certs import FarkasCertificate, _combine, check_farkas
 from .store import NormalizedSystem, RowId
 
 OPTIMAL = "optimal"
@@ -217,38 +220,33 @@ class _Tableau:
         return {j: q for j, q in r.items() if q != 0}
 
 
-def _dot_rows(sys: NormalizedSystem, lam: dict[RowId, Fraction]):
-    acc: dict[int, Fraction] = {}
-    rhs = _ZERO
-    for rid, q in lam.items():
-        row = sys.resolve(rid)
-        assert row is not None
-        for j, a in row.row.items():
-            acc[j] = acc.get(j, _ZERO) + q * a
-        rhs += q * row.rhs
-    return {j: v for j, v in acc.items() if v != 0}, rhs
+class SelfCheckFailed(Exception):
+    """The simplex produced a result its own certificate does not support."""
 
 
 def _self_check_farkas(sys: NormalizedSystem, lam: dict[RowId, Fraction]):
-    assert all(q >= 0 for q in lam.values())
-    combo, rhs = _dot_rows(sys, lam)
-    assert not combo, f"Farkas combination not zero: {combo}"
-    assert rhs < 0, f"Farkas rhs {rhs} not negative"
+    res = check_farkas(sys, FarkasCertificate.make(lam))
+    if not res.ok:
+        raise SelfCheckFailed(f"Farkas vector rejected: {res.reason}")
 
 
 def _self_check_dual(sys: NormalizedSystem, g: dict[int, Fraction],
                      lam: dict[RowId, Fraction], value: Fraction):
-    assert all(q >= 0 for q in lam.values())
-    combo, rhs = _dot_rows(sys, lam)
-    gg = {j: q for j, q in g.items() if q != 0}
-    assert combo == gg, f"dual combination {combo} != objective {gg}"
-    assert rhs == value, f"dual bound {rhs} != optimum {value}"
+    """lambda >= 0, lambda^T A = g^T and lambda^T b = value, exactly."""
+    if any(q < 0 for q in lam.values()):
+        raise SelfCheckFailed("negative dual multiplier")
+    combo, rhs = _combine(sys, lam.items())
+    if combo != {j: q for j, q in g.items() if q != 0}:
+        raise SelfCheckFailed(f"dual combination {combo} != objective {g}")
+    if rhs != value:
+        raise SelfCheckFailed(f"dual bound {rhs} != optimum {value}")
 
 
 def _check_primal(sys: NormalizedSystem, point: dict[int, Fraction]):
     for r in sys.rows:
         lhs = sum((q * point.get(j, _ZERO) for j, q in r.row.items()), _ZERO)
-        assert lhs <= r.rhs, f"primal point violates row {r.rid}"
+        if lhs > r.rhs:
+            raise SelfCheckFailed(f"primal point violates row {r.rid}")
 
 
 def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
@@ -276,7 +274,8 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
         _, enter, direction = res
         ray = tab.ray(enter, direction)
         gain = sum((q * ray.get(j, _ZERO) for j, q in g.items()), _ZERO)
-        assert gain > 0
+        if gain <= 0:
+            raise SelfCheckFailed("unbounded ray does not improve the objective")
         return LpOutcome(UNBOUNDED, ray=ray, iterations=tab.iterations)
     _, obj, val = res
     point = tab.primal()
@@ -284,7 +283,8 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     _check_primal(sys, point)
     _self_check_dual(sys, g, lam, val)
     gv = sum((q * point.get(j, _ZERO) for j, q in g.items()), _ZERO)
-    assert gv == val, "primal/dual objective mismatch"
+    if gv != val:
+        raise SelfCheckFailed("primal/dual objective mismatch")
     return LpOutcome(OPTIMAL, value=val, primal=point, dual=lam, iterations=tab.iterations)
 
 

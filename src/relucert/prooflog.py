@@ -4,8 +4,21 @@ The log inlines every row a certificate is checked against (snapshot rows by
 value), so checking never depends on solver row-id allocation.  The checker
 re-derives each snapshot row from the problem itself or from certificates
 appearing earlier in the same snapshot, checks every leaf certificate, and
-verifies that split annotations cover each parent.  It deliberately never
-imports the LP engine: acceptance rests on rational identities alone.
+verifies that split annotations cover each parent.
+
+Trust boundary.  Acceptance rests on rational identities alone: the checker
+never imports the LP engine, and the exact checks are those of `certs`.  It
+rebuilds the affine and margin-definition rows from the network and the
+property with its own code, not with the builder in `store.py`, on purpose:
+a fault in how the store writes those rows cannot vouch for itself.  From
+`store.py` it takes only the row containers, normalization and the guard
+consequences of a phase.
+
+Every leaf has one kind: a cover of guarded Farkas certificates, each over a
+snapshot that contains the negated-property row.  Derived rows, margin
+bounds and merge lemmas therefore hold only given the negated property.
+That is sound for the one claim a proof makes, UNSAT: the tree shows that
+the negated property is infeasible on every path.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-1"
+FORMAT = "relucert-proof-2"
 
 
 @dataclass(frozen=True)
@@ -170,10 +183,7 @@ def _tree_json(entry) -> dict:
             kj = ["domain", kind[1], _q(kind[2])]
         return {"type": "split", "kind": kj,
                 "children": [_tree_json(c) for c in entry.children]}
-    if entry.kind == "bound":
-        return {"type": "leaf", "kind": "bound", "snapshot": entry.snapshot_id,
-                "beta": _q(entry.beta), "cert": _dual_json(entry.bound_cert)}
-    return {"type": "leaf", "kind": "infeasible", "snapshot": entry.snapshot_id,
+    return {"type": "leaf",
             "cover": [{"cert": _guarded_json(c), "snapshot": sid}
                       for c, sid in entry.cover]}
 
@@ -607,7 +617,7 @@ def _is_partition(region: Region, alpha: dict, parsed) -> bool:
             (u1, p1), = extra1.items()
             (u2, p2), = extra2.items()
             return u1 == u2 and {p1, p2} == {ACTIVE, INACTIVE} and \
-                dict(a1, **{u1: p2}) == a2
+                {**a1, u1: p2} == a2
         return False
     if a1 == a2 == alpha:
         dims = [k for k in range(len(region.lower))
@@ -700,51 +710,26 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         return ACCEPTED
     if node["type"] != "leaf":
         return _reject(path, f"unknown entry type {node['type']}")
-    if node["kind"] == "bound":
-        sid = int(node["snapshot"])
+    cover = []
+    for idx, item in enumerate(node["cover"]):
+        cert = _parse_guarded(item["cert"])
+        sid = int(item["snapshot"])
         if sid not in snapshots:
-            return _reject(path, "missing snapshot")
+            return _reject(path, f"cover[{idx}]: missing snapshot")
         snap = snapshots[sid]
-        reason = _check_snapshot(pb, snap, region, _guards_of_alpha(alpha), lemma_table)
+        allowed = _guards_of_alpha(alpha) | {(g.unit, g.phase) for g in cert.guards}
+        reason = _check_snapshot(pb, snap, region, allowed, lemma_table)
         if reason is not None:
-            return _reject(path, f"snapshot: {reason}")
-        cert = _parse_dual(node["cert"])
-        beta = parse_rational(node["beta"])
-        if cert.objective_dict != {pb.layout.margin_index: _ONE}:
-            return _reject(path, "bound certificate is not about the safety margin")
-        if cert.bound != beta:
-            return _reject(path, "certificate bound differs from the recorded beta")
-        if beta >= pb.prop.violation_threshold:
-            return _reject(path, "margin bound does not rule out the violation")
-        negp_ids = {r.cid for r in snap.rows if r.block == "negp"}
-        if any(rid[0] == "c" and int(rid[1]) in negp_ids for rid, _ in cert.multipliers):
-            return _reject(path, "bound certificate relies on the negated property")
-        reason = _check_dual_exact(_snapshot_system(snap), cert)
-        if reason is not None:
-            return _reject(path, f"bound certificate rejected: {reason}")
-        return ACCEPTED
-    if node["kind"] == "infeasible":
-        cover = []
-        for idx, item in enumerate(node["cover"]):
-            cert = _parse_guarded(item["cert"])
-            sid = int(item["snapshot"])
-            if sid not in snapshots:
-                return _reject(path, f"cover[{idx}]: missing snapshot")
-            snap = snapshots[sid]
-            allowed = _guards_of_alpha(alpha) | {(g.unit, g.phase) for g in cert.guards}
-            reason = _check_snapshot(pb, snap, region, allowed, lemma_table)
-            if reason is not None:
-                return _reject(path, f"cover[{idx}] snapshot: {reason}")
-            sys = _snapshot_system(snap)
-            rows = list(sys.rows)
-            for lit in cert.guards:
-                rows.extend(guard_norm_rows(pb.layout, lit))
-            res = check_farkas(NormalizedSystem(rows, sys.n_vars), cert.inner)
-            if not res.ok:
-                return _reject(path, f"cover[{idx}] rejected: {res.reason}")
-            cover.append(cert)
-        reason = _check_cover(pb, cover, alpha)
-        if reason is not None:
-            return _reject(path, f"cover: {reason}")
-        return ACCEPTED
-    return _reject(path, f"unknown leaf kind {node['kind']}")
+            return _reject(path, f"cover[{idx}] snapshot: {reason}")
+        sys = _snapshot_system(snap)
+        rows = list(sys.rows)
+        for lit in cert.guards:
+            rows.extend(guard_norm_rows(pb.layout, lit))
+        res = check_farkas(NormalizedSystem(rows, sys.n_vars), cert.inner)
+        if not res.ok:
+            return _reject(path, f"cover[{idx}] rejected: {res.reason}")
+        cover.append(cert)
+    reason = _check_cover(pb, cover, alpha)
+    if reason is not None:
+        return _reject(path, f"cover: {reason}")
+    return ACCEPTED

@@ -1,10 +1,12 @@
-"""Search drivers: worklist management, refinement, and cross-node learning.
+"""Search driver: worklist management, refinement, and cross-node learning.
 
-Two schedules share the same machinery.  The incremental driver closes nodes
-by propagation or the exactness gate; the hybrid driver additionally tries a
-relaxation-only margin bound before going exact.  Both assemble a proof tree
-of split annotations and certificate-carrying leaves, learn merged lemmas at
-sibling joins, and learn conflict clauses from guarded infeasibility cores.
+One branch-and-bound loop serves both strategies.  A node is closed by a
+blocking conflict clause, by propagation, or by the exactness gate; the
+incremental strategy (icl) starts the gate with no unit exact and refines,
+the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
+closed node becomes a leaf carrying Farkas certificates; the driver learns
+merged lemmas at sibling joins and conflict clauses from guarded
+infeasibility cores.
 """
 
 from __future__ import annotations
@@ -16,16 +18,7 @@ from fractions import Fraction
 from . import lp
 from .budget import Budget
 from .certs import ConflictClause, DualBoundCertificate, GuardedCertificate
-from .gate import (
-    BUDGET,
-    DEFER,
-    LIMIT,
-    PRUNE,
-    SAT,
-    UNSAT,
-    exact_solve,
-    exactness_gate,
-)
+from .gate import BUDGET, PRUNE, SAT, exactness_gate
 from .model import (
     ACTIVE,
     INACTIVE,
@@ -66,10 +59,7 @@ class Config:
     lp_budget: int | None = None
     gate_budget: int | None = None  # LP theory calls per gate invocation
     templates: str = "default"  # "default" | "margin-only"
-    workers: int = 1
     first_split: str | None = None  # "domain" forces a root domain split
-    merge: bool = True
-    oracle_cap: int = 12
 
 
 # -- proof tree -------------------------------------------------------------
@@ -87,15 +77,11 @@ def snapshot_store(store: Store):
 
 @dataclass
 class ProofLeaf:
-    kind: str  # "infeasible" | "bound"
-    snapshot_id: int  # snapshot for the bound certificate / default for cover
     region: Region
     alpha: dict[Unit, str]
     # each cover certificate is checked against its own snapshot (reused
     # clause certificates keep pointing at the store they were derived in)
-    cover: list[tuple[GuardedCertificate, int]] = field(default_factory=list)
-    bound_cert: DualBoundCertificate | None = None
-    beta: Fraction | None = None
+    cover: list[tuple[GuardedCertificate, int]]
 
 
 @dataclass
@@ -278,8 +264,7 @@ def _margin_evidence(store: Store, budget: Budget):
 
 
 def _close(run: RunProof, node: _Node, leaf: ProofLeaf, evidence,
-           lemmas: LemmaStore, config: Config, budget: Budget,
-           root_region: Region, layout):
+           lemmas: LemmaStore, budget: Budget, root_region: Region, layout):
     """Attach a closed leaf, then walk up merging at completed sibling joins."""
     if node.parent is None:
         run.root = leaf
@@ -293,7 +278,7 @@ def _close(run: RunProof, node: _Node, leaf: ProofLeaf, evidence,
         if parent.closed_children < 2:
             break
         evidence = None
-        if config.merge and all(e is not None for e in parent.child_evidence):
+        if all(e is not None for e in parent.child_evidence):
             g = {layout.margin_index: Fraction(1)}
             entry = merge_lemma(g, list(parent.child_evidence), lemmas,
                                 parent.region, parent.alpha, root_region, budget)
@@ -312,8 +297,25 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
     root = _Node(region, {}, 0)
     stack = [root]
 
-    def close_leaf(node: _Node, leaf: ProofLeaf, evidence):
-        _close(run, node, leaf, evidence, lemmas, config, budget, region, layout)
+    def close_leaf(node: _Node, cover, evidence=None):
+        _close(run, node, ProofLeaf(node.region, dict(node.alpha), cover), evidence,
+               lemmas, budget, region, layout)
+
+    def close_infeasible(node: _Node, store: Store, certs, ev, foreign):
+        """Leaf over a fresh snapshot (reused clause certificates keep their
+        own); root-region certificates are learned as conflict clauses."""
+        sid = run.add_snapshot(snapshot_store(store))
+        cover = [(c, foreign.get(c, sid)) for c in certs]
+        if node.region == region:
+            node_lits = frozenset(GuardLiteral(u, p) for u, p in node.alpha.items())
+            for cert, cert_sid in cover:
+                lits = node_lits | cert.guard_set
+                if lits:
+                    cl = ConflictClause(lits, len(clauses.entries))
+                    clauses.append(ClauseEntry(cl, lits, cert, cert_sid))
+                    budget.clauses += 1
+        evidence = None if ev is None else (node.region, dict(node.alpha), ev[0], ev[1], sid)
+        close_leaf(node, cover, evidence)
 
     def attach_split(node: _Node, split: tuple):
         budget.splits += 1
@@ -325,6 +327,10 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             node.parent.split.children[node.child_index] = sp
         stack.extend(reversed(refine(node, split)))
 
+    def sat(x) -> VerifyResult:
+        return VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
+                            budget=budget)
+
     while stack:
         node = stack.pop()
         if config.first_split == "domain" and node.depth == 0:
@@ -332,95 +338,39 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             continue
         blocked = clauses.blocking(node.alpha)
         if blocked is not None:
-            leaf = ProofLeaf("infeasible", blocked.snapshot_id, node.region,
-                             dict(node.alpha),
-                             cover=[(blocked.cert, blocked.snapshot_id)])
-            close_leaf(node, leaf, None)
+            close_leaf(node, [(blocked.cert, blocked.snapshot_id)])
             continue
         store = build_initial_store(net, layout, node.region, prop, node.alpha, lemmas)
         res = propagate_node(store, lemmas, budget, templates=config.templates)
         if res.exhausted:
             return VerifyResult("unknown", reason="resource", budget=budget)
+        # margin evidence is read only by the merge at the node's parent
         if res.status == "prune":
-            if config.strategy == "hsrv":
-                # relaxation prune test first: a margin bound below the
-                # violation threshold closes the node without the Farkas leaf
-                ev = _margin_evidence(store, budget)
-                if ev is not None and ev[0] < prop.violation_threshold:
-                    sid = run.add_snapshot(snapshot_store(store))
-                    beta, cert = ev
-                    leaf = ProofLeaf("bound", sid, node.region, dict(node.alpha),
-                                     bound_cert=cert, beta=beta)
-                    close_leaf(node, leaf,
-                               (node.region, dict(node.alpha), beta, cert, sid))
-                    continue
-            sid = run.add_snapshot(snapshot_store(store))
-            cert = GuardedCertificate.make((), res.farkas)
-            leaf = ProofLeaf("infeasible", sid, node.region, dict(node.alpha),
-                             cover=[(cert, sid)])
-            if node.alpha and node.region == region:
-                lits = frozenset(GuardLiteral(u, p) for u, p in node.alpha.items())
-                cl = ConflictClause(lits, len(clauses.entries))
-                clauses.append(ClauseEntry(cl, lits, cert, sid))
-                budget.clauses += 1
-            close_leaf(node, leaf, _leaf_evidence(node, store, budget, sid))
-            continue
-        # relaxation margin bound: hybrid schedule prunes on it directly
-        ev = _margin_evidence(store, budget)
-        if config.strategy == "hsrv" and ev is not None and ev[0] < prop.violation_threshold:
-            sid = run.add_snapshot(snapshot_store(store))
-            beta, cert = ev
-            leaf = ProofLeaf("bound", sid, node.region, dict(node.alpha),
-                             bound_cert=cert, beta=beta)
-            close_leaf(node, leaf,
-                       (node.region, dict(node.alpha), beta, cert, sid))
+            ev = _margin_evidence(store, budget) if node.parent else None
+            close_infeasible(node, store, [GuardedCertificate.make((), res.farkas)], ev, {})
             continue
         # witness extraction from the relaxation point
         if res.feasible_point is not None:
             x = tuple(res.feasible_point.get(layout.input_index(k), _ZERO)
                       for k in range(net.input_dim))
             if validate_witness(net, node.region, prop, x).accepted:
-                return VerifyResult("sat", witness=x,
-                                    trace=trace_vector(net, layout, x, prop),
-                                    budget=budget)
-        # exact reasoning
+                return sat(x)
+        # taken before the gate, whose refinements retire hull rows.  It is
+        # never a prune test: the node's store, negated property included, is
+        # LP-feasible here, so this bound is at least the violation threshold
+        ev = _margin_evidence(store, budget) if node.parent else None
         foreign = _clause_certs(clauses, node.alpha)
-        if config.strategy == "hsrv":
-            if not budget.lp_ok():
-                return VerifyResult("unknown", reason="resource", budget=budget)
-            budget.gate_calls += 1
-            er = exact_solve(store, store.unstable, list(foreign), budget,
-                             local_limit=config.gate_budget)
-            outcome_kind, outcome = _from_exact(er, store, net, node, prop)
-        else:
-            g = exactness_gate(store, budget, list(foreign),
-                               gate_lp_limit=config.gate_budget)
-            if g.status == SAT:
-                outcome_kind, outcome = SAT, g.witness
-            elif g.status == PRUNE:
-                outcome_kind, outcome = PRUNE, g.certificates
-            else:
-                outcome_kind, outcome = DEFER, g.reason
-        if outcome_kind == SAT:
-            return VerifyResult("sat", witness=outcome,
-                                trace=trace_vector(net, layout, outcome, prop),
-                                budget=budget)
-        if outcome_kind == PRUNE:
-            sid = run.add_snapshot(snapshot_store(store))
-            leaf = ProofLeaf("infeasible", sid, node.region, dict(node.alpha),
-                             cover=[(c, foreign.get(c, sid)) for c in outcome])
-            if node.region == region:
-                for cert in outcome:
-                    lits = frozenset(GuardLiteral(u, p) for u, p in node.alpha.items())
-                    lits |= cert.guard_set
-                    if lits:
-                        cl = ConflictClause(lits, len(clauses.entries))
-                        clauses.append(ClauseEntry(cl, lits, cert,
-                                                   foreign.get(cert, sid)))
-                        budget.clauses += 1
-            close_leaf(node, leaf, _leaf_evidence(node, store, budget, sid, ev))
+        # the one difference between the strategies: the hybrid gate starts
+        # with every unstable unit exact, the incremental gate with none
+        start = store.unstable if config.strategy == "hsrv" else ()
+        g = exactness_gate(store, budget, list(foreign), gate_lp_limit=config.gate_budget,
+                           start=start)
+        if g.status == SAT:
+            return sat(g.witness)
+        if g.status == PRUNE:
+            close_infeasible(node, store, g.certificates, ev, foreign)
             continue
-        if outcome_kind == DEFER and outcome == BUDGET and not budget.lp_ok():
+        if g.reason == BUDGET and not budget.lp_ok():
             return VerifyResult("unknown", reason="resource", budget=budget)
         # refine
         if node.depth >= config.max_depth:
@@ -431,15 +381,6 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             return VerifyResult("unknown", reason="nothing-to-split", budget=budget)
         attach_split(node, split)
     return VerifyResult("unsat", proof=run, budget=budget)
-
-
-def _leaf_evidence(node: _Node, store: Store, budget: Budget, sid: int, ev=None):
-    """Margin evidence for merging, computed at close time."""
-    if ev is None:
-        ev = _margin_evidence(store, budget)
-    if ev is None:
-        return None
-    return (node.region, dict(node.alpha), ev[0], ev[1], sid)
 
 
 def _clause_certs(clauses: ClauseDB, alpha: dict[Unit, str]):
@@ -453,19 +394,6 @@ def _clause_certs(clauses: ClauseDB, alpha: dict[Unit, str]):
                                        e.cert.inner)
         out.setdefault(cert, e.snapshot_id)
     return out
-
-
-def _from_exact(er, store: Store, net: Network, node: _Node, prop: SafetyProperty):
-    """Map a full exact-solve answer onto gate-style outcomes."""
-    if er.status == UNSAT:
-        return PRUNE, er.cover
-    if er.status == SAT:
-        x = tuple(er.model.get(store.layout.input_index(k), _ZERO)
-                  for k in range(net.input_dim))
-        if validate_witness(net, node.region, prop, x).accepted:
-            return SAT, x
-        return DEFER, ""
-    return DEFER, LIMIT
 
 
 def icl_verify(net: Network, region: Region, prop: SafetyProperty,

@@ -157,9 +157,6 @@ class BoundsMap:
             raise ValueError(f"widening upper bound of {unit}")
         self.pre[unit] = (lo if lo is not None else old_lo, hi if hi is not None else old_hi)
 
-    def snapshot(self):
-        return dict(self.pre)
-
 
 class Store:
     """Constraint store owned by a single search node."""
@@ -191,7 +188,6 @@ class Store:
         self.aff_ids: dict[Unit, int] = {}
         self.guard_ids: dict[tuple[Unit, str], list[int]] = {}
         self.relaxation_installed = False
-        self.margin_cert = None
 
     # -- mutation ---------------------------------------------------------
 

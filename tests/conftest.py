@@ -121,3 +121,17 @@ def dump_problem(net, region, prop, path):
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
+
+
+def snapshot_system(proof, sid):
+    """The normalized system of one snapshot of a run's proof."""
+    from relucert.store import LinearConstraint, NormalizedSystem, normalize_constraint
+
+    _, snap_rows = proof.snapshots[sid]
+    rows = []
+    n = 0
+    for cid, row, relation, rhs, block, tag in snap_rows:
+        rows.extend(normalize_constraint(cid, LinearConstraint(dict(row), relation, rhs,
+                                                               block, tag)))
+        n = max([n] + [j + 1 for j, _ in row])
+    return NormalizedSystem(rows, n)

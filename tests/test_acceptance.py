@@ -18,6 +18,7 @@ from conftest import (
     layout_of,
     mutate_rational_field,
     random_instance,
+    snapshot_system,
     worked_network,
     worked_prop,
     worked_region,
@@ -129,21 +130,14 @@ class TestAcceptance:
         assert res.status == "unsat"
         root = res.proof.root
         assert isinstance(root, ProofSplit) and root.kind == ("domain", 0, F(1, 2))
-        left, right = root.children
-        assert isinstance(left, ProofLeaf) and left.beta == F(0)
-        assert isinstance(right, ProofLeaf) and right.beta == F(1)
-        for leaf in (left, right):
-            _, rows = res.proof.snapshots[leaf.snapshot_id]
-            from relucert.store import LinearConstraint, normalize_constraint
-
-            nrows = []
-            n = 0
-            for cid, row, relation, rhs, block, tag in rows:
-                nrows.extend(normalize_constraint(
-                    cid, LinearConstraint(dict(row), relation, rhs, block, tag)))
-                n = max([n] + [j + 1 for j, _ in row])
-            assert check_dual(NormalizedSystem(nrows, n), leaf.bound_cert).ok
+        assert all(isinstance(leaf, ProofLeaf) for leaf in root.children)
+        # the published child bounds are the merge lemma's evidence
         entry, = res.proof.lemmas
+        children = entry.justification.children
+        assert [beta for _, _, beta, _, _ in children] == [F(0), F(1)]
+        for _, _, beta, cert, sid in children:
+            assert cert.bound == beta
+            assert check_dual(snapshot_system(res.proof, sid), cert).ok
         layout = layout_of(net, prop)
         assert dict(entry.row) == {layout.margin_index: F(1)} and entry.bound == F(1)
         assert isinstance(entry.justification, MergeJustification)
@@ -275,17 +269,9 @@ class TestAcceptance:
             for k, e in enumerate(lemmas.global_entries())
         ]
 
-        def snapshot_system(sid):
-            from relucert.store import LinearConstraint, normalize_constraint
-
-            _, rows = res.proof.snapshots[sid]
-            nrows = []
-            n = 0
-            for cid, row, relation, rhs, block, tag in rows:
-                nrows.extend(normalize_constraint(
-                    cid, LinearConstraint(dict(row), relation, rhs, block, tag)))
-                n = max([n] + [j + 1 for j, _ in row])
-            return NormalizedSystem(nrows + lemma_rows, n)
+        def with_lemmas(sid):
+            sys = snapshot_system(res.proof, sid)
+            return NormalizedSystem(sys.rows + lemma_rows, sys.n_vars)
 
         def walk(entry):
             if isinstance(entry, ProofSplit):
@@ -298,17 +284,13 @@ class TestAcceptance:
         from relucert.store import guard_norm_rows
 
         for leaf in walk(res.proof.root):
-            if leaf.kind == "bound":
-                assert check_dual(snapshot_system(leaf.snapshot_id), leaf.bound_cert).ok
+            for cert, sid in leaf.cover:
+                sys = with_lemmas(sid)
+                rows = list(sys.rows)
+                for lit in cert.guards:
+                    rows.extend(guard_norm_rows(layout, lit))
+                assert check_farkas(NormalizedSystem(rows, sys.n_vars), cert.inner).ok
                 checked += 1
-            else:
-                for cert, sid in leaf.cover:
-                    sys = snapshot_system(sid)
-                    rows = list(sys.rows)
-                    for lit in cert.guards:
-                        rows.extend(guard_norm_rows(layout, lit))
-                    assert check_farkas(NormalizedSystem(rows, sys.n_vars), cert.inner).ok
-                    checked += 1
         assert checked >= 2
         report(f"ACCEPTANCE 10: PASS - {checked} leaf certificates still accepted "
                f"after injecting all {len(lemma_rows)} learned lemmas")

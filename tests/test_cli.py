@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 from conftest import WORKED, WORKED_SAT, worked_network, worked_prop, worked_region
 from relucert.cli import (
@@ -9,6 +10,7 @@ from relucert.cli import (
     EXIT_UNKNOWN,
     EXIT_UNSAT,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from relucert.model import validate_witness
@@ -124,3 +126,14 @@ class TestDeterminism:
             v = _run(capsys, "verify", problem)[0]
             o = _run(capsys, "oracle", problem)[0]
             assert v == o
+
+
+class TestDocumentedFlags:
+    def test_readme_lists_exactly_the_verify_flags(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("Flags for `verify`:", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(--[a-z-]+)", section))
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        defined = {opt for action in sub.choices["verify"]._actions
+                   for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        assert documented == defined

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import rand_rational
 from relucert import lp
 from relucert.store import NormRow, NormalizedSystem
@@ -180,3 +182,21 @@ class TestEdgeCases:
         a = lp.lp_max(sys, g)
         b = lp.lp_max(sys, g)
         assert (a.status, a.value, a.primal, a.dual) == (b.status, b.value, b.primal, b.dual)
+
+
+class TestSelfCheck:
+    """The engine re-checks its own certificates with explicit exceptions,
+    which `python -O` keeps."""
+
+    def test_bad_farkas_vector_raises(self):
+        sys = _system([({0: F(1)}, 1)])
+        with pytest.raises(lp.SelfCheckFailed):
+            lp._self_check_farkas(sys, {("c", 0, "le"): F(1)})  # lambda^T A != 0
+
+    def test_dual_bound_must_equal_the_optimum(self):
+        sys = _system([({0: F(1)}, 1)])
+        lp._self_check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(1))
+        with pytest.raises(lp.SelfCheckFailed):
+            lp._self_check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(2))
+        with pytest.raises(lp.SelfCheckFailed):
+            lp._self_check_dual(sys, {0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))

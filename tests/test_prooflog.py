@@ -62,6 +62,48 @@ class TestSerialization:
         with pytest.raises(ValueError):
             prooflog.parse_proof(b'{"format":"something-else"}')
 
+    def test_format_1_document_rejected(self):
+        data = _proof_bytes()
+        assert b'"format":"relucert-proof-2"' in data
+        old = data.replace(b'"format":"relucert-proof-2"', b'"format":"relucert-proof-1"')
+        out = prooflog.check_proof(_problem(), old, WORKED)
+        assert not out.accepted and out.path == "document"
+
+    def test_leaves_have_one_kind(self):
+        def leaves(node):
+            if node["type"] == "split":
+                for child in node["children"]:
+                    yield from leaves(child)
+            else:
+                yield node
+
+        for strategy in (icl_verify, hsrv_verify):
+            res = strategy(*_problem(), Config(first_split="domain"))
+            doc = prooflog.parse_proof(prooflog.emit(res.proof, WORKED))
+            for leaf in leaves(doc["tree"]):
+                assert set(leaf) == {"type", "cover"} and leaf["cover"]
+
+
+class TestPartition:
+    """Merge children must split their parent scope in two."""
+
+    def _phase_children(self, unit, phases, parent=None):
+        parent = parent or {}
+        return [(worked_region(), {**parent, unit: p}) for p in phases]
+
+    def test_phase_split_children_partition_the_parent(self):
+        parent = {(1, 1): "inactive"}
+        kids = self._phase_children((1, 0), ("active", "inactive"), parent)
+        assert prooflog._is_partition(worked_region(), parent, kids)
+
+    def test_same_phase_twice_is_not_a_partition(self):
+        kids = self._phase_children((1, 0), ("active", "active"))
+        assert not prooflog._is_partition(worked_region(), {}, kids)
+
+    def test_children_on_different_units_are_not_a_partition(self):
+        kids = [(worked_region(), {(1, 0): "active"}), (worked_region(), {(1, 1): "inactive"})]
+        assert not prooflog._is_partition(worked_region(), {}, kids)
+
 
 class TestCheckerIndependence:
     def test_prooflog_never_imports_the_lp_engine(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,13 +6,15 @@ import pytest
 
 from conftest import (
     WORKED,
+    dump_problem,
     layout_of,
     random_instance,
+    snapshot_system,
     worked_network,
     worked_prop,
     worked_region,
 )
-from relucert import certs, prooflog
+from relucert import certs, lp, prooflog
 from relucert.budget import Budget
 from relucert.model import ACTIVE, INACTIVE, Region, build_layout, validate_witness
 from relucert.propagate import propagate_node
@@ -23,6 +26,7 @@ from relucert.search import (
     ProofLeaf,
     ProofSplit,
     _domain_split,
+    _margin_evidence,
     _Node,
     hsrv_verify,
     icl_verify,
@@ -30,7 +34,8 @@ from relucert.search import (
     pick_split,
     refine,
 )
-from relucert.store import build_initial_store
+from relucert.model import SafetyProperty
+from relucert.store import NEGP, build_initial_store, interval_bounds
 
 
 def _count_unstable(net, region):
@@ -116,24 +121,17 @@ class TestMergeDemo:
         root = res.proof.root
         assert isinstance(root, ProofSplit)
         assert root.kind == ("domain", 0, F(1, 2))
-        left, right = root.children
-        assert isinstance(left, ProofLeaf) and left.kind == "bound"
-        assert isinstance(right, ProofLeaf) and right.kind == "bound"
-        assert left.beta == F(0) and right.beta == F(1)
+        assert all(isinstance(leaf, ProofLeaf) for leaf in root.children)
+        # the child bounds are the merge lemma's evidence
+        entry, = res.proof.lemmas
+        assert [beta for _, _, beta, _, _ in entry.justification.children] == [F(0), F(1)]
 
     def test_child_certificates_pass_the_dual_checker(self):
         res = self._run("hsrv")
-        for leaf in res.proof.root.children:
-            _, snap_rows = res.proof.snapshots[leaf.snapshot_id]
-            rows = []
-            from relucert.store import LinearConstraint, NormalizedSystem, normalize_constraint
-
-            n = 0
-            for cid, row, relation, rhs, block, tag in snap_rows:
-                c = LinearConstraint(dict(row), relation, rhs, block, tag)
-                rows.extend(normalize_constraint(cid, c))
-                n = max([n] + [j + 1 for j, _ in row])
-            assert certs.check_dual(NormalizedSystem(rows, n), leaf.bound_cert).ok
+        entry, = res.proof.lemmas
+        for _, _, beta, cert, sid in entry.justification.children:
+            assert cert.bound == beta
+            assert certs.check_dual(snapshot_system(res.proof, sid), cert).ok
 
     def test_merged_lemma_bounds_the_output_by_one(self):
         res = self._run("hsrv")
@@ -220,3 +218,91 @@ class TestRandomAgreement:
                 if res.status == "sat":
                     assert validate_witness(net, region, prop, res.witness).accepted
             done += 1
+
+
+def _max_margin(net, region, prop):
+    """Exact maximum of the margin over the box: the best LP value, without
+    the negated property, over every phase assignment of the root-unstable
+    units (stable units keep their phase, as in `oracle_verify`)."""
+    layout = build_layout(net, prop)
+    bounds = interval_bounds(net, region, {})
+    free = [u for u in net.hidden_units if bounds[u][0] < 0 < bounds[u][1]]
+    fixed = {u: ACTIVE if bounds[u][0] >= 0 else INACTIVE
+             for u in net.hidden_units if u not in free}
+    best = None
+    for phases in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
+        alpha = {**fixed, **dict(zip(free, phases))}
+        store = build_initial_store(net, layout, region, prop, alpha)
+        out = lp.lp_max(store.normalize(exclude=lambda cid, c: c.block == NEGP),
+                        {layout.margin_index: F(1)})
+        if out.status == lp.OPTIMAL and (best is None or out.value > best):
+            best = out.value
+    return best
+
+
+def _phase_splits(entry):
+    if isinstance(entry, ProofSplit):
+        if entry.kind[0] == "phase":
+            yield entry
+        for child in entry.children:
+            yield from _phase_splits(child)
+
+
+class TestBranchingOracleAgreement:
+    """Both drivers against the oracle on instances that really branch: two
+    acceptance-suite networks with at least four root-unstable units, their
+    threshold moved to 1/1000 above (UNSAT) and below (SAT) the exact
+    maximum margin, verified with margin-only templates and a one-LP gate.
+    Of the eight such instances among the first hundred, these two are the
+    ones whose UNSAT variants split and merge under both drivers within
+    about two seconds."""
+
+    CONFIG = Config(templates="margin-only", gate_budget=1)
+
+    def test_verdicts_match_the_oracle_and_proofs_replay(self, tmp_path):
+        from test_acceptance import _spec_suite
+
+        suite = _spec_suite(90)
+        phase_splits = lemmas = proofs = 0
+        for idx in (57, 89):
+            net, region, prop = suite[idx]
+            assert _count_unstable(net, region) >= 4
+            maximum = _max_margin(net, region, prop)
+            for gap in (F(1, 1000), F(-1, 1000)):
+                tight = SafetyProperty(prop.margin, maximum + gap - prop.epsilon, prop.epsilon)
+                truth = oracle_verify(net, region, tight)
+                assert truth.status == ("unsat" if gap > 0 else "sat")
+                path = tmp_path / f"p{idx}-{gap > 0}.json"
+                dump_problem(net, region, tight, path)
+                for driver in (icl_verify, hsrv_verify):
+                    res = driver(net, region, tight, self.CONFIG)
+                    assert res.status == truth.status, (idx, gap, driver.__name__)
+                    if res.status == "sat":
+                        assert validate_witness(net, region, tight, res.witness).accepted
+                        continue
+                    out = prooflog.check_proof((net, region, tight),
+                                               prooflog.emit(res.proof, path), str(path))
+                    assert out.accepted, (idx, driver.__name__, out)
+                    proofs += 1
+                    phase_splits += len(list(_phase_splits(res.proof.root)))
+                    lemmas += len(res.proof.lemmas)
+        assert proofs == 4
+        assert phase_splits >= 1 and lemmas >= 1
+
+
+class TestMarginEvidence:
+    def test_open_node_margin_bound_never_rules_out_the_violation(self):
+        # why neither strategy prunes on the margin bound of an open node:
+        # propagation found the store LP-feasible with the negated property,
+        # so the margin's maximum without that row is at least the threshold
+        from test_acceptance import _spec_suite
+
+        opened = 0
+        for net, region, prop in _spec_suite(8):
+            store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+            if propagate_node(store, None, Budget()).status != "open":
+                continue
+            ev = _margin_evidence(store, Budget())
+            assert ev is None or ev[0] >= prop.violation_threshold
+            opened += 1
+        assert opened >= 5
