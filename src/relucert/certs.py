@@ -105,6 +105,7 @@ class ConflictClause:
 class CheckResult:
     ok: bool
     reason: str = ""
+    value: Fraction | None = None  # lambda^T b, for an accepted dual certificate
 
 
 ACCEPT = CheckResult(True)
@@ -144,7 +145,7 @@ def check_dual(sys: NormalizedSystem, cert: DualBoundCertificate) -> CheckResult
         return CheckResult(False, "lambda^T A != g^T")
     if rhs > cert.bound:
         return CheckResult(False, f"lambda^T b = {rhs} > bound {cert.bound}")
-    return ACCEPT
+    return CheckResult(True, value=rhs)
 
 
 def check_farkas(sys: NormalizedSystem, cert: FarkasCertificate) -> CheckResult:
@@ -179,8 +180,3 @@ def check_guarded(store: Store, cert: GuardedCertificate) -> CheckResult:
     except KeyError as exc:
         return CheckResult(False, f"unknown unit {exc}")
     return check_farkas(sys, cert.inner)
-
-
-def derive_conflict_clause(cert: GuardedCertificate, source_id: int) -> ConflictClause:
-    """Clause: at least one of the certificate's guards is false."""
-    return ConflictClause(cert.guard_set, source_id)

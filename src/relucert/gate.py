@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import certs as certmod
 from . import lp
 from .budget import Budget
-from .certs import ConflictClause, FarkasCertificate, GuardedCertificate
+from .certs import FarkasCertificate, GuardedCertificate
 from .model import ACTIVE, INACTIVE, Unit, validate_witness
 from .store import GuardLiteral, NormalizedSystem, Store, guard_norm_rows
 
@@ -35,6 +35,10 @@ SOLVER_LIMIT = "solver-limit"
 
 class EmptyViolationSet(Exception):
     pass
+
+
+class RefinementFailed(Exception):
+    """A refinement kept the spurious model or exceeded |U| steps."""
 
 
 @dataclass(frozen=True)
@@ -87,35 +91,6 @@ def _drop_zero_guards(cert: GuardedCertificate, layout) -> GuardedCertificate:
     if len(kept) == len(cert.guards):
         return cert
     return GuardedCertificate.make(kept, cert.inner)
-
-
-def minimize_core(store: Store, cert: GuardedCertificate, budget: Budget,
-                  lp_shrink: bool = False) -> GuardedCertificate:
-    """Greedy guard-set shrinking: free drops always, per-guard LP retries on
-    request (each retry costs an LP call)."""
-    cert = _drop_zero_guards(cert, store.layout)
-    if not lp_shrink:
-        return cert
-    base = store.normalize()
-    guards = list(cert.guards)
-    changed = True
-    while changed:
-        changed = False
-        for lit in list(guards):
-            if not budget.lp_ok():
-                return GuardedCertificate.make(guards, cert.inner)
-            trial = [g for g in guards if g != lit]
-            sys = certmod.extend_with_guards(base, store.layout, trial)
-            budget.count_lp()
-            out = lp.lp_feasible(sys)
-            if out.status == lp.INFEASIBLE:
-                guards = trial
-                cert = GuardedCertificate.make(guards, FarkasCertificate.make(out.dual))
-                cert = _drop_zero_guards(cert, store.layout)
-                guards = list(cert.guards)
-                changed = True
-                break
-    return cert
 
 
 def exact_solve(store: Store, subset, learned=(), budget: Budget | None = None,
@@ -178,7 +153,6 @@ class GateOutcome:
     status: str  # SAT | PRUNE | DEFER
     witness: tuple[Fraction, ...] | None = None
     certificates: list[GuardedCertificate] = field(default_factory=list)
-    clauses: list[ConflictClause] = field(default_factory=list)
     reason: str = ""
     refinements: int = 0
     exact_subset: frozenset[Unit] = frozenset()
@@ -245,9 +219,11 @@ def exactness_gate(store: Store, budget: Budget, learned=(),
             return GateOutcome(DEFER, reason=SOLVER_LIMIT,
                                refinements=out.refinements, exact_subset=frozenset(subset))
         for unit in picked:
-            assert _model_violates_exactness(store, model, unit)
+            if not _model_violates_exactness(store, model, unit):
+                raise RefinementFailed(f"unit {unit} does not refute the model")
             for cid in store.hull_ids.get(unit, []):
                 store.retire(cid)
         subset |= picked
         out.refinements += 1
-        assert out.refinements <= len(unstable)
+        if out.refinements > len(unstable):
+            raise RefinementFailed(f"{out.refinements} refinements for {len(unstable)} units")

@@ -259,7 +259,8 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
         res = tab.run(lambda j: Fraction(-1) if j in art else _ZERO, max_iters, False)
         if res[0] == "limit":
             return LpOutcome(LIMIT, iterations=tab.iterations)
-        assert res[0] == "optimal", "phase 1 cannot be unbounded"
+        if res[0] != "optimal":
+            raise SelfCheckFailed("phase 1 cannot be unbounded")
         _, obj, val = res
         if val < 0:
             lam = tab.dual_from_obj(obj)
@@ -305,7 +306,8 @@ def lp_feasible(sys: NormalizedSystem, max_iters: int = DEFAULT_MAX_ITERS) -> Lp
         res = tab.run(lambda j: Fraction(-1) if j in art else _ZERO, max_iters, False)
         if res[0] == "limit":
             return LpOutcome(LIMIT, iterations=tab.iterations)
-        assert res[0] == "optimal", "phase 1 cannot be unbounded"
+        if res[0] != "optimal":
+            raise SelfCheckFailed("phase 1 cannot be unbounded")
         _, obj, val = res
         if val < 0:
             lam = tab.dual_from_obj(obj)

@@ -3,8 +3,10 @@
 The log inlines every row a certificate is checked against (snapshot rows by
 value), so checking never depends on solver row-id allocation.  The checker
 re-derives each snapshot row from the problem itself or from certificates
-appearing earlier in the same snapshot, checks every leaf certificate, and
-verifies that split annotations cover each parent.
+over rows of smaller id in the same snapshot, checks every leaf certificate,
+and verifies that split annotations cover each parent.  A snapshot is
+replayed once per check, however many leaves and merge children cite it;
+each citation then checks only its scope (region and guard literals).
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.  It
@@ -34,11 +36,11 @@ from .certs import (
     GuardedCertificate,
     check_dual,
     check_farkas,
+    extend_with_guards,
 )
 from .model import (
     ACTIVE,
     INACTIVE,
-    RELU,
     Network,
     Region,
     SafetyProperty,
@@ -51,10 +53,8 @@ from .store import (
     EQ,
     LE,
     GuardLiteral,
-    NormRow,
     NormalizedSystem,
     guard_consequences,
-    guard_norm_rows,
     normalize_constraint,
 )
 
@@ -287,22 +287,17 @@ def _parse_snapshot(obj) -> _Snapshot:
 
 
 class _Problem:
+    """The problem, and what one `check_proof` call has read of the proof:
+    its snapshots, the lemmas accepted so far and each snapshot replay."""
+
     def __init__(self, net: Network, region: Region, prop: SafetyProperty):
         self.net = net
         self.region = region
         self.prop = prop
         self.layout: VariableLayout = build_layout(net, prop)
-
-
-def _snapshot_system(snap: _Snapshot) -> NormalizedSystem:
-    from .store import LinearConstraint  # row container only
-    rows = []
-    n = 0
-    for r in snap.rows:
-        c = LinearConstraint(dict(r.row), r.relation, r.rhs, r.block, r.tag)
-        rows.extend(normalize_constraint(r.cid, c))
-        n = max([n] + [j + 1 for j, _ in r.row])
-    return NormalizedSystem(rows, n)
+        self.snapshots: dict[int, _Snapshot] = {}
+        self.lemmas: dict[int, tuple] = {}  # id -> (row, bound, is_global)
+        self.replays: dict[int, tuple] = {}  # id -> _check_snapshot's result
 
 
 def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str | None:
@@ -312,10 +307,8 @@ def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str 
     res = check_dual(sys, cert)
     if not res.ok:
         return res.reason
-    from .certs import _combine
-    _, rhs = _combine(sys, cert.multipliers)
-    if rhs != cert.bound:
-        return f"certificate bound {cert.bound} differs from lambda^T b = {rhs}"
+    if res.value != cert.bound:
+        return f"certificate bound {cert.bound} differs from lambda^T b = {res.value}"
     return None
 
 
@@ -338,28 +331,17 @@ def _margin_def_row(pb: _Problem):
     return {k: v for k, v in row.items() if v != 0}
 
 
-def _find_interval(validated, s_idx: int):
-    """Best earlier-validated bounds on variable s: (lo, hi), possibly None."""
-    lo = hi = None
-    for r in validated:
-        if r.relation != LE:
-            continue
-        row = dict(r.row)
-        if set(row) == {s_idx}:
-            c = row[s_idx]
-            if c > 0:
-                b = r.rhs / c
-                hi = b if hi is None or b < hi else hi
-            else:
-                b = r.rhs / c
-                lo = b if lo is None or b > lo else lo
-    return lo, hi
+def _cites_only_prior(cert: DualBoundCertificate, cid: int) -> bool:
+    return all(rid[0] == "c" and int(rid[1]) < cid for rid, _ in cert.multipliers)
 
 
-def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
-                        allowed_guards: set, lemma_table: dict,
-                        validated: list) -> str | None:
-    """Returns a rejection reason, or None when the row is derivable."""
+def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
+                        system: NormalizedSystem, interval: dict) -> str | None:
+    """Returns a rejection reason, or None when the row is derivable.
+
+    `system` holds every row of the snapshot; a certificate may cite only
+    rows of smaller id, all of which were checked before this one.
+    `interval` maps a variable to the tightest (lo, hi) those rows prove."""
     tag = r.tag
     kind = tag[0]
     row = dict(r.row)
@@ -380,10 +362,10 @@ def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
             return "malformed region row"
         xi = pb.layout.input_index(k)
         if tag[2] == "hi":
-            if row != {xi: _ONE} or r.rhs != context_region.upper[k]:
+            if row != {xi: _ONE} or r.rhs != region.upper[k]:
                 return "region upper row differs from the snapshot region"
         elif tag[2] == "lo":
-            if row != {xi: -_ONE} or r.rhs != -context_region.lower[k]:
+            if row != {xi: -_ONE} or r.rhs != -region.lower[k]:
                 return "region lower row differs from the snapshot region"
         else:
             return "malformed region tag"
@@ -394,11 +376,8 @@ def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
             return "negated property row mismatch"
         return None
     if kind == "guard":
-        unit = (int(tag[1]), int(tag[2]))
-        phase = tag[3]
-        if (unit, phase) not in allowed_guards:
-            return f"guard row for uncommitted phase {unit}:{phase}"
-        for c in guard_consequences(pb.layout, GuardLiteral(unit, phase)):
+        lit = GuardLiteral((int(tag[1]), int(tag[2])), tag[3])
+        for c in guard_consequences(pb.layout, lit):
             if c.relation == r.relation and dict(c.row) == row and c.rhs == r.rhs:
                 return None
         return "guard row content mismatch"
@@ -410,9 +389,9 @@ def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
             return "derived row differs from certificate objective"
         if cert.bound != r.rhs:
             return "derived row differs from its certificate bound"
-        if any(rid[0] != "c" or int(rid[1]) >= r.cid for rid, _ in cert.multipliers):
+        if not _cites_only_prior(cert, r.cid):
             return "derived row cites a non-prior row"
-        reason = _check_dual_exact(_prefix_system(validated), cert)
+        reason = _check_dual_exact(system, cert)
         if reason is not None:
             return f"derived-row certificate rejected: {reason}"
         return None
@@ -436,9 +415,9 @@ def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
             return "stabilization row content mismatch"
         if cert.objective_dict != want or cert.bound > _ZERO:
             return "stabilization certificate does not pin the sign"
-        if any(rid[0] != "c" or int(rid[1]) >= r.cid for rid, _ in cert.multipliers):
+        if not _cites_only_prior(cert, r.cid):
             return "stabilization certificate cites a non-prior row"
-        reason = _check_dual_exact(_prefix_system(validated), cert)
+        reason = _check_dual_exact(system, cert)
         if reason is not None:
             return f"stabilization certificate rejected: {reason}"
         return None
@@ -449,8 +428,7 @@ def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
             return "hull parameters do not straddle zero"
         s = pb.layout.pre_index(unit)
         z = pb.layout.post_index(unit)
-        plo, phi = _find_interval(validated, s)
-        if (plo, phi) != (lo, hi):
+        if interval.get(s) != (lo, hi):
             return "hull parameters differ from the certified bounds"
         slope = hi / (hi - lo)
         candidates = [
@@ -467,26 +445,69 @@ def _check_snapshot_row(pb: _Problem, snap, r: _SnapRow, context_region: Region,
         return "hull row content mismatch"
     if kind == "lemma":
         lid = int(tag[1])
-        entry = lemma_table.get(lid)
-        if entry is None:
+        if lid not in pb.lemmas:
             return f"unknown lemma {lid}"
-        if not entry["global"]:
+        lemma_row, bound, is_global = pb.lemmas[lid]
+        if not is_global:
             return "non-global lemma injected"
-        if r.relation != LE or row != entry["row_parsed"] or r.rhs != entry["bound_parsed"]:
+        if r.relation != LE or row != lemma_row or r.rhs != bound:
             return "lemma row mismatch"
         return None
     return f"unknown derivation kind {kind}"
 
 
-def _prefix_system(validated) -> NormalizedSystem:
-    from .store import LinearConstraint
-    rows = []
-    n = 0
-    for r in validated:
-        c = LinearConstraint(dict(r.row), r.relation, r.rhs, r.block, ())
-        rows.extend(normalize_constraint(r.cid, c))
-        n = max([n] + [j + 1 for j, _ in r.row])
-    return NormalizedSystem(rows, n)
+def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
+    """Replay a snapshot once, over its own region: normalize every row, then
+    check the rows in id order.  Returns (reason, system, guards): a
+    rejection reason or None, the normalized system, and the (unit, phase)
+    literals its guard rows assume."""
+    rows = sorted(snap.rows, key=lambda e: e.cid)
+    for a, b in zip(rows, rows[1:]):
+        if a.cid == b.cid:
+            return f"duplicate row id {a.cid}", None, None
+    from .store import LinearConstraint  # row container only
+    norm = []
+    for r in rows:
+        norm.extend(normalize_constraint(r.cid, LinearConstraint(dict(r.row), r.relation,
+                                                                 r.rhs, r.block, ())))
+    system = NormalizedSystem(norm, max((j + 1 for r in rows for j, _ in r.row), default=0))
+    interval: dict[int, tuple] = {}
+    guards = set()
+    for r in rows:
+        reason = _check_snapshot_row(pb, r, snap.region, system, interval)
+        if reason is not None:
+            return f"row {r.cid}: {reason}", None, None
+        if r.tag[0] == "guard":
+            guards.add(((int(r.tag[1]), int(r.tag[2])), r.tag[3]))
+        if r.relation == LE and len(r.row) == 1:
+            (j, c), = r.row
+            lo, hi = interval.get(j, (None, None))
+            b = r.rhs / c
+            if c > 0:
+                hi = b if hi is None else min(hi, b)
+            else:
+                lo = b if lo is None else max(lo, b)
+            interval[j] = (lo, hi)
+    return None, system, frozenset(guards)
+
+
+def _scoped_system(pb: _Problem, sid, region: Region, allowed: set):
+    """(reason, system) for using snapshot `sid` at a path with this region,
+    where its guard rows may assume only the literals in `allowed`."""
+    if sid not in pb.snapshots:
+        return "missing snapshot", None
+    if sid not in pb.replays:
+        pb.replays[sid] = _check_snapshot(pb, pb.snapshots[sid])
+    reason, system, guards = pb.replays[sid]
+    if reason is not None:
+        return reason, None
+    if not _region_contains(pb.snapshots[sid].region, region):
+        return "snapshot region does not enclose the path region", None
+    stray = sorted(guards - allowed)
+    if stray:
+        unit, phase = stray[0]
+        return f"guard row for uncommitted phase {unit}:{phase}", None
+    return None, system
 
 
 def _region_contains(outer: Region, inner: Region) -> bool:
@@ -495,50 +516,29 @@ def _region_contains(outer: Region, inner: Region) -> bool:
         for olo, ohi, ilo, ihi in zip(outer.lower, outer.upper, inner.lower, inner.upper))
 
 
-def _check_snapshot(pb: _Problem, snap: _Snapshot, path_region: Region,
-                    allowed_guards: set, lemma_table: dict) -> str | None:
-    """Every snapshot row must be re-derivable over the snapshot's own region,
-    which in turn must enclose the path scope the certificate is used at."""
-    if not _region_contains(snap.region, path_region):
-        return "snapshot region does not enclose the path region"
-    validated: list[_SnapRow] = []
-    for r in sorted(snap.rows, key=lambda e: e.cid):
-        reason = _check_snapshot_row(pb, snap, r, snap.region, allowed_guards,
-                                     lemma_table, validated)
-        if reason is not None:
-            return f"row {r.cid}: {reason}"
-        validated.append(r)
-    return None
-
-
-def _guards_of_alpha(alpha: dict) -> set:
-    return {(u, p) for u, p in alpha.items()}
-
-
-def _check_cover(pb: _Problem, certs: list[GuardedCertificate], alpha: dict) -> str | None:
+def _check_cover(certs: list[GuardedCertificate], alpha: dict) -> str | None:
     """The guard sets must exclude every total phase assignment compatible
-    with the path's commitments."""
-    units = sorted({g.unit for c in certs for g in c.guards} - set(alpha))
-    if len(units) > 16:
-        return f"cover enumeration over {len(units)} units refused"
-    import itertools
-    for phases in itertools.product((ACTIVE, INACTIVE), repeat=len(units)):
-        sigma = dict(alpha)
-        sigma.update(zip(units, phases))
-        if not any(all(sigma.get(g.unit) == g.phase for g in c.guards) for c in certs):
+    with the path's commitments.  Case split on a unit that a certificate
+    still in play mentions; a branch closes once one certificate's guards
+    all hold, and fails once every certificate is contradicted."""
+    stack = [(dict(alpha), list(certs))]
+    while stack:
+        sigma, live = stack.pop()
+        live = [c for c in live if all(sigma.get(g.unit, g.phase) == g.phase
+                                       for g in c.guards)]
+        if any(all(g.unit in sigma for g in c.guards) for c in live):
+            continue
+        if not live:
             return f"assignment {sigma} not excluded by the cover"
+        unit = next(g.unit for g in live[0].guards if g.unit not in sigma)
+        stack.extend(({**sigma, unit: p}, live) for p in (ACTIVE, INACTIVE))
     return None
 
 
 def _split_children(region: Region, alpha: dict, kind) -> list[tuple[Region, dict]]:
     if kind[0] == "phase":
         unit = (int(kind[1][0]), int(kind[1][1]))
-        out = []
-        for phase in (ACTIVE, INACTIVE):
-            a = dict(alpha)
-            a[unit] = phase
-            out.append((region, a))
-        return out
+        return [(region, {**alpha, unit: phase}) for phase in (ACTIVE, INACTIVE)]
     _, dim, mid = kind
     dim = int(dim)
     mid = parse_rational(mid) if isinstance(mid, str) else mid
@@ -554,35 +554,36 @@ def _split_children(region: Region, alpha: dict, kind) -> list[tuple[Region, dic
     return out
 
 
+def _parse_alpha(obj) -> dict:
+    return {(int(i), int(j)): p for i, j, p in obj}
+
+
 def _check_evidence(pb: _Problem, evidence: dict, template: dict, beta: Fraction,
-                    region: Region, alpha: dict, snapshots: dict, sid,
-                    lemma_table: dict, path: str) -> CheckOutcome:
-    if evidence["kind"] == "dual":
-        cert = _parse_dual(evidence["cert"])
-        if cert.objective_dict != template:
-            return _reject(path, "evidence certificate for a different template")
-        if cert.bound != beta:
-            return _reject(path, "evidence bound differs from the recorded beta")
-        if sid is None or sid not in snapshots:
-            return _reject(path, "evidence lacks a snapshot")
-        snap = snapshots[sid]
-        # guard rows inside the snapshot must belong to the scope's alpha
-        reason = _check_snapshot(pb, snap, region, _guards_of_alpha(alpha), lemma_table)
-        if reason is not None:
-            return _reject(path, f"snapshot: {reason}")
-        reason = _check_dual_exact(_snapshot_system(snap), cert)
-        if reason is not None:
-            return _reject(path, f"evidence certificate rejected: {reason}")
-        return ACCEPTED
+                    region: Region, alpha: dict, sid, path: str) -> CheckOutcome:
     if evidence["kind"] == "merge":
         return _check_merge(pb, evidence["justification"], template, beta,
-                            region, alpha, snapshots, lemma_table, path)
-    return _reject(path, f"unknown evidence kind {evidence['kind']}")
+                            region, alpha, path)
+    if evidence["kind"] != "dual":
+        return _reject(path, f"unknown evidence kind {evidence['kind']}")
+    cert = _parse_dual(evidence["cert"])
+    if cert.objective_dict != template:
+        return _reject(path, "evidence certificate for a different template")
+    if cert.bound != beta:
+        return _reject(path, "evidence bound differs from the recorded beta")
+    # guard rows inside the snapshot must belong to the scope's alpha
+    reason, system = _scoped_system(pb, sid, region, set(alpha.items()))
+    if reason is not None:
+        return _reject(path, f"snapshot: {reason}")
+    reason = _check_dual_exact(system, cert)
+    if reason is not None:
+        return _reject(path, f"evidence certificate rejected: {reason}")
+    return ACCEPTED
 
 
 def _check_merge(pb: _Problem, just: dict, template: dict, beta: Fraction,
-                 region: Region, alpha: dict, snapshots: dict,
-                 lemma_table: dict, path: str) -> CheckOutcome:
+                 region: Region, alpha: dict, path: str) -> CheckOutcome:
+    if just["kind"] != "merge":
+        return _reject(path, f"unknown justification kind {just['kind']}")
     if _parse_row(just["template"]) != template:
         return _reject(path, "merge justification for a different template")
     if parse_rational(just["beta"]) != beta:
@@ -592,8 +593,7 @@ def _check_merge(pb: _Problem, just: dict, template: dict, beta: Fraction,
         return _reject(path, "merge requires exactly two children")
     parsed = []
     for c in children:
-        parsed.append((_parse_region(c["region"]),
-                       {(int(i), int(j)): p for i, j, p in c["alpha"]},
+        parsed.append((_parse_region(c["region"]), _parse_alpha(c["alpha"]),
                        parse_rational(c["beta"]), c["evidence"], c.get("snapshot")))
     if max(p[2] for p in parsed) != beta:
         return _reject(path, "merged bound is not the maximum of the child bounds")
@@ -601,7 +601,7 @@ def _check_merge(pb: _Problem, just: dict, template: dict, beta: Fraction,
         return _reject(path, "children do not partition the parent scope")
     for idx, (c_region, c_alpha, c_beta, evidence, sid) in enumerate(parsed):
         res = _check_evidence(pb, evidence, template, c_beta, c_region, c_alpha,
-                              snapshots, sid, lemma_table, f"{path}/child{idx}")
+                              sid, f"{path}/child{idx}")
         if not res.accepted:
             return res
     return ACCEPTED
@@ -639,17 +639,16 @@ def check_proof(problem, log_bytes: bytes, problem_path=None) -> CheckOutcome:
     """Replay a proof log against the original problem.
 
     `problem` is the (net, region, prop) triple; `problem_path`, when given,
-    is used to verify the digest.
+    is used to verify the digest.  Never raises: an input the checker cannot
+    follow, whatever the exception, is a REJECT that names it.
     """
     try:
         doc = parse_proof(log_bytes)
-    except (ValueError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return _reject("document", f"unparseable: {exc}")
-    net, region, prop = problem
-    pb = _Problem(net, region, prop)
+    except Exception as exc:
+        return _reject("document", f"unparseable: {exc!r}")
     try:
-        return _check_doc(pb, doc, problem_path)
-    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
+        return _check_doc(_Problem(*problem), doc, problem_path)
+    except Exception as exc:
         return _reject("document", f"malformed: {exc!r}")
 
 
@@ -658,36 +657,27 @@ def _check_doc(pb: _Problem, doc: dict, problem_path) -> CheckOutcome:
         return _reject("digest", "problem digest mismatch")
     if _parse_region(doc["region"]) != pb.region:
         return _reject("region", "root region differs from the problem region")
-    snapshots = {int(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
+    pb.snapshots = {int(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
 
-    # lemma preamble, in order: each justification must close over (D, {})
-    lemma_table: dict[int, dict] = {}
+    # lemma preamble, in order: each justification must close over its scope
     for idx, entry in enumerate(doc["lemmas"]):
         path = f"lemma[{idx}]"
-        e = dict(entry)
-        e["row_parsed"] = _parse_row(entry["row"])
-        e["bound_parsed"] = parse_rational(entry["bound"])
+        row, bound = _parse_row(entry["row"]), parse_rational(entry["bound"])
         scope_region = _parse_region(entry["region"])
-        scope_alpha = {(int(i), int(j)): p for i, j, p in entry["alpha"]}
-        if entry["global"]:
-            if scope_region != pb.region or scope_alpha:
-                return _reject(path, "global lemma with non-root scope")
-        res = _check_merge(pb, entry["justification"], e["row_parsed"],
-                           e["bound_parsed"], scope_region, scope_alpha,
-                           snapshots, lemma_table, path) \
-            if entry["justification"]["kind"] == "merge" else \
-            _check_evidence(pb, entry["justification"], e["row_parsed"],
-                            e["bound_parsed"], scope_region, scope_alpha,
-                            snapshots, entry.get("snapshot"), lemma_table, path)
+        scope_alpha = _parse_alpha(entry["alpha"])
+        if entry["global"] and (scope_region != pb.region or scope_alpha):
+            return _reject(path, "global lemma with non-root scope")
+        res = _check_merge(pb, entry["justification"], row, bound, scope_region,
+                           scope_alpha, path)
         if not res.accepted:
             return res
-        lemma_table[int(entry["id"])] = e
+        pb.lemmas[int(entry["id"])] = (row, bound, bool(entry["global"]))
 
-    return _check_tree(pb, doc["tree"], pb.region, {}, snapshots, lemma_table, "tree")
+    return _check_tree(pb, doc["tree"], pb.region, {}, "tree")
 
 
 def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
-                snapshots: dict, lemma_table: dict, path: str) -> CheckOutcome:
+                path: str) -> CheckOutcome:
     if node["type"] == "split":
         kind = node["kind"]
         try:
@@ -703,8 +693,7 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         if len(node["children"]) != 2:
             return _reject(path, "split must have two children")
         for idx, ((c_region, c_alpha), child) in enumerate(zip(children, node["children"])):
-            res = _check_tree(pb, child, c_region, c_alpha, snapshots, lemma_table,
-                              f"{path}/{idx}")
+            res = _check_tree(pb, child, c_region, c_alpha, f"{path}/{idx}")
             if not res.accepted:
                 return res
         return ACCEPTED
@@ -713,23 +702,15 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
     cover = []
     for idx, item in enumerate(node["cover"]):
         cert = _parse_guarded(item["cert"])
-        sid = int(item["snapshot"])
-        if sid not in snapshots:
-            return _reject(path, f"cover[{idx}]: missing snapshot")
-        snap = snapshots[sid]
-        allowed = _guards_of_alpha(alpha) | {(g.unit, g.phase) for g in cert.guards}
-        reason = _check_snapshot(pb, snap, region, allowed, lemma_table)
+        allowed = set(alpha.items()) | {(g.unit, g.phase) for g in cert.guards}
+        reason, system = _scoped_system(pb, item["snapshot"], region, allowed)
         if reason is not None:
             return _reject(path, f"cover[{idx}] snapshot: {reason}")
-        sys = _snapshot_system(snap)
-        rows = list(sys.rows)
-        for lit in cert.guards:
-            rows.extend(guard_norm_rows(pb.layout, lit))
-        res = check_farkas(NormalizedSystem(rows, sys.n_vars), cert.inner)
+        res = check_farkas(extend_with_guards(system, pb.layout, cert.guards), cert.inner)
         if not res.ok:
             return _reject(path, f"cover[{idx}] rejected: {res.reason}")
         cover.append(cert)
-    reason = _check_cover(pb, cover, alpha)
+    reason = _check_cover(cover, alpha)
     if reason is not None:
         return _reject(path, f"cover: {reason}")
     return ACCEPTED

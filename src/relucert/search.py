@@ -49,6 +49,10 @@ class CapExceeded(Exception):
     pass
 
 
+class OracleFault(Exception):
+    """A feasible exact phase assignment gave a point that is no witness."""
+
+
 # -- configuration ----------------------------------------------------------
 
 
@@ -446,7 +450,8 @@ def oracle_verify(net: Network, region: Region, prop: SafetyProperty,
         x = tuple(out.primal.get(layout.input_index(k), _ZERO)
                   for k in range(net.input_dim))
         verdict = validate_witness(net, region, prop, x)
-        assert verdict.accepted, f"exact assignment produced invalid witness: {verdict.reason}"
+        if not verdict.accepted:
+            raise OracleFault(f"exact assignment produced invalid witness: {verdict.reason}")
         return VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
                             budget=budget)
     return VerifyResult("unsat", budget=budget)

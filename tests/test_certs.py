@@ -4,14 +4,12 @@ from fractions import Fraction as F
 from conftest import layout_of, worked_network, worked_prop, worked_region
 from relucert import certs
 from relucert.certs import (
-    ConflictClause,
     DualBoundCertificate,
     FarkasCertificate,
     GuardedCertificate,
     check_dual,
     check_farkas,
     check_guarded,
-    derive_conflict_clause,
     extend_with_guards,
 )
 from relucert.model import ACTIVE, INACTIVE
@@ -151,12 +149,6 @@ class TestGuardedChecker:
             [GuardLiteral((1, 1), ACTIVE), GuardLiteral((1, 0), INACTIVE)],
             FarkasCertificate.make({}))
         assert [g.unit for g in a.guards] == [(1, 0), (1, 1)]
-
-    def test_conflict_clause_negates_the_guard_set(self):
-        cert = GuardedCertificate.make(
-            [GuardLiteral((1, 0), ACTIVE)], FarkasCertificate.make({}))
-        clause = derive_conflict_clause(cert, 5)
-        assert clause == ConflictClause(frozenset({GuardLiteral((1, 0), ACTIVE)}), 5)
 
 
 class TestOperationCounter:

@@ -9,7 +9,10 @@ import pytest
 
 from conftest import WORKED, worked_network, worked_prop, worked_region
 from relucert import prooflog
+from relucert.certs import FarkasCertificate, GuardedCertificate
+from relucert.model import ACTIVE, INACTIVE
 from relucert.search import Config, hsrv_verify, icl_verify
+from relucert.store import GuardLiteral
 
 
 def _problem():
@@ -20,6 +23,16 @@ def _proof_bytes(config=None):
     res = icl_verify(*_problem(), config)
     assert res.status == "unsat"
     return prooflog.emit(res.proof, WORKED)
+
+
+def _dumps(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _snapshot_rows(doc):
+    """The rows of the one snapshot of the default worked proof, by id."""
+    (snap,) = doc["snapshots"].values()
+    return {r["id"]: r for r in snap["rows"]}
 
 
 class TestSerialization:
@@ -193,6 +206,138 @@ class TestTargetedRejections:
         data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         out = prooflog.check_proof(_problem(), data)
         assert not out.accepted and "guard" in out.reason
+
+
+    def test_derived_row_citing_its_own_or_a_later_row_rejected(self):
+        for cited in (6, 7):
+            doc = prooflog.parse_proof(_proof_bytes())
+            row = _snapshot_rows(doc)[6]
+            assert row["derivation"][0] == "derived"
+            mults = row["derivation"][1]["multipliers"]
+            assert mults[1][0] == ["c", 3, "le"]
+            mults[1][0] = ["c", cited, "le"]
+            out = prooflog.check_proof(_problem(), _dumps(doc))
+            assert not out.accepted and "non-prior" in out.reason, out
+
+    def test_hull_bound_proved_only_by_a_later_row_rejected(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        rows = _snapshot_rows(doc)
+        # row 6 proves s(1,0) <= 1, the upper hull parameter of rows 8-11;
+        # renumbered past every other row it no longer precedes them
+        assert rows[6]["row"] == {"1": "1"} and rows[6]["rhs"] == "1"
+        assert rows[8]["derivation"][0] == "hull" and rows[8]["derivation"][3] == "1"
+        rows[6]["id"] = max(rows) + 1
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and "row 8: hull parameters" in out.reason, out
+
+    def test_duplicated_row_id_rejected(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        (snap,) = doc["snapshots"].values()
+        snap["rows"].append(dict(snap["rows"][6]))
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and "duplicate row id 6" in out.reason, out
+
+
+class TestNeverRaises:
+    """Input the checker cannot follow is a REJECT that names the exception."""
+
+    def _check(self, data, exc_name):
+        out = prooflog.check_proof(_problem(), data)
+        assert not out.accepted and out.path == "document" and exc_name in out.reason, out
+
+    def test_snapshots_given_as_a_list(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        doc["snapshots"] = list(doc["snapshots"].values())
+        self._check(_dumps(doc), "AttributeError")
+
+    def test_root_region_of_unequal_length(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        doc["region"]["upper"].append("2")
+        self._check(_dumps(doc), "DimensionError")
+
+    def test_snapshot_region_of_unequal_length(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        doc["snapshots"]["0"]["region"]["lower"].append("0")
+        self._check(_dumps(doc), "DimensionError")
+
+    def test_lemma_region_of_unequal_length(self):
+        doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        doc["lemmas"][0]["region"]["upper"].append("2")
+        self._check(_dumps(doc), "DimensionError")
+
+    def test_deeply_nested_json_array(self):
+        self._check(b"[" * 5000 + b"]" * 5000, "RecursionError")
+
+    def test_deep_split_tree(self):
+        raw = _proof_bytes().decode()
+        leaf = '{"cover":[],"type":"leaf"}'
+        tree = leaf
+        for _ in range(900):
+            tree = f'{{"children":[{tree},{leaf}],"kind":["domain",0,"1/2"],"type":"split"}}'
+        head, _ = raw.split('"tree":')
+        self._check(f'{head}"tree":{tree}}}'.encode(), "RecursionError")
+
+
+class TestCover:
+    """The leaf cover check is a complete case split, with no size cap."""
+
+    def _chain(self, n):
+        """{u0=A}, {u0=I,u1=A}, ..., {u0..u(n-2)=I,u(n-1)=A}, all inactive."""
+        certs = []
+        for k in range(n + 1):
+            guards = [GuardLiteral((1, i), INACTIVE) for i in range(k)]
+            if k < n:
+                guards.append(GuardLiteral((1, k), ACTIVE))
+            certs.append(GuardedCertificate.make(guards, FarkasCertificate.make({})))
+        return certs
+
+    def test_chain_cover_over_17_units_accepted(self):
+        assert prooflog._check_cover(self._chain(17), {}) is None
+
+    def test_chain_cover_missing_one_certificate_rejected(self):
+        certs = self._chain(17)
+        for k in range(len(certs)):
+            assert prooflog._check_cover(certs[:k] + certs[k + 1:], {}) is not None
+
+    def test_commitments_contradicting_a_certificate_leave_a_gap(self):
+        certs = self._chain(2)
+        assert prooflog._check_cover(certs[1:], {(1, 0): INACTIVE}) is None
+        assert prooflog._check_cover(certs[1:], {(1, 0): ACTIVE}) is not None
+
+
+class TestReplayOnce:
+    """A proof with a merge lemma cites each leaf snapshot twice: from its
+    leaf cover and from the lemma's merge evidence."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        original = getattr(prooflog, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(prooflog, name, counted)
+        return calls
+
+    def _check_domain_proof(self):
+        data = _proof_bytes(Config(first_split="domain"))
+        doc = prooflog.parse_proof(data)
+        assert doc["lemmas"]
+        assert prooflog.check_proof(_problem(), data, WORKED).accepted
+        return doc
+
+    def test_each_snapshot_replayed_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "_check_snapshot")
+        doc = self._check_domain_proof()
+        assert len(calls) == len(doc["snapshots"]) == 2
+
+    def test_each_snapshot_row_normalized_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "normalize_constraint")
+        checked = self._count(monkeypatch, "_check_snapshot_row")
+        doc = self._check_domain_proof()
+        rows = sum(len(s["rows"]) for s in doc["snapshots"].values())
+        assert len(calls) == len(checked) == rows
 
 
 class TestMutationFuzzing:
