@@ -230,11 +230,6 @@ class Store:
         return NormalizedSystem(rows, self.layout.n_vars)
 
 
-def add_constraints(store: Store, constraints: Iterable[LinearConstraint]) -> list[int]:
-    """Monotone addition; returns the (possibly pre-existing) constraint ids."""
-    return [store.add(c) for c in constraints]
-
-
 # -- initial store ---------------------------------------------------------
 
 

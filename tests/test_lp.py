@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -200,3 +202,102 @@ class TestSelfCheck:
             lp._self_check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(2))
         with pytest.raises(lp.SelfCheckFailed):
             lp._self_check_dual(sys, {0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))
+
+
+def _outcome_key(out):
+    def items(d):
+        return None if d is None else sorted(d.items())
+    return repr((out.status, out.value, items(out.primal), items(out.dual),
+                 items(out.ray), out.iterations))
+
+
+class TestPivotPath:
+    """The simplex's pivot path, pinned: status, value, primal point, dual
+    or Farkas vector, ray and pivot count over a seeded corpus hash to a
+    constant recorded on the dense Fraction tableau.  A change of arithmetic
+    that keeps every sign and ratio exact keeps this hash.  Each boxed system
+    is also solved without its box rows, which reaches unbounded outcomes."""
+
+    PINNED = "514f36ae068f0204bb11f5150510a5a687f6228c3c999cc81e711086471dc4e0"
+
+    def _digest(self):
+        rng = random.Random(20240824)
+        h = hashlib.sha256()
+        for k in range(150):
+            boxed, g = _boxed_random_system(rng, n_extra=2 + k % 6, max_den=2 + k % 7)
+            open_ = NormalizedSystem(boxed.rows[2 * boxed.n_vars:], boxed.n_vars)
+            for sys in (boxed, open_):
+                for out in (lp.lp_max(sys, g), lp.lp_min(sys, g), lp.lp_feasible(sys)):
+                    h.update(_outcome_key(out).encode())
+                    h.update(b"\n")
+        return h.hexdigest()
+
+    def test_corpus_hash_matches_the_recorded_pivot_path(self):
+        assert self._digest() == self.PINNED
+
+
+class TestIntegerTableau:
+    """Edge cases of the integer-row tableau."""
+
+    def test_ratio_tie_leaves_by_smaller_basic_index(self):
+        # x >= 1 (row 0, artificial basic, column 3) and x <= 1 (row 1, slack
+        # basic, column 2) both bound x at ratio 1; the slack has the smaller
+        # index and leaves although its row comes second
+        tab = lp._Tableau(_system([({0: F(-1)}, -1), ({0: F(1)}, 1)]))
+        assert tab.basis == [3, 2]
+        tab.run({3: F(-1)}, max_iters=1, forbid_artificials=False)
+        assert tab.iterations == 1
+        assert tab.basis == [3, 0]
+
+    def test_iteration_limit_in_phase_one(self):
+        sys = _system([({0: F(-1)}, -1), ({0: F(1)}, 1)])
+        for out in (lp.lp_max(sys, {0: F(1)}, max_iters=0), lp.lp_feasible(sys, max_iters=0)):
+            assert (out.status, out.iterations) == (lp.LIMIT, 0)
+
+    def test_iteration_limit_while_dropping_artificials(self):
+        # phase 1 ends optimal after one pivot with the artificial of x >= 1
+        # still basic at zero; driving it out needs a second pivot
+        sys = _system([({0: F(-1)}, -1), ({0: F(1)}, 1)])
+        assert lp.lp_feasible(sys, max_iters=1).status == lp.FEASIBLE
+        out = lp.lp_max(sys, {0: F(1)}, max_iters=1)
+        assert (out.status, out.iterations) == (lp.LIMIT, 1)
+        out = lp.lp_max(sys, {0: F(1)}, max_iters=2)
+        assert (out.status, out.value, out.iterations) == (lp.OPTIMAL, F(1), 2)
+
+    def test_equality_written_twice_keeps_every_row(self):
+        # x = 3/2 as two copies of the pair x <= 3/2, -x <= -3/2: the copies
+        # are linearly dependent, yet each row keeps a nonzero slack entry,
+        # so every artificial is pivoted out and no row is dropped
+        rows = [({0: F(1)}, F(3, 2)), ({0: F(-1)}, F(-3, 2))] * 2
+        sys = _system(rows)
+        out = lp.lp_max(sys, {0: F(2)})
+        assert (out.status, out.value) == (lp.OPTIMAL, F(3))
+        tab, phase1 = lp._phase1(sys, lp.DEFAULT_MAX_ITERS)
+        assert phase1 is None and tab.drop_artificials(lp.DEFAULT_MAX_ITERS)
+        assert len(tab.T) == tab.m == 4
+        assert not any(tab.is_artificial(b) for b in tab.basis)
+        assert all(any(row[tab.n:tab.n + tab.m]) for row in tab.T)
+
+    def test_rows_stay_in_lowest_terms_after_every_pivot(self, monkeypatch):
+        pivot = lp._Tableau._pivot
+        pivots = 0
+
+        def checked(tab, r, j):
+            nonlocal pivots
+            res = pivot(tab, r, j)
+            pivots += 1
+            assert len(tab.T) == len(tab.D) == len(tab.basis) == tab.m
+            for row, den, b in zip(tab.T, tab.D, tab.basis):
+                assert len(row) == tab.ncols + 1
+                assert den > 0 and math.gcd(den, *row) == 1
+                assert row[b] == den  # basic column reads 1 in its row ...
+                assert sum(1 for other in tab.T if other[b]) == 1  # ... and 0 elsewhere
+            return res
+
+        monkeypatch.setattr(lp._Tableau, "_pivot", checked)
+        rng = random.Random(48)
+        for _ in range(30):
+            sys, g = _boxed_random_system(rng, n_extra=6, max_den=9)
+            lp.lp_max(sys, g)
+            lp.lp_feasible(sys)
+        assert pivots >= 100
