@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes are frozen for CI: 0 = UNSAT (safe), 1 = SAT (counterexample),
-2 = UNKNOWN, 3 = usage or parse error, 4 = oracle cap exceeded.  Counters are
-printed as key=value lines for machine parsing.
+2 = UNKNOWN, 3 = usage or parse error or an unwritable output path,
+4 = oracle cap exceeded.  Counters are printed as key=value lines for
+machine parsing.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def _load(path):
         return None
 
 
+def _write(path, mode, data) -> bool:
+    try:
+        with open(path, mode) as fh:
+            fh.write(data)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _print_counters(budget):
     for key, value in budget.counters().items():
         print(f"{key}={value}")
@@ -52,16 +63,15 @@ def cmd_verify(args) -> int:
         _print_counters(result.budget)
     if result.status == "unsat":
         print("UNSAT")
-        if args.emit_proof:
-            with open(args.emit_proof, "wb") as fh:
-                fh.write(prooflog.emit(result.proof, args.problem))
+        if args.emit_proof and not _write(args.emit_proof, "wb",
+                                          prooflog.emit(result.proof, args.problem)):
+            return EXIT_USAGE
         return EXIT_UNSAT
     if result.status == "sat":
         witness = [format_rational(v) for v in result.witness]
         print(f"SAT witness=[{', '.join(witness)}]")
-        if args.witness:
-            with open(args.witness, "w") as fh:
-                fh.write("\n".join(witness) + "\n")
+        if args.witness and not _write(args.witness, "w", "\n".join(witness) + "\n"):
+            return EXIT_USAGE
         return EXIT_SAT
     print(f"UNKNOWN reason={result.reason}")
     return EXIT_UNKNOWN

@@ -247,9 +247,19 @@ def _self_check_dual(sys: NormalizedSystem, g: dict[int, Fraction],
 
 
 def _check_primal(sys: NormalizedSystem, point: dict[int, Fraction]):
+    """Every row holds at the point, in integers: the point is scaled by the
+    lcm d of its denominators and each row by the lcm of its own, so a row
+    a^T v <= b over den reads (den a)^T (d v) <= (den b) d exactly."""
+    d = lcm(*(q.denominator for q in point.values()))
+    x = {j: q.numerator * (d // q.denominator) for j, q in point.items()}
     for r in sys.rows:
-        lhs = sum((q * point.get(j, _ZERO) for j, q in r.row.items()), _ZERO)
-        if lhs > r.rhs:
+        den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
+        lhs = 0
+        for j, q in r.row.items():
+            v = x.get(j)
+            if v:
+                lhs += q.numerator * (den // q.denominator) * v
+        if lhs > r.rhs.numerator * (den // r.rhs.denominator) * d:
             raise SelfCheckFailed(f"primal point violates row {r.rid}")
 
 

@@ -1,6 +1,8 @@
 """Search driver: worklist management, refinement, and cross-node learning.
 
-One branch-and-bound loop serves both strategies.  A node is closed by a
+One branch-and-bound loop serves both strategies.  Before any store is
+built, the box midpoint is evaluated exactly; if it is a counterexample the
+run ends there with SAT and no LP.  Otherwise a node is closed by a
 blocking conflict clause, by propagation, or by the exactness gate; the
 incremental strategy (icl) starts the gate with no unit exact and refines,
 the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
@@ -334,6 +336,12 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
     def sat(x) -> VerifyResult:
         return VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
                             budget=budget)
+
+    # falsify first: `validate_witness` is exact, so a hit is a certified
+    # verdict at the cost of one forward pass
+    mid = tuple((lo + hi) * _HALF for lo, hi in zip(region.lower, region.upper))
+    if validate_witness(net, region, prop, mid).accepted:
+        return sat(mid)
 
     while stack:
         node = stack.pop()

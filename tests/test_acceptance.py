@@ -149,6 +149,9 @@ class TestAcceptance:
         start = time.perf_counter()
         suite = _spec_suite(100)
         sat = unsat = proofs = 0
+        # SAT verdicts per driver decided by the midpoint probe (no LP) and by
+        # an LP; both paths must stay covered
+        sat_paths = {driver: [0, 0] for driver in ("icl_verify", "hsrv_verify")}
         for idx, (net, region, prop) in enumerate(suite):
             truth = oracle_verify(net, region, prop)
             for driver in (icl_verify, hsrv_verify):
@@ -156,6 +159,7 @@ class TestAcceptance:
                 assert res.status == truth.status, f"instance {idx} ({driver.__name__})"
                 if res.status == "sat":
                     assert validate_witness(net, region, prop, res.witness).accepted
+                    sat_paths[driver.__name__][res.budget.lp_calls > 0] += 1
                 else:
                     path = tmp_path / f"p{idx}.json"
                     dump_problem(net, region, prop, path)
@@ -167,9 +171,13 @@ class TestAcceptance:
             unsat += truth.status == "unsat"
         elapsed = time.perf_counter() - start
         assert elapsed < 300, f"{elapsed:.1f} s"
+        for name, (no_lp, with_lp) in sat_paths.items():
+            assert no_lp >= 1 and with_lp >= 1, f"{name}: SAT paths {no_lp}/{with_lp}"
+        paths = ", ".join(f"{name.split('_')[0]} {no_lp} with 0 LPs / {with_lp} with LPs"
+                          for name, (no_lp, with_lp) in sat_paths.items())
         report(f"ACCEPTANCE 5: PASS - 100 random instances ({sat} sat / {unsat} "
                f"unsat), icl = hsrv = oracle, {proofs} proofs re-checked, "
-               f"in {elapsed:.1f} s")
+               f"SAT decided {paths}, in {elapsed:.1f} s")
 
     def test_06_tgct_saturation_and_row_budget(self, report):
         checked = 0

@@ -3,7 +3,14 @@ import re
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import WORKED, WORKED_SAT, worked_network, worked_prop, worked_region
+from conftest import (
+    WORKED,
+    WORKED_SAT,
+    dump_problem,
+    worked_network,
+    worked_prop,
+    worked_region,
+)
 from relucert.cli import (
     EXIT_CAP,
     EXIT_SAT,
@@ -51,6 +58,27 @@ class TestVerify:
         assert code == EXIT_SAT
         x = tuple(F(line) for line in target.read_text().splitlines())
         assert validate_witness(worked_network(), worked_region(), worked_prop("1/2"), x).accepted
+
+    def test_midpoint_counterexample_needs_no_lp(self, capsys, tmp_path):
+        problem = tmp_path / "mid.json"
+        dump_problem(worked_network(), worked_region(), worked_prop("-1/2"), problem)
+        for strategy in ("icl", "hsrv"):
+            code, out, _ = _run(capsys, "verify", str(problem), "--strategy", strategy)
+            assert code == EXIT_SAT
+            assert re.search(r"^lp_calls=0$", out, re.M)
+            assert "SAT witness=[1/2]" in out
+
+    def test_unwritable_proof_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "x.proof"
+        code, out, err = _run(capsys, "verify", WORKED, "--emit-proof", str(target))
+        assert code == EXIT_USAGE
+        assert "UNSAT" in out and err.startswith("error: ")
+
+    def test_unwritable_witness_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "x.witness"
+        code, out, err = _run(capsys, "verify", WORKED_SAT, "--witness", str(target))
+        assert code == EXIT_USAGE
+        assert "SAT witness=" in out and err.startswith("error: ")
 
     def test_missing_problem_file_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "verify", "problems/nope.json")

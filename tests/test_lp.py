@@ -203,6 +203,26 @@ class TestSelfCheck:
         with pytest.raises(lp.SelfCheckFailed):
             lp._self_check_dual(sys, {0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))
 
+    def test_primal_point_off_a_row_by_the_least_amount_raises(self):
+        # 3x - y/7 <= 2/5 and y <= 1, with y = 1/3: the first row holds with
+        # equality at x = 47/315 and fails for x only 1/10**40 larger
+        sys = _system([({0: F(3), 1: F(-1, 7)}, F(2, 5)), ({1: F(1)}, 1)])
+        lp._check_primal(sys, {0: F(1, 7), 1: F(1, 3)})
+        x_on = (F(2, 5) + F(1, 21)) / 3
+        assert x_on == F(47, 315)
+        lp._check_primal(sys, {0: x_on, 1: F(1, 3)})
+        with pytest.raises(lp.SelfCheckFailed, match="violates row"):
+            lp._check_primal(sys, {0: x_on + F(1, 10**40), 1: F(1, 3)})
+
+    def test_primal_point_on_a_row_boundary_passes(self):
+        # x + y <= 1 and -x <= -1/3 hold with equality at (1/3, 2/3); an
+        # absent coordinate is zero, and 0 <= 0 holds too
+        sys = _system([({0: F(1), 1: F(1)}, 1), ({0: F(-1)}, F(-1, 3)),
+                       ({2: F(5, 3)}, 0)])
+        lp._check_primal(sys, {0: F(1, 3), 1: F(2, 3)})
+        with pytest.raises(lp.SelfCheckFailed, match="violates row"):
+            lp._check_primal(sys, {0: F(1, 3), 1: F(2, 3), 2: F(1, 10**40)})
+
 
 def _outcome_key(out):
     def items(d):

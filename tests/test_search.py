@@ -102,11 +102,28 @@ class TestWorkedInstance:
             assert validate_witness(net, region, prop, res.witness).accepted
             layout = build_layout(net, prop)
             assert res.trace[layout.input_index(0)] == res.witness[0]
+            # the midpoint x = 1/2 gives y = 0 < 3/5, so this SAT comes from
+            # an LP: the relaxation point or the gate
+            assert res.budget.lp_calls > 0
 
     def test_lp_budget_exhaustion_reports_unknown(self):
         res = icl_verify(worked_network(), worked_region(), worked_prop("1/2"),
                          Config(lp_budget=1))
         assert res.status == "unknown" and res.reason == "resource"
+
+
+class TestMidpointProbe:
+    """The box midpoint is evaluated exactly before any store is built."""
+
+    def test_midpoint_counterexample_is_sat_without_an_lp(self):
+        # y(1/2) = 0 and the violation threshold is -1/2 + 1/10 = -2/5
+        net, region, prop = worked_network(), worked_region(), worked_prop("-1/2")
+        for driver in (icl_verify, hsrv_verify):
+            res = driver(net, region, prop)
+            assert res.status == "sat"
+            assert res.witness == (F(1, 2),)
+            assert res.budget.lp_calls == 0
+            assert validate_witness(net, region, prop, res.witness).accepted
 
 
 class TestMergeDemo:
