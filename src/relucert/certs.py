@@ -86,11 +86,11 @@ class GuardedCertificate:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Proof that a unit's pre-activation has a fixed sign on the node."""
+    """A unit specialized to a fixed sign on the node.  The sign is proved by
+    the unit's bound rows, each with its own dual certificate."""
 
     unit: tuple[int, int]
-    phase: str  # ACTIVE proves s >= 0, INACTIVE proves s <= 0
-    inner: DualBoundCertificate
+    phase: str  # ACTIVE: s >= 0, INACTIVE: s <= 0
 
 
 @dataclass(frozen=True)

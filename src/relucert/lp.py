@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .certs import FarkasCertificate, _combine, check_farkas
-from .store import NormalizedSystem, RowId
+from .store import NormalizedSystem, NormRow, RowId
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -66,14 +66,15 @@ class _Tableau:
         self.T: list[list[int]] = []
         self.D: list[int] = []
         self.basis: list[int] = []
-        for i, r in enumerate(sys.rows):
-            den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
+        #: the system's rows in integers, kept for `check_primal`
+        self.int_rows = [_integer_row(r) for r in sys.rows]
+        for i, (den, coeffs, rhs) in enumerate(self.int_rows):
             row = [0] * (self.ncols + 1)
-            for j, q in r.row.items():
-                row[j] = q.numerator * (den // q.denominator)
+            for j, a in coeffs.items():
+                row[j] = a
             row[n + i] = den
-            row[-1] = r.rhs.numerator * (den // r.rhs.denominator)
-            if r.rhs < 0:
+            row[-1] = rhs
+            if rhs < 0:
                 row = [-a for a in row]
                 art = n + m + len(self.art_cols)
                 self.art_cols.append(art)
@@ -183,6 +184,20 @@ class _Tableau:
                 self._pivot(i, next(j for j in range(self.n + self.m) if row[j]))
         return True
 
+    def check_primal(self, point: dict[int, Fraction]):
+        """Every row of the system holds at the point, exactly: with d the lcm
+        of the point's denominators, (den a)^T (d v) <= (den b) d in integers."""
+        d = lcm(*(q.denominator for q in point.values()))
+        x = {j: q.numerator * (d // q.denominator) for j, q in point.items()}
+        for rid, (_, coeffs, rhs) in zip(self.row_ids, self.int_rows):
+            lhs = 0
+            for j, a in coeffs.items():
+                v = x.get(j)
+                if v:
+                    lhs += a * v
+            if lhs > rhs * d:
+                raise SelfCheckFailed(f"primal point violates row {rid}")
+
     def primal(self) -> dict[int, Fraction]:
         return {b: Fraction(self.T[i][-1], self.D[i]) for i, b in enumerate(self.basis)
                 if b < self.n and self.T[i][-1]}
@@ -199,6 +214,14 @@ class _Tableau:
             if b < self.n and a:
                 r[b] = Fraction(-direction * a, self.D[i])
         return r
+
+
+def _integer_row(r: NormRow) -> tuple[int, dict[int, int], int]:
+    """The row a^T v <= b as (den, den a, den b) in integers, den the lcm of
+    its denominators: the tableau's initial row and the primal self-check's."""
+    den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
+    coeffs = {j: q.numerator * (den // q.denominator) for j, q in r.row.items()}
+    return den, coeffs, r.rhs.numerator * (den // r.rhs.denominator)
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -246,23 +269,6 @@ def _self_check_dual(sys: NormalizedSystem, g: dict[int, Fraction],
         raise SelfCheckFailed(f"dual bound {rhs} != optimum {value}")
 
 
-def _check_primal(sys: NormalizedSystem, point: dict[int, Fraction]):
-    """Every row holds at the point, in integers: the point is scaled by the
-    lcm d of its denominators and each row by the lcm of its own, so a row
-    a^T v <= b over den reads (den a)^T (d v) <= (den b) d exactly."""
-    d = lcm(*(q.denominator for q in point.values()))
-    x = {j: q.numerator * (d // q.denominator) for j, q in point.items()}
-    for r in sys.rows:
-        den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
-        lhs = 0
-        for j, q in r.row.items():
-            v = x.get(j)
-            if v:
-                lhs += q.numerator * (den // q.denominator) * v
-        if lhs > r.rhs.numerator * (den // r.rhs.denominator) * d:
-            raise SelfCheckFailed(f"primal point violates row {r.rid}")
-
-
 def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome | None]:
     """Drive the artificials of a fresh tableau to zero.  The outcome is LIMIT
     or INFEASIBLE (with its self-checked Farkas vector) when phase 1 decides
@@ -306,7 +312,7 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     val = Fraction(obj[-1], den)
     point = tab.primal()
     lam = tab.dual_from_obj(obj, den)
-    _check_primal(sys, point)
+    tab.check_primal(point)
     _self_check_dual(sys, g, lam, val)
     gv = sum((q * point.get(j, _ZERO) for j, q in g.items()), _ZERO)
     if gv != val:
@@ -329,5 +335,5 @@ def lp_feasible(sys: NormalizedSystem, max_iters: int = DEFAULT_MAX_ITERS) -> Lp
     if out is not None:
         return out
     point = tab.primal()
-    _check_primal(sys, point)
+    tab.check_primal(point)
     return LpOutcome(FEASIBLE, primal=point, iterations=tab.iterations)

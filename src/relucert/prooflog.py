@@ -2,11 +2,13 @@
 
 The log inlines every row a certificate is checked against (snapshot rows by
 value), so checking never depends on solver row-id allocation.  The checker
-re-derives each snapshot row from the problem itself or from certificates
-over rows of smaller id in the same snapshot, checks every leaf certificate,
-and verifies that split annotations cover each parent.  A snapshot is
-replayed once per check, however many leaves and merge children cite it;
-each citation then checks only its scope (region and guard literals).
+re-derives each snapshot row, in id order, from the problem itself, from a
+dual certificate over rows of smaller id, or (hull and stabilize rows) from
+the interval that earlier single-variable rows prove; it then checks every
+leaf certificate and verifies that split annotations cover each parent.  A
+snapshot is replayed once per check, however many leaves and merge children
+cite it; each citation then checks only its scope (region and guard
+literals).
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.  It
@@ -14,7 +16,7 @@ rebuilds the affine and margin-definition rows from the network and the
 property with its own code, not with the builder in `store.py`, on purpose:
 a fault in how the store writes those rows cannot vouch for itself.  From
 `store.py` it takes only the row containers, normalization and the guard
-consequences of a phase.
+consequences of a phase, which are also the rows of a stabilized unit.
 
 Every leaf has one kind: a cover of guarded Farkas certificates, each over a
 snapshot that contains the negated-property row.  Derived rows, margin
@@ -61,7 +63,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-2"
+FORMAT = "relucert-proof-3"
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def _tag_json(tag: tuple) -> list:
     if kind == "derived":
         return ["derived", _dual_json(tag[1])]
     if kind == "stabilize":
-        return ["stabilize", list(tag[1]), tag[2], _dual_json(tag[3])]
+        return ["stabilize", list(tag[1]), tag[2]]
     if kind == "hull":
         return ["hull", list(tag[1]), _q(tag[2]), _q(tag[3])]
     if kind == "lemma":
@@ -159,8 +161,6 @@ def _evidence_json(evidence) -> dict:
 
 
 def _justification_json(just) -> dict:
-    if isinstance(just, DualBoundCertificate):
-        return {"kind": "dual", "cert": _dual_json(just)}
     children = []
     for region, alpha, beta, evidence, sid in just.children:
         children.append({
@@ -247,7 +247,7 @@ def _parse_tag(obj) -> tuple:
     if kind == "derived":
         return ("derived", _parse_dual(obj[1]))
     if kind == "stabilize":
-        return ("stabilize", tuple(obj[1]), obj[2], _parse_dual(obj[3]))
+        return ("stabilize", tuple(obj[1]), obj[2])
     if kind == "hull":
         return ("hull", tuple(obj[1]), parse_rational(obj[2]), parse_rational(obj[3]))
     raise ValueError(f"unknown derivation tag {obj!r}")
@@ -335,6 +335,13 @@ def _cites_only_prior(cert: DualBoundCertificate, cid: int) -> bool:
     return all(rid[0] == "c" and int(rid[1]) < cid for rid, _ in cert.multipliers)
 
 
+def _is_phase_row(pb: _Problem, lit: GuardLiteral, r: _SnapRow) -> bool:
+    """The row is one of the linear consequences of committing the phase."""
+    row = dict(r.row)
+    return any(c.relation == r.relation and dict(c.row) == row and c.rhs == r.rhs
+               for c in guard_consequences(pb.layout, lit))
+
+
 def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
                         system: NormalizedSystem, interval: dict) -> str | None:
     """Returns a rejection reason, or None when the row is derivable.
@@ -376,10 +383,8 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
             return "negated property row mismatch"
         return None
     if kind == "guard":
-        lit = GuardLiteral((int(tag[1]), int(tag[2])), tag[3])
-        for c in guard_consequences(pb.layout, lit):
-            if c.relation == r.relation and dict(c.row) == row and c.rhs == r.rhs:
-                return None
+        if _is_phase_row(pb, GuardLiteral((int(tag[1]), int(tag[2])), tag[3]), r):
+            return None
         return "guard row content mismatch"
     if kind == "derived":
         cert = tag[1]
@@ -396,30 +401,15 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
             return f"derived-row certificate rejected: {reason}"
         return None
     if kind == "stabilize":
-        unit = tuple(tag[1])
-        phase = tag[2]
-        cert = tag[3]
-        s = pb.layout.pre_index(unit)
-        z = pb.layout.post_index(unit)
-        if phase == ACTIVE:
-            want = {s: -_ONE}
-            rows_ok = (r.relation == EQ and row == {z: _ONE, s: -_ONE} and r.rhs == _ZERO) or \
-                      (r.relation == LE and row == {s: -_ONE} and r.rhs == _ZERO)
-        elif phase == INACTIVE:
-            want = {s: _ONE}
-            rows_ok = (r.relation == EQ and row == {z: _ONE} and r.rhs == _ZERO) or \
-                      (r.relation == LE and row == {s: _ONE} and r.rhs == _ZERO)
-        else:
+        unit, phase = tuple(tag[1]), tag[2]
+        if phase not in (ACTIVE, INACTIVE):
             return "unknown stabilization phase"
-        if not rows_ok:
+        if not _is_phase_row(pb, GuardLiteral(unit, phase), r):
             return "stabilization row content mismatch"
-        if cert.objective_dict != want or cert.bound > _ZERO:
-            return "stabilization certificate does not pin the sign"
-        if not _cites_only_prior(cert, r.cid):
-            return "stabilization certificate cites a non-prior row"
-        reason = _check_dual_exact(system, cert)
-        if reason is not None:
-            return f"stabilization certificate rejected: {reason}"
+        lo, hi = interval.get(pb.layout.pre_index(unit), (None, None))
+        if phase == ACTIVE and (lo is None or lo < 0) or \
+                phase == INACTIVE and (hi is None or hi > 0):
+            return f"certified bounds [{lo}, {hi}] do not fix the {phase} sign"
         return None
     if kind == "hull":
         unit = tuple(tag[1])

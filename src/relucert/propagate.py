@@ -2,8 +2,9 @@
 
 One fixed-point pass interleaves: bound-row installation (interval arithmetic
 exported as dual certificates), hull insertion for unstable units, template
-tightening with LP dual certificates, certified stabilization, lemma
-injection, and a feasibility check that prunes with a Farkas certificate.
+tightening with LP dual certificates, stabilization of units whose bound rows
+fix their sign, and a feasibility check that prunes with a Farkas
+certificate.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from . import lp
 from .budget import Budget
 from .certs import DualBoundCertificate, FarkasCertificate, StabilityCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
-from .store import EQ, LE, REL, LinearConstraint, Store
+from .store import LE, REL, GuardLiteral, LinearConstraint, Store, guard_consequences
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+#: cap on the fixed-point passes of one node
+MAX_PASSES = 25
 
 
 class NotUnstable(Exception):
@@ -65,7 +69,6 @@ class PropagationResult:
     store: Store
     farkas: FarkasCertificate | None = None
     stability_certs: list[StabilityCertificate] = field(default_factory=list)
-    dual_certs: list[DualBoundCertificate] = field(default_factory=list)
     iterations: int = 0
     feasible_point: dict[int, Fraction] | None = None
     exhausted: bool = False
@@ -87,25 +90,20 @@ def _add_derived_row(store: Store, g: dict[int, Fraction], bound: Fraction,
     return store.add(LinearConstraint(dict(g), LE, bound, REL, ("derived", cert)))
 
 
-def _specialize(store: Store, unit: Unit, phase: str,
-                cert: DualBoundCertificate) -> StabilityCertificate:
-    """Replace the unit's relaxation by its exact linear specialization."""
-    s = store.layout.pre_index(unit)
-    z = store.layout.post_index(unit)
+def _specialize(store: Store, unit: Unit, phase: str) -> StabilityCertificate:
+    """Replace the unit's relaxation by its exact linear specialization: the
+    rows a guard on the phase would add.  The unit's bound rows, all of
+    smaller id, are what prove the sign."""
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    tag = ("stabilize", unit, phase, cert)
-    if phase == ACTIVE:
-        eq = store.add(LinearConstraint({z: _ONE, s: -_ONE}, EQ, _ZERO, REL, tag))
-        le = store.add(LinearConstraint({s: -_ONE}, LE, _ZERO, REL, tag))
-    else:
-        eq = store.add(LinearConstraint({z: _ONE}, EQ, _ZERO, REL, tag))
-        le = store.add(LinearConstraint({s: _ONE}, LE, _ZERO, REL, tag))
+    tag = ("stabilize", unit, phase)
+    eq, le = (store.add(LinearConstraint(c.row, c.relation, c.rhs, REL, tag))
+              for c in guard_consequences(store.layout, GuardLiteral(unit, phase)))
     store.stabilized[unit] = phase
     store.unstable.discard(unit)
     _set_specialized_post_refs(store, unit, phase, eq, le)
-    return StabilityCertificate(unit, phase, cert)
+    return StabilityCertificate(unit, phase)
 
 
 def _set_specialized_post_refs(store: Store, unit: Unit, phase: str, eq_cid: int, le_cid: int):
@@ -192,7 +190,6 @@ def _install_bound_rows(store: Store, unit: Unit) -> None:
     up_cid = _add_derived_row(store, {s: _ONE}, upper, cert_up)
     lo_cid = _add_derived_row(store, {s: -_ONE}, -lower, cert_lo)
     store.bound_rows[unit] = (up_cid, lo_cid)
-    store.bound_certs[unit] = (cert_up, cert_lo)
     # authoritative row-backed bounds; equals the interval seed on feasible nodes
     store.bounds.pre[unit] = (lower, upper)
 
@@ -219,35 +216,38 @@ def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[Stabil
                 continue
             if unit in store.stabilized:
                 continue
-            if lo >= 0:
-                cert = store.bound_certs[unit][1]
-                stab.append(_specialize(store, unit, ACTIVE, cert))
-                if budget is not None:
-                    budget.stabilized += 1
-            elif hi <= 0:
-                cert = store.bound_certs[unit][0]
-                stab.append(_specialize(store, unit, INACTIVE, cert))
-                if budget is not None:
-                    budget.stabilized += 1
+            cert = _stabilize_settled(store, unit, budget)
+            if cert is not None:
+                stab.append(cert)
             elif store.hull_bounds.get(unit) != (lo, hi):
                 hull_insert(store, unit)
                 store.unstable.add(unit)
     return stab
 
 
+def _stabilize_settled(store: Store, unit: Unit,
+                       budget: Budget | None) -> StabilityCertificate | None:
+    """Specialize the unit if its certified bounds fix its sign (lo >= 0:
+    active, hi <= 0: inactive), the test the checker applies to its rows."""
+    lo, hi = store.bounds.pre[unit]
+    if lo >= 0:
+        phase = ACTIVE
+    elif hi <= 0:
+        phase = INACTIVE
+    else:
+        return None
+    if budget is not None:
+        budget.stabilized += 1
+    return _specialize(store, unit, phase)
+
+
 def stabilize(store: Store, budget: Budget | None = None) -> list[StabilityCertificate]:
     """Specialize every unit whose certified bounds pin its sign."""
     out = []
     for unit in sorted(store.unstable):
-        lo, hi = store.bounds.pre[unit]
-        if lo >= 0:
-            out.append(_specialize(store, unit, ACTIVE, store.bound_certs[unit][1]))
-        elif hi <= 0:
-            out.append(_specialize(store, unit, INACTIVE, store.bound_certs[unit][0]))
-        else:
-            continue
-        if budget is not None:
-            budget.stabilized += 1
+        cert = _stabilize_settled(store, unit, budget)
+        if cert is not None:
+            out.append(cert)
     return out
 
 
@@ -264,15 +264,13 @@ def _current_lower(store: Store, tmpl: Template) -> Fraction | None:
     return store.template_bounds.get((tmpl.g, "lb"))
 
 
-def _record_upper(store: Store, tmpl: Template, beta: Fraction,
-                  cert: DualBoundCertificate, cid: int):
+def _record_upper(store: Store, tmpl: Template, beta: Fraction, cid: int):
     if tmpl.kind[0] == "neuron":
         unit = tmpl.kind[1]
         store.bounds.tighten(unit, hi=beta)
         up, lo = store.bound_rows[unit]
         store.retire(up)  # superseded; stays resolvable for proof export
         store.bound_rows[unit] = (cid, lo)
-        store.bound_certs[unit] = (cert, store.bound_certs[unit][1])
     else:
         old = store.template_rows.pop((tmpl.g, "ub"), None)
         if old is not None:
@@ -281,15 +279,13 @@ def _record_upper(store: Store, tmpl: Template, beta: Fraction,
         store.template_bounds[(tmpl.g, "ub")] = beta
 
 
-def _record_lower(store: Store, tmpl: Template, beta: Fraction,
-                  cert: DualBoundCertificate, cid: int):
+def _record_lower(store: Store, tmpl: Template, beta: Fraction, cid: int):
     if tmpl.kind[0] == "neuron":
         unit = tmpl.kind[1]
         store.bounds.tighten(unit, lo=beta)
         up, lo = store.bound_rows[unit]
         store.retire(lo)
         store.bound_rows[unit] = (up, cid)
-        store.bound_certs[unit] = (store.bound_certs[unit][0], cert)
     else:
         old = store.template_rows.pop((tmpl.g, "lb"), None)
         if old is not None:
@@ -328,7 +324,7 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                     continue
                 cert = DualBoundCertificate.make(g, beta, out.dual)
                 cid = _add_derived_row(store, g, beta, cert)
-                _record_upper(store, tmpl, beta, cert, cid)
+                _record_upper(store, tmpl, beta, cid)
             else:
                 cur = _current_lower(store, tmpl)
                 if cur is not None and beta <= cur:
@@ -336,45 +332,27 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                 neg = {j: -q for j, q in g.items()}
                 cert = DualBoundCertificate.make(neg, -beta, out.dual)
                 cid = _add_derived_row(store, neg, -beta, cert)
-                _record_lower(store, tmpl, beta, cert, cid)
+                _record_lower(store, tmpl, beta, cid)
             res.certificates.append(cert)
             res.rows_added += 1
     return res
 
 
-def inject_lemmas(store: Store, lemmas) -> int:
-    """Add globally valid lemma rows not yet present.  Monotone."""
-    if lemmas is None:
-        return 0
-    added = 0
-    for entry in lemmas.global_entries():
-        if entry.lemma_id in store.lemma_ids:
-            continue
-        from .store import LEARN  # local to avoid wide import surface
-        store.add(LinearConstraint(dict(entry.row), LE, entry.bound, LEARN,
-                                   ("lemma", entry.lemma_id)))
-        store.lemma_ids.add(entry.lemma_id)
-        added += 1
-    return added
-
-
-def propagate_node(store: Store, lemmas, budget: Budget,
-                   templates: str | list[Template] = "default",
-                   max_passes: int = 25) -> PropagationResult:
-    """Fixed-point loop Hull -> TGCT -> Stabilize -> lemma injection ->
-    feasibility check.  Prune carries an accepted Farkas certificate."""
+def propagate_node(store: Store, budget: Budget,
+                   templates: str | list[Template] = "default") -> PropagationResult:
+    """Fixed-point loop Hull -> TGCT -> Stabilize -> feasibility check.
+    Prune carries an accepted Farkas certificate.  Global lemma rows are
+    already in the store (`build_initial_store`)."""
     result = PropagationResult("open", store)
     margin_only = templates == "margin-only"
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         result.iterations += 1
-        # bounds-only improvements do not force another pass; structural
-        # change (stabilization, lemma arrival) does
-        before = (frozenset(store.unstable), frozenset(store.stabilized),
-                  len(store.lemma_ids))
+        # bounds-only improvements do not force another pass; stabilization
+        # or a new unstable unit does
+        before = (frozenset(store.unstable), frozenset(store.stabilized))
         result.stability_certs.extend(ensure_relaxation(store, budget))
         tset = default_templates(store, margin_only) if isinstance(templates, str) else templates
         tres = tgct(store, tset, budget)
-        result.dual_certs.extend(tres.certificates)
         result.tgct_rows_per_call.append(tres.rows_added)
         if tres.farkas is not None:
             result.status = "prune"
@@ -384,7 +362,6 @@ def propagate_node(store: Store, lemmas, budget: Budget,
             result.exhausted = True
             return result
         result.stability_certs.extend(stabilize(store, budget))
-        inject_lemmas(store, lemmas)
         if not budget.lp_ok():
             result.exhausted = True
             return result
@@ -399,8 +376,7 @@ def propagate_node(store: Store, lemmas, budget: Budget,
             result.exhausted = True
             return result
         result.feasible_point = feas.primal
-        after = (frozenset(store.unstable), frozenset(store.stabilized),
-                 len(store.lemma_ids))
+        after = (frozenset(store.unstable), frozenset(store.stabilized))
         if after == before and store.relaxation_installed:
             break
         store.relaxation_installed = True

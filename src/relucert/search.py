@@ -110,7 +110,7 @@ class LemmaEntry:
     lemma_id: int
     row: tuple[tuple[int, Fraction], ...]
     bound: Fraction
-    justification: object  # MergeJustification | DualBoundCertificate
+    justification: MergeJustification
     region: Region
     alpha: dict[Unit, str]
     is_global: bool
@@ -353,7 +353,7 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             close_leaf(node, [(blocked.cert, blocked.snapshot_id)])
             continue
         store = build_initial_store(net, layout, node.region, prop, node.alpha, lemmas)
-        res = propagate_node(store, lemmas, budget, templates=config.templates)
+        res = propagate_node(store, budget, templates=config.templates)
         if res.exhausted:
             return VerifyResult("unknown", reason="resource", budget=budget)
         # margin evidence is read only by the merge at the node's parent

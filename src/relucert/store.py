@@ -3,7 +3,7 @@ normalization to inequality form, and per-unit bound bookkeeping.
 
 Every constraint carries a `derivation` tag recording how it may be re-justified
 by an independent checker: base rows structurally, derived rows by an inline
-dual certificate, hull rows by the bound rows they depend on.
+dual certificate, hull and stabilize rows by the bound rows they depend on.
 """
 
 from __future__ import annotations
@@ -177,7 +177,6 @@ class Store:
         self.unstable: set[Unit] = set()
         # per-unit bookkeeping for certificate construction
         self.bound_rows: dict[Unit, tuple[int, int]] = {}   # (upper cid, lower cid)
-        self.bound_certs: dict[Unit, tuple] = {}            # (upper cert, lower cert)
         self.hull_ids: dict[Unit, list[int]] = {}
         self.hull_bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
         self.stabilized: dict[Unit, str] = {}               # unit -> phase

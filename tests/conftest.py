@@ -80,7 +80,8 @@ def layout_of(net, prop):
 
 
 def mutate_rational_field(rng, doc):
-    """Flip one rational scalar somewhere in a parsed proof document."""
+    """Change one rational scalar somewhere in a parsed proof document to a
+    different value; returns its path."""
     import re
 
     paths = []
@@ -98,11 +99,13 @@ def mutate_rational_field(rng, doc):
     walk(doc, [])
     path, old = rng.choice(paths)
     q = F(old)
-    new = str(q + 1) if rng.random() < 0.5 else str(-q - 1)
+    new = q + 1 if rng.random() < 0.5 else -q - 1
+    if new == q:  # -q - 1 == q at q = -1/2
+        new = q + 1
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = new
+    target[path[-1]] = str(new)
     return path
 
 

@@ -184,7 +184,7 @@ class TestAcceptance:
         for net, region, prop in _spec_suite(10, seed=606):
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
             budget = Budget()
-            res = propagate_node(store, None, budget)
+            res = propagate_node(store, budget)
             templates = default_templates(store)
             bound = 2 * len(templates)
             assert all(n <= bound for n in res.tgct_rows_per_call), res.tgct_rows_per_call

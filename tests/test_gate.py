@@ -28,7 +28,7 @@ def _open_store(threshold="1/2"):
     net = worked_network()
     prop = worked_prop(threshold)
     store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-    res = propagate_node(store, None, Budget())
+    res = propagate_node(store, Budget())
     assert res.status == "open"
     return store
 
@@ -143,7 +143,7 @@ class TestExactnessGate:
         for _ in range(15):
             net, region, prop = random_instance(rng)
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
-            res = propagate_node(store, None, Budget())
+            res = propagate_node(store, Budget())
             if res.status != "open":
                 continue
             u = len(store.unstable)

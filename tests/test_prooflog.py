@@ -29,10 +29,9 @@ def _dumps(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _snapshot_rows(doc):
-    """The rows of the one snapshot of the default worked proof, by id."""
-    (snap,) = doc["snapshots"].values()
-    return {r["id"]: r for r in snap["rows"]}
+def _snapshot_rows(doc, sid="0"):
+    """The rows of one snapshot, by id (the default worked proof has one)."""
+    return {r["id"]: r for r in doc["snapshots"][sid]["rows"]}
 
 
 class TestSerialization:
@@ -77,8 +76,15 @@ class TestSerialization:
 
     def test_format_1_document_rejected(self):
         data = _proof_bytes()
-        assert b'"format":"relucert-proof-2"' in data
-        old = data.replace(b'"format":"relucert-proof-2"', b'"format":"relucert-proof-1"')
+        assert b'"format":"relucert-proof-3"' in data
+        old = data.replace(b'"format":"relucert-proof-3"', b'"format":"relucert-proof-1"')
+        out = prooflog.check_proof(_problem(), old, WORKED)
+        assert not out.accepted and out.path == "document"
+
+    def test_format_2_document_rejected(self):
+        data = _proof_bytes(Config(first_split="domain"))
+        old = data.replace(b'"format":"relucert-proof-3"', b'"format":"relucert-proof-2"')
+        assert old != data
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
 
@@ -230,6 +236,56 @@ class TestTargetedRejections:
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and "row 8: hull parameters" in out.reason, out
 
+    def test_sign_proved_only_by_a_later_row_rejected(self):
+        doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        rows = _snapshot_rows(doc, "1")
+        # row 7 proves s(1,0) >= 0, the sign that row 8 stabilizes as active;
+        # renumbered past every other row it no longer precedes it
+        assert rows[7]["row"] == {"1": "-1"} and rows[7]["rhs"] == "0"
+        assert rows[8]["derivation"] == ["stabilize", [1, 0], "active"]
+        rows[7]["id"] = max(rows) + 1
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and "row 8:" in out.reason and "sign" in out.reason, out
+
+    def test_stabilize_row_on_a_straddling_unit_rejected(self):
+        doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        snap = doc["snapshots"]["1"]
+        rows = _snapshot_rows(doc, "1")
+        # widen the snapshot to x in [0, 1]: rows 4 and 7 stay exact, and now
+        # prove s(1,0) in [-1, 1], which no longer fixes row 8's active sign
+        assert snap["region"]["lower"] == ["1/2"] and rows[4]["rhs"] == "-1/2"
+        snap["region"]["lower"] = ["0"]
+        rows[4]["rhs"] = "0"
+        rows[7]["rhs"] = rows[7]["derivation"][1]["bound"] = "1"
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.reason.endswith(
+            "row 8: certified bounds [-1, 1] do not fix the active sign"), out
+
+    def test_stabilize_rows_run_no_dual_check(self, monkeypatch):
+        checking, dual_checked = [], []
+        check_row, check_dual = prooflog._check_snapshot_row, prooflog.check_dual
+
+        def row(pb, r, *args):
+            checking.append(r.tag[0])
+            try:
+                return check_row(pb, r, *args)
+            finally:
+                checking.pop()
+
+        def dual(*args):
+            dual_checked.append(checking[-1] if checking else "evidence")
+            return check_dual(*args)
+
+        monkeypatch.setattr(prooflog, "_check_snapshot_row", row)
+        monkeypatch.setattr(prooflog, "check_dual", dual)
+        data = _proof_bytes(Config(first_split="domain"))
+        tags = [r["derivation"] for s in prooflog.parse_proof(data)["snapshots"].values()
+                for r in s["rows"]]
+        stabilize = [t for t in tags if t[0] == "stabilize"]
+        assert len(stabilize) == 4 and all(len(t) == 3 for t in stabilize)
+        assert prooflog.check_proof(_problem(), data, WORKED).accepted
+        assert "derived" in dual_checked and "stabilize" not in dual_checked
+
     def test_duplicated_row_id_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
         (snap,) = doc["snapshots"].values()
@@ -341,6 +397,15 @@ class TestReplayOnce:
 
 
 class TestMutationFuzzing:
+    def test_mutation_helper_always_changes_the_value(self):
+        from conftest import mutate_rational_field
+        rng = random.Random(7)
+        for old in ("-1/2", "0", "1/2", "-1", "3/4"):
+            for _ in range(20):
+                doc = {"rhs": old}
+                mutate_rational_field(rng, doc)
+                assert F(doc["rhs"]) != F(old), old
+
     def test_random_single_field_mutations_all_rejected(self):
         from conftest import mutate_rational_field
         base = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))

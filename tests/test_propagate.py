@@ -32,6 +32,11 @@ def _random_store(rng):
     return build_initial_store(net, build_layout(net, prop), region, prop, {})
 
 
+def _bound_certs(store, unit):
+    """The dual certificates of the unit's (upper, lower) bound rows."""
+    return tuple(store.constraints[cid].derivation[1] for cid in store.bound_rows[unit])
+
+
 class TestHullInsertion:
     def test_rejects_units_with_settled_sign(self):
         store = _store()
@@ -75,9 +80,9 @@ class TestBoundRows:
         ensure_relaxation(store)
         sys = store.normalize()
         for unit in ((1, 0), (1, 1), (2, 0)):
-            if unit not in store.bound_certs:
+            if unit not in store.bound_rows:
                 continue
-            up, lo = store.bound_certs[unit]
+            up, lo = _bound_certs(store, unit)
             assert certs.check_dual(sys, up).ok
             assert certs.check_dual(sys, lo).ok
 
@@ -93,7 +98,7 @@ class TestBoundRows:
             store = _random_store(rng)
             ensure_relaxation(store)
             sys = store.normalize()
-            for up, lo in store.bound_certs.values():
+            for up, lo in (_bound_certs(store, unit) for unit in store.bound_rows):
                 assert certs.check_dual(sys, up).ok
                 assert certs.check_dual(sys, lo).ok
 
@@ -107,10 +112,13 @@ class TestStabilization:
         phases = {c.unit: c.phase for c in stab}
         assert phases == {(1, 0): ACTIVE, (1, 1): INACTIVE}
         assert not store.unstable
-        # each stability certificate pins the sign over the node's rows
+        # the bound row on the pinned side proves the sign over the node's rows
         sys = store.normalize()
         for c in stab:
-            assert certs.check_dual(sys, c.inner).ok
+            up, lo = _bound_certs(store, c.unit)
+            cert = lo if c.phase == ACTIVE else up
+            assert cert.bound <= 0
+            assert certs.check_dual(sys, cert).ok
 
     def test_specialization_replaces_the_hull(self):
         from relucert.model import Region
@@ -124,7 +132,6 @@ class TestStabilization:
         store = _store()
         ensure_relaxation(store)
         # certified tightening settles the sign of unit (1,1)
-        cert = store.bound_certs[(1, 1)][0]
         store.bounds.tighten((1, 1), hi=F(0))
         out = stabilize(store)
         assert [(c.unit, c.phase) for c in out] == [((1, 1), INACTIVE)]
@@ -185,20 +192,20 @@ class TestTgct:
 class TestFixedPoint:
     def test_worked_instance_prunes_with_checked_farkas(self):
         store = _store()
-        res = propagate_node(store, None, Budget())
+        res = propagate_node(store, Budget())
         assert res.status == "prune"
         assert certs.check_farkas(store.normalize(), res.farkas).ok
 
     def test_sat_variant_stays_open_with_feasible_point(self):
         store = _store("1/2")
-        res = propagate_node(store, None, Budget())
+        res = propagate_node(store, Budget())
         assert res.status == "open"
         assert res.feasible_point is not None
         assert res.iterations >= 2  # reached the fixed point, not the pass cap
 
     def test_every_iteration_respects_the_row_budget(self):
         store = _store("1/2")
-        res = propagate_node(store, None, Budget())
+        res = propagate_node(store, Budget())
         bound = 2 * (len(store.unstable) + len(store.stabilized) + 1)
         assert all(n <= bound for n in res.tgct_rows_per_call)
 
@@ -208,7 +215,7 @@ class TestFixedPoint:
         checked = 0
         for _ in range(8):
             store = _random_store(rng)
-            res = propagate_node(store, None, Budget())
+            res = propagate_node(store, Budget())
             if res.status != "open":
                 continue
             net, layout, region = store.net, store.layout, store.region
@@ -223,5 +230,5 @@ class TestFixedPoint:
             checked += 1
         # template choice strings behave like the default list
         store = _store("1/2")
-        res = propagate_node(store, None, Budget(), templates="margin-only")
+        res = propagate_node(store, Budget(), templates="margin-only")
         assert res.status == "open"

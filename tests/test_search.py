@@ -56,7 +56,7 @@ class TestRefinement:
     def test_domain_split_once_every_unit_is_settled(self):
         net, prop = worked_network(), worked_prop("1/2")
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-        propagate_node(store, None, Budget())  # certified tightening settles both units
+        propagate_node(store, Budget())  # certified tightening settles both units
         assert not store.unstable
         node = _Node(worked_region(), {}, 0)
         assert pick_split(store, node, Config()) == ("domain", 0, F(1, 2))
@@ -317,7 +317,7 @@ class TestMarginEvidence:
         opened = 0
         for net, region, prop in _spec_suite(8):
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
-            if propagate_node(store, None, Budget()).status != "open":
+            if propagate_node(store, Budget()).status != "open":
                 continue
             ev = _margin_evidence(store, Budget())
             assert ev is None or ev[0] >= prop.violation_threshold
