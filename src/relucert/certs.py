@@ -8,12 +8,11 @@ rational multiplications per check so tests can assert the linear bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .store import (
     GuardLiteral,
-    NormRow,
     NormalizedSystem,
     RowId,
     Store,

@@ -18,7 +18,7 @@ from . import lp
 from .budget import Budget
 from .certs import FarkasCertificate, GuardedCertificate
 from .model import ACTIVE, INACTIVE, Unit, validate_witness
-from .store import GuardLiteral, NormalizedSystem, Store, guard_norm_rows
+from .store import GuardLiteral, Store, guard_norm_rows
 
 _ZERO = Fraction(0)
 

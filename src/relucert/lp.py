@@ -8,6 +8,18 @@ lambda^T b = value; infeasible outcomes carry a Farkas vector with
 lambda^T A = 0 and lambda^T b < 0.  Both are re-verified with the exact
 checkers of `certs` before returning (the one place LP results are
 self-checked); a failure raises `SelfCheckFailed`.
+
+Warm start: an OPTIMAL outcome carries its final tableau, and `lp_max`
+(or `lp_min`) given that tableau back as `warm` starts phase 2 from it, with
+no phase 1, when the new system is the old one less some rows plus rows
+appended at the end (`_Tableau.reconcile`).  Template tightening makes
+exactly such steps, and the old basis stays feasible through them: the row
+it adds, g^T v <= beta with beta the optimum just found, holds with
+equality at the optimal point, so its slack enters the basis at 0; the row
+it retires is strictly looser, so its slack is positive at that point,
+hence basic, and its tableau row and slack column can go.  When either
+condition fails the LP starts cold.  Values and statuses do not depend on
+the start; dual multipliers of a degenerate optimum may.
 """
 
 from __future__ import annotations
@@ -38,6 +50,8 @@ class LpOutcome:
     dual: dict[RowId, Fraction] | None = None
     ray: dict[int, Fraction] | None = None
     iterations: int = 0
+    #: the final tableau of an OPTIMAL `lp_max`/`lp_min`, to pass as `warm`
+    tableau: _Tableau | None = None
 
 
 class _Tableau:
@@ -184,6 +198,69 @@ class _Tableau:
                 self._pivot(i, next(j for j in range(self.n + self.m) if row[j]))
         return True
 
+    def reconcile(self, sys: NormalizedSystem) -> bool:
+        """Make this optimal (or feasible) tableau of an earlier system a
+        feasible tableau of `sys`, ready for phase 2; False, leaving the
+        tableau as it was, when that takes more than the two steps below.
+
+        `sys` must be the earlier system less some rows, the rest in their
+        order, plus new rows after them; row ids name the same rows in both.
+        A dropped row must have its slack basic: no other row reads that
+        column, so its tableau row and slack column go.  A new row has its
+        basic columns eliminated and its slack made basic, which is feasible
+        only if its rhs is then >= 0.  Artificial columns, all nonbasic
+        after phase 1, go too."""
+        n = self.n
+        keep = [k for k, rid in enumerate(self.row_ids) if rid in sys.index]
+        ids = [r.rid for r in sys.rows]
+        if [self.row_ids[k] for k in keep] != ids[:len(keep)]:
+            return False
+        row_of = {b: i for i, b in enumerate(self.basis)}
+        dropped = set()
+        for k in set(range(self.m)).difference(keep):
+            i = row_of.get(n + k)
+            if i is None:
+                return False
+            dropped.add(i)
+        cols = [*range(n), *(n + k for k in keep)]
+        col_of = {c: j for j, c in enumerate(cols)}
+        added = sys.rows[len(keep):]
+        width = len(cols) + len(added)
+        pad = [0] * len(added)
+        T, D, basis = [], [], []
+        for i, row in enumerate(self.T):
+            if i in dropped:
+                continue
+            row = [row[c] for c in cols] + pad + [row[-1]]
+            row, den = _reduced(row, self.D[i]) if self.art_cols else (row, self.D[i])
+            T.append(row)
+            D.append(den)
+            basis.append(col_of[self.basis[i]])
+        for t, r in enumerate(added):
+            den, coeffs, rhs = _integer_row(r)
+            row = [0] * (width + 1)
+            for j, a in coeffs.items():
+                row[j] = a
+            row[len(cols) + t] = den
+            row[-1] = rhs
+            for i, b in enumerate(basis):
+                if row[b]:
+                    row, den = _eliminate(row, den, b, [(k, a) for k, a in enumerate(T[i]) if a],
+                                          D[i])
+            if row[-1] < 0:
+                return False
+            T.append(row)
+            D.append(den)
+            basis.append(len(cols) + t)
+        self.m = len(sys.rows)
+        self.row_ids = ids
+        self.ncols = width
+        self.art_cols = []
+        self.T, self.D, self.basis = T, D, basis
+        self.int_rows = [_integer_row(r) for r in sys.rows]
+        self.iterations = 0
+        return True
+
     def check_primal(self, point: dict[int, Fraction]):
         """Every row of the system holds at the point, exactly: with d the lcm
         of the point's denominators, (den a)^T (d v) <= (den b) d in integers."""
@@ -290,14 +367,20 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
 
 
 def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
-           max_iters: int = DEFAULT_MAX_ITERS) -> LpOutcome:
-    """Maximize g^T v over the system; deterministic (Bland's rule)."""
+           max_iters: int = DEFAULT_MAX_ITERS, warm: _Tableau | None = None) -> LpOutcome:
+    """Maximize g^T v over the system; deterministic (Bland's rule).  `warm`,
+    the `tableau` of an earlier OPTIMAL outcome, is reused in place and
+    skips phase 1 when it reconciles with the system; else the LP starts
+    cold."""
     g = {j: Fraction(q) for j, q in g.items() if q != 0}
-    tab, out = _phase1(sys, max_iters)
-    if out is not None:
-        return out
-    if not tab.drop_artificials(max_iters):
-        return LpOutcome(LIMIT, iterations=tab.iterations)
+    if warm is not None and warm.reconcile(sys):
+        tab = warm
+    else:
+        tab, out = _phase1(sys, max_iters)
+        if out is not None:
+            return out
+        if not tab.drop_artificials(max_iters):
+            return LpOutcome(LIMIT, iterations=tab.iterations)
     res = tab.run({j: q for j, q in g.items() if j < tab.n}, max_iters, True)
     if res[0] == "limit":
         return LpOutcome(LIMIT, iterations=tab.iterations)
@@ -317,13 +400,14 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     gv = sum((q * point.get(j, _ZERO) for j, q in g.items()), _ZERO)
     if gv != val:
         raise SelfCheckFailed("primal/dual objective mismatch")
-    return LpOutcome(OPTIMAL, value=val, primal=point, dual=lam, iterations=tab.iterations)
+    return LpOutcome(OPTIMAL, value=val, primal=point, dual=lam, iterations=tab.iterations,
+                     tableau=tab)
 
 
 def lp_min(sys: NormalizedSystem, g: dict[int, Fraction],
-           max_iters: int = DEFAULT_MAX_ITERS) -> LpOutcome:
+           max_iters: int = DEFAULT_MAX_ITERS, warm: _Tableau | None = None) -> LpOutcome:
     """Minimize g^T v.  The returned dual certifies -g^T v <= -value."""
-    out = lp_max(sys, {j: -q for j, q in g.items()}, max_iters)
+    out = lp_max(sys, {j: -q for j, q in g.items()}, max_iters, warm)
     if out.status == OPTIMAL:
         out.value = -out.value
     return out

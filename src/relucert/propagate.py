@@ -57,7 +57,6 @@ def default_templates(store: Store, margin_only: bool = False) -> list[Template]
 
 @dataclass
 class TgctResult:
-    certificates: list[DualBoundCertificate] = field(default_factory=list)
     rows_added: int = 0
     farkas: FarkasCertificate | None = None
     exhausted: bool = False
@@ -80,7 +79,9 @@ class BoundRowRejected(Exception):
 
 
 def _check_bound_row(store: Store, cert: DualBoundCertificate):
-    res = certmod.check_dual(store.normalize(), cert)
+    """Check against the active rows the certificate cites, all that
+    `check_dual` reads; a retired or absent row is an unknown row."""
+    res = certmod.check_dual(store.cited_rows(rid for rid, _ in cert.multipliers), cert)
     if not res.ok:
         raise BoundRowRejected(f"bound-row certificate rejected: {res.reason}")
 
@@ -298,8 +299,13 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
     """Template-guided certified tightening: LP-optimal bounds in both
     directions per template, added only when strictly tighter, each backed by
     a dual certificate the LP engine has checked.  Short-circuits with a
-    Farkas certificate if any solve reports infeasibility."""
+    Farkas certificate if any solve reports infeasibility.
+
+    Each LP after the first starts from the optimal tableau of the one
+    before: the store changes in between only by the derived row just added
+    and the looser row it retires (see `lp`)."""
     res = TgctResult()
+    tab = None
     for tmpl in templates:
         g = tmpl.g_dict
         for sense in ("max", "min"):
@@ -308,7 +314,9 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                 return res
             sys = store.normalize()
             budget.count_lp()
-            out = lp.lp_max(sys, g) if sense == "max" else lp.lp_min(sys, g)
+            solve = lp.lp_max if sense == "max" else lp.lp_min
+            out = solve(sys, g, warm=tab)
+            tab = out.tableau
             if out.status == lp.INFEASIBLE:
                 res.farkas = FarkasCertificate.make(out.dual)
                 return res
@@ -318,6 +326,7 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
             if out.status == lp.UNBOUNDED:
                 continue  # no new bound in this direction
             beta = out.value
+            size = len(store.order)
             if sense == "max":
                 cur = _current_upper(store, tmpl)
                 if cur is not None and beta >= cur:
@@ -333,8 +342,9 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                 cert = DualBoundCertificate.make(neg, -beta, out.dual)
                 cid = _add_derived_row(store, neg, -beta, cert)
                 _record_lower(store, tmpl, beta, cid)
-            res.certificates.append(cert)
-            res.rows_added += 1
+            # 0 when the store already held the row as an active one, as the
+            # negated property when the margin's minimum is its threshold
+            res.rows_added += len(store.order) - size
     return res
 
 

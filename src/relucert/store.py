@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 from .model import (
     ACTIVE,
     INACTIVE,
-    IDENTITY,
     RELU,
     Network,
     Region,
@@ -183,7 +182,6 @@ class Store:
         self.post_refs: dict = {}                           # unit/("input",k) -> bound combos
         self.template_bounds: dict = {}                     # (template, side) -> bound
         self.template_rows: dict = {}                       # (template, side) -> cid
-        self.lemma_ids: set = set()
         self.aff_ids: dict[Unit, int] = {}
         self.guard_ids: dict[tuple[Unit, str], list[int]] = {}
         self.relaxation_installed = False
@@ -226,6 +224,17 @@ class Store:
                 continue
             rows.extend(normalize_constraint(cid, c))
         rows.extend(extra_rows)
+        return NormalizedSystem(rows, self.layout.n_vars)
+
+    def cited_rows(self, rids: Iterable[RowId]) -> NormalizedSystem:
+        """The system of just the named rows that are active; ids of retired
+        or absent rows are left out."""
+        rows = []
+        for rid in rids:
+            cid = rid[1]
+            if rid[0] == "c" and cid in self.constraints and cid not in self.retired:
+                rows.extend(r for r in normalize_constraint(cid, self.constraints[cid])
+                            if r.rid == rid)
         return NormalizedSystem(rows, self.layout.n_vars)
 
 
@@ -322,9 +331,8 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
 
     if lemmas is not None:
         for entry in lemmas.global_entries():
-            cid = store.add(LinearConstraint(dict(entry.row), LE, entry.bound, LEARN,
-                                             ("lemma", entry.lemma_id)))
-            store.lemma_ids.add(entry.lemma_id)
+            store.add(LinearConstraint(dict(entry.row), LE, entry.bound, LEARN,
+                                       ("lemma", entry.lemma_id)))
 
     for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
         i, _ = unit

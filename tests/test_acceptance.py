@@ -271,7 +271,8 @@ class TestAcceptance:
             lemmas.append(entry)
         layout = build_layout(net, prop)
         fresh = build_initial_store(net, layout, region, prop, {}, lemmas)
-        assert fresh.lemma_ids == {e.lemma_id for e in lemmas.global_entries()}
+        assert {c.derivation[1] for _, c in fresh.all_constraints()
+                if c.derivation[0] == "lemma"} == {e.lemma_id for e in lemmas.global_entries()}
         lemma_rows = [
             NormRow(dict(e.row), e.bound, ("c", 10 ** 6 + k, "le"))
             for k, e in enumerate(lemmas.global_entries())

@@ -256,6 +256,16 @@ class TestPivotPath:
         assert self._digest() == self.PINNED
 
 
+def _assert_tableau_invariants(tab):
+    """Positive row denominators, rows in lowest terms, unit basic columns."""
+    assert len(tab.T) == len(tab.D) == len(tab.basis) == tab.m == len(tab.row_ids)
+    for row, den, b in zip(tab.T, tab.D, tab.basis):
+        assert len(row) == tab.ncols + 1
+        assert den > 0 and math.gcd(den, *row) == 1
+        assert row[b] == den  # basic column reads 1 in its row ...
+        assert sum(1 for other in tab.T if other[b]) == 1  # ... and 0 elsewhere
+
+
 class TestIntegerTableau:
     """Edge cases of the integer-row tableau."""
 
@@ -306,12 +316,7 @@ class TestIntegerTableau:
             nonlocal pivots
             res = pivot(tab, r, j)
             pivots += 1
-            assert len(tab.T) == len(tab.D) == len(tab.basis) == tab.m
-            for row, den, b in zip(tab.T, tab.D, tab.basis):
-                assert len(row) == tab.ncols + 1
-                assert den > 0 and math.gcd(den, *row) == 1
-                assert row[b] == den  # basic column reads 1 in its row ...
-                assert sum(1 for other in tab.T if other[b]) == 1  # ... and 0 elsewhere
+            _assert_tableau_invariants(tab)
             return res
 
         monkeypatch.setattr(lp._Tableau, "_pivot", checked)
@@ -321,3 +326,89 @@ class TestIntegerTableau:
             lp.lp_max(sys, g)
             lp.lp_feasible(sys)
         assert pivots >= 100
+
+
+def _above_box_max(sys, g):
+    """1 more than the box rows' bound on g^T v: strictly above the optimum
+    (the first 2n rows of a `_boxed_random_system` are x_j <= hi, -x_j <= -lo)."""
+    n = sys.n_vars
+    hi = [sys.rows[2 * j].rhs for j in range(n)]
+    lo = [-sys.rows[2 * j + 1].rhs for j in range(n)]
+    return sum((q * (hi[j] if q > 0 else lo[j]) for j, q in g.items()), ZERO) + 1
+
+
+class TestWarmStart:
+    """A tableau reused the way template tightening reuses it: solve, append
+    g^T v <= optimum, retire a looser row on g, solve another objective."""
+
+    @pytest.fixture(autouse=True)
+    def _checked_reconcile(self, monkeypatch):
+        reconcile = lp._Tableau.reconcile
+
+        def checked(tab, sys):
+            ok = reconcile(tab, sys)
+            _assert_tableau_invariants(tab)
+            if ok:
+                assert tab.row_ids == [r.rid for r in sys.rows] and not tab.art_cols
+            return ok
+
+        monkeypatch.setattr(lp._Tableau, "reconcile", checked)
+
+    def _cases(self, seed, count=100):
+        """(boxed system plus a looser row on g, its optimal outcome, g, a
+        second objective) for each seeded system with a nonzero g."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            sys, g = _boxed_random_system(rng, n_extra=3 + rng.randint(0, 3), max_den=6)
+            g2 = {j: rand_rational(rng, 6) for j in range(sys.n_vars)}
+            g2 = {j: q for j, q in g2.items() if q != 0}
+            if not g or not g2:
+                continue
+            looser = NormRow(dict(g), _above_box_max(sys, g), ("c", 100, "le"))
+            first_sys = NormalizedSystem(sys.rows + [looser], sys.n_vars)
+            first = lp.lp_max(first_sys, g)
+            if first.status == lp.OPTIMAL:
+                yield first_sys, first, g, g2
+
+    def test_warm_solve_after_a_tighter_row_matches_cold(self):
+        warm = 0
+        for first_sys, first, g, g2 in self._cases(50):
+            rows = first_sys.rows[:-1] + [NormRow(dict(g), first.value, ("c", 101, "le"))]
+            sys = NormalizedSystem(rows, first_sys.n_vars)
+            tab = first.tableau
+            for solve in (lp.lp_max, lp.lp_min):  # the second reuse leaves the rows as they are
+                out = solve(sys, g2, warm=tab)
+                cold = solve(sys, g2)
+                assert out.tableau is tab  # no fallback: phase 2 started from the old basis
+                assert cold.status == lp.OPTIMAL
+                assert (out.status, out.value) == (cold.status, cold.value)
+            warm += 1
+        assert warm >= 40
+
+    def test_dropped_row_with_nonbasic_slack_starts_cold(self):
+        fallbacks = 0
+        for first_sys, first, _, g2 in self._cases(51):
+            tab = first.tableau
+            k = next(k for k in range(tab.m) if tab.n + k not in tab.basis)
+            sys = NormalizedSystem(first_sys.rows[:k] + first_sys.rows[k + 1:], first_sys.n_vars)
+            before = repr((tab.T, tab.D, tab.basis, tab.row_ids, tab.ncols))
+            assert not tab.reconcile(sys)
+            assert repr((tab.T, tab.D, tab.basis, tab.row_ids, tab.ncols)) == before
+            out = lp.lp_max(sys, g2, warm=tab)
+            assert out.tableau is not tab
+            assert _outcome_key(out) == _outcome_key(lp.lp_max(sys, g2))
+            fallbacks += 1
+        assert fallbacks >= 40
+
+    def test_appended_row_the_point_violates_starts_cold(self):
+        statuses = set()
+        for first_sys, first, g, g2 in self._cases(52):
+            tab = first.tableau
+            cut = NormRow(dict(g), first.value - F(1, 3), ("c", 101, "le"))
+            sys = NormalizedSystem(first_sys.rows + [cut], first_sys.n_vars)
+            assert not tab.reconcile(sys)
+            out = lp.lp_max(sys, g2, warm=tab)
+            assert out.tableau is not tab
+            assert _outcome_key(out) == _outcome_key(lp.lp_max(sys, g2))
+            statuses.add(out.status)
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WORKED, worked_network, worked_prop, worked_region
+from conftest import WORKED, dump_problem, worked_network, worked_prop, worked_region
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
-from relucert.model import ACTIVE, INACTIVE
+from relucert.model import ACTIVE, INACTIVE, SafetyProperty, build_layout
 from relucert.search import Config, hsrv_verify, icl_verify
 from relucert.store import GuardLiteral
 
@@ -419,3 +419,51 @@ class TestMutationFuzzing:
             assert not out.accepted, f"mutation survived: {out}"
             rejected += 1
         assert rejected == 40
+
+
+class TestStructuralFuzzing:
+    """Rows moved rather than values changed.  Renumbering the
+    single-variable rows that bound a stabilized unit's pre-activation past
+    its stabilize row leaves every value intact, so only the stabilize sign
+    rule can see it: the sign those rows prove no longer precedes the row."""
+
+    def _proofs(self, tmp_path):
+        """(problem, proof bytes, problem path): the worked `first_split=
+        "domain"` proof and the UNSAT proofs of the two branching instances."""
+        from test_acceptance import _spec_suite
+        from test_search import TestBranchingOracleAgreement, _max_margin
+
+        yield _problem(), _proof_bytes(Config(first_split="domain")), WORKED
+        suite = _spec_suite(90)
+        for idx in (57, 89):
+            net, region, prop = suite[idx]
+            maximum = _max_margin(net, region, prop)
+            tight = SafetyProperty(prop.margin, maximum + F(1, 1000) - prop.epsilon, prop.epsilon)
+            path = str(tmp_path / f"p{idx}.json")
+            dump_problem(net, region, tight, path)
+            res = icl_verify(net, region, tight, TestBranchingOracleAgreement.CONFIG)
+            assert res.status == "unsat"
+            yield (net, region, tight), prooflog.emit(res.proof, path), path
+
+    def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
+        cases = 0
+        for problem, data, path in self._proofs(tmp_path):
+            layout = build_layout(problem[0], problem[2])
+            base = prooflog.parse_proof(data)
+            for sid, snap in base["snapshots"].items():
+                for stab in snap["rows"]:
+                    if stab["derivation"][0] != "stabilize":
+                        continue
+                    s = str(layout.pre_index(tuple(stab["derivation"][1])))
+                    doc = json.loads(json.dumps(base))
+                    rows = doc["snapshots"][sid]["rows"]
+                    last = max(r["id"] for r in rows)
+                    moved = [r for r in rows if r["id"] < stab["id"] and list(r["row"]) == [s]]
+                    assert moved
+                    for r in moved:
+                        last += 1
+                        r["id"] = last
+                    out = prooflog.check_proof(problem, _dumps(doc), path)
+                    assert not out.accepted and "sign" in out.reason, (sid, stab["id"], out)
+                    cases += 1
+        assert cases >= 20

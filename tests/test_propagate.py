@@ -7,8 +7,11 @@ from conftest import layout_of, random_instance, worked_network, worked_prop, wo
 from relucert import certs, lp
 from relucert.budget import Budget
 from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval, trace_vector
+from relucert.certs import DualBoundCertificate
 from relucert.propagate import (
+    BoundRowRejected,
     NotUnstable,
+    _check_bound_row,
     Template,
     default_templates,
     ensure_relaxation,
@@ -30,6 +33,13 @@ def _store(threshold="1", alpha=None, region=None):
 def _random_store(rng):
     net, region, prop = random_instance(rng)
     return build_initial_store(net, build_layout(net, prop), region, prop, {})
+
+
+def _certificates_since(store, start):
+    """The dual certificates of the derived rows added after the store's
+    first `start` rows."""
+    return [store.constraints[cid].derivation[1] for cid in store.order[start:]
+            if store.constraints[cid].derivation[0] == "derived"]
 
 
 def _bound_certs(store, unit):
@@ -85,6 +95,22 @@ class TestBoundRows:
             up, lo = _bound_certs(store, unit)
             assert certs.check_dual(sys, up).ok
             assert certs.check_dual(sys, lo).ok
+
+    def test_bound_row_self_check_reads_only_the_cited_active_rows(self):
+        store = _store()
+        ensure_relaxation(store)
+        for unit in store.bound_rows:
+            for cert in _bound_certs(store, unit):
+                _check_bound_row(store, cert)
+        up, _ = _bound_certs(store, (1, 0))
+        short = DualBoundCertificate(up.objective, up.bound - 1, up.multipliers)
+        with pytest.raises(BoundRowRejected, match="> bound"):
+            _check_bound_row(store, short)
+        # a retired row is an unknown row, as over the full system
+        store.retire(up.multipliers[-1][0][1])
+        assert "unknown row" in certs.check_dual(store.normalize(), up).reason
+        with pytest.raises(BoundRowRejected, match="unknown row"):
+            _check_bound_row(store, up)
 
     def test_bound_rows_match_interval_arithmetic(self):
         store = _store()
@@ -151,11 +177,13 @@ class TestTgct:
         store = _store("1/2")  # satisfiable variant: tightening proceeds
         ensure_relaxation(store)
         budget = Budget()
+        start = len(store.order)
         res = tgct(store, default_templates(store), budget)
         assert res.farkas is None
-        assert res.rows_added == len(res.certificates) > 0
+        added = _certificates_since(store, start)
+        assert res.rows_added == len(added) > 0
         sys = store.normalize()
-        for cert in res.certificates:
+        for cert in added:
             assert certs.check_dual(sys, cert).ok
 
     def test_row_budget_per_call(self):
@@ -170,8 +198,9 @@ class TestTgct:
         ensure_relaxation(store)
         templates = default_templates(store)
         tgct(store, templates, Budget())
+        start = len(store.order)
         again = tgct(store, templates, Budget())
-        assert again.rows_added == 0 and again.certificates == []
+        assert again.rows_added == 0 and _certificates_since(store, start) == []
 
     def test_superseded_rows_are_retired_not_duplicated(self):
         store = _store("1/2")

@@ -12,3 +12,22 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path}: assert statements at lines {lines}"
+
+
+def _imported_names(tree):
+    """(name, line) for each name an import statement binds, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [(name, line) for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{path}: imported but never used: {unused}"
