@@ -5,21 +5,41 @@ are Python integers over one positive row denominator each, so pivots run
 on integer arithmetic and nothing rounds; results leave as `Fraction`.
 Optimal outcomes carry a dual vector with lambda^T A = g^T and
 lambda^T b = value; infeasible outcomes carry a Farkas vector with
-lambda^T A = 0 and lambda^T b < 0.  Both are re-verified with the exact
-checkers of `certs` before returning (the one place LP results are
-self-checked); a failure raises `SelfCheckFailed`.
+lambda^T A = 0 and lambda^T b < 0.  Both are re-verified in integers against
+the rows of the system passed in (`_IntegerSystem`, the one place LP results
+are self-checked); a failure raises `SelfCheckFailed`.
 
-Warm start: an OPTIMAL outcome carries its final tableau, and `lp_max`
-(or `lp_min`) given that tableau back as `warm` starts phase 2 from it, with
-no phase 1, when the new system is the old one less some rows plus rows
-appended at the end (`_Tableau.reconcile`).  Template tightening makes
-exactly such steps, and the old basis stays feasible through them: the row
-it adds, g^T v <= beta with beta the optimum just found, holds with
-equality at the optimal point, so its slack enters the basis at 0; the row
-it retires is strictly looser, so its slack is positive at that point,
-hence basic, and its tableau row and slack column can go.  When either
-condition fails the LP starts cold.  Values and statuses do not depend on
-the start; dual multipliers of a degenerate optimum may.
+Equalities are eliminated before the tableau exists (`_Reduction`).  An
+equality is a pair of adjacent rows whose ids differ only in their last
+part and which are exact negations: a store equality's ("c", cid, "le") and
+("c", cid, "ge") rows, or the two halves of a guard equality.  In row order,
+each equality, with the variables already eliminated substituted, eliminates
+its highest-index remaining variable: the pre-activation of an affine row,
+the post-activation of a phase row, the margin auxiliary of margin-def.  The
+simplex runs on the other rows, with those variables substituted out and the
+kept variables renumbered; an equality that reduces to 0 = 0 is dropped, one
+that reduces to 0 = b != 0 stays as its two rows.  The results are lifted
+back: eliminated variables of the point follow by back-substitution, those
+of a ray from the homogeneous part; each eliminated equality gets the
+multiplier nu that makes its eliminated columns of lambda^T A - g vanish,
+on its "le" row when nu > 0 and as -nu on its other row when nu < 0 (g = 0
+for a Farkas vector); the optimal value adds back the constant the
+substitution took out of the objective.  A system without equality pairs is
+solved exactly as it is.
+
+Warm start: an OPTIMAL outcome carries its final tableau, with its
+reduction, and `lp_max` (or `lp_min`) given that tableau back as `warm`
+starts phase 2 from it, with no phase 1, when the new system has the same
+equalities and is otherwise the old one less some rows plus rows appended
+at the end (`_Tableau.reconcile`); only the appended rows are reduced.
+Template tightening makes exactly such steps, and the old basis stays
+feasible through them: the row it adds, g^T v <= beta with beta the optimum
+just found, holds with equality at the optimal point, so its slack enters
+the basis at 0; the row it retires is strictly looser, so its slack is
+positive at that point, hence basic, and its tableau row and slack column
+can go.  When either condition fails the LP starts cold.  Values and
+statuses do not depend on the start; dual multipliers of a degenerate
+optimum may.
 """
 
 from __future__ import annotations
@@ -28,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .certs import FarkasCertificate, _combine, check_farkas
 from .store import NormalizedSystem, NormRow, RowId
 
 OPTIMAL = "optimal"
@@ -54,13 +73,303 @@ class LpOutcome:
     tableau: _Tableau | None = None
 
 
-class _Tableau:
-    """Gauss-Jordan simplex tableau over integers.
+class SelfCheckFailed(Exception):
+    """The simplex produced a result its own certificate does not support."""
 
-    Columns: 0..N-1 original free variables, N..N+m-1 slacks, then
-    artificials.  Rows whose rhs is negative start with an artificial basic
-    (column -e_i), so the initial tableau row is negated to expose identity
-    basis columns.
+
+#: a row a^T v <= b as (den, den a, den b) in integers
+_IntRow = tuple[int, dict[int, int], int]
+
+
+def _integer_row(r: NormRow) -> _IntRow:
+    """The row a^T v <= b as (den, den a, den b) in integers, den the lcm of
+    its denominators, which leaves the row in lowest terms."""
+    den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
+    coeffs = {j: q.numerator * (den // q.denominator) for j, q in r.row.items()}
+    return den, coeffs, r.rhs.numerator * (den // r.rhs.denominator)
+
+
+class _IntegerSystem:
+    """The rows of a system in integers, built once per LP: what the
+    reduction starts from and what every self-check reads.  Each check is
+    exact: a point or vector is scaled by the lcm of its denominators (times
+    the rows' own) and compared in integers."""
+
+    def __init__(self, sys: NormalizedSystem):
+        self.sys = sys
+        self.rows = [_integer_row(r) for r in sys.rows]
+
+    def row(self, rid: RowId) -> _IntRow:
+        k = self.sys.index.get(rid)
+        if k is None:
+            raise SelfCheckFailed(f"unknown row {rid}")
+        return self.rows[k]
+
+    def _check_rows_hold(self, x: dict[int, Fraction], homogeneous: bool, what: str):
+        d = lcm(*(q.denominator for q in x.values()))
+        xi = {j: q.numerator * (d // q.denominator) for j, q in x.items()}
+        for r, (_, coeffs, rhs) in zip(self.sys.rows, self.rows):
+            lhs = 0
+            for j, a in coeffs.items():
+                v = xi.get(j)
+                if v:
+                    lhs += a * v
+            if lhs > (0 if homogeneous else rhs * d):
+                raise SelfCheckFailed(f"{what} violates row {r.rid}")
+
+    def check_primal(self, point: dict[int, Fraction]):
+        """Every row holds at the point: (den a)^T (d v) <= (den b) d."""
+        self._check_rows_hold(point, False, "primal point")
+
+    def check_ray(self, ray: dict[int, Fraction]):
+        """The ray is a recession direction: a^T r <= 0 on every row."""
+        self._check_rows_hold(ray, True, "ray")
+
+    def _combination(self, lam: dict[RowId, Fraction]) -> tuple[int, dict[int, int], int]:
+        """q, q lambda^T A and q lambda^T b in integers, q > 0."""
+        terms = []
+        for rid, mult in lam.items():
+            if mult < 0:
+                raise SelfCheckFailed(f"negative multiplier on {rid}")
+            terms.append((mult, self.row(rid)))
+        q = lcm(*(mult.denominator * den for mult, (den, _, _) in terms))
+        acc: dict[int, int] = {}
+        rhs = 0
+        for mult, (den, coeffs, b) in terms:
+            s = mult.numerator * (q // (mult.denominator * den))
+            for j, a in coeffs.items():
+                acc[j] = acc.get(j, 0) + s * a
+            rhs += s * b
+        return q, {j: v for j, v in acc.items() if v}, rhs
+
+    def check_dual(self, g: dict[int, Fraction], lam: dict[RowId, Fraction], value: Fraction):
+        """lambda >= 0, lambda^T A = g^T and lambda^T b = value, exactly."""
+        q, combo, rhs = self._combination(lam)
+        want = {j: c for j, c in g.items() if c != 0}
+        if combo.keys() != want.keys() or any(
+                combo[j] * c.denominator != q * c.numerator for j, c in want.items()):
+            raise SelfCheckFailed(f"dual combination != objective {g}")
+        if rhs * value.denominator != q * value.numerator:
+            raise SelfCheckFailed(f"dual bound {Fraction(rhs, q)} != optimum {value}")
+
+    def check_farkas(self, lam: dict[RowId, Fraction]):
+        """lambda >= 0, lambda^T A = 0 and lambda^T b < 0, exactly."""
+        q, combo, rhs = self._combination(lam)
+        if combo:
+            raise SelfCheckFailed("Farkas vector rejected: lambda^T A != 0")
+        if rhs >= 0:
+            raise SelfCheckFailed(
+                f"Farkas vector rejected: lambda^T b = {Fraction(rhs, q)} not < 0")
+
+
+def _equality_pairs(sys: NormalizedSystem, rows: list[_IntRow]) -> list[int]:
+    """Positions k at which rows k and k + 1 form an equality: ids equal but
+    for their last part, and integer rows that are exact negations."""
+    out = []
+    k = 0
+    while k + 1 < len(rows):
+        (da, ca, ba), (db, cb, bb) = rows[k], rows[k + 1]
+        if (sys.rows[k].rid[:-1] == sys.rows[k + 1].rid[:-1] and da == db and bb == -ba
+                and cb == {j: -a for j, a in ca.items()}):
+            out.append(k)
+            k += 2
+        else:
+            k += 1
+    return out
+
+
+def _axpy(x: dict, a: int, y: dict, b: int) -> dict:
+    """a x - b y over sparse integer vectors."""
+    out = {k: a * v for k, v in x.items()} if a != 1 else dict(x)
+    for k, v in y.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+class _Pivot:
+    """An eliminated variable p: d v_p + e^T v = c with d > 0 and e over kept
+    variables only, which is the combination sum_t m_t (den_t a_t^T v = den_t
+    b_t) of the integer "le" rows of the eliminated equalities; in lowest
+    terms over d, e, c and m together, so m stays integral."""
+
+    __slots__ = ("p", "d", "e", "c", "m")
+
+    def __init__(self, p: int, d: int, e: dict[int, int], c: int, m: dict[int, int]):
+        self.p, self.d, self.e, self.c, self.m = p, d, e, c, m
+
+    def substitute(self, e: dict[int, int], c: int, f: int):
+        """Take f v_p out of e^T v = c (f = e's entry at p, already removed):
+        returns a > 0 and b with the row scaled by a less the pivot row
+        scaled by b."""
+        g = gcd(self.d, f)
+        a, b = self.d // g, f // g
+        return a, b, _axpy(e, a, self.e, b), a * c - b * self.c
+
+    def normalize(self):
+        g = gcd(self.d, self.c, *self.e.values(), *self.m.values())
+        if g != 1:
+            self.d //= g
+            self.c //= g
+            self.e = {j: v // g for j, v in self.e.items()}
+            self.m = {t: v // g for t, v in self.m.items()}
+
+
+class _Reduction:
+    """The equalities of a system, each used to eliminate one variable (see
+    the module docstring): the reduced rows, objective and renumbering, and
+    the lifts of a point, a ray and a multiplier vector back to the system."""
+
+    def __init__(self, sys: NormalizedSystem, rows: list[_IntRow]):
+        pairs = _equality_pairs(sys, rows)
+        #: the "le" row id of every equality pair, in row order
+        self.eq_ids = [sys.rows[k].rid for k in pairs]
+        #: ("le" id, other id, den) of each equality that eliminated a variable
+        self.eqs: list[tuple[RowId, RowId, int]] = []
+        self.pivots: list[_Pivot] = []
+        removed: set[RowId] = set()
+        for k in pairs:
+            den, coeffs, rhs = rows[k]
+            e, c, m = dict(coeffs), rhs, {len(self.eqs): 1}
+            for piv in self.pivots:
+                f = e.pop(piv.p, 0)
+                if f:
+                    a, b, e, c = piv.substitute(e, c, f)
+                    m = _axpy(m, a, piv.m, b)
+            if not e:
+                if c == 0:  # implied by the equalities before it
+                    removed.update((sys.rows[k].rid, sys.rows[k + 1].rid))
+                continue  # 0 = c != 0: kept, and phase 1 refutes it
+            p = max(e)
+            d = e.pop(p)
+            if d < 0:
+                d, c = -d, -c
+                e = {j: -v for j, v in e.items()}
+                m = {t: -v for t, v in m.items()}
+            new = _Pivot(p, d, e, c, m)
+            new.normalize()
+            for piv in self.pivots:  # keep every pivot row free of p
+                f = piv.e.pop(p, 0)
+                if f:
+                    a, b, piv.e, piv.c = new.substitute(piv.e, piv.c, f)
+                    piv.m = _axpy(piv.m, a, new.m, b)
+                    piv.d *= a
+                    piv.normalize()
+            self.pivots.append(new)
+            self.eqs.append((sys.rows[k].rid, sys.rows[k + 1].rid, den))
+            removed.update((sys.rows[k].rid, sys.rows[k + 1].rid))
+        self.removed = removed
+        eliminated = {piv.p for piv in self.pivots}
+        #: the kept variables in order; the reduced LP's variable i is keep[i]
+        self.keep = [j for j in range(sys.n_vars) if j not in eliminated]
+        self.col = {j: i for i, j in enumerate(self.keep)}
+        self.n = len(self.keep)
+
+    def kept(self, sys: NormalizedSystem) -> list[int]:
+        """Positions of the rows of `sys` the reduced LP keeps."""
+        return [k for k, r in enumerate(sys.rows) if r.rid not in self.removed]
+
+    def reduce(self, row: _IntRow) -> _IntRow:
+        """An integer row with the eliminated variables substituted, over the
+        kept variables, in lowest terms."""
+        den, e, c = row
+        touched = False
+        for piv in self.pivots:
+            f = e.get(piv.p)
+            if f:
+                if not touched:
+                    e, touched = dict(e), True
+                del e[piv.p]
+                a, _, e, c = piv.substitute(e, c, f)
+                den *= a
+        if touched:
+            g = gcd(den, c, *e.values())
+            if g != 1:
+                den, c = den // g, c // g
+                e = {j: v // g for j, v in e.items()}
+        col = self.col
+        return den, {col[j]: v for j, v in e.items()}, c
+
+    def objective(self, g: dict[int, Fraction]) -> tuple[dict[int, Fraction], Fraction]:
+        """g^T v as g'^T v' + const on the points of the equalities."""
+        col = self.col
+        cost = {col[j]: q for j, q in g.items() if j in col}
+        const = _ZERO
+        for piv in self.pivots:
+            f = g.get(piv.p)
+            if f:
+                f /= piv.d
+                for j, a in piv.e.items():
+                    v = cost.get(col[j], _ZERO) - f * a
+                    if v:
+                        cost[col[j]] = v
+                    else:
+                        cost.pop(col[j], None)
+                const += f * piv.c
+        return cost, const
+
+    def lift(self, x: dict[int, Fraction], homogeneous: bool = False) -> dict[int, Fraction]:
+        """A point (a ray, if homogeneous) of the reduced LP in the original
+        variables."""
+        out = {self.keep[j]: q for j, q in x.items()}
+        d = lcm(*(q.denominator for q in out.values()))
+        xi = {j: q.numerator * (d // q.denominator) for j, q in out.items()}
+        for piv in self.pivots:
+            num = 0 if homogeneous else piv.c * d
+            for j, a in piv.e.items():
+                v = xi.get(j)
+                if v:
+                    num -= a * v
+            if num:
+                out[piv.p] = Fraction(num, piv.d * d)
+        return out
+
+    def lift_dual(self, lam: dict[RowId, Fraction], g: dict[int, Fraction],
+                  ints: _IntegerSystem) -> dict[RowId, Fraction]:
+        """Multipliers on the kept rows, with lam^T A' = g'^T, extended by the
+        equalities' so that lam^T A = g^T on the original rows.
+
+        With w = lam^T A on the eliminated columns, pivot i's row carries
+        mu_i = (g_p - w_p) / d_i, and equality t gets nu_t = den_t sum_i mu_i
+        m_it; computed over the common denominator q * lcm(d_i)."""
+        terms = [(mult, ints.row(rid)) for rid, mult in lam.items()]
+        gp = [g.get(piv.p, _ZERO) for piv in self.pivots]
+        q = lcm(*(mult.denominator * den for mult, (den, _, _) in terms),
+                *(f.denominator for f in gp))
+        pos = {piv.p: i for i, piv in enumerate(self.pivots)}
+        w = [f.numerator * (q // f.denominator) for f in gp]
+        for mult, (den, coeffs, _) in terms:
+            s = mult.numerator * (q // (mult.denominator * den))
+            for j, a in coeffs.items():
+                i = pos.get(j)
+                if i is not None:
+                    w[i] -= s * a
+        dd = lcm(*(piv.d for piv in self.pivots))
+        nu = [0] * len(self.eqs)
+        for wi, piv in zip(w, self.pivots):
+            if wi:
+                wi *= dd // piv.d
+                for t, mt in piv.m.items():
+                    nu[t] += wi * mt
+        out = dict(lam)
+        for v, (le, other, den) in zip(nu, self.eqs):
+            if v > 0:
+                out[le] = Fraction(v * den, q * dd)
+            elif v < 0:
+                out[other] = Fraction(-v * den, q * dd)
+        return out
+
+
+class _Tableau:
+    """Gauss-Jordan simplex tableau over integers, on the reduced rows of a
+    system (`_Reduction`); `ints` and `red` travel with it.
+
+    Columns: 0..N-1 kept free variables, N..N+m-1 slacks, then artificials.
+    Rows whose rhs is negative start with an artificial basic (column -e_i),
+    so the initial tableau row is negated to expose identity basis columns.
 
     Row i is the list `T[i]` of integer numerators over the positive row
     denominator `D[i]`, with the rhs numerator last, kept in lowest terms
@@ -72,17 +381,19 @@ class _Tableau:
     """
 
     def __init__(self, sys: NormalizedSystem):
-        self.n = n = sys.n_vars
-        self.m = m = len(sys.rows)
-        self.row_ids = [r.rid for r in sys.rows]
-        self.ncols = n + m + sum(1 for r in sys.rows if r.rhs < 0)
+        self.ints = ints = _IntegerSystem(sys)
+        self.red = red = _Reduction(sys, ints.rows)
+        kept = red.kept(sys)
+        rows = [red.reduce(ints.rows[k]) for k in kept]
+        self.n = n = red.n
+        self.m = m = len(rows)
+        self.row_ids = [sys.rows[k].rid for k in kept]
+        self.ncols = n + m + sum(1 for _, _, rhs in rows if rhs < 0)
         self.art_cols: list[int] = []
         self.T: list[list[int]] = []
         self.D: list[int] = []
         self.basis: list[int] = []
-        #: the system's rows in integers, kept for `check_primal`
-        self.int_rows = [_integer_row(r) for r in sys.rows]
-        for i, (den, coeffs, rhs) in enumerate(self.int_rows):
+        for i, (den, coeffs, rhs) in enumerate(rows):
             row = [0] * (self.ncols + 1)
             for j, a in coeffs.items():
                 row[j] = a
@@ -201,18 +512,23 @@ class _Tableau:
     def reconcile(self, sys: NormalizedSystem) -> bool:
         """Make this optimal (or feasible) tableau of an earlier system a
         feasible tableau of `sys`, ready for phase 2; False, leaving the
-        tableau as it was, when that takes more than the two steps below.
+        tableau as it was, when that takes more than the steps below.
 
-        `sys` must be the earlier system less some rows, the rest in their
+        `sys` must have the earlier system's equality pairs, and its other
+        rows must be the earlier system's less some rows, the rest in their
         order, plus new rows after them; row ids name the same rows in both.
         A dropped row must have its slack basic: no other row reads that
-        column, so its tableau row and slack column go.  A new row has its
-        basic columns eliminated and its slack made basic, which is feasible
-        only if its rhs is then >= 0.  Artificial columns, all nonbasic
-        after phase 1, go too."""
+        column, so its tableau row and slack column go.  A new row is
+        reduced, has its basic columns eliminated and its slack made basic,
+        which is feasible only if its rhs is then >= 0.  Artificial columns,
+        all nonbasic after phase 1, go too."""
+        ints = _IntegerSystem(sys)
+        if [sys.rows[k].rid for k in _equality_pairs(sys, ints.rows)] != self.red.eq_ids:
+            return False
         n = self.n
+        kept = self.red.kept(sys)
+        ids = [sys.rows[k].rid for k in kept]
         keep = [k for k, rid in enumerate(self.row_ids) if rid in sys.index]
-        ids = [r.rid for r in sys.rows]
         if [self.row_ids[k] for k in keep] != ids[:len(keep)]:
             return False
         row_of = {b: i for i, b in enumerate(self.basis)}
@@ -224,7 +540,7 @@ class _Tableau:
             dropped.add(i)
         cols = [*range(n), *(n + k for k in keep)]
         col_of = {c: j for j, c in enumerate(cols)}
-        added = sys.rows[len(keep):]
+        added = kept[len(keep):]
         width = len(cols) + len(added)
         pad = [0] * len(added)
         T, D, basis = [], [], []
@@ -236,8 +552,8 @@ class _Tableau:
             T.append(row)
             D.append(den)
             basis.append(col_of[self.basis[i]])
-        for t, r in enumerate(added):
-            den, coeffs, rhs = _integer_row(r)
+        for t, k in enumerate(added):
+            den, coeffs, rhs = self.red.reduce(ints.rows[k])
             row = [0] * (width + 1)
             for j, a in coeffs.items():
                 row[j] = a
@@ -252,28 +568,14 @@ class _Tableau:
             T.append(row)
             D.append(den)
             basis.append(len(cols) + t)
-        self.m = len(sys.rows)
+        self.m = len(ids)
         self.row_ids = ids
         self.ncols = width
         self.art_cols = []
         self.T, self.D, self.basis = T, D, basis
-        self.int_rows = [_integer_row(r) for r in sys.rows]
+        self.ints = ints
         self.iterations = 0
         return True
-
-    def check_primal(self, point: dict[int, Fraction]):
-        """Every row of the system holds at the point, exactly: with d the lcm
-        of the point's denominators, (den a)^T (d v) <= (den b) d in integers."""
-        d = lcm(*(q.denominator for q in point.values()))
-        x = {j: q.numerator * (d // q.denominator) for j, q in point.items()}
-        for rid, (_, coeffs, rhs) in zip(self.row_ids, self.int_rows):
-            lhs = 0
-            for j, a in coeffs.items():
-                v = x.get(j)
-                if v:
-                    lhs += a * v
-            if lhs > rhs * d:
-                raise SelfCheckFailed(f"primal point violates row {rid}")
 
     def primal(self) -> dict[int, Fraction]:
         return {b: Fraction(self.T[i][-1], self.D[i]) for i, b in enumerate(self.basis)
@@ -291,14 +593,6 @@ class _Tableau:
             if b < self.n and a:
                 r[b] = Fraction(-direction * a, self.D[i])
         return r
-
-
-def _integer_row(r: NormRow) -> tuple[int, dict[int, int], int]:
-    """The row a^T v <= b as (den, den a, den b) in integers, den the lcm of
-    its denominators: the tableau's initial row and the primal self-check's."""
-    den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
-    coeffs = {j: q.numerator * (den // q.denominator) for j, q in r.row.items()}
-    return den, coeffs, r.rhs.numerator * (den // r.rhs.denominator)
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -324,28 +618,6 @@ def _eliminate(row: list[int], den: int, j: int, nz: list[tuple[int, int]], p: i
     return _reduced(row, den * ps)
 
 
-class SelfCheckFailed(Exception):
-    """The simplex produced a result its own certificate does not support."""
-
-
-def _self_check_farkas(sys: NormalizedSystem, lam: dict[RowId, Fraction]):
-    res = check_farkas(sys, FarkasCertificate.make(lam))
-    if not res.ok:
-        raise SelfCheckFailed(f"Farkas vector rejected: {res.reason}")
-
-
-def _self_check_dual(sys: NormalizedSystem, g: dict[int, Fraction],
-                     lam: dict[RowId, Fraction], value: Fraction):
-    """lambda >= 0, lambda^T A = g^T and lambda^T b = value, exactly."""
-    if any(q < 0 for q in lam.values()):
-        raise SelfCheckFailed("negative dual multiplier")
-    combo, rhs = _combine(sys, lam.items())
-    if combo != {j: q for j, q in g.items() if q != 0}:
-        raise SelfCheckFailed(f"dual combination {combo} != objective {g}")
-    if rhs != value:
-        raise SelfCheckFailed(f"dual bound {rhs} != optimum {value}")
-
-
 def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome | None]:
     """Drive the artificials of a fresh tableau to zero.  The outcome is LIMIT
     or INFEASIBLE (with its self-checked Farkas vector) when phase 1 decides
@@ -360,8 +632,8 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
         raise SelfCheckFailed("phase 1 cannot be unbounded")
     _, obj, den = res
     if obj[-1] < 0:
-        lam = tab.dual_from_obj(obj, den)
-        _self_check_farkas(sys, lam)
+        lam = tab.red.lift_dual(tab.dual_from_obj(obj, den), {}, tab.ints)
+        tab.ints.check_farkas(lam)
         return tab, LpOutcome(INFEASIBLE, dual=lam, iterations=tab.iterations)
     return tab, None
 
@@ -381,22 +653,25 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
             return out
         if not tab.drop_artificials(max_iters):
             return LpOutcome(LIMIT, iterations=tab.iterations)
-    res = tab.run({j: q for j, q in g.items() if j < tab.n}, max_iters, True)
+    red, ints = tab.red, tab.ints
+    cost, const = red.objective(g)
+    res = tab.run(cost, max_iters, True)
     if res[0] == "limit":
         return LpOutcome(LIMIT, iterations=tab.iterations)
     if res[0] == "unbounded":
         _, enter, direction = res
-        ray = tab.ray(enter, direction)
+        ray = red.lift(tab.ray(enter, direction), homogeneous=True)
+        ints.check_ray(ray)
         gain = sum((q * ray.get(j, _ZERO) for j, q in g.items()), _ZERO)
         if gain <= 0:
             raise SelfCheckFailed("unbounded ray does not improve the objective")
         return LpOutcome(UNBOUNDED, ray=ray, iterations=tab.iterations)
     _, obj, den = res
-    val = Fraction(obj[-1], den)
-    point = tab.primal()
-    lam = tab.dual_from_obj(obj, den)
-    tab.check_primal(point)
-    _self_check_dual(sys, g, lam, val)
+    val = Fraction(obj[-1], den) + const
+    point = red.lift(tab.primal())
+    lam = red.lift_dual(tab.dual_from_obj(obj, den), g, ints)
+    ints.check_primal(point)
+    ints.check_dual(g, lam, val)
     gv = sum((q * point.get(j, _ZERO) for j, q in g.items()), _ZERO)
     if gv != val:
         raise SelfCheckFailed("primal/dual objective mismatch")
@@ -418,6 +693,6 @@ def lp_feasible(sys: NormalizedSystem, max_iters: int = DEFAULT_MAX_ITERS) -> Lp
     tab, out = _phase1(sys, max_iters)
     if out is not None:
         return out
-    point = tab.primal()
-    tab.check_primal(point)
+    point = tab.red.lift(tab.primal())
+    tab.ints.check_primal(point)
     return LpOutcome(FEASIBLE, primal=point, iterations=tab.iterations)

@@ -265,7 +265,11 @@ def _current_lower(store: Store, tmpl: Template) -> Fraction | None:
     return store.template_bounds.get((tmpl.g, "lb"))
 
 
-def _record_upper(store: Store, tmpl: Template, beta: Fraction, cid: int):
+def _record_upper(store: Store, tmpl: Template, beta: Fraction, cid: int, new: bool):
+    """Record beta as the template's upper bound, backed by row cid.  A
+    margin template files cid as its bound row (retired once a tighter one
+    comes) only if the row is new: a row the store already held, such as the
+    negated property, is not the template's to retire."""
     if tmpl.kind[0] == "neuron":
         unit = tmpl.kind[1]
         store.bounds.tighten(unit, hi=beta)
@@ -276,11 +280,13 @@ def _record_upper(store: Store, tmpl: Template, beta: Fraction, cid: int):
         old = store.template_rows.pop((tmpl.g, "ub"), None)
         if old is not None:
             store.retire(old)
-        store.template_rows[(tmpl.g, "ub")] = cid
+        if new:
+            store.template_rows[(tmpl.g, "ub")] = cid
         store.template_bounds[(tmpl.g, "ub")] = beta
 
 
-def _record_lower(store: Store, tmpl: Template, beta: Fraction, cid: int):
+def _record_lower(store: Store, tmpl: Template, beta: Fraction, cid: int, new: bool):
+    """`_record_upper` for the lower bound."""
     if tmpl.kind[0] == "neuron":
         unit = tmpl.kind[1]
         store.bounds.tighten(unit, lo=beta)
@@ -291,7 +297,8 @@ def _record_lower(store: Store, tmpl: Template, beta: Fraction, cid: int):
         old = store.template_rows.pop((tmpl.g, "lb"), None)
         if old is not None:
             store.retire(old)
-        store.template_rows[(tmpl.g, "lb")] = cid
+        if new:
+            store.template_rows[(tmpl.g, "lb")] = cid
         store.template_bounds[(tmpl.g, "lb")] = beta
 
 
@@ -333,7 +340,7 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                     continue
                 cert = DualBoundCertificate.make(g, beta, out.dual)
                 cid = _add_derived_row(store, g, beta, cert)
-                _record_upper(store, tmpl, beta, cid)
+                _record_upper(store, tmpl, beta, cid, len(store.order) > size)
             else:
                 cur = _current_lower(store, tmpl)
                 if cur is not None and beta <= cur:
@@ -341,7 +348,7 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                 neg = {j: -q for j, q in g.items()}
                 cert = DualBoundCertificate.make(neg, -beta, out.dual)
                 cid = _add_derived_row(store, neg, -beta, cert)
-                _record_lower(store, tmpl, beta, cid)
+                _record_lower(store, tmpl, beta, cid, len(store.order) > size)
             # 0 when the store already held the row as an active one, as the
             # negated property when the margin's minimum is its threshold
             res.rows_added += len(store.order) - size

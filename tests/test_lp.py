@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rand_rational
-from relucert import lp
+from relucert import certs, lp
 from relucert.store import NormRow, NormalizedSystem
 
 ZERO = F(0)
@@ -193,35 +193,61 @@ class TestSelfCheck:
     def test_bad_farkas_vector_raises(self):
         sys = _system([({0: F(1)}, 1)])
         with pytest.raises(lp.SelfCheckFailed):
-            lp._self_check_farkas(sys, {("c", 0, "le"): F(1)})  # lambda^T A != 0
+            lp._IntegerSystem(sys).check_farkas({("c", 0, "le"): F(1)})  # lambda^T A != 0
 
     def test_dual_bound_must_equal_the_optimum(self):
         sys = _system([({0: F(1)}, 1)])
-        lp._self_check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(1))
+        lp._IntegerSystem(sys).check_dual({0: F(1)}, {("c", 0, "le"): F(1)}, F(1))
         with pytest.raises(lp.SelfCheckFailed):
-            lp._self_check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(2))
+            lp._IntegerSystem(sys).check_dual({0: F(1)}, {("c", 0, "le"): F(1)}, F(2))
         with pytest.raises(lp.SelfCheckFailed):
-            lp._self_check_dual(sys, {0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))
+            lp._IntegerSystem(sys).check_dual({0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))
 
     def test_primal_point_off_a_row_by_the_least_amount_raises(self):
         # 3x - y/7 <= 2/5 and y <= 1, with y = 1/3: the first row holds with
         # equality at x = 47/315 and fails for x only 1/10**40 larger
         sys = _system([({0: F(3), 1: F(-1, 7)}, F(2, 5)), ({1: F(1)}, 1)])
-        lp._Tableau(sys).check_primal({0: F(1, 7), 1: F(1, 3)})
+        lp._IntegerSystem(sys).check_primal({0: F(1, 7), 1: F(1, 3)})
         x_on = (F(2, 5) + F(1, 21)) / 3
         assert x_on == F(47, 315)
-        lp._Tableau(sys).check_primal({0: x_on, 1: F(1, 3)})
+        lp._IntegerSystem(sys).check_primal({0: x_on, 1: F(1, 3)})
         with pytest.raises(lp.SelfCheckFailed, match="violates row"):
-            lp._Tableau(sys).check_primal({0: x_on + F(1, 10**40), 1: F(1, 3)})
+            lp._IntegerSystem(sys).check_primal({0: x_on + F(1, 10**40), 1: F(1, 3)})
+
+    def test_multiplier_off_by_the_least_amount_raises(self):
+        # x + y = 1 with x <= 3/4 and y >= 0: maximize x - y at (3/4, 1/4),
+        # certified by 2 on x <= 3/4 and 1 on the equality's "ge" row; with
+        # y >= 1/3 and x >= 1 instead, the system is infeasible
+        eq = [NormRow({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
+              NormRow({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge"))]
+        sys = NormalizedSystem(eq + [NormRow({0: F(1)}, F(3, 4), ("c", 1, "le")),
+                                     NormRow({1: F(-1)}, ZERO, ("c", 2, "le"))], 2)
+        g = {0: F(1), 1: F(-1)}
+        out = lp.lp_max(sys, g)
+        assert out.dual == {("c", 0, "ge"): F(1), ("c", 1, "le"): F(2)}
+        infeasible = NormalizedSystem(eq + [NormRow({0: F(-1)}, F(-1), ("c", 1, "le")),
+                                            NormRow({1: F(-1)}, F(-1, 3), ("c", 2, "le"))], 2)
+        farkas = lp.lp_feasible(infeasible).dual
+        assert len(farkas) == 3
+        cases = [(lp._IntegerSystem(sys).check_dual, (g,), out.dual, (out.value,)),
+                 (lp._IntegerSystem(infeasible).check_farkas, (), farkas, ())]
+        for check, before, lam, after in cases:
+            check(*before, lam, *after)
+            for rid in lam:
+                for step in (F(1, 10**40), -F(1, 10**40)):
+                    moved = dict(lam)
+                    moved[rid] += step
+                    with pytest.raises(lp.SelfCheckFailed):
+                        check(*before, moved, *after)
 
     def test_primal_point_on_a_row_boundary_passes(self):
         # x + y <= 1 and -x <= -1/3 hold with equality at (1/3, 2/3); an
         # absent coordinate is zero, and 0 <= 0 holds too
         sys = _system([({0: F(1), 1: F(1)}, 1), ({0: F(-1)}, F(-1, 3)),
                        ({2: F(5, 3)}, 0)])
-        lp._Tableau(sys).check_primal({0: F(1, 3), 1: F(2, 3)})
+        lp._IntegerSystem(sys).check_primal({0: F(1, 3), 1: F(2, 3)})
         with pytest.raises(lp.SelfCheckFailed, match="violates row"):
-            lp._Tableau(sys).check_primal({0: F(1, 3), 1: F(2, 3), 2: F(1, 10**40)})
+            lp._IntegerSystem(sys).check_primal({0: F(1, 3), 1: F(2, 3), 2: F(1, 10**40)})
 
 
 def _outcome_key(out):
@@ -412,3 +438,190 @@ class TestWarmStart:
             assert _outcome_key(out) == _outcome_key(lp.lp_max(sys, g2))
             statuses.add(out.status)
         assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def _equality_system(rng, max_den=4):
+    """A `_boxed_random_system` with 1-3 equality pairs inserted between its
+    rows, alternately under store ids ("c", cid, "le"/"ge") and guard ids
+    ("g", layer, neuron, phase, k).  Most equalities pass through a point of
+    the box, some have a random rhs, so feasible and infeasible systems both
+    come up."""
+    sys, g = _boxed_random_system(rng, n_extra=3, max_den=max_den)
+    n = sys.n_vars
+    x0 = [-sys.rows[2 * j + 1].rhs + (sys.rows[2 * j].rhs + sys.rows[2 * j + 1].rhs)
+          * F(rng.randint(0, 4), 4) for j in range(n)]
+    blocks = [[r] for r in sys.rows]
+    for t in range(rng.randint(1, 3)):
+        a = {j: rand_rational(rng, max_den) for j in range(n)}
+        a = {j: q for j, q in a.items() if q != 0} or {rng.randrange(n): F(1)}
+        beta = (sum(q * x0[j] for j, q in a.items()) if rng.random() < 0.8
+                else rand_rational(rng, max_den))
+        le, ge = ((("c", 100 + t, "le"), ("c", 100 + t, "ge")) if t % 2 == 0
+                  else (("g", 1, t, "active", 0), ("g", 1, t, "active", 1)))
+        pair = [NormRow(a, beta, le), NormRow({j: -q for j, q in a.items()}, -beta, ge)]
+        blocks.insert(rng.randint(0, len(blocks)), pair)
+    return NormalizedSystem([r for b in blocks for r in b], n), g
+
+
+def _equalities(sys):
+    """(row, rhs) of the second row of each equality pair: every point of
+    the system has row^T v = rhs."""
+    return [(r.row, r.rhs) for r in sys.rows if r.rid[-1] in ("ge", 1)]
+
+
+def _meets_equalities(sys, point):
+    return all(sum((q * point.get(j, ZERO) for j, q in row.items()), ZERO) == rhs
+               for row, rhs in _equalities(sys))
+
+
+def _assert_certified(sys, g, out, sense):
+    """The outcome's certificate passes the exact checker of `certs` on the
+    system as given, and its point meets every equality exactly."""
+    if out.status == lp.INFEASIBLE:
+        assert certs.check_farkas(sys, certs.FarkasCertificate.make(out.dual)).ok
+    elif out.status == lp.OPTIMAL:
+        obj = g if sense == "max" else {j: -q for j, q in g.items()}
+        value = out.value if sense == "max" else -out.value
+        assert certs.check_dual(sys, certs.DualBoundCertificate.make(obj, value, out.dual)).ok
+    if out.primal is not None:
+        assert _meets_equalities(sys, out.primal)
+
+
+class TestEqualities:
+    """Systems with equality pairs, solved on the reduced LP and lifted back."""
+
+    def test_statuses_and_values_match_the_oracle(self):
+        rng = random.Random(60)
+        optima = infeasible = eliminated = 0
+        multiplier_ids = set()
+        for _ in range(60):
+            sys, g = _equality_system(rng)
+            eliminated += sys.n_vars - lp._Tableau(sys).n
+            want, _ = _vertex_oracle(sys, g)
+            low, _ = _vertex_oracle(sys, {j: -q for j, q in g.items()})
+            outs = {"max": lp.lp_max(sys, g), "min": lp.lp_min(sys, g)}
+            feas = lp.lp_feasible(sys)
+            if want is None:
+                assert outs["max"].status == outs["min"].status == feas.status == lp.INFEASIBLE
+                infeasible += 1
+            else:
+                assert outs["max"].status == outs["min"].status == lp.OPTIMAL
+                assert (outs["max"].value, outs["min"].value) == (want, -low)
+                assert feas.status == lp.FEASIBLE
+                optima += 1
+            for sense, out in outs.items():
+                _assert_certified(sys, g, out, sense)
+                multiplier_ids.update(rid[0] for rid in out.dual)
+            _assert_certified(sys, g, feas, "max")
+        assert optima >= 20 and infeasible >= 5 and eliminated >= 60
+        assert multiplier_ids == {"c", "g"}
+
+    def test_duplicated_equality_is_dropped(self):
+        # x + y = 1 twice, then maximize x - y over the unit box: the second
+        # pair reduces to 0 = 0
+        rows = [NormRow({0: F(1)}, F(1), ("c", 0, "le")), NormRow({0: F(-1)}, ZERO, ("c", 1, "le")),
+                NormRow({1: F(1)}, F(1), ("c", 2, "le")), NormRow({1: F(-1)}, ZERO, ("c", 3, "le"))]
+        pairs = [NormRow({0: F(sign), 1: F(sign)}, F(sign), ("c", cid, side))
+                 for cid in (4, 5) for sign, side in ((1, "le"), (-1, "ge"))]
+        sys = NormalizedSystem(rows + pairs, 2)
+        tab = lp._Tableau(sys)
+        assert tab.n == 1 and tab.row_ids == [r.rid for r in rows]
+        g = {0: F(1), 1: F(-1)}
+        out = lp.lp_max(sys, g)
+        assert (out.status, out.value, out.primal) == (lp.OPTIMAL, F(1), {0: F(1)})
+        _assert_certified(sys, g, out, "max")
+
+    def test_inconsistent_equality_is_refuted(self):
+        # x + y = 1 and x + y = 2: the second pair reduces to 0 = 1 and stays
+        sys = NormalizedSystem([
+            NormRow({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
+            NormRow({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge")),
+            NormRow({0: F(1)}, F(3), ("c", 1, "le")),
+            NormRow({0: F(1), 1: F(1)}, F(2), ("g", 1, 0, "active", 0)),
+            NormRow({0: F(-1), 1: F(-1)}, F(-2), ("g", 1, 0, "active", 1)),
+        ], 2)
+        tab = lp._Tableau(sys)
+        assert tab.row_ids == [("c", 1, "le"), ("g", 1, 0, "active", 0), ("g", 1, 0, "active", 1)]
+        for out in (lp.lp_max(sys, {0: F(1)}), lp.lp_min(sys, {0: F(1)}), lp.lp_feasible(sys)):
+            assert out.status == lp.INFEASIBLE
+            _assert_certified(sys, {}, out, "max")
+
+    def test_unbounded_ray_lifts_into_the_equalities(self):
+        # x - y = 0 and z = x + y + 1 (as z - x - y = 1, a guard pair), x >= 0:
+        # maximize z is unbounded along x = y, z = 2x
+        sys = NormalizedSystem([
+            NormRow({0: F(1), 1: F(-1)}, ZERO, ("c", 0, "le")),
+            NormRow({0: F(-1), 1: F(1)}, ZERO, ("c", 0, "ge")),
+            NormRow({0: F(-1)}, ZERO, ("c", 1, "le")),
+            NormRow({2: F(1), 0: F(-1), 1: F(-1)}, F(1), ("g", 1, 0, "active", 0)),
+            NormRow({2: F(-1), 0: F(1), 1: F(1)}, F(-1), ("g", 1, 0, "active", 1)),
+        ], 3)
+        assert lp._Tableau(sys).n == 1
+        out = lp.lp_max(sys, {2: F(1)})
+        assert out.status == lp.UNBOUNDED
+        d = out.ray
+        assert d.get(2, ZERO) > 0
+        for row, _ in _equalities(sys):
+            assert sum((q * d.get(j, ZERO) for j, q in row.items()), ZERO) == 0
+        assert -d.get(0, ZERO) <= 0
+
+    def test_warm_step_matches_cold(self):
+        rng = random.Random(61)
+        warm = 0
+        for _ in range(150):
+            sys, g = _equality_system(rng, max_den=6)
+            g2 = {j: rand_rational(rng, 6) for j in range(sys.n_vars)}
+            g2 = {j: q for j, q in g2.items() if q != 0}
+            best, _ = _vertex_oracle(sys, g)
+            if best is None or not g or not g2:
+                continue
+            n = sys.n_vars
+            first_sys = NormalizedSystem(sys.rows + [NormRow(dict(g), best + 1, ("c", 200, "le"))], n)
+            first = lp.lp_max(first_sys, g)
+            tab = first.tableau
+            assert first.value == best and tab.red.pivots
+            step = NormalizedSystem(sys.rows + [NormRow(dict(g), best, ("c", 201, "le"))], n)
+            for solve, sense in ((lp.lp_max, "max"), (lp.lp_min, "min")):
+                out = solve(step, g2, warm=tab)
+                cold = solve(step, g2)
+                assert out.tableau is tab
+                assert (out.status, out.value) == (cold.status, cold.value)
+                _assert_certified(step, g2, out, sense)
+            # one more equality: the reduction differs, so the LP starts cold
+            extra = [NormRow(dict(g), best, ("c", 202, "le")),
+                     NormRow({j: -q for j, q in g.items()}, -best, ("c", 202, "ge"))]
+            more = NormalizedSystem(step.rows + extra, n)
+            out = lp.lp_max(more, g2, warm=tab)
+            assert out.tableau is not tab
+            assert _outcome_key(out) == _outcome_key(lp.lp_max(more, g2))
+            warm += 1
+        assert warm >= 30
+
+
+class TestEqualityPivotPath:
+    """The pivot path of the reduced LP, pinned like `TestPivotPath` over a
+    seeded corpus of equality systems, each also solved without its box
+    rows (ids ("c", k, "le") with k < 2n), which reaches unbounded outcomes.
+    A change to the reduction's choice of eliminated variables, its row
+    order or its renumbering moves this hash."""
+
+    PINNED = "7be51da8a85860de5564cec665b0c9f197705c16bca17d77f730f8d01b3eace7"
+
+    def _digest(self):
+        rng = random.Random(20250117)
+        h = hashlib.sha256()
+        statuses = set()
+        for k in range(120):
+            sys, g = _equality_system(rng, max_den=2 + k % 7)
+            box = {("c", i, "le") for i in range(2 * sys.n_vars)}
+            open_ = NormalizedSystem([r for r in sys.rows if r.rid not in box], sys.n_vars)
+            for s in (sys, open_):
+                for out in (lp.lp_max(s, g), lp.lp_min(s, g), lp.lp_feasible(s)):
+                    statuses.add(out.status)
+                    h.update(_outcome_key(out).encode())
+                    h.update(b"\n")
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, lp.FEASIBLE}
+        return h.hexdigest()
+
+    def test_corpus_hash_matches_the_recorded_pivot_path(self):
+        assert self._digest() == self.PINNED

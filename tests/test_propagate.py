@@ -20,7 +20,7 @@ from relucert.propagate import (
     stabilize,
     tgct,
 )
-from relucert.store import build_initial_store
+from relucert.store import LE, NEGP, REGION, LinearConstraint, build_initial_store
 
 
 def _store(threshold="1", alpha=None, region=None):
@@ -210,6 +210,23 @@ class TestTgct:
         active = {cid for cid, _ in store.active_constraints()}
         # net growth is bounded by rows added minus retirements
         assert len(active) <= len(before) + res.rows_added
+
+    def test_margin_bookkeeping_never_retires_the_negated_property(self):
+        store = _store("1/2")
+        ensure_relaxation(store)
+        margin = default_templates(store, margin_only=True)
+        key = (margin[0].g, "lb")
+        negp = next(cid for cid, c in store.active_constraints() if c.block == NEGP)
+        # the margin's minimum is the threshold: the lower-bound row is negp
+        assert tgct(store, margin, Budget()).rows_added == 1
+        assert store.template_bounds[key] == store.prop.violation_threshold
+        # x >= 15/16 lifts the minimum above it: a strictly tighter bound
+        x = store.layout.input_index(0)
+        store.add(LinearConstraint({x: F(-1)}, LE, F(-15, 16), REGION, ("region", 0, "lo")))
+        assert tgct(store, margin, Budget()).rows_added == 1
+        assert store.template_bounds[key] > store.prop.violation_threshold
+        assert negp not in store.retired
+        assert store.template_rows[key] not in (negp, None)
 
     def test_budget_exhaustion_reported(self):
         store = _store("1/2")
