@@ -1,15 +1,20 @@
 """Certificate objects and their deterministic checkers.
 
 These checkers are the trust base: everything else in the pipeline may be
-wrong, but a claim accepted here holds by exact rational arithmetic.  Cost is
-linear in the number of nonzeros touched; a module-level counter tracks the
-rational multiplications per check so tests can assert the linear bound.
+wrong, but a claim accepted here holds by exact rational arithmetic.  They are
+the only multiplier checkers: propagation, the LP engine's self-checks and
+the proof checker all call them.  `_combine` forms lambda^T A and lambda^T b
+in integers over one common denominator, from each row's integer form
+(`NormRow.ints`, built once per row), and hands back `Fraction`s.  Cost is
+linear in the number of nonzeros touched; a module-level counter adds one per
+row entry and one per rhs combined, so tests can assert the linear bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .store import (
     GuardLiteral,
@@ -19,11 +24,9 @@ from .store import (
     guard_norm_rows,
 )
 
-_ZERO = Fraction(0)
-
 
 class OpCounter:
-    """Counts rational multiplications performed by the checkers."""
+    """Counts the multiplications the checkers perform, one per nonzero."""
 
     def __init__(self):
         self.mults = 0
@@ -93,14 +96,6 @@ class StabilityCertificate:
 
 
 @dataclass(frozen=True)
-class ConflictClause:
-    """Disjunction of the negations of a guarded certificate's guards."""
-
-    literals: frozenset[GuardLiteral]  # each literal here appears negated
-    source: int  # id of the source GuardedCertificate in the clause DB
-
-
-@dataclass(frozen=True)
 class CheckResult:
     ok: bool
     reason: str = ""
@@ -115,19 +110,27 @@ class UnknownRow(Exception):
 
 
 def _combine(sys: NormalizedSystem, multipliers) -> tuple[dict[int, Fraction], Fraction]:
-    """lambda^T A and lambda^T b via sparse row accumulation."""
-    acc: dict[int, Fraction] = {}
-    rhs = _ZERO
-    for rid, q in multipliers:
+    """lambda^T A (its nonzeros) and lambda^T b, by sparse accumulation in
+    integers: with q the lcm of every multiplier's denominator times its
+    row's `den`, multiplier m on row (den, den a, den b) contributes
+    m q / den times the integer row, and the sums are q lambda^T A and
+    q lambda^T b."""
+    terms = []
+    for rid, m in multipliers:
         row = sys.resolve(rid)
         if row is None:
             raise UnknownRow(str(rid))
-        for j, a in row.row.items():
-            counter.mults += 1
-            acc[j] = acc.get(j, _ZERO) + q * a
-        counter.mults += 1
-        rhs += q * row.rhs
-    return {j: v for j, v in acc.items() if v != 0}, rhs
+        terms.append((m, row.ints))
+    q = lcm(*(m.denominator * den for m, (den, _, _) in terms))
+    acc: dict[int, int] = {}
+    rhs = 0
+    for m, (den, coeffs, b) in terms:
+        s = m.numerator * (q // (m.denominator * den))
+        for j, a in coeffs.items():
+            acc[j] = acc.get(j, 0) + s * a
+        rhs += s * b
+        counter.mults += len(coeffs) + 1
+    return {j: Fraction(v, q) for j, v in acc.items() if v}, Fraction(rhs, q)
 
 
 def check_dual(sys: NormalizedSystem, cert: DualBoundCertificate) -> CheckResult:

@@ -155,7 +155,6 @@ class GateOutcome:
     certificates: list[GuardedCertificate] = field(default_factory=list)
     reason: str = ""
     refinements: int = 0
-    exact_subset: frozenset[Unit] = frozenset()
 
 
 def _model_violates_exactness(store: Store, model: dict[int, Fraction], unit: Unit) -> bool:
@@ -189,35 +188,29 @@ def exactness_gate(store: Store, budget: Budget, learned=(),
     while True:
         remaining = None if gate_lp_limit is None else gate_lp_limit - (budget.lp_calls - spent)
         if remaining is not None and remaining <= 0:
-            return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements,
-                               exact_subset=frozenset(subset))
+            return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements)
         if not budget.lp_ok():
-            return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements,
-                               exact_subset=frozenset(subset))
+            return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements)
         res = exact_solve(store, subset, learned, budget, local_limit=remaining)
         if res.status == LIMIT:
-            return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements,
-                               exact_subset=frozenset(subset))
+            return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements)
         if res.status == UNSAT:
-            return GateOutcome(PRUNE, certificates=res.cover, refinements=out.refinements,
-                               exact_subset=frozenset(subset))
+            return GateOutcome(PRUNE, certificates=res.cover, refinements=out.refinements)
         model = res.model
         x = tuple(model.get(store.layout.input_index(k), _ZERO)
                   for k in range(store.net.input_dim))
         verdict = validate_witness(store.net, store.region, store.prop, x)
         if verdict.accepted:
-            return GateOutcome(SAT, witness=x, refinements=out.refinements,
-                               exact_subset=frozenset(subset))
+            return GateOutcome(SAT, witness=x, refinements=out.refinements)
         report = violation_report(model, store.layout, store.unstable)
         if not report.violated:
             return GateOutcome(DEFER, reason=EXACT_NON_COUNTEREXAMPLE,
-                               refinements=out.refinements, exact_subset=frozenset(subset))
+                               refinements=out.refinements)
         picked = select_violated(report)
         if not (picked - subset):
             # exact units have zero residual, so this cannot happen; guard
             # against a non-terminating loop anyway
-            return GateOutcome(DEFER, reason=SOLVER_LIMIT,
-                               refinements=out.refinements, exact_subset=frozenset(subset))
+            return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements)
         for unit in picked:
             if not _model_violates_exactness(store, model, unit):
                 raise RefinementFailed(f"unit {unit} does not refute the model")

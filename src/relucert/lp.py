@@ -5,9 +5,12 @@ are Python integers over one positive row denominator each, so pivots run
 on integer arithmetic and nothing rounds; results leave as `Fraction`.
 Optimal outcomes carry a dual vector with lambda^T A = g^T and
 lambda^T b = value; infeasible outcomes carry a Farkas vector with
-lambda^T A = 0 and lambda^T b < 0.  Both are re-verified in integers against
-the rows of the system passed in (`_IntegerSystem`, the one place LP results
-are self-checked); a failure raises `SelfCheckFailed`.
+lambda^T A = 0 and lambda^T b < 0.  Both are re-verified against the rows of
+the system passed in by the checkers of `certs`, the one multiplier checker
+(`_check_dual`, `_check_farkas`); a point or ray is checked to satisfy every
+row in integers (`_check_holds`).  A failure raises `SelfCheckFailed`.  The
+engine reads each row's integer form `NormRow.ints`, built once per row and
+shared with every other system the row appears in.
 
 Equalities are eliminated before the tableau exists (`_Reduction`).  An
 equality is a pair of adjacent rows whose ids differ only in their last
@@ -48,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .store import NormalizedSystem, NormRow, RowId
+from . import certs
+from .store import NormalizedSystem, RowId
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -77,99 +81,55 @@ class SelfCheckFailed(Exception):
     """The simplex produced a result its own certificate does not support."""
 
 
-#: a row a^T v <= b as (den, den a, den b) in integers
+#: a row a^T v <= b as (den, den a, den b) in integers (`NormRow.ints`)
 _IntRow = tuple[int, dict[int, int], int]
 
 
-def _integer_row(r: NormRow) -> _IntRow:
-    """The row a^T v <= b as (den, den a, den b) in integers, den the lcm of
-    its denominators, which leaves the row in lowest terms."""
-    den = lcm(r.rhs.denominator, *(q.denominator for q in r.row.values()))
-    coeffs = {j: q.numerator * (den // q.denominator) for j, q in r.row.items()}
-    return den, coeffs, r.rhs.numerator * (den // r.rhs.denominator)
-
-
-class _IntegerSystem:
-    """The rows of a system in integers, built once per LP: what the
-    reduction starts from and what every self-check reads.  Each check is
-    exact: a point or vector is scaled by the lcm of its denominators (times
-    the rows' own) and compared in integers."""
-
-    def __init__(self, sys: NormalizedSystem):
-        self.sys = sys
-        self.rows = [_integer_row(r) for r in sys.rows]
-
-    def row(self, rid: RowId) -> _IntRow:
-        k = self.sys.index.get(rid)
-        if k is None:
-            raise SelfCheckFailed(f"unknown row {rid}")
-        return self.rows[k]
-
-    def _check_rows_hold(self, x: dict[int, Fraction], homogeneous: bool, what: str):
-        d = lcm(*(q.denominator for q in x.values()))
-        xi = {j: q.numerator * (d // q.denominator) for j, q in x.items()}
-        for r, (_, coeffs, rhs) in zip(self.sys.rows, self.rows):
-            lhs = 0
-            for j, a in coeffs.items():
-                v = xi.get(j)
-                if v:
-                    lhs += a * v
-            if lhs > (0 if homogeneous else rhs * d):
-                raise SelfCheckFailed(f"{what} violates row {r.rid}")
-
-    def check_primal(self, point: dict[int, Fraction]):
-        """Every row holds at the point: (den a)^T (d v) <= (den b) d."""
-        self._check_rows_hold(point, False, "primal point")
-
-    def check_ray(self, ray: dict[int, Fraction]):
-        """The ray is a recession direction: a^T r <= 0 on every row."""
-        self._check_rows_hold(ray, True, "ray")
-
-    def _combination(self, lam: dict[RowId, Fraction]) -> tuple[int, dict[int, int], int]:
-        """q, q lambda^T A and q lambda^T b in integers, q > 0."""
-        terms = []
-        for rid, mult in lam.items():
-            if mult < 0:
-                raise SelfCheckFailed(f"negative multiplier on {rid}")
-            terms.append((mult, self.row(rid)))
-        q = lcm(*(mult.denominator * den for mult, (den, _, _) in terms))
-        acc: dict[int, int] = {}
-        rhs = 0
-        for mult, (den, coeffs, b) in terms:
-            s = mult.numerator * (q // (mult.denominator * den))
-            for j, a in coeffs.items():
-                acc[j] = acc.get(j, 0) + s * a
-            rhs += s * b
-        return q, {j: v for j, v in acc.items() if v}, rhs
-
-    def check_dual(self, g: dict[int, Fraction], lam: dict[RowId, Fraction], value: Fraction):
-        """lambda >= 0, lambda^T A = g^T and lambda^T b = value, exactly."""
-        q, combo, rhs = self._combination(lam)
-        want = {j: c for j, c in g.items() if c != 0}
-        if combo.keys() != want.keys() or any(
-                combo[j] * c.denominator != q * c.numerator for j, c in want.items()):
-            raise SelfCheckFailed(f"dual combination != objective {g}")
-        if rhs * value.denominator != q * value.numerator:
-            raise SelfCheckFailed(f"dual bound {Fraction(rhs, q)} != optimum {value}")
-
-    def check_farkas(self, lam: dict[RowId, Fraction]):
-        """lambda >= 0, lambda^T A = 0 and lambda^T b < 0, exactly."""
-        q, combo, rhs = self._combination(lam)
-        if combo:
-            raise SelfCheckFailed("Farkas vector rejected: lambda^T A != 0")
-        if rhs >= 0:
+def _check_holds(sys: NormalizedSystem, x: dict[int, Fraction], homogeneous: bool = False):
+    """Every row holds at the point x, or, if homogeneous (x is a ray),
+    a^T x <= 0 on every row: x is scaled by the lcm d of its denominators
+    and each row compared in integers, (den a)^T (d x) <= (den b) d (or 0)."""
+    d = lcm(*(q.denominator for q in x.values()))
+    xi = {j: q.numerator * (d // q.denominator) for j, q in x.items()}
+    for r in sys.rows:
+        _, coeffs, rhs = r.ints
+        lhs = 0
+        for j, a in coeffs.items():
+            v = xi.get(j)
+            if v:
+                lhs += a * v
+        if lhs > (0 if homogeneous else rhs * d):
             raise SelfCheckFailed(
-                f"Farkas vector rejected: lambda^T b = {Fraction(rhs, q)} not < 0")
+                f"{'ray' if homogeneous else 'primal point'} violates row {r.rid}")
 
 
-def _equality_pairs(sys: NormalizedSystem, rows: list[_IntRow]) -> list[int]:
+def _check_dual(sys: NormalizedSystem, g: dict[int, Fraction], lam: dict[RowId, Fraction],
+                value: Fraction):
+    """`certs.check_dual` accepts lambda for g and lambda^T b equals value."""
+    res = certs.check_dual(sys, certs.DualBoundCertificate(tuple(g.items()), value,
+                                                           tuple(lam.items())))
+    if not res.ok:
+        raise SelfCheckFailed(f"dual rejected: {res.reason}")
+    if res.value != value:
+        raise SelfCheckFailed(f"dual bound {res.value} != optimum {value}")
+
+
+def _check_farkas(sys: NormalizedSystem, lam: dict[RowId, Fraction]):
+    """`certs.check_farkas` accepts lambda."""
+    res = certs.check_farkas(sys, certs.FarkasCertificate(tuple(lam.items())))
+    if not res.ok:
+        raise SelfCheckFailed(f"Farkas vector rejected: {res.reason}")
+
+
+def _equality_pairs(sys: NormalizedSystem) -> list[int]:
     """Positions k at which rows k and k + 1 form an equality: ids equal but
     for their last part, and integer rows that are exact negations."""
+    rows = sys.rows
     out = []
     k = 0
     while k + 1 < len(rows):
-        (da, ca, ba), (db, cb, bb) = rows[k], rows[k + 1]
-        if (sys.rows[k].rid[:-1] == sys.rows[k + 1].rid[:-1] and da == db and bb == -ba
+        (da, ca, ba), (db, cb, bb) = rows[k].ints, rows[k + 1].ints
+        if (rows[k].rid[:-1] == rows[k + 1].rid[:-1] and da == db and bb == -ba
                 and cb == {j: -a for j, a in ca.items()}):
             out.append(k)
             k += 2
@@ -223,8 +183,8 @@ class _Reduction:
     the module docstring): the reduced rows, objective and renumbering, and
     the lifts of a point, a ray and a multiplier vector back to the system."""
 
-    def __init__(self, sys: NormalizedSystem, rows: list[_IntRow]):
-        pairs = _equality_pairs(sys, rows)
+    def __init__(self, sys: NormalizedSystem):
+        pairs = _equality_pairs(sys)
         #: the "le" row id of every equality pair, in row order
         self.eq_ids = [sys.rows[k].rid for k in pairs]
         #: ("le" id, other id, den) of each equality that eliminated a variable
@@ -232,7 +192,7 @@ class _Reduction:
         self.pivots: list[_Pivot] = []
         removed: set[RowId] = set()
         for k in pairs:
-            den, coeffs, rhs = rows[k]
+            den, coeffs, rhs = sys.rows[k].ints
             e, c, m = dict(coeffs), rhs, {len(self.eqs): 1}
             for piv in self.pivots:
                 f = e.pop(piv.p, 0)
@@ -328,14 +288,14 @@ class _Reduction:
         return out
 
     def lift_dual(self, lam: dict[RowId, Fraction], g: dict[int, Fraction],
-                  ints: _IntegerSystem) -> dict[RowId, Fraction]:
+                  sys: NormalizedSystem) -> dict[RowId, Fraction]:
         """Multipliers on the kept rows, with lam^T A' = g'^T, extended by the
         equalities' so that lam^T A = g^T on the original rows.
 
         With w = lam^T A on the eliminated columns, pivot i's row carries
         mu_i = (g_p - w_p) / d_i, and equality t gets nu_t = den_t sum_i mu_i
         m_it; computed over the common denominator q * lcm(d_i)."""
-        terms = [(mult, ints.row(rid)) for rid, mult in lam.items()]
+        terms = [(mult, sys.resolve(rid).ints) for rid, mult in lam.items()]
         gp = [g.get(piv.p, _ZERO) for piv in self.pivots]
         q = lcm(*(mult.denominator * den for mult, (den, _, _) in terms),
                 *(f.denominator for f in gp))
@@ -365,7 +325,7 @@ class _Reduction:
 
 class _Tableau:
     """Gauss-Jordan simplex tableau over integers, on the reduced rows of a
-    system (`_Reduction`); `ints` and `red` travel with it.
+    system (`_Reduction`), which travels with it as `red`.
 
     Columns: 0..N-1 kept free variables, N..N+m-1 slacks, then artificials.
     Rows whose rhs is negative start with an artificial basic (column -e_i),
@@ -381,10 +341,9 @@ class _Tableau:
     """
 
     def __init__(self, sys: NormalizedSystem):
-        self.ints = ints = _IntegerSystem(sys)
-        self.red = red = _Reduction(sys, ints.rows)
+        self.red = red = _Reduction(sys)
         kept = red.kept(sys)
-        rows = [red.reduce(ints.rows[k]) for k in kept]
+        rows = [red.reduce(sys.rows[k].ints) for k in kept]
         self.n = n = red.n
         self.m = m = len(rows)
         self.row_ids = [sys.rows[k].rid for k in kept]
@@ -522,8 +481,7 @@ class _Tableau:
         reduced, has its basic columns eliminated and its slack made basic,
         which is feasible only if its rhs is then >= 0.  Artificial columns,
         all nonbasic after phase 1, go too."""
-        ints = _IntegerSystem(sys)
-        if [sys.rows[k].rid for k in _equality_pairs(sys, ints.rows)] != self.red.eq_ids:
+        if [sys.rows[k].rid for k in _equality_pairs(sys)] != self.red.eq_ids:
             return False
         n = self.n
         kept = self.red.kept(sys)
@@ -553,7 +511,7 @@ class _Tableau:
             D.append(den)
             basis.append(col_of[self.basis[i]])
         for t, k in enumerate(added):
-            den, coeffs, rhs = self.red.reduce(ints.rows[k])
+            den, coeffs, rhs = self.red.reduce(sys.rows[k].ints)
             row = [0] * (width + 1)
             for j, a in coeffs.items():
                 row[j] = a
@@ -573,7 +531,6 @@ class _Tableau:
         self.ncols = width
         self.art_cols = []
         self.T, self.D, self.basis = T, D, basis
-        self.ints = ints
         self.iterations = 0
         return True
 
@@ -632,8 +589,8 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
         raise SelfCheckFailed("phase 1 cannot be unbounded")
     _, obj, den = res
     if obj[-1] < 0:
-        lam = tab.red.lift_dual(tab.dual_from_obj(obj, den), {}, tab.ints)
-        tab.ints.check_farkas(lam)
+        lam = tab.red.lift_dual(tab.dual_from_obj(obj, den), {}, sys)
+        _check_farkas(sys, lam)
         return tab, LpOutcome(INFEASIBLE, dual=lam, iterations=tab.iterations)
     return tab, None
 
@@ -653,7 +610,7 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
             return out
         if not tab.drop_artificials(max_iters):
             return LpOutcome(LIMIT, iterations=tab.iterations)
-    red, ints = tab.red, tab.ints
+    red = tab.red
     cost, const = red.objective(g)
     res = tab.run(cost, max_iters, True)
     if res[0] == "limit":
@@ -661,7 +618,7 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     if res[0] == "unbounded":
         _, enter, direction = res
         ray = red.lift(tab.ray(enter, direction), homogeneous=True)
-        ints.check_ray(ray)
+        _check_holds(sys, ray, homogeneous=True)
         gain = sum((q * ray.get(j, _ZERO) for j, q in g.items()), _ZERO)
         if gain <= 0:
             raise SelfCheckFailed("unbounded ray does not improve the objective")
@@ -669,9 +626,9 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     _, obj, den = res
     val = Fraction(obj[-1], den) + const
     point = red.lift(tab.primal())
-    lam = red.lift_dual(tab.dual_from_obj(obj, den), g, ints)
-    ints.check_primal(point)
-    ints.check_dual(g, lam, val)
+    lam = red.lift_dual(tab.dual_from_obj(obj, den), g, sys)
+    _check_holds(sys, point)
+    _check_dual(sys, g, lam, val)
     gv = sum((q * point.get(j, _ZERO) for j, q in g.items()), _ZERO)
     if gv != val:
         raise SelfCheckFailed("primal/dual objective mismatch")
@@ -694,5 +651,5 @@ def lp_feasible(sys: NormalizedSystem, max_iters: int = DEFAULT_MAX_ITERS) -> Lp
     if out is not None:
         return out
     point = tab.red.lift(tab.primal())
-    tab.ints.check_primal(point)
+    _check_holds(sys, point)
     return LpOutcome(FEASIBLE, primal=point, iterations=tab.iterations)

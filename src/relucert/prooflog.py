@@ -15,8 +15,10 @@ never imports the LP engine, and the exact checks are those of `certs`.  It
 rebuilds the affine and margin-definition rows from the network and the
 property with its own code, not with the builder in `store.py`, on purpose:
 a fault in how the store writes those rows cannot vouch for itself.  From
-`store.py` it takes only the row containers, normalization and the guard
-consequences of a phase, which are also the rows of a stabilized unit.
+`store.py` it takes only the row containers, normalization, each row's
+integer form `NormRow.ints` (which the checks of `certs` read) and the guard
+consequences of a phase, which are also the rows of a stabilized unit.  None
+of `certs`, `store` and `model` imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates, each over a
 snapshot that contains the negated-property row.  Derived rows, margin

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import lp
 from .budget import Budget
-from .certs import ConflictClause, DualBoundCertificate, GuardedCertificate
+from .certs import DualBoundCertificate, GuardedCertificate
 from .gate import BUDGET, PRUNE, SAT, exactness_gate
 from .model import (
     ACTIVE,
@@ -131,7 +131,8 @@ class LemmaStore:
 
 @dataclass
 class ClauseEntry:
-    clause: ConflictClause
+    """A conflict clause: not all of `literals` hold, by `cert`."""
+
     literals: frozenset[GuardLiteral]
     cert: GuardedCertificate
     snapshot_id: int
@@ -317,8 +318,7 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             for cert, cert_sid in cover:
                 lits = node_lits | cert.guard_set
                 if lits:
-                    cl = ConflictClause(lits, len(clauses.entries))
-                    clauses.append(ClauseEntry(cl, lits, cert, cert_sid))
+                    clauses.append(ClauseEntry(lits, cert, cert_sid))
                     budget.clauses += 1
         evidence = None if ev is None else (node.region, dict(node.alpha), ev[0], ev[1], sid)
         close_leaf(node, cover, evidence)

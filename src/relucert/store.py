@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from .model import (
@@ -61,9 +62,21 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class NormRow:
+    """A row a^T v <= b under its id, with its integer form `ints` =
+    (den, den a, den b), den the lcm of its denominators, which leaves the
+    row in lowest terms.  A store builds each row once and every system it
+    normalizes shares it, so neither `row` nor `ints` may be mutated."""
+
     row: dict[int, Fraction]
     rhs: Fraction
     rid: RowId
+    ints: tuple[int, dict[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = lcm(self.rhs.denominator, *(q.denominator for q in self.row.values()))
+        object.__setattr__(self, "ints", (
+            den, {j: q.numerator * (den // q.denominator) for j, q in self.row.items()},
+            self.rhs.numerator * (den // self.rhs.denominator)))
 
 
 class NormalizedSystem:
@@ -168,6 +181,7 @@ class Store:
         self.prop = prop
         self.alpha = dict(alpha)
         self.constraints: dict[int, LinearConstraint] = {}
+        self.norm_rows: dict[int, list[NormRow]] = {}       # cid -> its normalized rows
         self.order: list[int] = []
         self.retired: set[int] = set()
         self._next = 0
@@ -197,6 +211,7 @@ class Store:
         cid = self._next
         self._next += 1
         self.constraints[cid] = c
+        self.norm_rows[cid] = normalize_constraint(cid, c)
         self.order.append(cid)
         self._active_keys[key] = cid
         return cid
@@ -217,12 +232,14 @@ class Store:
 
     def normalize(self, exclude: Callable[[int, LinearConstraint], bool] | None = None,
                   extra_rows: Iterable[NormRow] = ()) -> NormalizedSystem:
-        """Inequality form of the active rows, insertion order, Eq expansion adjacent."""
+        """Inequality form of the active rows, insertion order, Eq expansion
+        adjacent.  The rows are those `add` built, the same objects on every
+        call."""
         rows: list[NormRow] = []
         for cid, c in self.active_constraints():
             if exclude is not None and exclude(cid, c):
                 continue
-            rows.extend(normalize_constraint(cid, c))
+            rows.extend(self.norm_rows[cid])
         rows.extend(extra_rows)
         return NormalizedSystem(rows, self.layout.n_vars)
 
@@ -231,10 +248,8 @@ class Store:
         or absent rows are left out."""
         rows = []
         for rid in rids:
-            cid = rid[1]
-            if rid[0] == "c" and cid in self.constraints and cid not in self.retired:
-                rows.extend(r for r in normalize_constraint(cid, self.constraints[cid])
-                            if r.rid == rid)
+            if rid[0] == "c" and rid[1] not in self.retired:
+                rows.extend(r for r in self.norm_rows.get(rid[1], ()) if r.rid == rid)
         return NormalizedSystem(rows, self.layout.n_vars)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from conftest import layout_of, worked_network, worked_prop, worked_region
 from relucert import certs
@@ -179,3 +180,99 @@ class TestOperationCounter:
             costs[m] = certs.counter.mults / nnz
         assert costs[100] <= costs[10] * F(12, 10)
         assert costs[1000] <= costs[100] * F(12, 10)
+
+
+#: mixed denominators, small and large, for the reference systems below
+_DENS = (1, 2, 3, 7, 10, 12, 2**31 - 1, 10**20)
+_STEP = F(1, 10**40)
+
+
+def _reference_combine(sys, multipliers):
+    """lambda^T A (its nonzeros) and lambda^T b by plain Fraction sums."""
+    acc, rhs = {}, F(0)
+    for rid, m in multipliers:
+        r = sys.resolve(rid)
+        for j, a in r.row.items():
+            acc[j] = acc.get(j, F(0)) + m * a
+        rhs += m * r.rhs
+    return {j: v for j, v in acc.items() if v}, rhs
+
+
+def _rand_row(rng, n):
+    return {j: F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice(_DENS))
+            for j in rng.sample(range(n), rng.randint(1, n))}
+
+
+def _reference_cases(seed, count=40):
+    """Seeded systems with their multiplier vectors, some entries 0 (a move
+    down makes them negative).  The last row is minus the combination of the
+    others, with its rhs 1/7 below minus theirs, so the vector with 1 on it
+    is a Farkas certificate."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        rows = [(_rand_row(rng, n), F(rng.randint(-30, 30), rng.choice(_DENS)))
+                for _ in range(rng.randint(1, 7))]
+        lam = [F(rng.randint(0, 20), rng.choice(_DENS)) for _ in rows]
+        norm = [NormRow(row, rhs, ("c", i, "le")) for i, (row, rhs) in enumerate(rows)]
+        combo, rhs = _reference_combine(NormalizedSystem(list(norm), n),
+                                        [(r.rid, m) for r, m in zip(norm, lam)])
+        if combo:
+            norm.append(NormRow({j: -v for j, v in combo.items()}, -rhs - F(1, 7),
+                                ("c", len(norm), "le")))
+            lam.append(F(1))
+        yield NormalizedSystem(norm, n), [(r.rid, m) for r, m in zip(norm, lam)]
+
+
+def _moved(multipliers):
+    """The vector itself, then each multiplier moved by +-1/10**40 in turn."""
+    yield multipliers
+    for k in range(len(multipliers)):
+        for step in (_STEP, -_STEP):
+            out = list(multipliers)
+            out[k] = (out[k][0], out[k][1] + step)
+            yield out
+
+
+class TestIntegerCombination:
+    """The integer `_combine` and the checkers built on it against a plain
+    Fraction accumulation written here."""
+
+    def test_combine_equals_the_fraction_reference(self):
+        for sys, lam in _reference_cases(11):
+            for moved in _moved(lam):
+                certs.counter.reset()
+                assert certs._combine(sys, moved) == _reference_combine(sys, moved)
+                assert certs.counter.mults == sum(len(sys.resolve(rid).row) + 1
+                                                  for rid, _ in moved)
+
+    def test_checkers_agree_with_the_reference(self):
+        seen, negative = set(), 0
+        for sys, lam in _reference_cases(12):
+            # a dual objective and bound from the unmoved vector less its last entry
+            g, bound = _reference_combine(sys, lam[:-1])
+            for moved in _moved(lam):
+                combo, rhs = _reference_combine(sys, moved)
+                negative += any(m < 0 for _, m in moved)
+                farkas = check_farkas(sys, FarkasCertificate(tuple(moved)))
+                assert farkas.ok == (all(m >= 0 for _, m in moved) and not combo and rhs < 0)
+                seen.add(("farkas", farkas.ok))
+                for b in (bound - _STEP, bound, bound + _STEP):
+                    dual = check_dual(sys, DualBoundCertificate(tuple(g.items()), b,
+                                                                tuple(moved[:-1])))
+                    want_combo, want_rhs = _reference_combine(sys, moved[:-1])
+                    want = (all(m >= 0 for _, m in moved[:-1]) and want_combo == g
+                            and want_rhs <= b)
+                    assert dual.ok == want
+                    assert dual.value == (want_rhs if want else None)
+                    seen.add(("dual", want))
+        assert seen == {(kind, ok) for kind in ("farkas", "dual") for ok in (True, False)}
+        assert negative
+
+    def test_norm_row_ints_rebuild_each_row_in_lowest_terms(self):
+        for sys, _ in _reference_cases(13):
+            for r in sys.rows:
+                den, coeffs, b = r.ints
+                assert den > 0 and gcd(den, b, *coeffs.values()) == 1
+                assert {j: F(a, den) for j, a in coeffs.items()} == r.row
+                assert F(b, den) == r.rhs

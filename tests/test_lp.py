@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -193,26 +194,26 @@ class TestSelfCheck:
     def test_bad_farkas_vector_raises(self):
         sys = _system([({0: F(1)}, 1)])
         with pytest.raises(lp.SelfCheckFailed):
-            lp._IntegerSystem(sys).check_farkas({("c", 0, "le"): F(1)})  # lambda^T A != 0
+            lp._check_farkas(sys, {("c", 0, "le"): F(1)})  # lambda^T A != 0
 
     def test_dual_bound_must_equal_the_optimum(self):
         sys = _system([({0: F(1)}, 1)])
-        lp._IntegerSystem(sys).check_dual({0: F(1)}, {("c", 0, "le"): F(1)}, F(1))
+        lp._check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(1))
         with pytest.raises(lp.SelfCheckFailed):
-            lp._IntegerSystem(sys).check_dual({0: F(1)}, {("c", 0, "le"): F(1)}, F(2))
+            lp._check_dual(sys, {0: F(1)}, {("c", 0, "le"): F(1)}, F(2))
         with pytest.raises(lp.SelfCheckFailed):
-            lp._IntegerSystem(sys).check_dual({0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))
+            lp._check_dual(sys, {0: F(-1)}, {("c", 0, "le"): F(-1)}, F(-1))
 
     def test_primal_point_off_a_row_by_the_least_amount_raises(self):
         # 3x - y/7 <= 2/5 and y <= 1, with y = 1/3: the first row holds with
         # equality at x = 47/315 and fails for x only 1/10**40 larger
         sys = _system([({0: F(3), 1: F(-1, 7)}, F(2, 5)), ({1: F(1)}, 1)])
-        lp._IntegerSystem(sys).check_primal({0: F(1, 7), 1: F(1, 3)})
+        lp._check_holds(sys, {0: F(1, 7), 1: F(1, 3)})
         x_on = (F(2, 5) + F(1, 21)) / 3
         assert x_on == F(47, 315)
-        lp._IntegerSystem(sys).check_primal({0: x_on, 1: F(1, 3)})
+        lp._check_holds(sys, {0: x_on, 1: F(1, 3)})
         with pytest.raises(lp.SelfCheckFailed, match="violates row"):
-            lp._IntegerSystem(sys).check_primal({0: x_on + F(1, 10**40), 1: F(1, 3)})
+            lp._check_holds(sys, {0: x_on + F(1, 10**40), 1: F(1, 3)})
 
     def test_multiplier_off_by_the_least_amount_raises(self):
         # x + y = 1 with x <= 3/4 and y >= 0: maximize x - y at (3/4, 1/4),
@@ -229,8 +230,8 @@ class TestSelfCheck:
                                             NormRow({1: F(-1)}, F(-1, 3), ("c", 2, "le"))], 2)
         farkas = lp.lp_feasible(infeasible).dual
         assert len(farkas) == 3
-        cases = [(lp._IntegerSystem(sys).check_dual, (g,), out.dual, (out.value,)),
-                 (lp._IntegerSystem(infeasible).check_farkas, (), farkas, ())]
+        cases = [(partial(lp._check_dual, sys), (g,), out.dual, (out.value,)),
+                 (partial(lp._check_farkas, infeasible), (), farkas, ())]
         for check, before, lam, after in cases:
             check(*before, lam, *after)
             for rid in lam:
@@ -240,14 +241,36 @@ class TestSelfCheck:
                     with pytest.raises(lp.SelfCheckFailed):
                         check(*before, moved, *after)
 
+    def _reject_in_certs(self, monkeypatch):
+        def reject(*_):
+            return certs.CheckResult(False, "rejected in certs")
+        monkeypatch.setattr(certs, "check_farkas", reject)
+        monkeypatch.setattr(certs, "check_dual", reject)
+
+    def test_farkas_vector_is_checked_by_certs(self, monkeypatch):
+        # x <= -1 and -x <= 0: infeasible, and its Farkas vector goes to
+        # certs.check_farkas
+        infeasible = _system([({0: F(1)}, -1), ({0: F(-1)}, 0)])
+        assert lp.lp_feasible(infeasible).status == lp.INFEASIBLE
+        self._reject_in_certs(monkeypatch)
+        with pytest.raises(lp.SelfCheckFailed, match="rejected in certs"):
+            lp.lp_feasible(infeasible)
+
+    def test_dual_vector_is_checked_by_certs(self, monkeypatch):
+        bounded = _system([({0: F(1)}, 1), ({0: F(-1)}, 0)])
+        assert lp.lp_max(bounded, {0: F(1)}).value == 1
+        self._reject_in_certs(monkeypatch)
+        with pytest.raises(lp.SelfCheckFailed, match="rejected in certs"):
+            lp.lp_max(bounded, {0: F(1)})
+
     def test_primal_point_on_a_row_boundary_passes(self):
         # x + y <= 1 and -x <= -1/3 hold with equality at (1/3, 2/3); an
         # absent coordinate is zero, and 0 <= 0 holds too
         sys = _system([({0: F(1), 1: F(1)}, 1), ({0: F(-1)}, F(-1, 3)),
                        ({2: F(5, 3)}, 0)])
-        lp._IntegerSystem(sys).check_primal({0: F(1, 3), 1: F(2, 3)})
+        lp._check_holds(sys, {0: F(1, 3), 1: F(2, 3)})
         with pytest.raises(lp.SelfCheckFailed, match="violates row"):
-            lp._IntegerSystem(sys).check_primal({0: F(1, 3), 1: F(2, 3), 2: F(1, 10**40)})
+            lp._check_holds(sys, {0: F(1, 3), 1: F(2, 3), 2: F(1, 10**40)})
 
 
 def _outcome_key(out):

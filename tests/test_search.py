@@ -181,16 +181,14 @@ class TestClauseLearning:
         lits = frozenset({GuardLiteral((1, 0), ACTIVE)})
         cert = GuardedCertificate.make(sorted(lits, key=lambda g: (g.unit, g.phase)),
                                        FarkasCertificate.make({}))
-        from relucert.certs import ConflictClause
-
-        db.append(ClauseEntry(ConflictClause(lits, 0), lits, cert, snapshot_id=3))
+        db.append(ClauseEntry(lits, cert, snapshot_id=3))
         hit = db.blocking({(1, 0): ACTIVE, (1, 1): INACTIVE})
         assert hit is not None and hit.snapshot_id == 3
         assert db.blocking({(1, 0): INACTIVE}) is None
         assert db.blocking({}) is None
 
     def test_clause_certificates_shrink_by_the_node_commitments(self):
-        from relucert.certs import ConflictClause, FarkasCertificate, GuardedCertificate
+        from relucert.certs import FarkasCertificate, GuardedCertificate
         from relucert.search import ClauseDB, ClauseEntry, _clause_certs
         from relucert.store import GuardLiteral
 
@@ -198,7 +196,7 @@ class TestClauseLearning:
         cert = GuardedCertificate.make(sorted(lits, key=lambda g: (g.unit, g.phase)),
                                        FarkasCertificate.make({}))
         db = ClauseDB()
-        db.append(ClauseEntry(ConflictClause(lits, 0), lits, cert, snapshot_id=7))
+        db.append(ClauseEntry(lits, cert, snapshot_id=7))
         # below a node already committed to (1,0):Active only the remainder
         # of the guard set needs proving
         out = _clause_certs(db, {(1, 0): ACTIVE})

@@ -31,3 +31,32 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [(name, line) for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"{path}: imported but never used: {unused}"
+
+
+#: the modules a proof check runs, and the solver modules they may not import
+TRUSTED = ("certs", "prooflog", "store", "model")
+SOLVER = {"lp", "propagate", "gate", "search", "budget", "cli"}
+
+
+def _relucert_imports(path):
+    """The relucert modules the import statements of a source file name."""
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("relucert")):
+            parts = [p for p in (node.module or "").split(".") if p and p != "relucert"]
+            yield from parts[:1] or [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("relucert."))
+
+
+def test_import_scan_sees_the_solver_importing_certs():
+    assert {"certs", "store"} <= set(_relucert_imports("src/relucert/lp.py"))
+
+
+@pytest.mark.parametrize("name", TRUSTED)
+def test_trusted_modules_import_no_solver_module(name):
+    """The checker's trust base never reaches the solver: imports go only
+    from the solver to `certs`, `prooflog`, `store` and `model`."""
+    reached = SOLVER.intersection(_relucert_imports(f"src/relucert/{name}.py"))
+    assert not reached, f"{name}.py imports {sorted(reached)}"

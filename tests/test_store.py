@@ -80,6 +80,21 @@ class TestStoreMutation:
         no_negp = store.normalize(exclude=lambda cid, c: c.block == NEGP)
         assert len(no_negp) == len(full) - 1
 
+    def test_normalize_returns_the_rows_add_built(self):
+        store = build_initial_store(worked_network(), layout_of(worked_network(), worked_prop()),
+                                    worked_region(), worked_prop(), {})
+        first = store.normalize()
+        again = store.normalize()
+        assert len(first) == len(again)
+        assert all(a is b for a, b in zip(first.rows, again.rows))
+        cid = store.order[0]
+        store.retire(cid)
+        after = store.normalize()
+        assert [r.rid for r in after.rows] == [r.rid for r in first.rows if r.rid[1] != cid]
+        assert all(a is first.rows[first.index[a.rid]] for a in after.rows)
+        cited = store.cited_rows(r.rid for r in first.rows)
+        assert all(a is b for a, b in zip(cited.rows, after.rows)) and len(cited) == len(after)
+
 
 class TestGuardConsequences:
     def test_active_guard_rows(self):
