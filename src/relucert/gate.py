@@ -76,7 +76,6 @@ def select_violated(report: ViolationReport) -> set[Unit]:
 class ExactResult:
     status: str  # SAT | UNSAT | LIMIT
     model: dict[int, Fraction] | None = None
-    assignment: dict[Unit, str] | None = None
     cover: list[GuardedCertificate] = field(default_factory=list)
 
 
@@ -93,19 +92,19 @@ def _drop_zero_guards(cert: GuardedCertificate, layout) -> GuardedCertificate:
     return GuardedCertificate.make(kept, cert.inner)
 
 
-def exact_solve(store: Store, subset, learned=(), budget: Budget | None = None,
+def exact_solve(store: Store, subset, budget: Budget | None = None,
                 local_limit: int | None = None) -> ExactResult:
     """DPLL over the guard assignments of the subset, LP as theory check.
 
-    Known guarded certificates (learned clauses and branches already closed in
-    this call) prune any partial assignment containing their full guard set;
-    the pruning certificate joins the cover, keeping it exhaustive.
+    The guarded certificates of branches already closed in this call prune
+    any later partial assignment containing their full guard set; the
+    pruning certificate joins the cover, keeping it exhaustive.
     """
     if budget is None:
         budget = Budget()
     units = sorted(subset)
     base = store.normalize()
-    known: list[GuardedCertificate] = list(learned)
+    known: list[GuardedCertificate] = []
     cover: list[GuardedCertificate] = []
     calls = 0
 
@@ -125,8 +124,7 @@ def exact_solve(store: Store, subset, learned=(), budget: Budget | None = None,
             known.append(cert)
             cover.append(cert)
             return None
-        return ExactResult(SAT, model=out.primal,
-                           assignment={l.unit: l.phase for l in lits})
+        return ExactResult(SAT, model=out.primal)
 
     def solve(idx: int, lits: tuple[GuardLiteral, ...]) -> ExactResult | None:
         here = set(lits)
@@ -171,8 +169,8 @@ def _model_violates_exactness(store: Store, model: dict[int, Fraction], unit: Un
     return True
 
 
-def exactness_gate(store: Store, budget: Budget, learned=(),
-                   gate_lp_limit: int | None = None, start=()) -> GateOutcome:
+def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = None,
+                   start=()) -> GateOutcome:
     """Abstraction-refinement loop over exact subsets S, starting from
     S = start (the empty set, or every unstable unit for the hybrid strategy).
 
@@ -191,7 +189,7 @@ def exactness_gate(store: Store, budget: Budget, learned=(),
             return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements)
         if not budget.lp_ok():
             return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements)
-        res = exact_solve(store, subset, learned, budget, local_limit=remaining)
+        res = exact_solve(store, subset, budget, local_limit=remaining)
         if res.status == LIMIT:
             return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements)
         if res.status == UNSAT:

@@ -6,8 +6,8 @@ re-derives each snapshot row, in id order, from the problem itself, from a
 dual certificate over rows of smaller id, or (hull and stabilize rows) from
 the interval that earlier single-variable rows prove; it then checks every
 leaf certificate and verifies that split annotations cover each parent.  A
-snapshot is replayed once per check, however many leaves and merge children
-cite it; each citation then checks only its scope (region and guard
+snapshot is replayed once per check, however many leaf covers and leaf
+bounds cite it; each citation then checks only its scope (region and guard
 literals).
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
@@ -21,10 +21,13 @@ consequences of a phase, which are also the rows of a stabilized unit.  None
 of `certs`, `store` and `model` imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates, each over a
-snapshot that contains the negated-property row.  Derived rows, margin
-bounds and merge lemmas therefore hold only given the negated property.
-That is sound for the one claim a proof makes, UNSAT: the tree shows that
-the negated property is infeasible on every path.
+snapshot that contains the negated-property row.  A tree node may also
+carry a margin bound `margin <= beta` over its scope: a leaf by a dual
+certificate over one snapshot, a split by the maximum of its two children's
+bounds, since their scopes split the parent's.  Derived rows and margin
+bounds therefore hold only given the negated property.  That is sound for
+the one claim a proof makes, UNSAT: the tree shows that the negated
+property is infeasible on every path.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-3"
+FORMAT = "relucert-proof-4"
 
 
 @dataclass(frozen=True)
@@ -102,16 +105,20 @@ def _rid_json(rid) -> list:
     return list(rid)
 
 
+def _multipliers_json(cert) -> list:
+    return [[_rid_json(rid), _q(v)] for rid, v in cert.multipliers]
+
+
 def _dual_json(cert: DualBoundCertificate) -> dict:
     return {
         "objective": _row_json(cert.objective_dict),
         "bound": _q(cert.bound),
-        "multipliers": [[_rid_json(rid), _q(v)] for rid, v in cert.multipliers],
+        "multipliers": _multipliers_json(cert),
     }
 
 
 def _farkas_json(cert: FarkasCertificate) -> dict:
-    return {"multipliers": [[_rid_json(rid), _q(v)] for rid, v in cert.multipliers]}
+    return {"multipliers": _multipliers_json(cert)}
 
 
 def _guarded_json(cert: GuardedCertificate) -> dict:
@@ -131,8 +138,6 @@ def _tag_json(tag: tuple) -> list:
         return ["stabilize", list(tag[1]), tag[2]]
     if kind == "hull":
         return ["hull", list(tag[1]), _q(tag[2]), _q(tag[3])]
-    if kind == "lemma":
-        return ["lemma", tag[1]]
     raise ValueError(f"unknown derivation tag {tag!r}")
 
 
@@ -156,26 +161,6 @@ def _region_json(region: Region) -> dict:
             "upper": [_q(v) for v in region.upper]}
 
 
-def _evidence_json(evidence) -> dict:
-    if isinstance(evidence, DualBoundCertificate):
-        return {"kind": "dual", "cert": _dual_json(evidence)}
-    return {"kind": "merge", "justification": _justification_json(evidence)}
-
-
-def _justification_json(just) -> dict:
-    children = []
-    for region, alpha, beta, evidence, sid in just.children:
-        children.append({
-            "region": _region_json(region),
-            "alpha": [[u[0], u[1], p] for u, p in sorted(alpha.items())],
-            "beta": _q(beta),
-            "evidence": _evidence_json(evidence),
-            "snapshot": sid,
-        })
-    return {"kind": "merge", "template": _row_json(dict(just.template)),
-            "beta": _q(just.beta), "children": children}
-
-
 def _tree_json(entry) -> dict:
     if entry.__class__.__name__ == "ProofSplit":
         kind = entry.kind
@@ -183,11 +168,18 @@ def _tree_json(entry) -> dict:
             kj = ["phase", [kind[1][0], kind[1][1]]]
         else:
             kj = ["domain", kind[1], _q(kind[2])]
-        return {"type": "split", "kind": kj,
-                "children": [_tree_json(c) for c in entry.children]}
-    return {"type": "leaf",
-            "cover": [{"cert": _guarded_json(c), "snapshot": sid}
-                      for c, sid in entry.cover]}
+        out = {"type": "split", "kind": kj,
+               "children": [_tree_json(c) for c in entry.children]}
+        if entry.bound is not None:
+            out["bound"] = _q(entry.bound)
+        return out
+    out = {"type": "leaf",
+           "cover": [{"cert": _guarded_json(c), "snapshot": sid} for c, sid in entry.cover]}
+    if entry.evidence is not None:
+        cert, sid = entry.evidence
+        out["bound"] = {"beta": _q(cert.bound), "multipliers": _multipliers_json(cert),
+                        "snapshot": sid}
+    return out
 
 
 def emit(run, problem_path) -> bytes:
@@ -198,15 +190,6 @@ def emit(run, problem_path) -> bytes:
         "region": _region_json(run.region),
         "snapshots": {str(sid): _snapshot_json(snap)
                       for sid, snap in sorted(run.snapshots.items())},
-        "lemmas": [{
-            "id": e.lemma_id,
-            "row": _row_json(dict(e.row)),
-            "bound": _q(e.bound),
-            "global": e.is_global,
-            "region": _region_json(e.region),
-            "alpha": [[u[0], u[1], p] for u, p in sorted(e.alpha.items())],
-            "justification": _justification_json(e.justification),
-        } for e in run.lemmas],
         "tree": _tree_json(run.root),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -230,21 +213,25 @@ def _parse_rid(obj):
     return tuple(obj)
 
 
+def _parse_multipliers(obj) -> dict:
+    return {_parse_rid(r): parse_rational(v) for r, v in obj}
+
+
 def _parse_dual(obj) -> DualBoundCertificate:
     return DualBoundCertificate.make(
         _parse_row(obj["objective"]), parse_rational(obj["bound"]),
-        {_parse_rid(r): parse_rational(v) for r, v in obj["multipliers"]})
+        _parse_multipliers(obj["multipliers"]))
 
 
 def _parse_guarded(obj) -> GuardedCertificate:
     guards = [GuardLiteral((int(i), int(j)), p) for i, j, p in obj["guards"]]
-    lam = {_parse_rid(r): parse_rational(v) for r, v in obj["farkas"]["multipliers"]}
-    return GuardedCertificate.make(guards, FarkasCertificate.make(lam))
+    return GuardedCertificate.make(
+        guards, FarkasCertificate.make(_parse_multipliers(obj["farkas"]["multipliers"])))
 
 
 def _parse_tag(obj) -> tuple:
     kind = obj[0]
-    if kind in ("aff", "margin-def", "negp", "region", "guard", "lemma"):
+    if kind in ("aff", "margin-def", "negp", "region", "guard"):
         return tuple(obj)
     if kind == "derived":
         return ("derived", _parse_dual(obj[1]))
@@ -290,7 +277,7 @@ def _parse_snapshot(obj) -> _Snapshot:
 
 class _Problem:
     """The problem, and what one `check_proof` call has read of the proof:
-    its snapshots, the lemmas accepted so far and each snapshot replay."""
+    its snapshots and each snapshot replay."""
 
     def __init__(self, net: Network, region: Region, prop: SafetyProperty):
         self.net = net
@@ -298,7 +285,6 @@ class _Problem:
         self.prop = prop
         self.layout: VariableLayout = build_layout(net, prop)
         self.snapshots: dict[int, _Snapshot] = {}
-        self.lemmas: dict[int, tuple] = {}  # id -> (row, bound, is_global)
         self.replays: dict[int, tuple] = {}  # id -> _check_snapshot's result
 
 
@@ -435,16 +421,6 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
             if row == want and r.rhs == rhs:
                 return None
         return "hull row content mismatch"
-    if kind == "lemma":
-        lid = int(tag[1])
-        if lid not in pb.lemmas:
-            return f"unknown lemma {lid}"
-        lemma_row, bound, is_global = pb.lemmas[lid]
-        if not is_global:
-            return "non-global lemma injected"
-        if r.relation != LE or row != lemma_row or r.rhs != bound:
-            return "lemma row mismatch"
-        return None
     return f"unknown derivation kind {kind}"
 
 
@@ -546,87 +522,6 @@ def _split_children(region: Region, alpha: dict, kind) -> list[tuple[Region, dic
     return out
 
 
-def _parse_alpha(obj) -> dict:
-    return {(int(i), int(j)): p for i, j, p in obj}
-
-
-def _check_evidence(pb: _Problem, evidence: dict, template: dict, beta: Fraction,
-                    region: Region, alpha: dict, sid, path: str) -> CheckOutcome:
-    if evidence["kind"] == "merge":
-        return _check_merge(pb, evidence["justification"], template, beta,
-                            region, alpha, path)
-    if evidence["kind"] != "dual":
-        return _reject(path, f"unknown evidence kind {evidence['kind']}")
-    cert = _parse_dual(evidence["cert"])
-    if cert.objective_dict != template:
-        return _reject(path, "evidence certificate for a different template")
-    if cert.bound != beta:
-        return _reject(path, "evidence bound differs from the recorded beta")
-    # guard rows inside the snapshot must belong to the scope's alpha
-    reason, system = _scoped_system(pb, sid, region, set(alpha.items()))
-    if reason is not None:
-        return _reject(path, f"snapshot: {reason}")
-    reason = _check_dual_exact(system, cert)
-    if reason is not None:
-        return _reject(path, f"evidence certificate rejected: {reason}")
-    return ACCEPTED
-
-
-def _check_merge(pb: _Problem, just: dict, template: dict, beta: Fraction,
-                 region: Region, alpha: dict, path: str) -> CheckOutcome:
-    if just["kind"] != "merge":
-        return _reject(path, f"unknown justification kind {just['kind']}")
-    if _parse_row(just["template"]) != template:
-        return _reject(path, "merge justification for a different template")
-    if parse_rational(just["beta"]) != beta:
-        return _reject(path, "merge justification bound differs from the recorded beta")
-    children = just["children"]
-    if len(children) != 2:
-        return _reject(path, "merge requires exactly two children")
-    parsed = []
-    for c in children:
-        parsed.append((_parse_region(c["region"]), _parse_alpha(c["alpha"]),
-                       parse_rational(c["beta"]), c["evidence"], c.get("snapshot")))
-    if max(p[2] for p in parsed) != beta:
-        return _reject(path, "merged bound is not the maximum of the child bounds")
-    if not _is_partition(region, alpha, parsed):
-        return _reject(path, "children do not partition the parent scope")
-    for idx, (c_region, c_alpha, c_beta, evidence, sid) in enumerate(parsed):
-        res = _check_evidence(pb, evidence, template, c_beta, c_region, c_alpha,
-                              sid, f"{path}/child{idx}")
-        if not res.accepted:
-            return res
-    return ACCEPTED
-
-
-def _is_partition(region: Region, alpha: dict, parsed) -> bool:
-    (r1, a1, *_), (r2, a2, *_) = parsed
-    if r1 == r2 == region:
-        # phase split: alphas extend the parent by complementary phases
-        extra1 = {u: p for u, p in a1.items() if alpha.get(u) != p}
-        extra2 = {u: p for u, p in a2.items() if alpha.get(u) != p}
-        if len(extra1) == 1 and len(extra2) == 1:
-            (u1, p1), = extra1.items()
-            (u2, p2), = extra2.items()
-            return u1 == u2 and {p1, p2} == {ACTIVE, INACTIVE} and \
-                {**a1, u1: p2} == a2
-        return False
-    if a1 == a2 == alpha:
-        dims = [k for k in range(len(region.lower))
-                if (r1.lower[k], r1.upper[k]) != (r2.lower[k], r2.upper[k])]
-        if len(dims) != 1:
-            return False
-        k = dims[0]
-        for r in (r1, r2):
-            for d in range(len(region.lower)):
-                if d != k and (r.lower[d], r.upper[d]) != (region.lower[d], region.upper[d]):
-                    return False
-        lo, hi = region.lower[k], region.upper[k]
-        return (r1.lower[k] == lo and r1.upper[k] == r2.lower[k] and r2.upper[k] == hi
-                and lo <= r1.upper[k] <= hi)
-    return False
-
-
 def check_proof(problem, log_bytes: bytes, problem_path=None) -> CheckOutcome:
     """Replay a proof log against the original problem.
 
@@ -650,59 +545,70 @@ def _check_doc(pb: _Problem, doc: dict, problem_path) -> CheckOutcome:
     if _parse_region(doc["region"]) != pb.region:
         return _reject("region", "root region differs from the problem region")
     pb.snapshots = {int(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
-
-    # lemma preamble, in order: each justification must close over its scope
-    for idx, entry in enumerate(doc["lemmas"]):
-        path = f"lemma[{idx}]"
-        row, bound = _parse_row(entry["row"]), parse_rational(entry["bound"])
-        scope_region = _parse_region(entry["region"])
-        scope_alpha = _parse_alpha(entry["alpha"])
-        if entry["global"] and (scope_region != pb.region or scope_alpha):
-            return _reject(path, "global lemma with non-root scope")
-        res = _check_merge(pb, entry["justification"], row, bound, scope_region,
-                           scope_alpha, path)
-        if not res.accepted:
-            return res
-        pb.lemmas[int(entry["id"])] = (row, bound, bool(entry["global"]))
-
-    return _check_tree(pb, doc["tree"], pb.region, {}, "tree")
+    outcome, _ = _check_tree(pb, doc["tree"], pb.region, {}, "tree")
+    return outcome
 
 
 def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
-                path: str) -> CheckOutcome:
+                path: str) -> tuple[CheckOutcome, Fraction | None]:
+    """The outcome for the subtree at this scope, and the margin bound its
+    root proves there (None when it carries none)."""
     if node["type"] == "split":
         kind = node["kind"]
         try:
             children = _split_children(region, alpha, kind)
         except (ValueError, IndexError) as exc:
-            return _reject(path, f"bad split annotation: {exc}")
+            return _reject(path, f"bad split annotation: {exc}"), None
         if kind[0] == "phase":
             unit = (int(kind[1][0]), int(kind[1][1]))
             if unit not in set(pb.net.hidden_units):
-                return _reject(path, f"phase split on unknown unit {unit}")
+                return _reject(path, f"phase split on unknown unit {unit}"), None
             if unit in alpha:
-                return _reject(path, f"phase split on already-committed unit {unit}")
+                return _reject(path, f"phase split on already-committed unit {unit}"), None
         if len(node["children"]) != 2:
-            return _reject(path, "split must have two children")
+            return _reject(path, "split must have two children"), None
+        betas = []
         for idx, ((c_region, c_alpha), child) in enumerate(zip(children, node["children"])):
-            res = _check_tree(pb, child, c_region, c_alpha, f"{path}/{idx}")
+            res, beta = _check_tree(pb, child, c_region, c_alpha, f"{path}/{idx}")
             if not res.accepted:
-                return res
-        return ACCEPTED
+                return res, None
+            betas.append(beta)
+        if "bound" not in node:
+            return ACCEPTED, None
+        if None in betas:
+            return _reject(path, "split bound over a child without one"), None
+        bound = parse_rational(node["bound"])
+        if bound != max(betas):
+            return _reject(path, f"split bound {bound} is not the maximum of the "
+                                 f"child bounds {betas}"), None
+        return ACCEPTED, bound
     if node["type"] != "leaf":
-        return _reject(path, f"unknown entry type {node['type']}")
+        return _reject(path, f"unknown entry type {node['type']}"), None
     cover = []
     for idx, item in enumerate(node["cover"]):
         cert = _parse_guarded(item["cert"])
         allowed = set(alpha.items()) | {(g.unit, g.phase) for g in cert.guards}
         reason, system = _scoped_system(pb, item["snapshot"], region, allowed)
         if reason is not None:
-            return _reject(path, f"cover[{idx}] snapshot: {reason}")
+            return _reject(path, f"cover[{idx}] snapshot: {reason}"), None
         res = check_farkas(extend_with_guards(system, pb.layout, cert.guards), cert.inner)
         if not res.ok:
-            return _reject(path, f"cover[{idx}] rejected: {res.reason}")
+            return _reject(path, f"cover[{idx}] rejected: {res.reason}"), None
         cover.append(cert)
     reason = _check_cover(cover, alpha)
     if reason is not None:
-        return _reject(path, f"cover: {reason}")
-    return ACCEPTED
+        return _reject(path, f"cover: {reason}"), None
+    if "bound" not in node:
+        return ACCEPTED, None
+    bound = node["bound"]
+    cert = DualBoundCertificate.make({pb.layout.margin_index: _ONE},
+                                     parse_rational(bound["beta"]),
+                                     _parse_multipliers(bound["multipliers"]))
+    # the bound's snapshot may assume only the path's own phase commitments
+    reason, system = _scoped_system(pb, bound["snapshot"], region, set(alpha.items()))
+    if reason is not None:
+        return _reject(path, f"bound snapshot: {reason}"), None
+    reason = _check_dual_exact(system, cert)
+    if reason is not None:
+        return _reject(path, f"bound certificate rejected: {reason}"), None
+    return ACCEPTED, cert.bound

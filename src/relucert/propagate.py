@@ -65,7 +65,6 @@ class TgctResult:
 @dataclass
 class PropagationResult:
     status: str  # "prune" | "open"
-    store: Store
     farkas: FarkasCertificate | None = None
     stability_certs: list[StabilityCertificate] = field(default_factory=list)
     iterations: int = 0
@@ -358,9 +357,8 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
 def propagate_node(store: Store, budget: Budget,
                    templates: str | list[Template] = "default") -> PropagationResult:
     """Fixed-point loop Hull -> TGCT -> Stabilize -> feasibility check.
-    Prune carries an accepted Farkas certificate.  Global lemma rows are
-    already in the store (`build_initial_store`)."""
-    result = PropagationResult("open", store)
+    Prune carries an accepted Farkas certificate."""
+    result = PropagationResult("open")
     margin_only = templates == "margin-only"
     for _ in range(MAX_PASSES):
         result.iterations += 1

@@ -1,14 +1,15 @@
-"""Search driver: worklist management, refinement, and cross-node learning.
+"""Search driver: worklist management, refinement, and margin bounds.
 
 One branch-and-bound loop serves both strategies.  Before any store is
 built, the box midpoint is evaluated exactly; if it is a counterexample the
-run ends there with SAT and no LP.  Otherwise a node is closed by a
-blocking conflict clause, by propagation, or by the exactness gate; the
-incremental strategy (icl) starts the gate with no unit exact and refines,
-the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
-closed node becomes a leaf carrying Farkas certificates; the driver learns
-merged lemmas at sibling joins and conflict clauses from guarded
-infeasibility cores.
+run ends there with SAT and no LP.  Otherwise a node is closed by
+propagation or by the exactness gate; the incremental strategy (icl) starts
+the gate with no unit exact and refines, the hybrid strategy (hsrv) starts
+it with every unstable unit exact.  Every closed node becomes a leaf
+carrying Farkas certificates and, below the root, the margin bound its
+store proves; a split whose two children both carry a bound carries their
+maximum (the merge lemma `margin <= max(beta1, beta2)`).  Conflict clauses
+are still recorded at root-region nodes, but no later node can match one.
 """
 
 from __future__ import annotations
@@ -33,17 +34,13 @@ from .model import (
     validate_witness,
 )
 from .propagate import propagate_node
-from .store import NEGP, GuardLiteral, Store, build_initial_store
+from .store import NEGP, GuardLiteral, NormalizedSystem, Store, build_initial_store
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
 class NothingToSplit(Exception):
-    pass
-
-
-class MissingChildCertificate(Exception):
     pass
 
 
@@ -83,50 +80,22 @@ def snapshot_store(store: Store):
 
 @dataclass
 class ProofLeaf:
-    region: Region
-    alpha: dict[Unit, str]
-    # each cover certificate is checked against its own snapshot (reused
-    # clause certificates keep pointing at the store they were derived in)
+    # each cover certificate is checked against its own snapshot
     cover: list[tuple[GuardedCertificate, int]]
+    # the margin bound the leaf's store proves without the negated property:
+    # its certificate (objective: the margin alone) and snapshot id
+    evidence: tuple[DualBoundCertificate, int] | None = None
+
+    @property
+    def bound(self) -> Fraction | None:
+        return None if self.evidence is None else self.evidence[0].bound
 
 
 @dataclass
 class ProofSplit:
     kind: tuple  # ("phase", unit) | ("domain", dim, midpoint)
-    region: Region
-    alpha: dict[Unit, str]
     children: list = field(default_factory=lambda: [None, None])
-
-
-@dataclass
-class MergeJustification:
-    template: tuple[tuple[int, Fraction], ...]
-    children: list  # (region, alpha, beta, evidence, snapshot_id|None)
-    beta: Fraction  # max of the children's bounds
-
-
-@dataclass
-class LemmaEntry:
-    lemma_id: int
-    row: tuple[tuple[int, Fraction], ...]
-    bound: Fraction
-    justification: MergeJustification
-    region: Region
-    alpha: dict[Unit, str]
-    is_global: bool
-
-
-class LemmaStore:
-    """Append-only; every entry carries a checkable justification."""
-
-    def __init__(self):
-        self.entries: list[LemmaEntry] = []
-
-    def append(self, entry: LemmaEntry):
-        self.entries.append(entry)
-
-    def global_entries(self):
-        return [e for e in self.entries if e.is_global]
+    bound: Fraction | None = None  # max of the children's bounds, set by merge_lemma
 
 
 @dataclass
@@ -158,7 +127,6 @@ class RunProof:
     region: Region
     root: object = None  # ProofLeaf | ProofSplit
     snapshots: dict[int, tuple] = field(default_factory=dict)
-    lemmas: list[LemmaEntry] = field(default_factory=list)
 
     def add_snapshot(self, snap) -> int:
         sid = len(self.snapshots)
@@ -188,7 +156,6 @@ class _Node:
     child_index: int = 0
     split: ProofSplit | None = None  # set when this node was split
     closed_children: int = 0
-    child_evidence: list = field(default_factory=lambda: [None, None])
 
 
 def pick_split(store: Store, node: _Node, config: Config) -> tuple:
@@ -233,99 +200,80 @@ def refine(node: _Node, split: tuple) -> list[_Node]:
 # -- merge learning ---------------------------------------------------------
 
 
-def merge_lemma(template: dict[int, Fraction], children, lemmas: LemmaStore,
-                parent_region: Region, parent_alpha: dict[Unit, str],
-                root_region: Region, budget: Budget) -> LemmaEntry:
-    """Combine two sibling bound results into a parent lemma g^T v <= max(beta)."""
-    g = tuple(sorted(template.items()))
-    for _, _, beta, evidence, _ in children:
-        if evidence is None or beta is None:
-            raise MissingChildCertificate()
-        if isinstance(evidence, DualBoundCertificate) and evidence.objective != g:
-            raise MissingChildCertificate(f"template mismatch: {evidence.objective} != {g}")
-    beta = max(c[2] for c in children)
-    is_global = parent_region == root_region and not parent_alpha
-    entry = LemmaEntry(len(lemmas.entries), g, beta,
-                       MergeJustification(g, list(children), beta),
-                       parent_region, dict(parent_alpha), is_global)
-    lemmas.append(entry)
+def merge_lemma(split: ProofSplit, budget: Budget):
+    """Both children of the split bound the margin: the split bounds it by
+    the larger of the two, `margin <= max(beta1, beta2)`."""
+    split.bound = max(child.bound for child in split.children)
     budget.lemmas += 1
-    return entry
 
 
 # -- the drivers ------------------------------------------------------------
 
 
-def _margin_evidence(store: Store, budget: Budget):
-    """Best provable margin upper bound ignoring the negated property row."""
+def _without_negp(store: Store) -> NormalizedSystem:
+    return store.normalize(exclude=lambda cid, c: c.block == NEGP)
+
+
+def _margin_evidence(sys: NormalizedSystem, layout,
+                     budget: Budget) -> DualBoundCertificate | None:
+    """Best provable margin upper bound over `sys`, a store's rows without
+    the negated property."""
     if not budget.lp_ok():
         return None
-    sys = store.normalize(exclude=lambda cid, c: c.block == NEGP)
     budget.count_lp()
-    g = {store.layout.margin_index: Fraction(1)}
+    g = {layout.margin_index: Fraction(1)}
     out = lp.lp_max(sys, g)
     if out.status != lp.OPTIMAL:
         return None
-    cert = DualBoundCertificate.make(g, out.value, out.dual)
-    return out.value, cert
+    return DualBoundCertificate.make(g, out.value, out.dual)
 
 
-def _close(run: RunProof, node: _Node, leaf: ProofLeaf, evidence,
-           lemmas: LemmaStore, budget: Budget, root_region: Region, layout):
-    """Attach a closed leaf, then walk up merging at completed sibling joins."""
+def _close(run: RunProof, node: _Node, leaf: ProofLeaf, budget: Budget):
+    """Attach a closed leaf, then walk up merging bounds at completed
+    sibling joins."""
     if node.parent is None:
         run.root = leaf
     else:
         node.parent.split.children[node.child_index] = leaf
-    cur = node
-    while cur.parent is not None:
-        parent = cur.parent
-        parent.child_evidence[cur.child_index] = evidence
-        parent.closed_children += 1
-        if parent.closed_children < 2:
+    cur = node.parent
+    while cur is not None:
+        cur.closed_children += 1
+        if cur.closed_children < 2:
             break
-        evidence = None
-        if all(e is not None for e in parent.child_evidence):
-            g = {layout.margin_index: Fraction(1)}
-            entry = merge_lemma(g, list(parent.child_evidence), lemmas,
-                                parent.region, parent.alpha, root_region, budget)
-            evidence = (parent.region, dict(parent.alpha), entry.bound,
-                        entry.justification, None)
-        cur = parent
+        if all(child.bound is not None for child in cur.split.children):
+            merge_lemma(cur.split, budget)
+        cur = cur.parent
 
 
 def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> VerifyResult:
     layout = build_layout(net, prop)
     budget = Budget(lp_limit=config.lp_budget)
-    lemmas = LemmaStore()
     clauses = ClauseDB()
     run = RunProof(region)
-    run.lemmas = lemmas.entries
     root = _Node(region, {}, 0)
     stack = [root]
 
-    def close_leaf(node: _Node, cover, evidence=None):
-        _close(run, node, ProofLeaf(node.region, dict(node.alpha), cover), evidence,
-               lemmas, budget, region, layout)
-
-    def close_infeasible(node: _Node, store: Store, certs, ev, foreign):
-        """Leaf over a fresh snapshot (reused clause certificates keep their
-        own); root-region certificates are learned as conflict clauses."""
+    def close_infeasible(node: _Node, store: Store, certs, margin_sys):
+        """Leaf over a fresh snapshot, with the margin bound of `margin_sys`
+        below the root (a parent's merge reads it); root-region
+        certificates are recorded as conflict clauses."""
         sid = run.add_snapshot(snapshot_store(store))
-        cover = [(c, foreign.get(c, sid)) for c in certs]
         if node.region == region:
             node_lits = frozenset(GuardLiteral(u, p) for u, p in node.alpha.items())
-            for cert, cert_sid in cover:
+            for cert in certs:
                 lits = node_lits | cert.guard_set
                 if lits:
-                    clauses.append(ClauseEntry(lits, cert, cert_sid))
+                    clauses.append(ClauseEntry(lits, cert, sid))
                     budget.clauses += 1
-        evidence = None if ev is None else (node.region, dict(node.alpha), ev[0], ev[1], sid)
-        close_leaf(node, cover, evidence)
+        evidence = None
+        if margin_sys is not None:
+            cert = _margin_evidence(margin_sys, layout, budget)
+            evidence = None if cert is None else (cert, sid)
+        _close(run, node, ProofLeaf([(c, sid) for c in certs], evidence), budget)
 
     def attach_split(node: _Node, split: tuple):
         budget.splits += 1
-        sp = ProofSplit(split, node.region, dict(node.alpha))
+        sp = ProofSplit(split)
         node.split = sp
         if node.parent is None:
             run.root = sp
@@ -350,16 +298,15 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             continue
         blocked = clauses.blocking(node.alpha)
         if blocked is not None:
-            close_leaf(node, [(blocked.cert, blocked.snapshot_id)])
+            _close(run, node, ProofLeaf([(blocked.cert, blocked.snapshot_id)]), budget)
             continue
-        store = build_initial_store(net, layout, node.region, prop, node.alpha, lemmas)
+        store = build_initial_store(net, layout, node.region, prop, node.alpha)
         res = propagate_node(store, budget, templates=config.templates)
         if res.exhausted:
             return VerifyResult("unknown", reason="resource", budget=budget)
-        # margin evidence is read only by the merge at the node's parent
         if res.status == "prune":
-            ev = _margin_evidence(store, budget) if node.parent else None
-            close_infeasible(node, store, [GuardedCertificate.make((), res.farkas)], ev, {})
+            close_infeasible(node, store, [GuardedCertificate.make((), res.farkas)],
+                             _without_negp(store) if node.parent else None)
             continue
         # witness extraction from the relaxation point
         if res.feasible_point is not None:
@@ -367,20 +314,20 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
                       for k in range(net.input_dim))
             if validate_witness(net, node.region, prop, x).accepted:
                 return sat(x)
-        # taken before the gate, whose refinements retire hull rows.  It is
-        # never a prune test: the node's store, negated property included, is
-        # LP-feasible here, so this bound is at least the violation threshold
-        ev = _margin_evidence(store, budget) if node.parent else None
-        foreign = _clause_certs(clauses, node.alpha)
+        # the margin bound's rows are taken before the gate, whose
+        # refinements retire hull rows; its LP runs only if the gate prunes.
+        # It is never a prune test: the node's store, negated property
+        # included, is LP-feasible here, so this bound is at least the
+        # violation threshold
+        margin_sys = _without_negp(store) if node.parent else None
         # the one difference between the strategies: the hybrid gate starts
         # with every unstable unit exact, the incremental gate with none
         start = store.unstable if config.strategy == "hsrv" else ()
-        g = exactness_gate(store, budget, list(foreign), gate_lp_limit=config.gate_budget,
-                           start=start)
+        g = exactness_gate(store, budget, gate_lp_limit=config.gate_budget, start=start)
         if g.status == SAT:
             return sat(g.witness)
         if g.status == PRUNE:
-            close_infeasible(node, store, g.certificates, ev, foreign)
+            close_infeasible(node, store, g.certificates, margin_sys)
             continue
         if g.reason == BUDGET and not budget.lp_ok():
             return VerifyResult("unknown", reason="resource", budget=budget)
@@ -393,19 +340,6 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
             return VerifyResult("unknown", reason="nothing-to-split", budget=budget)
         attach_split(node, split)
     return VerifyResult("unsat", proof=run, budget=budget)
-
-
-def _clause_certs(clauses: ClauseDB, alpha: dict[Unit, str]):
-    """Clause certificates usable for Boolean pruning below this node,
-    mapped back to the snapshot each was derived in."""
-    lits = {GuardLiteral(u, p) for u, p in alpha.items()}
-    out: dict[GuardedCertificate, int] = {}
-    for e in clauses.entries:
-        extra = e.literals - lits
-        cert = GuardedCertificate.make(sorted(extra, key=lambda g: (g.unit, g.phase)),
-                                       e.cert.inner)
-        out.setdefault(cert, e.snapshot_id)
-    return out
 
 
 def icl_verify(net: Network, region: Region, prop: SafetyProperty,

@@ -32,7 +32,6 @@ AFF = "aff"
 REGION = "region"
 NEGP = "negp"
 REL = "rel"
-LEARN = "learn"
 GUARD = "guard"
 
 #: Normalized row ids: ("c", cid, "le"|"ge") for store rows, or
@@ -152,9 +151,6 @@ class BoundsMap:
     """Per pre-activation interval [l, u]; only ever tightens."""
 
     pre: dict[Unit, tuple[Fraction, Fraction]] = field(default_factory=dict)
-
-    def get(self, unit: Unit) -> tuple[Fraction, Fraction]:
-        return self.pre[unit]
 
     def set_initial(self, unit: Unit, lo: Fraction, hi: Fraction):
         if lo > hi:
@@ -303,11 +299,10 @@ def interval_bounds(net: Network, region: Region, alpha: dict[Unit, str]) -> dic
 
 
 def build_initial_store(net: Network, layout: VariableLayout, region: Region,
-                        prop: SafetyProperty, alpha: dict[Unit, str],
-                        lemmas=None) -> Store:
-    """Base blocks: affine equalities, box rows, negated property, guard
-    consequences of alpha, and globally valid lemma rows.  Bounds come from
-    interval arithmetic; relaxation rows are installed by propagation."""
+                        prop: SafetyProperty, alpha: dict[Unit, str]) -> Store:
+    """Base blocks: affine equalities, box rows, negated property and guard
+    consequences of alpha.  Bounds come from interval arithmetic; relaxation
+    rows are installed by propagation."""
     store = Store(net, layout, region, prop, alpha)
     one = Fraction(1)
 
@@ -343,11 +338,6 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
         phase = alpha[unit]
         cids = [store.add(c) for c in guard_consequences(layout, GuardLiteral(unit, phase))]
         store.guard_ids[(unit, phase)] = cids
-
-    if lemmas is not None:
-        for entry in lemmas.global_entries():
-            store.add(LinearConstraint(dict(entry.row), LE, entry.bound, LEARN,
-                                       ("lemma", entry.lemma_id)))
 
     for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
         i, _ = unit

@@ -31,8 +31,6 @@ from relucert.model import build_layout, forward_eval, validate_witness
 from relucert.propagate import Template, default_templates, propagate_node, tgct
 from relucert.search import (
     Config,
-    LemmaStore,
-    MergeJustification,
     ProofLeaf,
     ProofSplit,
     hsrv_verify,
@@ -131,16 +129,15 @@ class TestAcceptance:
         root = res.proof.root
         assert isinstance(root, ProofSplit) and root.kind == ("domain", 0, F(1, 2))
         assert all(isinstance(leaf, ProofLeaf) for leaf in root.children)
-        # the published child bounds are the merge lemma's evidence
-        entry, = res.proof.lemmas
-        children = entry.justification.children
-        assert [beta for _, _, beta, _, _ in children] == [F(0), F(1)]
-        for _, _, beta, cert, sid in children:
-            assert cert.bound == beta
-            assert check_dual(snapshot_system(res.proof, sid), cert).ok
+        # the published child bounds are the leaves' margin bounds
+        assert [leaf.bound for leaf in root.children] == [F(0), F(1)]
         layout = layout_of(net, prop)
-        assert dict(entry.row) == {layout.margin_index: F(1)} and entry.bound == F(1)
-        assert isinstance(entry.justification, MergeJustification)
+        for leaf in root.children:
+            cert, sid = leaf.evidence
+            assert cert.objective_dict == {layout.margin_index: F(1)}
+            assert check_dual(snapshot_system(res.proof, sid), cert).ok
+        # the merged lemma y <= 1 is the root split's bound
+        assert root.bound == F(1)
         report("ACCEPTANCE 4: PASS - forced root split at 1/2 gives child bounds "
                "beta1=0, beta2=1 and merged lemma y <= 1; child certificates "
                "pass check_dual")
@@ -264,23 +261,15 @@ class TestAcceptance:
     def test_10_monotone_learning(self, report):
         net, region, prop = worked_network(), worked_region(), worked_prop()
         res = icl_verify(net, region, prop, Config(first_split="domain"))
-        assert res.status == "unsat" and res.proof.lemmas
-        # a fresh root store accepts every learned lemma row
-        lemmas = LemmaStore()
-        for entry in res.proof.lemmas:
-            lemmas.append(entry)
+        assert res.status == "unsat" and res.proof.root.bound is not None
+        # the root split's merged bound, margin <= beta, as one more row
         layout = build_layout(net, prop)
-        fresh = build_initial_store(net, layout, region, prop, {}, lemmas)
-        assert {c.derivation[1] for _, c in fresh.all_constraints()
-                if c.derivation[0] == "lemma"} == {e.lemma_id for e in lemmas.global_entries()}
-        lemma_rows = [
-            NormRow(dict(e.row), e.bound, ("c", 10 ** 6 + k, "le"))
-            for k, e in enumerate(lemmas.global_entries())
-        ]
+        bound_row = NormRow({layout.margin_index: F(1)}, res.proof.root.bound,
+                            ("c", 10 ** 6, "le"))
 
-        def with_lemmas(sid):
+        def with_bound(sid):
             sys = snapshot_system(res.proof, sid)
-            return NormalizedSystem(sys.rows + lemma_rows, sys.n_vars)
+            return NormalizedSystem(sys.rows + [bound_row], sys.n_vars)
 
         def walk(entry):
             if isinstance(entry, ProofSplit):
@@ -294,7 +283,7 @@ class TestAcceptance:
 
         for leaf in walk(res.proof.root):
             for cert, sid in leaf.cover:
-                sys = with_lemmas(sid)
+                sys = with_bound(sid)
                 rows = list(sys.rows)
                 for lit in cert.guards:
                     rows.extend(guard_norm_rows(layout, lit))
@@ -302,4 +291,4 @@ class TestAcceptance:
                 checked += 1
         assert checked >= 2
         report(f"ACCEPTANCE 10: PASS - {checked} leaf certificates still accepted "
-               f"after injecting all {len(lemma_rows)} learned lemmas")
+               f"with the root's merged bound margin <= {res.proof.root.bound} added")

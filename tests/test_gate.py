@@ -19,9 +19,19 @@ from relucert.gate import (
     select_violated,
     violation_report,
 )
-from relucert.model import build_layout, validate_witness
+from relucert.model import (
+    IDENTITY,
+    INACTIVE,
+    RELU,
+    Layer,
+    Network,
+    Region,
+    SafetyProperty,
+    build_layout,
+    validate_witness,
+)
 from relucert.propagate import propagate_node
-from relucert.store import build_initial_store
+from relucert.store import GuardLiteral, build_initial_store
 
 
 def _open_store(threshold="1/2"):
@@ -92,21 +102,34 @@ class TestExactSolve:
                        for c in res.cover)
 
     def test_sat_subset_returns_model_with_assignment(self):
-        store = _open_store("1/2")
+        # the model is exact on every unit of the subset: no ReLU residual
+        store = _raw_store("1/2")
+        assert len(store.unstable) == 2
         res = exact_solve(store, store.unstable)
         assert res.status == SAT
-        assert set(res.assignment) == store.unstable
+        assert not violation_report(res.model, store.layout, store.unstable).violated
         x = tuple(res.model.get(store.layout.input_index(k), F(0))
                   for k in range(store.net.input_dim))
         assert validate_witness(store.net, store.region, store.prop, x).accepted
 
     def test_learned_certificates_prune_and_join_the_cover(self):
-        store = _raw_store("1")
-        first = exact_solve(store, store.unstable)
-        again = exact_solve(store, store.unstable, learned=first.cover)
-        assert again.status == UNSAT
-        # reused certificates appear in the new cover instead of fresh LP work
-        assert set(again.cover) <= set(first.cover)
+        # y = -relu(x) on x in [-1, 1] never reaches 1/10, and (1,0) feeds
+        # nothing: the certificate of the second branch, (1,0):A (1,1):I,
+        # needs only (1,1):I, so it closes the last branch, (1,0):I (1,1):I,
+        # without an LP and joins the cover again
+        net = Network((Layer(((F(1),), (F(1),)), (F(0), F(0)), RELU),
+                       Layer(((F(0), F(-1)),), (F(0),), IDENTITY)), 1, 1)
+        prop = SafetyProperty(((0, F(1)),), F(0), F(1, 10))
+        store = build_initial_store(net, build_layout(net, prop), Region((F(-1),), (F(1),)),
+                                    prop, {})
+        assert store.unstable == {(1, 0), (1, 1)}
+        budget = Budget()
+        res = exact_solve(store, store.unstable, budget)
+        assert res.status == UNSAT
+        assert budget.lp_calls == 3 and len(res.cover) == 4
+        assert res.cover[3] is res.cover[1]
+        assert res.cover[1].guard_set == {GuardLiteral((1, 1), INACTIVE)}
+        assert all(certs.check_guarded(store, c).ok for c in res.cover)
 
     def test_local_limit_defers(self):
         store = _raw_store("1")

@@ -76,14 +76,22 @@ class TestSerialization:
 
     def test_format_1_document_rejected(self):
         data = _proof_bytes()
-        assert b'"format":"relucert-proof-3"' in data
-        old = data.replace(b'"format":"relucert-proof-3"', b'"format":"relucert-proof-1"')
+        assert b'"format":"relucert-proof-4"' in data
+        old = data.replace(b'"format":"relucert-proof-4"', b'"format":"relucert-proof-1"')
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
 
     def test_format_2_document_rejected(self):
         data = _proof_bytes(Config(first_split="domain"))
-        old = data.replace(b'"format":"relucert-proof-3"', b'"format":"relucert-proof-2"')
+        old = data.replace(b'"format":"relucert-proof-4"', b'"format":"relucert-proof-2"')
+        assert old != data
+        out = prooflog.check_proof(_problem(), old, WORKED)
+        assert not out.accepted and out.path == "document"
+
+    def test_format_3_document_rejected(self):
+        # proof-3 kept merge lemmas in a preamble, not on the tree
+        data = _proof_bytes(Config(first_split="domain"))
+        old = data.replace(b'"format":"relucert-proof-4"', b'"format":"relucert-proof-3"')
         assert old != data
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
@@ -100,28 +108,7 @@ class TestSerialization:
             res = strategy(*_problem(), Config(first_split="domain"))
             doc = prooflog.parse_proof(prooflog.emit(res.proof, WORKED))
             for leaf in leaves(doc["tree"]):
-                assert set(leaf) == {"type", "cover"} and leaf["cover"]
-
-
-class TestPartition:
-    """Merge children must split their parent scope in two."""
-
-    def _phase_children(self, unit, phases, parent=None):
-        parent = parent or {}
-        return [(worked_region(), {**parent, unit: p}) for p in phases]
-
-    def test_phase_split_children_partition_the_parent(self):
-        parent = {(1, 1): "inactive"}
-        kids = self._phase_children((1, 0), ("active", "inactive"), parent)
-        assert prooflog._is_partition(worked_region(), parent, kids)
-
-    def test_same_phase_twice_is_not_a_partition(self):
-        kids = self._phase_children((1, 0), ("active", "active"))
-        assert not prooflog._is_partition(worked_region(), {}, kids)
-
-    def test_children_on_different_units_are_not_a_partition(self):
-        kids = [(worked_region(), {(1, 0): "active"}), (worked_region(), {(1, 1): "inactive"})]
-        assert not prooflog._is_partition(worked_region(), {}, kids)
+                assert set(leaf) <= {"type", "cover", "bound"} and leaf["cover"]
 
 
 class TestCheckerIndependence:
@@ -294,6 +281,68 @@ class TestTargetedRejections:
         assert not out.accepted and "duplicate row id 6" in out.reason, out
 
 
+class TestBounds:
+    """Margin bounds on the tree: the worked domain split proves margin <= 0
+    on [0, 1/2] and margin <= 1 on [1/2, 1], and the root carries their
+    maximum."""
+
+    def _doc(self):
+        doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        assert doc["tree"]["bound"] == "1"
+        assert [c["bound"]["beta"] for c in doc["tree"]["children"]] == ["0", "1"]
+        assert prooflog.check_proof(_problem(), _dumps(doc)).accepted
+        return doc
+
+    def _rejected(self, doc, path, words):
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.path == path and words in out.reason, out
+
+    def test_split_bound_other_than_the_childrens_maximum_rejected(self):
+        for bound in ("0", "2"):
+            doc = self._doc()
+            doc["tree"]["bound"] = bound
+            self._rejected(doc, "tree", "is not the maximum of the child bounds")
+
+    def test_split_bound_over_a_child_without_one_rejected(self):
+        doc = self._doc()
+        del doc["tree"]["children"][0]["bound"]
+        self._rejected(doc, "tree", "split bound over a child without one")
+
+    def test_split_without_a_bound_accepted(self):
+        doc = self._doc()
+        del doc["tree"]["bound"]
+        assert prooflog.check_proof(_problem(), _dumps(doc)).accepted
+
+    def test_leaf_bound_other_than_lambda_b_rejected(self):
+        # 1/2 still leaves the root bound the maximum; the leaf's own
+        # certificate sums to lambda^T b = 0
+        doc = self._doc()
+        doc["tree"]["children"][0]["bound"]["beta"] = "1/2"
+        self._rejected(doc, "tree/0", "differs from lambda^T b = 0")
+
+    def test_leaf_bound_multiplier_changed_rejected(self):
+        doc = self._doc()
+        mults = doc["tree"]["children"][1]["bound"]["multipliers"]
+        mults[0][1] = str(F(mults[0][1]) + 1)
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.path == "tree/1", out
+
+    def test_leaf_bound_snapshot_with_a_guard_outside_alpha_rejected(self):
+        # a copy of the leaf's snapshot with one more row, a guard on
+        # (1,0):active, which the path [0, 1/2] never commits; only the
+        # bound cites the copy, so the cover still checks
+        doc = self._doc()
+        leaf = doc["tree"]["children"][0]
+        sid = str(leaf["bound"]["snapshot"])
+        snap = json.loads(json.dumps(doc["snapshots"][sid]))
+        snap["rows"].append({"id": max(r["id"] for r in snap["rows"]) + 1,
+                             "row": {"3": "1", "1": "-1"}, "relation": "eq", "rhs": "0",
+                             "block": "guard", "derivation": ["guard", 1, 0, "active"]})
+        doc["snapshots"]["2"] = snap
+        leaf["bound"]["snapshot"] = 2
+        self._rejected(doc, "tree/0", "bound snapshot: guard row for uncommitted phase")
+
+
 class TestNeverRaises:
     """Input the checker cannot follow is a REJECT that names the exception."""
 
@@ -316,10 +365,11 @@ class TestNeverRaises:
         doc["snapshots"]["0"]["region"]["lower"].append("0")
         self._check(_dumps(doc), "DimensionError")
 
-    def test_lemma_region_of_unequal_length(self):
+    def test_malformed_split_bound(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
-        doc["lemmas"][0]["region"]["upper"].append("2")
-        self._check(_dumps(doc), "DimensionError")
+        assert doc["tree"]["bound"] == "1"
+        doc["tree"]["bound"] = ["1"]
+        self._check(_dumps(doc), "ParseError")
 
     def test_deeply_nested_json_array(self):
         self._check(b"[" * 5000 + b"]" * 5000, "RecursionError")
@@ -362,8 +412,8 @@ class TestCover:
 
 
 class TestReplayOnce:
-    """A proof with a merge lemma cites each leaf snapshot twice: from its
-    leaf cover and from the lemma's merge evidence."""
+    """A leaf with a margin bound cites its snapshot twice: from its cover
+    and from its bound."""
 
     def _count(self, monkeypatch, name):
         calls = []
@@ -379,7 +429,8 @@ class TestReplayOnce:
     def _check_domain_proof(self):
         data = _proof_bytes(Config(first_split="domain"))
         doc = prooflog.parse_proof(data)
-        assert doc["lemmas"]
+        assert all(leaf["bound"]["snapshot"] == leaf["cover"][0]["snapshot"]
+                   for leaf in doc["tree"]["children"])
         assert prooflog.check_proof(_problem(), data, WORKED).accepted
         return doc
 

@@ -21,13 +21,13 @@ from relucert.propagate import propagate_node
 from relucert.search import (
     CapExceeded,
     Config,
-    MergeJustification,
     NothingToSplit,
     ProofLeaf,
     ProofSplit,
     _domain_split,
     _margin_evidence,
     _Node,
+    _without_negp,
     hsrv_verify,
     icl_verify,
     oracle_verify,
@@ -139,28 +139,20 @@ class TestMergeDemo:
         assert isinstance(root, ProofSplit)
         assert root.kind == ("domain", 0, F(1, 2))
         assert all(isinstance(leaf, ProofLeaf) for leaf in root.children)
-        # the child bounds are the merge lemma's evidence
-        entry, = res.proof.lemmas
-        assert [beta for _, _, beta, _, _ in entry.justification.children] == [F(0), F(1)]
+        assert [leaf.bound for leaf in root.children] == [F(0), F(1)]
 
     def test_child_certificates_pass_the_dual_checker(self):
         res = self._run("hsrv")
-        entry, = res.proof.lemmas
-        for _, _, beta, cert, sid in entry.justification.children:
-            assert cert.bound == beta
+        layout = layout_of(worked_network(), worked_prop())
+        for leaf in res.proof.root.children:
+            cert, sid = leaf.evidence
+            assert cert.objective_dict == {layout.margin_index: F(1)}
             assert certs.check_dual(snapshot_system(res.proof, sid), cert).ok
 
     def test_merged_lemma_bounds_the_output_by_one(self):
         res = self._run("hsrv")
-        lemmas = res.proof.lemmas
-        assert len(lemmas) == 1
-        entry = lemmas[0]
-        layout = layout_of(worked_network(), worked_prop())
-        assert dict(entry.row) == {layout.margin_index: F(1)}
-        assert entry.bound == F(1)
-        assert entry.is_global
-        assert isinstance(entry.justification, MergeJustification)
-        assert entry.justification.beta == F(1)
+        assert res.proof.root.bound == F(1)
+        assert res.budget.lemmas == 1
 
     def test_merge_learning_also_fires_under_icl(self):
         res = self._run("icl")
@@ -186,23 +178,6 @@ class TestClauseLearning:
         assert hit is not None and hit.snapshot_id == 3
         assert db.blocking({(1, 0): INACTIVE}) is None
         assert db.blocking({}) is None
-
-    def test_clause_certificates_shrink_by_the_node_commitments(self):
-        from relucert.certs import FarkasCertificate, GuardedCertificate
-        from relucert.search import ClauseDB, ClauseEntry, _clause_certs
-        from relucert.store import GuardLiteral
-
-        lits = frozenset({GuardLiteral((1, 0), ACTIVE), GuardLiteral((1, 1), INACTIVE)})
-        cert = GuardedCertificate.make(sorted(lits, key=lambda g: (g.unit, g.phase)),
-                                       FarkasCertificate.make({}))
-        db = ClauseDB()
-        db.append(ClauseEntry(lits, cert, snapshot_id=7))
-        # below a node already committed to (1,0):Active only the remainder
-        # of the guard set needs proving
-        out = _clause_certs(db, {(1, 0): ACTIVE})
-        (residual, sid), = out.items()
-        assert sid == 7
-        assert residual.guard_set == frozenset({GuardLiteral((1, 1), INACTIVE)})
 
 
 class TestOracle:
@@ -255,12 +230,11 @@ def _max_margin(net, region, prop):
     return best
 
 
-def _phase_splits(entry):
+def _splits(entry):
     if isinstance(entry, ProofSplit):
-        if entry.kind[0] == "phase":
-            yield entry
+        yield entry
         for child in entry.children:
-            yield from _phase_splits(child)
+            yield from _splits(child)
 
 
 class TestBranchingOracleAgreement:
@@ -278,7 +252,7 @@ class TestBranchingOracleAgreement:
         from test_acceptance import _spec_suite
 
         suite = _spec_suite(90)
-        phase_splits = lemmas = proofs = 0
+        phase_splits = bounds = proofs = 0
         for idx in (57, 89):
             net, region, prop = suite[idx]
             assert _count_unstable(net, region) >= 4
@@ -299,10 +273,13 @@ class TestBranchingOracleAgreement:
                                                prooflog.emit(res.proof, path), str(path))
                     assert out.accepted, (idx, driver.__name__, out)
                     proofs += 1
-                    phase_splits += len(list(_phase_splits(res.proof.root)))
-                    lemmas += len(res.proof.lemmas)
+                    splits = list(_splits(res.proof.root))
+                    phase_splits += sum(sp.kind[0] == "phase" for sp in splits)
+                    merged = sum(sp.bound is not None for sp in splits)
+                    assert merged == res.budget.lemmas
+                    bounds += merged
         assert proofs == 4
-        assert phase_splits >= 1 and lemmas >= 1
+        assert phase_splits >= 1 and bounds >= 1
 
 
 class TestMarginEvidence:
@@ -317,7 +294,7 @@ class TestMarginEvidence:
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
             if propagate_node(store, Budget()).status != "open":
                 continue
-            ev = _margin_evidence(store, Budget())
-            assert ev is None or ev[0] >= prop.violation_threshold
+            ev = _margin_evidence(_without_negp(store), store.layout, Budget())
+            assert ev is None or ev.bound >= prop.violation_threshold
             opened += 1
         assert opened >= 5

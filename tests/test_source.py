@@ -60,3 +60,28 @@ def test_trusted_modules_import_no_solver_module(name):
     from the solver to `certs`, `prooflog`, `store` and `model`."""
     reached = SOLVER.intersection(_relucert_imports(f"src/relucert/{name}.py"))
     assert not reached, f"{name}.py imports {sorted(reached)}"
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for each annotated field of a @dataclass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing reads is state kept for nobody.  The readers are
+    the package and the benchmark harness, which reads run results too."""
+    readers = MODULES + sorted(Path("perfbench").glob("*.py"))
+    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {cls}.{name}" for path in MODULES
+              for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
+              if name not in read]
+    assert not unread, f"dataclass fields never read: {unread}"
