@@ -51,7 +51,6 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     net, region, prop = problem
     config = Config(
-        strategy=args.strategy,
         max_depth=args.max_depth,
         lp_budget=args.lp_budget,
         gate_budget=args.gate_budget,

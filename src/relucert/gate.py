@@ -5,7 +5,9 @@ growing subset S of the unstable units.  Each partial exact query is decided
 by a small DPLL over the 2^|S| guard assignments with an LP feasibility check
 per full assignment; every infeasible branch yields a guarded Farkas
 certificate, and an unsat answer returns a cover of such certificates whose
-guard sets exhaust all assignments.
+guard sets exhaust all assignments.  The gate's own LP ceiling
+(`gate_lp_limit`) or a solver limit makes it defer; a spent run budget
+raises `Exhausted` out of it.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ UNSAT = "unsat"
 PRUNE = "prune"
 DEFER = "defer"
 LIMIT = "limit"
-
-EXACT_NON_COUNTEREXAMPLE = "exact-non-counterexample"
-BUDGET = "budget"
-SOLVER_LIMIT = "solver-limit"
 
 
 class EmptyViolationSet(Exception):
@@ -98,7 +96,9 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
 
     The guarded certificates of branches already closed in this call prune
     any later partial assignment containing their full guard set; the
-    pruning certificate joins the cover, keeping it exhaustive.
+    pruning certificate joins the cover, keeping it exhaustive.  LIMIT means
+    `local_limit` LPs were made or an LP hit the solver's pivot limit; a
+    spent `budget` raises `Exhausted`.
     """
     if budget is None:
         budget = Budget()
@@ -110,7 +110,7 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
 
     def theory(lits) -> ExactResult | None:
         nonlocal calls
-        if not budget.lp_ok() or (local_limit is not None and calls >= local_limit):
+        if local_limit is not None and calls >= local_limit:
             return ExactResult(LIMIT)
         budget.count_lp()
         calls += 1
@@ -151,7 +151,6 @@ class GateOutcome:
     status: str  # SAT | PRUNE | DEFER
     witness: tuple[Fraction, ...] | None = None
     certificates: list[GuardedCertificate] = field(default_factory=list)
-    reason: str = ""
     refinements: int = 0
 
 
@@ -176,45 +175,44 @@ def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = Non
 
     Sat models are validated by exact forward evaluation; spurious models
     grow S by the most-violated unit, which provably eliminates them.  At
-    most |U| refinements can occur.
+    most |U| refinements can occur.  The gate defers once it has made
+    `gate_lp_limit` LPs, when an LP hits the solver's limit, or when an
+    exact model is no counterexample.
     """
     budget.gate_calls += 1
     unstable = sorted(store.unstable)
     subset: set[Unit] = set(start)
-    out = GateOutcome(DEFER, reason=BUDGET)
-    spent = budget.lp_calls
+    refinements = 0
+    ceiling = None if gate_lp_limit is None else budget.lp_calls + gate_lp_limit
     while True:
-        remaining = None if gate_lp_limit is None else gate_lp_limit - (budget.lp_calls - spent)
+        remaining = None if ceiling is None else ceiling - budget.lp_calls
         if remaining is not None and remaining <= 0:
-            return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements)
-        if not budget.lp_ok():
-            return GateOutcome(DEFER, reason=BUDGET, refinements=out.refinements)
+            return GateOutcome(DEFER, refinements=refinements)
         res = exact_solve(store, subset, budget, local_limit=remaining)
         if res.status == LIMIT:
-            return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements)
+            return GateOutcome(DEFER, refinements=refinements)
         if res.status == UNSAT:
-            return GateOutcome(PRUNE, certificates=res.cover, refinements=out.refinements)
+            return GateOutcome(PRUNE, certificates=res.cover, refinements=refinements)
         model = res.model
         x = tuple(model.get(store.layout.input_index(k), _ZERO)
                   for k in range(store.net.input_dim))
         verdict = validate_witness(store.net, store.region, store.prop, x)
         if verdict.accepted:
-            return GateOutcome(SAT, witness=x, refinements=out.refinements)
+            return GateOutcome(SAT, witness=x, refinements=refinements)
         report = violation_report(model, store.layout, store.unstable)
         if not report.violated:
-            return GateOutcome(DEFER, reason=EXACT_NON_COUNTEREXAMPLE,
-                               refinements=out.refinements)
+            return GateOutcome(DEFER, refinements=refinements)
         picked = select_violated(report)
         if not (picked - subset):
             # exact units have zero residual, so this cannot happen; guard
             # against a non-terminating loop anyway
-            return GateOutcome(DEFER, reason=SOLVER_LIMIT, refinements=out.refinements)
+            return GateOutcome(DEFER, refinements=refinements)
         for unit in picked:
             if not _model_violates_exactness(store, model, unit):
                 raise RefinementFailed(f"unit {unit} does not refute the model")
             for cid in store.hull_ids.get(unit, []):
                 store.retire(cid)
         subset |= picked
-        out.refinements += 1
-        if out.refinements > len(unstable):
-            raise RefinementFailed(f"{out.refinements} refinements for {len(unstable)} units")
+        refinements += 1
+        if refinements > len(unstable):
+            raise RefinementFailed(f"{refinements} refinements for {len(unstable)} units")

@@ -278,6 +278,8 @@ def problem_from_dict(doc: dict) -> tuple[Network, Region, SafetyProperty]:
         raise ParseError(f"missing field: {exc}") from None
     if not (isinstance(weights, list) and isinstance(biases, list) and isinstance(activations, list)):
         raise ParseError("weights, biases, activations must be lists")
+    if not (isinstance(lower, list) and isinstance(upper, list)):
+        raise ParseError("input_lower, input_upper must be lists")
     if not len(weights) == len(biases) == len(activations):
         raise ParseError("weights, biases, activations must have equal length")
     if not weights:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import certs as certmod
 from . import lp
-from .budget import Budget
+from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, FarkasCertificate, StabilityCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
 from .store import LE, REL, GuardLiteral, LinearConstraint, Store, guard_consequences
@@ -59,7 +59,6 @@ def default_templates(store: Store, margin_only: bool = False) -> list[Template]
 class TgctResult:
     rows_added: int = 0
     farkas: FarkasCertificate | None = None
-    exhausted: bool = False
 
 
 @dataclass
@@ -69,7 +68,6 @@ class PropagationResult:
     stability_certs: list[StabilityCertificate] = field(default_factory=list)
     iterations: int = 0
     feasible_point: dict[int, Fraction] | None = None
-    exhausted: bool = False
     tgct_rows_per_call: list[int] = field(default_factory=list)
 
 
@@ -305,7 +303,8 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
     """Template-guided certified tightening: LP-optimal bounds in both
     directions per template, added only when strictly tighter, each backed by
     a dual certificate the LP engine has checked.  Short-circuits with a
-    Farkas certificate if any solve reports infeasibility.
+    Farkas certificate if any solve reports infeasibility; raises
+    `Exhausted` if the LP budget is spent or an LP hits its iteration limit.
 
     Each LP after the first starts from the optimal tableau of the one
     before: the store changes in between only by the derived row just added
@@ -315,11 +314,8 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
     for tmpl in templates:
         g = tmpl.g_dict
         for sense in ("max", "min"):
-            if not budget.lp_ok():
-                res.exhausted = True
-                return res
-            sys = store.normalize()
             budget.count_lp()
+            sys = store.normalize()
             solve = lp.lp_max if sense == "max" else lp.lp_min
             out = solve(sys, g, warm=tab)
             tab = out.tableau
@@ -327,8 +323,7 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
                 res.farkas = FarkasCertificate.make(out.dual)
                 return res
             if out.status == lp.LIMIT:
-                res.exhausted = True
-                return res
+                raise Exhausted()
             if out.status == lp.UNBOUNDED:
                 continue  # no new bound in this direction
             beta = out.value
@@ -357,7 +352,8 @@ def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
 def propagate_node(store: Store, budget: Budget,
                    templates: str | list[Template] = "default") -> PropagationResult:
     """Fixed-point loop Hull -> TGCT -> Stabilize -> feasibility check.
-    Prune carries an accepted Farkas certificate."""
+    Prune carries an accepted Farkas certificate.  Raises `Exhausted` as
+    `tgct` does."""
     result = PropagationResult("open")
     margin_only = templates == "margin-only"
     for _ in range(MAX_PASSES):
@@ -373,23 +369,16 @@ def propagate_node(store: Store, budget: Budget,
             result.status = "prune"
             result.farkas = tres.farkas
             return result
-        if tres.exhausted:
-            result.exhausted = True
-            return result
         result.stability_certs.extend(stabilize(store, budget))
-        if not budget.lp_ok():
-            result.exhausted = True
-            return result
-        sys = store.normalize()
         budget.count_lp()
+        sys = store.normalize()
         feas = lp.lp_feasible(sys)
         if feas.status == lp.INFEASIBLE:
             result.status = "prune"
             result.farkas = FarkasCertificate.make(feas.dual)
             return result
         if feas.status == lp.LIMIT:
-            result.exhausted = True
-            return result
+            raise Exhausted()
         result.feasible_point = feas.primal
         after = (frozenset(store.unstable), frozenset(store.stabilized))
         if after == before and store.relaxation_installed:

@@ -1,15 +1,27 @@
-"""Search driver: worklist management, refinement, and margin bounds.
+"""Search driver: a recursion that returns the proof tree, and margin bounds.
 
-One branch-and-bound loop serves both strategies.  Before any store is
-built, the box midpoint is evaluated exactly; if it is a counterexample the
-run ends there with SAT and no LP.  Otherwise a node is closed by
-propagation or by the exactness gate; the incremental strategy (icl) starts
-the gate with no unit exact and refines, the hybrid strategy (hsrv) starts
-it with every unstable unit exact.  Every closed node becomes a leaf
-carrying Farkas certificates and, below the root, the margin bound its
+One branch-and-bound search serves both strategies, which are its two entry
+points.  Before any store is built, the box midpoint is evaluated exactly;
+if it is a counterexample the run ends there with SAT and no LP.  Otherwise
+`solve(region, alpha, depth)` closes the node by propagation or by the
+exactness gate and returns its leaf, or splits it and returns the split over
+its two solved children, active phase and lower half first.  The
+incremental strategy (icl) starts the gate with no unit exact and refines,
+the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
+leaf carries Farkas certificates and, below the root, the margin bound its
 store proves; a split whose two children both carry a bound carries their
 maximum (the merge lemma `margin <= max(beta1, beta2)`).  Conflict clauses
 are still recorded at root-region nodes, but no later node can match one.
+
+SAT and UNKNOWN leave the recursion through one exception that `_run`
+catches; so does `budget.Exhausted`, raised at the first LP the budget
+cannot afford, or by a node that defers once the budget is spent.  The
+recursion is at most `max_depth` deep, and at most one more than the
+number of hidden units: each phase split commits a unit its ancestors left
+free, a node with no unstable unit left is exact, so its LP point decides
+it, and only `first_split` makes a domain split, at the root.  Each level
+takes a few interpreter frames; a search deeper than the interpreter's
+recursion limit answers UNKNOWN `reason=depth`, as `max_depth` does.
 """
 
 from __future__ import annotations
@@ -19,9 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .budget import Budget
+from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, GuardedCertificate
-from .gate import BUDGET, PRUNE, SAT, exactness_gate
+from .gate import PRUNE, SAT, exactness_gate
 from .model import (
     ACTIVE,
     INACTIVE,
@@ -57,7 +69,6 @@ class OracleFault(Exception):
 
 @dataclass
 class Config:
-    strategy: str = "icl"  # "icl" | "hsrv"
     max_depth: int = 64
     lp_budget: int | None = None
     gate_budget: int | None = None  # LP theory calls per gate invocation
@@ -94,7 +105,7 @@ class ProofLeaf:
 @dataclass
 class ProofSplit:
     kind: tuple  # ("phase", unit) | ("domain", dim, midpoint)
-    children: list = field(default_factory=lambda: [None, None])
+    children: list  # two entries: active then inactive, lower then upper half
     bound: Fraction | None = None  # max of the children's bounds, set by merge_lemma
 
 
@@ -147,24 +158,13 @@ class VerifyResult:
 # -- refinement -------------------------------------------------------------
 
 
-@dataclass
-class _Node:
-    region: Region
-    alpha: dict[Unit, str]
-    depth: int
-    parent: "_Node | None" = None
-    child_index: int = 0
-    split: ProofSplit | None = None  # set when this node was split
-    closed_children: int = 0
-
-
-def pick_split(store: Store, node: _Node, config: Config) -> tuple:
+def pick_split(store: Store, region: Region) -> tuple:
     """Phase split on the widest-straddling unit; domain split otherwise."""
     if store.unstable:
         unit = min(store.unstable,
                    key=lambda u: (-min(-store.bounds.pre[u][0], store.bounds.pre[u][1]), u))
         return ("phase", unit)
-    return _domain_split(node.region)
+    return _domain_split(region)
 
 
 def _domain_split(region: Region) -> tuple:
@@ -176,24 +176,18 @@ def _domain_split(region: Region) -> tuple:
     return ("domain", dim, mid)
 
 
-def refine(node: _Node, split: tuple) -> list[_Node]:
+def refine(region: Region, alpha: dict[Unit, str],
+           split: tuple) -> list[tuple[Region, dict[Unit, str]]]:
+    """The (region, alpha) scopes of the split's two children, in order."""
     if split[0] == "phase":
-        unit = split[1]
-        kids = []
-        for idx, phase in enumerate((ACTIVE, INACTIVE)):
-            alpha = dict(node.alpha)
-            alpha[unit] = phase
-            kids.append(_Node(node.region, alpha, node.depth + 1, node, idx))
-        return kids
+        return [(region, {**alpha, split[1]: phase}) for phase in (ACTIVE, INACTIVE)]
     _, dim, mid = split
     kids = []
-    for idx, (lo, hi) in enumerate(((node.region.lower[dim], mid),
-                                    (mid, node.region.upper[dim]))):
-        lower = list(node.region.lower)
-        upper = list(node.region.upper)
+    for lo, hi in ((region.lower[dim], mid), (mid, region.upper[dim])):
+        lower = list(region.lower)
+        upper = list(region.upper)
         lower[dim], upper[dim] = lo, hi
-        kids.append(_Node(Region(tuple(lower), tuple(upper)), dict(node.alpha),
-                          node.depth + 1, node, idx))
+        kids.append((Region(tuple(lower), tuple(upper)), dict(alpha)))
     return kids
 
 
@@ -217,7 +211,8 @@ def _without_negp(store: Store) -> NormalizedSystem:
 def _margin_evidence(sys: NormalizedSystem, layout,
                      budget: Budget) -> DualBoundCertificate | None:
     """Best provable margin upper bound over `sys`, a store's rows without
-    the negated property."""
+    the negated property.  A spent budget skips the LP: the leaf then simply
+    carries no bound."""
     if not budget.lp_ok():
         return None
     budget.count_lp()
@@ -228,38 +223,35 @@ def _margin_evidence(sys: NormalizedSystem, layout,
     return DualBoundCertificate.make(g, out.value, out.dual)
 
 
-def _close(run: RunProof, node: _Node, leaf: ProofLeaf, budget: Budget):
-    """Attach a closed leaf, then walk up merging bounds at completed
-    sibling joins."""
-    if node.parent is None:
-        run.root = leaf
-    else:
-        node.parent.split.children[node.child_index] = leaf
-    cur = node.parent
-    while cur is not None:
-        cur.closed_children += 1
-        if cur.closed_children < 2:
-            break
-        if all(child.bound is not None for child in cur.split.children):
-            merge_lemma(cur.split, budget)
-        cur = cur.parent
+class _Verdict(Exception):
+    """A SAT or UNKNOWN result, leaving the recursion for `_run`."""
+
+    def __init__(self, result: VerifyResult):
+        super().__init__(result.status)
+        self.result = result
 
 
-def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> VerifyResult:
+def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
+         hybrid: bool) -> VerifyResult:
     layout = build_layout(net, prop)
     budget = Budget(lp_limit=config.lp_budget)
     clauses = ClauseDB()
     run = RunProof(region)
-    root = _Node(region, {}, 0)
-    stack = [root]
 
-    def close_infeasible(node: _Node, store: Store, certs, margin_sys):
+    def sat(x) -> _Verdict:
+        return _Verdict(VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
+                                     budget=budget))
+
+    def unknown(reason: str) -> _Verdict:
+        return _Verdict(VerifyResult("unknown", reason=reason, budget=budget))
+
+    def close(region, alpha, store: Store, certs, margin_sys) -> ProofLeaf:
         """Leaf over a fresh snapshot, with the margin bound of `margin_sys`
         below the root (a parent's merge reads it); root-region
         certificates are recorded as conflict clauses."""
         sid = run.add_snapshot(snapshot_store(store))
-        if node.region == region:
-            node_lits = frozenset(GuardLiteral(u, p) for u, p in node.alpha.items())
+        if region == run.region:
+            node_lits = frozenset(GuardLiteral(u, p) for u, p in alpha.items())
             for cert in certs:
                 lits = node_lits | cert.guard_set
                 if lits:
@@ -269,91 +261,81 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config) -> 
         if margin_sys is not None:
             cert = _margin_evidence(margin_sys, layout, budget)
             evidence = None if cert is None else (cert, sid)
-        _close(run, node, ProofLeaf([(c, sid) for c in certs], evidence), budget)
+        return ProofLeaf([(c, sid) for c in certs], evidence)
 
-    def attach_split(node: _Node, split: tuple):
+    def split(region, alpha, depth: int, kind: tuple) -> ProofSplit:
         budget.splits += 1
-        sp = ProofSplit(split)
-        node.split = sp
-        if node.parent is None:
-            run.root = sp
-        else:
-            node.parent.split.children[node.child_index] = sp
-        stack.extend(reversed(refine(node, split)))
+        node = ProofSplit(kind, [solve(r, a, depth + 1) for r, a in refine(region, alpha, kind)])
+        if all(child.bound is not None for child in node.children):
+            merge_lemma(node, budget)
+        return node
 
-    def sat(x) -> VerifyResult:
-        return VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
-                            budget=budget)
-
-    # falsify first: `validate_witness` is exact, so a hit is a certified
-    # verdict at the cost of one forward pass
-    mid = tuple((lo + hi) * _HALF for lo, hi in zip(region.lower, region.upper))
-    if validate_witness(net, region, prop, mid).accepted:
-        return sat(mid)
-
-    while stack:
-        node = stack.pop()
-        if config.first_split == "domain" and node.depth == 0:
-            attach_split(node, _domain_split(node.region))
-            continue
-        blocked = clauses.blocking(node.alpha)
+    def solve(region, alpha, depth: int):
+        if config.first_split == "domain" and depth == 0:
+            return split(region, alpha, depth, _domain_split(region))
+        blocked = clauses.blocking(alpha)
         if blocked is not None:
-            _close(run, node, ProofLeaf([(blocked.cert, blocked.snapshot_id)]), budget)
-            continue
-        store = build_initial_store(net, layout, node.region, prop, node.alpha)
+            return ProofLeaf([(blocked.cert, blocked.snapshot_id)])
+        store = build_initial_store(net, layout, region, prop, alpha)
         res = propagate_node(store, budget, templates=config.templates)
-        if res.exhausted:
-            return VerifyResult("unknown", reason="resource", budget=budget)
         if res.status == "prune":
-            close_infeasible(node, store, [GuardedCertificate.make((), res.farkas)],
-                             _without_negp(store) if node.parent else None)
-            continue
+            return close(region, alpha, store, [GuardedCertificate.make((), res.farkas)],
+                         _without_negp(store) if depth else None)
         # witness extraction from the relaxation point
         if res.feasible_point is not None:
             x = tuple(res.feasible_point.get(layout.input_index(k), _ZERO)
                       for k in range(net.input_dim))
-            if validate_witness(net, node.region, prop, x).accepted:
-                return sat(x)
+            if validate_witness(net, region, prop, x).accepted:
+                raise sat(x)
         # the margin bound's rows are taken before the gate, whose
         # refinements retire hull rows; its LP runs only if the gate prunes.
         # It is never a prune test: the node's store, negated property
         # included, is LP-feasible here, so this bound is at least the
         # violation threshold
-        margin_sys = _without_negp(store) if node.parent else None
+        margin_sys = _without_negp(store) if depth else None
         # the one difference between the strategies: the hybrid gate starts
         # with every unstable unit exact, the incremental gate with none
-        start = store.unstable if config.strategy == "hsrv" else ()
-        g = exactness_gate(store, budget, gate_lp_limit=config.gate_budget, start=start)
+        g = exactness_gate(store, budget, gate_lp_limit=config.gate_budget,
+                           start=store.unstable if hybrid else ())
         if g.status == SAT:
-            return sat(g.witness)
+            raise sat(g.witness)
         if g.status == PRUNE:
-            close_infeasible(node, store, g.certificates, margin_sys)
-            continue
-        if g.reason == BUDGET and not budget.lp_ok():
-            return VerifyResult("unknown", reason="resource", budget=budget)
-        # refine
-        if node.depth >= config.max_depth:
-            return VerifyResult("unknown", reason="depth", budget=budget)
+            return close(region, alpha, store, g.certificates, margin_sys)
+        # a split's children need LPs the spent budget cannot pay for
+        if not budget.lp_ok():
+            raise Exhausted()
+        if depth >= config.max_depth:
+            raise unknown("depth")
         try:
-            split = pick_split(store, node, config)
+            kind = pick_split(store, region)
         except NothingToSplit:
-            return VerifyResult("unknown", reason="nothing-to-split", budget=budget)
-        attach_split(node, split)
+            raise unknown("nothing-to-split") from None
+        return split(region, alpha, depth, kind)
+
+    try:
+        # falsify first: `validate_witness` is exact, so a hit is a
+        # certified verdict at the cost of one forward pass
+        mid = tuple((lo + hi) * _HALF for lo, hi in zip(region.lower, region.upper))
+        if validate_witness(net, region, prop, mid).accepted:
+            raise sat(mid)
+        run.root = solve(region, {}, 0)
+    except Exhausted:
+        return VerifyResult("unknown", reason="resource", budget=budget)
+    except RecursionError:
+        return VerifyResult("unknown", reason="depth", budget=budget)
+    except _Verdict as verdict:
+        return verdict.result
     return VerifyResult("unsat", proof=run, budget=budget)
 
 
 def icl_verify(net: Network, region: Region, prop: SafetyProperty,
                config: Config | None = None) -> VerifyResult:
-    config = config or Config()
-    config = Config(**{**config.__dict__, "strategy": "icl"})
-    return _run(net, region, prop, config)
+    return _run(net, region, prop, config or Config(), hybrid=False)
 
 
 def hsrv_verify(net: Network, region: Region, prop: SafetyProperty,
                 config: Config | None = None) -> VerifyResult:
-    config = config or Config()
-    config = Config(**{**config.__dict__, "strategy": "hsrv"})
-    return _run(net, region, prop, config)
+    return _run(net, region, prop, config or Config(), hybrid=True)
 
 
 # -- ground-truth oracle ----------------------------------------------------

@@ -90,6 +90,17 @@ class TestVerify:
         code, _, _ = _run(capsys, "verify", str(bad))
         assert code == EXIT_USAGE
 
+    def test_non_list_input_bounds_are_usage_errors(self, capsys, tmp_path):
+        doc = json.loads(Path(WORKED).read_text())
+        for key in ("input_lower", "input_upper"):
+            for value in (5, None):
+                bad = tmp_path / "bad.json"
+                bad.write_text(json.dumps({**doc, key: value}))
+                for argv in (("verify", str(bad)), ("check", str(bad), "nope.proof"),
+                             ("oracle", str(bad))):
+                    code, _, err = _run(capsys, *argv)
+                    assert code == EXIT_USAGE and err.startswith("error: "), (key, value, argv)
+
     def test_exhausted_budget_reports_unknown(self, capsys):
         code, out, _ = _run(capsys, "verify", WORKED_SAT, "--lp-budget", "1")
         assert code == EXIT_UNKNOWN

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
-from relucert import certs
-from relucert.budget import Budget
+from relucert import certs, lp
+from relucert.budget import Budget, Exhausted
 from relucert.gate import (
     DEFER,
     EmptyViolationSet,
@@ -186,10 +186,19 @@ class TestExactnessGate:
 
     def test_lp_budget_defers(self):
         store = _raw_store("1")
-        out = exactness_gate(store, Budget(lp_limit=0))
-        assert out.status == DEFER and out.reason == "budget"
+        with pytest.raises(Exhausted):
+            exactness_gate(store, Budget(lp_limit=0))
 
     def test_gate_local_limit_defers(self):
         store = _raw_store("1")
         out = exactness_gate(store, Budget(), gate_lp_limit=0)
         assert out.status == DEFER
+
+    def test_solver_limit_defers(self, monkeypatch):
+        # an LP that hits the pivot limit leaves the node to the search,
+        # which may still split and close it; only a spent budget ends a run
+        monkeypatch.setattr(lp, "lp_feasible", lambda sys: lp.LpOutcome(lp.LIMIT))
+        store = _raw_store("1")
+        budget = Budget(lp_limit=5)
+        out = exactness_gate(store, budget)
+        assert out.status == DEFER and budget.lp_calls == 1

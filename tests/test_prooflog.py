@@ -10,7 +10,7 @@ import pytest
 from conftest import WORKED, dump_problem, worked_network, worked_prop, worked_region
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
-from relucert.model import ACTIVE, INACTIVE, SafetyProperty, build_layout
+from relucert.model import ACTIVE, INACTIVE, build_layout
 from relucert.search import Config, hsrv_verify, icl_verify
 from relucert.store import GuardLiteral
 
@@ -478,23 +478,25 @@ class TestStructuralFuzzing:
     its stabilize row leaves every value intact, so only the stabilize sign
     rule can see it: the sign those rows prove no longer precedes the row."""
 
-    def _proofs(self, tmp_path):
-        """(problem, proof bytes, problem path): the worked `first_split=
-        "domain"` proof and the UNSAT proofs of the two branching instances."""
-        from test_acceptance import _spec_suite
-        from test_search import TestBranchingOracleAgreement, _max_margin
+    def _branching(self, tmp_path, drivers):
+        """(problem, proof bytes, problem path) for the UNSAT proofs of the
+        two branching instances under each driver."""
+        from test_search import TestBranchingOracleAgreement, tightened
 
-        yield _problem(), _proof_bytes(Config(first_split="domain")), WORKED
-        suite = _spec_suite(90)
         for idx in (57, 89):
-            net, region, prop = suite[idx]
-            maximum = _max_margin(net, region, prop)
-            tight = SafetyProperty(prop.margin, maximum + F(1, 1000) - prop.epsilon, prop.epsilon)
+            problem = tightened(idx)
             path = str(tmp_path / f"p{idx}.json")
-            dump_problem(net, region, tight, path)
-            res = icl_verify(net, region, tight, TestBranchingOracleAgreement.CONFIG)
-            assert res.status == "unsat"
-            yield (net, region, tight), prooflog.emit(res.proof, path), path
+            dump_problem(*problem, path)
+            for driver in drivers:
+                res = driver(*problem, TestBranchingOracleAgreement.CONFIG)
+                assert res.status == "unsat"
+                yield problem, prooflog.emit(res.proof, path), path
+
+    def _proofs(self, tmp_path):
+        """The worked `first_split="domain"` proof, then the icl proofs of
+        the two branching instances."""
+        yield _problem(), _proof_bytes(Config(first_split="domain")), WORKED
+        yield from self._branching(tmp_path, (icl_verify,))
 
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
         cases = 0
@@ -518,3 +520,72 @@ class TestStructuralFuzzing:
                     assert not out.accepted and "sign" in out.reason, (sid, stab["id"], out)
                     cases += 1
         assert cases >= 20
+
+    def test_tree_mutations_all_rejected(self, tmp_path):
+        """Each split of the icl and hsrv proofs of both branching instances
+        in turn loses a child, gains a third, has its children swapped or
+        child 0 copied over child 1, or is retyped as a leaf; each leaf is
+        retyped as a split, loses its cover, or cites a missing snapshot."""
+        mutations = 0
+        for problem, data, path in self._branching(tmp_path, (icl_verify, hsrv_verify)):
+            base = prooflog.parse_proof(data)
+            for at, node in _tree_nodes(base["tree"]):
+                for mutate in _SPLIT_MUTATIONS if node["type"] == "split" else _LEAF_MUTATIONS:
+                    doc = json.loads(json.dumps(base))
+                    mutate(_tree_node(doc, at), doc)
+                    out = prooflog.check_proof(problem, _dumps(doc), path)
+                    assert not out.accepted, (path, at, mutate.__name__)
+                    mutations += 1
+        assert mutations == 108
+
+
+def _tree_nodes(node, at=()):
+    """(child-index path, node) for every node of a proof tree, preorder."""
+    yield at, node
+    if node["type"] == "split":
+        for k, child in enumerate(node["children"]):
+            yield from _tree_nodes(child, at + (k,))
+
+
+def _tree_node(doc, at):
+    node = doc["tree"]
+    for k in at:
+        node = node["children"][k]
+    return node
+
+
+def _drop_a_child(node, doc):
+    node["children"].pop()
+
+
+def _add_a_third_child(node, doc):
+    node["children"].append(node["children"][0])
+
+
+def _swap_the_children(node, doc):
+    node["children"].reverse()
+
+
+def _copy_child_0_over_child_1(node, doc):
+    node["children"][1] = node["children"][0]
+
+
+def _retype_as_a_leaf(node, doc):
+    node["type"] = "leaf"
+
+
+def _retype_as_a_split(node, doc):
+    node["type"] = "split"
+
+
+def _empty_the_cover(node, doc):
+    node["cover"].clear()
+
+
+def _cite_a_missing_snapshot(node, doc):
+    node["cover"][0]["snapshot"] = len(doc["snapshots"])
+
+
+_SPLIT_MUTATIONS = (_drop_a_child, _add_a_third_child, _swap_the_children,
+                    _copy_child_0_over_child_1, _retype_as_a_leaf)
+_LEAF_MUTATIONS = (_retype_as_a_split, _empty_the_cover, _cite_a_missing_snapshot)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
 from relucert import certs, lp
-from relucert.budget import Budget
+from relucert.budget import Budget, Exhausted
 from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval, trace_vector
 from relucert.certs import DualBoundCertificate
 from relucert.propagate import (
@@ -231,8 +231,10 @@ class TestTgct:
     def test_budget_exhaustion_reported(self):
         store = _store("1/2")
         ensure_relaxation(store)
-        res = tgct(store, default_templates(store), Budget(lp_limit=1))
-        assert res.exhausted
+        budget = Budget(lp_limit=1)
+        with pytest.raises(Exhausted):
+            tgct(store, default_templates(store), budget)
+        assert budget.lp_calls == 1
 
 
 class TestFixedPoint:

@@ -1,5 +1,10 @@
+import dataclasses
+import functools
+import hashlib
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +31,6 @@ from relucert.search import (
     ProofSplit,
     _domain_split,
     _margin_evidence,
-    _Node,
     _without_negp,
     hsrv_verify,
     icl_verify,
@@ -49,8 +53,7 @@ class TestRefinement:
     def test_phase_split_prefers_widest_straddling_unit(self):
         net, prop = worked_network(), worked_prop("1/2")
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-        node = _Node(worked_region(), {}, 0)
-        kind = pick_split(store, node, Config())
+        kind = pick_split(store, worked_region())
         assert kind == ("phase", (1, 0))  # min(-l, u) = 1 beats 1/2
 
     def test_domain_split_once_every_unit_is_settled(self):
@@ -58,25 +61,22 @@ class TestRefinement:
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
         propagate_node(store, Budget())  # certified tightening settles both units
         assert not store.unstable
-        node = _Node(worked_region(), {}, 0)
-        assert pick_split(store, node, Config()) == ("domain", 0, F(1, 2))
+        assert pick_split(store, worked_region()) == ("domain", 0, F(1, 2))
 
     def test_phase_split_children_commit_complementary_phases(self):
-        node = _Node(worked_region(), {}, 0)
-        kids = refine(node, ("phase", (1, 0)))
-        assert [k.alpha for k in kids] == [{(1, 0): ACTIVE}, {(1, 0): INACTIVE}]
-        assert all(k.region == node.region and k.depth == 1 for k in kids)
+        kids = refine(worked_region(), {}, ("phase", (1, 0)))
+        assert [alpha for _, alpha in kids] == [{(1, 0): ACTIVE}, {(1, 0): INACTIVE}]
+        assert all(region == worked_region() for region, _ in kids)
 
     def test_domain_split_bisects_the_longest_edge(self):
         region = Region((F(0), F(0)), (F(1), F(4)))
         assert _domain_split(region) == ("domain", 1, F(2))
 
     def test_domain_split_children_share_the_midpoint(self):
-        node = _Node(worked_region(), {(1, 0): ACTIVE}, 2)
-        kids = refine(node, ("domain", 0, F(1, 2)))
-        assert kids[0].region == Region((F(0),), (F(1, 2),))
-        assert kids[1].region == Region((F(1, 2),), (F(1),))
-        assert all(k.alpha == {(1, 0): ACTIVE} for k in kids)
+        kids = refine(worked_region(), {(1, 0): ACTIVE}, ("domain", 0, F(1, 2)))
+        assert kids[0][0] == Region((F(0),), (F(1, 2),))
+        assert kids[1][0] == Region((F(1, 2),), (F(1),))
+        assert all(alpha == {(1, 0): ACTIVE} for _, alpha in kids)
 
     def test_degenerate_region_has_nothing_to_split(self):
         with pytest.raises(NothingToSplit):
@@ -128,9 +128,9 @@ class TestMidpointProbe:
 
 class TestMergeDemo:
     def _run(self, strategy):
-        config = Config(strategy=strategy, first_split="domain")
         driver = hsrv_verify if strategy == "hsrv" else icl_verify
-        return driver(worked_network(), worked_region(), worked_prop(), config)
+        return driver(worked_network(), worked_region(), worked_prop(),
+                      Config(first_split="domain"))
 
     def test_forced_root_split_produces_published_child_bounds(self):
         res = self._run("hsrv")
@@ -230,6 +230,22 @@ def _max_margin(net, region, prop):
     return best
 
 
+@functools.cache
+def _suite_maximum(idx):
+    from test_acceptance import _spec_suite
+
+    net, region, prop = _spec_suite(90)[idx]
+    return net, region, prop, _max_margin(net, region, prop)
+
+
+def tightened(idx, gap=F(1, 1000)):
+    """Acceptance-suite instance `idx` with threshold + epsilon `gap` above
+    the exact maximum margin: UNSAT for a positive gap, SAT for a negative
+    one."""
+    net, region, prop, maximum = _suite_maximum(idx)
+    return net, region, SafetyProperty(prop.margin, maximum + gap - prop.epsilon, prop.epsilon)
+
+
 def _splits(entry):
     if isinstance(entry, ProofSplit):
         yield entry
@@ -249,16 +265,11 @@ class TestBranchingOracleAgreement:
     CONFIG = Config(templates="margin-only", gate_budget=1)
 
     def test_verdicts_match_the_oracle_and_proofs_replay(self, tmp_path):
-        from test_acceptance import _spec_suite
-
-        suite = _spec_suite(90)
         phase_splits = bounds = proofs = 0
         for idx in (57, 89):
-            net, region, prop = suite[idx]
-            assert _count_unstable(net, region) >= 4
-            maximum = _max_margin(net, region, prop)
             for gap in (F(1, 1000), F(-1, 1000)):
-                tight = SafetyProperty(prop.margin, maximum + gap - prop.epsilon, prop.epsilon)
+                net, region, tight = tightened(idx, gap)
+                assert _count_unstable(net, region) >= 4
                 truth = oracle_verify(net, region, tight)
                 assert truth.status == ("unsat" if gap > 0 else "sat")
                 path = tmp_path / f"p{idx}-{gap > 0}.json"
@@ -280,6 +291,123 @@ class TestBranchingOracleAgreement:
                     bounds += merged
         assert proofs == 4
         assert phase_splits >= 1 and bounds >= 1
+
+
+class TestLpBudget:
+    """A run under an LP budget makes at most that many LPs and answers its
+    unbudgeted verdict or UNKNOWN `reason=resource`; at exactly its own LP
+    count it is the unbudgeted run."""
+
+    def test_every_budget_up_to_the_runs_own_lp_count(self, tmp_path):
+        runs = 0
+        for idx, gap in itertools.product((42, 57, 89), (F(1, 1000), F(-1, 1000))):
+            net, region, prop = tightened(idx, gap)
+            path = tmp_path / f"p{idx}.json"
+            dump_problem(net, region, prop, path)
+            for config in (Config(), TestBranchingOracleAgreement.CONFIG):
+                for driver in (icl_verify, hsrv_verify):
+                    full = driver(net, region, prop, config)
+                    for lp_budget in range(full.budget.lp_calls + 1):
+                        res = driver(net, region, prop,
+                                     dataclasses.replace(config, lp_budget=lp_budget))
+                        where = (idx, gap, config, driver.__name__, lp_budget)
+                        assert res.budget.lp_calls <= lp_budget, where
+                        assert (res.status, res.reason) in ((full.status, ""),
+                                                            ("unknown", "resource")), where
+                        runs += 1
+                    assert res.status == full.status and res.witness == full.witness, where
+                    if full.proof is not None:
+                        assert prooflog.emit(res.proof, path) == prooflog.emit(full.proof, path)
+        assert runs >= 400
+
+    def test_no_split_once_the_budget_is_spent(self):
+        # the root's gate makes the run's 23rd LP and needs another: the run
+        # ends there, not after a split whose children can make no LP (and
+        # which would stabilize two more units)
+        res = hsrv_verify(*tightened(42), Config(lp_budget=23))
+        assert (res.status, res.reason) == ("unknown", "resource")
+        assert res.budget.lp_calls == 23
+        assert res.budget.splits == 0 and res.budget.stabilized == 2
+        # the gate's one LP is the run's 7th and last, and the gate defers
+        res = icl_verify(*tightened(42),
+                         dataclasses.replace(TestBranchingOracleAgreement.CONFIG, lp_budget=7))
+        assert (res.status, res.reason) == ("unknown", "resource")
+        assert res.budget.lp_calls == 7 and res.budget.gate_calls == 1
+        assert res.budget.splits == 0
+
+
+class TestMaxDepth:
+    """`max_depth` caps the split depth: each split's children are one level
+    deeper, and a node at the cap that stays open answers UNKNOWN `depth`."""
+
+    def test_each_level_of_depth_allows_one_more_split(self):
+        net, region, prop = tightened(57)
+        for driver in (icl_verify, hsrv_verify):
+            for max_depth in (0, 1, 2):
+                config = dataclasses.replace(TestBranchingOracleAgreement.CONFIG,
+                                             max_depth=max_depth)
+                res = driver(net, region, prop, config)
+                assert (res.status, res.reason) == ("unknown", "depth"), max_depth
+                assert res.budget.splits == max_depth and res.budget.lp_calls == 7 * (max_depth + 1)
+
+    def test_a_proof_is_no_deeper_than_the_cap(self):
+        net, region, prop = tightened(89)
+        config = dataclasses.replace(TestBranchingOracleAgreement.CONFIG, max_depth=2)
+
+        def depth(entry):
+            if isinstance(entry, ProofSplit):
+                return 1 + max(depth(child) for child in entry.children)
+            return 0
+
+        for driver in (icl_verify, hsrv_verify):
+            res = driver(net, region, prop, config)
+            assert res.status == "unsat" and res.budget.splits == 2
+            assert depth(res.proof.root) == 2
+
+    def test_a_search_deeper_than_the_interpreter_stack_is_unknown_depth(self):
+        # at every stack size, from one too small for the root node up to
+        # one that holds the whole search, the run answers its verdict or
+        # UNKNOWN `depth`, never a RecursionError
+        net, region, prop = tightened(57)
+        config = dataclasses.replace(TestBranchingOracleAgreement.CONFIG, max_depth=10**6)
+        full = icl_verify(net, region, prop, config)
+        limit = sys.getrecursionlimit()
+        answers = []
+        for spare in range(20, 100, 5):
+            sys.setrecursionlimit(len(inspect.stack()) + spare)
+            try:
+                res = icl_verify(net, region, prop, config)
+            finally:
+                sys.setrecursionlimit(limit)
+            answers.append((res.status, res.reason))
+        assert set(answers) == {("unknown", "depth"), (full.status, "")}
+        assert answers[0] == ("unknown", "depth") and answers[-1] == ("unsat", "")
+
+
+class TestProofPins:
+    """SHA-256 of emitted proofs, recorded before the search became a
+    recursion.  A change to the proof format or to the order in which the
+    search visits nodes must re-pin them."""
+
+    PINS = {
+        "worked": "cd57d072fb2f29ec6c8f0faaf6098f061c4701c12e0ee93dcd0c93c7cbb9972f",
+        57: "a10769c72eb101041a174a61c4252854206c774c6f5c5899fc3bc23b6680ff51",
+        89: "338fccb0b5d91c27017fc64be56899a582e3b251161f8274c48a20c7eea27a2a",
+    }
+
+    def test_proof_bytes_are_pinned(self, tmp_path):
+        for driver in (icl_verify, hsrv_verify):
+            res = driver(worked_network(), worked_region(), worked_prop(),
+                         Config(first_split="domain"))
+            digest = hashlib.sha256(prooflog.emit(res.proof, WORKED)).hexdigest()
+            assert digest == self.PINS["worked"], driver.__name__
+            for idx in (57, 89):
+                net, region, prop = tightened(idx)
+                path = tmp_path / f"p{idx}.json"
+                dump_problem(net, region, prop, path)
+                res = driver(net, region, prop, TestBranchingOracleAgreement.CONFIG)
+                digest = hashlib.sha256(prooflog.emit(res.proof, path)).hexdigest()
+                assert digest == self.PINS[idx], (idx, driver.__name__)
 
 
 class TestMarginEvidence:

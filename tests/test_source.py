@@ -85,3 +85,21 @@ def test_every_dataclass_field_is_read():
               for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
               if name not in read]
     assert not unread, f"dataclass fields never read: {unread}"
+
+
+def test_exhausted_is_caught_once_by_the_search_driver():
+    """A spent LP budget leaves the run through one handler in `search`; no
+    other module turns it back into a flag or a reason code."""
+    handlers = [f"{path.name}:{node.lineno}" for path in MODULES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "Exhausted" in {getattr(n, "id", None) or getattr(n, "attr", None)
+                                    for n in ast.walk(node.type)}]
+    assert len(handlers) == 1 and handlers[0].startswith("search.py:"), handlers
+
+
+def test_no_dataclass_has_an_exhausted_field():
+    flags = [f"{path.name}:{line} {cls}" for path in MODULES
+             for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
+             if name == "exhausted"]
+    assert not flags, f"exhaustion kept as a flag: {flags}"
