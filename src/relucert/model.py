@@ -7,6 +7,7 @@ terms, positive denominator.  Nothing in this package ever rounds.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -22,27 +23,30 @@ ACTIVE = "active"
 INACTIVE = "inactive"
 
 
-class ParseError(Exception):
-    """Malformed problem file."""
+class ParseError(ValueError):
+    """Malformed problem file or rational."""
 
 
 class DimensionError(Exception):
     """Inconsistent matrix/vector shapes."""
 
 
+#: the one rational grammar: what `format_rational` writes
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or an integer string into an exact rational."""
-    if isinstance(text, bool) or isinstance(text, float):
-        raise ParseError(f"rationals must be strings, got {text!r}")
-    if isinstance(text, int):
+    """Parse a JSON integer, or a "p/q" or integer string, into an exact
+    rational.  No other form is accepted: `Fraction` alone would also take
+    exponents, whose expansion can take unbounded time."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"rationals must be strings, got {text!r}")
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ParseError(f'rationals must be "p/q" or integer strings, got {text!r}')
     try:
-        q = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
-    return q
+        raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -315,6 +319,6 @@ def parse_problem(path) -> tuple[Network, Region, SafetyProperty]:
         raw = fh.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return problem_from_dict(doc)

@@ -1,24 +1,28 @@
 """Proof log serialization and the independent replay checker.
 
-The log inlines every row a certificate is checked against (snapshot rows by
-value), so checking never depends on solver row-id allocation.  The checker
-re-derives each snapshot row, in id order, from the problem itself, from a
-dual certificate over rows of smaller id, or (hull and stabilize rows) from
-the interval that earlier single-variable rows prove; it then checks every
-leaf certificate and verifies that split annotations cover each parent.  A
-snapshot is replayed once per check, however many leaf covers and leaf
-bounds cite it; each citation then checks only its scope (region and guard
-literals).
+A proof states each fact once.  A snapshot row is written as its id and its
+derivation; only a derived row also carries its row and rhs, since its tag,
+a dual certificate over earlier rows, does not determine them.  The checker
+replays a snapshot by building its rows in id order: affine, margin-definition
+and negated-property rows from the problem, region rows from the snapshot's
+region, guard and stabilize rows as row k of a phase's guard consequences,
+hull rows as row k of the envelope over the interval that earlier
+single-variable rows prove, and derived rows by checking their certificate
+over the rows built so far.  It then checks every leaf certificate and
+verifies that split annotations cover each parent.  A snapshot is replayed
+once per check, however many leaf covers and leaf bounds cite it; each
+citation then checks only its scope (region and guard literals).
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
-never imports the LP engine, and the exact checks are those of `certs`.  It
-rebuilds the affine and margin-definition rows from the network and the
-property with its own code, not with the builder in `store.py`, on purpose:
-a fault in how the store writes those rows cannot vouch for itself.  From
-`store.py` it takes only the row containers, normalization, each row's
-integer form `NormRow.ints` (which the checks of `certs` read) and the guard
-consequences of a phase, which are also the rows of a stabilized unit.  None
-of `certs`, `store` and `model` imports a solver module either.
+never imports the LP engine, and the exact checks are those of `certs`.
+`check` builds every non-derived row itself.  It builds the problem, region
+and hull rows with its own code, not with the builders in `store.py` and
+`propagate.py`, on purpose: a fault in how the solver writes those rows
+cannot vouch for itself.  From `store.py` it takes only the row
+containers, normalization, each row's integer form `NormRow.ints` (which the
+checks of `certs` read) and the guard consequences of a phase, which are
+also the rows of a stabilized unit.  None of `certs`, `store` and `model`
+imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates, each over a
 snapshot that contains the negated-property row.  A tree node may also
@@ -60,6 +64,7 @@ from .store import (
     EQ,
     LE,
     GuardLiteral,
+    LinearConstraint,
     NormalizedSystem,
     guard_consequences,
     normalize_constraint,
@@ -68,7 +73,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-4"
+FORMAT = "relucert-proof-5"
 
 
 @dataclass(frozen=True)
@@ -101,58 +106,28 @@ def _row_json(row) -> dict:
     return {str(j): _q(v) for j, v in sorted(dict(row).items())}
 
 
-def _rid_json(rid) -> list:
-    return list(rid)
-
-
 def _multipliers_json(cert) -> list:
-    return [[_rid_json(rid), _q(v)] for rid, v in cert.multipliers]
-
-
-def _dual_json(cert: DualBoundCertificate) -> dict:
-    return {
-        "objective": _row_json(cert.objective_dict),
-        "bound": _q(cert.bound),
-        "multipliers": _multipliers_json(cert),
-    }
-
-
-def _farkas_json(cert: FarkasCertificate) -> dict:
-    return {"multipliers": _multipliers_json(cert)}
+    return [[list(rid), _q(v)] for rid, v in cert.multipliers]
 
 
 def _guarded_json(cert: GuardedCertificate) -> dict:
     return {
         "guards": [[g.unit[0], g.unit[1], g.phase] for g in cert.guards],
-        "farkas": _farkas_json(cert.inner),
+        "farkas": {"multipliers": _multipliers_json(cert.inner)},
     }
 
 
-def _tag_json(tag: tuple) -> list:
-    kind = tag[0]
-    if kind in ("aff", "margin-def", "region", "negp", "guard"):
-        return list(tag)
-    if kind == "derived":
-        return ["derived", _dual_json(tag[1])]
-    if kind == "stabilize":
-        return ["stabilize", list(tag[1]), tag[2]]
-    if kind == "hull":
-        return ["hull", list(tag[1]), _q(tag[2]), _q(tag[3])]
-    raise ValueError(f"unknown derivation tag {tag!r}")
-
-
 def _snapshot_json(snap) -> dict:
+    """A derived row as its row, rhs and multipliers; any other row as its
+    derivation alone, from which the checker rebuilds it."""
     region, rows = snap
     out = []
-    for cid, row, relation, rhs, block, tag in rows:
-        out.append({
-            "id": cid,
-            "row": _row_json(dict(row)),
-            "relation": relation,
-            "rhs": _q(rhs),
-            "block": block,
-            "derivation": _tag_json(tag),
-        })
+    for cid, row, rhs, tag in rows:
+        if tag[0] == "derived":
+            out.append({"id": cid, "row": _row_json(row), "rhs": _q(rhs),
+                        "derivation": ["derived", _multipliers_json(tag[1])]})
+        else:
+            out.append({"id": cid, "derivation": tag})
     return {"region": _region_json(region), "rows": out}
 
 
@@ -209,37 +184,14 @@ def _parse_row(obj) -> dict[int, Fraction]:
     return {int(j): parse_rational(v) for j, v in obj.items()}
 
 
-def _parse_rid(obj):
-    return tuple(obj)
-
-
 def _parse_multipliers(obj) -> dict:
-    return {_parse_rid(r): parse_rational(v) for r, v in obj}
-
-
-def _parse_dual(obj) -> DualBoundCertificate:
-    return DualBoundCertificate.make(
-        _parse_row(obj["objective"]), parse_rational(obj["bound"]),
-        _parse_multipliers(obj["multipliers"]))
+    return {tuple(r): parse_rational(v) for r, v in obj}
 
 
 def _parse_guarded(obj) -> GuardedCertificate:
     guards = [GuardLiteral((int(i), int(j)), p) for i, j, p in obj["guards"]]
     return GuardedCertificate.make(
         guards, FarkasCertificate.make(_parse_multipliers(obj["farkas"]["multipliers"])))
-
-
-def _parse_tag(obj) -> tuple:
-    kind = obj[0]
-    if kind in ("aff", "margin-def", "negp", "region", "guard"):
-        return tuple(obj)
-    if kind == "derived":
-        return ("derived", _parse_dual(obj[1]))
-    if kind == "stabilize":
-        return ("stabilize", tuple(obj[1]), obj[2])
-    if kind == "hull":
-        return ("hull", tuple(obj[1]), parse_rational(obj[2]), parse_rational(obj[3]))
-    raise ValueError(f"unknown derivation tag {obj!r}")
 
 
 def _parse_region(obj) -> Region:
@@ -250,11 +202,7 @@ def _parse_region(obj) -> Region:
 @dataclass(frozen=True)
 class _SnapRow:
     cid: int
-    row: tuple
-    relation: str
-    rhs: Fraction
-    block: str
-    tag: tuple
+    tag: tuple  # the derivation; a derived row's is ("derived", its certificate)
 
 
 @dataclass(frozen=True)
@@ -264,11 +212,16 @@ class _Snapshot:
 
 
 def _parse_snapshot(obj) -> _Snapshot:
+    """A derived row's row and rhs become its certificate's objective and
+    bound: the row is what the certificate proves."""
     rows = []
     for e in obj["rows"]:
-        rows.append(_SnapRow(int(e["id"]), tuple(sorted(_parse_row(e["row"]).items())),
-                             e["relation"], parse_rational(e["rhs"]), e["block"],
-                             _parse_tag(e["derivation"])))
+        tag = tuple(e["derivation"])
+        if tag[0] == "derived":
+            _, multipliers = tag
+            tag = ("derived", DualBoundCertificate.make(
+                _parse_row(e["row"]), parse_rational(e["rhs"]), _parse_multipliers(multipliers)))
+        rows.append(_SnapRow(int(e["id"]), tag))
     return _Snapshot(_parse_region(obj["region"]), tuple(rows))
 
 
@@ -300,7 +253,15 @@ def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str 
     return None
 
 
-def _affine_row(pb: _Problem, i: int, j: int):
+class _Rejected(Exception):
+    """A snapshot row whose derivation does not hold."""
+
+
+def _constraint(row: dict, relation: str, rhs: Fraction) -> LinearConstraint:
+    return LinearConstraint(row, relation, rhs, "", ())
+
+
+def _affine_row(pb: _Problem, i: int, j: int) -> LinearConstraint:
     layer = pb.net.layers[i - 1]
     row = {pb.layout.pre_index((i, j)): _ONE}
     for k, w in enumerate(layer.weights[j]):
@@ -308,150 +269,122 @@ def _affine_row(pb: _Problem, i: int, j: int):
             continue
         src = pb.layout.input_index(k) if i == 1 else pb.layout.post_index((i - 1, k))
         row[src] = row.get(src, _ZERO) - w
-    return {k: v for k, v in row.items() if v != 0}, layer.bias[j]
+    return _constraint(row, EQ, layer.bias[j])
 
 
-def _margin_def_row(pb: _Problem):
+def _margin_def_row(pb: _Problem) -> LinearConstraint:
+    if pb.layout.margin_is_aliased:
+        raise _Rejected("margin-def row for aliased margin")
     row = {pb.layout.margin_index: _ONE}
     for idx, coeff in pb.prop.margin:
         oi = pb.layout.output_index(idx)
         row[oi] = row.get(oi, _ZERO) - coeff
-    return {k: v for k, v in row.items() if v != 0}
+    return _constraint(row, EQ, _ZERO)
 
 
-def _cites_only_prior(cert: DualBoundCertificate, cid: int) -> bool:
-    return all(rid[0] == "c" and int(rid[1]) < cid for rid, _ in cert.multipliers)
+def _phase_row(pb: _Problem, unit, phase, k) -> LinearConstraint:
+    rows = guard_consequences(pb.layout, GuardLiteral(unit, phase))
+    if k not in range(len(rows)):
+        raise _Rejected(f"no phase row {k!r}")
+    return rows[k]
 
 
-def _is_phase_row(pb: _Problem, lit: GuardLiteral, r: _SnapRow) -> bool:
-    """The row is one of the linear consequences of committing the phase."""
-    row = dict(r.row)
-    return any(c.relation == r.relation and dict(c.row) == row and c.rhs == r.rhs
-               for c in guard_consequences(pb.layout, lit))
+def _hull_row(pb: _Problem, unit, k, interval: dict) -> LinearConstraint:
+    """Row k of the convex envelope of z = relu(s) over the interval that
+    earlier rows prove for s."""
+    s = pb.layout.pre_index(unit)
+    z = pb.layout.post_index(unit)
+    if s == z:
+        raise _Rejected(f"hull row for {unit}, which is not a ReLU unit")
+    lo, hi = interval.get(s, (None, None))
+    if lo is None or hi is None or not lo < 0 < hi:
+        raise _Rejected(f"certified bounds [{lo}, {hi}] do not straddle zero")
+    slope = hi / (hi - lo)
+    rows = [
+        ({z: -_ONE}, _ZERO),
+        ({s: _ONE, z: -_ONE}, _ZERO),
+        ({z: _ONE, s: -slope}, -slope * lo),
+        ({z: _ONE}, hi),
+    ]
+    if k not in range(len(rows)):
+        raise _Rejected(f"no hull row {k!r}")
+    row, rhs = rows[k]
+    return _constraint(row, LE, rhs)
 
 
 def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
-                        system: NormalizedSystem, interval: dict) -> str | None:
-    """Returns a rejection reason, or None when the row is derivable.
+                        system: NormalizedSystem, interval: dict) -> LinearConstraint:
+    """The row that r's derivation yields; raises `_Rejected` when the
+    derivation does not hold.
 
-    `system` holds every row of the snapshot; a certificate may cite only
-    rows of smaller id, all of which were checked before this one.
-    `interval` maps a variable to the tightest (lo, hi) those rows prove."""
+    `system` holds the rows of smaller id, all built before this one, and
+    `interval` maps a variable to the tightest (lo, hi) they prove."""
     tag = r.tag
     kind = tag[0]
-    row = dict(r.row)
     if kind == "aff":
-        want_row, want_rhs = _affine_row(pb, int(tag[1]), int(tag[2]))
-        if r.relation != EQ or row != want_row or r.rhs != want_rhs:
-            return "affine row mismatch"
-        return None
+        _, i, j = tag
+        return _affine_row(pb, int(i), int(j))
     if kind == "margin-def":
-        if pb.layout.margin_is_aliased:
-            return "margin-def row for aliased margin"
-        if r.relation != EQ or row != _margin_def_row(pb) or r.rhs != _ZERO:
-            return "margin definition mismatch"
-        return None
+        return _margin_def_row(pb)
     if kind == "region":
-        k = int(tag[1])
-        if r.relation != LE or k >= pb.net.input_dim:
-            return "malformed region row"
+        _, k, side = tag
+        if k not in range(pb.net.input_dim) or side not in ("lo", "hi"):
+            raise _Rejected("malformed region tag")
         xi = pb.layout.input_index(k)
-        if tag[2] == "hi":
-            if row != {xi: _ONE} or r.rhs != region.upper[k]:
-                return "region upper row differs from the snapshot region"
-        elif tag[2] == "lo":
-            if row != {xi: -_ONE} or r.rhs != -region.lower[k]:
-                return "region lower row differs from the snapshot region"
-        else:
-            return "malformed region tag"
-        return None
+        if side == "hi":
+            return _constraint({xi: _ONE}, LE, region.upper[k])
+        return _constraint({xi: -_ONE}, LE, -region.lower[k])
     if kind == "negp":
-        want = {pb.layout.margin_index: -_ONE}
-        if r.relation != LE or row != want or r.rhs != -pb.prop.violation_threshold:
-            return "negated property row mismatch"
-        return None
+        return _constraint({pb.layout.margin_index: -_ONE}, LE, -pb.prop.violation_threshold)
     if kind == "guard":
-        if _is_phase_row(pb, GuardLiteral((int(tag[1]), int(tag[2])), tag[3]), r):
-            return None
-        return "guard row content mismatch"
+        _, i, j, phase, k = tag
+        return _phase_row(pb, (int(i), int(j)), phase, k)
     if kind == "derived":
         cert = tag[1]
-        if r.relation != LE:
-            return "derived row must be an inequality"
-        if cert.objective_dict != row:
-            return "derived row differs from certificate objective"
-        if cert.bound != r.rhs:
-            return "derived row differs from its certificate bound"
-        if not _cites_only_prior(cert, r.cid):
-            return "derived row cites a non-prior row"
         reason = _check_dual_exact(system, cert)
         if reason is not None:
-            return f"derived-row certificate rejected: {reason}"
-        return None
+            raise _Rejected(f"derived-row certificate rejected: {reason}")
+        return _constraint(cert.objective_dict, LE, cert.bound)
     if kind == "stabilize":
-        unit, phase = tuple(tag[1]), tag[2]
-        if phase not in (ACTIVE, INACTIVE):
-            return "unknown stabilization phase"
-        if not _is_phase_row(pb, GuardLiteral(unit, phase), r):
-            return "stabilization row content mismatch"
+        _, unit, phase, k = tag
+        unit = tuple(unit)
+        row = _phase_row(pb, unit, phase, k)
         lo, hi = interval.get(pb.layout.pre_index(unit), (None, None))
         if phase == ACTIVE and (lo is None or lo < 0) or \
                 phase == INACTIVE and (hi is None or hi > 0):
-            return f"certified bounds [{lo}, {hi}] do not fix the {phase} sign"
-        return None
+            raise _Rejected(f"certified bounds [{lo}, {hi}] do not fix the {phase} sign")
+        return row
     if kind == "hull":
-        unit = tuple(tag[1])
-        lo, hi = tag[2], tag[3]
-        if not (lo < 0 < hi):
-            return "hull parameters do not straddle zero"
-        s = pb.layout.pre_index(unit)
-        z = pb.layout.post_index(unit)
-        if interval.get(s) != (lo, hi):
-            return "hull parameters differ from the certified bounds"
-        slope = hi / (hi - lo)
-        candidates = [
-            ({z: -_ONE}, _ZERO),
-            ({s: _ONE, z: -_ONE}, _ZERO),
-            ({z: _ONE, s: -slope}, -slope * lo),
-            ({z: _ONE}, hi),
-        ]
-        if r.relation != LE:
-            return "hull row must be an inequality"
-        for want, rhs in candidates:
-            if row == want and r.rhs == rhs:
-                return None
-        return "hull row content mismatch"
-    return f"unknown derivation kind {kind}"
+        _, unit, k = tag
+        return _hull_row(pb, tuple(unit), k, interval)
+    raise _Rejected(f"unknown derivation kind {kind}")
 
 
 def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
-    """Replay a snapshot once, over its own region: normalize every row, then
-    check the rows in id order.  Returns (reason, system, guards): a
-    rejection reason or None, the normalized system, and the (unit, phase)
-    literals its guard rows assume."""
+    """Replay a snapshot once, over its own region: build its rows in id
+    order, each from its derivation and the rows before it.  Returns
+    (reason, system, guards): a rejection reason or None, the normalized
+    system, and the (unit, phase) literals its guard rows assume."""
     rows = sorted(snap.rows, key=lambda e: e.cid)
     for a, b in zip(rows, rows[1:]):
         if a.cid == b.cid:
             return f"duplicate row id {a.cid}", None, None
-    from .store import LinearConstraint  # row container only
-    norm = []
-    for r in rows:
-        norm.extend(normalize_constraint(r.cid, LinearConstraint(dict(r.row), r.relation,
-                                                                 r.rhs, r.block, ())))
-    system = NormalizedSystem(norm, max((j + 1 for r in rows for j, _ in r.row), default=0))
+    system = NormalizedSystem([], pb.layout.n_vars)
     interval: dict[int, tuple] = {}
     guards = set()
     for r in rows:
-        reason = _check_snapshot_row(pb, r, snap.region, system, interval)
-        if reason is not None:
-            return f"row {r.cid}: {reason}", None, None
+        try:
+            c = _check_snapshot_row(pb, r, snap.region, system, interval)
+        except _Rejected as exc:
+            return f"row {r.cid}: {exc}", None, None
+        system.extend(normalize_constraint(r.cid, c))
         if r.tag[0] == "guard":
             guards.add(((int(r.tag[1]), int(r.tag[2])), r.tag[3]))
-        if r.relation == LE and len(r.row) == 1:
-            (j, c), = r.row
+        if c.relation == LE and len(c.row) == 1:
+            (j, a), = c.row.items()
             lo, hi = interval.get(j, (None, None))
-            b = r.rhs / c
-            if c > 0:
+            b = c.rhs / a
+            if a > 0:
                 hi = b if hi is None else min(hi, b)
             else:
                 lo = b if lo is None else max(lo, b)

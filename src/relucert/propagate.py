@@ -95,9 +95,9 @@ def _specialize(store: Store, unit: Unit, phase: str) -> StabilityCertificate:
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    tag = ("stabilize", unit, phase)
-    eq, le = (store.add(LinearConstraint(c.row, c.relation, c.rhs, REL, tag))
-              for c in guard_consequences(store.layout, GuardLiteral(unit, phase)))
+    eq, le = (store.add(LinearConstraint(c.row, c.relation, c.rhs, REL,
+                                         ("stabilize", unit, phase, k)))
+              for k, c in enumerate(guard_consequences(store.layout, GuardLiteral(unit, phase))))
     store.stabilized[unit] = phase
     store.unstable.discard(unit)
     _set_specialized_post_refs(store, unit, phase, eq, le)
@@ -129,13 +129,14 @@ def hull_insert(store: Store, unit: Unit) -> list[int]:
     s = store.layout.pre_index(unit)
     z = store.layout.post_index(unit)
     slope = hi / (hi - lo)
-    tag = ("hull", unit, lo, hi)
-    ids = [
-        store.add(LinearConstraint({z: -_ONE}, LE, _ZERO, REL, tag)),
-        store.add(LinearConstraint({s: _ONE, z: -_ONE}, LE, _ZERO, REL, tag)),
-        store.add(LinearConstraint({z: _ONE, s: -slope}, LE, -slope * lo, REL, tag)),
-        store.add(LinearConstraint({z: _ONE}, LE, hi, REL, tag)),
+    rows = [
+        ({z: -_ONE}, _ZERO),
+        ({s: _ONE, z: -_ONE}, _ZERO),
+        ({z: _ONE, s: -slope}, -slope * lo),
+        ({z: _ONE}, hi),
     ]
+    ids = [store.add(LinearConstraint(row, LE, rhs, REL, ("hull", unit, k)))
+           for k, (row, rhs) in enumerate(rows)]
     store.hull_ids[unit] = ids
     store.hull_bounds[unit] = (lo, hi)
     store.post_refs[unit] = {

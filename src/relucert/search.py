@@ -80,13 +80,12 @@ class Config:
 
 
 def snapshot_store(store: Store):
-    """All rows by value (retired included; they stay valid consequences),
-    together with the region the store was built over."""
-    out = []
-    for cid, c in store.all_constraints():
-        out.append((cid, tuple(sorted(c.row.items())), c.relation, c.rhs,
-                    c.block, c.derivation))
-    return (store.region, tuple(out))
+    """Every row (retired included; they stay valid consequences) as
+    (id, row, rhs, derivation), together with the region the store was
+    built over.  A proof writes the row and rhs of derived rows only: the
+    checker rebuilds every other row from its derivation."""
+    return (store.region, tuple((cid, tuple(sorted(c.row.items())), c.rhs, c.derivation)
+                                for cid, c in store.all_constraints()))
 
 
 @dataclass

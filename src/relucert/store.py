@@ -1,9 +1,13 @@
 """Linear relaxation store: five constraint blocks, guard consequences,
 normalization to inequality form, and per-unit bound bookkeeping.
 
-Every constraint carries a `derivation` tag recording how it may be re-justified
-by an independent checker: base rows structurally, derived rows by an inline
-dual certificate, hull and stabilize rows by the bound rows they depend on.
+Every constraint carries a `derivation` tag from which an independent checker
+rebuilds it: base rows from the problem and the region, guard and stabilize
+rows as row k of a phase's guard consequences, hull rows as row k of the
+envelope over the interval that the bound rows before them prove.  A proof
+records such a row by its tag alone.  A derived row is the one kind the tag
+does not determine: the proof records the row, and its tag carries the dual
+certificate that proves it.
 """
 
 from __future__ import annotations
@@ -89,6 +93,11 @@ class NormalizedSystem:
     def __len__(self):
         return len(self.rows)
 
+    def extend(self, rows: Iterable[NormRow]):
+        for r in rows:
+            self.index[r.rid] = len(self.rows)
+            self.rows.append(r)
+
     def resolve(self, rid: RowId) -> NormRow | None:
         k = self.index.get(rid)
         return None if k is None else self.rows[k]
@@ -107,24 +116,25 @@ def normalize_constraint(cid, c: LinearConstraint) -> list[NormRow]:
 
 
 def guard_consequences(layout: VariableLayout, lit: GuardLiteral) -> list[LinearConstraint]:
-    """Linear consequences of committing a ReLU phase.
+    """Linear consequences of committing a ReLU phase, row k tagged
+    ("guard", layer, neuron, phase, k).
 
-    Active: z - s = 0 and -s <= 0.  Inactive: z = 0 and s <= 0.
+    Active: z - s = 0 and -s <= 0.  Inactive: z = 0 and s <= 0.  A unit
+    without a ReLU (z aliases s) has no phases.
     """
     s = layout.pre_index(lit.unit)
     z = layout.post_index(lit.unit)
-    tag = ("guard", lit.unit[0], lit.unit[1], lit.phase)
+    if s == z:
+        raise ValueError(f"{lit.unit} is not a ReLU unit")
     if lit.phase == ACTIVE:
-        return [
-            LinearConstraint({z: Fraction(1), s: Fraction(-1)}, EQ, Fraction(0), GUARD, tag),
-            LinearConstraint({s: Fraction(-1)}, LE, Fraction(0), GUARD, tag),
-        ]
-    if lit.phase == INACTIVE:
-        return [
-            LinearConstraint({z: Fraction(1)}, EQ, Fraction(0), GUARD, tag),
-            LinearConstraint({s: Fraction(1)}, LE, Fraction(0), GUARD, tag),
-        ]
-    raise ValueError(f"unknown phase {lit.phase!r}")
+        rows = [({z: Fraction(1), s: Fraction(-1)}, EQ), ({s: Fraction(-1)}, LE)]
+    elif lit.phase == INACTIVE:
+        rows = [({z: Fraction(1)}, EQ), ({s: Fraction(1)}, LE)]
+    else:
+        raise ValueError(f"unknown phase {lit.phase!r}")
+    return [LinearConstraint(row, relation, Fraction(0), GUARD,
+                             ("guard", lit.unit[0], lit.unit[1], lit.phase, k))
+            for k, (row, relation) in enumerate(rows)]
 
 
 def guard_norm_rows(layout: VariableLayout, lit: GuardLiteral) -> list[NormRow]:

@@ -126,15 +126,12 @@ def dump_problem(net, region, prop, path):
         json.dump(doc, fh)
 
 
-def snapshot_system(proof, sid):
-    """The normalized system of one snapshot of a run's proof."""
-    from relucert.store import LinearConstraint, NormalizedSystem, normalize_constraint
+def snapshot_system(problem, proof, sid):
+    """The normalized system that `check` builds from one snapshot of a
+    run's proof."""
+    from relucert import prooflog
 
-    _, snap_rows = proof.snapshots[sid]
-    rows = []
-    n = 0
-    for cid, row, relation, rhs, block, tag in snap_rows:
-        rows.extend(normalize_constraint(cid, LinearConstraint(dict(row), relation, rhs,
-                                                               block, tag)))
-        n = max([n] + [j + 1 for j, _ in row])
-    return NormalizedSystem(rows, n)
+    snap = prooflog._parse_snapshot(prooflog._snapshot_json(proof.snapshots[sid]))
+    reason, system, _ = prooflog._check_snapshot(prooflog._Problem(*problem), snap)
+    assert reason is None, reason
+    return system

@@ -135,7 +135,7 @@ class TestAcceptance:
         for leaf in root.children:
             cert, sid = leaf.evidence
             assert cert.objective_dict == {layout.margin_index: F(1)}
-            assert check_dual(snapshot_system(res.proof, sid), cert).ok
+            assert check_dual(snapshot_system((net, region, prop), res.proof, sid), cert).ok
         # the merged lemma y <= 1 is the root split's bound
         assert root.bound == F(1)
         report("ACCEPTANCE 4: PASS - forced root split at 1/2 gives child bounds "
@@ -268,7 +268,7 @@ class TestAcceptance:
                             ("c", 10 ** 6, "le"))
 
         def with_bound(sid):
-            sys = snapshot_system(res.proof, sid)
+            sys = snapshot_system((net, region, prop), res.proof, sid)
             return NormalizedSystem(sys.rows + [bound_row], sys.n_vars)
 
         def walk(entry):

@@ -90,6 +90,14 @@ class TestVerify:
         code, _, _ = _run(capsys, "verify", str(bad))
         assert code == EXIT_USAGE
 
+    def test_deeply_nested_problem_file_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "]" * 200000)
+        for argv in (("verify", str(bad)), ("check", str(bad), "nope.proof"),
+                     ("oracle", str(bad))):
+            code, _, err = _run(capsys, *argv)
+            assert code == EXIT_USAGE and err.startswith("error: "), argv
+
     def test_non_list_input_bounds_are_usage_errors(self, capsys, tmp_path):
         doc = json.loads(Path(WORKED).read_text())
         for key in ("input_lower", "input_upper"):
@@ -131,7 +139,7 @@ class TestCheck:
         doc = json.loads(proof.read_text())
         for snap in doc["snapshots"].values():
             for row in snap["rows"]:
-                if row["block"] == "negp":
+                if row["derivation"][0] == "derived":
                     row["rhs"] = "11/10"
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         code, out, _ = _run(capsys, "check", WORKED, str(proof))

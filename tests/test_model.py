@@ -47,6 +47,13 @@ class TestRationals:
         with pytest.raises(ValueError):
             parse_rational("abc")
 
+    def test_accepts_only_the_p_q_grammar(self):
+        # `Fraction` takes all of these; an exponent such as 1e10000000
+        # would take seconds to expand
+        for text in ("1e3", "0.5", "+1", " 1", "1 ", "1/-2", "1e10000000", "١"):
+            with pytest.raises(ParseError):
+                parse_rational(text)
+
     @given(rationals)
     def test_format_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q

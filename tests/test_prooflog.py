@@ -11,6 +11,7 @@ from conftest import WORKED, dump_problem, worked_network, worked_prop, worked_r
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
 from relucert.model import ACTIVE, INACTIVE, build_layout
+from relucert import search
 from relucert.search import Config, hsrv_verify, icl_verify
 from relucert.store import GuardLiteral
 
@@ -76,14 +77,14 @@ class TestSerialization:
 
     def test_format_1_document_rejected(self):
         data = _proof_bytes()
-        assert b'"format":"relucert-proof-4"' in data
-        old = data.replace(b'"format":"relucert-proof-4"', b'"format":"relucert-proof-1"')
+        assert b'"format":"relucert-proof-5"' in data
+        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-1"')
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
 
     def test_format_2_document_rejected(self):
         data = _proof_bytes(Config(first_split="domain"))
-        old = data.replace(b'"format":"relucert-proof-4"', b'"format":"relucert-proof-2"')
+        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-2"')
         assert old != data
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
@@ -91,10 +92,29 @@ class TestSerialization:
     def test_format_3_document_rejected(self):
         # proof-3 kept merge lemmas in a preamble, not on the tree
         data = _proof_bytes(Config(first_split="domain"))
-        old = data.replace(b'"format":"relucert-proof-4"', b'"format":"relucert-proof-3"')
+        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-3"')
         assert old != data
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
+
+    def test_format_4_document_rejected(self):
+        # proof-4 wrote every row, relation, rhs and block beside its
+        # derivation, and each derived row's objective and bound
+        data = _proof_bytes(Config(first_split="domain"))
+        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-4"')
+        assert old != data
+        out = prooflog.check_proof(_problem(), old, WORKED)
+        assert not out.accepted and out.path == "document"
+
+    def test_only_derived_rows_carry_a_row(self):
+        doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        for snap in doc["snapshots"].values():
+            for row in snap["rows"]:
+                if row["derivation"][0] == "derived":
+                    assert set(row) == {"id", "row", "rhs", "derivation"}
+                    assert len(row["derivation"]) == 2
+                else:
+                    assert set(row) == {"id", "derivation"}
 
     def test_leaves_have_one_kind(self):
         def leaves(node):
@@ -145,18 +165,14 @@ class TestTargetedRejections:
         assert not out.accepted and out.path == "region"
 
     def test_flipped_farkas_sign_rejected(self):
-        doc = prooflog.parse_proof(_proof_bytes())
-        # flip the sign of the negated-property rhs inside every snapshot: the
-        # certificate combination no longer reaches a negative total
-        touched = 0
-        for snap in doc["snapshots"].values():
-            for row in snap["rows"]:
-                if row["block"] == "negp":
-                    row["rhs"] = "11/10"
-                    touched += 1
-        assert touched
-        data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        out = prooflog.check_proof(_problem(), data)
+        # the checker builds the negated-property row from the problem; with
+        # the violation threshold 11/10 flipped to -11/10 its rhs flips sign,
+        # and the certificate combination no longer reaches a negative total
+        data = _proof_bytes()
+        assert b'["negp"]' in data
+        problem = (worked_network(), worked_region(), worked_prop("-6/5"))
+        assert problem[2].violation_threshold == -F(11, 10)
+        out = prooflog.check_proof(problem, data)
         assert not out.accepted
 
     def test_corrupted_multiplier_rejected(self):
@@ -194,34 +210,38 @@ class TestTargetedRejections:
         doc = prooflog.parse_proof(_proof_bytes())
         sid, snap = next(iter(doc["snapshots"].items()))
         next_id = max(r["id"] for r in snap["rows"]) + 1
-        snap["rows"].append({"id": next_id, "row": {"3": "1", "1": "-1"}, "relation": "eq",
-                             "rhs": "0", "block": "guard", "derivation": ["guard", 1, 0, "active"]})
+        snap["rows"].append({"id": next_id, "derivation": ["guard", 1, 0, "active", 0]})
         data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         out = prooflog.check_proof(_problem(), data)
         assert not out.accepted and "guard" in out.reason
 
 
     def test_derived_row_citing_its_own_or_a_later_row_rejected(self):
+        # the certificate is checked over the rows built before it, so a row
+        # of the same or a later id is an unknown row
         for cited in (6, 7):
             doc = prooflog.parse_proof(_proof_bytes())
             row = _snapshot_rows(doc)[6]
             assert row["derivation"][0] == "derived"
-            mults = row["derivation"][1]["multipliers"]
+            mults = row["derivation"][1]
             assert mults[1][0] == ["c", 3, "le"]
             mults[1][0] = ["c", cited, "le"]
             out = prooflog.check_proof(_problem(), _dumps(doc))
-            assert not out.accepted and "non-prior" in out.reason, out
+            assert not out.accepted and out.reason.endswith(
+                f"row 6: derived-row certificate rejected: unknown row ('c', {cited}, 'le')"), out
 
     def test_hull_bound_proved_only_by_a_later_row_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
         rows = _snapshot_rows(doc)
-        # row 6 proves s(1,0) <= 1, the upper hull parameter of rows 8-11;
-        # renumbered past every other row it no longer precedes them
+        # row 6 proves s(1,0) <= 1, the upper end of the interval that rows
+        # 8-11 envelope; renumbered past every other row it no longer
+        # precedes them
         assert rows[6]["row"] == {"1": "1"} and rows[6]["rhs"] == "1"
-        assert rows[8]["derivation"][0] == "hull" and rows[8]["derivation"][3] == "1"
+        assert rows[8]["derivation"] == ["hull", [1, 0], 0]
         rows[6]["id"] = max(rows) + 1
         out = prooflog.check_proof(_problem(), _dumps(doc))
-        assert not out.accepted and "row 8: hull parameters" in out.reason, out
+        assert not out.accepted and out.reason.endswith(
+            "row 8: certified bounds [-1, None] do not straddle zero"), out
 
     def test_sign_proved_only_by_a_later_row_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
@@ -229,7 +249,7 @@ class TestTargetedRejections:
         # row 7 proves s(1,0) >= 0, the sign that row 8 stabilizes as active;
         # renumbered past every other row it no longer precedes it
         assert rows[7]["row"] == {"1": "-1"} and rows[7]["rhs"] == "0"
-        assert rows[8]["derivation"] == ["stabilize", [1, 0], "active"]
+        assert rows[8]["derivation"] == ["stabilize", [1, 0], "active", 0]
         rows[7]["id"] = max(rows) + 1
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and "row 8:" in out.reason and "sign" in out.reason, out
@@ -238,12 +258,13 @@ class TestTargetedRejections:
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
         snap = doc["snapshots"]["1"]
         rows = _snapshot_rows(doc, "1")
-        # widen the snapshot to x in [0, 1]: rows 4 and 7 stay exact, and now
-        # prove s(1,0) in [-1, 1], which no longer fixes row 8's active sign
-        assert snap["region"]["lower"] == ["1/2"] and rows[4]["rhs"] == "-1/2"
+        # widen the snapshot to x in [0, 1]: the checker rebuilds region row 4
+        # from it, row 7 stays exact, and now they prove s(1,0) in [-1, 1],
+        # which no longer fixes row 8's active sign
+        assert snap["region"]["lower"] == ["1/2"] and rows[4]["derivation"] == ["region", 0, "lo"]
+        assert rows[7]["row"] == {"1": "-1"} and rows[7]["rhs"] == "0"
         snap["region"]["lower"] = ["0"]
-        rows[4]["rhs"] = "0"
-        rows[7]["rhs"] = rows[7]["derivation"][1]["bound"] = "1"
+        rows[7]["rhs"] = "1"
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and out.reason.endswith(
             "row 8: certified bounds [-1, 1] do not fix the active sign"), out
@@ -269,9 +290,81 @@ class TestTargetedRejections:
         tags = [r["derivation"] for s in prooflog.parse_proof(data)["snapshots"].values()
                 for r in s["rows"]]
         stabilize = [t for t in tags if t[0] == "stabilize"]
-        assert len(stabilize) == 4 and all(len(t) == 3 for t in stabilize)
+        assert len(stabilize) == 4 and all(len(t) == 4 for t in stabilize)
         assert prooflog.check_proof(_problem(), data, WORKED).accepted
         assert "derived" in dual_checked and "stabilize" not in dual_checked
+
+    def test_proof_checked_against_a_lowered_threshold_rejected(self):
+        # without its digest a proof is tied to the problem only by the rows
+        # the checker builds from it: the negated-property row of threshold
+        # 1/2 no longer supports the cover
+        out = prooflog.check_proof(
+            (worked_network(), worked_region(), worked_prop("1/2")), _proof_bytes())
+        assert not out.accepted and out.reason == "cover[0] rejected: lambda^T b = 2/5 not < 0", out
+
+    def test_proof_checked_against_a_changed_weight_rejected(self):
+        from relucert.model import Layer, Network
+
+        # weight 2 -> 3 on s(1,0) makes the problem SAT; row 6's certificate
+        # no longer proves the bound it records over the rebuilt affine row
+        net = worked_network()
+        first = net.layers[0]
+        changed = Network((Layer(((F(3),), first.weights[1]), first.bias, first.activation),
+                           net.layers[1]), 1, 1)
+        assert icl_verify(changed, worked_region(), worked_prop()).status == "sat"
+        out = prooflog.check_proof((changed, worked_region(), worked_prop()), _proof_bytes())
+        assert not out.accepted and out.reason.endswith(
+            "row 6: derived-row certificate rejected: lambda^T A != g^T"), out
+
+    def test_phase_row_index_out_of_range_rejected(self):
+        # a guard has two phase rows; -1 must not wrap to the last one
+        for k in (2, -1):
+            doc = prooflog.parse_proof(_proof_bytes())
+            (snap,) = doc["snapshots"].values()
+            last = max(r["id"] for r in snap["rows"]) + 1
+            snap["rows"].append({"id": last, "derivation": ["guard", 1, 0, "active", k]})
+            out = prooflog.check_proof(_problem(), _dumps(doc))
+            assert not out.accepted and out.reason.endswith(f"row {last}: no phase row {k}"), out
+
+    def test_hull_row_index_out_of_range_rejected(self):
+        # an envelope has four rows; -1 must not wrap to the last one
+        for k in (4, -1):
+            doc = prooflog.parse_proof(_proof_bytes())
+            row = _snapshot_rows(doc)[8]
+            assert row["derivation"] == ["hull", [1, 0], 0]
+            row["derivation"][2] = k
+            out = prooflog.check_proof(_problem(), _dumps(doc))
+            assert not out.accepted and out.reason.endswith(f"row 8: no hull row {k}"), out
+
+    def test_phases_of_a_unit_without_a_relu_rejected(self):
+        # z aliases s on the identity output unit (2, 0), so either phase's
+        # rows would force s = 0: with the negated property they refute both
+        # phases, a complete cover, although the problem is SAT
+        problem = (worked_network(), worked_region(), worked_prop("1/2"))
+        box = {"lower": ["0"], "upper": ["1"]}
+
+        def refutation(phase, k):
+            mults = [[["c", 0, "le"], "1"], [["g", 2, 0, phase, k], "1"]]
+            return {"cert": {"guards": [[2, 0, phase]], "farkas": {"multipliers": mults}},
+                    "snapshot": 0}
+
+        doc = {"format": prooflog.FORMAT, "digest": "", "region": box,
+               "snapshots": {"0": {"region": box, "rows": [{"id": 0, "derivation": ["negp"]}]}},
+               "tree": {"type": "leaf",
+                        "cover": [refutation("active", 1), refutation("inactive", 2)]}}
+        out = prooflog.check_proof(problem, _dumps(doc))
+        assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
+        doc["snapshots"]["0"]["rows"].append({"id": 1, "derivation": ["guard", 2, 0, "active", 0]})
+        out = prooflog.check_proof(problem, _dumps(doc))
+        assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
+
+    def test_hull_row_of_a_unit_without_a_relu_rejected(self):
+        pb = prooflog._Problem(*_problem())
+        s = pb.layout.pre_index((2, 0))
+        assert s == pb.layout.post_index((2, 0))
+        with pytest.raises(prooflog._Rejected, match=r"\(2, 0\), which is not a ReLU unit"):
+            prooflog._check_snapshot_row(pb, prooflog._SnapRow(0, ("hull", [2, 0], 0)),
+                                         worked_region(), None, {s: (F(-1), F(1))})
 
     def test_duplicated_row_id_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
@@ -336,8 +429,7 @@ class TestBounds:
         sid = str(leaf["bound"]["snapshot"])
         snap = json.loads(json.dumps(doc["snapshots"][sid]))
         snap["rows"].append({"id": max(r["id"] for r in snap["rows"]) + 1,
-                             "row": {"3": "1", "1": "-1"}, "relation": "eq", "rhs": "0",
-                             "block": "guard", "derivation": ["guard", 1, 0, "active"]})
+                             "derivation": ["guard", 1, 0, "active", 0]})
         doc["snapshots"]["2"] = snap
         leaf["bound"]["snapshot"] = 2
         self._rejected(doc, "tree/0", "bound snapshot: guard row for uncommitted phase")
@@ -478,29 +570,9 @@ class TestStructuralFuzzing:
     its stabilize row leaves every value intact, so only the stabilize sign
     rule can see it: the sign those rows prove no longer precedes the row."""
 
-    def _branching(self, tmp_path, drivers):
-        """(problem, proof bytes, problem path) for the UNSAT proofs of the
-        two branching instances under each driver."""
-        from test_search import TestBranchingOracleAgreement, tightened
-
-        for idx in (57, 89):
-            problem = tightened(idx)
-            path = str(tmp_path / f"p{idx}.json")
-            dump_problem(*problem, path)
-            for driver in drivers:
-                res = driver(*problem, TestBranchingOracleAgreement.CONFIG)
-                assert res.status == "unsat"
-                yield problem, prooflog.emit(res.proof, path), path
-
-    def _proofs(self, tmp_path):
-        """The worked `first_split="domain"` proof, then the icl proofs of
-        the two branching instances."""
-        yield _problem(), _proof_bytes(Config(first_split="domain")), WORKED
-        yield from self._branching(tmp_path, (icl_verify,))
-
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
         cases = 0
-        for problem, data, path in self._proofs(tmp_path):
+        for problem, data, path in _proofs(tmp_path, (icl_verify,)):
             layout = build_layout(problem[0], problem[2])
             base = prooflog.parse_proof(data)
             for sid, snap in base["snapshots"].items():
@@ -511,7 +583,8 @@ class TestStructuralFuzzing:
                     doc = json.loads(json.dumps(base))
                     rows = doc["snapshots"][sid]["rows"]
                     last = max(r["id"] for r in rows)
-                    moved = [r for r in rows if r["id"] < stab["id"] and list(r["row"]) == [s]]
+                    moved = [r for r in rows
+                             if r["id"] < stab["id"] and list(r.get("row", ())) == [s]]
                     assert moved
                     for r in moved:
                         last += 1
@@ -527,7 +600,7 @@ class TestStructuralFuzzing:
         child 0 copied over child 1, or is retyped as a leaf; each leaf is
         retyped as a split, loses its cover, or cites a missing snapshot."""
         mutations = 0
-        for problem, data, path in self._branching(tmp_path, (icl_verify, hsrv_verify)):
+        for problem, data, path in _branching(tmp_path, (icl_verify, hsrv_verify)):
             base = prooflog.parse_proof(data)
             for at, node in _tree_nodes(base["tree"]):
                 for mutate in _SPLIT_MUTATIONS if node["type"] == "split" else _LEAF_MUTATIONS:
@@ -537,6 +610,66 @@ class TestStructuralFuzzing:
                     assert not out.accepted, (path, at, mutate.__name__)
                     mutations += 1
         assert mutations == 108
+
+
+def _branching(tmp_path, drivers):
+    """(problem, proof bytes, problem path) for the UNSAT proofs of the two
+    branching instances under each driver."""
+    from test_search import TestBranchingOracleAgreement, tightened
+
+    for idx in (57, 89):
+        problem = tightened(idx)
+        path = str(tmp_path / f"p{idx}.json")
+        dump_problem(*problem, path)
+        for driver in drivers:
+            res = driver(*problem, TestBranchingOracleAgreement.CONFIG)
+            assert res.status == "unsat"
+            yield problem, prooflog.emit(res.proof, path), path
+
+
+def _proofs(tmp_path, drivers):
+    """The worked `first_split="domain"` proof, then the proofs of the two
+    branching instances under each driver."""
+    yield _problem(), _proof_bytes(Config(first_split="domain")), WORKED
+    yield from _branching(tmp_path, drivers)
+
+
+class TestSolverCheckerAgreement:
+    """`check` builds every snapshot row from its derivation alone.  The row
+    it builds must be the one the solver's store held."""
+
+    def test_every_built_row_is_the_stores_row(self, monkeypatch, tmp_path):
+        stored = []  # per snapshot id: cid -> (row, relation, rhs)
+        snapshot_store = search.snapshot_store
+
+        def recording(store):
+            stored.append({cid: (c.row, c.relation, c.rhs)
+                           for cid, c in store.all_constraints()})
+            return snapshot_store(store)
+
+        built = {}
+        check_row = prooflog._check_snapshot_row
+
+        def building(pb, r, *args):
+            c = check_row(pb, r, *args)
+            built[r.cid] = (c.row, c.relation, c.rhs)
+            return c
+
+        monkeypatch.setattr(search, "snapshot_store", recording)
+        monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
+        rows = 0
+        for problem, data, path in _proofs(tmp_path, (icl_verify, hsrv_verify)):
+            pb = prooflog._Problem(*problem)
+            for sid, snap in prooflog.parse_proof(data)["snapshots"].items():
+                built.clear()
+                reason, _, _ = prooflog._check_snapshot(pb, prooflog._parse_snapshot(snap))
+                assert reason is None, (path, sid, reason)
+                for r in snap["rows"]:
+                    assert built[r["id"]] == stored[int(sid)][r["id"]], (path, sid, r)
+                assert built.keys() == stored[int(sid)].keys()
+                rows += len(built)
+            stored.clear()
+        assert rows > 500
 
 
 def _tree_nodes(node, at=()):

@@ -147,7 +147,8 @@ class TestMergeDemo:
         for leaf in res.proof.root.children:
             cert, sid = leaf.evidence
             assert cert.objective_dict == {layout.margin_index: F(1)}
-            assert certs.check_dual(snapshot_system(res.proof, sid), cert).ok
+            assert certs.check_dual(snapshot_system(
+                (worked_network(), worked_region(), worked_prop()), res.proof, sid), cert).ok
 
     def test_merged_lemma_bounds_the_output_by_one(self):
         res = self._run("hsrv")
@@ -385,14 +386,15 @@ class TestMaxDepth:
 
 
 class TestProofPins:
-    """SHA-256 of emitted proofs, recorded before the search became a
-    recursion.  A change to the proof format or to the order in which the
-    search visits nodes must re-pin them."""
+    """SHA-256 of emitted proofs.  A change to the proof format or to the
+    order in which the search visits nodes must re-pin them.  Re-pinned for
+    `relucert-proof-5`: each proof is the format-4 proof the recursion gave,
+    with the copies of every row that `check` rebuilds left out."""
 
     PINS = {
-        "worked": "cd57d072fb2f29ec6c8f0faaf6098f061c4701c12e0ee93dcd0c93c7cbb9972f",
-        57: "a10769c72eb101041a174a61c4252854206c774c6f5c5899fc3bc23b6680ff51",
-        89: "338fccb0b5d91c27017fc64be56899a582e3b251161f8274c48a20c7eea27a2a",
+        "worked": "1663ddb09b37645183f6be56b8cd7b05877acf921866f37a52e07d255d95007f",
+        57: "5338367c866da8f1e232de9b2c90b22e3df3b804d7c2f1cfea450847b4e09ded",
+        89: "172c43d3d622e400e6fd85cf44c6b6a93e7ccb4b20bb216622a71709a9401805",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
