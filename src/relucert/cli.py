@@ -9,6 +9,7 @@ machine parsing.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .model import ParseError, DimensionError, format_rational, parse_problem
@@ -145,10 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: parsing keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     return args.func(args)

@@ -1,8 +1,11 @@
 """Exact rational LP over A v <= b with free variables v.
 
-Two-phase primal simplex with Bland's rule on a dense tableau whose rows
-are Python integers over one positive row denominator each, so pivots run
-on integer arithmetic and nothing rounds; results leave as `Fraction`.
+Two-phase primal simplex with Bland's rule on a tableau whose rows are
+Python integers over one positive row denominator each, so pivots run on
+integer arithmetic and nothing rounds; results leave as `Fraction`.  The
+tableau stores only its nonbasic columns (`_Tableau`), so a phase-2 row
+holds one entry per free variable and the rhs, and pivots exactly as the
+full tableau would.
 Optimal outcomes carry a dual vector with lambda^T A = g^T and
 lambda^T b = value; infeasible outcomes carry a Farkas vector with
 lambda^T A = 0 and lambda^T b < 0.  Both are re-verified against the rows of
@@ -324,20 +327,33 @@ class _Reduction:
 
 
 class _Tableau:
-    """Gauss-Jordan simplex tableau over integers, on the reduced rows of a
-    system (`_Reduction`), which travels with it as `red`.
+    """Gauss-Jordan simplex tableau over integers that stores only its
+    nonbasic columns, on the reduced rows of a system (`_Reduction`), which
+    travels with it as `red`.
 
-    Columns: 0..N-1 kept free variables, N..N+m-1 slacks, then artificials.
-    Rows whose rhs is negative start with an artificial basic (column -e_i),
-    so the initial tableau row is negated to expose identity basis columns.
+    Labels: 0..n-1 kept free variables, n..n+m-1 the slacks of the rows in
+    `row_ids` order, then artificials.  A row whose rhs is negative starts
+    with an artificial basic (column -e_i), so its initial row is negated
+    to make that column +e_i; every other row starts with its slack basic.
 
-    Row i is the list `T[i]` of integer numerators over the positive row
-    denominator `D[i]`, with the rhs numerator last, kept in lowest terms
-    (gcd(D[i], *T[i]) == 1).  An objective row has the same form with the
-    objective value last.  Every sign and ratio the simplex reads is exact,
-    so the pivots are those of the same tableau over `Fraction`; values
-    become `Fraction` only in `primal`, `dual_from_obj`, `ray` and the
-    optimal value.
+    `cols` lists the nonbasic labels.  Row i is the list `T[i]` of its
+    integer entries for `cols`, with the rhs numerator last, over the
+    positive row denominator `D[i]`, kept in lowest terms (gcd(D[i], *T[i])
+    == 1).  Its entry for its basic label `basis[i]` is D[i] and its entry
+    for every other basic label 0; neither is stored.  A pivot swaps the
+    entering and leaving labels between `cols` and `basis` in place.
+    Artificial labels leave `cols` when phase 1 ends (`drop_artificials`),
+    so in phase 2 a row holds n entries and its rhs.  An objective row has
+    the same form, reduced costs for `cols` and the objective value last.
+
+    A stored row is the full tableau's row (every column stored) without
+    its basic entries, scaled by a positive factor once the artificial
+    entries are gone, which changes no sign, ratio or value the simplex
+    reads.  The entering label is the smallest eligible one (Bland) and
+    ratio ties go to the smaller basic label, as on the full tableau, so
+    the pivot path is the full tableau's over `Fraction`.  Values become
+    `Fraction` only in `primal`, `dual_from_obj`, `ray` and the optimal
+    value.
     """
 
     def __init__(self, sys: NormalizedSystem):
@@ -347,23 +363,25 @@ class _Tableau:
         self.n = n = red.n
         self.m = m = len(rows)
         self.row_ids = [sys.rows[k].rid for k in kept]
-        self.ncols = n + m + sum(1 for _, _, rhs in rows if rhs < 0)
-        self.art_cols: list[int] = []
+        negative = [i for i, (_, _, rhs) in enumerate(rows) if rhs < 0]
+        #: the artificial labels, one per row with a negative rhs; empty
+        #: once phase 2 starts
+        self.art_cols = list(range(n + m, n + m + len(negative)))
+        self.cols = [*range(n), *(n + i for i in negative)]
         self.T: list[list[int]] = []
         self.D: list[int] = []
         self.basis: list[int] = []
+        t = 0
         for i, (den, coeffs, rhs) in enumerate(rows):
-            row = [0] * (self.ncols + 1)
+            row = [0] * (len(self.cols) + 1)
             for j, a in coeffs.items():
                 row[j] = a
-            row[n + i] = den
             row[-1] = rhs
-            if rhs < 0:
+            if rhs < 0:  # the t-th such row: its slack sits at position n + t
                 row = [-a for a in row]
-                art = n + m + len(self.art_cols)
-                self.art_cols.append(art)
-                row[art] = den
-                self.basis.append(art)
+                row[n + t] = -den
+                self.basis.append(n + m + t)
+                t += 1
             else:
                 self.basis.append(n + i)
             self.T.append(row)
@@ -374,14 +392,17 @@ class _Tableau:
         return j >= self.n + self.m
 
     def objective_row(self, cost: dict[int, Fraction]) -> tuple[list[int], int]:
-        """Reduced costs z_j - c_j and the current objective value (last), as
-        numerators over one denominator, for the cost c of each column."""
+        """Reduced costs z_j - c_j of the nonbasic labels and the current
+        objective value (last), as numerators over one denominator, for the
+        cost c of each label."""
         basic = [(cost[b], i) for i, b in enumerate(self.basis) if cost.get(b)]
         den = lcm(*(q.denominator for q in cost.values()),
                   *(q.denominator * self.D[i] for q, i in basic))
-        obj = [0] * (self.ncols + 1)
-        for j, q in cost.items():
-            obj[j] = -q.numerator * (den // q.denominator)
+        obj = [0] * (len(self.cols) + 1)
+        for k, c in enumerate(self.cols):
+            q = cost.get(c)
+            if q:
+                obj[k] = -q.numerator * (den // q.denominator)
         for q, i in basic:
             f = q.numerator * (den // (q.denominator * self.D[i]))
             for k, a in enumerate(self.T[i]):
@@ -389,54 +410,51 @@ class _Tableau:
                     obj[k] += f * a
         return _reduced(obj, den)
 
-    def _pivot(self, r: int, j: int) -> tuple[list[tuple[int, int]], int]:
-        """Make column j the unit vector of row r.  Returns the new row r as
-        its nonzero (column, numerator) entries and its denominator, for
-        `_eliminate` on an objective row."""
+    def _pivot(self, r: int, q: int) -> tuple[list[tuple[int, int]], int]:
+        """Bring the label at position q of `cols` into the basis at row r;
+        the leaving label `basis[r]` takes position q.  Returns the new row
+        r as its nonzero (position, numerator) entries and its denominator,
+        for `_eliminate` on an objective row."""
         row = self.T[r]
-        if row[j] < 0:
-            row = [-a for a in row]
-        row, p = _reduced(row, row[j])
-        self.T[r], self.D[r] = row, p
-        nz = [(k, a) for k, a in enumerate(row) if a]
+        a = row[q]
+        row[q] = self.D[r]  # the leaving label's entry
+        if a < 0:
+            row, a = [-v for v in row], -a
+        row, p = _reduced(row, a)
         T, D = self.T, self.D
-        for i in range(self.m):
-            if i != r and T[i][j]:
-                T[i], D[i] = _eliminate(T[i], D[i], j, nz, p)
-        self.basis[r] = j
+        T[r], D[r] = row, p
+        nz = [(k, v) for k, v in enumerate(row) if v]
+        for i, other in enumerate(T):
+            if i != r and other[q]:
+                T[i], D[i] = _eliminate(other, D[i], q, nz, p)
+        self.basis[r], self.cols[q] = self.cols[q], self.basis[r]
         return nz, p
 
-    def run(self, cost: dict[int, Fraction], max_iters: int, forbid_artificials: bool):
-        """Maximize; returns ("optimal", objrow, den) | ("unbounded", col, dir)
-        | ("limit",).  The reduced-cost row is maintained incrementally."""
+    def run(self, cost: dict[int, Fraction], max_iters: int):
+        """Maximize; returns ("optimal", objrow, den) | ("unbounded", position,
+        direction) | ("limit",).  The reduced-cost row is maintained
+        incrementally."""
         obj, den = self.objective_row(cost)
-        n = self.n
-        last = self.n + self.m if forbid_artificials else self.ncols
+        n, cols, basis = self.n, self.cols, self.basis
         while True:
-            # Bland: the first free column with a nonzero reduced cost or
-            # bounded column with a negative one
+            # Bland: the smallest label that is free with a nonzero reduced
+            # cost or bounded with a negative one
             enter = -1
-            direction = 1
-            for j in range(last):
-                oj = obj[j]
-                if j < n:
-                    if oj:
-                        enter, direction = j, (1 if oj < 0 else -1)
-                        break
-                elif oj < 0:
-                    enter = j
-                    break
+            for k, (c, oj) in enumerate(zip(cols, obj)):
+                if oj and (oj < 0 or c < n) and (enter < 0 or c < cols[enter]):
+                    enter = k
             if enter < 0:
                 return ("optimal", obj, den)
             if self.iterations >= max_iters:
                 return ("limit",)
             self.iterations += 1
+            direction = 1 if obj[enter] < 0 else -1
             # Bland ratio test rhs_i / (direction * T_ij), the row denominator
             # cancelling; free basics never block
             best_r = -1
             best_num = best_d = 0
             for i, row in enumerate(self.T):
-                if self.basis[i] < n:
+                if basis[i] < n:
                     continue
                 d = direction * row[enter]
                 if d > 0:
@@ -445,7 +463,7 @@ class _Tableau:
                         best_r, best_num, best_d = i, num, d
                         continue
                     lhs, rhs = num * best_d, best_num * d
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best_r]):
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best_r]):
                         best_r, best_num, best_d = i, num, d
             if best_r < 0:
                 return ("unbounded", enter, direction)
@@ -453,34 +471,47 @@ class _Tableau:
             obj, den = _eliminate(obj, den, enter, nz, p)
 
     def drop_artificials(self, max_iters: int) -> bool:
-        """Pivot basic artificials out.  False on limit.
+        """Pivot basic artificials out, then drop the artificial labels from
+        `cols` and their entries from every row.  False on limit.
 
-        Every row has a nonzero entry among the first n + m columns: the
-        slack block of the tableau is the basis inverse times a diagonal of
-        +-1, which is invertible.  So there is always a column to pivot on,
-        and no row of the tableau ever reads 0 = 0."""
+        Every row of the full tableau has a nonzero entry among the free
+        and slack columns: its slack block is the basis inverse times a
+        diagonal of +-1, which is invertible.  In a row whose basic label is
+        artificial, every other basic label reads 0, so that entry is a
+        nonbasic label's.  So there is always a label to pivot on, and no
+        row of the tableau ever reads 0 = 0."""
+        bound = self.n + self.m
+        cols = self.cols
         for i in range(self.m):
             if self.is_artificial(self.basis[i]):
                 if self.iterations >= max_iters:
                     return False
                 self.iterations += 1
                 row = self.T[i]
-                self._pivot(i, next(j for j in range(self.n + self.m) if row[j]))
+                self._pivot(i, min((k for k, c in enumerate(cols) if c < bound and row[k]),
+                                   key=cols.__getitem__))
+        if self.art_cols:
+            live = [k for k, c in enumerate(cols) if c < bound]
+            self.cols = [cols[k] for k in live]
+            for i, row in enumerate(self.T):
+                self.T[i], self.D[i] = _reduced([row[k] for k in live] + [row[-1]], self.D[i])
+            self.art_cols = []
         return True
 
     def reconcile(self, sys: NormalizedSystem) -> bool:
-        """Make this optimal (or feasible) tableau of an earlier system a
-        feasible tableau of `sys`, ready for phase 2; False, leaving the
-        tableau as it was, when that takes more than the steps below.
+        """Make this optimal (or feasible) phase-2 tableau of an earlier
+        system a feasible tableau of `sys`, ready for phase 2; False,
+        leaving the tableau as it was, when that takes more than the steps
+        below.
 
         `sys` must have the earlier system's equality pairs, and its other
         rows must be the earlier system's less some rows, the rest in their
         order, plus new rows after them; row ids name the same rows in both.
         A dropped row must have its slack basic: no other row reads that
-        column, so its tableau row and slack column go.  A new row is
-        reduced, has its basic columns eliminated and its slack made basic,
-        which is feasible only if its rhs is then >= 0.  Artificial columns,
-        all nonbasic after phase 1, go too."""
+        label, so its tableau row and its slack go, and the other slacks
+        are renumbered.  A new row is reduced, has its entries for basic
+        labels eliminated and its slack made basic, which is feasible only
+        if its rhs is then >= 0."""
         if [sys.rows[k].rid for k in _equality_pairs(sys)] != self.red.eq_ids:
             return False
         n = self.n
@@ -496,40 +527,43 @@ class _Tableau:
             if i is None:
                 return False
             dropped.add(i)
-        cols = [*range(n), *(n + k for k in keep)]
-        col_of = {c: j for j, c in enumerate(cols)}
-        added = kept[len(keep):]
-        width = len(cols) + len(added)
-        pad = [0] * len(added)
+        label = {n + k: n + t for t, k in enumerate(keep)}
+        cols = [label.get(c, c) for c in self.cols]
+        pos = {c: k for k, c in enumerate(cols)}
         T, D, basis = [], [], []
         for i, row in enumerate(self.T):
-            if i in dropped:
-                continue
-            row = [row[c] for c in cols] + pad + [row[-1]]
-            row, den = _reduced(row, self.D[i]) if self.art_cols else (row, self.D[i])
-            T.append(row)
-            D.append(den)
-            basis.append(col_of[self.basis[i]])
-        for t, k in enumerate(added):
-            den, coeffs, rhs = self.red.reduce(sys.rows[k].ints)
-            row = [0] * (width + 1)
-            for j, a in coeffs.items():
-                row[j] = a
-            row[len(cols) + t] = den
+            if i not in dropped:
+                T.append(row)
+                D.append(self.D[i])
+                basis.append(label.get(self.basis[i], self.basis[i]))
+        for t in range(len(keep), len(ids)):
+            den, coeffs, rhs = self.red.reduce(sys.rows[kept[t]].ints)
+            row = [0] * (len(cols) + 1)
             row[-1] = rhs
+            on_basic = {}  # entries for basic labels, not yet eliminated
+            for j, a in coeffs.items():
+                k = pos.get(j)
+                if k is None:
+                    on_basic[j] = a
+                else:
+                    row[k] = a
             for i, b in enumerate(basis):
-                if row[b]:
-                    row, den = _eliminate(row, den, b, [(k, a) for k, a in enumerate(T[i]) if a],
-                                          D[i])
+                f = on_basic.pop(b, 0)
+                if f:  # row * ps - fs * T[i], which reads 0 for b
+                    g = gcd(D[i], f)
+                    ps, fs = D[i] // g, f // g
+                    row = [a * ps - fs * v for a, v in zip(row, T[i])]
+                    on_basic = {j: a * ps for j, a in on_basic.items()}
+                    den *= ps
+            row, den = _reduced(row, den)
             if row[-1] < 0:
                 return False
             T.append(row)
             D.append(den)
-            basis.append(len(cols) + t)
+            basis.append(n + t)
         self.m = len(ids)
         self.row_ids = ids
-        self.ncols = width
-        self.art_cols = []
+        self.cols = cols
         self.T, self.D, self.basis = T, D, basis
         self.iterations = 0
         return True
@@ -539,14 +573,22 @@ class _Tableau:
                 if b < self.n and self.T[i][-1]}
 
     def dual_from_obj(self, obj: list[int], den: int) -> dict[RowId, Fraction]:
-        n = self.n
-        return {rid: Fraction(obj[n + i], den) for i, rid in enumerate(self.row_ids)
-                if obj[n + i]}
+        """The reduced cost of each row's slack, in row order; a basic slack
+        has none."""
+        pos = {c: k for k, c in enumerate(self.cols)}
+        out = {}
+        for i, rid in enumerate(self.row_ids):
+            k = pos.get(self.n + i)
+            if k is not None and obj[k]:
+                out[rid] = Fraction(obj[k], den)
+        return out
 
-    def ray(self, enter: int, direction: int) -> dict[int, Fraction]:
+    def ray(self, q: int, direction: int) -> dict[int, Fraction]:
+        """The edge along which the label at position q enters unboundedly."""
+        enter = self.cols[q]
         r = {enter: Fraction(direction)} if enter < self.n else {}
         for i, b in enumerate(self.basis):
-            a = self.T[i][enter]
+            a = self.T[i][q]
             if b < self.n and a:
                 r[b] = Fraction(-direction * a, self.D[i])
         return r
@@ -560,16 +602,20 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     return [a // g for a in row], den // g
 
 
-def _eliminate(row: list[int], den: int, j: int, nz: list[tuple[int, int]], p: int):
-    """row/den minus (row[j]/den) times the pivot row (entries `nz` over p,
-    which reads 1 in column j), in lowest terms.  Over the common
-    denominator den * p this is row * p - row[j] * pivot; dividing both
-    factors by gcd(p, row[j]) first keeps the numbers small."""
-    f = row[j]
+def _eliminate(row: list[int], den: int, q: int, nz: list[tuple[int, int]], p: int):
+    """row/den minus (row[q]/den) times the new pivot row (entries `nz` over
+    p), in lowest terms, after a pivot at position q: the entering label
+    there reads 1 in the pivot row, and the leaving label that takes its
+    place read 0 in row.  Over the common denominator den * p this is
+    row * p - row[q] * pivot, with row[q] itself replaced by 0; dividing
+    both factors by gcd(p, row[q]) first keeps the numbers small.  The
+    result may reuse `row`, never the pivot row."""
+    f = row[q]
     g = gcd(p, f)
     ps, fs = p // g, f // g
     if ps != 1:
         row = [a * ps for a in row]
+    row[q] = 0
     for k, a in nz:
         row[k] -= fs * a
     return _reduced(row, den * ps)
@@ -582,7 +628,7 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
     tab = _Tableau(sys)
     if not tab.art_cols:
         return tab, None
-    res = tab.run({j: Fraction(-1) for j in tab.art_cols}, max_iters, False)
+    res = tab.run({j: Fraction(-1) for j in tab.art_cols}, max_iters)
     if res[0] == "limit":
         return tab, LpOutcome(LIMIT, iterations=tab.iterations)
     if res[0] != "optimal":
@@ -612,7 +658,7 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
             return LpOutcome(LIMIT, iterations=tab.iterations)
     red = tab.red
     cost, const = red.objective(g)
-    res = tab.run(cost, max_iters, True)
+    res = tab.run(cost, max_iters)
     if res[0] == "limit":
         return LpOutcome(LIMIT, iterations=tab.iterations)
     if res[0] == "unbounded":

@@ -11,6 +11,7 @@ from conftest import (
     worked_prop,
     worked_region,
 )
+from relucert import cli
 from relucert.cli import (
     EXIT_CAP,
     EXIT_SAT,
@@ -117,6 +118,19 @@ class TestVerify:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "verify", WORKED, "--no-such-flag")
         assert code == EXIT_USAGE
+
+    def test_parser_is_built_once_and_keeps_no_flags(self, capsys, monkeypatch):
+        # the budget of the first call must not carry over to the second,
+        # which reuses the parser the first one built
+        code, out, _ = _run(capsys, "verify", WORKED, "--lp-budget", "0")
+        assert code == EXIT_UNKNOWN and "UNKNOWN" in out
+
+        def rebuilt():
+            raise AssertionError("parser built twice")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        code, out, _ = _run(capsys, "verify", WORKED)
+        assert code == EXIT_UNSAT and "UNSAT" in out
 
 
 class TestCheck:

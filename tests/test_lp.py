@@ -305,14 +305,19 @@ class TestPivotPath:
         assert self._digest() == self.PINNED
 
 
-def _assert_tableau_invariants(tab):
-    """Positive row denominators, rows in lowest terms, unit basic columns."""
+def _assert_tableau_invariants(tab, phase2):
+    """Positive row denominators, rows in lowest terms and one entry per
+    nonbasic label plus the rhs wide; the nonbasic and basic labels
+    disjoint and together the live ones (free variables, slacks and, in
+    phase 1, artificials); in phase 2 no artificial label is left."""
     assert len(tab.T) == len(tab.D) == len(tab.basis) == tab.m == len(tab.row_ids)
-    for row, den, b in zip(tab.T, tab.D, tab.basis):
-        assert len(row) == tab.ncols + 1
+    if phase2:
+        assert not tab.art_cols
+    live = [*range(tab.n + tab.m), *tab.art_cols]
+    assert sorted(tab.cols + tab.basis) == live
+    for row, den in zip(tab.T, tab.D):
+        assert len(row) == len(tab.cols) + 1
         assert den > 0 and math.gcd(den, *row) == 1
-        assert row[b] == den  # basic column reads 1 in its row ...
-        assert sum(1 for other in tab.T if other[b]) == 1  # ... and 0 elsewhere
 
 
 class TestIntegerTableau:
@@ -324,7 +329,7 @@ class TestIntegerTableau:
         # index and leaves although its row comes second
         tab = lp._Tableau(_system([({0: F(-1)}, -1), ({0: F(1)}, 1)]))
         assert tab.basis == [3, 2]
-        tab.run({3: F(-1)}, max_iters=1, forbid_artificials=False)
+        tab.run({3: F(-1)}, max_iters=1)
         assert tab.iterations == 1
         assert tab.basis == [3, 0]
 
@@ -345,8 +350,9 @@ class TestIntegerTableau:
 
     def test_equality_written_twice_keeps_every_row(self):
         # x = 3/2 as two copies of the pair x <= 3/2, -x <= -3/2: the copies
-        # are linearly dependent, yet each row keeps a nonzero slack entry,
-        # so every artificial is pivoted out and no row is dropped
+        # are linearly dependent, yet each row keeps a nonzero slack entry
+        # (a basic slack reads the row denominator), so every artificial is
+        # pivoted out and no row is dropped
         rows = [({0: F(1)}, F(3, 2)), ({0: F(-1)}, F(-3, 2))] * 2
         sys = _system(rows)
         out = lp.lp_max(sys, {0: F(2)})
@@ -354,27 +360,50 @@ class TestIntegerTableau:
         tab, phase1 = lp._phase1(sys, lp.DEFAULT_MAX_ITERS)
         assert phase1 is None and tab.drop_artificials(lp.DEFAULT_MAX_ITERS)
         assert len(tab.T) == tab.m == 4
-        assert not any(tab.is_artificial(b) for b in tab.basis)
-        assert all(any(row[tab.n:tab.n + tab.m]) for row in tab.T)
+        assert not tab.art_cols and not any(tab.is_artificial(j) for j in tab.cols + tab.basis)
+        slacks = range(tab.n, tab.n + tab.m)
+        assert all(b in slacks or any(a for a, j in zip(row, tab.cols) if j in slacks)
+                   for row, b in zip(tab.T, tab.basis))
 
     def test_rows_stay_in_lowest_terms_after_every_pivot(self, monkeypatch):
-        pivot = lp._Tableau._pivot
-        pivots = 0
+        pivot, drop, reconcile = (lp._Tableau._pivot, lp._Tableau.drop_artificials,
+                                  lp._Tableau.reconcile)
+        past_phase1 = []  # the tableaux whose phase 2 has started
+        pivots = reconciled = 0
 
-        def checked(tab, r, j):
+        def checked_pivot(tab, r, q):
             nonlocal pivots
-            res = pivot(tab, r, j)
+            res = pivot(tab, r, q)
             pivots += 1
-            _assert_tableau_invariants(tab)
+            _assert_tableau_invariants(tab, any(t is tab for t in past_phase1))
             return res
 
-        monkeypatch.setattr(lp._Tableau, "_pivot", checked)
+        def checked_drop(tab, max_iters):
+            ok = drop(tab, max_iters)
+            if ok:
+                past_phase1.append(tab)
+                _assert_tableau_invariants(tab, True)
+            return ok
+
+        def checked_reconcile(tab, sys):
+            nonlocal reconciled
+            ok = reconcile(tab, sys)
+            reconciled += ok
+            _assert_tableau_invariants(tab, True)
+            return ok
+
+        monkeypatch.setattr(lp._Tableau, "_pivot", checked_pivot)
+        monkeypatch.setattr(lp._Tableau, "drop_artificials", checked_drop)
+        monkeypatch.setattr(lp._Tableau, "reconcile", checked_reconcile)
         rng = random.Random(48)
         for _ in range(30):
             sys, g = _boxed_random_system(rng, n_extra=6, max_den=9)
-            lp.lp_max(sys, g)
+            out = lp.lp_max(sys, g)
             lp.lp_feasible(sys)
-        assert pivots >= 100
+            if out.status == lp.OPTIMAL and g:
+                cut = NormRow(dict(g), out.value, ("c", 100, "le"))
+                lp.lp_min(NormalizedSystem(sys.rows + [cut], sys.n_vars), g, warm=out.tableau)
+        assert pivots >= 100 and reconciled >= 10
 
 
 def _above_box_max(sys, g):
@@ -396,7 +425,7 @@ class TestWarmStart:
 
         def checked(tab, sys):
             ok = reconcile(tab, sys)
-            _assert_tableau_invariants(tab)
+            _assert_tableau_invariants(tab, True)
             if ok:
                 assert tab.row_ids == [r.rid for r in sys.rows] and not tab.art_cols
             return ok
@@ -440,9 +469,9 @@ class TestWarmStart:
             tab = first.tableau
             k = next(k for k in range(tab.m) if tab.n + k not in tab.basis)
             sys = NormalizedSystem(first_sys.rows[:k] + first_sys.rows[k + 1:], first_sys.n_vars)
-            before = repr((tab.T, tab.D, tab.basis, tab.row_ids, tab.ncols))
+            before = repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids))
             assert not tab.reconcile(sys)
-            assert repr((tab.T, tab.D, tab.basis, tab.row_ids, tab.ncols)) == before
+            assert repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids)) == before
             out = lp.lp_max(sys, g2, warm=tab)
             assert out.tableau is not tab
             assert _outcome_key(out) == _outcome_key(lp.lp_max(sys, g2))
@@ -455,7 +484,9 @@ class TestWarmStart:
             tab = first.tableau
             cut = NormRow(dict(g), first.value - F(1, 3), ("c", 101, "le"))
             sys = NormalizedSystem(first_sys.rows + [cut], first_sys.n_vars)
+            before = repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids))
             assert not tab.reconcile(sys)
+            assert repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids)) == before
             out = lp.lp_max(sys, g2, warm=tab)
             assert out.tableau is not tab
             assert _outcome_key(out) == _outcome_key(lp.lp_max(sys, g2))
@@ -648,3 +679,88 @@ class TestEqualityPivotPath:
 
     def test_corpus_hash_matches_the_recorded_pivot_path(self):
         assert self._digest() == self.PINNED
+
+
+class TestWarmStartPath:
+    """The warm-start path, pinned like `TestPivotPath`.  A seeded corpus of
+    template tightening runs: per system, a few objectives g, each with a
+    loose bound row per sense (mostly strictly looser than the optimum, at
+    times tight or cutting).  Each step solves g^T v in one sense from the
+    previous step's tableau, then, when the optimum is strictly tighter,
+    retires that sense's bound row and appends the optimum as a new row at
+    the end; now and then it appends a cut below the optimum instead, or
+    also retires another bound row.  Every step's status, value, primal
+    point, dual vector, pivot count and whether `reconcile` accepted the
+    old tableau hash to a constant recorded on the dense tableau."""
+
+    PINNED = "9c733344315230614469fab592f1550ba84fd2705e03a34c1b8710c063ace209"
+
+    def _digest(self, monkeypatch):
+        accepted = []
+        reconcile = lp._Tableau.reconcile
+
+        def recording(tab, sys):
+            ok = reconcile(tab, sys)
+            accepted.append(ok)
+            return ok
+
+        monkeypatch.setattr(lp._Tableau, "reconcile", recording)
+        rng = random.Random(20261018)
+        h = hashlib.sha256()
+        seen, answers = set(), set()
+        for k in range(80):
+            make = _equality_system if k % 2 else partial(_boxed_random_system, n_extra=4)
+            sys, _ = make(rng, max_den=2 + k % 5)
+            n = sys.n_vars
+            templates = [{j: rand_rational(rng, 4) for j in range(n)} for _ in range(3)]
+            templates = [{j: q for j, q in g.items() if q} for g in templates]
+            rows = list(sys.rows)
+            bound = {}  # (template, sign) -> the id and rhs of its bound row
+            for t, g in enumerate(templates):
+                for sign in (1, -1):
+                    rhs = F(25) if rng.random() < 0.75 else rand_rational(rng, 4, span=4)
+                    rid = ("c", 300 + 2 * t + (sign < 0), "le")
+                    rows.append(NormRow({j: sign * q for j, q in g.items()}, rhs, rid))
+                    bound[t, sign] = rid, rhs
+            tab = None
+            fresh = 400
+            for t, g in itertools.chain(enumerate(templates), enumerate(templates)):
+                if not g:
+                    continue
+                for sign in (1, -1):
+                    step = NormalizedSystem(rows, n)
+                    warm = tab is not None
+                    out = (lp.lp_max if sign > 0 else lp.lp_min)(step, g, warm=tab)
+                    answer = accepted.pop() if warm else None
+                    assert not accepted
+                    answers.add(answer)
+                    h.update(f"{_outcome_key(out)} {answer}\n".encode())
+                    seen.add((out.status, warm and out.tableau is tab))
+                    tab = out.tableau
+                    if out.status != lp.OPTIMAL:
+                        continue
+                    rid, rhs = bound[t, sign]
+                    beta = sign * out.value
+                    if rhs is not None and beta >= rhs:
+                        continue
+                    rows = [r for r in rows if r.rid != rid]
+                    u = rng.random()
+                    # off the template tightening pattern, so that warm
+                    # starts get refused too: a cut the optimum violates,
+                    # or the retirement of another, possibly tight, row
+                    if u < 0.15:
+                        beta -= F(1, 3)
+                    elif u < 0.3:
+                        other = rng.choice(sorted(bound))
+                        rows = [r for r in rows if r.rid != bound[other][0]]
+                        bound[other] = None, None
+                    new = ("c", fresh, "le")
+                    fresh += 1
+                    rows.append(NormRow({j: sign * q for j, q in g.items()}, beta, new))
+                    bound[t, sign] = new, beta
+        assert seen >= {(lp.OPTIMAL, True), (lp.OPTIMAL, False), (lp.INFEASIBLE, False)}
+        assert answers == {None, True, False}
+        return h.hexdigest()
+
+    def test_corpus_hash_matches_the_recorded_warm_start_path(self, monkeypatch):
+        assert self._digest(monkeypatch) == self.PINNED

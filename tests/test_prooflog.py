@@ -10,7 +10,7 @@ import pytest
 from conftest import WORKED, dump_problem, worked_network, worked_prop, worked_region
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
-from relucert.model import ACTIVE, INACTIVE, build_layout
+from relucert.model import ACTIVE, INACTIVE, build_layout, format_rational
 from relucert import search
 from relucert.search import Config, hsrv_verify, icl_verify
 from relucert.store import GuardLiteral
@@ -565,10 +565,13 @@ class TestMutationFuzzing:
 
 
 class TestStructuralFuzzing:
-    """Rows moved rather than values changed.  Renumbering the
-    single-variable rows that bound a stabilized unit's pre-activation past
-    its stabilize row leaves every value intact, so only the stabilize sign
-    rule can see it: the sign those rows prove no longer precedes the row."""
+    """Rows moved and the tree or its annotations changed, rather than
+    certificate values.  Renumbering the single-variable rows that bound a
+    stabilized unit's pre-activation past its stabilize row leaves every
+    value intact, so only the stabilize sign rule can see it: the sign
+    those rows prove no longer precedes the row.  A domain split moved
+    inside its edge still covers the parent, so only the children's
+    snapshot regions can see it."""
 
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
         cases = 0
@@ -610,6 +613,56 @@ class TestStructuralFuzzing:
                     assert not out.accepted, (path, at, mutate.__name__)
                     mutations += 1
         assert mutations == 108
+
+    def test_domain_split_mutations_all_rejected(self):
+        """The worked proofs' domain split of dimension 0 at 1/2, moved to 0,
+        1/1000 or 1/3 (inside the edge, but not the split the children's
+        snapshots were taken on), to -1/2 or 3/2 (outside the edge), or to
+        dimension 1, which the one-input network lacks."""
+        mutations = 0
+        for problem, data, path in _worked_domain_proofs():
+            base = prooflog.parse_proof(data)
+            assert base["tree"]["kind"] == ["domain", 0, "1/2"]
+            for part, value in ((2, "0"), (2, "1/1000"), (2, "1/3"), (2, "-1/2"), (2, "3/2"),
+                                (1, 1)):
+                doc = json.loads(json.dumps(base))
+                doc["tree"]["kind"][part] = value
+                out = prooflog.check_proof(problem, _dumps(doc), path)
+                assert not out.accepted, (path, part, value)
+                mutations += 1
+        assert mutations == 12
+
+    def test_split_bound_mutations_all_rejected(self, tmp_path):
+        """Each split bound of the worked domain proofs and of the branching
+        proofs, moved by 1/1000 either way, or set to the smaller child
+        bound where the two children's differ."""
+        mutations = 0
+        proofs = (*_worked_domain_proofs(), *_branching(tmp_path, (icl_verify, hsrv_verify)))
+        for problem, data, path in proofs:
+            base = prooflog.parse_proof(data)
+            for at, node in _tree_nodes(base["tree"]):
+                if node["type"] != "split" or "bound" not in node:
+                    continue
+                bound = F(node["bound"])
+                betas = [F(c["bound"] if c["type"] == "split" else c["bound"]["beta"])
+                         for c in node["children"]]
+                assert bound == max(betas)
+                for value in sorted({bound + F(1, 1000), bound - F(1, 1000), min(betas)} - {bound}):
+                    doc = json.loads(json.dumps(base))
+                    _tree_node(doc, at)["bound"] = format_rational(value)
+                    out = prooflog.check_proof(problem, _dumps(doc), path)
+                    assert not out.accepted and "split bound" in out.reason, (path, at, value)
+                    mutations += 1
+        assert mutations == 22
+
+
+def _worked_domain_proofs():
+    """(problem, proof bytes, problem path) for the worked
+    `first_split="domain"` proof under icl and under hsrv."""
+    for driver in (icl_verify, hsrv_verify):
+        res = driver(*_problem(), Config(first_split="domain"))
+        assert res.status == "unsat"
+        yield _problem(), prooflog.emit(res.proof, WORKED), WORKED
 
 
 def _branching(tmp_path, drivers):
