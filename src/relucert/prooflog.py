@@ -436,13 +436,27 @@ def _check_cover(certs: list[GuardedCertificate], alpha: dict) -> str | None:
     return None
 
 
+def _json_int(value) -> int:
+    """A JSON integer; not a bool, a float or a numeric string."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _split_children(region: Region, alpha: dict, kind) -> list[tuple[Region, dict]]:
+    """The children's scopes, for an annotation only in the form `emit`
+    writes: a phase split's unit and a domain split's dimension as JSON
+    integers, its midpoint as a proof rational."""
     if kind[0] == "phase":
-        unit = (int(kind[1][0]), int(kind[1][1]))
+        _, (layer, neuron) = kind
+        unit = (_json_int(layer), _json_int(neuron))
         return [(region, {**alpha, unit: phase}) for phase in (ACTIVE, INACTIVE)]
+    if kind[0] != "domain":
+        raise ValueError(f"unknown split kind {kind[0]!r}")
     _, dim, mid = kind
-    dim = int(dim)
-    mid = parse_rational(mid) if isinstance(mid, str) else mid
+    if _json_int(dim) not in range(len(region.lower)):
+        raise ValueError(f"dimension {dim} outside the input")
+    mid = parse_rational(mid)
     lo, hi = region.lower[dim], region.upper[dim]
     if not (lo <= mid <= hi):
         raise ValueError("midpoint outside the parent edge")
@@ -490,10 +504,10 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         kind = node["kind"]
         try:
             children = _split_children(region, alpha, kind)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, TypeError) as exc:
             return _reject(path, f"bad split annotation: {exc}"), None
         if kind[0] == "phase":
-            unit = (int(kind[1][0]), int(kind[1][1]))
+            unit = tuple(kind[1])
             if unit not in set(pb.net.hidden_units):
                 return _reject(path, f"phase split on unknown unit {unit}"), None
             if unit in alpha:

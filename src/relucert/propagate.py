@@ -1,16 +1,17 @@
 """Certificate-driven node propagation.
 
 One fixed-point pass interleaves: bound-row installation (interval arithmetic
-exported as dual certificates), hull insertion for unstable units, template
-tightening with LP dual certificates, stabilization of units whose bound rows
-fix their sign, and a feasibility check that prunes with a Farkas
-certificate.
+exported as dual certificates), hull insertion for unstable units, LP
+tightening of their pre-activations with dual certificates, stabilization of
+units whose bound rows fix their sign, and a feasibility check that prunes
+with a Farkas certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from . import certs as certmod
 from . import lp
@@ -28,31 +29,6 @@ MAX_PASSES = 25
 
 class NotUnstable(Exception):
     """hull_insert called for a unit whose bounds do not straddle zero."""
-
-
-@dataclass(frozen=True)
-class Template:
-    g: tuple[tuple[int, Fraction], ...]
-    kind: tuple
-
-    @staticmethod
-    def make(g: dict[int, Fraction], kind: tuple):
-        return Template(tuple(sorted((j, q) for j, q in g.items() if q != 0)), kind)
-
-    @property
-    def g_dict(self) -> dict[int, Fraction]:
-        return dict(self.g)
-
-
-def default_templates(store: Store, margin_only: bool = False) -> list[Template]:
-    """One pre-activation bound template per currently unstable unit, plus the
-    output margin."""
-    out = []
-    if not margin_only:
-        for unit in sorted(store.unstable):
-            out.append(Template.make({store.layout.pre_index(unit): _ONE}, ("neuron", unit)))
-    out.append(Template.make({store.layout.margin_index: _ONE}, ("margin",)))
-    return out
 
 
 @dataclass
@@ -250,121 +226,65 @@ def stabilize(store: Store, budget: Budget | None = None) -> list[StabilityCerti
     return out
 
 
-def _current_upper(store: Store, tmpl: Template) -> Fraction | None:
-    if tmpl.kind[0] == "neuron":
-        return store.bounds.pre[tmpl.kind[1]][1]
-    cur = store.template_bounds.get((tmpl.g, "ub"))
-    return cur
-
-
-def _current_lower(store: Store, tmpl: Template) -> Fraction | None:
-    if tmpl.kind[0] == "neuron":
-        return store.bounds.pre[tmpl.kind[1]][0]
-    return store.template_bounds.get((tmpl.g, "lb"))
-
-
-def _record_upper(store: Store, tmpl: Template, beta: Fraction, cid: int, new: bool):
-    """Record beta as the template's upper bound, backed by row cid.  A
-    margin template files cid as its bound row (retired once a tighter one
-    comes) only if the row is new: a row the store already held, such as the
-    negated property, is not the template's to retire."""
-    if tmpl.kind[0] == "neuron":
-        unit = tmpl.kind[1]
-        store.bounds.tighten(unit, hi=beta)
-        up, lo = store.bound_rows[unit]
-        store.retire(up)  # superseded; stays resolvable for proof export
-        store.bound_rows[unit] = (cid, lo)
-    else:
-        old = store.template_rows.pop((tmpl.g, "ub"), None)
-        if old is not None:
-            store.retire(old)
-        if new:
-            store.template_rows[(tmpl.g, "ub")] = cid
-        store.template_bounds[(tmpl.g, "ub")] = beta
-
-
-def _record_lower(store: Store, tmpl: Template, beta: Fraction, cid: int, new: bool):
-    """`_record_upper` for the lower bound."""
-    if tmpl.kind[0] == "neuron":
-        unit = tmpl.kind[1]
-        store.bounds.tighten(unit, lo=beta)
-        up, lo = store.bound_rows[unit]
-        store.retire(lo)
-        store.bound_rows[unit] = (up, cid)
-    else:
-        old = store.template_rows.pop((tmpl.g, "lb"), None)
-        if old is not None:
-            store.retire(old)
-        if new:
-            store.template_rows[(tmpl.g, "lb")] = cid
-        store.template_bounds[(tmpl.g, "lb")] = beta
-
-
-def tgct(store: Store, templates: list[Template], budget: Budget) -> TgctResult:
-    """Template-guided certified tightening: LP-optimal bounds in both
-    directions per template, added only when strictly tighter, each backed by
-    a dual certificate the LP engine has checked.  Short-circuits with a
-    Farkas certificate if any solve reports infeasibility; raises
-    `Exhausted` if the LP budget is spent or an LP hits its iteration limit.
+def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
+    """Template-guided certified tightening: maximize, then minimize, each
+    unit's pre-activation over the store's rows.  A strictly tighter optimum
+    becomes a derived row, backed by the dual certificate the LP engine has
+    checked; it tightens the unit's interval and retires the bound row it
+    supersedes.  Short-circuits with a Farkas certificate if a solve reports
+    infeasibility; raises `Exhausted` if the LP budget is spent or an LP hits
+    its iteration limit.
 
     Each LP after the first starts from the optimal tableau of the one
     before: the store changes in between only by the derived row just added
     and the looser row it retires (see `lp`)."""
     res = TgctResult()
     tab = None
-    for tmpl in templates:
-        g = tmpl.g_dict
-        for sense in ("max", "min"):
+    for unit in units:
+        s = store.layout.pre_index(unit)
+        for upper in (True, False):
+            # the lower bound l is the upper bound -l of -s
+            g = {s: _ONE if upper else -_ONE}
             budget.count_lp()
-            sys = store.normalize()
-            solve = lp.lp_max if sense == "max" else lp.lp_min
-            out = solve(sys, g, warm=tab)
+            out = lp.lp_max(store.normalize(), g, warm=tab)
             tab = out.tableau
             if out.status == lp.INFEASIBLE:
                 res.farkas = FarkasCertificate.make(out.dual)
                 return res
             if out.status == lp.LIMIT:
                 raise Exhausted()
-            if out.status == lp.UNBOUNDED:
-                continue  # no new bound in this direction
-            beta = out.value
-            size = len(store.order)
-            if sense == "max":
-                cur = _current_upper(store, tmpl)
-                if cur is not None and beta >= cur:
-                    continue
-                cert = DualBoundCertificate.make(g, beta, out.dual)
-                cid = _add_derived_row(store, g, beta, cert)
-                _record_upper(store, tmpl, beta, cid, len(store.order) > size)
+            lo, hi = store.bounds.pre[unit]
+            if out.status == lp.UNBOUNDED or out.value >= (hi if upper else -lo):
+                continue
+            cid = _add_derived_row(store, g, out.value,
+                                   DualBoundCertificate.make(g, out.value, out.dual))
+            up_cid, lo_cid = store.bound_rows[unit]
+            if upper:
+                store.bounds.tighten(unit, hi=out.value)
+                store.retire(up_cid)  # superseded; stays resolvable for proof export
+                store.bound_rows[unit] = (cid, lo_cid)
             else:
-                cur = _current_lower(store, tmpl)
-                if cur is not None and beta <= cur:
-                    continue
-                neg = {j: -q for j, q in g.items()}
-                cert = DualBoundCertificate.make(neg, -beta, out.dual)
-                cid = _add_derived_row(store, neg, -beta, cert)
-                _record_lower(store, tmpl, beta, cid, len(store.order) > size)
-            # 0 when the store already held the row as an active one, as the
-            # negated property when the margin's minimum is its threshold
-            res.rows_added += len(store.order) - size
+                store.bounds.tighten(unit, lo=-out.value)
+                store.retire(lo_cid)
+                store.bound_rows[unit] = (up_cid, cid)
+            res.rows_added += 1
     return res
 
 
-def propagate_node(store: Store, budget: Budget,
-                   templates: str | list[Template] = "default") -> PropagationResult:
+def propagate_node(store: Store, budget: Budget, templates: str = "default") -> PropagationResult:
     """Fixed-point loop Hull -> TGCT -> Stabilize -> feasibility check.
+    `templates` "default" tightens every unstable unit in every pass;
+    "margin-only" tightens none, so a pass's one LP is its feasibility LP.
     Prune carries an accepted Farkas certificate.  Raises `Exhausted` as
     `tgct` does."""
     result = PropagationResult("open")
-    margin_only = templates == "margin-only"
     for _ in range(MAX_PASSES):
         result.iterations += 1
         # bounds-only improvements do not force another pass; stabilization
         # or a new unstable unit does
         before = (frozenset(store.unstable), frozenset(store.stabilized))
         result.stability_certs.extend(ensure_relaxation(store, budget))
-        tset = default_templates(store, margin_only) if isinstance(templates, str) else templates
-        tres = tgct(store, tset, budget)
+        tres = tgct(store, sorted(store.unstable) if templates == "default" else (), budget)
         result.tgct_rows_per_call.append(tres.rows_added)
         if tres.farkas is not None:
             result.status = "prune"
@@ -381,8 +301,8 @@ def propagate_node(store: Store, budget: Budget,
         if feas.status == lp.LIMIT:
             raise Exhausted()
         result.feasible_point = feas.primal
+        # the first pass installs the relaxation; a second confirms the fixed point
         after = (frozenset(store.unstable), frozenset(store.stabilized))
-        if after == before and store.relaxation_installed:
+        if after == before and result.iterations > 1:
             break
-        store.relaxation_installed = True
     return result

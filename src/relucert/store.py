@@ -188,9 +188,7 @@ class Store:
         self.alpha = dict(alpha)
         self.constraints: dict[int, LinearConstraint] = {}
         self.norm_rows: dict[int, list[NormRow]] = {}       # cid -> its normalized rows
-        self.order: list[int] = []
         self.retired: set[int] = set()
-        self._next = 0
         self._active_keys: dict = {}
         self.bounds = BoundsMap()
         self.unstable: set[Unit] = set()
@@ -200,11 +198,8 @@ class Store:
         self.hull_bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
         self.stabilized: dict[Unit, str] = {}               # unit -> phase
         self.post_refs: dict = {}                           # unit/("input",k) -> bound combos
-        self.template_bounds: dict = {}                     # (template, side) -> bound
-        self.template_rows: dict = {}                       # (template, side) -> cid
         self.aff_ids: dict[Unit, int] = {}
         self.guard_ids: dict[tuple[Unit, str], list[int]] = {}
-        self.relaxation_installed = False
 
     # -- mutation ---------------------------------------------------------
 
@@ -214,11 +209,9 @@ class Store:
         existing = self._active_keys.get(key)
         if existing is not None:
             return existing
-        cid = self._next
-        self._next += 1
+        cid = len(self.constraints)
         self.constraints[cid] = c
         self.norm_rows[cid] = normalize_constraint(cid, c)
-        self.order.append(cid)
         self._active_keys[key] = cid
         return cid
 
@@ -231,10 +224,10 @@ class Store:
     # -- views ------------------------------------------------------------
 
     def active_constraints(self) -> list[tuple[int, LinearConstraint]]:
-        return [(cid, self.constraints[cid]) for cid in self.order if cid not in self.retired]
+        return [(cid, c) for cid, c in self.constraints.items() if cid not in self.retired]
 
     def all_constraints(self) -> list[tuple[int, LinearConstraint]]:
-        return [(cid, self.constraints[cid]) for cid in self.order]
+        return list(self.constraints.items())
 
     def normalize(self, exclude: Callable[[int, LinearConstraint], bool] | None = None,
                   extra_rows: Iterable[NormRow] = ()) -> NormalizedSystem:

@@ -23,12 +23,12 @@ from conftest import (
     worked_prop,
     worked_region,
 )
-from relucert import certs, gate, prooflog
+from relucert import certs, gate, prooflog, propagate
 from relucert.budget import Budget
 from relucert.certs import DualBoundCertificate, FarkasCertificate, check_dual, check_farkas
 from relucert.cli import EXIT_SAT, EXIT_UNSAT, main
 from relucert.model import build_layout, forward_eval, validate_witness
-from relucert.propagate import Template, default_templates, propagate_node, tgct
+from relucert.propagate import propagate_node
 from relucert.search import (
     Config,
     ProofLeaf,
@@ -176,23 +176,32 @@ class TestAcceptance:
                f"unsat), icl = hsrv = oracle, {proofs} proofs re-checked, "
                f"SAT decided {paths}, in {elapsed:.1f} s")
 
-    def test_06_tgct_saturation_and_row_budget(self, report):
+    def test_06_tgct_saturation_and_row_budget(self, report, monkeypatch):
+        real = propagate.tgct
+        calls = []
+
+        def spy(store, units, budget):
+            units = list(units)
+            res = real(store, units, budget)
+            calls.append((len(units), res.rows_added))
+            return res
+
+        monkeypatch.setattr(propagate, "tgct", spy)
         checked = 0
         for net, region, prop in _spec_suite(10, seed=606):
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
-            budget = Budget()
-            res = propagate_node(store, budget)
-            templates = default_templates(store)
-            bound = 2 * len(templates)
-            assert all(n <= bound for n in res.tgct_rows_per_call), res.tgct_rows_per_call
+            res = propagate_node(store, Budget())
+            assert all(added <= 2 * units for units, added in calls), calls
+            assert [added for _, added in calls] == res.tgct_rows_per_call
+            calls.clear()
             if res.status != "open":
                 continue
             # a second consecutive call at the unchanged store adds nothing
-            again = tgct(store, templates, Budget())
+            again = real(store, sorted(store.unstable), Budget())
             assert again.rows_added == 0, again.rows_added
             checked += 1
         assert checked >= 3
-        report(f"ACCEPTANCE 6: PASS - TGCT adds <= 2|templates| rows per pass and "
+        report(f"ACCEPTANCE 6: PASS - TGCT adds <= 2|units| rows per pass and "
                f"saturates (0 rows on repeat) on {checked} open stores")
 
     def test_07_gate_refinement_bound_and_witness_elimination(self, report, monkeypatch):

@@ -632,6 +632,35 @@ class TestStructuralFuzzing:
                 mutations += 1
         assert mutations == 12
 
+    @pytest.mark.parametrize("part, value", [(1, -1), (1, "0"), (1, 0.0), (1, False), (2, 0.5),
+                                             (0, "Domain")],
+                             ids=["dim-negative-index", "dim-string", "dim-float", "dim-bool",
+                                  "mid-float", "kind-unknown"])
+    def test_non_canonical_domain_split_rejected(self, part, value):
+        """The worked proofs' domain split written in a form `emit` never
+        writes: its dimension 0 as -1 (Python's index of the same edge),
+        "0", 0.0 or false, its midpoint "1/2" as the JSON float 0.5, or an
+        unknown split kind."""
+        for problem, data, path in _worked_domain_proofs():
+            doc = prooflog.parse_proof(data)
+            assert doc["tree"]["kind"] == ["domain", 0, "1/2"]
+            doc["tree"]["kind"][part] = value
+            out = prooflog.check_proof(problem, _dumps(doc), path)
+            assert not out.accepted and "split annotation" in out.reason, (path, out)
+
+    @pytest.mark.parametrize("coord, value", [(0, "2"), (0, 2.0), (1, "1"), (1, 1.0), (1, True)],
+                             ids=["layer-string", "layer-float", "neuron-string",
+                                  "neuron-float", "neuron-bool"])
+    def test_non_canonical_phase_split_rejected(self, tmp_path, coord, value):
+        """The root phase split on unit (2, 1) of a branching proof, with
+        one coordinate written as a string, a float or a bool."""
+        problem, data, path = next(_branching(tmp_path, (icl_verify,)))
+        doc = prooflog.parse_proof(data)
+        assert doc["tree"]["kind"] == ["phase", [2, 1]]
+        doc["tree"]["kind"][1][coord] = value
+        out = prooflog.check_proof(problem, _dumps(doc), path)
+        assert not out.accepted and "split annotation" in out.reason, out
+
     def test_split_bound_mutations_all_rejected(self, tmp_path):
         """Each split bound of the worked domain proofs and of the branching
         proofs, moved by 1/1000 either way, or set to the smaller child

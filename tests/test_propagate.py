@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
-from relucert import certs, lp
+from relucert import certs, lp, propagate
 from relucert.budget import Budget, Exhausted
 from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval, trace_vector
 from relucert.certs import DualBoundCertificate
@@ -12,8 +12,6 @@ from relucert.propagate import (
     BoundRowRejected,
     NotUnstable,
     _check_bound_row,
-    Template,
-    default_templates,
     ensure_relaxation,
     hull_insert,
     propagate_node,
@@ -38,7 +36,7 @@ def _random_store(rng):
 def _certificates_since(store, start):
     """The dual certificates of the derived rows added after the store's
     first `start` rows."""
-    return [store.constraints[cid].derivation[1] for cid in store.order[start:]
+    return [store.constraints[cid].derivation[1] for cid in list(store.constraints)[start:]
             if store.constraints[cid].derivation[0] == "derived"]
 
 
@@ -165,20 +163,12 @@ class TestStabilization:
 
 
 class TestTgct:
-    def test_margin_template_recovers_published_relaxation_bound(self):
-        store = _store()
-        ensure_relaxation(store)
-        budget = Budget()
-        res = tgct(store, default_templates(store, margin_only=True), budget)
-        assert res.farkas is not None  # y <= 1 < 11/10 contradicts the query
-        assert certs.check_farkas(store.normalize(), res.farkas).ok
-
     def test_tighter_bounds_recorded_with_certificates(self):
         store = _store("1/2")  # satisfiable variant: tightening proceeds
         ensure_relaxation(store)
         budget = Budget()
-        start = len(store.order)
-        res = tgct(store, default_templates(store), budget)
+        start = len(store.constraints)
+        res = tgct(store, sorted(store.unstable), budget)
         assert res.farkas is None
         added = _certificates_since(store, start)
         assert res.rows_added == len(added) > 0
@@ -189,51 +179,57 @@ class TestTgct:
     def test_row_budget_per_call(self):
         store = _store("1/2")
         ensure_relaxation(store)
-        templates = default_templates(store)
-        res = tgct(store, templates, Budget())
-        assert res.rows_added <= 2 * len(templates)
+        units = sorted(store.unstable)
+        res = tgct(store, units, Budget())
+        assert res.rows_added <= 2 * len(units)
 
     def test_saturation_second_call_adds_nothing(self):
         store = _store("1/2")
         ensure_relaxation(store)
-        templates = default_templates(store)
-        tgct(store, templates, Budget())
-        start = len(store.order)
-        again = tgct(store, templates, Budget())
+        units = sorted(store.unstable)
+        tgct(store, units, Budget())
+        start = len(store.constraints)
+        again = tgct(store, units, Budget())
         assert again.rows_added == 0 and _certificates_since(store, start) == []
 
     def test_superseded_rows_are_retired_not_duplicated(self):
         store = _store("1/2")
         ensure_relaxation(store)
         before = {cid for cid, _ in store.active_constraints()}
-        res = tgct(store, default_templates(store), Budget())
+        res = tgct(store, sorted(store.unstable), Budget())
         active = {cid for cid, _ in store.active_constraints()}
         # net growth is bounded by rows added minus retirements
         assert len(active) <= len(before) + res.rows_added
 
-    def test_margin_bookkeeping_never_retires_the_negated_property(self):
+    def test_retires_only_superseded_bound_rows(self):
         store = _store("1/2")
         ensure_relaxation(store)
-        margin = default_templates(store, margin_only=True)
-        key = (margin[0].g, "lb")
         negp = next(cid for cid, c in store.active_constraints() if c.block == NEGP)
-        # the margin's minimum is the threshold: the lower-bound row is negp
-        assert tgct(store, margin, Budget()).rows_added == 1
-        assert store.template_bounds[key] == store.prop.violation_threshold
-        # x >= 15/16 lifts the minimum above it: a strictly tighter bound
+        # x >= 15/16 lifts the margin's minimum above the threshold
         x = store.layout.input_index(0)
         store.add(LinearConstraint({x: F(-1)}, LE, F(-15, 16), REGION, ("region", 0, "lo")))
-        assert tgct(store, margin, Budget()).rows_added == 1
-        assert store.template_bounds[key] > store.prop.violation_threshold
-        assert negp not in store.retired
-        assert store.template_rows[key] not in (negp, None)
+        for _ in range(2):
+            rows = dict(store.bound_rows)
+            bounds = dict(store.bounds.pre)
+            retired = set(store.retired)
+            tgct(store, sorted(store.unstable), Budget())
+            assert negp not in store.retired
+            for cid in store.retired - retired:
+                unit, side = next((u, k) for u, pair in rows.items()
+                                  for k, c in enumerate(pair) if c == cid)
+                new = store.bound_rows[unit][side]
+                assert new != cid and store.constraints[new].derivation[0] == "derived"
+                # the replacement bounds the same side strictly tighter
+                lo, hi = store.bounds.pre[unit]
+                assert hi < bounds[unit][1] if side == 0 else lo > bounds[unit][0]
+        assert store.retired
 
     def test_budget_exhaustion_reported(self):
         store = _store("1/2")
         ensure_relaxation(store)
         budget = Budget(lp_limit=1)
         with pytest.raises(Exhausted):
-            tgct(store, default_templates(store), budget)
+            tgct(store, sorted(store.unstable), budget)
         assert budget.lp_calls == 1
 
 
@@ -243,6 +239,44 @@ class TestFixedPoint:
         res = propagate_node(store, Budget())
         assert res.status == "prune"
         assert certs.check_farkas(store.normalize(), res.farkas).ok
+
+    def test_margin_only_prunes_the_worked_store_in_one_lp(self):
+        # the relaxation bounds y <= 1 < 11/10: the feasibility LP refutes
+        # the query without a tightening LP
+        store = _store()
+        budget = Budget()
+        res = propagate_node(store, budget, templates="margin-only")
+        assert res.status == "prune" and budget.lp_calls == 1
+        assert certs.check_farkas(store.normalize(), res.farkas).ok
+
+    def test_each_pass_pays_two_lps_per_templated_unit_and_one_feasibility_lp(self, monkeypatch):
+        # default templates every unit unstable when the pass's TGCT starts,
+        # margin-only none
+        real = propagate.tgct
+        for templates in ("default", "margin-only"):
+            stores = [_store("1/2")] + [_random_store(random.Random(k)) for k in range(12)]
+            opened = unstable = 0
+            for store in stores:
+                budget = Budget()
+                passes = []
+
+                def spy(store, units, budget):
+                    passes.append((len(store.unstable), budget.lp_calls))
+                    return real(store, units, budget)
+
+                monkeypatch.setattr(propagate, "tgct", spy)
+                res = propagate_node(store, budget, templates=templates)
+                if res.status != "open":
+                    continue
+                opened += 1
+                unstable += sum(units for units, _ in passes)
+                ends = [lps for _, lps in passes[1:]] + [budget.lp_calls]
+                paid = [end - start for (_, start), end in zip(passes, ends)]
+                if templates == "default":
+                    assert paid == [2 * units + 1 for units, _ in passes]
+                else:
+                    assert paid == [1] * len(passes)
+            assert opened >= 3 and unstable > 0
 
     def test_sat_variant_stays_open_with_feasible_point(self):
         store = _store("1/2")
@@ -254,7 +288,7 @@ class TestFixedPoint:
     def test_every_iteration_respects_the_row_budget(self):
         store = _store("1/2")
         res = propagate_node(store, Budget())
-        bound = 2 * (len(store.unstable) + len(store.stabilized) + 1)
+        bound = 2 * (len(store.unstable) + len(store.stabilized))
         assert all(n <= bound for n in res.tgct_rows_per_call)
 
     def test_open_nodes_keep_a_sound_relaxation(self):
@@ -276,7 +310,7 @@ class TestFixedPoint:
                 lhs = sum((q * point.get(j, F(0)) for j, q in r.row.items()), F(0))
                 assert lhs <= r.rhs
             checked += 1
-        # template choice strings behave like the default list
+        # without tightening LPs the sat variant stays open too
         store = _store("1/2")
         res = propagate_node(store, Budget(), templates="margin-only")
         assert res.status == "open"

@@ -301,7 +301,7 @@ class TestLpBudget:
 
     def test_every_budget_up_to_the_runs_own_lp_count(self, tmp_path):
         runs = 0
-        for idx, gap in itertools.product((42, 57, 89), (F(1, 1000), F(-1, 1000))):
+        for idx, gap in itertools.product((42, 53, 57, 89), (F(1, 1000), F(-1, 1000))):
             net, region, prop = tightened(idx, gap)
             path = tmp_path / f"p{idx}.json"
             dump_problem(net, region, prop, path)
@@ -322,18 +322,18 @@ class TestLpBudget:
         assert runs >= 400
 
     def test_no_split_once_the_budget_is_spent(self):
-        # the root's gate makes the run's 23rd LP and needs another: the run
+        # the root's gate makes the run's 19th LP and needs another: the run
         # ends there, not after a split whose children can make no LP (and
         # which would stabilize two more units)
-        res = hsrv_verify(*tightened(42), Config(lp_budget=23))
+        res = hsrv_verify(*tightened(42), Config(lp_budget=19))
         assert (res.status, res.reason) == ("unknown", "resource")
-        assert res.budget.lp_calls == 23
+        assert res.budget.lp_calls == 19
         assert res.budget.splits == 0 and res.budget.stabilized == 2
-        # the gate's one LP is the run's 7th and last, and the gate defers
+        # the gate's one LP is the run's 3rd and last, and the gate defers
         res = icl_verify(*tightened(42),
-                         dataclasses.replace(TestBranchingOracleAgreement.CONFIG, lp_budget=7))
+                         dataclasses.replace(TestBranchingOracleAgreement.CONFIG, lp_budget=3))
         assert (res.status, res.reason) == ("unknown", "resource")
-        assert res.budget.lp_calls == 7 and res.budget.gate_calls == 1
+        assert res.budget.lp_calls == 3 and res.budget.gate_calls == 1
         assert res.budget.splits == 0
 
 
@@ -349,7 +349,7 @@ class TestMaxDepth:
                                              max_depth=max_depth)
                 res = driver(net, region, prop, config)
                 assert (res.status, res.reason) == ("unknown", "depth"), max_depth
-                assert res.budget.splits == max_depth and res.budget.lp_calls == 7 * (max_depth + 1)
+                assert res.budget.splits == max_depth and res.budget.lp_calls == 3 * (max_depth + 1)
 
     def test_a_proof_is_no_deeper_than_the_cap(self):
         net, region, prop = tightened(89)

@@ -87,7 +87,7 @@ class TestStoreMutation:
         again = store.normalize()
         assert len(first) == len(again)
         assert all(a is b for a, b in zip(first.rows, again.rows))
-        cid = store.order[0]
+        cid = next(iter(store.constraints))
         store.retire(cid)
         after = store.normalize()
         assert [r.rid for r in after.rows] == [r.rid for r in first.rows if r.rid[1] != cid]
