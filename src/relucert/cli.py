@@ -115,6 +115,14 @@ def cmd_oracle(args) -> int:
     return EXIT_SAT
 
 
+def nonnegative_int(text: str) -> int:
+    """A nonnegative integer option value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relucert",
@@ -127,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--strategy", choices=("icl", "hsrv"), default="icl")
     verify.add_argument("--emit-proof", metavar="PATH")
     verify.add_argument("--witness", metavar="PATH")
-    verify.add_argument("--max-depth", type=int, default=64)
-    verify.add_argument("--lp-budget", type=int, default=None)
-    verify.add_argument("--gate-budget", type=int, default=None)
+    verify.add_argument("--max-depth", type=nonnegative_int, default=64)
+    verify.add_argument("--lp-budget", type=nonnegative_int, default=None)
+    verify.add_argument("--gate-budget", type=nonnegative_int, default=None)
     verify.add_argument("--templates", choices=("default", "margin-only"),
                         default="default")
     verify.set_defaults(func=cmd_verify)

@@ -5,9 +5,12 @@ growing subset S of the unstable units.  Each partial exact query is decided
 by a small DPLL over the 2^|S| guard assignments with an LP feasibility check
 per full assignment; every infeasible branch yields a guarded Farkas
 certificate, and an unsat answer returns a cover of such certificates whose
-guard sets exhaust all assignments.  The gate's own LP ceiling
-(`gate_lp_limit`) or a solver limit makes it defer; a spent run budget
-raises `Exhausted` out of it.
+guard sets exhaust all assignments.  The query with S empty, the first of
+the incremental strategy, asks for a point of the store's rows; the open
+node's last LP found one, so that query makes no LP.  The gate's own query
+ceiling (`gate_lp_limit`, which counts every query answered, that one
+included) or a solver limit makes it defer; a spent run budget raises
+`Exhausted` out of it.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class ExactResult:
     status: str  # SAT | UNSAT | LIMIT
     model: dict[int, Fraction] | None = None
     cover: list[GuardedCertificate] = field(default_factory=list)
+    queries: int = 0  # theory queries answered
 
 
 def _drop_zero_guards(cert: GuardedCertificate, layout) -> GuardedCertificate:
@@ -141,9 +145,10 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
         return None
 
     res = solve(0, ())
-    if res is not None:
-        return res
-    return ExactResult(UNSAT, cover=cover)
+    if res is None:
+        res = ExactResult(UNSAT, cover=cover)
+    res.queries = calls
+    return res
 
 
 @dataclass
@@ -169,26 +174,32 @@ def _model_violates_exactness(store: Store, model: dict[int, Fraction], unit: Un
 
 
 def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = None,
-                   start=()) -> GateOutcome:
+                   start=(), point: dict[int, Fraction] | None = None) -> GateOutcome:
     """Abstraction-refinement loop over exact subsets S, starting from
     S = start (the empty set, or every unstable unit for the hybrid strategy).
 
     Sat models are validated by exact forward evaluation; spurious models
     grow S by the most-violated unit, which provably eliminates them.  At
-    most |U| refinements can occur.  The gate defers once it has made
-    `gate_lp_limit` LPs, when an LP hits the solver's limit, or when an
-    exact model is no counterexample.
+    most |U| refinements can occur.  `point`, a point of every active row
+    of the store (the open node's LP point), answers the query S = {}
+    without an LP.  The gate defers once it has answered `gate_lp_limit`
+    queries, when an LP hits the solver's limit, or when an exact model is
+    no counterexample.
     """
     budget.gate_calls += 1
     unstable = sorted(store.unstable)
     subset: set[Unit] = set(start)
     refinements = 0
-    ceiling = None if gate_lp_limit is None else budget.lp_calls + gate_lp_limit
+    queries = 0
     while True:
-        remaining = None if ceiling is None else ceiling - budget.lp_calls
+        remaining = None if gate_lp_limit is None else gate_lp_limit - queries
         if remaining is not None and remaining <= 0:
             return GateOutcome(DEFER, refinements=refinements)
-        res = exact_solve(store, subset, budget, local_limit=remaining)
+        if point is not None and not subset:
+            res = ExactResult(SAT, model=point, queries=1)
+        else:
+            res = exact_solve(store, subset, budget, local_limit=remaining)
+        queries += res.queries
         if res.status == LIMIT:
             return GateOutcome(DEFER, refinements=refinements)
         if res.status == UNSAT:

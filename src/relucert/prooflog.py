@@ -180,16 +180,47 @@ def parse_proof(data: bytes) -> dict:
 # -- deserialization of checker inputs --------------------------------------
 
 
+def _json_int(value) -> int:
+    """A JSON integer; not a bool, a float or a numeric string."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _key_int(key: str) -> int:
+    """An object key naming a nonnegative integer, written as `emit` writes
+    it: canonical decimal, so no two keys name one integer."""
+    if not (key.isascii() and key.isdigit() and (key[0] != "0" or key == "0")):
+        raise ValueError(f"expected a canonical decimal key, got {key!r}")
+    return int(key)
+
+
+def _unit(obj) -> tuple[int, int]:
+    """A unit, (layer, neuron), as two JSON integers."""
+    layer, neuron = obj
+    if type(layer) is not int or type(neuron) is not int:
+        raise ValueError(f"expected a unit of two JSON integers, got {obj!r}")
+    return layer, neuron
+
+
 def _parse_row(obj) -> dict[int, Fraction]:
-    return {int(j): parse_rational(v) for j, v in obj.items()}
+    return {_key_int(j): parse_rational(v) for j, v in obj.items()}
 
 
 def _parse_multipliers(obj) -> dict:
-    return {tuple(r): parse_rational(v) for r, v in obj}
+    """Row ids: their strings as written, every other part a JSON integer."""
+    out = {}
+    for r, v in obj:
+        rid = tuple(r)
+        for part in rid:
+            if type(part) is not str and type(part) is not int:
+                raise ValueError(f"expected a JSON integer or string in row id, got {part!r}")
+        out[rid] = parse_rational(v)
+    return out
 
 
 def _parse_guarded(obj) -> GuardedCertificate:
-    guards = [GuardLiteral((int(i), int(j)), p) for i, j, p in obj["guards"]]
+    guards = [GuardLiteral(_unit((i, j)), p) for i, j, p in obj["guards"]]
     return GuardedCertificate.make(
         guards, FarkasCertificate.make(_parse_multipliers(obj["farkas"]["multipliers"])))
 
@@ -221,7 +252,7 @@ def _parse_snapshot(obj) -> _Snapshot:
             _, multipliers = tag
             tag = ("derived", DualBoundCertificate.make(
                 _parse_row(e["row"]), parse_rational(e["rhs"]), _parse_multipliers(multipliers)))
-        rows.append(_SnapRow(int(e["id"]), tag))
+        rows.append(_SnapRow(_json_int(e["id"]), tag))
     return _Snapshot(_parse_region(obj["region"]), tuple(rows))
 
 
@@ -284,7 +315,7 @@ def _margin_def_row(pb: _Problem) -> LinearConstraint:
 
 def _phase_row(pb: _Problem, unit, phase, k) -> LinearConstraint:
     rows = guard_consequences(pb.layout, GuardLiteral(unit, phase))
-    if k not in range(len(rows)):
+    if _json_int(k) not in range(len(rows)):
         raise _Rejected(f"no phase row {k!r}")
     return rows[k]
 
@@ -306,7 +337,7 @@ def _hull_row(pb: _Problem, unit, k, interval: dict) -> LinearConstraint:
         ({z: _ONE, s: -slope}, -slope * lo),
         ({z: _ONE}, hi),
     ]
-    if k not in range(len(rows)):
+    if _json_int(k) not in range(len(rows)):
         raise _Rejected(f"no hull row {k!r}")
     row, rhs = rows[k]
     return _constraint(row, LE, rhs)
@@ -323,12 +354,12 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
     kind = tag[0]
     if kind == "aff":
         _, i, j = tag
-        return _affine_row(pb, int(i), int(j))
+        return _affine_row(pb, *_unit((i, j)))
     if kind == "margin-def":
         return _margin_def_row(pb)
     if kind == "region":
         _, k, side = tag
-        if k not in range(pb.net.input_dim) or side not in ("lo", "hi"):
+        if _json_int(k) not in range(pb.net.input_dim) or side not in ("lo", "hi"):
             raise _Rejected("malformed region tag")
         xi = pb.layout.input_index(k)
         if side == "hi":
@@ -338,7 +369,7 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
         return _constraint({pb.layout.margin_index: -_ONE}, LE, -pb.prop.violation_threshold)
     if kind == "guard":
         _, i, j, phase, k = tag
-        return _phase_row(pb, (int(i), int(j)), phase, k)
+        return _phase_row(pb, _unit((i, j)), phase, k)
     if kind == "derived":
         cert = tag[1]
         reason = _check_dual_exact(system, cert)
@@ -347,7 +378,7 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
         return _constraint(cert.objective_dict, LE, cert.bound)
     if kind == "stabilize":
         _, unit, phase, k = tag
-        unit = tuple(unit)
+        unit = _unit(unit)
         row = _phase_row(pb, unit, phase, k)
         lo, hi = interval.get(pb.layout.pre_index(unit), (None, None))
         if phase == ACTIVE and (lo is None or lo < 0) or \
@@ -356,7 +387,7 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
         return row
     if kind == "hull":
         _, unit, k = tag
-        return _hull_row(pb, tuple(unit), k, interval)
+        return _hull_row(pb, _unit(unit), k, interval)
     raise _Rejected(f"unknown derivation kind {kind}")
 
 
@@ -379,7 +410,7 @@ def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
             return f"row {r.cid}: {exc}", None, None
         system.extend(normalize_constraint(r.cid, c))
         if r.tag[0] == "guard":
-            guards.add(((int(r.tag[1]), int(r.tag[2])), r.tag[3]))
+            guards.add((_unit(r.tag[1:3]), r.tag[3]))
         if c.relation == LE and len(c.row) == 1:
             (j, a), = c.row.items()
             lo, hi = interval.get(j, (None, None))
@@ -395,6 +426,8 @@ def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
 def _scoped_system(pb: _Problem, sid, region: Region, allowed: set):
     """(reason, system) for using snapshot `sid` at a path with this region,
     where its guard rows may assume only the literals in `allowed`."""
+    if type(sid) is not int:
+        return f"snapshot id {sid!r} is not a JSON integer", None
     if sid not in pb.snapshots:
         return "missing snapshot", None
     if sid not in pb.replays:
@@ -436,20 +469,12 @@ def _check_cover(certs: list[GuardedCertificate], alpha: dict) -> str | None:
     return None
 
 
-def _json_int(value) -> int:
-    """A JSON integer; not a bool, a float or a numeric string."""
-    if type(value) is not int:
-        raise ValueError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
 def _split_children(region: Region, alpha: dict, kind) -> list[tuple[Region, dict]]:
     """The children's scopes, for an annotation only in the form `emit`
     writes: a phase split's unit and a domain split's dimension as JSON
     integers, its midpoint as a proof rational."""
     if kind[0] == "phase":
-        _, (layer, neuron) = kind
-        unit = (_json_int(layer), _json_int(neuron))
+        unit = _unit(kind[1])
         return [(region, {**alpha, unit: phase}) for phase in (ACTIVE, INACTIVE)]
     if kind[0] != "domain":
         raise ValueError(f"unknown split kind {kind[0]!r}")
@@ -491,7 +516,7 @@ def _check_doc(pb: _Problem, doc: dict, problem_path) -> CheckOutcome:
         return _reject("digest", "problem digest mismatch")
     if _parse_region(doc["region"]) != pb.region:
         return _reject("region", "root region differs from the problem region")
-    pb.snapshots = {int(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
+    pb.snapshots = {_key_int(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
     outcome, _ = _check_tree(pb, doc["tree"], pb.region, {}, "tree")
     return outcome
 

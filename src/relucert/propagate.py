@@ -1,10 +1,16 @@
 """Certificate-driven node propagation.
 
 One fixed-point pass interleaves: bound-row installation (interval arithmetic
-exported as dual certificates), hull insertion for unstable units, LP
-tightening of their pre-activations with dual certificates, stabilization of
-units whose bound rows fix their sign, and a feasibility check that prunes
-with a Farkas certificate.
+exported as dual certificates), hull insertion for unstable units, a
+back-substitution of the negated property through those rows that prunes
+with a Farkas certificate and no LP, LP tightening of the unstable units'
+pre-activations with dual certificates, stabilization of units whose bound
+rows fix their sign, and one closing LP that prunes with a Farkas
+certificate or leaves the node open at a point of its rows.  Below the root
+the closing LP maximizes the margin without the negated property, which
+also proves the margin bound the node's leaf records.  The root therefore
+makes no LP when back-substitution refutes it; a node below the root makes
+at least the one LP that proves its bound.
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ class PropagationResult:
     iterations: int = 0
     feasible_point: dict[int, Fraction] | None = None
     tgct_rows_per_call: list[int] = field(default_factory=list)
+    #: with `margin`: the final rows' margin LP was solved, and the margin
+    #: bound it proves (None if none)
+    margin_solved: bool = False
+    evidence: DualBoundCertificate | None = None
 
 
 class BoundRowRejected(Exception):
@@ -71,9 +81,9 @@ def _specialize(store: Store, unit: Unit, phase: str) -> StabilityCertificate:
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    eq, le = (store.add(LinearConstraint(c.row, c.relation, c.rhs, REL,
-                                         ("stabilize", unit, phase, k)))
-              for k, c in enumerate(guard_consequences(store.layout, GuardLiteral(unit, phase))))
+    eq, le = store.stabilize_ids[unit] = [
+        store.add(LinearConstraint(c.row, c.relation, c.rhs, REL, ("stabilize", unit, phase, k)))
+        for k, c in enumerate(guard_consequences(store.layout, GuardLiteral(unit, phase)))]
     store.stabilized[unit] = phase
     store.unstable.discard(unit)
     _set_specialized_post_refs(store, unit, phase, eq, le)
@@ -226,6 +236,78 @@ def stabilize(store: Store, budget: Budget | None = None) -> list[StabilityCerti
     return out
 
 
+class RefutationRejected(Exception):
+    """A refutation built outside the LP engine failed its Farkas check."""
+
+
+def back_substitute(store: Store) -> FarkasCertificate | None:
+    """Refute the node without an LP, if its rows allow it this way.
+
+    Start from the negated property `-margin <= -(threshold + epsilon)`, and
+    cancel the highest-index variable left, again and again, with one row
+    at a nonnegative multiplier; each row brings in only variables of lower
+    index, so the sum ends on the inputs.  The rows: margin-def for the
+    margin auxiliary, a side of the affine equality for a pre-activation,
+    a side of the phase equality for the post-activation of a committed or
+    stabilized unit; for an unstable unit's post-activation the hull chord
+    (row 2) as its upper bound, and as its lower bound `z >= s` (row 1)
+    when `hi > -lo`, else `z >= 0` (row 0); the region rows for an input.
+    This is a DeepPoly back-substitution of the margin's upper bound.  If
+    the sum reads `0 <= rho` with rho < 0, its multipliers are a Farkas
+    certificate, checked over the rows they cite and returned; else None.
+    The node's next LP would run phase 1 on these same rows and find them
+    infeasible too, so pruning here moves no decision."""
+    layout = store.layout
+    pre = {layout.pre_index(u): u for u in store.aff_ids}
+    post = {layout.post_index(u): u for u in store.aff_ids
+            if layout.post_index(u) != layout.pre_index(u)}
+    inputs = {layout.input_index(k): k for k in range(store.net.input_dim)}
+    lam: dict = {}
+    coef: dict[int, Fraction] = {}
+    rho = _ZERO
+
+    def add(rid, m: Fraction):
+        nonlocal rho
+        lam[rid] = lam.get(rid, _ZERO) + m
+        row = store.norm_rows[rid[1]][0 if rid[2] == "le" else 1]
+        for j, q in row.row.items():
+            v = coef.get(j, _ZERO) + m * q
+            if v:
+                coef[j] = v
+            else:
+                coef.pop(j, None)
+        rho += m * row.rhs
+
+    def cancel_by_equality(cid: int, j: int, a: Fraction):
+        # the "le" side carries coefficient c on j, the "ge" side -c
+        c = store.norm_rows[cid][0].row[j]
+        add(("c", cid, "le" if a * c < 0 else "ge"), abs(a / c))
+
+    add(("c", store.negp_id, "le"), _ONE)
+    while coef:
+        j = max(coef)
+        a = coef[j]
+        if j == layout.margin_index and store.margin_def_id is not None:
+            cancel_by_equality(store.margin_def_id, j, a)
+        elif j in post:
+            unit = post[j]
+            if unit in store.alpha:
+                cancel_by_equality(store.guard_ids[(unit, store.alpha[unit])][0], j, a)
+            elif unit in store.stabilized:
+                cancel_by_equality(store.stabilize_ids[unit][0], j, a)
+            else:
+                lo, hi = store.hull_bounds[unit]
+                k = 2 if a < 0 else 1 if hi > -lo else 0
+                add(("c", store.hull_ids[unit][k], "le"), abs(a))
+        elif j in pre:
+            cancel_by_equality(store.aff_ids[pre[j]], j, a)
+        else:
+            side = "upper" if a < 0 else "lower"
+            for rid, c in store.post_refs[("input", inputs[j])][side][0]:
+                add(rid, abs(a) * c)
+    return _checked_farkas(store, lam) if rho < 0 else None
+
+
 def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     """Template-guided certified tightening: maximize, then minimize, each
     unit's pre-activation over the store's rows.  A strictly tighter optimum
@@ -271,38 +353,93 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     return res
 
 
-def propagate_node(store: Store, budget: Budget, templates: str = "default") -> PropagationResult:
-    """Fixed-point loop Hull -> TGCT -> Stabilize -> feasibility check.
-    `templates` "default" tightens every unstable unit in every pass;
-    "margin-only" tightens none, so a pass's one LP is its feasibility LP.
-    Prune carries an accepted Farkas certificate.  Raises `Exhausted` as
-    `tgct` does."""
+def _checked_farkas(store: Store, lam: dict) -> FarkasCertificate:
+    """`lam` as a Farkas certificate that `check_farkas` accepts over the
+    rows it cites."""
+    cert = FarkasCertificate.make(lam)
+    res = certmod.check_farkas(store.cited_rows(lam), cert)
+    if not res.ok:
+        raise RefutationRejected(f"Farkas certificate rejected: {res.reason}")
+    return cert
+
+
+def _feasibility_lp(store: Store, budget: Budget,
+                    result: PropagationResult) -> FarkasCertificate | None:
+    """Phase 1 over the active rows: a Farkas certificate, or None with the
+    point recorded."""
+    budget.count_lp()
+    feas = lp.lp_feasible(store.normalize())
+    if feas.status == lp.INFEASIBLE:
+        return FarkasCertificate.make(feas.dual)
+    if feas.status == lp.LIMIT:
+        raise Exhausted()
+    result.feasible_point = feas.primal
+    return None
+
+
+def _margin_lp(store: Store, budget: Budget,
+               result: PropagationResult) -> FarkasCertificate | None:
+    """Maximize the margin over the active rows but the negated property.
+    INFEASIBLE refutes the node and proves no bound; an optimum beta is the
+    node's margin bound, and refutes it when beta < threshold + epsilon,
+    by the dual plus the negated-property row; a larger optimum is a point
+    of every row, the negated property included."""
+    budget.count_lp()
+    g = {store.layout.margin_index: _ONE}
+    out = lp.lp_max(store.without_negp(), g)
+    if out.status == lp.LIMIT:
+        raise Exhausted()
+    result.margin_solved = True
+    if out.status == lp.UNBOUNDED:
+        # not over a box; if it happens, the margin has no bound to record
+        return _feasibility_lp(store, budget, result)
+    if out.status == lp.INFEASIBLE:
+        return FarkasCertificate.make(out.dual)
+    result.evidence = DualBoundCertificate.make(g, out.value, out.dual)
+    if out.value < store.prop.violation_threshold:
+        return _checked_farkas(store, {**out.dual, ("c", store.negp_id, "le"): _ONE})
+    result.feasible_point = out.primal
+    return None
+
+
+def propagate_node(store: Store, budget: Budget, templates: str = "default",
+                   margin: bool = False) -> PropagationResult:
+    """Fixed-point loop Hull -> back-substitution -> TGCT -> Stabilize ->
+    closing LP.  `templates` "default" tightens every unstable unit in
+    every pass; "margin-only" tightens none.  `back_substitute` may prune a
+    pass before its first LP.  The closing LP is the feasibility LP or,
+    with `margin` (a node whose leaf records the margin bound of its rows
+    without the negated property), the margin LP over those rows, which
+    both decides the node and proves the bound (`_margin_lp`); `evidence`
+    is then the bound of the final rows.  Prune carries an accepted Farkas
+    certificate, an open node a point of all its rows.  Raises `Exhausted`
+    as `tgct` does."""
     result = PropagationResult("open")
     for _ in range(MAX_PASSES):
         result.iterations += 1
-        # bounds-only improvements do not force another pass; stabilization
-        # or a new unstable unit does
+        result.margin_solved, result.evidence = False, None
         before = (frozenset(store.unstable), frozenset(store.stabilized))
         result.stability_certs.extend(ensure_relaxation(store, budget))
-        tres = tgct(store, sorted(store.unstable) if templates == "default" else (), budget)
-        result.tgct_rows_per_call.append(tres.rows_added)
-        if tres.farkas is not None:
+        units = sorted(store.unstable) if templates == "default" else []
+        # the margin LP is made for the bound even where back-substitution
+        # refutes the node, so there a refutation saves only TGCT's LPs
+        farkas = back_substitute(store) if units or not margin else None
+        if farkas is None:
+            tres = tgct(store, units, budget)
+            result.tgct_rows_per_call.append(tres.rows_added)
+            farkas = tres.farkas
+        if farkas is None:
+            settled = stabilize(store, budget)
+            result.stability_certs.extend(settled)
+            farkas = (_margin_lp if margin else _feasibility_lp)(store, budget, result)
+        if farkas is not None:
             result.status = "prune"
-            result.farkas = tres.farkas
+            result.farkas = farkas
             return result
-        result.stability_certs.extend(stabilize(store, budget))
-        budget.count_lp()
-        sys = store.normalize()
-        feas = lp.lp_feasible(sys)
-        if feas.status == lp.INFEASIBLE:
-            result.status = "prune"
-            result.farkas = FarkasCertificate.make(feas.dual)
-            return result
-        if feas.status == lp.LIMIT:
-            raise Exhausted()
-        result.feasible_point = feas.primal
-        # the first pass installs the relaxation; a second confirms the fixed point
+        # fixed point: with no new row and no new stabilization the next
+        # pass would solve the same rows again; and a second pass that
+        # leaves the unstable and stabilized units as they were ends too
         after = (frozenset(store.unstable), frozenset(store.stabilized))
-        if after == before and result.iterations > 1:
+        if not (tres.rows_added or settled) or after == before and result.iterations > 1:
             break
     return result

@@ -10,8 +10,13 @@ incremental strategy (icl) starts the gate with no unit exact and refines,
 the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
 leaf carries Farkas certificates and, below the root, the margin bound its
 store proves; a split whose two children both carry a bound carries their
-maximum (the merge lemma `margin <= max(beta1, beta2)`).  Conflict clauses
-are still recorded at root-region nodes, but no later node can match one.
+maximum (the merge lemma `margin <= max(beta1, beta2)`).  Below the root
+the bound comes from the node's closing LP, which maximizes the margin
+without the negated property (`propagate_node(..., margin=True)`), so it
+costs no LP of its own unless propagation refuted the node before that LP
+(`_margin_evidence`).  The open node's LP point answers the gate's query
+with no unit exact.  Conflict clauses are still recorded at root-region
+nodes, but no later node can match one.
 
 SAT and UNKNOWN leave the recursion through one exception that `_run`
 catches; so does `budget.Exhausted`, raised at the first LP the budget
@@ -46,7 +51,7 @@ from .model import (
     validate_witness,
 )
 from .propagate import propagate_node
-from .store import NEGP, GuardLiteral, NormalizedSystem, Store, build_initial_store
+from .store import GuardLiteral, Store, build_initial_store
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -203,20 +208,16 @@ def merge_lemma(split: ProofSplit, budget: Budget):
 # -- the drivers ------------------------------------------------------------
 
 
-def _without_negp(store: Store) -> NormalizedSystem:
-    return store.normalize(exclude=lambda cid, c: c.block == NEGP)
-
-
-def _margin_evidence(sys: NormalizedSystem, layout,
-                     budget: Budget) -> DualBoundCertificate | None:
-    """Best provable margin upper bound over `sys`, a store's rows without
-    the negated property.  A spent budget skips the LP: the leaf then simply
-    carries no bound."""
+def _margin_evidence(store: Store, budget: Budget) -> DualBoundCertificate | None:
+    """Best provable margin upper bound over the store's rows without the
+    negated property, for a node that propagation closed before its margin
+    LP: by back-substitution or by a TGCT LP.  A spent budget skips the LP:
+    the leaf then simply carries no bound."""
     if not budget.lp_ok():
         return None
     budget.count_lp()
-    g = {layout.margin_index: Fraction(1)}
-    out = lp.lp_max(sys, g)
+    g = {store.layout.margin_index: Fraction(1)}
+    out = lp.lp_max(store.without_negp(), g)
     if out.status != lp.OPTIMAL:
         return None
     return DualBoundCertificate.make(g, out.value, out.dual)
@@ -244,10 +245,10 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
     def unknown(reason: str) -> _Verdict:
         return _Verdict(VerifyResult("unknown", reason=reason, budget=budget))
 
-    def close(region, alpha, store: Store, certs, margin_sys) -> ProofLeaf:
-        """Leaf over a fresh snapshot, with the margin bound of `margin_sys`
-        below the root (a parent's merge reads it); root-region
-        certificates are recorded as conflict clauses."""
+    def close(region, alpha, store: Store, certs, bound) -> ProofLeaf:
+        """Leaf over a fresh snapshot, with the margin bound `bound` (a
+        parent's merge reads it); root-region certificates are recorded as
+        conflict clauses."""
         sid = run.add_snapshot(snapshot_store(store))
         if region == run.region:
             node_lits = frozenset(GuardLiteral(u, p) for u, p in alpha.items())
@@ -256,11 +257,7 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
                 if lits:
                     clauses.append(ClauseEntry(lits, cert, sid))
                     budget.clauses += 1
-        evidence = None
-        if margin_sys is not None:
-            cert = _margin_evidence(margin_sys, layout, budget)
-            evidence = None if cert is None else (cert, sid)
-        return ProofLeaf([(c, sid) for c in certs], evidence)
+        return ProofLeaf([(c, sid) for c in certs], None if bound is None else (bound, sid))
 
     def split(region, alpha, depth: int, kind: tuple) -> ProofSplit:
         budget.splits += 1
@@ -276,30 +273,32 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         if blocked is not None:
             return ProofLeaf([(blocked.cert, blocked.snapshot_id)])
         store = build_initial_store(net, layout, region, prop, alpha)
-        res = propagate_node(store, budget, templates=config.templates)
+        # below the root a leaf records the margin bound of its rows without
+        # the negated property: the node's closing LP is that margin LP
+        res = propagate_node(store, budget, templates=config.templates, margin=depth > 0)
         if res.status == "prune":
-            return close(region, alpha, store, [GuardedCertificate.make((), res.farkas)],
-                         _without_negp(store) if depth else None)
+            bound = res.evidence
+            if depth and not res.margin_solved:
+                bound = _margin_evidence(store, budget)
+            return close(region, alpha, store, [GuardedCertificate.make((), res.farkas)], bound)
         # witness extraction from the relaxation point
         if res.feasible_point is not None:
             x = tuple(res.feasible_point.get(layout.input_index(k), _ZERO)
                       for k in range(net.input_dim))
             if validate_witness(net, region, prop, x).accepted:
                 raise sat(x)
-        # the margin bound's rows are taken before the gate, whose
-        # refinements retire hull rows; its LP runs only if the gate prunes.
-        # It is never a prune test: the node's store, negated property
-        # included, is LP-feasible here, so this bound is at least the
-        # violation threshold
-        margin_sys = _without_negp(store) if depth else None
         # the one difference between the strategies: the hybrid gate starts
-        # with every unstable unit exact, the incremental gate with none
+        # with every unstable unit exact, the incremental gate with none.
+        # The node's point answers a query with no unit exact
         g = exactness_gate(store, budget, gate_lp_limit=config.gate_budget,
-                           start=store.unstable if hybrid else ())
+                           start=store.unstable if hybrid else (), point=res.feasible_point)
         if g.status == SAT:
             raise sat(g.witness)
         if g.status == PRUNE:
-            return close(region, alpha, store, g.certificates, margin_sys)
+            # the margin bound of the rows before the gate, whose refinements
+            # retire hull rows; at least the violation threshold, since the
+            # node's rows with the negated property are feasible
+            return close(region, alpha, store, g.certificates, res.evidence)
         # a split's children need LPs the spent budget cannot pay for
         if not budget.lp_ok():
             raise Exhausted()

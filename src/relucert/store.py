@@ -200,6 +200,9 @@ class Store:
         self.post_refs: dict = {}                           # unit/("input",k) -> bound combos
         self.aff_ids: dict[Unit, int] = {}
         self.guard_ids: dict[tuple[Unit, str], list[int]] = {}
+        self.stabilize_ids: dict[Unit, list[int]] = {}     # a stabilized unit's phase rows
+        self.margin_def_id: int | None = None               # None when the margin aliases an output
+        self.negp_id: int | None = None
 
     # -- mutation ---------------------------------------------------------
 
@@ -241,6 +244,11 @@ class Store:
             rows.extend(self.norm_rows[cid])
         rows.extend(extra_rows)
         return NormalizedSystem(rows, self.layout.n_vars)
+
+    def without_negp(self) -> NormalizedSystem:
+        """The active rows but the negated property: the system whose margin
+        maximum bounds the margin over the node's scope."""
+        return self.normalize(exclude=lambda cid, c: cid == self.negp_id)
 
     def cited_rows(self, rids: Iterable[RowId]) -> NormalizedSystem:
         """The system of just the named rows that are active; ids of retired
@@ -323,7 +331,7 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
         row = {layout.margin_index: one}
         for idx, coeff in prop.margin:
             row[layout.output_index(idx)] = row.get(layout.output_index(idx), Fraction(0)) - coeff
-        store.add(LinearConstraint(row, EQ, Fraction(0), AFF, ("margin-def",)))
+        store.margin_def_id = store.add(LinearConstraint(row, EQ, Fraction(0), AFF, ("margin-def",)))
 
     for k in range(net.input_dim):
         xi = layout.input_index(k)
@@ -335,7 +343,8 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
         }
 
     mvar = layout.margin_index
-    store.add(LinearConstraint({mvar: -one}, LE, -prop.violation_threshold, NEGP, ("negp",)))
+    store.negp_id = store.add(LinearConstraint({mvar: -one}, LE, -prop.violation_threshold,
+                                               NEGP, ("negp",)))
 
     for unit in sorted(alpha):
         phase = alpha[unit]

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from conftest import (
     WORKED,
     WORKED_SAT,
@@ -121,15 +123,25 @@ class TestVerify:
 
     def test_parser_is_built_once_and_keeps_no_flags(self, capsys, monkeypatch):
         # the budget of the first call must not carry over to the second,
-        # which reuses the parser the first one built
-        code, out, _ = _run(capsys, "verify", WORKED, "--lp-budget", "0")
+        # which reuses the parser the first one built.  The SAT variant
+        # needs an LP (the worked query is refuted with none)
+        code, out, _ = _run(capsys, "verify", WORKED_SAT, "--lp-budget", "0")
         assert code == EXIT_UNKNOWN and "UNKNOWN" in out
 
         def rebuilt():
             raise AssertionError("parser built twice")
 
         monkeypatch.setattr(cli, "build_parser", rebuilt)
-        code, out, _ = _run(capsys, "verify", WORKED)
+        code, out, _ = _run(capsys, "verify", WORKED_SAT)
+        assert code == EXIT_SAT and "SAT witness=" in out
+
+    @pytest.mark.parametrize("flag", ("--lp-budget", "--gate-budget", "--max-depth"))
+    def test_negative_count_is_usage_error(self, capsys, flag):
+        code, out, err = _run(capsys, "verify", WORKED, flag, "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument {flag}: -1 is negative" in err
+        # zero is a limit, not a usage error
+        code, out, _ = _run(capsys, "verify", WORKED, flag, "0")
         assert code == EXIT_UNSAT and "UNSAT" in out
 
 

@@ -202,3 +202,48 @@ class TestExactnessGate:
         budget = Budget(lp_limit=5)
         out = exactness_gate(store, budget)
         assert out.status == DEFER and budget.lp_calls == 1
+
+
+class TestNodePoint:
+    """The node's point answers the gate's query with no unit exact: that
+    query is an LP on the node's rows, so the gate reaches the outcome it
+    reached without the point, with one LP fewer."""
+
+    def _open(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            net, region, prop = random_instance(rng)
+            store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+            res = propagate_node(store, Budget())
+            if res.status == "open":
+                yield (net, region, prop), res.feasible_point
+
+    def test_same_outcome_with_one_lp_fewer(self):
+        refined = 0
+        for problem, point in self._open():
+            outs = []
+            for given in (None, point):
+                net, region, prop = problem
+                store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+                propagate_node(store, Budget())
+                budget = Budget()
+                out = exactness_gate(store, budget, point=given)
+                outs.append((out, budget.lp_calls))
+            (plain, lps), (answered, fewer) = outs
+            assert answered == plain and fewer == lps - 1
+            refined += plain.refinements > 0
+        assert refined >= 3
+
+    def test_gate_budget_counts_the_answered_query(self):
+        # one query, answered by the point: the gate defers with no LP
+        deferred = 0
+        for problem, point in self._open():
+            net, region, prop = problem
+            store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+            propagate_node(store, Budget())
+            budget = Budget()
+            out = exactness_gate(store, budget, gate_lp_limit=1, point=point)
+            if out.status == DEFER:
+                assert budget.lp_calls == 0 and out.refinements == 1
+                deferred += 1
+        assert deferred >= 3

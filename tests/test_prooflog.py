@@ -661,6 +661,33 @@ class TestStructuralFuzzing:
         out = prooflog.check_proof(problem, _dumps(doc), path)
         assert not out.accepted and "split annotation" in out.reason, out
 
+    @pytest.mark.parametrize("mutate", [
+        "row-id-float", "row-id-string", "multiplier-row-id-float", "aff-layer-float",
+        "guard-layer-string", "hull-unit-float", "stabilize-unit-float", "guard-float",
+        "cover-snapshot-float", "bound-snapshot-float", "row-key-leading-zero",
+        "snapshot-key-plus", "snapshot-keys-0-and-space-0"])
+    def test_non_canonical_integer_rejected(self, tmp_path, mutate):
+        """An integer field of a branching proof written in a form `emit`
+        never writes but Python reads as the same integer: a float, a
+        numeric string, or an object key other than its canonical decimal.
+        The guarded certificate is taken from the hsrv proof of instance 42
+        under the default configuration, whose gate prunes its root."""
+        from test_search import TestBranchingOracleAgreement, tightened
+
+        config = TestBranchingOracleAgreement.CONFIG
+        idx, driver = 57, icl_verify
+        if mutate == "guard-float":
+            idx, config, driver = 42, Config(), hsrv_verify
+        problem = tightened(idx)
+        path = str(tmp_path / f"p{idx}.json")
+        dump_problem(*problem, path)
+        res = driver(*problem, config)
+        doc = prooflog.parse_proof(prooflog.emit(res.proof, path))
+        _NON_CANONICAL[mutate](doc)
+        out = prooflog.check_proof(problem, _dumps(doc), path)
+        assert not out.accepted, out
+        assert "JSON integer" in out.reason or "canonical decimal" in out.reason, out
+
     def test_split_bound_mutations_all_rejected(self, tmp_path):
         """Each split bound of the worked domain proofs and of the branching
         proofs, moved by 1/1000 either way, or set to the smaller child
@@ -804,3 +831,41 @@ def _cite_a_missing_snapshot(node, doc):
 _SPLIT_MUTATIONS = (_drop_a_child, _add_a_third_child, _swap_the_children,
                     _copy_child_0_over_child_1, _retype_as_a_leaf)
 _LEAF_MUTATIONS = (_retype_as_a_split, _empty_the_cover, _cite_a_missing_snapshot)
+
+
+def _first_row(doc, kind):
+    return next(r for snap in doc["snapshots"].values() for r in snap["rows"]
+                if r["derivation"][0] == kind)
+
+
+def _cover_items(doc):
+    return [item for _, node in _tree_nodes(doc["tree"]) if node["type"] == "leaf"
+            for item in node["cover"]]
+
+
+def _retype(container, key, kind=float):
+    container[key] = kind(container[key])
+
+
+_NON_CANONICAL = {
+    "row-id-float": lambda doc: _retype(_first_row(doc, "aff"), "id"),
+    "row-id-string": lambda doc: _retype(_first_row(doc, "aff"), "id", str),
+    "multiplier-row-id-float": lambda doc: _retype(
+        _cover_items(doc)[0]["cert"]["farkas"]["multipliers"][0][0], 1),
+    "aff-layer-float": lambda doc: _retype(_first_row(doc, "aff")["derivation"], 1),
+    "guard-layer-string": lambda doc: _retype(_first_row(doc, "guard")["derivation"], 1, str),
+    "hull-unit-float": lambda doc: _retype(_first_row(doc, "hull")["derivation"][1], 0),
+    "stabilize-unit-float": lambda doc: _retype(_first_row(doc, "stabilize")["derivation"][1], 0),
+    "guard-float": lambda doc: _retype(next(
+        item for item in _cover_items(doc) if item["cert"]["guards"])["cert"]["guards"][0], 0),
+    "cover-snapshot-float": lambda doc: _retype(_cover_items(doc)[0], "snapshot"),
+    "bound-snapshot-float": lambda doc: _retype(next(
+        node for _, node in _tree_nodes(doc["tree"]) if "snapshot" in node.get("bound", ()))[
+            "bound"], "snapshot"),
+    "row-key-leading-zero": lambda doc: _first_row(doc, "derived").update(row={
+        "0" + j: v for j, v in _first_row(doc, "derived")["row"].items()}),
+    "snapshot-key-plus": lambda doc: doc.update(snapshots={
+        ("+0" if sid == "0" else sid): snap for sid, snap in doc["snapshots"].items()}),
+    "snapshot-keys-0-and-space-0": lambda doc: doc["snapshots"].update({
+        " 0": json.loads(json.dumps(doc["snapshots"]["0"]))}),
+}

@@ -12,6 +12,7 @@ from relucert.propagate import (
     BoundRowRejected,
     NotUnstable,
     _check_bound_row,
+    back_substitute,
     ensure_relaxation,
     hull_insert,
     propagate_node,
@@ -240,14 +241,21 @@ class TestFixedPoint:
         assert res.status == "prune"
         assert certs.check_farkas(store.normalize(), res.farkas).ok
 
-    def test_margin_only_prunes_the_worked_store_in_one_lp(self):
-        # the relaxation bounds y <= 1 < 11/10: the feasibility LP refutes
-        # the query without a tightening LP
-        store = _store()
-        budget = Budget()
-        res = propagate_node(store, budget, templates="margin-only")
-        assert res.status == "prune" and budget.lp_calls == 1
-        assert certs.check_farkas(store.normalize(), res.farkas).ok
+    def test_back_substitution_refutes_the_worked_store_with_no_lp(self):
+        # y = z1 - z2 <= (s1 + 1)/2 - 0 = x <= 1 < 11/10, through the chord
+        # of (1,0), z2 >= 0 and the affine and region rows: the query is
+        # refuted before any LP, under either template setting
+        for templates in ("default", "margin-only"):
+            store = _store()
+            budget = Budget()
+            res = propagate_node(store, budget, templates=templates)
+            assert res.status == "prune" and budget.lp_calls == 0
+            cited = {(store.constraints[cid].derivation, side): m
+                     for (_, cid, side), m in res.farkas.multipliers}
+            assert cited == {(("negp",), "le"): 1, (("aff", 2, 0), "le"): 1,
+                             (("hull", (1, 0), 2), "le"): 1, (("hull", (1, 1), 0), "le"): 1,
+                             (("aff", 1, 0), "le"): F(1, 2), (("region", 0, "hi"), "le"): 1}
+            assert certs.check_farkas(store.normalize(), res.farkas).ok
 
     def test_each_pass_pays_two_lps_per_templated_unit_and_one_feasibility_lp(self, monkeypatch):
         # default templates every unit unstable when the pass's TGCT starts,
@@ -314,3 +322,49 @@ class TestFixedPoint:
         store = _store("1/2")
         res = propagate_node(store, Budget(), templates="margin-only")
         assert res.status == "open"
+
+
+class TestBackSubstitution:
+    """`back_substitute` sums the negated property with one row per
+    variable; a certificate it returns refutes the store's rows."""
+
+    def _stores(self):
+        """The worked store, then random stores: with their relaxation
+        installed, with a random phase committed for some units, and after
+        a propagation that left them open (tightened hulls)."""
+        store = _store()
+        ensure_relaxation(store)
+        yield store
+        rng = random.Random(3)
+        for k in range(60):
+            net, region, prop = random_instance(rng)
+            layout = build_layout(net, prop)
+            alpha = {}
+            if k % 3 == 1:
+                alpha = {u: rng.choice((ACTIVE, INACTIVE)) for u in net.hidden_units
+                         if rng.random() < 0.4}
+            store = build_initial_store(net, layout, region, prop, alpha)
+            if k % 3 == 2 and propagate_node(store, Budget()).status == "prune":
+                continue
+            ensure_relaxation(store)
+            yield store
+
+    def test_certificates_refute_the_rows_and_need_the_negated_property(self):
+        # and of the stores an LP finds infeasible, most are refuted here
+        refuted = lp_only = feasible = 0
+        for store in self._stores():
+            cert = back_substitute(store)
+            sys = store.normalize()
+            infeasible = lp.lp_feasible(sys).status == lp.INFEASIBLE
+            if cert is None:
+                lp_only += infeasible
+                feasible += not infeasible
+                continue
+            assert certs.check_farkas(sys, cert).ok and infeasible
+            negp = ("c", store.negp_id, "le")
+            assert dict(cert.multipliers)[negp] == 1
+            rest = certs.FarkasCertificate.make({rid: m for rid, m in cert.multipliers
+                                                 if rid != negp})
+            assert not certs.check_farkas(sys, rest).ok
+            refuted += 1
+        assert refuted >= 10 and feasible >= 10 and refuted > lp_only

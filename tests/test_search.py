@@ -5,6 +5,7 @@ import inspect
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,6 @@ from relucert.search import (
     ProofSplit,
     _domain_split,
     _margin_evidence,
-    _without_negp,
     hsrv_verify,
     icl_verify,
     oracle_verify,
@@ -39,7 +39,7 @@ from relucert.search import (
     refine,
 )
 from relucert.model import SafetyProperty
-from relucert.store import NEGP, build_initial_store, interval_bounds
+from relucert.store import NEGP, NormalizedSystem, build_initial_store, interval_bounds
 
 
 def _count_unstable(net, region):
@@ -301,7 +301,9 @@ class TestLpBudget:
 
     def test_every_budget_up_to_the_runs_own_lp_count(self, tmp_path):
         runs = 0
-        for idx, gap in itertools.product((42, 53, 57, 89), (F(1, 1000), F(-1, 1000))):
+        # instance 32 keeps the sweep at 400 runs or more, now that the
+        # other four make fewer LPs
+        for idx, gap in itertools.product((32, 42, 53, 57, 89), (F(1, 1000), F(-1, 1000))):
             net, region, prop = tightened(idx, gap)
             path = tmp_path / f"p{idx}.json"
             dump_problem(net, region, prop, path)
@@ -329,11 +331,12 @@ class TestLpBudget:
         assert (res.status, res.reason) == ("unknown", "resource")
         assert res.budget.lp_calls == 19
         assert res.budget.splits == 0 and res.budget.stabilized == 2
-        # the gate's one LP is the run's 3rd and last, and the gate defers
+        # the root's one LP spends the budget; the gate answers its one
+        # query from the node's point, with no LP, and defers
         res = icl_verify(*tightened(42),
-                         dataclasses.replace(TestBranchingOracleAgreement.CONFIG, lp_budget=3))
+                         dataclasses.replace(TestBranchingOracleAgreement.CONFIG, lp_budget=1))
         assert (res.status, res.reason) == ("unknown", "resource")
-        assert res.budget.lp_calls == 3 and res.budget.gate_calls == 1
+        assert res.budget.lp_calls == 1 and res.budget.gate_calls == 1
         assert res.budget.splits == 0
 
 
@@ -342,14 +345,18 @@ class TestMaxDepth:
     deeper, and a node at the cap that stays open answers UNKNOWN `depth`."""
 
     def test_each_level_of_depth_allows_one_more_split(self):
+        # per level one pass with one LP, and the gate's one query: answered
+        # by the node's point under icl, an LP with the unstable units exact
+        # under hsrv
         net, region, prop = tightened(57)
-        for driver in (icl_verify, hsrv_verify):
+        for driver, per_level in ((icl_verify, 1), (hsrv_verify, 2)):
             for max_depth in (0, 1, 2):
                 config = dataclasses.replace(TestBranchingOracleAgreement.CONFIG,
                                              max_depth=max_depth)
                 res = driver(net, region, prop, config)
                 assert (res.status, res.reason) == ("unknown", "depth"), max_depth
-                assert res.budget.splits == max_depth and res.budget.lp_calls == 3 * (max_depth + 1)
+                assert res.budget.splits == max_depth
+                assert res.budget.lp_calls == per_level * (max_depth + 1)
 
     def test_a_proof_is_no_deeper_than_the_cap(self):
         net, region, prop = tightened(89)
@@ -387,14 +394,18 @@ class TestMaxDepth:
 
 class TestProofPins:
     """SHA-256 of emitted proofs.  A change to the proof format or to the
-    order in which the search visits nodes must re-pin them.  Re-pinned for
-    `relucert-proof-5`: each proof is the format-4 proof the recursion gave,
-    with the copies of every row that `check` rebuilds left out."""
+    order in which the search visits nodes, or to the LP that produces a
+    certificate, must re-pin them.  57 and 89 were re-pinned when a node
+    below the root came to close with its margin LP: every leaf of theirs
+    is refuted by that LP's dual plus the negated-property row, and none by
+    back-substitution, which is not tried there without a TGCT LP to save.
+    The worked proof's two leaves are refuted the same way, with the
+    multipliers the feasibility LP found, so its pin held."""
 
     PINS = {
         "worked": "1663ddb09b37645183f6be56b8cd7b05877acf921866f37a52e07d255d95007f",
-        57: "5338367c866da8f1e232de9b2c90b22e3df3b804d7c2f1cfea450847b4e09ded",
-        89: "172c43d3d622e400e6fd85cf44c6b6a93e7ccb4b20bb216622a71709a9401805",
+        57: "0a07b2233f2f480c480b7e7b22b4c964301ac3ff4bcec8d55ee7b74dec1a1595",
+        89: "c982887b9395470e9a325b3a9dc9d14447fb025bdd39cf739f55ff6d59846927",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
@@ -424,7 +435,128 @@ class TestMarginEvidence:
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
             if propagate_node(store, Budget()).status != "open":
                 continue
-            ev = _margin_evidence(_without_negp(store), store.layout, Budget())
+            ev = _margin_evidence(store, Budget())
             assert ev is None or ev.bound >= prop.violation_threshold
             opened += 1
         assert opened >= 5
+
+
+class TestEveryLpIsNew:
+    """A node makes only the LPs it cannot answer otherwise: no LP sees the
+    row ids and objective of the LP just before it at the same node."""
+
+    def test_no_lp_repeats_the_one_before_it(self, monkeypatch):
+        from relucert import search
+
+        seen = []  # per node: (row ids, objective) of each LP
+        build = search.build_initial_store
+
+        def node(*args):
+            seen.append([])
+            return build(*args)
+
+        def spying(solve, objective):
+            def spy(sys, *args, **kwargs):
+                seen[-1].append((tuple(r.rid for r in sys.rows), objective(args)))
+                return solve(sys, *args, **kwargs)
+            return spy
+
+        problems = {(idx, gap): tightened(idx, gap)
+                    for idx in (57, 89) for gap in (F(1, 1000), F(-1, 1000))}
+        monkeypatch.setattr(search, "build_initial_store", node)
+        monkeypatch.setattr(lp, "lp_feasible", spying(lp.lp_feasible, lambda args: None))
+        monkeypatch.setattr(lp, "lp_max", spying(lp.lp_max,
+                                                 lambda args: tuple(sorted(args[0].items()))))
+        lps = 0
+        for where, problem in problems.items():
+            for config in (Config(), TestBranchingOracleAgreement.CONFIG):
+                for driver in (icl_verify, hsrv_verify):
+                    seen.clear()
+                    driver(*problem, config)
+                    for calls in seen:
+                        for before, after in zip(calls, calls[1:]):
+                            assert before != after, (where, config, driver.__name__)
+                        lps += len(calls)
+        assert lps >= 100
+
+
+class TestLeafBounds:
+    """A leaf's margin bound is the maximum of the margin over its
+    snapshot's rows without the negated property, whichever LP proved it:
+    the node's closing margin LP, or `_margin_evidence` after
+    back-substitution or a TGCT LP refuted the node."""
+
+    def test_every_leaf_bound_is_its_snapshots_margin_maximum(self, monkeypatch):
+        from relucert import search
+
+        paths = Counter()
+        evidence = search._margin_evidence
+
+        def counted(*args):
+            paths["evidence"] += 1
+            return evidence(*args)
+
+        monkeypatch.setattr(search, "_margin_evidence", counted)
+        worked = (worked_network(), worked_region(), worked_prop())
+        runs = [(worked, Config(first_split="domain"))]
+        runs += [(tightened(idx), Config(first_split="domain")) for idx in (42, 57, 89)]
+        runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (57, 89)]
+        for problem, config in runs:
+            layout = build_layout(problem[0], problem[2])
+            for driver in (icl_verify, hsrv_verify):
+                res = driver(*problem, config)
+                assert res.status == "unsat"
+                for leaf in _leaves(res.proof.root):
+                    if leaf.evidence is None:
+                        continue
+                    cert, sid = leaf.evidence
+                    negp = {cid for cid, _, _, tag in res.proof.snapshots[sid][1]
+                            if tag == ("negp",)}
+                    system = snapshot_system(problem, res.proof, sid)
+                    rows = NormalizedSystem([r for r in system.rows if r.rid[1] not in negp],
+                                            system.n_vars)
+                    out = lp.lp_max(rows, {layout.margin_index: F(1)})
+                    assert out.status == lp.OPTIMAL and out.value == leaf.bound
+                    paths["bounds"] += 1
+        assert paths["bounds"] >= 25 and paths["evidence"] >= 2
+
+
+def _leaves(entry):
+    if isinstance(entry, ProofSplit):
+        for child in entry.children:
+            yield from _leaves(child)
+    else:
+        yield entry
+
+
+class TestDecisionPins:
+    """The Budget counters of three branching-suite instances, all but
+    `lp_calls`, as the search made them before the node LPs that repeat an
+    answer the node already had were cut: splits, gate calls, stabilized
+    units, merge lemmas and conflict clauses."""
+
+    PINS = {
+        (42, "default", "icl"): (0, 1, 2, 0, 4),
+        (42, "default", "hsrv"): (0, 1, 2, 0, 16),
+        (42, "branching", "icl"): (6, 6, 27, 0, 7),
+        (42, "branching", "hsrv"): (6, 6, 27, 0, 7),
+        (57, "default", "icl"): (0, 0, 3, 0, 0),
+        (57, "default", "hsrv"): (0, 0, 3, 0, 0),
+        (57, "branching", "icl"): (4, 4, 9, 1, 5),
+        (57, "branching", "hsrv"): (4, 4, 9, 1, 5),
+        (89, "default", "icl"): (0, 1, 1, 0, 4),
+        (89, "default", "hsrv"): (0, 1, 1, 0, 32),
+        (89, "branching", "icl"): (2, 2, 7, 2, 3),
+        (89, "branching", "hsrv"): (2, 2, 7, 2, 3),
+    }
+
+    def test_counters_are_pinned(self):
+        configs = {"default": Config(), "branching": TestBranchingOracleAgreement.CONFIG}
+        drivers = {"icl": icl_verify, "hsrv": hsrv_verify}
+        for (idx, config, driver), pin in self.PINS.items():
+            res = drivers[driver](*tightened(idx), configs[config])
+            counters = res.budget.counters()
+            assert res.status == "unsat"
+            assert tuple(counters[key] for key in ("splits", "gate_invocations",
+                                                   "stabilized_units", "lemmas_learned",
+                                                   "clauses_learned")) == pin, (idx, config, driver)
