@@ -88,8 +88,9 @@ class GuardedCertificate:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """A unit specialized to a fixed sign on the node.  The sign is proved by
-    the unit's bound rows, each with its own dual certificate."""
+    """A unit specialized to a fixed sign on the node, proved by its bound
+    rows: interval rows the checker rebuilds, or TGCT rows with their dual
+    certificates."""
 
     unit: tuple[int, int]
     phase: str  # ACTIVE: s >= 0, INACTIVE: s <= 0

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="ground truth by exhaustive enumeration")
     oracle.add_argument("problem")
-    oracle.add_argument("--cap", type=int, default=12)
+    oracle.add_argument("--cap", type=nonnegative_int, default=12)
     oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -6,32 +6,44 @@ a dual certificate over earlier rows, does not determine them.  The checker
 replays a snapshot by building its rows in id order: affine, margin-definition
 and negated-property rows from the problem, region rows from the snapshot's
 region, guard and stabilize rows as row k of a phase's guard consequences,
-hull rows as row k of the envelope over the interval that earlier
-single-variable rows prove, and derived rows by checking their certificate
-over the rows built so far.  It then checks every leaf certificate and
-verifies that split annotations cover each parent.  A snapshot is replayed
-once per check, however many leaf covers and leaf bounds cite it; each
-citation then checks only its scope (region and guard literals).
+a unit's interval rows by interval arithmetic over the intervals that
+earlier rows prove for its sources, hull rows as row k of the envelope over
+the interval that earlier single-variable rows prove, and derived rows by
+checking their certificate over the rows built so far.  A row the checker
+cannot build, malformed or not following from the rows before it, is
+reported with its id at the leaf that cites its snapshot.  It then checks
+every leaf certificate and verifies that split annotations cover each
+parent.  A snapshot is replayed once per check, however many leaf covers
+and leaf bounds cite it; each citation then checks only its scope (region
+and guard literals).
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.
-`check` builds every non-derived row itself.  It builds the problem, region
-and hull rows with its own code, not with the builders in `store.py` and
-`propagate.py`, on purpose: a fault in how the solver writes those rows
-cannot vouch for itself.  From `store.py` it takes only the row
-containers, normalization, each row's integer form `NormRow.ints` (which the
-checks of `certs` read) and the guard consequences of a phase, which are
-also the rows of a stabilized unit.  None of `certs`, `store` and `model`
-imports a solver module either.
+`check` builds every non-derived row itself.  It builds the problem, region,
+interval and hull rows with its own code, not with the functions of
+`store.py` and `propagate.py` that make them, on purpose: a fault in how the
+solver writes those rows cannot vouch for itself.  Its one rule beyond the rows'
+definitions is interval arithmetic: a unit's interval rows bound
+s = b + sum_k w_k src_k above or below over the interval that earlier rows
+prove for each source: an input's single-variable rows (its region rows);
+for z of the previous layer, [0, 0] after an inactive phase row of its unit
+and the interval of its s after an active one (a guard row's phase is
+committed on the path, a stabilize row's proved, so z = 0 or z = s there),
+else z's single-variable rows (hull rows 0 and 3).  A source with no such
+interval rejects the row.  From `store.py` it takes only the row
+containers, normalization, each row's integer form `NormRow.ints` (which
+the checks of `certs` read) and the guard consequences of a phase, which
+are also the rows of a stabilized unit.  None of `certs`, `store` and
+`model` imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates, each over a
 snapshot that contains the negated-property row.  A tree node may also
 carry a margin bound `margin <= beta` over its scope: a leaf by a dual
 certificate over one snapshot, a split by the maximum of its two children's
-bounds, since their scopes split the parent's.  Derived rows and margin
-bounds therefore hold only given the negated property.  That is sound for
-the one claim a proof makes, UNSAT: the tree shows that the negated
-property is infeasible on every path.
+bounds, since their scopes split the parent's.  Derived rows, the rows
+built over their bounds, and margin bounds therefore hold only given the
+negated property.  That is sound for the one claim a proof makes, UNSAT:
+the tree shows that the negated property is infeasible on every path.
 """
 
 from __future__ import annotations
@@ -73,7 +85,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-5"
+FORMAT = "relucert-proof-6"
 
 
 @dataclass(frozen=True)
@@ -231,29 +243,13 @@ def _parse_region(obj) -> Region:
 
 
 @dataclass(frozen=True)
-class _SnapRow:
-    cid: int
-    tag: tuple  # the derivation; a derived row's is ("derived", its certificate)
-
-
-@dataclass(frozen=True)
 class _Snapshot:
     region: Region
-    rows: tuple
+    rows: tuple  # the row objects as written, read when the snapshot is replayed
 
 
 def _parse_snapshot(obj) -> _Snapshot:
-    """A derived row's row and rhs become its certificate's objective and
-    bound: the row is what the certificate proves."""
-    rows = []
-    for e in obj["rows"]:
-        tag = tuple(e["derivation"])
-        if tag[0] == "derived":
-            _, multipliers = tag
-            tag = ("derived", DualBoundCertificate.make(
-                _parse_row(e["row"]), parse_rational(e["rhs"]), _parse_multipliers(multipliers)))
-        rows.append(_SnapRow(_json_int(e["id"]), tag))
-    return _Snapshot(_parse_region(obj["region"]), tuple(rows))
+    return _Snapshot(_parse_region(obj["region"]), tuple(obj["rows"]))
 
 
 # -- checker ----------------------------------------------------------------
@@ -268,6 +264,7 @@ class _Problem:
         self.region = region
         self.prop = prop
         self.layout: VariableLayout = build_layout(net, prop)
+        self.relu_units = frozenset(net.hidden_units)
         self.snapshots: dict[int, _Snapshot] = {}
         self.replays: dict[int, tuple] = {}  # id -> _check_snapshot's result
 
@@ -286,6 +283,10 @@ def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str 
 
 class _Rejected(Exception):
     """A snapshot row whose derivation does not hold."""
+
+
+#: what reading a malformed row, certificate or split annotation raises
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 def _constraint(row: dict, relation: str, rhs: Fraction) -> LinearConstraint:
@@ -343,14 +344,46 @@ def _hull_row(pb: _Problem, unit, k, interval: dict) -> LinearConstraint:
     return _constraint(row, LE, rhs)
 
 
-def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
-                        system: NormalizedSystem, interval: dict) -> LinearConstraint:
-    """The row that r's derivation yields; raises `_Rejected` when the
-    derivation does not hold.
+def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> LinearConstraint:
+    """The upper ("up") or lower ("lo") interval-arithmetic bound on the
+    unit's pre-activation, by the rule of the module docstring."""
+    if unit not in pb.relu_units:
+        raise _Rejected(f"interval row for {unit}, which is not a ReLU unit")
+    if side not in ("up", "lo"):
+        raise _Rejected(f"no interval side {side!r}")
+    i, j = unit
+    layer = pb.net.layers[i - 1]
+    up = side == "up"
+    total = layer.bias[j]
+    for k, w in enumerate(layer.weights[j]):
+        src = (i - 1, k)
+        if w == 0 or (src, INACTIVE) in phases:
+            continue  # no term, or z = 0
+        if i == 1:
+            var = pb.layout.input_index(k)
+        elif (src, ACTIVE) in phases:
+            var = pb.layout.pre_index(src)  # z = s
+        else:
+            var = pb.layout.post_index(src)
+        lo, hi = interval.get(var, (None, None))
+        if lo is None or hi is None:
+            raise _Rejected(f"no certified interval [{lo}, {hi}] for source {k} of {unit}")
+        total += w * (hi if (w > 0) == up else lo)
+    s = pb.layout.pre_index(unit)
+    return _constraint({s: _ONE}, LE, total) if up else _constraint({s: -_ONE}, LE, -total)
 
-    `system` holds the rows of smaller id, all built before this one, and
-    `interval` maps a variable to the tightest (lo, hi) they prove."""
-    tag = r.tag
+
+def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
+                        system: NormalizedSystem, interval: dict,
+                        phases: set) -> LinearConstraint:
+    """The row that r's derivation yields; raises `_Rejected` when the
+    derivation does not hold, and one of `_MALFORMED` when it is malformed.
+
+    `system` holds the rows of smaller id, all built before this one,
+    `interval` maps a variable to the tightest (lo, hi) they prove, and
+    `phases` holds the (unit, phase) of each guard and stabilize row among
+    them."""
+    tag = r["derivation"]
     kind = tag[0]
     if kind == "aff":
         _, i, j = tag
@@ -371,7 +404,10 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
         _, i, j, phase, k = tag
         return _phase_row(pb, _unit((i, j)), phase, k)
     if kind == "derived":
-        cert = tag[1]
+        # the row and rhs are the objective and bound the certificate proves
+        _, multipliers = tag
+        cert = DualBoundCertificate.make(_parse_row(r["row"]), parse_rational(r["rhs"]),
+                                         _parse_multipliers(multipliers))
         reason = _check_dual_exact(system, cert)
         if reason is not None:
             raise _Rejected(f"derived-row certificate rejected: {reason}")
@@ -388,6 +424,9 @@ def _check_snapshot_row(pb: _Problem, r: _SnapRow, region: Region,
     if kind == "hull":
         _, unit, k = tag
         return _hull_row(pb, _unit(unit), k, interval)
+    if kind == "interval":
+        _, unit, side = tag
+        return _interval_row(pb, _unit(unit), side, interval, phases)
     raise _Rejected(f"unknown derivation kind {kind}")
 
 
@@ -396,21 +435,31 @@ def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
     order, each from its derivation and the rows before it.  Returns
     (reason, system, guards): a rejection reason or None, the normalized
     system, and the (unit, phase) literals its guard rows assume."""
-    rows = sorted(snap.rows, key=lambda e: e.cid)
+    try:
+        rows = sorted(snap.rows, key=lambda r: _json_int(r["id"]))
+    except _MALFORMED as exc:
+        return f"row id: malformed: {exc!r}", None, None
     for a, b in zip(rows, rows[1:]):
-        if a.cid == b.cid:
-            return f"duplicate row id {a.cid}", None, None
+        if a["id"] == b["id"]:
+            return f"duplicate row id {a['id']}", None, None
     system = NormalizedSystem([], pb.layout.n_vars)
     interval: dict[int, tuple] = {}
-    guards = set()
+    guards, phases = set(), set()
     for r in rows:
         try:
-            c = _check_snapshot_row(pb, r, snap.region, system, interval)
+            c = _check_snapshot_row(pb, r, snap.region, system, interval, phases)
         except _Rejected as exc:
-            return f"row {r.cid}: {exc}", None, None
-        system.extend(normalize_constraint(r.cid, c))
-        if r.tag[0] == "guard":
-            guards.add((_unit(r.tag[1:3]), r.tag[3]))
+            return f"row {r['id']}: {exc}", None, None
+        except _MALFORMED as exc:
+            return f"row {r['id']}: malformed: {exc!r}", None, None
+        system.extend(normalize_constraint(r["id"], c))
+        tag = r["derivation"]
+        if tag[0] == "guard":
+            lit = (_unit(tag[1:3]), tag[3])
+            guards.add(lit)
+            phases.add(lit)
+        elif tag[0] == "stabilize":
+            phases.add((_unit(tag[1]), tag[2]))
         if c.relation == LE and len(c.row) == 1:
             (j, a), = c.row.items()
             lo, hi = interval.get(j, (None, None))
@@ -529,11 +578,11 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         kind = node["kind"]
         try:
             children = _split_children(region, alpha, kind)
-        except (ValueError, IndexError, TypeError) as exc:
+        except _MALFORMED as exc:
             return _reject(path, f"bad split annotation: {exc}"), None
         if kind[0] == "phase":
             unit = tuple(kind[1])
-            if unit not in set(pb.net.hidden_units):
+            if unit not in pb.relu_units:
                 return _reject(path, f"phase split on unknown unit {unit}"), None
             if unit in alpha:
                 return _reject(path, f"phase split on already-committed unit {unit}"), None
@@ -558,7 +607,10 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         return _reject(path, f"unknown entry type {node['type']}"), None
     cover = []
     for idx, item in enumerate(node["cover"]):
-        cert = _parse_guarded(item["cert"])
+        try:
+            cert = _parse_guarded(item["cert"])
+        except _MALFORMED as exc:
+            return _reject(path, f"cover[{idx}] certificate: malformed: {exc!r}"), None
         allowed = set(alpha.items()) | {(g.unit, g.phase) for g in cert.guards}
         reason, system = _scoped_system(pb, item["snapshot"], region, allowed)
         if reason is not None:
@@ -573,9 +625,12 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
     if "bound" not in node:
         return ACCEPTED, None
     bound = node["bound"]
-    cert = DualBoundCertificate.make({pb.layout.margin_index: _ONE},
-                                     parse_rational(bound["beta"]),
-                                     _parse_multipliers(bound["multipliers"]))
+    try:
+        cert = DualBoundCertificate.make({pb.layout.margin_index: _ONE},
+                                         parse_rational(bound["beta"]),
+                                         _parse_multipliers(bound["multipliers"]))
+    except _MALFORMED as exc:
+        return _reject(path, f"bound certificate: malformed: {exc!r}"), None
     # the bound's snapshot may assume only the path's own phase commitments
     reason, system = _scoped_system(pb, bound["snapshot"], region, set(alpha.items()))
     if reason is not None:

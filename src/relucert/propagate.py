@@ -1,16 +1,17 @@
 """Certificate-driven node propagation.
 
-One fixed-point pass interleaves: bound-row installation (interval arithmetic
-exported as dual certificates), hull insertion for unstable units, a
-back-substitution of the negated property through those rows that prunes
-with a Farkas certificate and no LP, LP tightening of the unstable units'
-pre-activations with dual certificates, stabilization of units whose bound
-rows fix their sign, and one closing LP that prunes with a Farkas
-certificate or leaves the node open at a point of its rows.  Below the root
-the closing LP maximizes the margin without the negated property, which
-also proves the margin bound the node's leaf records.  The root therefore
-makes no LP when back-substitution refutes it; a node below the root makes
-at least the one LP that proves its bound.
+One fixed-point pass interleaves: bound-row installation (interval
+arithmetic, as rows the checker rebuilds from their tag), hull insertion
+for unstable units, a back-substitution of the negated property through
+those rows that prunes with a Farkas certificate and no LP, LP tightening
+of the unstable units' pre-activations with dual certificates (the only
+derived rows), stabilization of units whose bound rows fix their sign, and
+one closing LP that prunes with a Farkas certificate or leaves the node
+open at a point of its rows.  Below the root the closing LP maximizes the
+margin without the negated property, which also proves the margin bound
+the node's leaf records.  The root therefore makes no LP when
+back-substitution refutes it; a node below the root makes at least the one
+LP that proves its bound.
 """
 
 from __future__ import annotations
@@ -57,23 +58,6 @@ class PropagationResult:
     evidence: DualBoundCertificate | None = None
 
 
-class BoundRowRejected(Exception):
-    """An interval-arithmetic bound row failed its own dual certificate."""
-
-
-def _check_bound_row(store: Store, cert: DualBoundCertificate):
-    """Check against the active rows the certificate cites, all that
-    `check_dual` reads; a retired or absent row is an unknown row."""
-    res = certmod.check_dual(store.cited_rows(rid for rid, _ in cert.multipliers), cert)
-    if not res.ok:
-        raise BoundRowRejected(f"bound-row certificate rejected: {res.reason}")
-
-
-def _add_derived_row(store: Store, g: dict[int, Fraction], bound: Fraction,
-                     cert: DualBoundCertificate) -> int:
-    return store.add(LinearConstraint(dict(g), LE, bound, REL, ("derived", cert)))
-
-
 def _specialize(store: Store, unit: Unit, phase: str) -> StabilityCertificate:
     """Replace the unit's relaxation by its exact linear specialization: the
     rows a guard on the phase would add.  The unit's bound rows, all of
@@ -81,28 +65,12 @@ def _specialize(store: Store, unit: Unit, phase: str) -> StabilityCertificate:
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    eq, le = store.stabilize_ids[unit] = [
+    store.stabilize_ids[unit] = [
         store.add(LinearConstraint(c.row, c.relation, c.rhs, REL, ("stabilize", unit, phase, k)))
         for k, c in enumerate(guard_consequences(store.layout, GuardLiteral(unit, phase)))]
     store.stabilized[unit] = phase
     store.unstable.discard(unit)
-    _set_specialized_post_refs(store, unit, phase, eq, le)
     return StabilityCertificate(unit, phase)
-
-
-def _set_specialized_post_refs(store: Store, unit: Unit, phase: str, eq_cid: int, le_cid: int):
-    lo, hi = store.bounds.pre[unit]
-    if phase == ACTIVE:
-        up_cid, lo_bound_cid = store.bound_rows[unit]
-        upper = ([(("c", eq_cid, "le"), _ONE), (("c", up_cid, "le"), _ONE)], hi)
-        if lo >= 0:
-            lower = ([(("c", eq_cid, "ge"), _ONE), (("c", lo_bound_cid, "le"), _ONE)], lo)
-        else:
-            lower = ([(("c", eq_cid, "ge"), _ONE), (("c", le_cid, "le"), _ONE)], _ZERO)
-    else:
-        upper = ([(("c", eq_cid, "le"), _ONE)], _ZERO)
-        lower = ([(("c", eq_cid, "ge"), _ONE)], _ZERO)
-    store.post_refs[unit] = {"upper": upper, "lower": lower}
 
 
 def hull_insert(store: Store, unit: Unit) -> list[int]:
@@ -125,56 +93,39 @@ def hull_insert(store: Store, unit: Unit) -> list[int]:
            for k, (row, rhs) in enumerate(rows)]
     store.hull_ids[unit] = ids
     store.hull_bounds[unit] = (lo, hi)
-    store.post_refs[unit] = {
-        "upper": ([(("c", ids[3], "le"), _ONE)], hi),
-        "lower": ([(("c", ids[0], "le"), _ONE)], _ZERO),
-    }
     return ids
 
 
 def _install_bound_rows(store: Store, unit: Unit) -> None:
-    """Interval-arithmetic bounds for one pre-activation, exported as two
-    derived rows whose dual certificates combine the defining equality with
-    the previous layer's bound rows."""
+    """Interval arithmetic for one pre-activation over the intervals that
+    the rows prove for its sources: an input's box rows; for z of the
+    previous layer, [0, 0] when inactive, [max(0, lo), hi] of its s when
+    active (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  Written as
+    two rows `("interval", unit, "up" | "lo")` that the checker rebuilds by
+    the same sum."""
     i, j = unit
     layer = store.net.layers[i - 1]
-    wrow = layer.weights[j]
-    b = layer.bias[j]
-    aff = store.aff_ids[unit]
-    s = store.layout.pre_index(unit)
-
-    up_mult: dict = {("c", aff, "le"): _ONE}
-    lo_mult: dict = {("c", aff, "ge"): _ONE}
-    upper = b
-    lower = b
-    for k, w in enumerate(wrow):
+    upper = lower = layer.bias[j]
+    for k, w in enumerate(layer.weights[j]):
         if w == 0:
             continue
-        ref = store.post_refs[("input", k)] if i == 1 else store.post_refs[(i - 1, k)]
-        hi_combo, hi_val = ref["upper"]
-        lo_combo, lo_val = ref["lower"]
-        if w > 0:
-            upper += w * hi_val
-            lower += w * lo_val
-            for rid, c in hi_combo:
-                up_mult[rid] = up_mult.get(rid, _ZERO) + w * c
-            for rid, c in lo_combo:
-                lo_mult[rid] = lo_mult.get(rid, _ZERO) + w * c
+        src = (i - 1, k)
+        phase = store.alpha.get(src, store.stabilized.get(src))
+        if i == 1:
+            lo, hi = store.region.lower[k], store.region.upper[k]
+        elif phase == INACTIVE:
+            lo = hi = _ZERO
+        elif phase == ACTIVE:
+            lo, hi = store.bounds.pre[src]
+            lo = max(_ZERO, lo)
         else:
-            upper += w * lo_val
-            lower += w * hi_val
-            for rid, c in lo_combo:
-                up_mult[rid] = up_mult.get(rid, _ZERO) - w * c
-            for rid, c in hi_combo:
-                lo_mult[rid] = lo_mult.get(rid, _ZERO) - w * c
-
-    cert_up = DualBoundCertificate.make({s: _ONE}, upper, up_mult)
-    cert_lo = DualBoundCertificate.make({s: -_ONE}, -lower, lo_mult)
-    _check_bound_row(store, cert_up)
-    _check_bound_row(store, cert_lo)
-    up_cid = _add_derived_row(store, {s: _ONE}, upper, cert_up)
-    lo_cid = _add_derived_row(store, {s: -_ONE}, -lower, cert_lo)
-    store.bound_rows[unit] = (up_cid, lo_cid)
+            lo, hi = _ZERO, store.hull_bounds[src][1]
+        upper += w * (hi if w > 0 else lo)
+        lower += w * (lo if w > 0 else hi)
+    s = store.layout.pre_index(unit)
+    store.bound_rows[unit] = (
+        store.add(LinearConstraint({s: _ONE}, LE, upper, REL, ("interval", unit, "up"))),
+        store.add(LinearConstraint({s: -_ONE}, LE, -lower, REL, ("interval", unit, "lo"))))
     # authoritative row-backed bounds; equals the interval seed on feasible nodes
     store.bounds.pre[unit] = (lower, upper)
 
@@ -193,13 +144,7 @@ def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[Stabil
             if unit not in store.bound_rows:
                 _install_bound_rows(store, unit)
             lo, hi = store.bounds.pre[unit]
-            if unit in store.alpha:
-                phase = store.alpha[unit]
-                if unit not in store.post_refs:
-                    eq_cid, le_cid = store.guard_ids[(unit, phase)]
-                    _set_specialized_post_refs(store, unit, phase, eq_cid, le_cid)
-                continue
-            if unit in store.stabilized:
+            if unit in store.alpha or unit in store.stabilized:
                 continue
             cert = _stabilize_settled(store, unit, budget)
             if cert is not None:
@@ -302,9 +247,8 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
         elif j in pre:
             cancel_by_equality(store.aff_ids[pre[j]], j, a)
         else:
-            side = "upper" if a < 0 else "lower"
-            for rid, c in store.post_refs[("input", inputs[j])][side][0]:
-                add(rid, abs(a) * c)
+            hi_id, lo_id = store.region_ids[inputs[j]]
+            add(("c", hi_id if a < 0 else lo_id, "le"), abs(a))
     return _checked_farkas(store, lam) if rho < 0 else None
 
 
@@ -338,8 +282,8 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             lo, hi = store.bounds.pre[unit]
             if out.status == lp.UNBOUNDED or out.value >= (hi if upper else -lo):
                 continue
-            cid = _add_derived_row(store, g, out.value,
-                                   DualBoundCertificate.make(g, out.value, out.dual))
+            cid = store.add(LinearConstraint(g, LE, out.value, REL, (
+                "derived", DualBoundCertificate.make(g, out.value, out.dual))))
             up_cid, lo_cid = store.bound_rows[unit]
             if upper:
                 store.bounds.tighten(unit, hi=out.value)

@@ -3,10 +3,12 @@ normalization to inequality form, and per-unit bound bookkeeping.
 
 Every constraint carries a `derivation` tag from which an independent checker
 rebuilds it: base rows from the problem and the region, guard and stabilize
-rows as row k of a phase's guard consequences, hull rows as row k of the
-envelope over the interval that the bound rows before them prove.  A proof
-records such a row by its tag alone.  A derived row is the one kind the tag
-does not determine: the proof records the row, and its tag carries the dual
+rows as row k of a phase's guard consequences, a unit's two interval rows
+by interval arithmetic over the intervals that earlier rows prove for its
+sources, hull rows as row k of the envelope over the interval that the bound
+rows before them prove.  A proof records such a row by its tag alone.  A
+derived row, a bound an LP proved, is the one kind the tag does not
+determine: the proof records the row, and its tag carries the dual
 certificate that proves it.
 """
 
@@ -197,8 +199,8 @@ class Store:
         self.hull_ids: dict[Unit, list[int]] = {}
         self.hull_bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
         self.stabilized: dict[Unit, str] = {}               # unit -> phase
-        self.post_refs: dict = {}                           # unit/("input",k) -> bound combos
         self.aff_ids: dict[Unit, int] = {}
+        self.region_ids: dict[int, tuple[int, int]] = {}    # input -> (hi cid, lo cid)
         self.guard_ids: dict[tuple[Unit, str], list[int]] = {}
         self.stabilize_ids: dict[Unit, list[int]] = {}     # a stabilized unit's phase rows
         self.margin_def_id: int | None = None               # None when the margin aliases an output
@@ -335,12 +337,9 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
 
     for k in range(net.input_dim):
         xi = layout.input_index(k)
-        hi_id = store.add(LinearConstraint({xi: one}, LE, region.upper[k], REGION, ("region", k, "hi")))
-        lo_id = store.add(LinearConstraint({xi: -one}, LE, -region.lower[k], REGION, ("region", k, "lo")))
-        store.post_refs[("input", k)] = {
-            "upper": ([(("c", hi_id, "le"), one)], region.upper[k]),
-            "lower": ([(("c", lo_id, "le"), one)], region.lower[k]),
-        }
+        store.region_ids[k] = (
+            store.add(LinearConstraint({xi: one}, LE, region.upper[k], REGION, ("region", k, "hi"))),
+            store.add(LinearConstraint({xi: -one}, LE, -region.lower[k], REGION, ("region", k, "lo"))))
 
     mvar = layout.margin_index
     store.negp_id = store.add(LinearConstraint({mvar: -one}, LE, -prop.violation_threshold,

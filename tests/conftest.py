@@ -79,9 +79,9 @@ def layout_of(net, prop):
     return build_layout(net, prop)
 
 
-def mutate_rational_field(rng, doc):
+def mutate_rational_field(rng, doc, skip=lambda path: False):
     """Change one rational scalar somewhere in a parsed proof document to a
-    different value; returns its path."""
+    different value, at a path `skip` does not exclude; returns its path."""
     import re
 
     paths = []
@@ -93,7 +93,7 @@ def mutate_rational_field(rng, doc):
         elif isinstance(o, list):
             for i, v in enumerate(o):
                 walk(v, path + [i])
-        elif isinstance(o, str) and re.fullmatch(r"-?\d+(/\d+)?", o):
+        elif isinstance(o, str) and re.fullmatch(r"-?\d+(/\d+)?", o) and not skip(path):
             paths.append((path, o))
 
     walk(doc, [])

@@ -135,14 +135,19 @@ class TestVerify:
         code, out, _ = _run(capsys, "verify", WORKED_SAT)
         assert code == EXIT_SAT and "SAT witness=" in out
 
-    @pytest.mark.parametrize("flag", ("--lp-budget", "--gate-budget", "--max-depth"))
+    @pytest.mark.parametrize("flag", ("--lp-budget", "--gate-budget", "--max-depth", "--cap"))
     def test_negative_count_is_usage_error(self, capsys, flag):
-        code, out, err = _run(capsys, "verify", WORKED, flag, "-1")
+        command = "oracle" if flag == "--cap" else "verify"
+        code, out, err = _run(capsys, command, WORKED, flag, "-1")
         assert code == EXIT_USAGE and out == ""
         assert f"argument {flag}: -1 is negative" in err
-        # zero is a limit, not a usage error
-        code, out, _ = _run(capsys, "verify", WORKED, flag, "0")
-        assert code == EXIT_UNSAT and "UNSAT" in out
+        # zero is a limit, not a usage error: the worked problem has two
+        # unstable units, more than an oracle cap of 0
+        code, out, _ = _run(capsys, command, WORKED, flag, "0")
+        if command == "oracle":
+            assert code == EXIT_CAP
+        else:
+            assert code == EXIT_UNSAT and "UNSAT" in out
 
 
 class TestCheck:
@@ -163,10 +168,12 @@ class TestCheck:
         proof = tmp_path / "out.proof"
         _run(capsys, "verify", WORKED, "--emit-proof", str(proof))
         doc = json.loads(proof.read_text())
+        # every interval row now bounds its unit from below: no row proves
+        # the upper end of the interval a hull row needs
         for snap in doc["snapshots"].values():
             for row in snap["rows"]:
-                if row["derivation"][0] == "derived":
-                    row["rhs"] = "11/10"
+                if row["derivation"][0] == "interval":
+                    row["derivation"][2] = "lo"
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         code, out, _ = _run(capsys, "check", WORKED, str(proof))
         assert code == 1 and "REJECT path=" in out

@@ -75,36 +75,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             prooflog.parse_proof(b'{"format":"something-else"}')
 
-    def test_format_1_document_rejected(self):
-        data = _proof_bytes()
-        assert b'"format":"relucert-proof-5"' in data
-        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-1"')
+    def _old_format_rejected(self, n, config=None):
+        data = _proof_bytes(config)
+        current = f'"format":"{prooflog.FORMAT}"'.encode()
+        assert prooflog.FORMAT == "relucert-proof-6" and current in data
+        old = data.replace(current, f'"format":"relucert-proof-{n}"'.encode())
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
 
+    def test_format_1_document_rejected(self):
+        self._old_format_rejected(1)
+
     def test_format_2_document_rejected(self):
-        data = _proof_bytes(Config(first_split="domain"))
-        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-2"')
-        assert old != data
-        out = prooflog.check_proof(_problem(), old, WORKED)
-        assert not out.accepted and out.path == "document"
+        self._old_format_rejected(2, Config(first_split="domain"))
 
     def test_format_3_document_rejected(self):
         # proof-3 kept merge lemmas in a preamble, not on the tree
-        data = _proof_bytes(Config(first_split="domain"))
-        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-3"')
-        assert old != data
-        out = prooflog.check_proof(_problem(), old, WORKED)
-        assert not out.accepted and out.path == "document"
+        self._old_format_rejected(3, Config(first_split="domain"))
 
     def test_format_4_document_rejected(self):
         # proof-4 wrote every row, relation, rhs and block beside its
         # derivation, and each derived row's objective and bound
-        data = _proof_bytes(Config(first_split="domain"))
-        old = data.replace(b'"format":"relucert-proof-5"', b'"format":"relucert-proof-4"')
-        assert old != data
-        out = prooflog.check_proof(_problem(), old, WORKED)
-        assert not out.accepted and out.path == "document"
+        self._old_format_rejected(4, Config(first_split="domain"))
+
+    def test_format_5_document_rejected(self):
+        # proof-5 wrote each interval bound row as a derived row, with its
+        # row, rhs and dual certificate
+        self._old_format_rejected(5, Config(first_split="domain"))
 
     def test_only_derived_rows_carry_a_row(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
@@ -216,19 +213,19 @@ class TestTargetedRejections:
         assert not out.accepted and "guard" in out.reason
 
 
-    def test_derived_row_citing_its_own_or_a_later_row_rejected(self):
+    def test_derived_row_citing_its_own_or_a_later_row_rejected(self, tmp_path):
         # the certificate is checked over the rows built before it, so a row
-        # of the same or a later id is an unknown row
-        for cited in (6, 7):
-            doc = prooflog.parse_proof(_proof_bytes())
-            row = _snapshot_rows(doc)[6]
-            assert row["derivation"][0] == "derived"
-            mults = row["derivation"][1]
-            assert mults[1][0] == ["c", 3, "le"]
-            mults[1][0] = ["c", cited, "le"]
-            out = prooflog.check_proof(_problem(), _dumps(doc))
+        # of the same or a later id is an unknown row; the worked proofs
+        # have no derived row, so take the first TGCT row of instance 57
+        problem, data, path = _tgct_proof(tmp_path)
+        rid = _first_row(prooflog.parse_proof(data), "derived")["id"]
+        for cited in (rid, rid + 1):
+            doc = prooflog.parse_proof(data)
+            mults = _first_row(doc, "derived")["derivation"][1]
+            mults[0][0] = ["c", cited, "le"]
+            out = prooflog.check_proof(problem, _dumps(doc), path)
             assert not out.accepted and out.reason.endswith(
-                f"row 6: derived-row certificate rejected: unknown row ('c', {cited}, 'le')"), out
+                f"row {rid}: derived-row certificate rejected: unknown row ('c', {cited}, 'le')"), out
 
     def test_hull_bound_proved_only_by_a_later_row_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
@@ -236,7 +233,7 @@ class TestTargetedRejections:
         # row 6 proves s(1,0) <= 1, the upper end of the interval that rows
         # 8-11 envelope; renumbered past every other row it no longer
         # precedes them
-        assert rows[6]["row"] == {"1": "1"} and rows[6]["rhs"] == "1"
+        assert rows[6] == {"id": 6, "derivation": ["interval", [1, 0], "up"]}
         assert rows[8]["derivation"] == ["hull", [1, 0], 0]
         rows[6]["id"] = max(rows) + 1
         out = prooflog.check_proof(_problem(), _dumps(doc))
@@ -248,7 +245,7 @@ class TestTargetedRejections:
         rows = _snapshot_rows(doc, "1")
         # row 7 proves s(1,0) >= 0, the sign that row 8 stabilizes as active;
         # renumbered past every other row it no longer precedes it
-        assert rows[7]["row"] == {"1": "-1"} and rows[7]["rhs"] == "0"
+        assert rows[7] == {"id": 7, "derivation": ["interval", [1, 0], "lo"]}
         assert rows[8]["derivation"] == ["stabilize", [1, 0], "active", 0]
         rows[7]["id"] = max(rows) + 1
         out = prooflog.check_proof(_problem(), _dumps(doc))
@@ -259,12 +256,11 @@ class TestTargetedRejections:
         snap = doc["snapshots"]["1"]
         rows = _snapshot_rows(doc, "1")
         # widen the snapshot to x in [0, 1]: the checker rebuilds region row 4
-        # from it, row 7 stays exact, and now they prove s(1,0) in [-1, 1],
+        # and interval row 7 from it, and now they prove s(1,0) in [-1, 1],
         # which no longer fixes row 8's active sign
         assert snap["region"]["lower"] == ["1/2"] and rows[4]["derivation"] == ["region", 0, "lo"]
-        assert rows[7]["row"] == {"1": "-1"} and rows[7]["rhs"] == "0"
+        assert rows[7]["derivation"] == ["interval", [1, 0], "lo"]
         snap["region"]["lower"] = ["0"]
-        rows[7]["rhs"] = "1"
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and out.reason.endswith(
             "row 8: certified bounds [-1, 1] do not fix the active sign"), out
@@ -274,7 +270,7 @@ class TestTargetedRejections:
         check_row, check_dual = prooflog._check_snapshot_row, prooflog.check_dual
 
         def row(pb, r, *args):
-            checking.append(r.tag[0])
+            checking.append(r["derivation"][0])
             try:
                 return check_row(pb, r, *args)
             finally:
@@ -291,8 +287,10 @@ class TestTargetedRejections:
                 for r in s["rows"]]
         stabilize = [t for t in tags if t[0] == "stabilize"]
         assert len(stabilize) == 4 and all(len(t) == 4 for t in stabilize)
+        assert sum(t[0] == "interval" for t in tags) == 8
         assert prooflog.check_proof(_problem(), data, WORKED).accepted
-        assert "derived" in dual_checked and "stabilize" not in dual_checked
+        # only the two leaf bounds are dual certificates
+        assert dual_checked == ["evidence"] * 2
 
     def test_proof_checked_against_a_lowered_threshold_rejected(self):
         # without its digest a proof is tied to the problem only by the rows
@@ -305,16 +303,16 @@ class TestTargetedRejections:
     def test_proof_checked_against_a_changed_weight_rejected(self):
         from relucert.model import Layer, Network
 
-        # weight 2 -> 3 on s(1,0) makes the problem SAT; row 6's certificate
-        # no longer proves the bound it records over the rebuilt affine row
+        # weight 2 -> 3 on s(1,0) makes the problem SAT; the checker builds
+        # the affine, interval and hull rows of (1,0) from the changed weight,
+        # and the cover's multipliers no longer cancel over them
         net = worked_network()
         first = net.layers[0]
         changed = Network((Layer(((F(3),), first.weights[1]), first.bias, first.activation),
                            net.layers[1]), 1, 1)
         assert icl_verify(changed, worked_region(), worked_prop()).status == "sat"
         out = prooflog.check_proof((changed, worked_region(), worked_prop()), _proof_bytes())
-        assert not out.accepted and out.reason.endswith(
-            "row 6: derived-row certificate rejected: lambda^T A != g^T"), out
+        assert not out.accepted and out.reason == "cover[0] rejected: lambda^T A != 0", out
 
     def test_phase_row_index_out_of_range_rejected(self):
         # a guard has two phase rows; -1 must not wrap to the last one
@@ -363,8 +361,8 @@ class TestTargetedRejections:
         s = pb.layout.pre_index((2, 0))
         assert s == pb.layout.post_index((2, 0))
         with pytest.raises(prooflog._Rejected, match=r"\(2, 0\), which is not a ReLU unit"):
-            prooflog._check_snapshot_row(pb, prooflog._SnapRow(0, ("hull", [2, 0], 0)),
-                                         worked_region(), None, {s: (F(-1), F(1))})
+            prooflog._check_snapshot_row(pb, {"id": 0, "derivation": ["hull", [2, 0], 0]},
+                                         worked_region(), None, {s: (F(-1), F(1))}, set())
 
     def test_duplicated_row_id_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
@@ -372,6 +370,75 @@ class TestTargetedRejections:
         snap["rows"].append(dict(snap["rows"][6]))
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and "duplicate row id 6" in out.reason, out
+
+
+class TestIntervalRows:
+    """`check` builds a unit's two interval rows by interval arithmetic
+    over the intervals that earlier rows prove for its sources; the row
+    names only its unit and side."""
+
+    def _worked(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        row = _snapshot_rows(doc)[6]
+        assert row == {"id": 6, "derivation": ["interval", [1, 0], "up"]}
+        return doc, row
+
+    def _rejected(self, doc, words):
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.path == "tree" and words in out.reason, out
+
+    @pytest.mark.parametrize("side", ["hi", "UP", "", None, 0])
+    def test_side_other_than_up_or_lo_rejected(self, side):
+        doc, row = self._worked()
+        row["derivation"][2] = side
+        self._rejected(doc, f"row 6: no interval side {side!r}")
+
+    @pytest.mark.parametrize("unit", [[2, 0], [3, 0], [1, 2], [0, 0], [1, -1]],
+                             ids=["identity-output", "layer-out-of-range",
+                                  "neuron-out-of-range", "layer-0", "neuron-negative"])
+    def test_unit_without_a_relu_rejected(self, unit):
+        # (2, 0) is the worked network's identity output, whose z is s
+        doc, row = self._worked()
+        row["derivation"][1] = unit
+        self._rejected(doc, f"row 6: interval row for {tuple(unit)}, which is not a ReLU unit")
+
+    @pytest.mark.parametrize("unit", [[1.0, 0], [1, "0"], [True, 0], [1], [1, 0, 0], 1],
+                             ids=["float", "string", "bool", "short", "long", "scalar"])
+    def test_non_integer_unit_rejected(self, unit):
+        doc, row = self._worked()
+        row["derivation"][1] = unit
+        self._rejected(doc, "row 6: malformed: ")
+
+    def test_row_placed_before_the_rows_it_needs_rejected(self, tmp_path):
+        """Each interval row of a unit past the first layer in the icl
+        branching proofs, swapped in id with the earliest hull, guard or
+        stabilize row of one of its sources: there the source has no
+        interval yet."""
+        cases = 0
+        for problem, data, path in _branching(tmp_path, (icl_verify,)):
+            net = problem[0]
+            base = prooflog.parse_proof(data)
+            for sid, snap in base["snapshots"].items():
+                first = {}  # unit -> id of its earliest hull, guard or stabilize row
+                for r in snap["rows"]:
+                    tag = r["derivation"]
+                    if tag[0] in ("hull", "guard", "stabilize"):
+                        unit = tuple(tag[1:3] if tag[0] == "guard" else tag[1])
+                        first[unit] = min(first.get(unit, r["id"]), r["id"])
+                for r in snap["rows"]:
+                    if r["derivation"][0] != "interval" or r["derivation"][1][0] == 1:
+                        continue
+                    i, j = r["derivation"][1]
+                    target = min(first[(i - 1, k)]
+                                 for k, w in enumerate(net.layers[i - 1].weights[j]) if w)
+                    doc = json.loads(json.dumps(base))
+                    rows = _snapshot_rows(doc, sid)
+                    rows[r["id"]]["id"], rows[target]["id"] = target, r["id"]
+                    out = prooflog.check_proof(problem, _dumps(doc), path)
+                    assert not out.accepted and f"row {target}: no certified interval" in out.reason, (
+                        sid, r, out)
+                    cases += 1
+        assert cases >= 40
 
 
 class TestBounds:
@@ -550,25 +617,55 @@ class TestMutationFuzzing:
                 assert F(doc["rhs"]) != F(old), old
 
     def test_random_single_field_mutations_all_rejected(self):
+        """Every rational but a snapshot region's, which the next test
+        covers: `check` builds every row of a snapshot from its region, so a
+        wider region is a claim over a larger scope, not a wrong one."""
         from conftest import mutate_rational_field
         base = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
         rng = random.Random(123)
         rejected = 0
         for _ in range(40):
             doc = json.loads(json.dumps(base))
-            mutate_rational_field(rng, doc)
+            mutate_rational_field(
+                rng, doc, skip=lambda path: path[0] == "snapshots" and path[2] == "region")
             data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
             out = prooflog.check_proof(_problem(), data, WORKED)
             assert not out.accepted, f"mutation survived: {out}"
             rejected += 1
         assert rejected == 40
 
+    def test_snapshot_region_mutations_rejected_or_true_over_the_wider_box(self):
+        """Each bound of each snapshot region of the worked domain proof,
+        moved by one either way.  A narrower region no longer encloses its
+        path's; a wider one is accepted only if its snapshot still refutes
+        the negated property there, and then the problem is UNSAT over that
+        box."""
+        from relucert.model import Region
+        from relucert.search import oracle_verify
+
+        base = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        outcomes = []
+        for sid, snap in base["snapshots"].items():
+            for side in ("lower", "upper"):
+                for step in (-1, 1):
+                    doc = json.loads(json.dumps(base))
+                    region = doc["snapshots"][sid]["region"]
+                    region[side][0] = format_rational(F(region[side][0]) + step)
+                    out = prooflog.check_proof(_problem(), _dumps(doc), WORKED)
+                    if out.accepted:
+                        box = Region((F(region["lower"][0]),), (F(region["upper"][0]),))
+                        assert (step < 0) == (side == "lower"), (sid, box)
+                        assert oracle_verify(
+                            worked_network(), box, worked_prop()).status == "unsat", (sid, box)
+                    outcomes.append(out.accepted)
+        assert len(outcomes) == 8 and 0 < sum(outcomes) < 4
+
 
 class TestStructuralFuzzing:
     """Rows moved and the tree or its annotations changed, rather than
-    certificate values.  Renumbering the single-variable rows that bound a
+    certificate values.  Renumbering the interval rows that bound a
     stabilized unit's pre-activation past its stabilize row leaves every
-    value intact, so only the stabilize sign rule can see it: the sign
+    row intact, so only the stabilize sign rule can see it: the sign
     those rows prove no longer precedes the row.  A domain split moved
     inside its edge still covers the parent, so only the children's
     snapshot regions can see it."""
@@ -582,13 +679,14 @@ class TestStructuralFuzzing:
                 for stab in snap["rows"]:
                     if stab["derivation"][0] != "stabilize":
                         continue
-                    s = str(layout.pre_index(tuple(stab["derivation"][1])))
+                    unit = stab["derivation"][1]
+                    s = str(layout.pre_index(tuple(unit)))
                     doc = json.loads(json.dumps(base))
                     rows = doc["snapshots"][sid]["rows"]
                     last = max(r["id"] for r in rows)
-                    moved = [r for r in rows
-                             if r["id"] < stab["id"] and list(r.get("row", ())) == [s]]
-                    assert moved
+                    moved = [r for r in rows if r["id"] < stab["id"] and (
+                        r["derivation"][:2] == ["interval", unit] or list(r.get("row", ())) == [s])]
+                    assert len(moved) >= 2
                     for r in moved:
                         last += 1
                         r["id"] = last
@@ -671,13 +769,19 @@ class TestStructuralFuzzing:
         never writes but Python reads as the same integer: a float, a
         numeric string, or an object key other than its canonical decimal.
         The guarded certificate is taken from the hsrv proof of instance 42
-        under the default configuration, whose gate prunes its root."""
+        under the default configuration, whose gate prunes its root, and the
+        derived row from the icl proof of 57 under that configuration.  Only
+        a snapshot key is reported at the document: a bad integer in a row
+        is reported with its row, and one in a certificate, at the leaf that
+        cites it."""
         from test_search import TestBranchingOracleAgreement, tightened
 
         config = TestBranchingOracleAgreement.CONFIG
         idx, driver = 57, icl_verify
         if mutate == "guard-float":
             idx, config, driver = 42, Config(), hsrv_verify
+        elif mutate == "row-key-leading-zero":
+            config = Config()
         problem = tightened(idx)
         path = str(tmp_path / f"p{idx}.json")
         dump_problem(*problem, path)
@@ -687,6 +791,14 @@ class TestStructuralFuzzing:
         out = prooflog.check_proof(problem, _dumps(doc), path)
         assert not out.accepted, out
         assert "JSON integer" in out.reason or "canonical decimal" in out.reason, out
+        if mutate.startswith("snapshot-key"):
+            assert out.path == "document", out
+        else:
+            assert out.path.startswith("tree"), out
+        if mutate.startswith("row-id"):
+            assert "snapshot: row id: malformed: " in out.reason, out
+        elif mutate.startswith(("row-", "aff-", "guard-layer", "hull-", "stabilize-")):
+            assert re.search(r"snapshot: row [0-9]+: malformed: ", out.reason), out
 
     def test_split_bound_mutations_all_rejected(self, tmp_path):
         """Each split bound of the worked domain proofs and of the branching
@@ -736,6 +848,19 @@ def _branching(tmp_path, drivers):
             yield problem, prooflog.emit(res.proof, path), path
 
 
+def _tgct_proof(tmp_path):
+    """(problem, proof bytes, problem path) for instance 57 under icl and
+    the default configuration, whose TGCT LPs leave derived rows."""
+    from test_search import tightened
+
+    problem = tightened(57)
+    path = str(tmp_path / "p57-default.json")
+    dump_problem(*problem, path)
+    res = icl_verify(*problem, Config())
+    assert res.status == "unsat"
+    return problem, prooflog.emit(res.proof, path), path
+
+
 def _proofs(tmp_path, drivers):
     """The worked `first_split="domain"` proof, then the proofs of the two
     branching instances under each driver."""
@@ -761,12 +886,12 @@ class TestSolverCheckerAgreement:
 
         def building(pb, r, *args):
             c = check_row(pb, r, *args)
-            built[r.cid] = (c.row, c.relation, c.rhs)
+            built[r["id"]] = (c.row, c.relation, c.rhs)
             return c
 
         monkeypatch.setattr(search, "snapshot_store", recording)
         monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
-        rows = 0
+        rows = intervals = 0
         for problem, data, path in _proofs(tmp_path, (icl_verify, hsrv_verify)):
             pb = prooflog._Problem(*problem)
             for sid, snap in prooflog.parse_proof(data)["snapshots"].items():
@@ -777,8 +902,9 @@ class TestSolverCheckerAgreement:
                     assert built[r["id"]] == stored[int(sid)][r["id"]], (path, sid, r)
                 assert built.keys() == stored[int(sid)].keys()
                 rows += len(built)
+                intervals += sum(r["derivation"][0] == "interval" for r in snap["rows"])
             stored.clear()
-        assert rows > 500
+        assert rows > 500 and intervals > 150
 
 
 def _tree_nodes(node, at=()):

@@ -7,11 +7,8 @@ from conftest import layout_of, random_instance, worked_network, worked_prop, wo
 from relucert import certs, lp, propagate
 from relucert.budget import Budget, Exhausted
 from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval, trace_vector
-from relucert.certs import DualBoundCertificate
 from relucert.propagate import (
-    BoundRowRejected,
     NotUnstable,
-    _check_bound_row,
     back_substitute,
     ensure_relaxation,
     hull_insert,
@@ -19,7 +16,7 @@ from relucert.propagate import (
     stabilize,
     tgct,
 )
-from relucert.store import LE, NEGP, REGION, LinearConstraint, build_initial_store
+from relucert.store import LE, NEGP, REGION, LinearConstraint, build_initial_store, interval_bounds
 
 
 def _store(threshold="1", alpha=None, region=None):
@@ -41,9 +38,9 @@ def _certificates_since(store, start):
             if store.constraints[cid].derivation[0] == "derived"]
 
 
-def _bound_certs(store, unit):
-    """The dual certificates of the unit's (upper, lower) bound rows."""
-    return tuple(store.constraints[cid].derivation[1] for cid in store.bound_rows[unit])
+def _bound_rows(store, unit):
+    """The unit's (upper, lower) bound rows."""
+    return tuple(store.constraints[cid] for cid in store.bound_rows[unit])
 
 
 class TestHullInsertion:
@@ -84,32 +81,19 @@ class TestHullInsertion:
 
 
 class TestBoundRows:
-    def test_bound_certificates_accepted_by_the_dual_checker(self):
-        store = _store()
-        ensure_relaxation(store)
-        sys = store.normalize()
-        for unit in ((1, 0), (1, 1), (2, 0)):
-            if unit not in store.bound_rows:
-                continue
-            up, lo = _bound_certs(store, unit)
-            assert certs.check_dual(sys, up).ok
-            assert certs.check_dual(sys, lo).ok
+    """A unit's bound rows are two interval rows, tagged with the unit and
+    side and carrying no certificate: `s <= hi` and `-s <= -lo`."""
 
-    def test_bound_row_self_check_reads_only_the_cited_active_rows(self):
+    def test_bound_rows_are_tagged_interval_rows(self):
         store = _store()
         ensure_relaxation(store)
-        for unit in store.bound_rows:
-            for cert in _bound_certs(store, unit):
-                _check_bound_row(store, cert)
-        up, _ = _bound_certs(store, (1, 0))
-        short = DualBoundCertificate(up.objective, up.bound - 1, up.multipliers)
-        with pytest.raises(BoundRowRejected, match="> bound"):
-            _check_bound_row(store, short)
-        # a retired row is an unknown row, as over the full system
-        store.retire(up.multipliers[-1][0][1])
-        assert "unknown row" in certs.check_dual(store.normalize(), up).reason
-        with pytest.raises(BoundRowRejected, match="unknown row"):
-            _check_bound_row(store, up)
+        for unit, (lo, hi) in (((1, 0), (F(-1), F(1))), ((1, 1), (F(-1, 2), F(1, 2)))):
+            s = store.layout.pre_index(unit)
+            up, low = _bound_rows(store, unit)
+            assert (up.row, up.relation, up.rhs, up.derivation) == (
+                {s: 1}, LE, hi, ("interval", unit, "up"))
+            assert (low.row, low.relation, low.rhs, low.derivation) == (
+                {s: -1}, LE, -lo, ("interval", unit, "lo"))
 
     def test_bound_rows_match_interval_arithmetic(self):
         store = _store()
@@ -117,15 +101,24 @@ class TestBoundRows:
         assert store.bounds.pre[(1, 0)] == (F(-1), F(1))
         assert store.bounds.pre[(1, 1)] == (F(-1, 2), F(1, 2))
 
-    def test_random_instances_emit_only_checkable_bound_certs(self):
+    def test_random_bound_rows_equal_interval_arithmetic_and_hold_on_traces(self):
+        # with no phase committed each unit's rows bound it by the interval
+        # seed of the store, and every true trace of the box satisfies them
         rng = random.Random(5)
         for _ in range(10):
             store = _random_store(rng)
             ensure_relaxation(store)
-            sys = store.normalize()
-            for up, lo in (_bound_certs(store, unit) for unit in store.bound_rows):
-                assert certs.check_dual(sys, up).ok
-                assert certs.check_dual(sys, lo).ok
+            seed = interval_bounds(store.net, store.region, {})
+            region = store.region
+            points = [trace_vector(store.net, store.layout, tuple(
+                lo + (hi - lo) * F(t, 4) for lo, hi in zip(region.lower, region.upper)), store.prop)
+                for t in range(5)]
+            for unit in store.bound_rows:
+                up, low = _bound_rows(store, unit)
+                assert (-low.rhs, up.rhs) == seed[unit] == store.bounds.pre[unit]
+                for point in points:
+                    for c in (up, low):
+                        assert sum(q * point[j] for j, q in c.row.items()) <= c.rhs
 
 
 class TestStabilization:
@@ -137,13 +130,10 @@ class TestStabilization:
         phases = {c.unit: c.phase for c in stab}
         assert phases == {(1, 0): ACTIVE, (1, 1): INACTIVE}
         assert not store.unstable
-        # the bound row on the pinned side proves the sign over the node's rows
-        sys = store.normalize()
+        # the bound row on the pinned side proves the sign
         for c in stab:
-            up, lo = _bound_certs(store, c.unit)
-            cert = lo if c.phase == ACTIVE else up
-            assert cert.bound <= 0
-            assert certs.check_dual(sys, cert).ok
+            up, lo = _bound_rows(store, c.unit)
+            assert (lo if c.phase == ACTIVE else up).rhs <= 0
 
     def test_specialization_replaces_the_hull(self):
         from relucert.model import Region

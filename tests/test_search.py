@@ -400,12 +400,17 @@ class TestProofPins:
     is refuted by that LP's dual plus the negated-property row, and none by
     back-substitution, which is not tried there without a TGCT LP to save.
     The worked proof's two leaves are refuted the same way, with the
-    multipliers the feasibility LP found, so its pin held."""
+    multipliers the feasibility LP found, so its pin held.  All three were
+    re-pinned when the format became `relucert-proof-6`: each proof is the
+    `relucert-proof-5` proof with every interval bound row written as its
+    `["interval", unit, side]` tag instead of a derived row with its row,
+    rhs and multipliers, and the new format string; every other byte is the
+    same."""
 
     PINS = {
-        "worked": "1663ddb09b37645183f6be56b8cd7b05877acf921866f37a52e07d255d95007f",
-        57: "0a07b2233f2f480c480b7e7b22b4c964301ac3ff4bcec8d55ee7b74dec1a1595",
-        89: "c982887b9395470e9a325b3a9dc9d14447fb025bdd39cf739f55ff6d59846927",
+        "worked": "c6d21191b09b57db8bce4e0660858a1290dd78f7af019b74a1b29636d0121662",
+        57: "58720e5af16fbb15f069731968f5835d85f2071f0e6596bb5ac5f5e724c52100",
+        89: "994487256e336fbe76e6fe585b12fb2af9b5916b374c6cf1ec770c06791392f4",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):

@@ -191,11 +191,10 @@ class TestInitialStore:
         point = trace_vector(net, layout, (F(1),), prop)  # margin 1 < 11/10
         assert not _satisfies(store.normalize(), point)
 
-    def test_region_rows_carry_citable_bound_references(self):
+    def test_region_ids_name_each_inputs_box_rows(self):
         net, prop = worked_network(), worked_prop()
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-        ref = store.post_refs[("input", 0)]
-        sys = store.normalize()
-        (rid_hi, coef_hi), = ref["upper"][0]
-        assert sys.resolve(rid_hi) is not None and coef_hi == F(1)
-        assert ref["upper"][1] == F(1) and ref["lower"][1] == F(0)
+        x = store.layout.input_index(0)
+        hi, lo = (store.constraints[cid] for cid in store.region_ids[0])
+        assert (hi.row, hi.relation, hi.rhs, hi.derivation) == ({x: 1}, LE, 1, ("region", 0, "hi"))
+        assert (lo.row, lo.relation, lo.rhs, lo.derivation) == ({x: -1}, LE, 0, ("region", 0, "lo"))
