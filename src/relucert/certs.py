@@ -8,6 +8,9 @@ in integers over one common denominator, from each row's integer form
 (`NormRow.ints`, built once per row), and hands back `Fraction`s.  Cost is
 linear in the number of nonzeros touched; a module-level counter adds one per
 row entry and one per rhs combined, so tests can assert the linear bound.
+Each certificate object here is one these checkers check; a stabilized
+unit needs none, since the proof checker rebuilds its row and tests its
+sign against the bound rows before it.
 """
 
 from __future__ import annotations
@@ -84,16 +87,6 @@ class GuardedCertificate:
     @property
     def guard_set(self) -> frozenset[GuardLiteral]:
         return frozenset(self.guards)
-
-
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """A unit specialized to a fixed sign on the node, proved by its bound
-    rows: interval rows the checker rebuilds, or TGCT rows with their dual
-    certificates."""
-
-    unit: tuple[int, int]
-    phase: str  # ACTIVE: s >= 0, INACTIVE: s <= 0
 
 
 @dataclass(frozen=True)

@@ -99,16 +99,16 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
     """DPLL over the guard assignments of the subset, LP as theory check.
 
     The guarded certificates of branches already closed in this call prune
-    any later partial assignment containing their full guard set; the
-    pruning certificate joins the cover, keeping it exhaustive.  LIMIT means
-    `local_limit` LPs were made or an LP hit the solver's pivot limit; a
-    spent `budget` raises `Exhausted`.
+    any later partial assignment containing their full guard set; that
+    certificate is in the cover already, so the cover stays exhaustive and
+    lists each certificate once.  LIMIT means `local_limit` LPs were made
+    or an LP hit the solver's pivot limit; a spent `budget` raises
+    `Exhausted`.
     """
     if budget is None:
         budget = Budget()
     units = sorted(subset)
     base = store.normalize()
-    known: list[GuardedCertificate] = []
     cover: list[GuardedCertificate] = []
     calls = 0
 
@@ -124,18 +124,14 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
             return ExactResult(LIMIT)
         if out.status == lp.INFEASIBLE:
             cert = GuardedCertificate.make(lits, FarkasCertificate.make(out.dual))
-            cert = _drop_zero_guards(cert, store.layout)
-            known.append(cert)
-            cover.append(cert)
+            cover.append(_drop_zero_guards(cert, store.layout))
             return None
         return ExactResult(SAT, model=out.primal)
 
     def solve(idx: int, lits: tuple[GuardLiteral, ...]) -> ExactResult | None:
         here = set(lits)
-        for cert in known:
-            if cert.guard_set <= here:
-                cover.append(cert)
-                return None
+        if any(cert.guard_set <= here for cert in cover):
+            return None
         if idx == len(units):
             return theory(lits)
         for phase in (ACTIVE, INACTIVE):

@@ -5,8 +5,9 @@ derivation; only a derived row also carries its row and rhs, since its tag,
 a dual certificate over earlier rows, does not determine them.  The checker
 replays a snapshot by building its rows in id order: affine, margin-definition
 and negated-property rows from the problem, region rows from the snapshot's
-region, guard and stabilize rows as row k of a phase's guard consequences,
-a unit's interval rows by interval arithmetic over the intervals that
+region, guard and stabilize rows as row k of a phase's guard consequences
+(the solver writes only row 0 of a stabilized unit, but row 1 is accepted
+too), a unit's interval rows by interval arithmetic over the intervals that
 earlier rows prove for its sources, hull rows as row k of the envelope over
 the interval that earlier single-variable rows prove, and derived rows by
 checking their certificate over the rows built so far.  A row the checker
@@ -32,8 +33,8 @@ committed on the path, a stabilize row's proved, so z = 0 or z = s there),
 else z's single-variable rows (hull rows 0 and 3).  A source with no such
 interval rejects the row.  From `store.py` it takes only the row
 containers, normalization, each row's integer form `NormRow.ints` (which
-the checks of `certs` read) and the guard consequences of a phase, which
-are also the rows of a stabilized unit.  None of `certs`, `store` and
+the checks of `certs` read) and the guard consequences of a phase, whose
+rows are also those a `stabilize` tag names.  None of `certs`, `store` and
 `model` imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates, each over a
@@ -231,8 +232,17 @@ def _parse_multipliers(obj) -> dict:
     return out
 
 
-def _parse_guarded(obj) -> GuardedCertificate:
-    guards = [GuardLiteral(_unit((i, j)), p) for i, j, p in obj["guards"]]
+def _parse_guarded(obj, relu_units) -> GuardedCertificate:
+    """A guarded certificate whose guards each name a phase of a unit in
+    `relu_units`."""
+    guards = []
+    for i, j, phase in obj["guards"]:
+        unit = _unit((i, j))
+        if unit not in relu_units:
+            raise ValueError(f"{unit} is not a ReLU unit")
+        if phase not in (ACTIVE, INACTIVE):
+            raise ValueError(f"unknown phase {phase!r}")
+        guards.append(GuardLiteral(unit, phase))
     return GuardedCertificate.make(
         guards, FarkasCertificate.make(_parse_multipliers(obj["farkas"]["multipliers"])))
 
@@ -608,7 +618,7 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
     cover = []
     for idx, item in enumerate(node["cover"]):
         try:
-            cert = _parse_guarded(item["cert"])
+            cert = _parse_guarded(item["cert"], pb.relu_units)
         except _MALFORMED as exc:
             return _reject(path, f"cover[{idx}] certificate: malformed: {exc!r}"), None
         allowed = set(alpha.items()) | {(g.unit, g.phase) for g in cert.guards}

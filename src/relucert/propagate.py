@@ -5,13 +5,14 @@ arithmetic, as rows the checker rebuilds from their tag), hull insertion
 for unstable units, a back-substitution of the negated property through
 those rows that prunes with a Farkas certificate and no LP, LP tightening
 of the unstable units' pre-activations with dual certificates (the only
-derived rows), stabilization of units whose bound rows fix their sign, and
-one closing LP that prunes with a Farkas certificate or leaves the node
-open at a point of its rows.  Below the root the closing LP maximizes the
-margin without the negated property, which also proves the margin bound
-the node's leaf records.  The root therefore makes no LP when
-back-substitution refutes it; a node below the root makes at least the one
-LP that proves its bound.
+derived rows), stabilization of units whose bound rows fix their sign
+(the unit's phase equality replaces its hull rows; the bound row stays and
+states the sign), and one closing LP that prunes with a Farkas
+certificate or leaves the node open at a point of its rows.  Below the
+root the closing LP maximizes the margin without the negated property,
+which also proves the margin bound the node's leaf records.  The root
+therefore makes no LP when back-substitution refutes it; a node below the
+root makes at least the one LP that proves its bound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 from . import certs as certmod
 from . import lp
 from .budget import Budget, Exhausted
-from .certs import DualBoundCertificate, FarkasCertificate, StabilityCertificate
+from .certs import DualBoundCertificate, FarkasCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
 from .store import LE, REL, GuardLiteral, LinearConstraint, Store, guard_consequences
 
@@ -48,7 +49,8 @@ class TgctResult:
 class PropagationResult:
     status: str  # "prune" | "open"
     farkas: FarkasCertificate | None = None
-    stability_certs: list[StabilityCertificate] = field(default_factory=list)
+    #: (unit, phase) of each unit the node stabilized
+    stability_certs: list[tuple[Unit, str]] = field(default_factory=list)
     iterations: int = 0
     feasible_point: dict[int, Fraction] | None = None
     tgct_rows_per_call: list[int] = field(default_factory=list)
@@ -58,19 +60,20 @@ class PropagationResult:
     evidence: DualBoundCertificate | None = None
 
 
-def _specialize(store: Store, unit: Unit, phase: str) -> StabilityCertificate:
+def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     """Replace the unit's relaxation by its exact linear specialization: the
-    rows a guard on the phase would add.  The unit's bound rows, all of
-    smaller id, are what prove the sign."""
+    phase equality a guard on the phase would add, `z = s` or `z = 0`.  The
+    guard's sign row is not written: the unit's active bound row, of
+    smaller id, proves the sign and stays in the store."""
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    store.stabilize_ids[unit] = [
-        store.add(LinearConstraint(c.row, c.relation, c.rhs, REL, ("stabilize", unit, phase, k)))
-        for k, c in enumerate(guard_consequences(store.layout, GuardLiteral(unit, phase)))]
+    eq = guard_consequences(store.layout, GuardLiteral(unit, phase))[0]
+    store.stabilize_ids[unit] = store.add(
+        LinearConstraint(eq.row, eq.relation, eq.rhs, REL, ("stabilize", unit, phase, 0)))
     store.stabilized[unit] = phase
     store.unstable.discard(unit)
-    return StabilityCertificate(unit, phase)
+    return unit, phase
 
 
 def hull_insert(store: Store, unit: Unit) -> list[int]:
@@ -130,12 +133,12 @@ def _install_bound_rows(store: Store, unit: Unit) -> None:
     store.bounds.pre[unit] = (lower, upper)
 
 
-def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[StabilityCertificate]:
+def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[tuple[Unit, str]]:
     """Layer-order sweep installing bound rows and relaxation rows.
 
     On later passes only refreshes hull rows whose bounds were tightened.
     """
-    stab: list[StabilityCertificate] = []
+    stab: list[tuple[Unit, str]] = []
     for i, layer in enumerate(store.net.layers, start=1):
         if layer.activation != RELU:
             continue
@@ -146,9 +149,9 @@ def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[Stabil
             lo, hi = store.bounds.pre[unit]
             if unit in store.alpha or unit in store.stabilized:
                 continue
-            cert = _stabilize_settled(store, unit, budget)
-            if cert is not None:
-                stab.append(cert)
+            settled = _stabilize_settled(store, unit, budget)
+            if settled is not None:
+                stab.append(settled)
             elif store.hull_bounds.get(unit) != (lo, hi):
                 hull_insert(store, unit)
                 store.unstable.add(unit)
@@ -156,7 +159,7 @@ def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[Stabil
 
 
 def _stabilize_settled(store: Store, unit: Unit,
-                       budget: Budget | None) -> StabilityCertificate | None:
+                       budget: Budget | None) -> tuple[Unit, str] | None:
     """Specialize the unit if its certified bounds fix its sign (lo >= 0:
     active, hi <= 0: inactive), the test the checker applies to its rows."""
     lo, hi = store.bounds.pre[unit]
@@ -171,13 +174,13 @@ def _stabilize_settled(store: Store, unit: Unit,
     return _specialize(store, unit, phase)
 
 
-def stabilize(store: Store, budget: Budget | None = None) -> list[StabilityCertificate]:
+def stabilize(store: Store, budget: Budget | None = None) -> list[tuple[Unit, str]]:
     """Specialize every unit whose certified bounds pin its sign."""
     out = []
     for unit in sorted(store.unstable):
-        cert = _stabilize_settled(store, unit, budget)
-        if cert is not None:
-            out.append(cert)
+        settled = _stabilize_settled(store, unit, budget)
+        if settled is not None:
+            out.append(settled)
     return out
 
 
@@ -237,9 +240,9 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
         elif j in post:
             unit = post[j]
             if unit in store.alpha:
-                cancel_by_equality(store.guard_ids[(unit, store.alpha[unit])][0], j, a)
+                cancel_by_equality(store.guard_ids[(unit, store.alpha[unit])], j, a)
             elif unit in store.stabilized:
-                cancel_by_equality(store.stabilize_ids[unit][0], j, a)
+                cancel_by_equality(store.stabilize_ids[unit], j, a)
             else:
                 lo, hi = store.hull_bounds[unit]
                 k = 2 if a < 0 else 1 if hi > -lo else 0

@@ -47,7 +47,6 @@ from .model import (
     SafetyProperty,
     Unit,
     build_layout,
-    trace_vector,
     validate_witness,
 )
 from .propagate import propagate_node
@@ -153,7 +152,6 @@ class RunProof:
 class VerifyResult:
     status: str  # "sat" | "unsat" | "unknown"
     witness: tuple[Fraction, ...] | None = None
-    trace: dict[int, Fraction] | None = None
     proof: RunProof | None = None
     reason: str = ""
     budget: Budget | None = None
@@ -239,8 +237,7 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
     run = RunProof(region)
 
     def sat(x) -> _Verdict:
-        return _Verdict(VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
-                                     budget=budget))
+        return _Verdict(VerifyResult("sat", witness=x, budget=budget))
 
     def unknown(reason: str) -> _Verdict:
         return _Verdict(VerifyResult("unknown", reason=reason, budget=budget))
@@ -374,6 +371,5 @@ def oracle_verify(net: Network, region: Region, prop: SafetyProperty,
         verdict = validate_witness(net, region, prop, x)
         if not verdict.accepted:
             raise OracleFault(f"exact assignment produced invalid witness: {verdict.reason}")
-        return VerifyResult("sat", witness=x, trace=trace_vector(net, layout, x, prop),
-                            budget=budget)
+        return VerifyResult("sat", witness=x, budget=budget)
     return VerifyResult("unsat", budget=budget)

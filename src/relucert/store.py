@@ -6,10 +6,12 @@ rebuilds it: base rows from the problem and the region, guard and stabilize
 rows as row k of a phase's guard consequences, a unit's two interval rows
 by interval arithmetic over the intervals that earlier rows prove for its
 sources, hull rows as row k of the envelope over the interval that the bound
-rows before them prove.  A proof records such a row by its tag alone.  A
-derived row, a bound an LP proved, is the one kind the tag does not
-determine: the proof records the row, and its tag carries the dual
-certificate that proves it.
+rows before them prove.  A committed phase adds both guard rows; a
+stabilized unit adds only row 0, its phase equality, since its bound row
+already proves the sign that row 1 would state.  A proof records such a
+row by its tag alone.  A derived row, a bound an LP proved, is the one kind
+the tag does not determine: the proof records the row, and its tag carries
+the dual certificate that proves it.
 """
 
 from __future__ import annotations
@@ -154,10 +156,6 @@ def guard_norm_rows(layout: VariableLayout, lit: GuardLiteral) -> list[NormRow]:
     return rows
 
 
-def _row_key(c: LinearConstraint):
-    return (frozenset(c.row.items()), c.relation, c.rhs)
-
-
 @dataclass
 class BoundsMap:
     """Per pre-activation interval [l, u]; only ever tightens."""
@@ -191,7 +189,6 @@ class Store:
         self.constraints: dict[int, LinearConstraint] = {}
         self.norm_rows: dict[int, list[NormRow]] = {}       # cid -> its normalized rows
         self.retired: set[int] = set()
-        self._active_keys: dict = {}
         self.bounds = BoundsMap()
         self.unstable: set[Unit] = set()
         # per-unit bookkeeping for certificate construction
@@ -201,30 +198,24 @@ class Store:
         self.stabilized: dict[Unit, str] = {}               # unit -> phase
         self.aff_ids: dict[Unit, int] = {}
         self.region_ids: dict[int, tuple[int, int]] = {}    # input -> (hi cid, lo cid)
-        self.guard_ids: dict[tuple[Unit, str], list[int]] = {}
-        self.stabilize_ids: dict[Unit, list[int]] = {}     # a stabilized unit's phase rows
+        # phase equality (row 0) of a committed or stabilized unit
+        self.guard_ids: dict[tuple[Unit, str], int] = {}
+        self.stabilize_ids: dict[Unit, int] = {}
         self.margin_def_id: int | None = None               # None when the margin aliases an output
         self.negp_id: int | None = None
 
     # -- mutation ---------------------------------------------------------
 
     def add(self, c: LinearConstraint) -> int:
-        """Add a constraint; identical active rows are not re-added."""
-        key = _row_key(c)
-        existing = self._active_keys.get(key)
-        if existing is not None:
-            return existing
+        """Append a constraint under the next id and return that id."""
         cid = len(self.constraints)
         self.constraints[cid] = c
         self.norm_rows[cid] = normalize_constraint(cid, c)
-        self._active_keys[key] = cid
         return cid
 
     def retire(self, cid: int):
         """Exclude a row from future LPs; it stays resolvable and exported."""
-        if cid not in self.retired:
-            self.retired.add(cid)
-            self._active_keys.pop(_row_key(self.constraints[cid]), None)
+        self.retired.add(cid)
 
     # -- views ------------------------------------------------------------
 
@@ -348,7 +339,7 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
     for unit in sorted(alpha):
         phase = alpha[unit]
         cids = [store.add(c) for c in guard_consequences(layout, GuardLiteral(unit, phase))]
-        store.guard_ids[(unit, phase)] = cids
+        store.guard_ids[(unit, phase)] = cids[0]
 
     for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
         i, _ = unit

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,6 +27,8 @@ from relucert.cli import (
     main,
 )
 from relucert.model import validate_witness
+
+ROOT = Path(__file__).resolve().parent.parent
 
 COUNTERS = ("splits", "lp_calls", "gate_invocations", "stabilized_units",
             "lemmas_learned", "clauses_learned")
@@ -182,6 +187,27 @@ class TestCheck:
         code, _, _ = _run(capsys, "check", WORKED, "nope.proof")
         assert code == EXIT_USAGE
 
+    def test_round_trip_and_tampered_multiplier_under_python_o(self, tmp_path):
+        """`python -O` strips assert statements: the checker must still
+        accept the proof and reject it with one multiplier changed."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def cli_o(*argv):
+            return subprocess.run([sys.executable, "-O", "-m", "relucert.cli", *argv],
+                                  cwd=ROOT, env=env, capture_output=True, text=True)
+
+        proof = tmp_path / "out.proof"
+        run = cli_o("verify", WORKED, "--emit-proof", str(proof))
+        assert run.returncode == EXIT_UNSAT and "UNSAT" in run.stdout, run
+        run = cli_o("check", WORKED, str(proof))
+        assert run.returncode == 0 and run.stdout.strip() == "ACCEPT", run
+        doc = json.loads(proof.read_text())
+        mult = doc["tree"]["cover"][0]["cert"]["farkas"]["multipliers"][0]
+        mult[1] = str(2 * F(mult[1]))
+        proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        run = cli_o("check", WORKED, str(proof))
+        assert run.returncode == 1 and run.stdout.startswith("REJECT path=tree "), run
+
 
 class TestOracle:
     def test_ground_truth_verdicts(self, capsys):
@@ -210,7 +236,7 @@ class TestDeterminism:
 
 class TestDocumentedFlags:
     def test_readme_lists_exactly_the_verify_flags(self):
-        readme = Path(__file__).resolve().parent.parent / "README.md"
+        readme = ROOT / "README.md"
         section = readme.read_text().split("Flags for `verify`:", 1)[1].split("\n\n", 1)[0]
         documented = set(re.findall(r"`(--[a-z-]+)", section))
         sub = next(a for a in build_parser()._actions if a.dest == "command")

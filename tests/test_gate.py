@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from relucert.gate import (
     violation_report,
 )
 from relucert.model import (
+    ACTIVE,
     IDENTITY,
     INACTIVE,
     RELU,
@@ -91,12 +93,8 @@ class TestExactSolve:
         for cert in res.cover:
             assert certs.check_guarded(store, cert).ok
         # every total assignment must fall under some certificate's guards
-        from itertools import product
-
-        from relucert.model import ACTIVE, INACTIVE
-
         units = sorted(store.unstable)
-        for phases in product((ACTIVE, INACTIVE), repeat=len(units)):
+        for phases in itertools.product((ACTIVE, INACTIVE), repeat=len(units)):
             sigma = dict(zip(units, phases))
             assert any(all(sigma.get(g.unit) == g.phase for g in c.guards)
                        for c in res.cover)
@@ -116,7 +114,7 @@ class TestExactSolve:
         # y = -relu(x) on x in [-1, 1] never reaches 1/10, and (1,0) feeds
         # nothing: the certificate of the second branch, (1,0):A (1,1):I,
         # needs only (1,1):I, so it closes the last branch, (1,0):I (1,1):I,
-        # without an LP and joins the cover again
+        # without an LP; it is in the cover already and is not listed twice
         net = Network((Layer(((F(1),), (F(1),)), (F(0), F(0)), RELU),
                        Layer(((F(0), F(-1)),), (F(0),), IDENTITY)), 1, 1)
         prop = SafetyProperty(((0, F(1)),), F(0), F(1, 10))
@@ -126,10 +124,14 @@ class TestExactSolve:
         budget = Budget()
         res = exact_solve(store, store.unstable, budget)
         assert res.status == UNSAT
-        assert budget.lp_calls == 3 and len(res.cover) == 4
-        assert res.cover[3] is res.cover[1]
+        assert budget.lp_calls == 3 and len(res.cover) == 3
+        assert len({id(c) for c in res.cover}) == 3
         assert res.cover[1].guard_set == {GuardLiteral((1, 1), INACTIVE)}
         assert all(certs.check_guarded(store, c).ok for c in res.cover)
+        # the three guard sets still exclude every assignment of the two units
+        for a0, a1 in itertools.product((ACTIVE, INACTIVE), repeat=2):
+            sigma = {GuardLiteral((1, 0), a0), GuardLiteral((1, 1), a1)}
+            assert any(c.guard_set <= sigma for c in res.cover), sigma
 
     def test_local_limit_defers(self):
         store = _raw_store("1")

@@ -20,8 +20,8 @@ def _problem():
     return worked_network(), worked_region(), worked_prop()
 
 
-def _proof_bytes(config=None):
-    res = icl_verify(*_problem(), config)
+def _proof_bytes(config=None, driver=icl_verify):
+    res = driver(*_problem(), config)
     assert res.status == "unsat"
     return prooflog.emit(res.proof, WORKED)
 
@@ -352,9 +352,15 @@ class TestTargetedRejections:
                         "cover": [refutation("active", 1), refutation("inactive", 2)]}}
         out = prooflog.check_proof(problem, _dumps(doc))
         assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
+        assert out.reason.startswith("cover[0] certificate: "), out
+        # well-formed cover guards, and the guard row on (2, 0) in the
+        # snapshot they cite
+        for item in doc["tree"]["cover"]:
+            item["cert"]["guards"][0][:2] = [1, 0]
         doc["snapshots"]["0"]["rows"].append({"id": 1, "derivation": ["guard", 2, 0, "active", 0]})
         out = prooflog.check_proof(problem, _dumps(doc))
         assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
+        assert out.reason.startswith("cover[0] snapshot: row 1: "), out
 
     def test_hull_row_of_a_unit_without_a_relu_rejected(self):
         pb = prooflog._Problem(*_problem())
@@ -363,6 +369,18 @@ class TestTargetedRejections:
         with pytest.raises(prooflog._Rejected, match=r"\(2, 0\), which is not a ReLU unit"):
             prooflog._check_snapshot_row(pb, {"id": 0, "derivation": ["hull", [2, 0], 0]},
                                          worked_region(), None, {s: (F(-1), F(1))}, set())
+
+    @pytest.mark.parametrize("guard, reason", [
+        ([9, 9, "active"], "(9, 9) is not a ReLU unit"),
+        ([2, 0, "active"], "(2, 0) is not a ReLU unit"),
+        ([1, 0, "sideways"], "unknown phase 'sideways'"),
+    ], ids=["unknown-unit", "unit-without-a-relu", "unknown-phase"])
+    def test_cover_guard_outside_the_networks_phases_rejected_at_its_leaf(self, guard, reason):
+        doc = prooflog.parse_proof(_proof_bytes(driver=hsrv_verify))
+        doc["tree"]["cover"][0]["cert"]["guards"].append(guard)
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason.startswith("cover[0] certificate: ") and reason in out.reason, out
 
     def test_duplicated_row_id_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
@@ -671,8 +689,16 @@ class TestStructuralFuzzing:
     snapshot regions can see it."""
 
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
+        # a stabilized unit has one stabilize row; instance 42 under the
+        # branching configuration adds 15 of them to the 14 of the worked,
+        # 57 and 89 proofs.  The hsrv proofs are replayed too, but where one
+        # equals the icl proof byte for byte it adds no case
         cases = 0
-        for problem, data, path in _proofs(tmp_path, (icl_verify,)):
+        seen = set()
+        for problem, data, path in _proofs(tmp_path, (icl_verify, hsrv_verify), (57, 89, 42)):
+            if data in seen:
+                continue
+            seen.add(data)
             layout = build_layout(problem[0], problem[2])
             base = prooflog.parse_proof(data)
             for sid, snap in base["snapshots"].items():
@@ -833,12 +859,13 @@ def _worked_domain_proofs():
         yield _problem(), prooflog.emit(res.proof, WORKED), WORKED
 
 
-def _branching(tmp_path, drivers):
-    """(problem, proof bytes, problem path) for the UNSAT proofs of the two
-    branching instances under each driver."""
+def _branching(tmp_path, drivers, instances=(57, 89)):
+    """(problem, proof bytes, problem path) for the UNSAT proofs of the
+    branching instances (by default the two of `TestBranchingOracleAgreement`)
+    under each driver."""
     from test_search import TestBranchingOracleAgreement, tightened
 
-    for idx in (57, 89):
+    for idx in instances:
         problem = tightened(idx)
         path = str(tmp_path / f"p{idx}.json")
         dump_problem(*problem, path)
@@ -861,11 +888,11 @@ def _tgct_proof(tmp_path):
     return problem, prooflog.emit(res.proof, path), path
 
 
-def _proofs(tmp_path, drivers):
-    """The worked `first_split="domain"` proof, then the proofs of the two
+def _proofs(tmp_path, drivers, instances=(57, 89)):
+    """The worked `first_split="domain"` proof, then the proofs of the
     branching instances under each driver."""
     yield _problem(), _proof_bytes(Config(first_split="domain")), WORKED
-    yield from _branching(tmp_path, drivers)
+    yield from _branching(tmp_path, drivers, instances)
 
 
 class TestSolverCheckerAgreement:

@@ -16,7 +16,15 @@ from relucert.propagate import (
     stabilize,
     tgct,
 )
-from relucert.store import LE, NEGP, REGION, LinearConstraint, build_initial_store, interval_bounds
+from relucert.store import (
+    EQ,
+    LE,
+    NEGP,
+    REGION,
+    LinearConstraint,
+    build_initial_store,
+    interval_bounds,
+)
 
 
 def _store(threshold="1", alpha=None, region=None):
@@ -127,13 +135,12 @@ class TestStabilization:
 
         store = _store(region=Region((F(1, 2),), (F(1),)))
         stab = ensure_relaxation(store)
-        phases = {c.unit: c.phase for c in stab}
-        assert phases == {(1, 0): ACTIVE, (1, 1): INACTIVE}
+        assert dict(stab) == {(1, 0): ACTIVE, (1, 1): INACTIVE}
         assert not store.unstable
         # the bound row on the pinned side proves the sign
-        for c in stab:
-            up, lo = _bound_rows(store, c.unit)
-            assert (lo if c.phase == ACTIVE else up).rhs <= 0
+        for unit, phase in stab:
+            up, lo = _bound_rows(store, unit)
+            assert (lo if phase == ACTIVE else up).rhs <= 0
 
     def test_specialization_replaces_the_hull(self):
         from relucert.model import Region
@@ -149,8 +156,38 @@ class TestStabilization:
         # certified tightening settles the sign of unit (1,1)
         store.bounds.tighten((1, 1), hi=F(0))
         out = stabilize(store)
-        assert [(c.unit, c.phase) for c in out] == [((1, 1), INACTIVE)]
+        assert out == [((1, 1), INACTIVE)]
         assert (1, 1) not in store.unstable
+
+    def test_each_stabilized_unit_adds_one_row_its_active_bound_row_implies(self, monkeypatch):
+        # the phase equality alone: the guard's sign row would repeat what
+        # the unit's active bound row already proves
+        specialize = propagate._specialize
+
+        def one_row(store, unit, phase):
+            n = len(store.constraints)
+            out = specialize(store, unit, phase)
+            assert len(store.constraints) == n + 1
+            return out
+
+        monkeypatch.setattr(propagate, "_specialize", one_row)
+        stabilized = 0
+        rng = random.Random(17)
+        for _ in range(40):
+            store = _random_store(rng)
+            propagate_node(store, Budget())
+            rows = {cid: c for cid, c in store.constraints.items()
+                    if c.derivation[0] == "stabilize"}
+            assert sorted(c.derivation[1] for c in rows.values()) == sorted(store.stabilized)
+            for cid, c in rows.items():
+                _, unit, phase, k = c.derivation
+                assert k == 0 and c.relation == EQ and store.stabilize_ids[unit] == cid
+                up_cid, lo_cid = store.bound_rows[unit]
+                sign_cid = lo_cid if phase == ACTIVE else up_cid
+                assert sign_cid < cid and sign_cid not in store.retired
+                assert store.constraints[sign_cid].rhs <= 0
+            stabilized += len(rows)
+        assert stabilized >= 10
 
 
 class TestTgct:

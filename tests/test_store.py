@@ -55,14 +55,6 @@ class TestNormalization:
 
 
 class TestStoreMutation:
-    def test_identical_active_rows_dedup(self):
-        store = _fresh_store()
-        c = LinearConstraint({0: F(1)}, LE, F(1), REGION, ("region", 0, "hi"))
-        a = store.add(c)
-        b = store.add(LinearConstraint({0: F(1)}, LE, F(1), REGION, ("region", 0, "hi")))
-        assert a == b
-        assert len(store.active_constraints()) == 1
-
     def test_retired_rows_leave_the_lp_but_stay_resolvable(self):
         store = _fresh_store()
         cid = store.add(LinearConstraint({0: F(1)}, LE, F(1), REGION, ("region", 0, "hi")))
@@ -171,7 +163,9 @@ class TestInitialStore:
         net, prop = worked_network(), worked_prop()
         alpha = {(1, 0): ACTIVE}
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, alpha)
-        assert ((1, 0), ACTIVE) in store.guard_ids
+        # the id kept is the phase equality's, row 0 of the guard
+        eq = store.constraints[store.guard_ids[((1, 0), ACTIVE)]]
+        assert eq.derivation == ("guard", 1, 0, ACTIVE, 0) and eq.relation == EQ
         assert store.unstable == {(1, 1)}
         assert any(c.block == GUARD for _, c in store.active_constraints())
 
