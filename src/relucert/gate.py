@@ -10,7 +10,11 @@ the incremental strategy, asks for a point of the store's rows; the open
 node's last LP found one, so that query makes no LP.  The gate's own query
 ceiling (`gate_lp_limit`, which counts every query answered, that one
 included) or a solver limit makes it defer; a spent run budget raises
-`Exhausted` out of it.
+`Exhausted` out of it.  A model that is no counterexample grows S by one
+unit, `most_violated`: the unit of largest exact ReLU residual.  An exact
+unit's guard rows force its residual to zero, so picking one again raises
+`RefinementFailed`.  The gate proves no margin bound: a leaf it closes
+carries the one its node's propagation made.
 """
 
 from __future__ import annotations
@@ -34,43 +38,21 @@ DEFER = "defer"
 LIMIT = "limit"
 
 
-class EmptyViolationSet(Exception):
-    pass
-
-
 class RefinementFailed(Exception):
     """A refinement kept the spurious model or exceeded |U| steps."""
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    residuals: tuple[tuple[Unit, Fraction], ...]  # all units of U, sorted
-    violated: frozenset[Unit]
-
-
-def violation_report(point: dict[int, Fraction], layout, units) -> ViolationReport:
-    """Exact ReLU residual |z - max(0, s)| per unit; V = strictly positive."""
-    res = []
-    bad = set()
+def most_violated(model: dict[int, Fraction], layout, units) -> Unit | None:
+    """The unit with the largest exact ReLU residual |z - max(0, s)| at the
+    model, ties broken on (layer, neuron); None if every residual is 0."""
+    best, worst = None, _ZERO
     for unit in sorted(units):
-        s = point.get(layout.pre_index(unit), _ZERO)
-        z = point.get(layout.post_index(unit), _ZERO)
+        s = model.get(layout.pre_index(unit), _ZERO)
+        z = model.get(layout.post_index(unit), _ZERO)
         r = abs(z - max(_ZERO, s))
-        res.append((unit, r))
-        if r > 0:
-            bad.add(unit)
-    return ViolationReport(tuple(res), frozenset(bad))
-
-
-def select_violated(report: ViolationReport) -> set[Unit]:
-    """The single unit with the largest residual; ties break on (layer, neuron)."""
-    if not report.violated:
-        raise EmptyViolationSet()
-    best = min(
-        ((unit, r) for unit, r in report.residuals if unit in report.violated),
-        key=lambda ur: (-ur[1], ur[0]),
-    )
-    return {best[0]}
+        if r > worst:
+            best, worst = unit, r
+    return best
 
 
 @dataclass
@@ -206,20 +188,16 @@ def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = Non
         verdict = validate_witness(store.net, store.region, store.prop, x)
         if verdict.accepted:
             return GateOutcome(SAT, witness=x, refinements=refinements)
-        report = violation_report(model, store.layout, store.unstable)
-        if not report.violated:
+        unit = most_violated(model, store.layout, store.unstable)
+        if unit is None:
             return GateOutcome(DEFER, refinements=refinements)
-        picked = select_violated(report)
-        if not (picked - subset):
-            # exact units have zero residual, so this cannot happen; guard
-            # against a non-terminating loop anyway
-            return GateOutcome(DEFER, refinements=refinements)
-        for unit in picked:
-            if not _model_violates_exactness(store, model, unit):
-                raise RefinementFailed(f"unit {unit} does not refute the model")
-            for cid in store.hull_ids.get(unit, []):
-                store.retire(cid)
-        subset |= picked
+        # an exact unit's guard rows force its residual to 0, so a model
+        # that violates one is no model of the query
+        if unit in subset or not _model_violates_exactness(store, model, unit):
+            raise RefinementFailed(f"unit {unit} does not refute the model")
+        for cid in store.hull_ids.get(unit, []):
+            store.retire(cid)
+        subset.add(unit)
         refinements += 1
         if refinements > len(unstable):
             raise RefinementFailed(f"{refinements} refinements for {len(unstable)} units")

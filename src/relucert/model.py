@@ -53,6 +53,15 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+def parse_key(key: str) -> int:
+    """An object key naming a nonnegative integer, written as relucert
+    writes it: canonical decimal, so no two keys name one integer."""
+    if not (type(key) is str and key.isascii() and key.isdigit()
+            and (key[0] != "0" or key == "0")):
+        raise ParseError(f"expected a canonical decimal key, got {key!r}")
+    return int(key)
+
+
 @dataclass(frozen=True)
 class Layer:
     weights: tuple[tuple[Fraction, ...], ...]  # rows = neurons of this layer
@@ -303,12 +312,10 @@ def problem_from_dict(doc: dict) -> tuple[Network, Region, SafetyProperty]:
         raise DimensionError("region dimension != input dimension")
     if not isinstance(margin, dict) or not margin:
         raise ParseError("margin must be a non-empty map output-index -> coefficient")
-    row = []
-    for key, coeff in sorted(margin.items(), key=lambda kv: int(kv[0])):
-        idx = int(key)
-        if not 0 <= idx < net.output_dim:
+    row = sorted((parse_key(key), parse_rational(coeff)) for key, coeff in margin.items())
+    for idx, _ in row:
+        if idx >= net.output_dim:
             raise DimensionError(f"margin index {idx} out of range")
-        row.append((idx, parse_rational(coeff)))
     prop = SafetyProperty(tuple(row), parse_rational(threshold), parse_rational(epsilon))
     return net, region, prop
 

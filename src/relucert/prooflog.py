@@ -71,6 +71,7 @@ from .model import (
     VariableLayout,
     build_layout,
     format_rational,
+    parse_key,
     parse_rational,
 )
 from .store import (
@@ -200,14 +201,6 @@ def _json_int(value) -> int:
     return value
 
 
-def _key_int(key: str) -> int:
-    """An object key naming a nonnegative integer, written as `emit` writes
-    it: canonical decimal, so no two keys name one integer."""
-    if not (key.isascii() and key.isdigit() and (key[0] != "0" or key == "0")):
-        raise ValueError(f"expected a canonical decimal key, got {key!r}")
-    return int(key)
-
-
 def _unit(obj) -> tuple[int, int]:
     """A unit, (layer, neuron), as two JSON integers."""
     layer, neuron = obj
@@ -217,7 +210,7 @@ def _unit(obj) -> tuple[int, int]:
 
 
 def _parse_row(obj) -> dict[int, Fraction]:
-    return {_key_int(j): parse_rational(v) for j, v in obj.items()}
+    return {parse_key(j): parse_rational(v) for j, v in obj.items()}
 
 
 def _parse_multipliers(obj) -> dict:
@@ -575,7 +568,7 @@ def _check_doc(pb: _Problem, doc: dict, problem_path) -> CheckOutcome:
         return _reject("digest", "problem digest mismatch")
     if _parse_region(doc["region"]) != pb.region:
         return _reject("region", "root region differs from the problem region")
-    pb.snapshots = {_key_int(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
+    pb.snapshots = {parse_key(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
     outcome, _ = _check_tree(pb, doc["tree"], pb.region, {}, "tree")
     return outcome
 

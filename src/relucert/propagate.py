@@ -10,9 +10,11 @@ derived rows), stabilization of units whose bound rows fix their sign
 states the sign), and one closing LP that prunes with a Farkas
 certificate or leaves the node open at a point of its rows.  Below the
 root the closing LP maximizes the margin without the negated property,
-which also proves the margin bound the node's leaf records.  The root
-therefore makes no LP when back-substitution refutes it; a node below the
-root makes at least the one LP that proves its bound.
+which also proves the margin bound the node's leaf records.  Propagation
+makes every such bound LP: a node below the root that back-substitution
+or a TGCT LP refutes first makes the margin LP for its bound alone.  The
+root therefore makes no LP when back-substitution refutes it; a node below
+the root makes at least the one LP that proves its bound.
 """
 
 from __future__ import annotations
@@ -53,10 +55,7 @@ class PropagationResult:
     stability_certs: list[tuple[Unit, str]] = field(default_factory=list)
     iterations: int = 0
     feasible_point: dict[int, Fraction] | None = None
-    tgct_rows_per_call: list[int] = field(default_factory=list)
-    #: with `margin`: the final rows' margin LP was solved, and the margin
-    #: bound it proves (None if none)
-    margin_solved: bool = False
+    #: with `margin`: the margin bound of the final rows (None if none)
     evidence: DualBoundCertificate | None = None
 
 
@@ -69,9 +68,9 @@ def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
     eq = guard_consequences(store.layout, GuardLiteral(unit, phase))[0]
-    store.stabilize_ids[unit] = store.add(
+    store.phase_ids[unit] = store.add(
         LinearConstraint(eq.row, eq.relation, eq.rhs, REL, ("stabilize", unit, phase, 0)))
-    store.stabilized[unit] = phase
+    store.phases[unit] = phase
     store.unstable.discard(unit)
     return unit, phase
 
@@ -113,7 +112,7 @@ def _install_bound_rows(store: Store, unit: Unit) -> None:
         if w == 0:
             continue
         src = (i - 1, k)
-        phase = store.alpha.get(src, store.stabilized.get(src))
+        phase = store.phases.get(src)
         if i == 1:
             lo, hi = store.region.lower[k], store.region.upper[k]
         elif phase == INACTIVE:
@@ -133,7 +132,7 @@ def _install_bound_rows(store: Store, unit: Unit) -> None:
     store.bounds.pre[unit] = (lower, upper)
 
 
-def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[tuple[Unit, str]]:
+def ensure_relaxation(store: Store) -> list[tuple[Unit, str]]:
     """Layer-order sweep installing bound rows and relaxation rows.
 
     On later passes only refreshes hull rows whose bounds were tightened.
@@ -147,9 +146,9 @@ def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[tuple[
             if unit not in store.bound_rows:
                 _install_bound_rows(store, unit)
             lo, hi = store.bounds.pre[unit]
-            if unit in store.alpha or unit in store.stabilized:
+            if unit in store.phases:
                 continue
-            settled = _stabilize_settled(store, unit, budget)
+            settled = _stabilize_settled(store, unit)
             if settled is not None:
                 stab.append(settled)
             elif store.hull_bounds.get(unit) != (lo, hi):
@@ -158,8 +157,7 @@ def ensure_relaxation(store: Store, budget: Budget | None = None) -> list[tuple[
     return stab
 
 
-def _stabilize_settled(store: Store, unit: Unit,
-                       budget: Budget | None) -> tuple[Unit, str] | None:
+def _stabilize_settled(store: Store, unit: Unit) -> tuple[Unit, str] | None:
     """Specialize the unit if its certified bounds fix its sign (lo >= 0:
     active, hi <= 0: inactive), the test the checker applies to its rows."""
     lo, hi = store.bounds.pre[unit]
@@ -169,16 +167,14 @@ def _stabilize_settled(store: Store, unit: Unit,
         phase = INACTIVE
     else:
         return None
-    if budget is not None:
-        budget.stabilized += 1
     return _specialize(store, unit, phase)
 
 
-def stabilize(store: Store, budget: Budget | None = None) -> list[tuple[Unit, str]]:
+def stabilize(store: Store) -> list[tuple[Unit, str]]:
     """Specialize every unit whose certified bounds pin its sign."""
     out = []
     for unit in sorted(store.unstable):
-        settled = _stabilize_settled(store, unit, budget)
+        settled = _stabilize_settled(store, unit)
         if settled is not None:
             out.append(settled)
     return out
@@ -239,10 +235,8 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
             cancel_by_equality(store.margin_def_id, j, a)
         elif j in post:
             unit = post[j]
-            if unit in store.alpha:
-                cancel_by_equality(store.guard_ids[(unit, store.alpha[unit])], j, a)
-            elif unit in store.stabilized:
-                cancel_by_equality(store.stabilize_ids[unit], j, a)
+            if unit in store.phase_ids:
+                cancel_by_equality(store.phase_ids[unit], j, a)
             else:
                 lo, hi = store.hull_bounds[unit]
                 k = 2 if a < 0 else 1 if hi > -lo else 0
@@ -336,7 +330,6 @@ def _margin_lp(store: Store, budget: Budget,
     out = lp.lp_max(store.without_negp(), g)
     if out.status == lp.LIMIT:
         raise Exhausted()
-    result.margin_solved = True
     if out.status == lp.UNBOUNDED:
         # not over a box; if it happens, the margin has no bound to record
         return _feasibility_lp(store, budget, result)
@@ -349,6 +342,21 @@ def _margin_lp(store: Store, budget: Budget,
     return None
 
 
+def _margin_evidence(store: Store, budget: Budget) -> DualBoundCertificate | None:
+    """The margin bound of the store's rows without the negated property,
+    for a node that back-substitution or a TGCT LP refuted before its
+    margin LP.  A spent budget makes no LP: the leaf then carries no
+    bound."""
+    if not budget.lp_ok():
+        return None
+    budget.count_lp()
+    g = {store.layout.margin_index: _ONE}
+    out = lp.lp_max(store.without_negp(), g)
+    if out.status != lp.OPTIMAL:
+        return None
+    return DualBoundCertificate.make(g, out.value, out.dual)
+
+
 def propagate_node(store: Store, budget: Budget, templates: str = "default",
                    margin: bool = False) -> PropagationResult:
     """Fixed-point loop Hull -> back-substitution -> TGCT -> Stabilize ->
@@ -357,28 +365,34 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
     pass before its first LP.  The closing LP is the feasibility LP or,
     with `margin` (a node whose leaf records the margin bound of its rows
     without the negated property), the margin LP over those rows, which
-    both decides the node and proves the bound (`_margin_lp`); `evidence`
-    is then the bound of the final rows.  Prune carries an accepted Farkas
-    certificate, an open node a point of all its rows.  Raises `Exhausted`
-    as `tgct` does."""
+    both decides the node and proves the bound (`_margin_lp`).  A node
+    with `margin` that back-substitution or a TGCT LP refutes first makes
+    that LP for the bound alone (`_margin_evidence`).  Either way
+    `evidence` is the bound of the final rows.  Prune carries an accepted
+    Farkas certificate, an open node a point of all its rows.  Raises
+    `Exhausted` as `tgct` does."""
     result = PropagationResult("open")
     for _ in range(MAX_PASSES):
         result.iterations += 1
-        result.margin_solved, result.evidence = False, None
-        before = (frozenset(store.unstable), frozenset(store.stabilized))
-        result.stability_certs.extend(ensure_relaxation(store, budget))
+        result.evidence = None
+        before = (frozenset(store.unstable), frozenset(store.phases))
+        settled = ensure_relaxation(store)
+        result.stability_certs.extend(settled)
+        budget.stabilized += len(settled)
         units = sorted(store.unstable) if templates == "default" else []
         # the margin LP is made for the bound even where back-substitution
         # refutes the node, so there a refutation saves only TGCT's LPs
         farkas = back_substitute(store) if units or not margin else None
         if farkas is None:
             tres = tgct(store, units, budget)
-            result.tgct_rows_per_call.append(tres.rows_added)
             farkas = tres.farkas
         if farkas is None:
-            settled = stabilize(store, budget)
+            settled = stabilize(store)
             result.stability_certs.extend(settled)
+            budget.stabilized += len(settled)
             farkas = (_margin_lp if margin else _feasibility_lp)(store, budget, result)
+        elif margin:
+            result.evidence = _margin_evidence(store, budget)
         if farkas is not None:
             result.status = "prune"
             result.farkas = farkas
@@ -386,7 +400,7 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
         # fixed point: with no new row and no new stabilization the next
         # pass would solve the same rows again; and a second pass that
         # leaves the unstable and stabilized units as they were ends too
-        after = (frozenset(store.unstable), frozenset(store.stabilized))
+        after = (frozenset(store.unstable), frozenset(store.phases))
         if not (tres.rows_added or settled) or after == before and result.iterations > 1:
             break
     return result

@@ -10,13 +10,13 @@ incremental strategy (icl) starts the gate with no unit exact and refines,
 the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
 leaf carries Farkas certificates and, below the root, the margin bound its
 store proves; a split whose two children both carry a bound carries their
-maximum (the merge lemma `margin <= max(beta1, beta2)`).  Below the root
-the bound comes from the node's closing LP, which maximizes the margin
-without the negated property (`propagate_node(..., margin=True)`), so it
-costs no LP of its own unless propagation refuted the node before that LP
-(`_margin_evidence`).  The open node's LP point answers the gate's query
-with no unit exact.  Conflict clauses are still recorded at root-region
-nodes, but no later node can match one.
+maximum (the merge lemma `margin <= max(beta1, beta2)`).  Propagation
+makes the bound: below the root `propagate_node(..., margin=True)` closes
+the node with an LP that maximizes the margin without the negated
+property, and makes that LP for the bound alone if it refuted the node
+first; the search reads the bound from the result.  The open node's LP
+point answers the gate's query with no unit exact.  Conflict clauses are
+still recorded at root-region nodes, but no later node can match one.
 
 SAT and UNKNOWN leave the recursion through one exception that `_run`
 catches; so does `budget.Exhausted`, raised at the first LP the budget
@@ -206,21 +206,6 @@ def merge_lemma(split: ProofSplit, budget: Budget):
 # -- the drivers ------------------------------------------------------------
 
 
-def _margin_evidence(store: Store, budget: Budget) -> DualBoundCertificate | None:
-    """Best provable margin upper bound over the store's rows without the
-    negated property, for a node that propagation closed before its margin
-    LP: by back-substitution or by a TGCT LP.  A spent budget skips the LP:
-    the leaf then simply carries no bound."""
-    if not budget.lp_ok():
-        return None
-    budget.count_lp()
-    g = {store.layout.margin_index: Fraction(1)}
-    out = lp.lp_max(store.without_negp(), g)
-    if out.status != lp.OPTIMAL:
-        return None
-    return DualBoundCertificate.make(g, out.value, out.dual)
-
-
 class _Verdict(Exception):
     """A SAT or UNKNOWN result, leaving the recursion for `_run`."""
 
@@ -274,10 +259,8 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         # the negated property: the node's closing LP is that margin LP
         res = propagate_node(store, budget, templates=config.templates, margin=depth > 0)
         if res.status == "prune":
-            bound = res.evidence
-            if depth and not res.margin_solved:
-                bound = _margin_evidence(store, budget)
-            return close(region, alpha, store, [GuardedCertificate.make((), res.farkas)], bound)
+            return close(region, alpha, store, [GuardedCertificate.make((), res.farkas)],
+                         res.evidence)
         # witness extraction from the relaxation point
         if res.feasible_point is not None:
             x = tuple(res.feasible_point.get(layout.input_index(k), _ZERO)

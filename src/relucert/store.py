@@ -12,6 +12,10 @@ already proves the sign that row 1 would state.  A proof records such a
 row by its tag alone.  A derived row, a bound an LP proved, is the one kind
 the tag does not determine: the proof records the row, and its tag carries
 the dual certificate that proves it.
+
+One map, `Store.phases`, holds the phase of each committed or stabilized
+unit, and `Store.phase_ids` the id of its phase equality, z = s or z = 0;
+propagation reads the two kinds of unit alike.
 """
 
 from __future__ import annotations
@@ -185,7 +189,10 @@ class Store:
         self.layout = layout
         self.region = region
         self.prop = prop
-        self.alpha = dict(alpha)
+        # the committed or stabilized phase of a unit, and the id of its
+        # phase equality (row 0 of the phase's guard consequences)
+        self.phases: dict[Unit, str] = dict(alpha)
+        self.phase_ids: dict[Unit, int] = {}
         self.constraints: dict[int, LinearConstraint] = {}
         self.norm_rows: dict[int, list[NormRow]] = {}       # cid -> its normalized rows
         self.retired: set[int] = set()
@@ -195,12 +202,8 @@ class Store:
         self.bound_rows: dict[Unit, tuple[int, int]] = {}   # (upper cid, lower cid)
         self.hull_ids: dict[Unit, list[int]] = {}
         self.hull_bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
-        self.stabilized: dict[Unit, str] = {}               # unit -> phase
         self.aff_ids: dict[Unit, int] = {}
         self.region_ids: dict[int, tuple[int, int]] = {}    # input -> (hi cid, lo cid)
-        # phase equality (row 0) of a committed or stabilized unit
-        self.guard_ids: dict[tuple[Unit, str], int] = {}
-        self.stabilize_ids: dict[Unit, int] = {}
         self.margin_def_id: int | None = None               # None when the margin aliases an output
         self.negp_id: int | None = None
 
@@ -225,8 +228,7 @@ class Store:
     def all_constraints(self) -> list[tuple[int, LinearConstraint]]:
         return list(self.constraints.items())
 
-    def normalize(self, exclude: Callable[[int, LinearConstraint], bool] | None = None,
-                  extra_rows: Iterable[NormRow] = ()) -> NormalizedSystem:
+    def normalize(self, exclude: Callable[[int, LinearConstraint], bool] | None = None) -> NormalizedSystem:
         """Inequality form of the active rows, insertion order, Eq expansion
         adjacent.  The rows are those `add` built, the same objects on every
         call."""
@@ -235,7 +237,6 @@ class Store:
             if exclude is not None and exclude(cid, c):
                 continue
             rows.extend(self.norm_rows[cid])
-        rows.extend(extra_rows)
         return NormalizedSystem(rows, self.layout.n_vars)
 
     def without_negp(self) -> NormalizedSystem:
@@ -339,7 +340,7 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
     for unit in sorted(alpha):
         phase = alpha[unit]
         cids = [store.add(c) for c in guard_consequences(layout, GuardLiteral(unit, phase))]
-        store.guard_ids[(unit, phase)] = cids[0]
+        store.phase_ids[unit] = cids[0]
 
     for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
         i, _ = unit

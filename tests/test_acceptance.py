@@ -192,7 +192,6 @@ class TestAcceptance:
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
             res = propagate_node(store, Budget())
             assert all(added <= 2 * units for units, added in calls), calls
-            assert [added for _, added in calls] == res.tgct_rows_per_call
             calls.clear()
             if res.status != "open":
                 continue

@@ -117,6 +117,17 @@ class TestVerify:
                     code, _, err = _run(capsys, *argv)
                     assert code == EXIT_USAGE and err.startswith("error: "), (key, value, argv)
 
+    @pytest.mark.parametrize("key", ["00", " 0", "+0", "0_0", "\u0660", "-0", "0 "])
+    def test_non_canonical_margin_key_is_usage_error(self, capsys, tmp_path, key):
+        # int() reads each of these as output 0; only "0" names it
+        doc = json.loads(Path(WORKED).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "margin": {key: "1"}}))
+        for argv in (("verify", str(bad)), ("check", str(bad), "nope.proof"),
+                     ("oracle", str(bad))):
+            code, _, err = _run(capsys, *argv)
+            assert code == EXIT_USAGE and "canonical decimal key" in err, (key, argv)
+
     def test_exhausted_budget_reports_unknown(self, capsys):
         code, out, _ = _run(capsys, "verify", WORKED_SAT, "--lp-budget", "1")
         assert code == EXIT_UNKNOWN

@@ -5,20 +5,20 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
-from relucert import certs, lp
+from relucert import certs, gate, lp
 from relucert.budget import Budget, Exhausted
 from relucert.gate import (
     DEFER,
-    EmptyViolationSet,
     PRUNE,
     SAT,
     UNSAT,
+    ExactResult,
+    RefinementFailed,
     _drop_zero_guards,
     _model_violates_exactness,
     exact_solve,
     exactness_gate,
-    select_violated,
-    violation_report,
+    most_violated,
 )
 from relucert.model import (
     ACTIVE,
@@ -54,34 +54,37 @@ def _raw_store(threshold="1"):
 
 
 class TestViolationReport:
+    """`most_violated`: the unit the gate makes exact next."""
+
     def test_residuals_measure_relu_defect(self):
+        # |z - max(0, s)|: 1/4 where s = 1/2 and z = 3/4; 0 where s < 0 = z
         store = _open_store()
         layout = store.layout
         point = {layout.pre_index((1, 0)): F(1, 2), layout.post_index((1, 0)): F(3, 4),
                  layout.pre_index((1, 1)): F(-1), layout.post_index((1, 1)): F(0)}
-        rep = violation_report(point, layout, [(1, 0), (1, 1)])
-        assert dict(rep.residuals) == {(1, 0): F(1, 4), (1, 1): F(0)}
-        assert rep.violated == frozenset({(1, 0)})
+        assert most_violated(point, layout, [(1, 0), (1, 1)]) == (1, 0)
+        assert most_violated(point, layout, [(1, 1)]) is None
 
     def test_selection_takes_the_largest_residual(self):
         store = _open_store()
         layout = store.layout
         point = {layout.pre_index((1, 0)): F(-1), layout.post_index((1, 0)): F(1, 4),
                  layout.pre_index((1, 1)): F(-1), layout.post_index((1, 1)): F(1, 2)}
-        rep = violation_report(point, layout, [(1, 0), (1, 1)])
-        assert select_violated(rep) == {(1, 1)}
+        assert most_violated(point, layout, [(1, 0), (1, 1)]) == (1, 1)
 
     def test_ties_break_on_layer_then_neuron(self):
         store = _open_store()
         layout = store.layout
         point = {layout.post_index((1, 0)): F(1), layout.post_index((1, 1)): F(1)}
-        rep = violation_report(point, layout, [(1, 0), (1, 1)])
-        assert select_violated(rep) == {(1, 0)}
+        assert most_violated(point, layout, [(1, 1), (1, 0)]) == (1, 0)
 
-    def test_empty_violation_set_raises(self):
+    def test_all_zero_residuals_give_none(self):
         store = _open_store()
-        with pytest.raises(EmptyViolationSet):
-            select_violated(violation_report({}, store.layout, [(1, 0)]))
+        layout = store.layout
+        exact = {layout.pre_index((1, 0)): F(1, 2), layout.post_index((1, 0)): F(1, 2),
+                 layout.pre_index((1, 1)): F(-1), layout.post_index((1, 1)): F(0)}
+        for point in ({}, exact):
+            assert most_violated(point, layout, [(1, 0), (1, 1)]) is None
 
 
 class TestExactSolve:
@@ -105,7 +108,7 @@ class TestExactSolve:
         assert len(store.unstable) == 2
         res = exact_solve(store, store.unstable)
         assert res.status == SAT
-        assert not violation_report(res.model, store.layout, store.unstable).violated
+        assert most_violated(res.model, store.layout, store.unstable) is None
         x = tuple(res.model.get(store.layout.input_index(k), F(0))
                   for k in range(store.net.input_dim))
         assert validate_witness(store.net, store.region, store.prop, x).accepted
@@ -185,6 +188,28 @@ class TestExactnessGate:
         assert _model_violates_exactness(store, point, (1, 0))
         good = {layout.pre_index((1, 0)): F(1), layout.post_index((1, 0)): F(1)}
         assert not _model_violates_exactness(store, good, (1, 0))
+
+    def test_picking_an_exact_unit_again_raises(self, monkeypatch):
+        # an exact unit's guard rows force its residual to 0, so a solver
+        # model that violates one is a fault, not a reason to loop or defer
+        store = _raw_store("1")  # no counterexample: every model is spurious
+        layout = store.layout
+        bad = {layout.input_index(0): F(0), layout.pre_index((1, 0)): F(-1),
+               layout.post_index((1, 0)): F(1)}
+        subsets = []
+
+        def solve(store, subset, budget=None, local_limit=None):
+            subsets.append(set(subset))
+            return ExactResult(SAT, model=bad, queries=1)
+
+        monkeypatch.setattr(gate, "exact_solve", solve)
+        with pytest.raises(RefinementFailed):
+            exactness_gate(store, Budget())
+        assert subsets == [set(), {(1, 0)}]
+        subsets.clear()
+        with pytest.raises(RefinementFailed):
+            exactness_gate(store, Budget(), start=store.unstable)
+        assert subsets == [store.unstable]
 
     def test_lp_budget_defers(self):
         store = _raw_store("1")

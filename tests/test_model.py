@@ -213,6 +213,16 @@ class TestProblemParsing:
         with pytest.raises(DimensionError):
             problem_from_dict(doc)
 
+    def test_margin_keys_read_as_canonical_decimals(self):
+        with open("problems/worked.json") as fh:
+            doc = json.load(fh)
+        for key in ("00", " 0", "+0", "0_0", "\u0660", "", 0):
+            doc["margin"] = {key: "1"}
+            with pytest.raises(ParseError, match="canonical decimal key"):
+                problem_from_dict(doc)
+        doc["margin"] = {"0": "1"}
+        assert problem_from_dict(doc)[2] == worked_prop()
+
     def test_region_dimension_mismatch(self):
         with open("problems/worked.json") as fh:
             doc = json.load(fh)

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -686,7 +687,9 @@ class TestStructuralFuzzing:
     row intact, so only the stabilize sign rule can see it: the sign
     those rows prove no longer precedes the row.  A domain split moved
     inside its edge still covers the parent, so only the children's
-    snapshot regions can see it."""
+    snapshot regions can see it.  Row ids carry only order: renumbering a
+    snapshot's rows in order, with the multipliers that cite them, keeps a
+    proof valid, and a row moved before a row it reads is rejected."""
 
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
         # a stabilized unit has one stabilize row; instance 42 under the
@@ -849,6 +852,58 @@ class TestStructuralFuzzing:
                     mutations += 1
         assert mutations == 22
 
+    def test_rows_renumbered_in_order_accepted(self, tmp_path):
+        """Each snapshot's row ids mapped by a random strictly increasing
+        map, and every multiplier citing them rewritten to match: each row
+        is still built after the same rows, from the same rows.  Left
+        unrewritten, the multipliers cite rows the snapshot no longer has."""
+        rng = random.Random(13)
+        proofs = 0
+        for problem, data, path in (*_proofs(tmp_path, (icl_verify, hsrv_verify)),
+                                    _tgct_proof(tmp_path)):
+            base = prooflog.parse_proof(data)
+            for rewrite in (True, False):
+                doc = json.loads(json.dumps(base))
+                for sid, snap in doc["snapshots"].items():
+                    old = sorted(r["id"] for r in snap["rows"])
+                    new = sorted(rng.sample(range(3 * len(old) + 10), len(old)))
+                    _renumber(doc, int(sid), dict(zip(old, new)), rewrite)
+                out = prooflog.check_proof(problem, _dumps(doc), path)
+                assert out.accepted == rewrite, (path, rewrite, out)
+            proofs += 1
+        assert proofs == 6
+
+    def test_row_swapped_with_a_row_it_needs_rejected(self, tmp_path):
+        """Each row of a kind that reads earlier rows, swapped in id with the
+        earliest row it needs: a derived row
+        with a row its certificate cites, a first-layer interval row with a
+        region row of one of its inputs, a hull row with a row bounding its
+        unit's pre-activation, a stabilize row with a row proving its sign.
+        The row then has the id of the row it needs, and cannot be built
+        there.  Interval rows of later layers are swapped in
+        `TestIntervalRows`."""
+        cases = Counter()
+        for problem, data, path in (*_proofs(tmp_path, (icl_verify,)), _tgct_proof(tmp_path)):
+            net = problem[0]
+            layout = build_layout(net, problem[2])
+            base = prooflog.parse_proof(data)
+            for sid, snap in base["snapshots"].items():
+                rows = sorted(snap["rows"], key=lambda r: r["id"])
+                for r in rows:
+                    needed = _needed_rows(net, layout, rows, r)
+                    if not needed:
+                        continue
+                    target = min(needed)
+                    assert target < r["id"]
+                    doc = json.loads(json.dumps(base))
+                    by_id = _snapshot_rows(doc, sid)
+                    by_id[r["id"]]["id"], by_id[target]["id"] = target, r["id"]
+                    out = prooflog.check_proof(problem, _dumps(doc), path)
+                    assert not out.accepted and f"row {target}: " in out.reason, (
+                        path, sid, r, out)
+                    cases[r["derivation"][0]] += 1
+        assert cases == {"derived": 8, "interval": 32, "hull": 80, "stabilize": 17}, cases
+
 
 def _worked_domain_proofs():
     """(problem, proof bytes, problem path) for the worked
@@ -932,6 +987,58 @@ class TestSolverCheckerAgreement:
                 intervals += sum(r["derivation"][0] == "interval" for r in snap["rows"])
             stored.clear()
         assert rows > 500 and intervals > 150
+
+
+def _renumber(doc, sid: int, ids: dict, rewrite: bool = True):
+    """Give the rows of snapshot `sid` the ids `ids` maps theirs to; with
+    `rewrite`, also the ids that multipliers over the snapshot cite: those
+    of its derived rows and of the leaf certificates and bounds over it."""
+    def cite(multipliers):
+        for rid, _ in multipliers:
+            if rewrite and rid[0] == "c":
+                rid[1] = ids[rid[1]]
+
+    for r in doc["snapshots"][str(sid)]["rows"]:
+        r["id"] = ids[r["id"]]
+        if r["derivation"][0] == "derived":
+            cite(r["derivation"][1])
+    for _, node in _tree_nodes(doc["tree"]):
+        if node["type"] != "leaf":
+            continue
+        for item in node["cover"]:
+            if item["snapshot"] == sid:
+                cite(item["cert"]["farkas"]["multipliers"])
+        if node.get("bound", {}).get("snapshot") == sid:
+            cite(node["bound"]["multipliers"])
+
+
+def _needed_rows(net, layout, rows, r) -> list[int]:
+    """Ids of earlier rows that row `r` cannot be built without: for a
+    derived row the rows its certificate cites, for a first-layer interval
+    row the region rows of its inputs, for a hull row every row bounding
+    its unit's pre-activation, for a stabilize row every row bounding it on
+    the side of its sign; none for other rows."""
+    tag = r["derivation"]
+    if tag[0] == "derived":
+        return [rid[1] for rid, _ in tag[1] if rid[0] == "c"]
+    if tag[0] == "interval" and tag[1][0] == 1:
+        _, j = tag[1]
+        inputs = {k for k, w in enumerate(net.layers[0].weights[j]) if w}
+        return [q["id"] for q in rows
+                if q["derivation"][0] == "region" and q["derivation"][1] in inputs]
+    if tag[0] in ("hull", "stabilize"):
+        unit = tag[1]
+        s = str(layout.pre_index(tuple(unit)))
+        # the sign of the coefficient on s of each single-variable row on s
+        sides = {q["id"]: q["derivation"][2] == "up" for q in rows
+                 if q["derivation"][:2] == ["interval", unit]}
+        sides.update({q["id"]: F(q["row"][s]) > 0 for q in rows
+                      if list(q.get("row", ())) == [s]})
+        if tag[0] == "hull":
+            return [cid for cid in sides if cid < r["id"]]
+        upper = tag[2] == INACTIVE  # s <= 0 needs an upper bound
+        return [cid for cid, up in sides.items() if cid < r["id"] and up == upper]
+    return []
 
 
 def _tree_nodes(node, at=()):

@@ -148,7 +148,7 @@ class TestStabilization:
         store = _store(region=Region((F(1, 2),), (F(1),)))
         ensure_relaxation(store)
         assert (1, 0) not in store.hull_ids
-        assert store.stabilized == {(1, 0): ACTIVE, (1, 1): INACTIVE}
+        assert store.phases == {(1, 0): ACTIVE, (1, 1): INACTIVE}
 
     def test_stabilize_uses_tightened_bounds(self):
         store = _store()
@@ -178,10 +178,10 @@ class TestStabilization:
             propagate_node(store, Budget())
             rows = {cid: c for cid, c in store.constraints.items()
                     if c.derivation[0] == "stabilize"}
-            assert sorted(c.derivation[1] for c in rows.values()) == sorted(store.stabilized)
+            assert sorted(c.derivation[1] for c in rows.values()) == sorted(store.phases)
             for cid, c in rows.items():
                 _, unit, phase, k = c.derivation
-                assert k == 0 and c.relation == EQ and store.stabilize_ids[unit] == cid
+                assert k == 0 and c.relation == EQ and store.phase_ids[unit] == cid
                 up_cid, lo_cid = store.bound_rows[unit]
                 sign_cid = lo_cid if phase == ACTIVE else up_cid
                 assert sign_cid < cid and sign_cid not in store.retired
@@ -320,11 +320,34 @@ class TestFixedPoint:
         assert res.feasible_point is not None
         assert res.iterations >= 2  # reached the fixed point, not the pass cap
 
-    def test_every_iteration_respects_the_row_budget(self):
-        store = _store("1/2")
-        res = propagate_node(store, Budget())
-        bound = 2 * (len(store.unstable) + len(store.stabilized))
-        assert all(n <= bound for n in res.tgct_rows_per_call)
+    def test_every_iteration_respects_the_row_budget(self, monkeypatch):
+        # each pass's TGCT adds at most one row per side of a unit it tightens
+        real = propagate.tgct
+        calls = []
+
+        def spy(store, units, budget):
+            units = list(units)
+            res = real(store, units, budget)
+            calls.append((len(units), res.rows_added))
+            return res
+
+        monkeypatch.setattr(propagate, "tgct", spy)
+        propagate_node(_store("1/2"), Budget())
+        assert calls and all(added <= 2 * units for units, added in calls), calls
+        assert any(added for _, added in calls)
+
+    def test_margin_bound_made_after_an_early_refutation(self):
+        # back-substitution refutes the worked store with no LP; with
+        # `margin` the node then makes the margin LP for its bound alone,
+        # unless the budget is spent, and then it has no bound
+        store = _store()
+        budget = Budget()
+        res = propagate_node(store, budget, margin=True)
+        assert res.status == "prune" and budget.lp_calls == 1
+        assert certs.check_dual(store.without_negp(), res.evidence).ok
+        spent = Budget(lp_limit=0)
+        res = propagate_node(_store(), spent, margin=True)
+        assert res.status == "prune" and spent.lp_calls == 0 and res.evidence is None
 
     def test_open_nodes_keep_a_sound_relaxation(self):
         """The fixed-point store must still admit every true network trace."""

@@ -20,10 +20,10 @@ from conftest import (
     worked_prop,
     worked_region,
 )
-from relucert import certs, lp, prooflog
+from relucert import certs, lp, prooflog, propagate
 from relucert.budget import Budget
 from relucert.model import ACTIVE, INACTIVE, Region, build_layout, validate_witness
-from relucert.propagate import propagate_node
+from relucert.propagate import _margin_evidence, propagate_node
 from relucert.search import (
     CapExceeded,
     Config,
@@ -31,7 +31,6 @@ from relucert.search import (
     ProofLeaf,
     ProofSplit,
     _domain_split,
-    _margin_evidence,
     hsrv_verify,
     icl_verify,
     oracle_verify,
@@ -292,13 +291,50 @@ class TestBranchingOracleAgreement:
         assert phase_splits >= 1 and bounds >= 1
 
 
+def _propagation_results(monkeypatch):
+    """The list of every `PropagationResult` that `propagate_node` makes
+    from now on, including one whose call a spent budget ends."""
+    made = []
+    real = propagate.PropagationResult
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(propagate, "PropagationResult", spy)
+    return made
+
+
+def _stabilized(made) -> int:
+    return sum(len(res.stability_certs) for res in made)
+
+
+class TestStabilizedCount:
+    """`budget.stabilized` counts the units of the `stability_certs` of the
+    run's `propagate_node` calls, one for one."""
+
+    def test_branching_runs_count_each_stabilized_unit_once(self, monkeypatch):
+        made = _propagation_results(monkeypatch)
+        stabilized = 0
+        for idx in (42, 57, 89):
+            for driver in (icl_verify, hsrv_verify):
+                made.clear()
+                res = driver(*tightened(idx), TestBranchingOracleAgreement.CONFIG)
+                assert res.status == "unsat"
+                assert res.budget.stabilized == _stabilized(made), (idx, driver.__name__)
+                stabilized += res.budget.stabilized
+        assert stabilized >= 80
+
+
 class TestLpBudget:
     """A run under an LP budget makes at most that many LPs and answers its
     unbudgeted verdict or UNKNOWN `reason=resource`; at exactly its own LP
-    count it is the unbudgeted run."""
+    count it is the unbudgeted run.  Its `budget.stabilized` counts the
+    units its propagation stabilized, in the call the budget ended too."""
 
-    def test_every_budget_up_to_the_runs_own_lp_count(self, tmp_path):
-        runs = 0
+    def test_every_budget_up_to_the_runs_own_lp_count(self, tmp_path, monkeypatch):
+        made = _propagation_results(monkeypatch)
+        runs = resource = 0
         # instance 32 keeps the sweep at 400 runs or more, now that the
         # other four make fewer LPs
         for idx, gap in itertools.product((32, 42, 53, 57, 89), (F(1, 1000), F(-1, 1000))):
@@ -309,17 +345,21 @@ class TestLpBudget:
                 for driver in (icl_verify, hsrv_verify):
                     full = driver(net, region, prop, config)
                     for lp_budget in range(full.budget.lp_calls + 1):
+                        made.clear()
                         res = driver(net, region, prop,
                                      dataclasses.replace(config, lp_budget=lp_budget))
                         where = (idx, gap, config, driver.__name__, lp_budget)
                         assert res.budget.lp_calls <= lp_budget, where
                         assert (res.status, res.reason) in ((full.status, ""),
                                                             ("unknown", "resource")), where
+                        if res.reason == "resource":
+                            assert res.budget.stabilized == _stabilized(made), where
+                            resource += 1
                         runs += 1
                     assert res.status == full.status and res.witness == full.witness, where
                     if full.proof is not None:
                         assert prooflog.emit(res.proof, path) == prooflog.emit(full.proof, path)
-        assert runs >= 400
+        assert runs >= 400 and resource >= 350
 
     def test_no_split_once_the_budget_is_spent(self):
         # the root's gate makes the run's 19th LP and needs another: the run
@@ -491,20 +531,20 @@ class TestEveryLpIsNew:
 class TestLeafBounds:
     """A leaf's margin bound is the maximum of the margin over its
     snapshot's rows without the negated property, whichever LP proved it:
-    the node's closing margin LP, or `_margin_evidence` after
+    the node's closing margin LP, or `propagate._margin_evidence` after
     back-substitution or a TGCT LP refuted the node."""
 
     def test_every_leaf_bound_is_its_snapshots_margin_maximum(self, monkeypatch):
-        from relucert import search
+        from relucert import propagate
 
         paths = Counter()
-        evidence = search._margin_evidence
+        evidence = propagate._margin_evidence
 
         def counted(*args):
             paths["evidence"] += 1
             return evidence(*args)
 
-        monkeypatch.setattr(search, "_margin_evidence", counted)
+        monkeypatch.setattr(propagate, "_margin_evidence", counted)
         worked = (worked_network(), worked_region(), worked_prop())
         runs = [(worked, Config(first_split="domain"))]
         runs += [(tightened(idx), Config(first_split="domain")) for idx in (42, 57, 89)]

@@ -75,12 +75,37 @@ def _dataclass_fields(tree):
                 yield node.name, stmt.target.id, stmt.lineno
 
 
+#: methods that only write into the container they are called on
+MUTATORS = {"append", "extend", "add", "update", "insert", "discard", "remove", "clear"}
+
+
+def _read_attributes(tree):
+    """Names of the attributes the tree reads.  Writing into a field's
+    container is no read of the field: neither the receiver of a mutator
+    call (`x.f.append(...)`) nor the target of a subscript assignment
+    (`x.f[k] = ...`)."""
+    written = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            written.add(id(node.func.value))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            written.add(id(node.value))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in written}
+
+
+def test_read_attributes_skip_writes_into_a_container():
+    tree = ast.parse("r.a.append(1)\nr.b[0] = 1\nr.c[0] += 1\nn = len(r.d)\nr.e.pop()\n"
+                     "x = r.f[0]\n")
+    assert _read_attributes(tree) == {"append", "d", "e", "pop", "f"}
+
+
 def test_every_dataclass_field_is_read():
     """A field that nothing reads is state kept for nobody.  The readers are
     the package and the benchmark harness, which reads run results too."""
     readers = MODULES + sorted(Path("perfbench").glob("*.py"))
-    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = set().union(*(_read_attributes(ast.parse(path.read_text())) for path in readers))
     unread = [f"{path.name}:{line} {cls}.{name}" for path in MODULES
               for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
               if name not in read]

@@ -164,8 +164,9 @@ class TestInitialStore:
         alpha = {(1, 0): ACTIVE}
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, alpha)
         # the id kept is the phase equality's, row 0 of the guard
-        eq = store.constraints[store.guard_ids[((1, 0), ACTIVE)]]
+        eq = store.constraints[store.phase_ids[(1, 0)]]
         assert eq.derivation == ("guard", 1, 0, ACTIVE, 0) and eq.relation == EQ
+        assert store.phases == alpha
         assert store.unstable == {(1, 1)}
         assert any(c.block == GUARD for _, c in store.active_constraints())
 
