@@ -64,7 +64,7 @@ def cmd_verify(args) -> int:
     if result.status == "unsat":
         print("UNSAT")
         if args.emit_proof and not _write(args.emit_proof, "wb",
-                                          prooflog.emit(result.proof, args.problem)):
+                                          prooflog.emit(result.tree, args.problem)):
             return EXIT_USAGE
         return EXIT_UNSAT
     if result.status == "sat":

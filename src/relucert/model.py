@@ -53,6 +53,17 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+def unique_keys(pairs) -> dict:
+    """A JSON object, for `json.loads(object_pairs_hook=...)`: a key given
+    twice is an error, not the last of its values."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicated key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_key(key: str) -> int:
     """An object key naming a nonnegative integer, written as relucert
     writes it: canonical decimal, so no two keys name one integer."""
@@ -325,7 +336,7 @@ def parse_problem(path) -> tuple[Network, Region, SafetyProperty]:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return problem_from_dict(doc)

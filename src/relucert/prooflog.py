@@ -1,22 +1,23 @@
 """Proof log serialization and the independent replay checker.
 
-A proof states each fact once.  A snapshot row is written as its id and its
-derivation; only a derived row also carries its row and rhs, since its tag,
-a dual certificate over earlier rows, does not determine them.  The checker
-replays a snapshot by building its rows in id order: affine, margin-definition
-and negated-property rows from the problem, region rows from the snapshot's
-region, guard and stabilize rows as row k of a phase's guard consequences
-(the solver writes only row 0 of a stabilized unit, but row 1 is accepted
-too), a unit's interval rows by interval arithmetic over the intervals that
-earlier rows prove for its sources, hull rows as row k of the envelope over
-the interval that earlier single-variable rows prove, and derived rows by
-checking their certificate over the rows built so far.  A row the checker
-cannot build, malformed or not following from the rows before it, is
-reported with its id at the leaf that cites its snapshot.  It then checks
-every leaf certificate and verifies that split annotations cover each
-parent.  A snapshot is replayed once per check, however many leaf covers
-and leaf bounds cite it; each citation then checks only its scope (region
-and guard literals).
+A proof is its split tree, and it states each fact once.  Each leaf carries
+its rows, written as an id and a derivation; only a derived row also
+carries its row and rhs, since its tag, a dual certificate over earlier
+rows, does not determine them.  The checker replays a leaf's rows once,
+over the scope its path gives: the problem's region cut down by the domain
+splits above the leaf, and the phases the phase splits above it commit.
+It builds them in id order: affine, margin-definition and
+negated-property rows from the problem, region rows from the scope's
+region, guard rows as row k of a phase's guard consequences (a guard row
+may commit only a phase the path commits), a stabilize row as row 0 of
+them, its phase equality, a unit's interval rows by interval arithmetic
+over the intervals that earlier rows prove for its sources, hull rows as
+row k of the envelope over the interval that earlier single-variable rows
+prove, and derived rows by checking their certificate over the rows built
+so far.  A row the checker cannot build, malformed or not following from
+the rows before it, is reported with its id at its leaf.  It then checks
+the leaf's certificates over those rows and verifies that split
+annotations cover each parent.
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.
@@ -37,10 +38,10 @@ the checks of `certs` read) and the guard consequences of a phase, whose
 rows are also those a `stabilize` tag names.  None of `certs`, `store` and
 `model` imports a solver module either.
 
-Every leaf has one kind: a cover of guarded Farkas certificates, each over a
-snapshot that contains the negated-property row.  A tree node may also
-carry a margin bound `margin <= beta` over its scope: a leaf by a dual
-certificate over one snapshot, a split by the maximum of its two children's
+Every leaf has one kind: a cover of guarded Farkas certificates over its
+rows, which contain the negated-property row.  A tree node may also carry
+a margin bound `margin <= beta` over its scope: a leaf by a dual
+certificate over its rows, a split by the maximum of its two children's
 bounds, since their scopes split the parent's.  Derived rows, the rows
 built over their bounds, and margin bounds therefore hold only given the
 negated property.  That is sound for the one claim a proof makes, UNSAT:
@@ -73,6 +74,7 @@ from .model import (
     format_rational,
     parse_key,
     parse_rational,
+    unique_keys,
 )
 from .store import (
     EQ,
@@ -87,7 +89,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-6"
+FORMAT = "relucert-proof-7"
 
 
 @dataclass(frozen=True)
@@ -131,23 +133,17 @@ def _guarded_json(cert: GuardedCertificate) -> dict:
     }
 
 
-def _snapshot_json(snap) -> dict:
+def _rows_json(rows) -> list:
     """A derived row as its row, rhs and multipliers; any other row as its
     derivation alone, from which the checker rebuilds it."""
-    region, rows = snap
     out = []
-    for cid, row, rhs, tag in rows:
-        if tag[0] == "derived":
-            out.append({"id": cid, "row": _row_json(row), "rhs": _q(rhs),
-                        "derivation": ["derived", _multipliers_json(tag[1])]})
+    for cid, c in rows:
+        if c.derivation[0] == "derived":
+            out.append({"id": cid, "row": _row_json(c.row), "rhs": _q(c.rhs),
+                        "derivation": ["derived", _multipliers_json(c.derivation[1])]})
         else:
-            out.append({"id": cid, "derivation": tag})
-    return {"region": _region_json(region), "rows": out}
-
-
-def _region_json(region: Region) -> dict:
-    return {"lower": [_q(v) for v in region.lower],
-            "upper": [_q(v) for v in region.upper]}
+            out.append({"id": cid, "derivation": c.derivation})
+    return out
 
 
 def _tree_json(entry) -> dict:
@@ -162,30 +158,22 @@ def _tree_json(entry) -> dict:
         if entry.bound is not None:
             out["bound"] = _q(entry.bound)
         return out
-    out = {"type": "leaf",
-           "cover": [{"cert": _guarded_json(c), "snapshot": sid} for c, sid in entry.cover]}
+    out = {"type": "leaf", "rows": _rows_json(entry.rows),
+           "cover": [_guarded_json(c) for c in entry.cover]}
     if entry.evidence is not None:
-        cert, sid = entry.evidence
-        out["bound"] = {"beta": _q(cert.bound), "multipliers": _multipliers_json(cert),
-                        "snapshot": sid}
+        out["bound"] = {"beta": _q(entry.evidence.bound),
+                        "multipliers": _multipliers_json(entry.evidence)}
     return out
 
 
-def emit(run, problem_path) -> bytes:
-    """Serialize an unsat run's proof deterministically."""
-    doc = {
-        "format": FORMAT,
-        "digest": problem_digest(problem_path),
-        "region": _region_json(run.region),
-        "snapshots": {str(sid): _snapshot_json(snap)
-                      for sid, snap in sorted(run.snapshots.items())},
-        "tree": _tree_json(run.root),
-    }
+def emit(tree, problem_path) -> bytes:
+    """Serialize an unsat run's proof tree deterministically."""
+    doc = {"format": FORMAT, "digest": problem_digest(problem_path), "tree": _tree_json(tree)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def parse_proof(data: bytes) -> dict:
-    doc = json.loads(data.decode())
+    doc = json.loads(data.decode(), object_pairs_hook=unique_keys)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError("not a recognized proof document")
     return doc
@@ -240,27 +228,11 @@ def _parse_guarded(obj, relu_units) -> GuardedCertificate:
         guards, FarkasCertificate.make(_parse_multipliers(obj["farkas"]["multipliers"])))
 
 
-def _parse_region(obj) -> Region:
-    return Region(tuple(parse_rational(v) for v in obj["lower"]),
-                  tuple(parse_rational(v) for v in obj["upper"]))
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    region: Region
-    rows: tuple  # the row objects as written, read when the snapshot is replayed
-
-
-def _parse_snapshot(obj) -> _Snapshot:
-    return _Snapshot(_parse_region(obj["region"]), tuple(obj["rows"]))
-
-
 # -- checker ----------------------------------------------------------------
 
 
 class _Problem:
-    """The problem, and what one `check_proof` call has read of the proof:
-    its snapshots and each snapshot replay."""
+    """The problem, and what the checker derives from it once."""
 
     def __init__(self, net: Network, region: Region, prop: SafetyProperty):
         self.net = net
@@ -268,8 +240,6 @@ class _Problem:
         self.prop = prop
         self.layout: VariableLayout = build_layout(net, prop)
         self.relu_units = frozenset(net.hidden_units)
-        self.snapshots: dict[int, _Snapshot] = {}
-        self.replays: dict[int, tuple] = {}  # id -> _check_snapshot's result
 
 
 def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str | None:
@@ -285,7 +255,7 @@ def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str 
 
 
 class _Rejected(Exception):
-    """A snapshot row whose derivation does not hold."""
+    """A leaf row whose derivation does not hold."""
 
 
 #: what reading a malformed row, certificate or split annotation raises
@@ -416,9 +386,9 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
             raise _Rejected(f"derived-row certificate rejected: {reason}")
         return _constraint(cert.objective_dict, LE, cert.bound)
     if kind == "stabilize":
-        _, unit, phase, k = tag
+        _, unit, phase = tag
         unit = _unit(unit)
-        row = _phase_row(pb, unit, phase, k)
+        row = _phase_row(pb, unit, phase, 0)
         lo, hi = interval.get(pb.layout.pre_index(unit), (None, None))
         if phase == ACTIVE and (lo is None or lo < 0) or \
                 phase == INACTIVE and (hi is None or hi > 0):
@@ -433,34 +403,36 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
     raise _Rejected(f"unknown derivation kind {kind}")
 
 
-def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
-    """Replay a snapshot once, over its own region: build its rows in id
-    order, each from its derivation and the rows before it.  Returns
-    (reason, system, guards): a rejection reason or None, the normalized
-    system, and the (unit, phase) literals its guard rows assume."""
+def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tuple:
+    """Replay a leaf's rows once, over its path's scope (region and phase
+    commitments `alpha`): build them in id order, each from its derivation
+    and the rows before it.  Returns (reason, system): a rejection reason or
+    None, and the normalized system.  The benchmark counts the calls to this
+    function and to `_check_snapshot_row` by these names."""
     try:
-        rows = sorted(snap.rows, key=lambda r: _json_int(r["id"]))
+        rows = sorted(leaf["rows"], key=lambda r: _json_int(r["id"]))
     except _MALFORMED as exc:
-        return f"row id: malformed: {exc!r}", None, None
+        return f"malformed: {exc!r}", None
     for a, b in zip(rows, rows[1:]):
         if a["id"] == b["id"]:
-            return f"duplicate row id {a['id']}", None, None
+            return f"duplicate row id {a['id']}", None
     system = NormalizedSystem([], pb.layout.n_vars)
     interval: dict[int, tuple] = {}
-    guards, phases = set(), set()
+    phases = set()
     for r in rows:
         try:
-            c = _check_snapshot_row(pb, r, snap.region, system, interval, phases)
+            c = _check_snapshot_row(pb, r, region, system, interval, phases)
         except _Rejected as exc:
-            return f"row {r['id']}: {exc}", None, None
+            return f"row {r['id']}: {exc}", None
         except _MALFORMED as exc:
-            return f"row {r['id']}: malformed: {exc!r}", None, None
+            return f"row {r['id']}: malformed: {exc!r}", None
         system.extend(normalize_constraint(r["id"], c))
         tag = r["derivation"]
         if tag[0] == "guard":
-            lit = (_unit(tag[1:3]), tag[3])
-            guards.add(lit)
-            phases.add(lit)
+            unit, phase = _unit(tag[1:3]), tag[3]
+            if alpha.get(unit) != phase:
+                return f"row {r['id']}: guard row for uncommitted phase {unit}:{phase}", None
+            phases.add((unit, phase))
         elif tag[0] == "stabilize":
             phases.add((_unit(tag[1]), tag[2]))
         if c.relation == LE and len(c.row) == 1:
@@ -472,34 +444,7 @@ def _check_snapshot(pb: _Problem, snap: _Snapshot) -> tuple:
             else:
                 lo = b if lo is None else max(lo, b)
             interval[j] = (lo, hi)
-    return None, system, frozenset(guards)
-
-
-def _scoped_system(pb: _Problem, sid, region: Region, allowed: set):
-    """(reason, system) for using snapshot `sid` at a path with this region,
-    where its guard rows may assume only the literals in `allowed`."""
-    if type(sid) is not int:
-        return f"snapshot id {sid!r} is not a JSON integer", None
-    if sid not in pb.snapshots:
-        return "missing snapshot", None
-    if sid not in pb.replays:
-        pb.replays[sid] = _check_snapshot(pb, pb.snapshots[sid])
-    reason, system, guards = pb.replays[sid]
-    if reason is not None:
-        return reason, None
-    if not _region_contains(pb.snapshots[sid].region, region):
-        return "snapshot region does not enclose the path region", None
-    stray = sorted(guards - allowed)
-    if stray:
-        unit, phase = stray[0]
-        return f"guard row for uncommitted phase {unit}:{phase}", None
     return None, system
-
-
-def _region_contains(outer: Region, inner: Region) -> bool:
-    return len(outer.lower) == len(inner.lower) and all(
-        olo <= ilo and ohi >= ihi
-        for olo, ohi, ilo, ihi in zip(outer.lower, outer.upper, inner.lower, inner.upper))
 
 
 def _check_cover(certs: list[GuardedCertificate], alpha: dict) -> str | None:
@@ -566,9 +511,6 @@ def check_proof(problem, log_bytes: bytes, problem_path=None) -> CheckOutcome:
 def _check_doc(pb: _Problem, doc: dict, problem_path) -> CheckOutcome:
     if problem_path is not None and doc["digest"] != problem_digest(problem_path):
         return _reject("digest", "problem digest mismatch")
-    if _parse_region(doc["region"]) != pb.region:
-        return _reject("region", "root region differs from the problem region")
-    pb.snapshots = {parse_key(s): _parse_snapshot(rows) for s, rows in doc["snapshots"].items()}
     outcome, _ = _check_tree(pb, doc["tree"], pb.region, {}, "tree")
     return outcome
 
@@ -608,16 +550,15 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         return ACCEPTED, bound
     if node["type"] != "leaf":
         return _reject(path, f"unknown entry type {node['type']}"), None
+    reason, system = _check_snapshot(pb, node, region, alpha)
+    if reason is not None:
+        return _reject(path, f"rows: {reason}"), None
     cover = []
     for idx, item in enumerate(node["cover"]):
         try:
-            cert = _parse_guarded(item["cert"], pb.relu_units)
+            cert = _parse_guarded(item, pb.relu_units)
         except _MALFORMED as exc:
             return _reject(path, f"cover[{idx}] certificate: malformed: {exc!r}"), None
-        allowed = set(alpha.items()) | {(g.unit, g.phase) for g in cert.guards}
-        reason, system = _scoped_system(pb, item["snapshot"], region, allowed)
-        if reason is not None:
-            return _reject(path, f"cover[{idx}] snapshot: {reason}"), None
         res = check_farkas(extend_with_guards(system, pb.layout, cert.guards), cert.inner)
         if not res.ok:
             return _reject(path, f"cover[{idx}] rejected: {res.reason}"), None
@@ -634,10 +575,6 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
                                          _parse_multipliers(bound["multipliers"]))
     except _MALFORMED as exc:
         return _reject(path, f"bound certificate: malformed: {exc!r}"), None
-    # the bound's snapshot may assume only the path's own phase commitments
-    reason, system = _scoped_system(pb, bound["snapshot"], region, set(alpha.items()))
-    if reason is not None:
-        return _reject(path, f"bound snapshot: {reason}"), None
     reason = _check_dual_exact(system, cert)
     if reason is not None:
         return _reject(path, f"bound certificate rejected: {reason}"), None

@@ -69,7 +69,7 @@ def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     store.hull_bounds.pop(unit, None)
     eq = guard_consequences(store.layout, GuardLiteral(unit, phase))[0]
     store.phase_ids[unit] = store.add(
-        LinearConstraint(eq.row, eq.relation, eq.rhs, REL, ("stabilize", unit, phase, 0)))
+        LinearConstraint(eq.row, eq.relation, eq.rhs, REL, ("stabilize", unit, phase)))
     store.phases[unit] = phase
     store.unstable.discard(unit)
     return unit, phase

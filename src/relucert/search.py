@@ -32,7 +32,7 @@ recursion limit answers UNKNOWN `reason=depth`, as `max_depth` does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -50,7 +50,7 @@ from .model import (
     validate_witness,
 )
 from .propagate import propagate_node
-from .store import GuardLiteral, Store, build_initial_store
+from .store import GuardLiteral, LinearConstraint, Store, build_initial_store
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -83,26 +83,19 @@ class Config:
 # -- proof tree -------------------------------------------------------------
 
 
-def snapshot_store(store: Store):
-    """Every row (retired included; they stay valid consequences) as
-    (id, row, rhs, derivation), together with the region the store was
-    built over.  A proof writes the row and rhs of derived rows only: the
-    checker rebuilds every other row from its derivation."""
-    return (store.region, tuple((cid, tuple(sorted(c.row.items())), c.rhs, c.derivation)
-                                for cid, c in store.all_constraints()))
-
-
 @dataclass
 class ProofLeaf:
-    # each cover certificate is checked against its own snapshot
-    cover: list[tuple[GuardedCertificate, int]]
-    # the margin bound the leaf's store proves without the negated property:
-    # its certificate (objective: the margin alone) and snapshot id
-    evidence: tuple[DualBoundCertificate, int] | None = None
+    # every row of the node's store, retired included (they stay valid
+    # consequences), as (id, constraint): the rows its certificates cite
+    rows: list[tuple[int, LinearConstraint]]
+    cover: list[GuardedCertificate]
+    # the margin bound its rows prove without the negated property: a dual
+    # certificate whose objective is the margin alone
+    evidence: DualBoundCertificate | None = None
 
     @property
     def bound(self) -> Fraction | None:
-        return None if self.evidence is None else self.evidence[0].bound
+        return None if self.evidence is None else self.evidence.bound
 
 
 @dataclass
@@ -118,7 +111,7 @@ class ClauseEntry:
 
     literals: frozenset[GuardLiteral]
     cert: GuardedCertificate
-    snapshot_id: int
+    rows: list[tuple[int, LinearConstraint]]  # the rows of the leaf `cert` closed
 
 
 class ClauseDB:
@@ -137,22 +130,10 @@ class ClauseDB:
 
 
 @dataclass
-class RunProof:
-    region: Region
-    root: object = None  # ProofLeaf | ProofSplit
-    snapshots: dict[int, tuple] = field(default_factory=dict)
-
-    def add_snapshot(self, snap) -> int:
-        sid = len(self.snapshots)
-        self.snapshots[sid] = snap
-        return sid
-
-
-@dataclass
 class VerifyResult:
     status: str  # "sat" | "unsat" | "unknown"
     witness: tuple[Fraction, ...] | None = None
-    proof: RunProof | None = None
+    tree: ProofLeaf | ProofSplit | None = None  # the proof of an unsat verdict
     reason: str = ""
     budget: Budget | None = None
 
@@ -219,7 +200,7 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
     layout = build_layout(net, prop)
     budget = Budget(lp_limit=config.lp_budget)
     clauses = ClauseDB()
-    run = RunProof(region)
+    root_region = region
 
     def sat(x) -> _Verdict:
         return _Verdict(VerifyResult("sat", witness=x, budget=budget))
@@ -228,18 +209,18 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         return _Verdict(VerifyResult("unknown", reason=reason, budget=budget))
 
     def close(region, alpha, store: Store, certs, bound) -> ProofLeaf:
-        """Leaf over a fresh snapshot, with the margin bound `bound` (a
+        """Leaf over the store's rows, with the margin bound `bound` (a
         parent's merge reads it); root-region certificates are recorded as
         conflict clauses."""
-        sid = run.add_snapshot(snapshot_store(store))
-        if region == run.region:
+        leaf = ProofLeaf(store.all_constraints(), certs, bound)
+        if region == root_region:
             node_lits = frozenset(GuardLiteral(u, p) for u, p in alpha.items())
             for cert in certs:
                 lits = node_lits | cert.guard_set
                 if lits:
-                    clauses.append(ClauseEntry(lits, cert, sid))
+                    clauses.append(ClauseEntry(lits, cert, leaf.rows))
                     budget.clauses += 1
-        return ProofLeaf([(c, sid) for c in certs], None if bound is None else (bound, sid))
+        return leaf
 
     def split(region, alpha, depth: int, kind: tuple) -> ProofSplit:
         budget.splits += 1
@@ -249,11 +230,12 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         return node
 
     def solve(region, alpha, depth: int):
-        if config.first_split == "domain" and depth == 0:
+        # a box of zero width has no domain split to force
+        if config.first_split == "domain" and depth == 0 and region.lower != region.upper:
             return split(region, alpha, depth, _domain_split(region))
         blocked = clauses.blocking(alpha)
         if blocked is not None:
-            return ProofLeaf([(blocked.cert, blocked.snapshot_id)])
+            return ProofLeaf(blocked.rows, [blocked.cert])
         store = build_initial_store(net, layout, region, prop, alpha)
         # below the root a leaf records the margin bound of its rows without
         # the negated property: the node's closing LP is that margin LP
@@ -296,14 +278,14 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         mid = tuple((lo + hi) * _HALF for lo, hi in zip(region.lower, region.upper))
         if validate_witness(net, region, prop, mid).accepted:
             raise sat(mid)
-        run.root = solve(region, {}, 0)
+        tree = solve(region, {}, 0)
     except Exhausted:
         return VerifyResult("unknown", reason="resource", budget=budget)
     except RecursionError:
         return VerifyResult("unknown", reason="depth", budget=budget)
     except _Verdict as verdict:
         return verdict.result
-    return VerifyResult("unsat", proof=run, budget=budget)
+    return VerifyResult("unsat", tree=tree, budget=budget)
 
 
 def icl_verify(net: Network, region: Region, prop: SafetyProperty,

@@ -2,13 +2,13 @@
 normalization to inequality form, and per-unit bound bookkeeping.
 
 Every constraint carries a `derivation` tag from which an independent checker
-rebuilds it: base rows from the problem and the region, guard and stabilize
-rows as row k of a phase's guard consequences, a unit's two interval rows
-by interval arithmetic over the intervals that earlier rows prove for its
-sources, hull rows as row k of the envelope over the interval that the bound
-rows before them prove.  A committed phase adds both guard rows; a
-stabilized unit adds only row 0, its phase equality, since its bound row
-already proves the sign that row 1 would state.  A proof records such a
+rebuilds it: base rows from the problem and the region, guard rows as row k
+of a phase's guard consequences, a unit's two interval rows by interval
+arithmetic over the intervals that earlier rows prove for its sources, hull
+rows as row k of the envelope over the interval that the bound rows before
+them prove.  A committed phase adds both guard rows; a stabilized unit adds
+only a `stabilize` row, row 0 of them, its phase equality, since its bound
+row already proves the sign that row 1 would state.  A proof records such a
 row by its tag alone.  A derived row, a bound an LP proved, is the one kind
 the tag does not determine: the proof records the row, and its tag carries
 the dual certificate that proves it.

@@ -79,9 +79,9 @@ def layout_of(net, prop):
     return build_layout(net, prop)
 
 
-def mutate_rational_field(rng, doc, skip=lambda path: False):
+def mutate_rational_field(rng, doc):
     """Change one rational scalar somewhere in a parsed proof document to a
-    different value, at a path `skip` does not exclude; returns its path."""
+    different value; returns its path."""
     import re
 
     paths = []
@@ -93,7 +93,7 @@ def mutate_rational_field(rng, doc, skip=lambda path: False):
         elif isinstance(o, list):
             for i, v in enumerate(o):
                 walk(v, path + [i])
-        elif isinstance(o, str) and re.fullmatch(r"-?\d+(/\d+)?", o) and not skip(path):
+        elif isinstance(o, str) and re.fullmatch(r"-?\d+(/\d+)?", o):
             paths.append((path, o))
 
     walk(doc, [])
@@ -126,12 +126,25 @@ def dump_problem(net, region, prop, path):
         json.dump(doc, fh)
 
 
-def snapshot_system(problem, proof, sid):
-    """The normalized system that `check` builds from one snapshot of a
-    run's proof."""
+def scoped_leaves(entry, region, alpha=None):
+    """(leaf, region, alpha) for each leaf of a run's proof tree, each with
+    the scope its path gives."""
+    from relucert.search import ProofSplit, refine
+
+    alpha = alpha or {}
+    if isinstance(entry, ProofSplit):
+        for (r, a), child in zip(refine(region, alpha, entry.kind), entry.children):
+            yield from scoped_leaves(child, r, a)
+    else:
+        yield entry, region, alpha
+
+
+def leaf_system(problem, leaf, region, alpha):
+    """The normalized system that `check` builds from a leaf's rows over
+    its scope."""
     from relucert import prooflog
 
-    snap = prooflog._parse_snapshot(prooflog._snapshot_json(proof.snapshots[sid]))
-    reason, system, _ = prooflog._check_snapshot(prooflog._Problem(*problem), snap)
+    leaf_doc = {"rows": prooflog._rows_json(leaf.rows)}
+    reason, system = prooflog._check_snapshot(prooflog._Problem(*problem), leaf_doc, region, alpha)
     assert reason is None, reason
     return system

@@ -16,9 +16,10 @@ from conftest import (
     WORKED_SAT,
     dump_problem,
     layout_of,
+    leaf_system,
     mutate_rational_field,
     random_instance,
-    snapshot_system,
+    scoped_leaves,
     worked_network,
     worked_prop,
     worked_region,
@@ -126,16 +127,16 @@ class TestAcceptance:
         net, region, prop = worked_network(), worked_region(), worked_prop()
         res = hsrv_verify(net, region, prop, Config(first_split="domain"))
         assert res.status == "unsat"
-        root = res.proof.root
+        root = res.tree
         assert isinstance(root, ProofSplit) and root.kind == ("domain", 0, F(1, 2))
         assert all(isinstance(leaf, ProofLeaf) for leaf in root.children)
         # the published child bounds are the leaves' margin bounds
         assert [leaf.bound for leaf in root.children] == [F(0), F(1)]
         layout = layout_of(net, prop)
-        for leaf in root.children:
-            cert, sid = leaf.evidence
+        for leaf, scope, alpha in scoped_leaves(root, region):
+            cert = leaf.evidence
             assert cert.objective_dict == {layout.margin_index: F(1)}
-            assert check_dual(snapshot_system((net, region, prop), res.proof, sid), cert).ok
+            assert check_dual(leaf_system((net, region, prop), leaf, scope, alpha), cert).ok
         # the merged lemma y <= 1 is the root split's bound
         assert root.bound == F(1)
         report("ACCEPTANCE 4: PASS - forced root split at 1/2 gives child bounds "
@@ -161,7 +162,7 @@ class TestAcceptance:
                     path = tmp_path / f"p{idx}.json"
                     dump_problem(net, region, prop, path)
                     out = prooflog.check_proof(
-                        (net, region, prop), prooflog.emit(res.proof, path), str(path))
+                        (net, region, prop), prooflog.emit(res.tree, path), str(path))
                     assert out.accepted, f"instance {idx} ({driver.__name__}): {out}"
                     proofs += 1
             sat += truth.status == "sat"
@@ -255,7 +256,7 @@ class TestAcceptance:
     def test_09_proof_mutation_fuzzing(self, report):
         net, region, prop = worked_network(), worked_region(), worked_prop()
         res = icl_verify(net, region, prop, Config(first_split="domain"))
-        base = prooflog.parse_proof(prooflog.emit(res.proof, WORKED))
+        base = prooflog.parse_proof(prooflog.emit(res.tree, WORKED))
         rng = random.Random(909)
         for i in range(120):
             doc = json.loads(json.dumps(base))
@@ -269,34 +270,23 @@ class TestAcceptance:
     def test_10_monotone_learning(self, report):
         net, region, prop = worked_network(), worked_region(), worked_prop()
         res = icl_verify(net, region, prop, Config(first_split="domain"))
-        assert res.status == "unsat" and res.proof.root.bound is not None
+        assert res.status == "unsat" and res.tree.bound is not None
         # the root split's merged bound, margin <= beta, as one more row
         layout = build_layout(net, prop)
-        bound_row = NormRow({layout.margin_index: F(1)}, res.proof.root.bound,
+        bound_row = NormRow({layout.margin_index: F(1)}, res.tree.bound,
                             ("c", 10 ** 6, "le"))
-
-        def with_bound(sid):
-            sys = snapshot_system((net, region, prop), res.proof, sid)
-            return NormalizedSystem(sys.rows + [bound_row], sys.n_vars)
-
-        def walk(entry):
-            if isinstance(entry, ProofSplit):
-                for child in entry.children:
-                    yield from walk(child)
-            else:
-                yield entry
 
         checked = 0
         from relucert.store import guard_norm_rows
 
-        for leaf in walk(res.proof.root):
-            for cert, sid in leaf.cover:
-                sys = with_bound(sid)
-                rows = list(sys.rows)
+        for leaf, scope, alpha in scoped_leaves(res.tree, region):
+            sys = leaf_system((net, region, prop), leaf, scope, alpha)
+            for cert in leaf.cover:
+                rows = sys.rows + [bound_row]
                 for lit in cert.guards:
                     rows.extend(guard_norm_rows(layout, lit))
                 assert check_farkas(NormalizedSystem(rows, sys.n_vars), cert.inner).ok
                 checked += 1
         assert checked >= 2
         report(f"ACCEPTANCE 10: PASS - {checked} leaf certificates still accepted "
-               f"with the root's merged bound margin <= {res.proof.root.bound} added")
+               f"with the root's merged bound margin <= {res.tree.bound} added")

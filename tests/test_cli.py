@@ -128,6 +128,18 @@ class TestVerify:
             code, _, err = _run(capsys, *argv)
             assert code == EXIT_USAGE and "canonical decimal key" in err, (key, argv)
 
+    def test_duplicated_key_is_usage_error(self, capsys, tmp_path):
+        # JSON keeps the last of two equal keys: read so, this margin would
+        # be -y, and the worked problem would verify UNSAT
+        text = Path(WORKED).read_text()
+        assert text.count('"margin": {"0": "1"}') == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"margin": {"0": "1"}', '"margin": {"0": "1", "0": "-1"}'))
+        for argv in (("verify", str(bad)), ("check", str(bad), "nope.proof"),
+                     ("oracle", str(bad))):
+            code, _, err = _run(capsys, *argv)
+            assert code == EXIT_USAGE and "duplicated key '0'" in err, argv
+
     def test_exhausted_budget_reports_unknown(self, capsys):
         code, out, _ = _run(capsys, "verify", WORKED_SAT, "--lp-budget", "1")
         assert code == EXIT_UNKNOWN
@@ -186,10 +198,9 @@ class TestCheck:
         doc = json.loads(proof.read_text())
         # every interval row now bounds its unit from below: no row proves
         # the upper end of the interval a hull row needs
-        for snap in doc["snapshots"].values():
-            for row in snap["rows"]:
-                if row["derivation"][0] == "interval":
-                    row["derivation"][2] = "lo"
+        for row in doc["tree"]["rows"]:
+            if row["derivation"][0] == "interval":
+                row["derivation"][2] = "lo"
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         code, out, _ = _run(capsys, "check", WORKED, str(proof))
         assert code == 1 and "REJECT path=" in out
@@ -213,7 +224,7 @@ class TestCheck:
         run = cli_o("check", WORKED, str(proof))
         assert run.returncode == 0 and run.stdout.strip() == "ACCEPT", run
         doc = json.loads(proof.read_text())
-        mult = doc["tree"]["cover"][0]["cert"]["farkas"]["multipliers"][0]
+        mult = doc["tree"]["cover"][0]["farkas"]["multipliers"][0]
         mult[1] = str(2 * F(mult[1]))
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         run = cli_o("check", WORKED, str(proof))

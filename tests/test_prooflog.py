@@ -8,11 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WORKED, dump_problem, worked_network, worked_prop, worked_region
+from conftest import (
+    WORKED,
+    dump_problem,
+    scoped_leaves,
+    worked_network,
+    worked_prop,
+    worked_region,
+)
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
 from relucert.model import ACTIVE, INACTIVE, build_layout, format_rational
-from relucert import search
 from relucert.search import Config, hsrv_verify, icl_verify
 from relucert.store import GuardLiteral
 
@@ -24,16 +30,17 @@ def _problem():
 def _proof_bytes(config=None, driver=icl_verify):
     res = driver(*_problem(), config)
     assert res.status == "unsat"
-    return prooflog.emit(res.proof, WORKED)
+    return prooflog.emit(res.tree, WORKED)
 
 
 def _dumps(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _snapshot_rows(doc, sid="0"):
-    """The rows of one snapshot, by id (the default worked proof has one)."""
-    return {r["id"]: r for r in doc["snapshots"][sid]["rows"]}
+def _leaf_rows(doc, at=()):
+    """The rows of the leaf at child-index path `at`, by id (the default
+    worked proof is one leaf)."""
+    return {r["id"]: r for r in _tree_node(doc, at)["rows"]}
 
 
 class TestSerialization:
@@ -76,10 +83,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             prooflog.parse_proof(b'{"format":"something-else"}')
 
+    def test_duplicated_key_rejected(self):
+        # JSON keeps the last of two equal keys: read so, the bogus tree in
+        # front of the real one would go unseen
+        data = _proof_bytes()
+        assert data.count(b'"tree":') == 1
+        doubled = data.replace(b'"tree":', b'"tree":{"type":"bogus"},"tree":')
+        out = prooflog.check_proof(_problem(), doubled, WORKED)
+        assert not out.accepted and out.path == "document", out
+        assert "duplicated key 'tree'" in out.reason, out
+
     def _old_format_rejected(self, n, config=None):
         data = _proof_bytes(config)
         current = f'"format":"{prooflog.FORMAT}"'.encode()
-        assert prooflog.FORMAT == "relucert-proof-6" and current in data
+        assert prooflog.FORMAT == "relucert-proof-7" and current in data
         old = data.replace(current, f'"format":"relucert-proof-{n}"'.encode())
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
@@ -104,10 +121,15 @@ class TestSerialization:
         # row, rhs and dual certificate
         self._old_format_rejected(5, Config(first_split="domain"))
 
+    def test_format_6_document_rejected(self):
+        # proof-6 kept each leaf's rows in a table of snapshots, each with
+        # its region, which the leaf's certificates cited by id
+        self._old_format_rejected(6, Config(first_split="domain"))
+
     def test_only_derived_rows_carry_a_row(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
-        for snap in doc["snapshots"].values():
-            for row in snap["rows"]:
+        for leaf in _leaves(doc["tree"]):
+            for row in leaf["rows"]:
                 if row["derivation"][0] == "derived":
                     assert set(row) == {"id", "row", "rhs", "derivation"}
                     assert len(row["derivation"]) == 2
@@ -115,18 +137,12 @@ class TestSerialization:
                     assert set(row) == {"id", "derivation"}
 
     def test_leaves_have_one_kind(self):
-        def leaves(node):
-            if node["type"] == "split":
-                for child in node["children"]:
-                    yield from leaves(child)
-            else:
-                yield node
-
         for strategy in (icl_verify, hsrv_verify):
             res = strategy(*_problem(), Config(first_split="domain"))
-            doc = prooflog.parse_proof(prooflog.emit(res.proof, WORKED))
-            for leaf in leaves(doc["tree"]):
-                assert set(leaf) <= {"type", "cover", "bound"} and leaf["cover"]
+            doc = prooflog.parse_proof(prooflog.emit(res.tree, WORKED))
+            assert set(doc) == {"format", "digest", "tree"}
+            for leaf in _leaves(doc["tree"]):
+                assert set(leaf) <= {"type", "rows", "cover", "bound"} and leaf["cover"]
 
 
 class TestCheckerIndependence:
@@ -155,12 +171,14 @@ class TestTargetedRejections:
         assert not out.accepted and out.path == "digest"
 
     def test_wrong_root_region(self):
+        # the checker builds the region rows from the problem's region: over
+        # x in [0, 2] the rows no longer support the cover
         from relucert.model import Region
 
         data = _proof_bytes()
         out = prooflog.check_proof(
             (worked_network(), Region((F(0),), (F(2),)), worked_prop()), data)
-        assert not out.accepted and out.path == "region"
+        assert not out.accepted and out.path == "tree", out
 
     def test_flipped_farkas_sign_rejected(self):
         # the checker builds the negated-property row from the problem; with
@@ -185,7 +203,7 @@ class TestTargetedRejections:
     def test_bad_split_midpoint_rejected(self):
         config = Config(first_split="domain")
         res = icl_verify(*_problem(), config)
-        data = prooflog.emit(res.proof, WORKED).decode()
+        data = prooflog.emit(res.tree, WORKED).decode()
         mutated = data.replace('["domain",0,"1/2"]', '["domain",0,"2/3"]')
         assert mutated != data
         out = prooflog.check_proof(_problem(), mutated.encode())
@@ -194,7 +212,7 @@ class TestTargetedRejections:
     def test_midpoint_outside_the_parent_edge_rejected(self):
         config = Config(first_split="domain")
         res = icl_verify(*_problem(), config)
-        data = prooflog.emit(res.proof, WORKED).decode()
+        data = prooflog.emit(res.tree, WORKED).decode()
         mutated = data.replace('["domain",0,"1/2"]', '["domain",0,"3"]')
         out = prooflog.check_proof(_problem(), mutated.encode())
         assert not out.accepted
@@ -206,12 +224,41 @@ class TestTargetedRejections:
 
     def test_foreign_guard_row_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
-        sid, snap = next(iter(doc["snapshots"].items()))
-        next_id = max(r["id"] for r in snap["rows"]) + 1
-        snap["rows"].append({"id": next_id, "derivation": ["guard", 1, 0, "active", 0]})
+        rows = doc["tree"]["rows"]
+        next_id = max(r["id"] for r in rows) + 1
+        rows.append({"id": next_id, "derivation": ["guard", 1, 0, "active", 0]})
         data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         out = prooflog.check_proof(_problem(), data)
-        assert not out.accepted and "guard" in out.reason
+        assert not out.accepted and out.reason.endswith(
+            f"row {next_id}: guard row for uncommitted phase (1, 0):active"), out
+
+    def test_leaf_without_rows_rejected(self):
+        doc = prooflog.parse_proof(_proof_bytes())
+        del doc["tree"]["rows"]
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason == "rows: malformed: KeyError('rows')", out
+
+    def test_rows_moved_to_the_other_phase_of_a_split_rejected(self, tmp_path):
+        """Each phase split of the branching proofs whose children are both
+        leaves, with the two leaves' rows swapped: each leaf's guard row on
+        the split's unit then commits the phase of the other child."""
+        cases = 0
+        for problem, data, path in _branching(tmp_path, (icl_verify, hsrv_verify)):
+            base = prooflog.parse_proof(data)
+            for at, node in _tree_nodes(base["tree"]):
+                if node["type"] != "split" or node["kind"][0] != "phase" or any(
+                        child["type"] != "leaf" for child in node["children"]):
+                    continue
+                doc = json.loads(json.dumps(base))
+                active, inactive = _tree_node(doc, at)["children"]
+                active["rows"], inactive["rows"] = inactive["rows"], active["rows"]
+                (i, j) = node["kind"][1]
+                out = prooflog.check_proof(problem, _dumps(doc), path)
+                assert not out.accepted and out.path == "/".join(("tree", *map(str, at), "0"))
+                assert f"guard row for uncommitted phase ({i}, {j}):inactive" in out.reason, out
+                cases += 1
+        assert cases >= 4
 
 
     def test_derived_row_citing_its_own_or_a_later_row_rejected(self, tmp_path):
@@ -230,7 +277,7 @@ class TestTargetedRejections:
 
     def test_hull_bound_proved_only_by_a_later_row_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
-        rows = _snapshot_rows(doc)
+        rows = _leaf_rows(doc)
         # row 6 proves s(1,0) <= 1, the upper end of the interval that rows
         # 8-11 envelope; renumbered past every other row it no longer
         # precedes them
@@ -243,28 +290,41 @@ class TestTargetedRejections:
 
     def test_sign_proved_only_by_a_later_row_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
-        rows = _snapshot_rows(doc, "1")
+        rows = _leaf_rows(doc, (1,))
         # row 7 proves s(1,0) >= 0, the sign that row 8 stabilizes as active;
         # renumbered past every other row it no longer precedes it
         assert rows[7] == {"id": 7, "derivation": ["interval", [1, 0], "lo"]}
-        assert rows[8]["derivation"] == ["stabilize", [1, 0], "active", 0]
+        assert rows[8]["derivation"] == ["stabilize", [1, 0], "active"]
         rows[7]["id"] = max(rows) + 1
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and "row 8:" in out.reason and "sign" in out.reason, out
 
     def test_stabilize_row_on_a_straddling_unit_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
-        snap = doc["snapshots"]["1"]
-        rows = _snapshot_rows(doc, "1")
-        # widen the snapshot to x in [0, 1]: the checker rebuilds region row 4
-        # and interval row 7 from it, and now they prove s(1,0) in [-1, 1],
-        # which no longer fixes row 8's active sign
-        assert snap["region"]["lower"] == ["1/2"] and rows[4]["derivation"] == ["region", 0, "lo"]
+        rows = _leaf_rows(doc, (1,))
+        # the leaf of x in [1/2, 1] moved to the root, whose scope is x in
+        # [0, 1]: the checker rebuilds region row 4 and interval row 7 over
+        # it, and now they prove s(1,0) in [-1, 1], which no longer fixes
+        # row 8's active sign
+        assert rows[4]["derivation"] == ["region", 0, "lo"]
         assert rows[7]["derivation"] == ["interval", [1, 0], "lo"]
-        snap["region"]["lower"] = ["0"]
+        doc["tree"] = doc["tree"]["children"][1]
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and out.reason.endswith(
             "row 8: certified bounds [-1, 1] do not fix the active sign"), out
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_stabilize_row_with_a_phase_row_index_rejected(self, k):
+        # proof-6 wrote ["stabilize", unit, phase, k]; k = 1, the sign row,
+        # was accepted although the solver never wrote it.  A stabilize row
+        # is the phase equality, and its tag names no other row
+        doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
+        row = _leaf_rows(doc, (1,))[8]
+        assert row["derivation"] == ["stabilize", [1, 0], "active"]
+        row["derivation"].append(k)
+        out = prooflog.check_proof(_problem(), _dumps(doc))
+        assert not out.accepted and out.path == "tree/1", out
+        assert out.reason.startswith("rows: row 8: malformed: ValueError('too many values"), out
 
     def test_stabilize_rows_run_no_dual_check(self, monkeypatch):
         checking, dual_checked = [], []
@@ -284,10 +344,10 @@ class TestTargetedRejections:
         monkeypatch.setattr(prooflog, "_check_snapshot_row", row)
         monkeypatch.setattr(prooflog, "check_dual", dual)
         data = _proof_bytes(Config(first_split="domain"))
-        tags = [r["derivation"] for s in prooflog.parse_proof(data)["snapshots"].values()
-                for r in s["rows"]]
+        tags = [r["derivation"] for leaf in _leaves(prooflog.parse_proof(data)["tree"])
+                for r in leaf["rows"]]
         stabilize = [t for t in tags if t[0] == "stabilize"]
-        assert len(stabilize) == 4 and all(len(t) == 4 for t in stabilize)
+        assert len(stabilize) == 4 and all(len(t) == 3 for t in stabilize)
         assert sum(t[0] == "interval" for t in tags) == 8
         assert prooflog.check_proof(_problem(), data, WORKED).accepted
         # only the two leaf bounds are dual certificates
@@ -319,9 +379,9 @@ class TestTargetedRejections:
         # a guard has two phase rows; -1 must not wrap to the last one
         for k in (2, -1):
             doc = prooflog.parse_proof(_proof_bytes())
-            (snap,) = doc["snapshots"].values()
-            last = max(r["id"] for r in snap["rows"]) + 1
-            snap["rows"].append({"id": last, "derivation": ["guard", 1, 0, "active", k]})
+            rows = doc["tree"]["rows"]
+            last = max(r["id"] for r in rows) + 1
+            rows.append({"id": last, "derivation": ["guard", 1, 0, "active", k]})
             out = prooflog.check_proof(_problem(), _dumps(doc))
             assert not out.accepted and out.reason.endswith(f"row {last}: no phase row {k}"), out
 
@@ -329,7 +389,7 @@ class TestTargetedRejections:
         # an envelope has four rows; -1 must not wrap to the last one
         for k in (4, -1):
             doc = prooflog.parse_proof(_proof_bytes())
-            row = _snapshot_rows(doc)[8]
+            row = _leaf_rows(doc)[8]
             assert row["derivation"] == ["hull", [1, 0], 0]
             row["derivation"][2] = k
             out = prooflog.check_proof(_problem(), _dumps(doc))
@@ -344,24 +404,22 @@ class TestTargetedRejections:
 
         def refutation(phase, k):
             mults = [[["c", 0, "le"], "1"], [["g", 2, 0, phase, k], "1"]]
-            return {"cert": {"guards": [[2, 0, phase]], "farkas": {"multipliers": mults}},
-                    "snapshot": 0}
+            return {"guards": [[2, 0, phase]], "farkas": {"multipliers": mults}}
 
-        doc = {"format": prooflog.FORMAT, "digest": "", "region": box,
-               "snapshots": {"0": {"region": box, "rows": [{"id": 0, "derivation": ["negp"]}]}},
-               "tree": {"type": "leaf",
+        doc = {"format": prooflog.FORMAT, "digest": "",
+               "tree": {"type": "leaf", "rows": [{"id": 0, "derivation": ["negp"]}],
                         "cover": [refutation("active", 1), refutation("inactive", 2)]}}
         out = prooflog.check_proof(problem, _dumps(doc))
         assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
         assert out.reason.startswith("cover[0] certificate: "), out
-        # well-formed cover guards, and the guard row on (2, 0) in the
-        # snapshot they cite
+        # well-formed cover guards, and the guard row on (2, 0) among the
+        # leaf's rows
         for item in doc["tree"]["cover"]:
-            item["cert"]["guards"][0][:2] = [1, 0]
-        doc["snapshots"]["0"]["rows"].append({"id": 1, "derivation": ["guard", 2, 0, "active", 0]})
+            item["guards"][0][:2] = [1, 0]
+        doc["tree"]["rows"].append({"id": 1, "derivation": ["guard", 2, 0, "active", 0]})
         out = prooflog.check_proof(problem, _dumps(doc))
         assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
-        assert out.reason.startswith("cover[0] snapshot: row 1: "), out
+        assert out.reason.startswith("rows: row 1: "), out
 
     def test_hull_row_of_a_unit_without_a_relu_rejected(self):
         pb = prooflog._Problem(*_problem())
@@ -378,15 +436,15 @@ class TestTargetedRejections:
     ], ids=["unknown-unit", "unit-without-a-relu", "unknown-phase"])
     def test_cover_guard_outside_the_networks_phases_rejected_at_its_leaf(self, guard, reason):
         doc = prooflog.parse_proof(_proof_bytes(driver=hsrv_verify))
-        doc["tree"]["cover"][0]["cert"]["guards"].append(guard)
+        doc["tree"]["cover"][0]["guards"].append(guard)
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and out.path == "tree", out
         assert out.reason.startswith("cover[0] certificate: ") and reason in out.reason, out
 
     def test_duplicated_row_id_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())
-        (snap,) = doc["snapshots"].values()
-        snap["rows"].append(dict(snap["rows"][6]))
+        rows = doc["tree"]["rows"]
+        rows.append(dict(rows[6]))
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and "duplicate row id 6" in out.reason, out
 
@@ -398,7 +456,7 @@ class TestIntervalRows:
 
     def _worked(self):
         doc = prooflog.parse_proof(_proof_bytes())
-        row = _snapshot_rows(doc)[6]
+        row = _leaf_rows(doc)[6]
         assert row == {"id": 6, "derivation": ["interval", [1, 0], "up"]}
         return doc, row
 
@@ -437,25 +495,25 @@ class TestIntervalRows:
         for problem, data, path in _branching(tmp_path, (icl_verify,)):
             net = problem[0]
             base = prooflog.parse_proof(data)
-            for sid, snap in base["snapshots"].items():
+            for at, leaf in _leaf_nodes(base["tree"]):
                 first = {}  # unit -> id of its earliest hull, guard or stabilize row
-                for r in snap["rows"]:
+                for r in leaf["rows"]:
                     tag = r["derivation"]
                     if tag[0] in ("hull", "guard", "stabilize"):
                         unit = tuple(tag[1:3] if tag[0] == "guard" else tag[1])
                         first[unit] = min(first.get(unit, r["id"]), r["id"])
-                for r in snap["rows"]:
+                for r in leaf["rows"]:
                     if r["derivation"][0] != "interval" or r["derivation"][1][0] == 1:
                         continue
                     i, j = r["derivation"][1]
                     target = min(first[(i - 1, k)]
                                  for k, w in enumerate(net.layers[i - 1].weights[j]) if w)
                     doc = json.loads(json.dumps(base))
-                    rows = _snapshot_rows(doc, sid)
+                    rows = _leaf_rows(doc, at)
                     rows[r["id"]]["id"], rows[target]["id"] = target, r["id"]
                     out = prooflog.check_proof(problem, _dumps(doc), path)
                     assert not out.accepted and f"row {target}: no certified interval" in out.reason, (
-                        sid, r, out)
+                        at, r, out)
                     cases += 1
         assert cases >= 40
 
@@ -507,18 +565,15 @@ class TestBounds:
         assert not out.accepted and out.path == "tree/1", out
 
     def test_leaf_bound_snapshot_with_a_guard_outside_alpha_rejected(self):
-        # a copy of the leaf's snapshot with one more row, a guard on
-        # (1,0):active, which the path [0, 1/2] never commits; only the
-        # bound cites the copy, so the cover still checks
+        # the rows of the leaf of [0, 1/2], which its bound reads as its
+        # cover does, with one more row: a guard on (1,0):active, which the
+        # path never commits
         doc = self._doc()
-        leaf = doc["tree"]["children"][0]
-        sid = str(leaf["bound"]["snapshot"])
-        snap = json.loads(json.dumps(doc["snapshots"][sid]))
-        snap["rows"].append({"id": max(r["id"] for r in snap["rows"]) + 1,
-                             "derivation": ["guard", 1, 0, "active", 0]})
-        doc["snapshots"]["2"] = snap
-        leaf["bound"]["snapshot"] = 2
-        self._rejected(doc, "tree/0", "bound snapshot: guard row for uncommitted phase")
+        rows = doc["tree"]["children"][0]["rows"]
+        last = max(r["id"] for r in rows) + 1
+        rows.append({"id": last, "derivation": ["guard", 1, 0, "active", 0]})
+        self._rejected(doc, "tree/0",
+                       f"rows: row {last}: guard row for uncommitted phase (1, 0):active")
 
 
 class TestNeverRaises:
@@ -527,21 +582,6 @@ class TestNeverRaises:
     def _check(self, data, exc_name):
         out = prooflog.check_proof(_problem(), data)
         assert not out.accepted and out.path == "document" and exc_name in out.reason, out
-
-    def test_snapshots_given_as_a_list(self):
-        doc = prooflog.parse_proof(_proof_bytes())
-        doc["snapshots"] = list(doc["snapshots"].values())
-        self._check(_dumps(doc), "AttributeError")
-
-    def test_root_region_of_unequal_length(self):
-        doc = prooflog.parse_proof(_proof_bytes())
-        doc["region"]["upper"].append("2")
-        self._check(_dumps(doc), "DimensionError")
-
-    def test_snapshot_region_of_unequal_length(self):
-        doc = prooflog.parse_proof(_proof_bytes())
-        doc["snapshots"]["0"]["region"]["lower"].append("0")
-        self._check(_dumps(doc), "DimensionError")
 
     def test_malformed_split_bound(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
@@ -590,8 +630,8 @@ class TestCover:
 
 
 class TestReplayOnce:
-    """A leaf with a margin bound cites its snapshot twice: from its cover
-    and from its bound."""
+    """A leaf's rows are replayed once, although both its cover and its
+    margin bound read them."""
 
     def _count(self, monkeypatch, name):
         calls = []
@@ -607,21 +647,20 @@ class TestReplayOnce:
     def _check_domain_proof(self):
         data = _proof_bytes(Config(first_split="domain"))
         doc = prooflog.parse_proof(data)
-        assert all(leaf["bound"]["snapshot"] == leaf["cover"][0]["snapshot"]
-                   for leaf in doc["tree"]["children"])
+        assert all("bound" in leaf and leaf["cover"] for leaf in doc["tree"]["children"])
         assert prooflog.check_proof(_problem(), data, WORKED).accepted
         return doc
 
     def test_each_snapshot_replayed_once(self, monkeypatch):
         calls = self._count(monkeypatch, "_check_snapshot")
         doc = self._check_domain_proof()
-        assert len(calls) == len(doc["snapshots"]) == 2
+        assert len(calls) == len(list(_leaves(doc["tree"]))) == 2
 
     def test_each_snapshot_row_normalized_once(self, monkeypatch):
         calls = self._count(monkeypatch, "normalize_constraint")
         checked = self._count(monkeypatch, "_check_snapshot_row")
         doc = self._check_domain_proof()
-        rows = sum(len(s["rows"]) for s in doc["snapshots"].values())
+        rows = sum(len(leaf["rows"]) for leaf in _leaves(doc["tree"]))
         assert len(calls) == len(checked) == rows
 
 
@@ -636,48 +675,20 @@ class TestMutationFuzzing:
                 assert F(doc["rhs"]) != F(old), old
 
     def test_random_single_field_mutations_all_rejected(self):
-        """Every rational but a snapshot region's, which the next test
-        covers: `check` builds every row of a snapshot from its region, so a
-        wider region is a claim over a larger scope, not a wrong one."""
+        """Every rational of the proof: derived rows, multipliers, bounds
+        and the domain split's midpoint."""
         from conftest import mutate_rational_field
         base = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
         rng = random.Random(123)
         rejected = 0
         for _ in range(40):
             doc = json.loads(json.dumps(base))
-            mutate_rational_field(
-                rng, doc, skip=lambda path: path[0] == "snapshots" and path[2] == "region")
+            mutate_rational_field(rng, doc)
             data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
             out = prooflog.check_proof(_problem(), data, WORKED)
             assert not out.accepted, f"mutation survived: {out}"
             rejected += 1
         assert rejected == 40
-
-    def test_snapshot_region_mutations_rejected_or_true_over_the_wider_box(self):
-        """Each bound of each snapshot region of the worked domain proof,
-        moved by one either way.  A narrower region no longer encloses its
-        path's; a wider one is accepted only if its snapshot still refutes
-        the negated property there, and then the problem is UNSAT over that
-        box."""
-        from relucert.model import Region
-        from relucert.search import oracle_verify
-
-        base = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
-        outcomes = []
-        for sid, snap in base["snapshots"].items():
-            for side in ("lower", "upper"):
-                for step in (-1, 1):
-                    doc = json.loads(json.dumps(base))
-                    region = doc["snapshots"][sid]["region"]
-                    region[side][0] = format_rational(F(region[side][0]) + step)
-                    out = prooflog.check_proof(_problem(), _dumps(doc), WORKED)
-                    if out.accepted:
-                        box = Region((F(region["lower"][0]),), (F(region["upper"][0]),))
-                        assert (step < 0) == (side == "lower"), (sid, box)
-                        assert oracle_verify(
-                            worked_network(), box, worked_prop()).status == "unsat", (sid, box)
-                    outcomes.append(out.accepted)
-        assert len(outcomes) == 8 and 0 < sum(outcomes) < 4
 
 
 class TestStructuralFuzzing:
@@ -686,10 +697,11 @@ class TestStructuralFuzzing:
     stabilized unit's pre-activation past its stabilize row leaves every
     row intact, so only the stabilize sign rule can see it: the sign
     those rows prove no longer precedes the row.  A domain split moved
-    inside its edge still covers the parent, so only the children's
-    snapshot regions can see it.  Row ids carry only order: renumbering a
-    snapshot's rows in order, with the multipliers that cite them, keeps a
-    proof valid, and a row moved before a row it reads is rejected."""
+    inside its edge still covers the parent, so only the children's rows,
+    rebuilt over the moved regions, can see it.  Row ids carry only order:
+    renumbering a leaf's rows in order, with the multipliers that cite
+    them, keeps a proof valid, and a row moved before a row it reads is
+    rejected."""
 
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
         # a stabilized unit has one stabilize row; instance 42 under the
@@ -704,14 +716,14 @@ class TestStructuralFuzzing:
             seen.add(data)
             layout = build_layout(problem[0], problem[2])
             base = prooflog.parse_proof(data)
-            for sid, snap in base["snapshots"].items():
-                for stab in snap["rows"]:
+            for at, leaf in _leaf_nodes(base["tree"]):
+                for stab in leaf["rows"]:
                     if stab["derivation"][0] != "stabilize":
                         continue
                     unit = stab["derivation"][1]
                     s = str(layout.pre_index(tuple(unit)))
                     doc = json.loads(json.dumps(base))
-                    rows = doc["snapshots"][sid]["rows"]
+                    rows = _tree_node(doc, at)["rows"]
                     last = max(r["id"] for r in rows)
                     moved = [r for r in rows if r["id"] < stab["id"] and (
                         r["derivation"][:2] == ["interval", unit] or list(r.get("row", ())) == [s])]
@@ -720,7 +732,7 @@ class TestStructuralFuzzing:
                         last += 1
                         r["id"] = last
                     out = prooflog.check_proof(problem, _dumps(doc), path)
-                    assert not out.accepted and "sign" in out.reason, (sid, stab["id"], out)
+                    assert not out.accepted and "sign" in out.reason, (at, stab["id"], out)
                     cases += 1
         assert cases >= 20
 
@@ -728,7 +740,7 @@ class TestStructuralFuzzing:
         """Each split of the icl and hsrv proofs of both branching instances
         in turn loses a child, gains a third, has its children swapped or
         child 0 copied over child 1, or is retyped as a leaf; each leaf is
-        retyped as a split, loses its cover, or cites a missing snapshot."""
+        retyped as a split, loses its cover, or loses its rows."""
         mutations = 0
         for problem, data, path in _branching(tmp_path, (icl_verify, hsrv_verify)):
             base = prooflog.parse_proof(data)
@@ -744,7 +756,7 @@ class TestStructuralFuzzing:
     def test_domain_split_mutations_all_rejected(self):
         """The worked proofs' domain split of dimension 0 at 1/2, moved to 0,
         1/1000 or 1/3 (inside the edge, but not the split the children's
-        snapshots were taken on), to -1/2 or 3/2 (outside the edge), or to
+        rows were built on), to -1/2 or 3/2 (outside the edge), or to
         dimension 1, which the one-input network lacks."""
         mutations = 0
         for problem, data, path in _worked_domain_proofs():
@@ -791,18 +803,16 @@ class TestStructuralFuzzing:
     @pytest.mark.parametrize("mutate", [
         "row-id-float", "row-id-string", "multiplier-row-id-float", "aff-layer-float",
         "guard-layer-string", "hull-unit-float", "stabilize-unit-float", "guard-float",
-        "cover-snapshot-float", "bound-snapshot-float", "row-key-leading-zero",
-        "snapshot-key-plus", "snapshot-keys-0-and-space-0"])
+        "row-key-leading-zero"])
     def test_non_canonical_integer_rejected(self, tmp_path, mutate):
         """An integer field of a branching proof written in a form `emit`
         never writes but Python reads as the same integer: a float, a
         numeric string, or an object key other than its canonical decimal.
         The guarded certificate is taken from the hsrv proof of instance 42
         under the default configuration, whose gate prunes its root, and the
-        derived row from the icl proof of 57 under that configuration.  Only
-        a snapshot key is reported at the document: a bad integer in a row
-        is reported with its row, and one in a certificate, at the leaf that
-        cites it."""
+        derived row from the icl proof of 57 under that configuration.  A
+        bad integer in a row is reported with its row at its leaf, and one
+        in a certificate, at the leaf that carries it."""
         from test_search import TestBranchingOracleAgreement, tightened
 
         config = TestBranchingOracleAgreement.CONFIG
@@ -815,19 +825,16 @@ class TestStructuralFuzzing:
         path = str(tmp_path / f"p{idx}.json")
         dump_problem(*problem, path)
         res = driver(*problem, config)
-        doc = prooflog.parse_proof(prooflog.emit(res.proof, path))
+        doc = prooflog.parse_proof(prooflog.emit(res.tree, path))
         _NON_CANONICAL[mutate](doc)
         out = prooflog.check_proof(problem, _dumps(doc), path)
         assert not out.accepted, out
         assert "JSON integer" in out.reason or "canonical decimal" in out.reason, out
-        if mutate.startswith("snapshot-key"):
-            assert out.path == "document", out
-        else:
-            assert out.path.startswith("tree"), out
+        assert out.path.startswith("tree"), out
         if mutate.startswith("row-id"):
-            assert "snapshot: row id: malformed: " in out.reason, out
+            assert out.reason.startswith("rows: malformed: "), out
         elif mutate.startswith(("row-", "aff-", "guard-layer", "hull-", "stabilize-")):
-            assert re.search(r"snapshot: row [0-9]+: malformed: ", out.reason), out
+            assert re.match(r"rows: row [0-9]+: malformed: ", out.reason), out
 
     def test_split_bound_mutations_all_rejected(self, tmp_path):
         """Each split bound of the worked domain proofs and of the branching
@@ -853,10 +860,10 @@ class TestStructuralFuzzing:
         assert mutations == 22
 
     def test_rows_renumbered_in_order_accepted(self, tmp_path):
-        """Each snapshot's row ids mapped by a random strictly increasing
-        map, and every multiplier citing them rewritten to match: each row
-        is still built after the same rows, from the same rows.  Left
-        unrewritten, the multipliers cite rows the snapshot no longer has."""
+        """Each leaf's row ids mapped by a random strictly increasing map,
+        and every multiplier citing them rewritten to match: each row is
+        still built after the same rows, from the same rows.  Left
+        unrewritten, the multipliers cite rows the leaf no longer has."""
         rng = random.Random(13)
         proofs = 0
         for problem, data, path in (*_proofs(tmp_path, (icl_verify, hsrv_verify)),
@@ -864,10 +871,10 @@ class TestStructuralFuzzing:
             base = prooflog.parse_proof(data)
             for rewrite in (True, False):
                 doc = json.loads(json.dumps(base))
-                for sid, snap in doc["snapshots"].items():
-                    old = sorted(r["id"] for r in snap["rows"])
+                for _, leaf in _leaf_nodes(doc["tree"]):
+                    old = sorted(r["id"] for r in leaf["rows"])
                     new = sorted(rng.sample(range(3 * len(old) + 10), len(old)))
-                    _renumber(doc, int(sid), dict(zip(old, new)), rewrite)
+                    _renumber(leaf, dict(zip(old, new)), rewrite)
                 out = prooflog.check_proof(problem, _dumps(doc), path)
                 assert out.accepted == rewrite, (path, rewrite, out)
             proofs += 1
@@ -887,8 +894,8 @@ class TestStructuralFuzzing:
             net = problem[0]
             layout = build_layout(net, problem[2])
             base = prooflog.parse_proof(data)
-            for sid, snap in base["snapshots"].items():
-                rows = sorted(snap["rows"], key=lambda r: r["id"])
+            for at, leaf in _leaf_nodes(base["tree"]):
+                rows = sorted(leaf["rows"], key=lambda r: r["id"])
                 for r in rows:
                     needed = _needed_rows(net, layout, rows, r)
                     if not needed:
@@ -896,11 +903,11 @@ class TestStructuralFuzzing:
                     target = min(needed)
                     assert target < r["id"]
                     doc = json.loads(json.dumps(base))
-                    by_id = _snapshot_rows(doc, sid)
+                    by_id = _leaf_rows(doc, at)
                     by_id[r["id"]]["id"], by_id[target]["id"] = target, r["id"]
                     out = prooflog.check_proof(problem, _dumps(doc), path)
                     assert not out.accepted and f"row {target}: " in out.reason, (
-                        path, sid, r, out)
+                        path, at, r, out)
                     cases[r["derivation"][0]] += 1
         assert cases == {"derived": 8, "interval": 32, "hull": 80, "stabilize": 17}, cases
 
@@ -911,11 +918,11 @@ def _worked_domain_proofs():
     for driver in (icl_verify, hsrv_verify):
         res = driver(*_problem(), Config(first_split="domain"))
         assert res.status == "unsat"
-        yield _problem(), prooflog.emit(res.proof, WORKED), WORKED
+        yield _problem(), prooflog.emit(res.tree, WORKED), WORKED
 
 
-def _branching(tmp_path, drivers, instances=(57, 89)):
-    """(problem, proof bytes, problem path) for the UNSAT proofs of the
+def _branching_trees(tmp_path, drivers, instances=(57, 89)):
+    """(problem, proof tree, problem path) for the UNSAT runs of the
     branching instances (by default the two of `TestBranchingOracleAgreement`)
     under each driver."""
     from test_search import TestBranchingOracleAgreement, tightened
@@ -927,7 +934,13 @@ def _branching(tmp_path, drivers, instances=(57, 89)):
         for driver in drivers:
             res = driver(*problem, TestBranchingOracleAgreement.CONFIG)
             assert res.status == "unsat"
-            yield problem, prooflog.emit(res.proof, path), path
+            yield problem, res.tree, path
+
+
+def _branching(tmp_path, drivers, instances=(57, 89)):
+    """As `_branching_trees`, with each tree emitted as proof bytes."""
+    for problem, tree, path in _branching_trees(tmp_path, drivers, instances):
+        yield problem, prooflog.emit(tree, path), path
 
 
 def _tgct_proof(tmp_path):
@@ -940,7 +953,7 @@ def _tgct_proof(tmp_path):
     dump_problem(*problem, path)
     res = icl_verify(*problem, Config())
     assert res.status == "unsat"
-    return problem, prooflog.emit(res.proof, path), path
+    return problem, prooflog.emit(res.tree, path), path
 
 
 def _proofs(tmp_path, drivers, instances=(57, 89)):
@@ -951,65 +964,55 @@ def _proofs(tmp_path, drivers, instances=(57, 89)):
 
 
 class TestSolverCheckerAgreement:
-    """`check` builds every snapshot row from its derivation alone.  The row
-    it builds must be the one the solver's store held."""
+    """`check` builds every leaf row from its derivation alone.  The row it
+    builds must be the one the solver's store held."""
 
     def test_every_built_row_is_the_stores_row(self, monkeypatch, tmp_path):
-        stored = []  # per snapshot id: cid -> (row, relation, rhs)
-        snapshot_store = search.snapshot_store
+        built = []  # per replayed leaf: id -> (row, relation, rhs)
+        replay, check_row = prooflog._check_snapshot, prooflog._check_snapshot_row
 
-        def recording(store):
-            stored.append({cid: (c.row, c.relation, c.rhs)
-                           for cid, c in store.all_constraints()})
-            return snapshot_store(store)
-
-        built = {}
-        check_row = prooflog._check_snapshot_row
+        def replaying(*args):
+            built.append({})
+            return replay(*args)
 
         def building(pb, r, *args):
             c = check_row(pb, r, *args)
-            built[r["id"]] = (c.row, c.relation, c.rhs)
+            built[-1][r["id"]] = (c.row, c.relation, c.rhs)
             return c
 
-        monkeypatch.setattr(search, "snapshot_store", recording)
+        monkeypatch.setattr(prooflog, "_check_snapshot", replaying)
         monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
         rows = intervals = 0
-        for problem, data, path in _proofs(tmp_path, (icl_verify, hsrv_verify)):
-            pb = prooflog._Problem(*problem)
-            for sid, snap in prooflog.parse_proof(data)["snapshots"].items():
-                built.clear()
-                reason, _, _ = prooflog._check_snapshot(pb, prooflog._parse_snapshot(snap))
-                assert reason is None, (path, sid, reason)
-                for r in snap["rows"]:
-                    assert built[r["id"]] == stored[int(sid)][r["id"]], (path, sid, r)
-                assert built.keys() == stored[int(sid)].keys()
-                rows += len(built)
-                intervals += sum(r["derivation"][0] == "interval" for r in snap["rows"])
-            stored.clear()
+        worked = icl_verify(*_problem(), Config(first_split="domain")).tree
+        for problem, tree, path in ((_problem(), worked, WORKED),
+                                    *_branching_trees(tmp_path, (icl_verify, hsrv_verify))):
+            built.clear()
+            assert prooflog.check_proof(problem, prooflog.emit(tree, path), path).accepted
+            leaves = [leaf for leaf, _, _ in scoped_leaves(tree, problem[1])]
+            assert built == [{cid: (c.row, c.relation, c.rhs) for cid, c in leaf.rows}
+                             for leaf in leaves], path
+            rows += sum(map(len, built))
+            intervals += sum(c.derivation[0] == "interval" for leaf in leaves for _, c in leaf.rows)
         assert rows > 500 and intervals > 150
 
 
-def _renumber(doc, sid: int, ids: dict, rewrite: bool = True):
-    """Give the rows of snapshot `sid` the ids `ids` maps theirs to; with
-    `rewrite`, also the ids that multipliers over the snapshot cite: those
-    of its derived rows and of the leaf certificates and bounds over it."""
+def _renumber(leaf, ids: dict, rewrite: bool = True):
+    """Give the leaf's rows the ids `ids` maps theirs to; with `rewrite`,
+    also the ids that multipliers over its rows cite: those of its derived
+    rows, its certificates and its bound."""
     def cite(multipliers):
         for rid, _ in multipliers:
             if rewrite and rid[0] == "c":
                 rid[1] = ids[rid[1]]
 
-    for r in doc["snapshots"][str(sid)]["rows"]:
+    for r in leaf["rows"]:
         r["id"] = ids[r["id"]]
         if r["derivation"][0] == "derived":
             cite(r["derivation"][1])
-    for _, node in _tree_nodes(doc["tree"]):
-        if node["type"] != "leaf":
-            continue
-        for item in node["cover"]:
-            if item["snapshot"] == sid:
-                cite(item["cert"]["farkas"]["multipliers"])
-        if node.get("bound", {}).get("snapshot") == sid:
-            cite(node["bound"]["multipliers"])
+    for cert in leaf["cover"]:
+        cite(cert["farkas"]["multipliers"])
+    if "bound" in leaf:
+        cite(leaf["bound"]["multipliers"])
 
 
 def _needed_rows(net, layout, rows, r) -> list[int]:
@@ -1084,23 +1087,31 @@ def _empty_the_cover(node, doc):
     node["cover"].clear()
 
 
-def _cite_a_missing_snapshot(node, doc):
-    node["cover"][0]["snapshot"] = len(doc["snapshots"])
+def _drop_the_rows(node, doc):
+    del node["rows"]
 
 
 _SPLIT_MUTATIONS = (_drop_a_child, _add_a_third_child, _swap_the_children,
                     _copy_child_0_over_child_1, _retype_as_a_leaf)
-_LEAF_MUTATIONS = (_retype_as_a_split, _empty_the_cover, _cite_a_missing_snapshot)
+_LEAF_MUTATIONS = (_retype_as_a_split, _empty_the_cover, _drop_the_rows)
+
+
+def _leaf_nodes(tree):
+    """(child-index path, leaf) for every leaf of a proof tree, preorder."""
+    return [(at, node) for at, node in _tree_nodes(tree) if node["type"] == "leaf"]
+
+
+def _leaves(tree):
+    return [leaf for _, leaf in _leaf_nodes(tree)]
 
 
 def _first_row(doc, kind):
-    return next(r for snap in doc["snapshots"].values() for r in snap["rows"]
+    return next(r for leaf in _leaves(doc["tree"]) for r in leaf["rows"]
                 if r["derivation"][0] == kind)
 
 
 def _cover_items(doc):
-    return [item for _, node in _tree_nodes(doc["tree"]) if node["type"] == "leaf"
-            for item in node["cover"]]
+    return [item for leaf in _leaves(doc["tree"]) for item in leaf["cover"]]
 
 
 def _retype(container, key, kind=float):
@@ -1111,21 +1122,13 @@ _NON_CANONICAL = {
     "row-id-float": lambda doc: _retype(_first_row(doc, "aff"), "id"),
     "row-id-string": lambda doc: _retype(_first_row(doc, "aff"), "id", str),
     "multiplier-row-id-float": lambda doc: _retype(
-        _cover_items(doc)[0]["cert"]["farkas"]["multipliers"][0][0], 1),
+        _cover_items(doc)[0]["farkas"]["multipliers"][0][0], 1),
     "aff-layer-float": lambda doc: _retype(_first_row(doc, "aff")["derivation"], 1),
     "guard-layer-string": lambda doc: _retype(_first_row(doc, "guard")["derivation"], 1, str),
     "hull-unit-float": lambda doc: _retype(_first_row(doc, "hull")["derivation"][1], 0),
     "stabilize-unit-float": lambda doc: _retype(_first_row(doc, "stabilize")["derivation"][1], 0),
     "guard-float": lambda doc: _retype(next(
-        item for item in _cover_items(doc) if item["cert"]["guards"])["cert"]["guards"][0], 0),
-    "cover-snapshot-float": lambda doc: _retype(_cover_items(doc)[0], "snapshot"),
-    "bound-snapshot-float": lambda doc: _retype(next(
-        node for _, node in _tree_nodes(doc["tree"]) if "snapshot" in node.get("bound", ()))[
-            "bound"], "snapshot"),
+        item for item in _cover_items(doc) if item["guards"])["guards"][0], 0),
     "row-key-leading-zero": lambda doc: _first_row(doc, "derived").update(row={
         "0" + j: v for j, v in _first_row(doc, "derived")["row"].items()}),
-    "snapshot-key-plus": lambda doc: doc.update(snapshots={
-        ("+0" if sid == "0" else sid): snap for sid, snap in doc["snapshots"].items()}),
-    "snapshot-keys-0-and-space-0": lambda doc: doc["snapshots"].update({
-        " 0": json.loads(json.dumps(doc["snapshots"]["0"]))}),
 }

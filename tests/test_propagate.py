@@ -21,8 +21,10 @@ from relucert.store import (
     LE,
     NEGP,
     REGION,
+    GuardLiteral,
     LinearConstraint,
     build_initial_store,
+    guard_consequences,
     interval_bounds,
 )
 
@@ -180,8 +182,10 @@ class TestStabilization:
                     if c.derivation[0] == "stabilize"}
             assert sorted(c.derivation[1] for c in rows.values()) == sorted(store.phases)
             for cid, c in rows.items():
-                _, unit, phase, k = c.derivation
-                assert k == 0 and c.relation == EQ and store.phase_ids[unit] == cid
+                _, unit, phase = c.derivation
+                eq = guard_consequences(store.layout, GuardLiteral(unit, phase))[0]
+                assert (c.row, c.relation, c.rhs) == (eq.row, EQ, eq.rhs)
+                assert store.phase_ids[unit] == cid
                 up_cid, lo_cid = store.bound_rows[unit]
                 sign_cid = lo_cid if phase == ACTIVE else up_cid
                 assert sign_cid < cid and sign_cid not in store.retired

@@ -14,8 +14,9 @@ from conftest import (
     WORKED,
     dump_problem,
     layout_of,
+    leaf_system,
     random_instance,
-    snapshot_system,
+    scoped_leaves,
     worked_network,
     worked_prop,
     worked_region,
@@ -81,6 +82,20 @@ class TestRefinement:
         with pytest.raises(NothingToSplit):
             _domain_split(Region((F(1),), (F(1),)))
 
+    def test_forced_domain_split_of_a_zero_width_box_is_skipped(self):
+        # the worked network over [0, 0]: with nothing to split, the forced
+        # root split gives way, and the run is the one without it
+        net, prop, point = worked_network(), worked_prop(), Region((F(0),), (F(0),))
+        for driver in (icl_verify, hsrv_verify):
+            res = driver(net, point, prop, Config(first_split="domain"))
+            plain = driver(net, point, prop)
+            assert (res.status, res.budget.lp_calls) == ("unsat", 0), driver.__name__
+            assert res.budget.counters() == plain.budget.counters()
+            assert isinstance(res.tree, ProofLeaf)
+            data = prooflog.emit(res.tree, WORKED)
+            assert data == prooflog.emit(plain.tree, WORKED)
+            assert prooflog.check_proof((net, point, prop), data).accepted
+
 
 class TestWorkedInstance:
     def test_unsat_under_both_strategies(self):
@@ -88,8 +103,8 @@ class TestWorkedInstance:
         for driver in (icl_verify, hsrv_verify):
             res = driver(net, region, prop)
             assert res.status == "unsat"
-            assert res.proof is not None
-            out = prooflog.check_proof((net, region, prop), prooflog.emit(res.proof, WORKED))
+            assert res.tree is not None
+            out = prooflog.check_proof((net, region, prop), prooflog.emit(res.tree, WORKED))
             assert out.accepted, out
 
     def test_sat_variant_yields_validated_witness(self):
@@ -132,7 +147,7 @@ class TestMergeDemo:
     def test_forced_root_split_produces_published_child_bounds(self):
         res = self._run("hsrv")
         assert res.status == "unsat"
-        root = res.proof.root
+        root = res.tree
         assert isinstance(root, ProofSplit)
         assert root.kind == ("domain", 0, F(1, 2))
         assert all(isinstance(leaf, ProofLeaf) for leaf in root.children)
@@ -141,15 +156,14 @@ class TestMergeDemo:
     def test_child_certificates_pass_the_dual_checker(self):
         res = self._run("hsrv")
         layout = layout_of(worked_network(), worked_prop())
-        for leaf in res.proof.root.children:
-            cert, sid = leaf.evidence
-            assert cert.objective_dict == {layout.margin_index: F(1)}
-            assert certs.check_dual(snapshot_system(
-                (worked_network(), worked_region(), worked_prop()), res.proof, sid), cert).ok
+        problem = (worked_network(), worked_region(), worked_prop())
+        for leaf, region, alpha in scoped_leaves(res.tree, worked_region()):
+            assert leaf.evidence.objective_dict == {layout.margin_index: F(1)}
+            assert certs.check_dual(leaf_system(problem, leaf, region, alpha), leaf.evidence).ok
 
     def test_merged_lemma_bounds_the_output_by_one(self):
         res = self._run("hsrv")
-        assert res.proof.root.bound == F(1)
+        assert res.tree.bound == F(1)
         assert res.budget.lemmas == 1
 
     def test_merge_learning_also_fires_under_icl(self):
@@ -157,7 +171,7 @@ class TestMergeDemo:
         assert res.status == "unsat"
         assert res.budget.lemmas >= 1
         out = prooflog.check_proof((worked_network(), worked_region(), worked_prop()),
-                                   prooflog.emit(res.proof, WORKED))
+                                   prooflog.emit(res.tree, WORKED))
         assert out.accepted, out
 
 
@@ -171,9 +185,9 @@ class TestClauseLearning:
         lits = frozenset({GuardLiteral((1, 0), ACTIVE)})
         cert = GuardedCertificate.make(sorted(lits, key=lambda g: (g.unit, g.phase)),
                                        FarkasCertificate.make({}))
-        db.append(ClauseEntry(lits, cert, snapshot_id=3))
+        db.append(ClauseEntry(lits, cert, rows=[]))
         hit = db.blocking({(1, 0): ACTIVE, (1, 1): INACTIVE})
-        assert hit is not None and hit.snapshot_id == 3
+        assert hit is not None and hit.cert is cert
         assert db.blocking({(1, 0): INACTIVE}) is None
         assert db.blocking({}) is None
 
@@ -279,10 +293,10 @@ class TestBranchingOracleAgreement:
                         assert validate_witness(net, region, tight, res.witness).accepted
                         continue
                     out = prooflog.check_proof((net, region, tight),
-                                               prooflog.emit(res.proof, path), str(path))
+                                               prooflog.emit(res.tree, path), str(path))
                     assert out.accepted, (idx, driver.__name__, out)
                     proofs += 1
-                    splits = list(_splits(res.proof.root))
+                    splits = list(_splits(res.tree))
                     phase_splits += sum(sp.kind[0] == "phase" for sp in splits)
                     merged = sum(sp.bound is not None for sp in splits)
                     assert merged == res.budget.lemmas
@@ -357,8 +371,8 @@ class TestLpBudget:
                             resource += 1
                         runs += 1
                     assert res.status == full.status and res.witness == full.witness, where
-                    if full.proof is not None:
-                        assert prooflog.emit(res.proof, path) == prooflog.emit(full.proof, path)
+                    if full.tree is not None:
+                        assert prooflog.emit(res.tree, path) == prooflog.emit(full.tree, path)
         assert runs >= 400 and resource >= 350
 
     def test_no_split_once_the_budget_is_spent(self):
@@ -408,7 +422,7 @@ class TestMaxDepth:
         for driver in (icl_verify, hsrv_verify):
             res = driver(net, region, prop, config)
             assert res.status == "unsat" and res.budget.splits == 2
-            assert depth(res.proof.root) == 2
+            assert depth(res.tree) == 2
 
     def test_a_search_deeper_than_the_interpreter_stack_is_unknown_depth(self):
         # at every stack size, from one too small for the root node up to
@@ -448,26 +462,32 @@ class TestProofPins:
     `["stabilize", unit, phase, 1]` sign row deleted, the rows after it
     renumbered and the multipliers citing them renamed to match.  The
     worked proof held its pin: each of its sign rows equalled an interval
-    row already in the store, which the store then did not add again."""
+    row already in the store, which the store then did not add again.  All
+    three were re-pinned when the format became `relucert-proof-7`: each
+    proof is the `relucert-proof-6` proof with each leaf's snapshot rows
+    moved into the leaf, each cover item's certificate in place of its
+    `{"cert", "snapshot"}` item, the snapshot table, every snapshot id and
+    region and the root region dropped, every `stabilize` tag without its
+    trailing 0, and the new format string."""
 
     PINS = {
-        "worked": "c6d21191b09b57db8bce4e0660858a1290dd78f7af019b74a1b29636d0121662",
-        57: "9a955da949c70ad53a10234b0ff33113a241a6b4d21533e3a2ce9ac280bdccb3",
-        89: "f4e5628844d1ee6096be7ce3c0732d37cdb1c9ce9bb91cec38a0a8b19fd8a49f",
+        "worked": "95e174eef252bd6e5f28afab00a8da0b3a3bfdaa7bee46f54f832363527353b6",
+        57: "fe471b70abd8588439b175bb4e23d9a6a767f8206a3538bead1bd4c1827b79fa",
+        89: "f32b404cf6a4f013593e55e293029dc13276cdcfbe3f099087ada45befe4b0af",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
         for driver in (icl_verify, hsrv_verify):
             res = driver(worked_network(), worked_region(), worked_prop(),
                          Config(first_split="domain"))
-            digest = hashlib.sha256(prooflog.emit(res.proof, WORKED)).hexdigest()
+            digest = hashlib.sha256(prooflog.emit(res.tree, WORKED)).hexdigest()
             assert digest == self.PINS["worked"], driver.__name__
             for idx in (57, 89):
                 net, region, prop = tightened(idx)
                 path = tmp_path / f"p{idx}.json"
                 dump_problem(net, region, prop, path)
                 res = driver(net, region, prop, TestBranchingOracleAgreement.CONFIG)
-                digest = hashlib.sha256(prooflog.emit(res.proof, path)).hexdigest()
+                digest = hashlib.sha256(prooflog.emit(res.tree, path)).hexdigest()
                 assert digest == self.PINS[idx], (idx, driver.__name__)
 
 
@@ -529,8 +549,8 @@ class TestEveryLpIsNew:
 
 
 class TestLeafBounds:
-    """A leaf's margin bound is the maximum of the margin over its
-    snapshot's rows without the negated property, whichever LP proved it:
+    """A leaf's margin bound is the maximum of the margin over its rows
+    without the negated property, whichever LP proved it:
     the node's closing margin LP, or `propagate._margin_evidence` after
     back-substitution or a TGCT LP refuted the node."""
 
@@ -554,27 +574,17 @@ class TestLeafBounds:
             for driver in (icl_verify, hsrv_verify):
                 res = driver(*problem, config)
                 assert res.status == "unsat"
-                for leaf in _leaves(res.proof.root):
+                for leaf, region, alpha in scoped_leaves(res.tree, problem[1]):
                     if leaf.evidence is None:
                         continue
-                    cert, sid = leaf.evidence
-                    negp = {cid for cid, _, _, tag in res.proof.snapshots[sid][1]
-                            if tag == ("negp",)}
-                    system = snapshot_system(problem, res.proof, sid)
+                    negp = {cid for cid, c in leaf.rows if c.derivation == ("negp",)}
+                    system = leaf_system(problem, leaf, region, alpha)
                     rows = NormalizedSystem([r for r in system.rows if r.rid[1] not in negp],
                                             system.n_vars)
                     out = lp.lp_max(rows, {layout.margin_index: F(1)})
                     assert out.status == lp.OPTIMAL and out.value == leaf.bound
                     paths["bounds"] += 1
         assert paths["bounds"] >= 25 and paths["evidence"] >= 2
-
-
-def _leaves(entry):
-    if isinstance(entry, ProofSplit):
-        for child in entry.children:
-            yield from _leaves(child)
-    else:
-        yield entry
 
 
 class TestDecisionPins:
