@@ -21,10 +21,10 @@ part and which are exact negations: a store equality's ("c", cid, "le") and
 ("c", cid, "ge") rows, or the two halves of a guard equality.  In row order,
 each equality, with the variables already eliminated substituted, eliminates
 its highest-index remaining variable: the pre-activation of an affine row,
-the post-activation of a phase row, the margin auxiliary of margin-def.  The
-simplex runs on the other rows, with those variables substituted out and the
-kept variables renumbered; an equality that reduces to 0 = 0 is dropped, one
-that reduces to 0 = b != 0 stays as its two rows.  The results are lifted
+the post-activation of a phase row.  The simplex runs on the other rows,
+with those variables substituted out and the kept variables renumbered; an
+equality that reduces to 0 = 0 is dropped, one that reduces to 0 = b != 0
+stays as its two rows.  The results are lifted
 back: eliminated variables of the point follow by back-substitution, those
 of a ray from the homogeneous part; each eliminated equality gets the
 multiplier nu that makes its eliminated columns of lambda^T A - g vanish,

@@ -138,7 +138,7 @@ class SafetyProperty:
     (non-strict; the epsilon slack stands in for strictness).
     """
 
-    margin: tuple[tuple[int, Fraction], ...]  # sparse row over output indices
+    margin: tuple[tuple[int, Fraction], ...]  # sparse row over output indices, not all zero
     threshold: Fraction
     epsilon: Fraction
 
@@ -150,6 +150,8 @@ class SafetyProperty:
             if idx in seen:
                 raise ValueError(f"duplicate margin index {idx}")
             seen.add(idx)
+        if not any(coeff for _, coeff in self.margin):
+            raise ValueError("margin needs a nonzero coefficient")
 
     @property
     def violation_threshold(self) -> Fraction:
@@ -164,9 +166,8 @@ class VariableLayout:
 
     Inputs first, then per layer the pre-activations s followed by the
     post-activations z (hidden ReLU layers only; an identity output layer
-    aliases z onto s), then the margin auxiliary.  When the margin is a single
-    output coordinate with coefficient 1 the auxiliary aliases that output
-    variable instead of allocating a fresh one.
+    aliases z onto s).  The margin allocates no variable: `margin` is its
+    row over the output variables, the nonzero coefficients only.
     """
 
     def __init__(self, net: Network, prop: SafetyProperty | None = None):
@@ -187,14 +188,14 @@ class VariableLayout:
             else:  # identity output: z aliases s
                 for j in range(width):
                     self._post[(i, j)] = self._pre[(i, j)]
-        self.margin_index: int | None = None
-        if prop is not None:
-            if len(prop.margin) == 1 and prop.margin[0][1] == 1:
-                self.margin_index = self.output_index(prop.margin[0][0])
-            else:
-                self.margin_index = idx
-                idx += 1
         self.n_vars = idx
+        self.margin: dict[int, Fraction] = {} if prop is None else {
+            self.output_index(j): coeff for j, coeff in prop.margin if coeff}
+        # the output variable a one-output, coefficient-1 margin equals, else
+        # None; only `perfbench/families.py` reads it
+        self.margin_index: int | None = None
+        if list(self.margin.values()) == [1]:
+            self.margin_index, = self.margin
 
     def input_index(self, k: int) -> int:
         return self._input[k]
@@ -207,11 +208,6 @@ class VariableLayout:
 
     def output_index(self, j: int) -> int:
         return self._post[(len(self.net.layers), j)]
-
-    @property
-    def margin_is_aliased(self) -> bool:
-        last = len(self.net.layers)
-        return self.margin_index in {self._post[(last, j)] for j in range(self.net.output_dim)}
 
 
 def build_layout(net: Network, prop: SafetyProperty | None = None) -> VariableLayout:
@@ -250,7 +246,7 @@ def forward_eval(net: Network, x) -> Trace:
     return Trace(tuple(pre), tuple(post))
 
 
-def trace_vector(net: Network, layout: VariableLayout, x, prop: SafetyProperty | None = None) -> dict[int, Fraction]:
+def trace_vector(net: Network, layout: VariableLayout, x) -> dict[int, Fraction]:
     """Full assignment of the layout variables induced by an exact trace."""
     trace = forward_eval(net, x)
     v = {layout.input_index(k): Fraction(q) for k, q in enumerate(x)}
@@ -258,8 +254,6 @@ def trace_vector(net: Network, layout: VariableLayout, x, prop: SafetyProperty |
         for j in range(len(net.layers[i - 1].weights)):
             v[layout.pre_index((i, j))] = trace.pre[i - 1][j]
             v[layout.post_index((i, j))] = trace.post[i - 1][j]
-    if prop is not None and layout.margin_index is not None and not layout.margin_is_aliased:
-        v[layout.margin_index] = prop.margin_value(trace.outputs)
     return v
 
 

@@ -6,18 +6,18 @@ carries its row and rhs, since its tag, a dual certificate over earlier
 rows, does not determine them.  The checker replays a leaf's rows once,
 over the scope its path gives: the problem's region cut down by the domain
 splits above the leaf, and the phases the phase splits above it commit.
-It builds them in id order: affine, margin-definition and
-negated-property rows from the problem, region rows from the scope's
-region, guard rows as row k of a phase's guard consequences (a guard row
-may commit only a phase the path commits), a stabilize row as row 0 of
-them, its phase equality, a unit's interval rows by interval arithmetic
-over the intervals that earlier rows prove for its sources, hull rows as
-row k of the envelope over the interval that earlier single-variable rows
-prove, and derived rows by checking their certificate over the rows built
-so far.  A row the checker cannot build, malformed or not following from
-the rows before it, is reported with its id at its leaf.  It then checks
-the leaf's certificates over those rows and verifies that split
-annotations cover each parent.
+It builds them in id order: affine rows and the negated property,
+`-margin <= -(threshold + epsilon)` as a row over the outputs, from the
+problem, region rows from the scope's region, guard rows as row k of a
+phase's guard consequences (a guard row may commit only a phase the path
+commits), a stabilize row as row 0 of them, its phase equality, a unit's
+interval rows by interval arithmetic over the intervals that earlier rows
+prove for its sources, hull rows as row k of the envelope over the
+interval that earlier single-variable rows prove, and derived rows by
+checking their certificate over the rows built so far.  A row the checker
+cannot build, malformed or not following from the rows before it, is
+reported with its id at its leaf.  It then checks the leaf's certificates
+over those rows and verifies that split annotations cover each parent.
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.
@@ -41,8 +41,9 @@ rows are also those a `stabilize` tag names.  None of `certs`, `store` and
 Every leaf has one kind: a cover of guarded Farkas certificates over its
 rows, which contain the negated-property row.  A tree node may also carry
 a margin bound `margin <= beta` over its scope: a leaf by a dual
-certificate over its rows, a split by the maximum of its two children's
-bounds, since their scopes split the parent's.  Derived rows, the rows
+certificate over its rows whose objective is the margin's row over the
+outputs, a split by the maximum of its two children's bounds, since their
+scopes split the parent's.  Derived rows, the rows
 built over their bounds, and margin bounds therefore hold only given the
 negated property.  That is sound for the one claim a proof makes, UNSAT:
 the tree shows that the negated property is infeasible on every path.
@@ -89,7 +90,7 @@ from .store import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FORMAT = "relucert-proof-7"
+FORMAT = "relucert-proof-8"
 
 
 @dataclass(frozen=True)
@@ -277,16 +278,6 @@ def _affine_row(pb: _Problem, i: int, j: int) -> LinearConstraint:
     return _constraint(row, EQ, layer.bias[j])
 
 
-def _margin_def_row(pb: _Problem) -> LinearConstraint:
-    if pb.layout.margin_is_aliased:
-        raise _Rejected("margin-def row for aliased margin")
-    row = {pb.layout.margin_index: _ONE}
-    for idx, coeff in pb.prop.margin:
-        oi = pb.layout.output_index(idx)
-        row[oi] = row.get(oi, _ZERO) - coeff
-    return _constraint(row, EQ, _ZERO)
-
-
 def _phase_row(pb: _Problem, unit, phase, k) -> LinearConstraint:
     rows = guard_consequences(pb.layout, GuardLiteral(unit, phase))
     if _json_int(k) not in range(len(rows)):
@@ -361,8 +352,6 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
     if kind == "aff":
         _, i, j = tag
         return _affine_row(pb, *_unit((i, j)))
-    if kind == "margin-def":
-        return _margin_def_row(pb)
     if kind == "region":
         _, k, side = tag
         if _json_int(k) not in range(pb.net.input_dim) or side not in ("lo", "hi"):
@@ -372,7 +361,8 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
             return _constraint({xi: _ONE}, LE, region.upper[k])
         return _constraint({xi: -_ONE}, LE, -region.lower[k])
     if kind == "negp":
-        return _constraint({pb.layout.margin_index: -_ONE}, LE, -pb.prop.violation_threshold)
+        return _constraint({j: -q for j, q in pb.layout.margin.items()}, LE,
+                           -pb.prop.violation_threshold)
     if kind == "guard":
         _, i, j, phase, k = tag
         return _phase_row(pb, _unit((i, j)), phase, k)
@@ -570,7 +560,7 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
         return ACCEPTED, None
     bound = node["bound"]
     try:
-        cert = DualBoundCertificate.make({pb.layout.margin_index: _ONE},
+        cert = DualBoundCertificate.make(pb.layout.margin,
                                          parse_rational(bound["beta"]),
                                          _parse_multipliers(bound["multipliers"]))
     except _MALFORMED as exc:

@@ -10,11 +10,11 @@ derived rows), stabilization of units whose bound rows fix their sign
 states the sign), and one closing LP that prunes with a Farkas
 certificate or leaves the node open at a point of its rows.  Below the
 root the closing LP maximizes the margin without the negated property,
-which also proves the margin bound the node's leaf records.  Propagation
-makes every such bound LP: a node below the root that back-substitution
-or a TGCT LP refutes first makes the margin LP for its bound alone.  The
-root therefore makes no LP when back-substitution refutes it; a node below
-the root makes at least the one LP that proves its bound.
+which also proves the margin bound the node's leaf records.  One function,
+`_margin_lp`, makes every such bound LP: a node below the root that
+back-substitution or a TGCT LP refutes first makes it for its bound alone.
+The root therefore makes no LP when back-substitution refutes it; a node
+below the root makes at least the one LP that proves its bound.
 """
 
 from __future__ import annotations
@@ -190,12 +190,12 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
     Start from the negated property `-margin <= -(threshold + epsilon)`, and
     cancel the highest-index variable left, again and again, with one row
     at a nonnegative multiplier; each row brings in only variables of lower
-    index, so the sum ends on the inputs.  The rows: margin-def for the
-    margin auxiliary, a side of the affine equality for a pre-activation,
-    a side of the phase equality for the post-activation of a committed or
-    stabilized unit; for an unstable unit's post-activation the hull chord
-    (row 2) as its upper bound, and as its lower bound `z >= s` (row 1)
-    when `hi > -lo`, else `z >= 0` (row 0); the region rows for an input.
+    index, so the sum ends on the inputs.  The rows: a side of the affine
+    equality for a pre-activation, a side of the phase equality for the
+    post-activation of a committed or stabilized unit; for an unstable
+    unit's post-activation the hull chord (row 2) as its upper bound, and
+    as its lower bound `z >= s` (row 1) when `hi > -lo`, else `z >= 0`
+    (row 0); the region rows for an input.
     This is a DeepPoly back-substitution of the margin's upper bound.  If
     the sum reads `0 <= rho` with rho < 0, its multipliers are a Farkas
     certificate, checked over the rows they cite and returned; else None.
@@ -231,9 +231,7 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
     while coef:
         j = max(coef)
         a = coef[j]
-        if j == layout.margin_index and store.margin_def_id is not None:
-            cancel_by_equality(store.margin_def_id, j, a)
-        elif j in post:
+        if j in post:
             unit = post[j]
             if unit in store.phase_ids:
                 cancel_by_equality(store.phase_ids[unit], j, a)
@@ -324,15 +322,15 @@ def _margin_lp(store: Store, budget: Budget,
     INFEASIBLE refutes the node and proves no bound; an optimum beta is the
     node's margin bound, and refutes it when beta < threshold + epsilon,
     by the dual plus the negated-property row; a larger optimum is a point
-    of every row, the negated property included."""
+    of every row, the negated property included.  Every variable of a
+    node's rows is bounded, by region, interval or derived rows, phase
+    equalities, hull rows 0 and 3 or, for an identity output, its affine
+    row, so the margin has a maximum whenever the rows are feasible."""
     budget.count_lp()
-    g = {store.layout.margin_index: _ONE}
+    g = store.layout.margin
     out = lp.lp_max(store.without_negp(), g)
     if out.status == lp.LIMIT:
         raise Exhausted()
-    if out.status == lp.UNBOUNDED:
-        # not over a box; if it happens, the margin has no bound to record
-        return _feasibility_lp(store, budget, result)
     if out.status == lp.INFEASIBLE:
         return FarkasCertificate.make(out.dual)
     result.evidence = DualBoundCertificate.make(g, out.value, out.dual)
@@ -340,21 +338,6 @@ def _margin_lp(store: Store, budget: Budget,
         return _checked_farkas(store, {**out.dual, ("c", store.negp_id, "le"): _ONE})
     result.feasible_point = out.primal
     return None
-
-
-def _margin_evidence(store: Store, budget: Budget) -> DualBoundCertificate | None:
-    """The margin bound of the store's rows without the negated property,
-    for a node that back-substitution or a TGCT LP refuted before its
-    margin LP.  A spent budget makes no LP: the leaf then carries no
-    bound."""
-    if not budget.lp_ok():
-        return None
-    budget.count_lp()
-    g = {store.layout.margin_index: _ONE}
-    out = lp.lp_max(store.without_negp(), g)
-    if out.status != lp.OPTIMAL:
-        return None
-    return DualBoundCertificate.make(g, out.value, out.dual)
 
 
 def propagate_node(store: Store, budget: Budget, templates: str = "default",
@@ -367,10 +350,12 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
     without the negated property), the margin LP over those rows, which
     both decides the node and proves the bound (`_margin_lp`).  A node
     with `margin` that back-substitution or a TGCT LP refutes first makes
-    that LP for the bound alone (`_margin_evidence`).  Either way
+    that LP for the bound alone and keeps its refutation; a spent budget
+    makes no LP, and the leaf then carries no bound.  Either way
     `evidence` is the bound of the final rows.  Prune carries an accepted
     Farkas certificate, an open node a point of all its rows.  Raises
-    `Exhausted` as `tgct` does."""
+    `Exhausted` as `tgct` does, and when a margin LP hits its iteration
+    limit."""
     result = PropagationResult("open")
     for _ in range(MAX_PASSES):
         result.iterations += 1
@@ -391,8 +376,8 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
             result.stability_certs.extend(settled)
             budget.stabilized += len(settled)
             farkas = (_margin_lp if margin else _feasibility_lp)(store, budget, result)
-        elif margin:
-            result.evidence = _margin_evidence(store, budget)
+        elif margin and budget.lp_ok():
+            _margin_lp(store, budget, result)
         if farkas is not None:
             result.status = "prune"
             result.farkas = farkas

@@ -57,7 +57,9 @@ _HALF = Fraction(1, 2)
 
 
 class NothingToSplit(Exception):
-    pass
+    """`pick_split` on a node with no unstable unit: a fault, not an
+    UNKNOWN.  Every unit of such a node has its phase equality, so its LP
+    point is an exact trace that meets the negated property, a witness."""
 
 
 class CapExceeded(Exception):
@@ -141,20 +143,19 @@ class VerifyResult:
 # -- refinement -------------------------------------------------------------
 
 
-def pick_split(store: Store, region: Region) -> tuple:
-    """Phase split on the widest-straddling unit; domain split otherwise."""
-    if store.unstable:
-        unit = min(store.unstable,
-                   key=lambda u: (-min(-store.bounds.pre[u][0], store.bounds.pre[u][1]), u))
-        return ("phase", unit)
-    return _domain_split(region)
+def pick_split(store: Store) -> tuple:
+    """Phase split on the widest-straddling unit."""
+    if not store.unstable:
+        raise NothingToSplit()
+    unit = min(store.unstable,
+               key=lambda u: (-min(-store.bounds.pre[u][0], store.bounds.pre[u][1]), u))
+    return ("phase", unit)
 
 
 def _domain_split(region: Region) -> tuple:
+    """Bisect the widest edge of the box, the first on a tie."""
     widths = [hi - lo for lo, hi in zip(region.lower, region.upper)]
     dim = max(range(len(widths)), key=lambda k: (widths[k], -k))
-    if widths[dim] == 0:
-        raise NothingToSplit()
     mid = (region.lower[dim] + region.upper[dim]) * _HALF
     return ("domain", dim, mid)
 
@@ -204,9 +205,6 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
 
     def sat(x) -> _Verdict:
         return _Verdict(VerifyResult("sat", witness=x, budget=budget))
-
-    def unknown(reason: str) -> _Verdict:
-        return _Verdict(VerifyResult("unknown", reason=reason, budget=budget))
 
     def close(region, alpha, store: Store, certs, bound) -> ProofLeaf:
         """Leaf over the store's rows, with the margin bound `bound` (a
@@ -265,12 +263,8 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         if not budget.lp_ok():
             raise Exhausted()
         if depth >= config.max_depth:
-            raise unknown("depth")
-        try:
-            kind = pick_split(store, region)
-        except NothingToSplit:
-            raise unknown("nothing-to-split") from None
-        return split(region, alpha, depth, kind)
+            raise _Verdict(VerifyResult("unknown", reason="depth", budget=budget))
+        return split(region, alpha, depth, pick_split(store))
 
     try:
         # falsify first: `validate_witness` is exact, so a hit is a

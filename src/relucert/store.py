@@ -204,7 +204,6 @@ class Store:
         self.hull_bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
         self.aff_ids: dict[Unit, int] = {}
         self.region_ids: dict[int, tuple[int, int]] = {}    # input -> (hi cid, lo cid)
-        self.margin_def_id: int | None = None               # None when the margin aliases an output
         self.negp_id: int | None = None
 
     # -- mutation ---------------------------------------------------------
@@ -321,20 +320,14 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
                 row[src] = row.get(src, Fraction(0)) - w
             store.aff_ids[(i, j)] = store.add(LinearConstraint(row, EQ, b, AFF, ("aff", i, j)))
 
-    if layout.margin_index is not None and not layout.margin_is_aliased:
-        row = {layout.margin_index: one}
-        for idx, coeff in prop.margin:
-            row[layout.output_index(idx)] = row.get(layout.output_index(idx), Fraction(0)) - coeff
-        store.margin_def_id = store.add(LinearConstraint(row, EQ, Fraction(0), AFF, ("margin-def",)))
-
     for k in range(net.input_dim):
         xi = layout.input_index(k)
         store.region_ids[k] = (
             store.add(LinearConstraint({xi: one}, LE, region.upper[k], REGION, ("region", k, "hi"))),
             store.add(LinearConstraint({xi: -one}, LE, -region.lower[k], REGION, ("region", k, "lo"))))
 
-    mvar = layout.margin_index
-    store.negp_id = store.add(LinearConstraint({mvar: -one}, LE, -prop.violation_threshold,
+    # the negated property, -margin <= -(threshold + epsilon), over the outputs
+    store.negp_id = store.add(LinearConstraint(_neg(layout.margin), LE, -prop.violation_threshold,
                                                NEGP, ("negp",)))
 
     for unit in sorted(alpha):

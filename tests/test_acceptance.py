@@ -135,7 +135,7 @@ class TestAcceptance:
         layout = layout_of(net, prop)
         for leaf, scope, alpha in scoped_leaves(root, region):
             cert = leaf.evidence
-            assert cert.objective_dict == {layout.margin_index: F(1)}
+            assert cert.objective_dict == layout.margin
             assert check_dual(leaf_system((net, region, prop), leaf, scope, alpha), cert).ok
         # the merged lemma y <= 1 is the root split's bound
         assert root.bound == F(1)
@@ -273,7 +273,7 @@ class TestAcceptance:
         assert res.status == "unsat" and res.tree.bound is not None
         # the root split's merged bound, margin <= beta, as one more row
         layout = build_layout(net, prop)
-        bound_row = NormRow({layout.margin_index: F(1)}, res.tree.bound,
+        bound_row = NormRow(dict(layout.margin), res.tree.bound,
                             ("c", 10 ** 6, "le"))
 
         checked = 0

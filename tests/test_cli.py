@@ -26,7 +26,7 @@ from relucert.cli import (
     build_parser,
     main,
 )
-from relucert.model import validate_witness
+from relucert.model import IDENTITY, Layer, Network, SafetyProperty, validate_witness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +140,17 @@ class TestVerify:
             code, _, err = _run(capsys, *argv)
             assert code == EXIT_USAGE and "duplicated key '0'" in err, argv
 
+    @pytest.mark.parametrize("coeff", ["0", "0/3", "-0"])
+    def test_all_zero_margin_is_usage_error(self, capsys, tmp_path, coeff):
+        # the negated property of a zero margin would be an empty row
+        doc = json.loads(Path(WORKED).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "margin": {"0": coeff}}))
+        for argv in (("verify", str(bad)), ("check", str(bad), "nope.proof"),
+                     ("oracle", str(bad))):
+            code, _, err = _run(capsys, *argv)
+            assert code == EXIT_USAGE and "nonzero coefficient" in err, (coeff, argv)
+
     def test_exhausted_budget_reports_unknown(self, capsys):
         code, out, _ = _run(capsys, "verify", WORKED_SAT, "--lp-budget", "1")
         assert code == EXIT_UNKNOWN
@@ -204,6 +215,23 @@ class TestCheck:
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         code, out, _ = _run(capsys, "check", WORKED, str(proof))
         assert code == 1 and "REJECT path=" in out
+
+    def test_general_margin_proof_round_trips(self, capsys, tmp_path):
+        # outputs y0 = relu(2x-1) - relu(1/2-x) and y1 = relu(1/2-x); the
+        # margin y0 - y1 is at most 1 on [0, 1], below 1 + 1/10
+        net = worked_network()
+        two = Network(net.layers[:1] + (Layer(((F(1), F(-1)), (F(0), F(1))), (F(0), F(0)),
+                                              IDENTITY),), 1, 2)
+        problem, proof = tmp_path / "two.json", tmp_path / "two.proof"
+        dump_problem(two, worked_region(),
+                     SafetyProperty(((0, F(1)), (1, F(-1))), F(1), F(1, 10)), problem)
+        for strategy in ("icl", "hsrv"):
+            code, out, _ = _run(capsys, "verify", str(problem), "--strategy", strategy,
+                                "--emit-proof", str(proof))
+            assert code == EXIT_UNSAT and "UNSAT" in out, strategy
+            assert b'["negp"]' in proof.read_bytes()
+            code, out, _ = _run(capsys, "check", str(problem), str(proof))
+            assert code == 0 and out.strip() == "ACCEPT", strategy
 
     def test_missing_proof_file_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "check", WORKED, "nope.proof")

@@ -97,6 +97,12 @@ class TestSafetyProperty:
         with pytest.raises(ValueError):
             SafetyProperty(((0, F(1)), (0, F(2))), F(0), F(0))
 
+    @pytest.mark.parametrize("margin", [(), ((0, F(0)),), ((0, F(0)), (1, F(0)))])
+    def test_all_zero_margin_rejected(self, margin):
+        # the negated property would be an empty row
+        with pytest.raises(ValueError, match="nonzero"):
+            SafetyProperty(margin, F(0), F(0))
+
     def test_violation_threshold(self):
         assert worked_prop().violation_threshold == F(11, 10)
 
@@ -121,17 +127,26 @@ class TestLayout:
     def test_unit_coefficient_margin_aliases_the_output(self):
         net = worked_network()
         layout = build_layout(net, worked_prop())
-        assert layout.margin_is_aliased
+        assert layout.margin == {layout.output_index(0): 1}
         assert layout.margin_index == layout.output_index(0)
         assert layout.n_vars == 6
 
-    def test_general_margin_gets_a_fresh_variable(self):
+    def test_general_margin_allocates_no_variable(self):
+        # the margin is a row over the outputs, its nonzero coefficients only
         net = worked_network()
-        prop = SafetyProperty(((0, F(2)),), F(1), F(0))
-        layout = build_layout(net, prop)
-        assert not layout.margin_is_aliased
-        assert layout.margin_index == 6
-        assert layout.n_vars == 7
+        two = Network(net.layers[:1] + (Layer(((F(1), F(-1)), (F(0), F(1))), (F(0), F(0)),
+                                              IDENTITY),), 1, 2)
+        bare = build_layout(two)
+        out0, out1 = bare.output_index(0), bare.output_index(1)
+        for network, margin, row in [
+                (net, ((0, F(2)),), {5: F(2)}),
+                (net, ((0, F(1, 3)),), {5: F(1, 3)}),
+                (two, ((0, F(1)), (1, F(-1))), {out0: F(1), out1: F(-1)}),
+                (two, ((0, F(0)), (1, F(1))), {out1: F(1)})]:
+            layout = build_layout(network, SafetyProperty(margin, F(1), F(0)))
+            assert layout.margin == row
+            assert layout.n_vars == build_layout(network).n_vars == 5 + network.output_dim
+            assert layout.margin_index == (out1 if row == {out1: 1} else None)
 
 
 class TestForwardEval:
@@ -171,11 +186,11 @@ class TestForwardEval:
     def test_trace_vector_assigns_every_variable(self):
         net, prop = worked_network(), worked_prop()
         layout = layout_of(net, prop)
-        v = trace_vector(net, layout, (F(3, 4),), prop)
+        v = trace_vector(net, layout, (F(3, 4),))
         assert v[layout.input_index(0)] == F(3, 4)
         assert v[layout.pre_index((1, 0))] == F(1, 2)
         assert v[layout.post_index((1, 1))] == F(0)
-        assert v[layout.margin_index] == F(1, 2)
+        assert v[layout.output_index(0)] == F(1, 2)
 
 
 class TestWitnessValidation:

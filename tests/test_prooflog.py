@@ -18,7 +18,7 @@ from conftest import (
 )
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
-from relucert.model import ACTIVE, INACTIVE, build_layout, format_rational
+from relucert.model import ACTIVE, INACTIVE, SafetyProperty, build_layout, format_rational
 from relucert.search import Config, hsrv_verify, icl_verify
 from relucert.store import GuardLiteral
 
@@ -96,7 +96,7 @@ class TestSerialization:
     def _old_format_rejected(self, n, config=None):
         data = _proof_bytes(config)
         current = f'"format":"{prooflog.FORMAT}"'.encode()
-        assert prooflog.FORMAT == "relucert-proof-7" and current in data
+        assert prooflog.FORMAT == "relucert-proof-8" and current in data
         old = data.replace(current, f'"format":"relucert-proof-{n}"'.encode())
         out = prooflog.check_proof(_problem(), old, WORKED)
         assert not out.accepted and out.path == "document"
@@ -125,6 +125,11 @@ class TestSerialization:
         # proof-6 kept each leaf's rows in a table of snapshots, each with
         # its region, which the leaf's certificates cited by id
         self._old_format_rejected(6, Config(first_split="domain"))
+
+    def test_format_7_document_rejected(self):
+        # proof-7 gave a margin other than one output with coefficient 1 a
+        # variable of its own, defined by a `margin-def` row
+        self._old_format_rejected(7, Config(first_split="domain"))
 
     def test_only_derived_rows_carry_a_row(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
@@ -231,6 +236,21 @@ class TestTargetedRejections:
         out = prooflog.check_proof(_problem(), data)
         assert not out.accepted and out.reason.endswith(
             f"row {next_id}: guard row for uncommitted phase (1, 0):active"), out
+
+    def test_margin_def_row_rejected(self, tmp_path):
+        # the margin is a row over the outputs and has no variable to define
+        net, region = worked_network(), worked_region()
+        prop = SafetyProperty(((0, F(2)),), F(2), F(1, 10))
+        path = tmp_path / "p.json"
+        dump_problem(net, region, prop, path)
+        res = icl_verify(net, region, prop)
+        doc = prooflog.parse_proof(prooflog.emit(res.tree, path))
+        assert prooflog.check_proof((net, region, prop), _dumps(doc), str(path)).accepted
+        rows = doc["tree"]["rows"]
+        rows.append({"id": max(r["id"] for r in rows) + 1, "derivation": ["margin-def"]})
+        out = prooflog.check_proof((net, region, prop), _dumps(doc), str(path))
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason.endswith("unknown derivation kind margin-def"), out
 
     def test_leaf_without_rows_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())

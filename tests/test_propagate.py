@@ -82,7 +82,7 @@ class TestHullInsertion:
         net, layout = store.net, store.layout
         for t in range(9):
             x = F(t, 8)
-            point = trace_vector(net, layout, (x,), store.prop)
+            point = trace_vector(net, layout, (x,))
             for unit in ((1, 0), (1, 1)):
                 for cid in store.hull_ids[unit]:
                     c = store.constraints[cid]
@@ -121,7 +121,7 @@ class TestBoundRows:
             seed = interval_bounds(store.net, store.region, {})
             region = store.region
             points = [trace_vector(store.net, store.layout, tuple(
-                lo + (hi - lo) * F(t, 4) for lo, hi in zip(region.lower, region.upper)), store.prop)
+                lo + (hi - lo) * F(t, 4) for lo, hi in zip(region.lower, region.upper)))
                 for t in range(5)]
             for unit in store.bound_rows:
                 up, low = _bound_rows(store, unit)
@@ -340,18 +340,32 @@ class TestFixedPoint:
         assert calls and all(added <= 2 * units for units, added in calls), calls
         assert any(added for _, added in calls)
 
-    def test_margin_bound_made_after_an_early_refutation(self):
+    def test_margin_bound_made_after_an_early_refutation(self, monkeypatch):
         # back-substitution refutes the worked store with no LP; with
         # `margin` the node then makes the margin LP for its bound alone,
-        # unless the budget is spent, and then it has no bound
+        # and keeps the refutation, unless the budget is spent, and then it
+        # has no bound
+        calls = []
+        real = propagate._margin_lp
+
+        def spy(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(propagate, "_margin_lp", spy)
+        fresh = _store()
+        ensure_relaxation(fresh)
+        refutation = back_substitute(fresh)
         store = _store()
         budget = Budget()
         res = propagate_node(store, budget, margin=True)
-        assert res.status == "prune" and budget.lp_calls == 1
+        assert res.status == "prune" and budget.lp_calls == 1 and len(calls) == 1
+        assert res.farkas == refutation
         assert certs.check_dual(store.without_negp(), res.evidence).ok
         spent = Budget(lp_limit=0)
         res = propagate_node(_store(), spent, margin=True)
         assert res.status == "prune" and spent.lp_calls == 0 and res.evidence is None
+        assert len(calls) == 1
 
     def test_open_nodes_keep_a_sound_relaxation(self):
         """The fixed-point store must still admit every true network trace."""
@@ -367,7 +381,7 @@ class TestFixedPoint:
             margin = store.prop.margin_value(forward_eval(net, x).outputs)
             if margin < store.prop.violation_threshold:
                 continue  # the negated-property row rightly excludes this trace
-            point = trace_vector(net, layout, x, store.prop)
+            point = trace_vector(net, layout, x)
             for r in store.normalize().rows:
                 lhs = sum((q * point.get(j, F(0)) for j, q in r.row.items()), F(0))
                 assert lhs <= r.rhs

@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
     dump_problem,
     layout_of,
     leaf_system,
+    rand_rational,
     random_instance,
     scoped_leaves,
     worked_network,
@@ -23,8 +25,17 @@ from conftest import (
 )
 from relucert import certs, lp, prooflog, propagate
 from relucert.budget import Budget
-from relucert.model import ACTIVE, INACTIVE, Region, build_layout, validate_witness
-from relucert.propagate import _margin_evidence, propagate_node
+from relucert.model import (
+    ACTIVE,
+    IDENTITY,
+    INACTIVE,
+    Layer,
+    Network,
+    Region,
+    build_layout,
+    validate_witness,
+)
+from relucert.propagate import PropagationResult, _margin_lp, propagate_node
 from relucert.search import (
     CapExceeded,
     Config,
@@ -53,15 +64,50 @@ class TestRefinement:
     def test_phase_split_prefers_widest_straddling_unit(self):
         net, prop = worked_network(), worked_prop("1/2")
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-        kind = pick_split(store, worked_region())
+        kind = pick_split(store)
         assert kind == ("phase", (1, 0))  # min(-l, u) = 1 beats 1/2
 
-    def test_domain_split_once_every_unit_is_settled(self):
+    def test_no_unstable_unit_is_a_fault(self):
+        # every unit then has its phase equality, so the node's LP point is
+        # a witness and the search never asks for a split
         net, prop = worked_network(), worked_prop("1/2")
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-        propagate_node(store, Budget())  # certified tightening settles both units
-        assert not store.unstable
-        assert pick_split(store, worked_region()) == ("domain", 0, F(1, 2))
+        res = propagate_node(store, Budget())  # certified tightening settles both units
+        assert not store.unstable and res.status == "open"
+        assert validate_witness(net, worked_region(), prop,
+                                (res.feasible_point.get(0, F(0)),)).accepted
+        with pytest.raises(NothingToSplit):
+            pick_split(store)
+
+    def test_every_split_finds_an_unstable_unit(self, monkeypatch):
+        """Over the acceptance suite with the default flags and the
+        benchmark's `branching` family (both family seeds) with its own,
+        under both drivers, every node that asks for a split has an
+        unstable unit."""
+        from relucert import search
+        from test_acceptance import _spec_suite
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import families
+
+        branching = families.WORKLOADS["branching"]
+        assert branching.flags == ("--templates", "margin-only", "--gate-budget", "1")
+        runs = [(problem, Config()) for problem in _spec_suite(100)]
+        runs += [(inst.problem, TestBranchingOracleAgreement.CONFIG)
+                 for seed in (families.MIXED_SEED, families.HELD_OUT_SEED)
+                 for inst in families.family(branching, seed)]
+        unstable = []
+        pick = search.pick_split
+
+        def spy(store):
+            unstable.append(len(store.unstable))
+            return pick(store)
+
+        monkeypatch.setattr(search, "pick_split", spy)
+        for problem, config in runs:
+            for driver in (icl_verify, hsrv_verify):
+                driver(*problem, config)
+        assert len(unstable) >= 60 and all(unstable), unstable
 
     def test_phase_split_children_commit_complementary_phases(self):
         kids = refine(worked_region(), {}, ("phase", (1, 0)))
@@ -77,10 +123,6 @@ class TestRefinement:
         assert kids[0][0] == Region((F(0),), (F(1, 2),))
         assert kids[1][0] == Region((F(1, 2),), (F(1),))
         assert all(alpha == {(1, 0): ACTIVE} for _, alpha in kids)
-
-    def test_degenerate_region_has_nothing_to_split(self):
-        with pytest.raises(NothingToSplit):
-            _domain_split(Region((F(1),), (F(1),)))
 
     def test_forced_domain_split_of_a_zero_width_box_is_skipped(self):
         # the worked network over [0, 0]: with nothing to split, the forced
@@ -158,7 +200,7 @@ class TestMergeDemo:
         layout = layout_of(worked_network(), worked_prop())
         problem = (worked_network(), worked_region(), worked_prop())
         for leaf, region, alpha in scoped_leaves(res.tree, worked_region()):
-            assert leaf.evidence.objective_dict == {layout.margin_index: F(1)}
+            assert leaf.evidence.objective_dict == layout.margin
             assert certs.check_dual(leaf_system(problem, leaf, region, alpha), leaf.evidence).ok
 
     def test_merged_lemma_bounds_the_output_by_one(self):
@@ -235,8 +277,7 @@ def _max_margin(net, region, prop):
     for phases in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
         alpha = {**fixed, **dict(zip(free, phases))}
         store = build_initial_store(net, layout, region, prop, alpha)
-        out = lp.lp_max(store.normalize(exclude=lambda cid, c: c.block == NEGP),
-                        {layout.margin_index: F(1)})
+        out = lp.lp_max(store.normalize(exclude=lambda cid, c: c.block == NEGP), layout.margin)
         if out.status == lp.OPTIMAL and (best is None or out.value > best):
             best = out.value
     return best
@@ -256,6 +297,78 @@ def tightened(idx, gap=F(1, 1000)):
     one."""
     net, region, prop, maximum = _suite_maximum(idx)
     return net, region, SafetyProperty(prop.margin, maximum + gap - prop.epsilon, prop.epsilon)
+
+
+#: (outputs, margin) of `general_margin_suite`: y0 - y1 over two outputs,
+#: one output with coefficient 2, -1 or 1/3, and one output with a zero
+#: coefficient on a second
+GENERAL_MARGINS = (
+    (2, ((0, F(1)), (1, F(-1)))),
+    (1, ((0, F(2)),)),
+    (1, ((0, F(-1)),)),
+    (1, ((0, F(1, 3)),)),
+    (2, ((0, F(2)), (1, F(0)))),
+    (2, ((0, F(0)), (1, F(-1)))),
+    (2, ((0, F(1, 3)), (1, F(0)))),
+)
+
+
+def general_margin_suite(count, seed=20241018):
+    """`count` problems of the acceptance suite's shape (<= 3 hidden layers,
+    <= 4 neurons per layer, denominators <= 8, <= 6 units unstable at the
+    root), their margins in turn those of GENERAL_MARGINS; a second output
+    gets a random row.  Every second problem has threshold + epsilon 1/1000
+    above or below the exact maximum margin, in turn; the others keep their
+    random threshold."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        net, region, prop = random_instance(rng, max_hidden_layers=3, max_width=4, max_den=8)
+        if _count_unstable(net, region) > 6:
+            continue
+        outputs, margin = GENERAL_MARGINS[len(out) % len(GENERAL_MARGINS)]
+        if outputs == 2:
+            last = net.layers[-1]
+            row = tuple(rand_rational(rng, 8) for _ in last.weights[0])
+            net = Network(net.layers[:-1] + (Layer(last.weights + (row,), last.bias + (
+                rand_rational(rng, 8),), IDENTITY),), net.input_dim, 2)
+        prop = SafetyProperty(margin, prop.threshold, prop.epsilon)
+        if len(out) % 2:
+            gap = F(1, 1000) if len(out) % 4 == 1 else F(-1, 1000)
+            prop = SafetyProperty(margin, _max_margin(net, region, prop) + gap - prop.epsilon,
+                                  prop.epsilon)
+        out.append((net, region, prop))
+    return out
+
+
+class TestGeneralMargins:
+    """Margins other than one output with coefficient 1, end to end: each
+    verdict is the oracle's under both drivers, with the default flags and
+    with margin-only templates and a one-LP gate, each witness validates and
+    each proof is ACCEPTed."""
+
+    def test_verdicts_match_the_oracle_and_proofs_replay(self, tmp_path):
+        seen = Counter()
+        for idx, (net, region, prop) in enumerate(general_margin_suite(56)):
+            truth = oracle_verify(net, region, prop)
+            if idx % 2:  # threshold + epsilon 1/1000 above or below the maximum
+                assert truth.status == ("unsat" if idx % 4 == 1 else "sat"), idx
+            path = tmp_path / f"g{idx}.json"
+            dump_problem(net, region, prop, path)
+            for config in (Config(), TestBranchingOracleAgreement.CONFIG):
+                for driver in (icl_verify, hsrv_verify):
+                    res = driver(net, region, prop, config)
+                    where = (idx, config.templates, driver.__name__)
+                    assert res.status == truth.status, where
+                    seen[res.status] += 1
+                    seen["splits"] += res.budget.splits
+                    if res.status == "sat":
+                        assert validate_witness(net, region, prop, res.witness).accepted, where
+                        continue
+                    out = prooflog.check_proof((net, region, prop),
+                                               prooflog.emit(res.tree, path), str(path))
+                    assert out.accepted, (where, out)
+        assert seen["sat"] >= 40 and seen["unsat"] >= 40 and seen["splits"] >= 1
 
 
 def _splits(entry):
@@ -468,12 +581,14 @@ class TestProofPins:
     moved into the leaf, each cover item's certificate in place of its
     `{"cert", "snapshot"}` item, the snapshot table, every snapshot id and
     region and the root region dropped, every `stabilize` tag without its
-    trailing 0, and the new format string."""
+    trailing 0, and the new format string.  All three were re-pinned when
+    the format became `relucert-proof-8`: each proof is the
+    `relucert-proof-7` proof with only its format string replaced."""
 
     PINS = {
-        "worked": "95e174eef252bd6e5f28afab00a8da0b3a3bfdaa7bee46f54f832363527353b6",
-        57: "fe471b70abd8588439b175bb4e23d9a6a767f8206a3538bead1bd4c1827b79fa",
-        89: "f32b404cf6a4f013593e55e293029dc13276cdcfbe3f099087ada45befe4b0af",
+        "worked": "ee0019398b7a86410087cc5281883a55c91b5120a2529bb56c11f38528f8b4f1",
+        57: "69f01190e2b8b38f4b35480e04fe6643df62829d46c21f5e93d9fc5daa6cb6a3",
+        89: "7394dea9e354be0ab1a691fb231e35d9abb8713b49be164c5165ba9b9f5dca1a",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
@@ -503,8 +618,9 @@ class TestMarginEvidence:
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
             if propagate_node(store, Budget()).status != "open":
                 continue
-            ev = _margin_evidence(store, Budget())
-            assert ev is None or ev.bound >= prop.violation_threshold
+            res = PropagationResult("open")
+            assert _margin_lp(store, Budget(), res) is None
+            assert res.evidence.bound >= prop.violation_threshold
             opened += 1
         assert opened >= 5
 
@@ -550,21 +666,35 @@ class TestEveryLpIsNew:
 
 class TestLeafBounds:
     """A leaf's margin bound is the maximum of the margin over its rows
-    without the negated property, whichever LP proved it:
-    the node's closing margin LP, or `propagate._margin_evidence` after
-    back-substitution or a TGCT LP refuted the node."""
+    without the negated property, made by `propagate._margin_lp` whether it
+    is the node's closing LP or made after back-substitution or a TGCT LP
+    refuted the node."""
 
     def test_every_leaf_bound_is_its_snapshots_margin_maximum(self, monkeypatch):
         from relucert import propagate
 
         paths = Counter()
-        evidence = propagate._margin_evidence
+        refuted = [False]  # did the node's last refutation attempt succeed
+        back_substitute, tgct, margin_lp = (propagate.back_substitute, propagate.tgct,
+                                            propagate._margin_lp)
+
+        def substituted(*args):
+            out = back_substitute(*args)
+            refuted[0] = out is not None
+            return out
+
+        def tightening(*args):
+            out = tgct(*args)
+            refuted[0] = out.farkas is not None
+            return out
 
         def counted(*args):
-            paths["evidence"] += 1
-            return evidence(*args)
+            paths["after refutation" if refuted[0] else "closing"] += 1
+            return margin_lp(*args)
 
-        monkeypatch.setattr(propagate, "_margin_evidence", counted)
+        monkeypatch.setattr(propagate, "back_substitute", substituted)
+        monkeypatch.setattr(propagate, "tgct", tightening)
+        monkeypatch.setattr(propagate, "_margin_lp", counted)
         worked = (worked_network(), worked_region(), worked_prop())
         runs = [(worked, Config(first_split="domain"))]
         runs += [(tightened(idx), Config(first_split="domain")) for idx in (42, 57, 89)]
@@ -581,10 +711,11 @@ class TestLeafBounds:
                     system = leaf_system(problem, leaf, region, alpha)
                     rows = NormalizedSystem([r for r in system.rows if r.rid[1] not in negp],
                                             system.n_vars)
-                    out = lp.lp_max(rows, {layout.margin_index: F(1)})
+                    out = lp.lp_max(rows, layout.margin)
                     assert out.status == lp.OPTIMAL and out.value == leaf.bound
                     paths["bounds"] += 1
-        assert paths["bounds"] >= 25 and paths["evidence"] >= 2
+        assert paths["bounds"] >= 25 and paths["after refutation"] >= 2
+        assert paths["closing"] >= 10
 
 
 class TestDecisionPins:

@@ -128,3 +128,12 @@ def test_no_dataclass_has_an_exhausted_field():
              for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
              if name == "exhausted"]
     assert not flags, f"exhaustion kept as a flag: {flags}"
+
+
+def test_only_the_layout_reads_margin_index():
+    """The margin is a row over the outputs, `layout.margin`; the solver and
+    the checker read that row alone.  `margin_index` names the output that a
+    one-output, coefficient-1 margin equals, for the benchmark's families."""
+    readers = [path.name for path in MODULES if path.name != "model.py"
+               and "margin_index" in _read_attributes(ast.parse(path.read_text()))]
+    assert not readers, f"modules reading margin_index: {readers}"

@@ -118,7 +118,7 @@ class TestGuardConsequences:
         net, prop = worked_network(), worked_prop()
         layout = layout_of(net, prop)
         # x = 1 puts unit (1,0) active and (1,1) inactive
-        point = trace_vector(net, layout, (F(1),), prop)
+        point = trace_vector(net, layout, (F(1),))
         for lit in (GuardLiteral((1, 0), ACTIVE), GuardLiteral((1, 1), INACTIVE)):
             for r in guard_norm_rows(layout, lit):
                 lhs = sum((q * point.get(j, F(0)) for j, q in r.row.items()), F(0))
@@ -176,14 +176,14 @@ class TestInitialStore:
         prop = worked_prop("1/2")
         layout = layout_of(net, prop)
         store = build_initial_store(net, layout, worked_region(), prop, {})
-        point = trace_vector(net, layout, (F(1),), prop)
+        point = trace_vector(net, layout, (F(1),))
         assert _satisfies(store.normalize(), point)
 
     def test_negated_property_row_excludes_safe_traces(self):
         net, prop = worked_network(), worked_prop()
         layout = layout_of(net, prop)
         store = build_initial_store(net, layout, worked_region(), prop, {})
-        point = trace_vector(net, layout, (F(1),), prop)  # margin 1 < 11/10
+        point = trace_vector(net, layout, (F(1),))  # margin 1 < 11/10
         assert not _satisfies(store.normalize(), point)
 
     def test_region_ids_name_each_inputs_box_rows(self):
