@@ -24,8 +24,13 @@ EXIT_CAP = 4
 
 
 def _load(path):
+    """The problem file's bytes, read once, and the problem they give: a
+    proof's digest is taken of the bytes parsed.  None, with the error
+    reported, if the file cannot be read or parsed."""
     try:
-        return parse_problem(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw, parse_problem(raw)
     except (OSError, ParseError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -47,10 +52,10 @@ def _print_counters(budget):
 
 
 def cmd_verify(args) -> int:
-    problem = _load(args.problem)
-    if problem is None:
+    loaded = _load(args.problem)
+    if loaded is None:
         return EXIT_USAGE
-    net, region, prop = problem
+    raw, (net, region, prop) = loaded
     config = Config(
         max_depth=args.max_depth,
         lp_budget=args.lp_budget,
@@ -64,7 +69,7 @@ def cmd_verify(args) -> int:
     if result.status == "unsat":
         print("UNSAT")
         if args.emit_proof and not _write(args.emit_proof, "wb",
-                                          prooflog.emit(result.tree, args.problem)):
+                                          prooflog.emit(result.tree, prooflog.problem_digest(raw))):
             return EXIT_USAGE
         return EXIT_UNSAT
     if result.status == "sat":
@@ -78,16 +83,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    problem = _load(args.problem)
-    if problem is None:
+    loaded = _load(args.problem)
+    if loaded is None:
         return EXIT_USAGE
+    raw, problem = loaded
     try:
         with open(args.proof, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    outcome = prooflog.check_proof(problem, data, args.problem)
+    outcome = prooflog.check_proof(problem, data, prooflog.problem_digest(raw))
     if outcome.accepted:
         print("ACCEPT")
         return 0
@@ -96,10 +102,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem = _load(args.problem)
-    if problem is None:
+    loaded = _load(args.problem)
+    if loaded is None:
         return EXIT_USAGE
-    net, region, prop = problem
+    _, (net, region, prop) = loaded
     try:
         result = oracle_verify(net, region, prop, cap=args.cap)
     except CapExceeded as exc:

@@ -43,8 +43,9 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ParseError(f'rationals must be "p/q" or integer strings, got {text!r}')
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
@@ -325,10 +326,10 @@ def problem_from_dict(doc: dict) -> tuple[Network, Region, SafetyProperty]:
     return net, region, prop
 
 
-def parse_problem(path) -> tuple[Network, Region, SafetyProperty]:
-    """Load and validate a problem file (JSON; rationals as "p/q" strings)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def parse_problem(raw: bytes) -> tuple[Network, Region, SafetyProperty]:
+    """Parse and validate a problem file's bytes (JSON; rationals as "p/q"
+    strings).  The caller reads the file, once: a proof's digest is taken
+    of the same bytes."""
     try:
         doc = json.loads(raw, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:

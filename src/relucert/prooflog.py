@@ -1,12 +1,17 @@
 """Proof log serialization and the independent replay checker.
 
 A proof is its split tree, and it states each fact once.  Each leaf carries
-its rows, written as an id and a derivation; only a derived row also
+the rows its certificates reach, under its store's ids: the rows they cite
+and, transitively, the rows each of those is built from (`Store.cone`).
+A row is written as an id and a derivation; only a derived row also
 carries its row and rhs, since its tag, a dual certificate over earlier
 rows, does not determine them.  The checker replays a leaf's rows once,
 over the scope its path gives: the problem's region cut down by the domain
 splits above the leaf, and the phases the phase splits above it commit.
-It builds them in id order: affine rows and the negated property,
+It accepts any rows that replay so, whatever the store held besides.
+It builds them in id order, each straight into its integer form
+(den, den a, den b), with no `Fraction` per coefficient: affine rows and
+the negated property,
 `-margin <= -(threshold + epsilon)` as a row over the outputs, from the
 problem, region rows from the scope's region, guard rows as row k of a
 phase's guard consequences (a guard row may commit only a phase the path
@@ -22,7 +27,7 @@ over those rows and verifies that split annotations cover each parent.
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.
 `check` builds every non-derived row itself.  It builds the problem, region,
-interval and hull rows with its own code, not with the functions of
+phase, interval and hull rows with its own code, not with the functions of
 `store.py` and `propagate.py` that make them, on purpose: a fault in how the
 solver writes those rows cannot vouch for itself.  Its one rule beyond the rows'
 definitions is interval arithmetic: a unit's interval rows bound
@@ -32,10 +37,12 @@ for z of the previous layer, [0, 0] after an inactive phase row of its unit
 and the interval of its s after an active one (a guard row's phase is
 committed on the path, a stabilize row's proved, so z = 0 or z = s there),
 else z's single-variable rows (hull rows 0 and 3).  A source with no such
-interval rejects the row.  From `store.py` it takes only the row
-containers, normalization, each row's integer form `NormRow.ints` (which
-the checks of `certs` read) and the guard consequences of a phase, whose
-rows are also those a `stabilize` tag names.  None of `certs`, `store` and
+interval rejects the row.  Intervals are kept in integers too, each end a
+pair (num, den).  From `store.py` it takes only the row containers, in
+which `IntRow` holds a row's integer form alone (all that the checks of
+`certs` read), and `int_form`, the integer form of a rational row, for the
+negated property and derived rows; `certs.extend_with_guards` adds the
+rows of a cover certificate's guards.  None of `certs`, `store` and
 `model` imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates over its
@@ -55,6 +62,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .certs import (
     DualBoundCertificate,
@@ -78,17 +86,12 @@ from .model import (
     unique_keys,
 )
 from .store import (
-    EQ,
-    LE,
     GuardLiteral,
-    LinearConstraint,
+    IntForm,
+    IntRow,
     NormalizedSystem,
-    guard_consequences,
-    normalize_constraint,
+    int_form,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 FORMAT = "relucert-proof-8"
 
@@ -107,9 +110,9 @@ def _reject(path: str, reason: str) -> CheckOutcome:
     return CheckOutcome(False, path, reason)
 
 
-def problem_digest(problem_path) -> str:
-    with open(problem_path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def problem_digest(raw: bytes) -> str:
+    """The digest of a problem file's bytes, which ties a proof to them."""
+    return hashlib.sha256(raw).hexdigest()
 
 
 # -- serialization ----------------------------------------------------------
@@ -167,9 +170,10 @@ def _tree_json(entry) -> dict:
     return out
 
 
-def emit(tree, problem_path) -> bytes:
-    """Serialize an unsat run's proof tree deterministically."""
-    doc = {"format": FORMAT, "digest": problem_digest(problem_path), "tree": _tree_json(tree)}
+def emit(tree, digest: str) -> bytes:
+    """Serialize an unsat run's proof tree deterministically, for the
+    problem whose `problem_digest` is `digest`."""
+    doc = {"format": FORMAT, "digest": digest, "tree": _tree_json(tree)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -233,7 +237,9 @@ def _parse_guarded(obj, relu_units) -> GuardedCertificate:
 
 
 class _Problem:
-    """The problem, and what the checker derives from it once."""
+    """The problem, and what the checker derives from it once per check:
+    the integer forms of its negated property and, as leaves first read
+    them, of each unit's weights and bias and of its affine row."""
 
     def __init__(self, net: Network, region: Region, prop: SafetyProperty):
         self.net = net
@@ -241,6 +247,53 @@ class _Problem:
         self.prop = prop
         self.layout: VariableLayout = build_layout(net, prop)
         self.relu_units = frozenset(net.hidden_units)
+        self.negp = [int_form({j: -q for j, q in self.layout.margin.items()},
+                              -prop.violation_threshold)]
+        self._weights: dict = {}
+        self._affine: dict = {}
+
+    def weights(self, unit) -> tuple[int, list[int], int]:
+        """s = b + sum_k w_k src_k of the unit as (den, [den w_k], den b),
+        den the lcm of the denominators of its weights and bias."""
+        if unit not in self._weights:
+            i, j = unit
+            layer = self.net.layers[i - 1]
+            wrow, b = layer.weights[j], layer.bias[j]
+            den = lcm(b.denominator, *(w.denominator for w in wrow))
+            self._weights[unit] = (den, [w.numerator * (den // w.denominator) for w in wrow],
+                                   b.numerator * (den // b.denominator))
+        return self._weights[unit]
+
+    def affine(self, unit) -> list[IntForm]:
+        """The unit's affine row s - sum_k w_k src_k = b, its two sides."""
+        if unit not in self._affine:
+            s = self.layout.pre_index(unit)  # a unit of the network
+            den, weights, b = self.weights(unit)
+            row = {s: den}
+            i, _ = unit
+            for k, w in enumerate(weights):
+                if w:
+                    src = self.layout.input_index(k) if i == 1 else \
+                        self.layout.post_index((i - 1, k))
+                    row[src] = -w
+            self._affine[unit] = _equality((den, row, b))
+        return self._affine[unit]
+
+    def phase_rows(self, unit, phase) -> list[list[IntForm]]:
+        """The phase's two rows, each as its sides: the phase equality
+        z - s = 0 or z = 0 (k = 0) and the sign row -s <= 0 or s <= 0
+        (k = 1), the guard consequences of `store.guard_consequences`."""
+        s = self.layout.pre_index(unit)
+        z = self.layout.post_index(unit)
+        if s == z:
+            raise ValueError(f"{unit} is not a ReLU unit")
+        if phase == ACTIVE:
+            eq, sign = {z: 1, s: -1}, {s: -1}
+        elif phase == INACTIVE:
+            eq, sign = {z: 1}, {s: 1}
+        else:
+            raise ValueError(f"unknown phase {phase!r}")
+        return [_equality((1, eq, 0)), [(1, sign, 0)]]
 
 
 def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str | None:
@@ -263,29 +316,27 @@ class _Rejected(Exception):
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
-def _constraint(row: dict, relation: str, rhs: Fraction) -> LinearConstraint:
-    return LinearConstraint(row, relation, rhs, "", ())
+def _reduced(den: int, coeffs: dict[int, int], rhs: int) -> IntForm:
+    """(den, coeffs, rhs) divided by their gcd: the row's integer form in
+    lowest terms, as `int_form` gives it."""
+    g = gcd(den, rhs, *coeffs.values())
+    if g == 1:
+        return den, coeffs, rhs
+    return den // g, {j: a // g for j, a in coeffs.items()}, rhs // g
 
 
-def _affine_row(pb: _Problem, i: int, j: int) -> LinearConstraint:
-    layer = pb.net.layers[i - 1]
-    row = {pb.layout.pre_index((i, j)): _ONE}
-    for k, w in enumerate(layer.weights[j]):
-        if w == 0:
-            continue
-        src = pb.layout.input_index(k) if i == 1 else pb.layout.post_index((i - 1, k))
-        row[src] = row.get(src, _ZERO) - w
-    return _constraint(row, EQ, layer.bias[j])
+def _equality(form: IntForm) -> list[IntForm]:
+    """An equality's two sides, a^T v <= b and -a^T v <= -b."""
+    den, coeffs, rhs = form
+    return [form, (den, {j: -a for j, a in coeffs.items()}, -rhs)]
 
 
-def _phase_row(pb: _Problem, unit, phase, k) -> LinearConstraint:
-    rows = guard_consequences(pb.layout, GuardLiteral(unit, phase))
-    if _json_int(k) not in range(len(rows)):
-        raise _Rejected(f"no phase row {k!r}")
-    return rows[k]
+def _shown(bound) -> Fraction | None:
+    """An interval end (num, den), or None, as a rational for a reason."""
+    return None if bound is None else Fraction(*bound)
 
 
-def _hull_row(pb: _Problem, unit, k, interval: dict) -> LinearConstraint:
+def _hull_row(pb: _Problem, unit, k, interval: dict) -> list[IntForm]:
     """Row k of the convex envelope of z = relu(s) over the interval that
     earlier rows prove for s."""
     s = pb.layout.pre_index(unit)
@@ -293,22 +344,23 @@ def _hull_row(pb: _Problem, unit, k, interval: dict) -> LinearConstraint:
     if s == z:
         raise _Rejected(f"hull row for {unit}, which is not a ReLU unit")
     lo, hi = interval.get(s, (None, None))
-    if lo is None or hi is None or not lo < 0 < hi:
-        raise _Rejected(f"certified bounds [{lo}, {hi}] do not straddle zero")
-    slope = hi / (hi - lo)
-    rows = [
-        ({z: -_ONE}, _ZERO),
-        ({s: _ONE, z: -_ONE}, _ZERO),
-        ({z: _ONE, s: -slope}, -slope * lo),
-        ({z: _ONE}, hi),
-    ]
-    if _json_int(k) not in range(len(rows)):
+    if lo is None or hi is None or not lo[0] < 0 < hi[0]:
+        raise _Rejected(f"certified bounds [{_shown(lo)}, {_shown(hi)}] do not straddle zero")
+    if _json_int(k) not in range(4):
         raise _Rejected(f"no hull row {k!r}")
-    row, rhs = rows[k]
-    return _constraint(row, LE, rhs)
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    if k == 0:
+        return [(1, {z: -1}, 0)]
+    if k == 1:
+        return [(1, {s: 1, z: -1}, 0)]
+    if k == 2:
+        # z - slope s <= -slope lo, slope = hi / (hi - lo) = hi_n lo_d / d
+        d = hi_n * lo_d - lo_n * hi_d
+        return [_reduced(d, {z: d, s: -hi_n * lo_d}, -hi_n * lo_n)]
+    return [_reduced(hi_d, {z: hi_d}, hi_n)]
 
 
-def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> LinearConstraint:
+def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> list[IntForm]:
     """The upper ("up") or lower ("lo") interval-arithmetic bound on the
     unit's pre-activation, by the rule of the module docstring."""
     if unit not in pb.relu_units:
@@ -316,10 +368,10 @@ def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> Line
     if side not in ("up", "lo"):
         raise _Rejected(f"no interval side {side!r}")
     i, j = unit
-    layer = pb.net.layers[i - 1]
     up = side == "up"
-    total = layer.bias[j]
-    for k, w in enumerate(layer.weights[j]):
+    den, weights, total = pb.weights(unit)
+    ends = []  # (den w_k, (num, den) of the end of src_k's interval it reads)
+    for k, w in enumerate(weights):
         src = (i - 1, k)
         if w == 0 or (src, INACTIVE) in phases:
             continue  # no term, or z = 0
@@ -331,59 +383,75 @@ def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> Line
             var = pb.layout.post_index(src)
         lo, hi = interval.get(var, (None, None))
         if lo is None or hi is None:
-            raise _Rejected(f"no certified interval [{lo}, {hi}] for source {k} of {unit}")
-        total += w * (hi if (w > 0) == up else lo)
+            raise _Rejected(f"no certified interval [{_shown(lo)}, {_shown(hi)}] "
+                            f"for source {k} of {unit}")
+        ends.append((w, hi if (w > 0) == up else lo))
+    # den s <= den b + sum_k den w_k end_k, over the ends' common denominator
+    m = lcm(*(d for _, (_, d) in ends))
+    total *= m
+    for w, (n, d) in ends:
+        total += w * n * (m // d)
     s = pb.layout.pre_index(unit)
-    return _constraint({s: _ONE}, LE, total) if up else _constraint({s: -_ONE}, LE, -total)
+    if up:
+        return [_reduced(den * m, {s: den * m}, total)]
+    return [_reduced(den * m, {s: -den * m}, -total)]
 
 
 def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
                         system: NormalizedSystem, interval: dict,
-                        phases: set) -> LinearConstraint:
-    """The row that r's derivation yields; raises `_Rejected` when the
-    derivation does not hold, and one of `_MALFORMED` when it is malformed.
+                        phases: set) -> list[IntForm]:
+    """The integer forms of the row that r's derivation yields, one side or
+    an equality's two; raises `_Rejected` when the derivation does not
+    hold, and one of `_MALFORMED` when it is malformed.
 
     `system` holds the rows of smaller id, all built before this one,
-    `interval` maps a variable to the tightest (lo, hi) they prove, and
-    `phases` holds the (unit, phase) of each guard and stabilize row among
-    them."""
+    `interval` maps a variable to the tightest (lo, hi) they prove, each a
+    pair (num, den) with den > 0 or None, and `phases` holds the
+    (unit, phase) of each guard and stabilize row among them."""
     tag = r["derivation"]
     kind = tag[0]
     if kind == "aff":
         _, i, j = tag
-        return _affine_row(pb, *_unit((i, j)))
+        return pb.affine(_unit((i, j)))
     if kind == "region":
         _, k, side = tag
         if _json_int(k) not in range(pb.net.input_dim) or side not in ("lo", "hi"):
             raise _Rejected("malformed region tag")
         xi = pb.layout.input_index(k)
         if side == "hi":
-            return _constraint({xi: _ONE}, LE, region.upper[k])
-        return _constraint({xi: -_ONE}, LE, -region.lower[k])
+            hi = region.upper[k]
+            return [(hi.denominator, {xi: hi.denominator}, hi.numerator)]
+        lo = region.lower[k]
+        return [(lo.denominator, {xi: -lo.denominator}, -lo.numerator)]
     if kind == "negp":
-        return _constraint({j: -q for j, q in pb.layout.margin.items()}, LE,
-                           -pb.prop.violation_threshold)
+        return pb.negp
     if kind == "guard":
         _, i, j, phase, k = tag
-        return _phase_row(pb, _unit((i, j)), phase, k)
+        rows = pb.phase_rows(_unit((i, j)), phase)
+        if _json_int(k) not in range(len(rows)):
+            raise _Rejected(f"no phase row {k!r}")
+        return rows[k]
     if kind == "derived":
         # the row and rhs are the objective and bound the certificate proves
         _, multipliers = tag
         cert = DualBoundCertificate.make(_parse_row(r["row"]), parse_rational(r["rhs"]),
                                          _parse_multipliers(multipliers))
+        if not cert.objective:
+            raise _Rejected("derived row with no nonzero coefficient")
         reason = _check_dual_exact(system, cert)
         if reason is not None:
             raise _Rejected(f"derived-row certificate rejected: {reason}")
-        return _constraint(cert.objective_dict, LE, cert.bound)
+        return [int_form(cert.objective_dict, cert.bound)]
     if kind == "stabilize":
         _, unit, phase = tag
         unit = _unit(unit)
-        row = _phase_row(pb, unit, phase, 0)
+        rows = pb.phase_rows(unit, phase)[0]
         lo, hi = interval.get(pb.layout.pre_index(unit), (None, None))
-        if phase == ACTIVE and (lo is None or lo < 0) or \
-                phase == INACTIVE and (hi is None or hi > 0):
-            raise _Rejected(f"certified bounds [{lo}, {hi}] do not fix the {phase} sign")
-        return row
+        if phase == ACTIVE and (lo is None or lo[0] < 0) or \
+                phase == INACTIVE and (hi is None or hi[0] > 0):
+            raise _Rejected(f"certified bounds [{_shown(lo)}, {_shown(hi)}] "
+                            f"do not fix the {phase} sign")
+        return rows
     if kind == "hull":
         _, unit, k = tag
         return _hull_row(pb, _unit(unit), k, interval)
@@ -391,6 +459,22 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
         _, unit, side = tag
         return _interval_row(pb, _unit(unit), side, interval, phases)
     raise _Rejected(f"unknown derivation kind {kind}")
+
+
+def _tighten(interval: dict, form: IntForm) -> None:
+    """Record the bound that a single-variable row a x <= b states on x in
+    `interval`, where it is tighter: x <= b/a for a > 0, x >= -b/-a for
+    a < 0."""
+    _, coeffs, b = form
+    if len(coeffs) != 1:
+        return
+    (j, a), = coeffs.items()
+    lo, hi = interval.get(j, (None, None))
+    if a > 0:
+        if hi is None or b * hi[1] < hi[0] * a:
+            interval[j] = (lo, (b, a))
+    elif lo is None or b * lo[1] < lo[0] * a:
+        interval[j] = ((-b, -a), hi)
 
 
 def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tuple:
@@ -410,30 +494,24 @@ def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tu
     interval: dict[int, tuple] = {}
     phases = set()
     for r in rows:
+        cid = r["id"]
         try:
-            c = _check_snapshot_row(pb, r, region, system, interval, phases)
+            forms = _check_snapshot_row(pb, r, region, system, interval, phases)
         except _Rejected as exc:
-            return f"row {r['id']}: {exc}", None
+            return f"row {cid}: {exc}", None
         except _MALFORMED as exc:
-            return f"row {r['id']}: malformed: {exc!r}", None
-        system.extend(normalize_constraint(r["id"], c))
+            return f"row {cid}: malformed: {exc!r}", None
+        system.extend(IntRow(("c", cid, side), form) for side, form in zip(("le", "ge"), forms))
         tag = r["derivation"]
         if tag[0] == "guard":
             unit, phase = _unit(tag[1:3]), tag[3]
             if alpha.get(unit) != phase:
-                return f"row {r['id']}: guard row for uncommitted phase {unit}:{phase}", None
+                return f"row {cid}: guard row for uncommitted phase {unit}:{phase}", None
             phases.add((unit, phase))
         elif tag[0] == "stabilize":
             phases.add((_unit(tag[1]), tag[2]))
-        if c.relation == LE and len(c.row) == 1:
-            (j, a), = c.row.items()
-            lo, hi = interval.get(j, (None, None))
-            b = c.rhs / a
-            if a > 0:
-                hi = b if hi is None else min(hi, b)
-            else:
-                lo = b if lo is None else max(lo, b)
-            interval[j] = (lo, hi)
+        if len(forms) == 1:
+            _tighten(interval, forms[0])
     return None, system
 
 
@@ -481,25 +559,26 @@ def _split_children(region: Region, alpha: dict, kind) -> list[tuple[Region, dic
     return out
 
 
-def check_proof(problem, log_bytes: bytes, problem_path=None) -> CheckOutcome:
+def check_proof(problem, log_bytes: bytes, digest: str | None = None) -> CheckOutcome:
     """Replay a proof log against the original problem.
 
-    `problem` is the (net, region, prop) triple; `problem_path`, when given,
-    is used to verify the digest.  Never raises: an input the checker cannot
-    follow, whatever the exception, is a REJECT that names it.
+    `problem` is the (net, region, prop) triple; `digest`, when given, is
+    the `problem_digest` of the bytes it was parsed from, which the proof's
+    must equal.  Never raises: an input the checker cannot follow, whatever
+    the exception, is a REJECT that names it.
     """
     try:
         doc = parse_proof(log_bytes)
     except Exception as exc:
         return _reject("document", f"unparseable: {exc!r}")
     try:
-        return _check_doc(_Problem(*problem), doc, problem_path)
+        return _check_doc(_Problem(*problem), doc, digest)
     except Exception as exc:
         return _reject("document", f"malformed: {exc!r}")
 
 
-def _check_doc(pb: _Problem, doc: dict, problem_path) -> CheckOutcome:
-    if problem_path is not None and doc["digest"] != problem_digest(problem_path):
+def _check_doc(pb: _Problem, doc: dict, digest: str | None) -> CheckOutcome:
+    if digest is not None and doc["digest"] != digest:
         return _reject("digest", "problem digest mismatch")
     outcome, _ = _check_tree(pb, doc["tree"], pb.region, {}, "tree")
     return outcome

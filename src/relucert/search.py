@@ -9,8 +9,9 @@ its two solved children, active phase and lower half first.  The
 incremental strategy (icl) starts the gate with no unit exact and refines,
 the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
 leaf carries Farkas certificates and, below the root, the margin bound its
-store proves; a split whose two children both carry a bound carries their
-maximum (the merge lemma `margin <= max(beta1, beta2)`).  Propagation
+store proves, with the rows of its store that they reach (`Store.cone`),
+under the store's ids; a split whose two children both carry a bound
+carries their maximum (the merge lemma `margin <= max(beta1, beta2)`).  Propagation
 makes the bound: below the root `propagate_node(..., margin=True)` closes
 the node with an LP that maximizes the margin without the negated
 property, and makes that LP for the bound alone if it refuted the node
@@ -87,8 +88,9 @@ class Config:
 
 @dataclass
 class ProofLeaf:
-    # every row of the node's store, retired included (they stay valid
-    # consequences), as (id, constraint): the rows its certificates cite
+    # the rows of the node's store that its certificates reach
+    # (`Store.cone`), retired ones included, as (id, constraint) under the
+    # store's ids
     rows: list[tuple[int, LinearConstraint]]
     cover: list[GuardedCertificate]
     # the margin bound its rows prove without the negated property: a dual
@@ -207,10 +209,13 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         return _Verdict(VerifyResult("sat", witness=x, budget=budget))
 
     def close(region, alpha, store: Store, certs, bound) -> ProofLeaf:
-        """Leaf over the store's rows, with the margin bound `bound` (a
-        parent's merge reads it); root-region certificates are recorded as
-        conflict clauses."""
-        leaf = ProofLeaf(store.all_constraints(), certs, bound)
+        """Leaf over the rows its certificates reach, with the margin bound
+        `bound` (a parent's merge reads it); root-region certificates are
+        recorded as conflict clauses."""
+        cited = [rid for cert in certs for rid, _ in cert.inner.multipliers]
+        if bound is not None:
+            cited += [rid for rid, _ in bound.multipliers]
+        leaf = ProofLeaf(store.cone(cited), certs, bound)
         if region == root_region:
             node_lits = frozenset(GuardLiteral(u, p) for u, p in alpha.items())
             for cert in certs:

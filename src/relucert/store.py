@@ -11,7 +11,9 @@ only a `stabilize` row, row 0 of them, its phase equality, since its bound
 row already proves the sign that row 1 would state.  A proof records such a
 row by its tag alone.  A derived row, a bound an LP proved, is the one kind
 the tag does not determine: the proof records the row, and its tag carries
-the dual certificate that proves it.
+the dual certificate that proves it.  A proof leaf keeps only the rows its
+certificates reach, `Store.cone`, by the same rule by which the checker
+rebuilds them.
 
 One map, `Store.phases`, holds the phase of each committed or stabilized
 unit, and `Store.phase_ids` the id of its phase equality, z = s or z = 0;
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .model import (
     ACTIVE,
@@ -71,29 +73,47 @@ class LinearConstraint:
             raise ValueError("empty constraint row")
 
 
+#: a row a^T v <= b in integers, (den, den a, den b), den > 0
+IntForm = tuple[int, dict[int, int], int]
+
+
+def int_form(row: dict[int, Fraction], rhs: Fraction) -> IntForm:
+    """The integer form of a^T v <= b, den the lcm of its denominators,
+    which leaves the row in lowest terms."""
+    den = lcm(rhs.denominator, *(q.denominator for q in row.values()))
+    return (den, {j: q.numerator * (den // q.denominator) for j, q in row.items()},
+            rhs.numerator * (den // rhs.denominator))
+
+
 @dataclass(frozen=True)
 class NormRow:
-    """A row a^T v <= b under its id, with its integer form `ints` =
-    (den, den a, den b), den the lcm of its denominators, which leaves the
-    row in lowest terms.  A store builds each row once and every system it
-    normalizes shares it, so neither `row` nor `ints` may be mutated."""
+    """A row a^T v <= b under its id, with its integer form `ints`.  A
+    store builds each row once and every system it normalizes shares it,
+    so neither `row` nor `ints` may be mutated."""
 
     row: dict[int, Fraction]
     rhs: Fraction
     rid: RowId
-    ints: tuple[int, dict[int, int], int] = field(init=False, repr=False, compare=False)
+    ints: IntForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = lcm(self.rhs.denominator, *(q.denominator for q in self.row.values()))
-        object.__setattr__(self, "ints", (
-            den, {j: q.numerator * (den // q.denominator) for j, q in self.row.items()},
-            self.rhs.numerator * (den // self.rhs.denominator)))
+        object.__setattr__(self, "ints", int_form(self.row, self.rhs))
+
+
+class IntRow(NamedTuple):
+    """A row in its integer form alone, under its id: the form in which
+    `check` builds rows.  The checkers of `certs` read a row's `ints`
+    alone, so a system of `IntRow`s serves them as one of `NormRow`s."""
+
+    rid: RowId
+    ints: IntForm
 
 
 class NormalizedSystem:
-    """Pure inequality form A v <= b with stable per-row ids."""
+    """Pure inequality form A v <= b with stable per-row ids; its rows are
+    `NormRow`s or `IntRow`s."""
 
-    def __init__(self, rows: list[NormRow], n_vars: int):
+    def __init__(self, rows: list, n_vars: int):
         self.rows = rows
         self.n_vars = n_vars
         self.index = {r.rid: k for k, r in enumerate(rows)}
@@ -101,12 +121,12 @@ class NormalizedSystem:
     def __len__(self):
         return len(self.rows)
 
-    def extend(self, rows: Iterable[NormRow]):
+    def extend(self, rows: Iterable):
         for r in rows:
             self.index[r.rid] = len(self.rows)
             self.rows.append(r)
 
-    def resolve(self, rid: RowId) -> NormRow | None:
+    def resolve(self, rid: RowId) -> NormRow | IntRow | None:
         k = self.index.get(rid)
         return None if k is None else self.rows[k]
 
@@ -216,16 +236,14 @@ class Store:
         return cid
 
     def retire(self, cid: int):
-        """Exclude a row from future LPs; it stays resolvable and exported."""
+        """Exclude a row from future LPs; it stays resolvable, and a proof
+        leaf whose certificates reach it keeps it."""
         self.retired.add(cid)
 
     # -- views ------------------------------------------------------------
 
     def active_constraints(self) -> list[tuple[int, LinearConstraint]]:
         return [(cid, c) for cid, c in self.constraints.items() if cid not in self.retired]
-
-    def all_constraints(self) -> list[tuple[int, LinearConstraint]]:
-        return list(self.constraints.items())
 
     def normalize(self, exclude: Callable[[int, LinearConstraint], bool] | None = None) -> NormalizedSystem:
         """Inequality form of the active rows, insertion order, Eq expansion
@@ -251,6 +269,85 @@ class Store:
             if rid[0] == "c" and rid[1] not in self.retired:
                 rows.extend(r for r in self.norm_rows.get(rid[1], ()) if r.rid == rid)
         return NormalizedSystem(rows, self.layout.n_vars)
+
+    def cone(self, rids: Iterable[RowId]) -> list[tuple[int, LinearConstraint]]:
+        """The rows that the rows named in `rids` rest on, transitively and
+        them included, as (id, constraint) in id order, retired rows too.
+        A derived row rests on the rows its certificate cites.  A hull,
+        `stabilize` or `interval` row rests on the rows that give its
+        variables their interval at its id: on each side it reads, the
+        tightest single-variable row of smaller id.  An interval row also
+        rests on the phase row, guard or `stabilize`, of smaller id that
+        fixes a source's phase.  This is the rule by which `check` rebuilds
+        those rows, so it rebuilds each row of the cone as the store holds
+        it.  One pass in id order finds what each row rests on, and one
+        pass back collects the cone."""
+        layout = self.layout
+        reads: dict[int, list[int]] = {}
+        # per variable, (num, den, id) of its tightest bound row so far:
+        # x <= num/den in `upper`, x >= num/den in `lower`, den > 0
+        upper: dict[int, tuple[int, int, int]] = {}
+        lower: dict[int, tuple[int, int, int]] = {}
+        phase_rows: dict[Unit, tuple[str, int]] = {}
+
+        def interval(out: list[int], var: int):
+            for side in (lower, upper):
+                if var in side:
+                    out.append(side[var][2])
+
+        def sources(unit) -> list[int]:
+            i, j = unit
+            out = []
+            for k, w in enumerate(self.net.layers[i - 1].weights[j]):
+                if not w.numerator:
+                    continue
+                if i == 1:
+                    interval(out, layout.input_index(k))
+                    continue
+                phase, pid = phase_rows.get((i - 1, k), (None, None))
+                if pid is not None:
+                    out.append(pid)
+                if phase == ACTIVE:
+                    interval(out, layout.pre_index((i - 1, k)))
+                elif phase is None:
+                    interval(out, layout.post_index((i - 1, k)))
+            return out
+
+        for cid, c in self.constraints.items():
+            tag = c.derivation
+            kind = tag[0]
+            if kind == "interval":
+                # a unit's two interval rows are adjacent, and the first
+                # bounds none of the sources the second reads
+                prev = self.constraints.get(cid - 1)
+                if prev is not None and prev.derivation[:2] == tag[:2]:
+                    reads[cid] = reads[cid - 1]
+                else:
+                    reads[cid] = sources(tag[1])
+            elif kind == "derived":
+                reads[cid] = [rid[1] for rid, _ in tag[1].multipliers if rid[0] == "c"]
+            elif kind == "hull":
+                reads[cid] = []
+                interval(reads[cid], layout.pre_index(tag[1]))
+            elif kind == "stabilize":
+                side = lower if tag[2] == ACTIVE else upper
+                reads[cid] = [side[layout.pre_index(tag[1])][2]]
+                phase_rows.setdefault(tag[1], (tag[2], cid))
+            elif kind == "guard":
+                phase_rows.setdefault((tag[1], tag[2]), (tag[3], cid))
+            if c.relation == LE and len(c.row) == 1:
+                _, coeffs, b = self.norm_rows[cid][0].ints
+                (j, a), = coeffs.items()
+                if a > 0:
+                    if j not in upper or b * upper[j][1] < upper[j][0] * a:
+                        upper[j] = (b, a, cid)
+                elif j not in lower or b * lower[j][1] < lower[j][0] * a:
+                    lower[j] = (-b, -a, cid)  # a x <= b with a < 0: x >= -b/-a
+        keep = {rid[1] for rid in rids if rid[0] == "c"}
+        for cid in reversed(self.constraints):
+            if cid in keep:
+                keep.update(reads.get(cid, ()))
+        return [(cid, c) for cid, c in self.constraints.items() if cid in keep]
 
 
 # -- initial store ---------------------------------------------------------

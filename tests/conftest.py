@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,14 @@ def random_instance(rng: random.Random, max_hidden_layers: int = 2,
     region = Region(lo, hi)
     prop = SafetyProperty(((0, F(1)),), rand_rational(rng, max_den), F(1, 10))
     return net, region, prop
+
+
+def file_digest(path) -> str:
+    """The digest that `verify` writes into a proof of the problem file at
+    `path`, and that `check` compares it with."""
+    from relucert import prooflog
+
+    return prooflog.problem_digest(Path(path).read_bytes())
 
 
 def layout_of(net, prop):

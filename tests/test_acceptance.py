@@ -15,6 +15,7 @@ from conftest import (
     WORKED,
     WORKED_SAT,
     dump_problem,
+    file_digest,
     layout_of,
     leaf_system,
     mutate_rational_field,
@@ -28,7 +29,17 @@ from relucert import certs, gate, prooflog, propagate
 from relucert.budget import Budget
 from relucert.certs import DualBoundCertificate, FarkasCertificate, check_dual, check_farkas
 from relucert.cli import EXIT_SAT, EXIT_UNSAT, main
-from relucert.model import build_layout, forward_eval, validate_witness
+from relucert.model import (
+    IDENTITY,
+    RELU,
+    Layer,
+    Network,
+    Region,
+    SafetyProperty,
+    build_layout,
+    forward_eval,
+    validate_witness,
+)
 from relucert.propagate import propagate_node
 from relucert.search import (
     Config,
@@ -70,6 +81,19 @@ def _spec_suite(count, seed=20240824):
         if len(_root_unstable(net, region)) <= 6:
             out.append((net, region, prop))
     return out
+
+
+def _ladder(depth):
+    """x in [0, 1] through `depth` ReLU layers of two units, s = x in the
+    first and s = (z0 + z1) / 2 after it, then y = (z0 + z1) / 2, so y = x:
+    with threshold 1 and epsilon 1/10, UNSAT.  Each unit is active, and
+    its proof is one leaf of about 8 rows per layer."""
+    half = F(1, 2)
+    layers = [Layer(((F(1),), (F(1),)), (F(0), F(0)), RELU)]
+    layers += [Layer(((half, half), (half, half)), (F(0), F(0)), RELU)] * (depth - 1)
+    layers.append(Layer(((half, half),), (F(0),), IDENTITY))
+    return (Network(tuple(layers), 1, 1), Region((F(0),), (F(1),)),
+            SafetyProperty(((0, F(1)),), F(1), F(1, 10)))
 
 
 class TestAcceptance:
@@ -161,8 +185,9 @@ class TestAcceptance:
                 else:
                     path = tmp_path / f"p{idx}.json"
                     dump_problem(net, region, prop, path)
+                    digest = file_digest(path)
                     out = prooflog.check_proof(
-                        (net, region, prop), prooflog.emit(res.tree, path), str(path))
+                        (net, region, prop), prooflog.emit(res.tree, digest), digest)
                     assert out.accepted, f"instance {idx} ({driver.__name__}): {out}"
                     proofs += 1
             sat += truth.status == "sat"
@@ -230,7 +255,7 @@ class TestAcceptance:
                f"all <= |U|; every refined unit provably eliminated the prior "
                f"witness ({len(eliminations)} direct checks)")
 
-    def test_08_checker_cost_linear_in_nonzeros(self, report):
+    def test_08_checker_cost_linear_in_nonzeros(self, report, monkeypatch):
         def chain(m):
             rows = [NormRow({0: F(1)}, F(0), ("c", 0, "le"))]
             for i in range(m):
@@ -249,23 +274,68 @@ class TestAcceptance:
             per_nnz[m] = F(certs.counter.mults, nnz)
         assert per_nnz[100] <= per_nnz[10] * F(12, 10), per_nnz
         assert per_nnz[1000] <= per_nnz[100] * F(12, 10), per_nnz
+
+        # full replay: `check_proof` over the proofs of ladders of growing
+        # depth builds each proof row once, and multiplies per nonzero of
+        # the rows it builds at a rate that does not grow
+        build = prooflog._check_snapshot_row
+        built = []
+
+        def building(*args):
+            forms = build(*args)
+            built.append(forms)
+            return forms
+
+        monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
+        replay = {}
+        for depth in (4, 16, 64, 256):
+            problem = _ladder(depth)
+            res = icl_verify(*problem)
+            assert res.status == "unsat"
+            data = prooflog.emit(res.tree, "")
+            rows = len(prooflog.parse_proof(data)["tree"]["rows"])
+            built.clear()
+            certs.counter.reset()
+            assert prooflog.check_proof(problem, data).accepted
+            nnz = sum(len(coeffs) for forms in built for _, coeffs, _ in forms)
+            assert len(built) == rows, (depth, len(built), rows)
+            replay[depth] = (F(rows, depth), F(certs.counter.mults, nnz))
+        for small, large in ((4, 16), (16, 64), (64, 256)):
+            for a, b in zip(replay[small], replay[large]):
+                assert b <= a * F(12, 10), replay
         report(f"ACCEPTANCE 8: PASS - checker multiplications per nonzero at "
                f"m=10/100/1000: {float(per_nnz[10]):.3f} / {float(per_nnz[100]):.3f} "
-               f"/ {float(per_nnz[1000]):.3f} (growth <= 1.2x)")
+               f"/ {float(per_nnz[1000]):.3f}; full replay of ladder proofs of depth "
+               f"4/16/64/256: rows per layer "
+               f"{' / '.join(f'{float(replay[d][0]):.2f}' for d in replay)}, "
+               f"multiplications per nonzero "
+               f"{' / '.join(f'{float(replay[d][1]):.3f}' for d in replay)} "
+               f"(growth <= 1.2x)")
 
     def test_09_proof_mutation_fuzzing(self, report):
-        net, region, prop = worked_network(), worked_region(), worked_prop()
-        res = icl_verify(net, region, prop, Config(first_split="domain"))
-        base = prooflog.parse_proof(prooflog.emit(res.tree, WORKED))
+        """Proofs whose leaves keep only the rows their certificates reach:
+        the worked domain-split proof, and the branching proofs of suite
+        instances 57 and 89, which split, merge and carry hull rows."""
+        from test_search import TestBranchingOracleAgreement, tightened
+
+        worked = (worked_network(), worked_region(), worked_prop())
+        proofs = [(worked, Config(first_split="domain"), file_digest(WORKED), 120)]
+        proofs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG, "", 60) for idx in (57, 89)]
         rng = random.Random(909)
-        for i in range(120):
-            doc = json.loads(json.dumps(base))
-            where = mutate_rational_field(rng, doc)
-            data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-            out = prooflog.check_proof((net, region, prop), data, WORKED)
-            assert not out.accepted, f"mutation {i} at {where} survived"
-        report("ACCEPTANCE 9: PASS - 120 random single-field proof mutations all "
-               "rejected by check_proof")
+        mutations = 0
+        for problem, config, digest, count in proofs:
+            res = icl_verify(*problem, config)
+            base = prooflog.parse_proof(prooflog.emit(res.tree, digest))
+            for i in range(count):
+                doc = json.loads(json.dumps(base))
+                where = mutate_rational_field(rng, doc)
+                data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+                out = prooflog.check_proof(problem, data, digest)
+                assert not out.accepted, f"mutation {i} at {where} survived"
+                mutations += 1
+        report(f"ACCEPTANCE 9: PASS - {mutations} random single-field mutations of "
+               f"trimmed proofs (120 worked, 60 each of two branching proofs) all "
+               f"rejected by check_proof")
 
     def test_10_monotone_learning(self, report):
         net, region, prop = worked_network(), worked_region(), worked_prop()

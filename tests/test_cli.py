@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -257,6 +258,53 @@ class TestCheck:
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         run = cli_o("check", WORKED, str(proof))
         assert run.returncode == 1 and run.stdout.startswith("REJECT path=tree "), run
+
+
+class TestOneRead:
+    """`verify` and `check` read the problem file once: a proof's digest is
+    taken of, and checked against, the bytes that were parsed."""
+
+    def _problem(self, tmp_path):
+        problem = tmp_path / "p.json"
+        problem.write_bytes(Path(WORKED).read_bytes())
+        return problem, tmp_path / "p.proof"
+
+    def test_verify_and_check_open_the_problem_file_once(self, capsys, tmp_path, monkeypatch):
+        problem, proof = self._problem(tmp_path)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if os.fspath(file) == str(problem):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        code, _, _ = _run(capsys, "verify", str(problem), "--emit-proof", str(proof))
+        assert code == EXIT_UNSAT and len(opened) == 1, opened
+        code, out, _ = _run(capsys, "check", str(problem), str(proof))
+        assert code == 0 and out.strip() == "ACCEPT" and len(opened) == 2, opened
+
+    def test_digest_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
+        # the file is replaced by other bytes right after each parse: the
+        # proof still carries the digest of the bytes `verify` parsed, and
+        # `check` compares it with the digest of the bytes it parsed
+        problem, proof = self._problem(tmp_path)
+        original = problem.read_bytes()
+        parse = cli.parse_problem
+
+        def parse_then_replace(raw):
+            parsed = parse(raw)
+            problem.write_bytes(original + b"\n")
+            return parsed
+
+        monkeypatch.setattr(cli, "parse_problem", parse_then_replace)
+        code, _, _ = _run(capsys, "verify", str(problem), "--emit-proof", str(proof))
+        assert code == EXIT_UNSAT
+        assert json.loads(proof.read_bytes())["digest"] == hashlib.sha256(original).hexdigest()
+        problem.write_bytes(original)
+        code, out, _ = _run(capsys, "check", str(problem), str(proof))
+        assert code == 0 and out.strip() == "ACCEPT", out
 
 
 class TestOracle:

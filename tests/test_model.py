@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -211,7 +212,7 @@ class TestWitnessValidation:
 
 class TestProblemParsing:
     def test_worked_problem_file(self):
-        net, region, prop = parse_problem("problems/worked.json")
+        net, region, prop = parse_problem(Path("problems/worked.json").read_bytes())
         assert net.input_dim == 1 and net.output_dim == 1
         assert region == worked_region()
         assert prop == worked_prop()
@@ -246,8 +247,6 @@ class TestProblemParsing:
         with pytest.raises(DimensionError):
             problem_from_dict(doc)
 
-    def test_invalid_json(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{nope")
+    def test_invalid_json(self):
         with pytest.raises(ParseError):
-            parse_problem(p)
+            parse_problem(b"{nope")

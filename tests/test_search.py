@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     WORKED,
     dump_problem,
+    file_digest,
     layout_of,
     leaf_system,
     rand_rational,
@@ -50,7 +51,7 @@ from relucert.search import (
     refine,
 )
 from relucert.model import SafetyProperty
-from relucert.store import NEGP, NormalizedSystem, build_initial_store, interval_bounds
+from relucert.store import NEGP, NormalizedSystem, Store, build_initial_store, interval_bounds
 
 
 def _count_unstable(net, region):
@@ -134,8 +135,8 @@ class TestRefinement:
             assert (res.status, res.budget.lp_calls) == ("unsat", 0), driver.__name__
             assert res.budget.counters() == plain.budget.counters()
             assert isinstance(res.tree, ProofLeaf)
-            data = prooflog.emit(res.tree, WORKED)
-            assert data == prooflog.emit(plain.tree, WORKED)
+            data = prooflog.emit(res.tree, file_digest(WORKED))
+            assert data == prooflog.emit(plain.tree, file_digest(WORKED))
             assert prooflog.check_proof((net, point, prop), data).accepted
 
 
@@ -146,7 +147,8 @@ class TestWorkedInstance:
             res = driver(net, region, prop)
             assert res.status == "unsat"
             assert res.tree is not None
-            out = prooflog.check_proof((net, region, prop), prooflog.emit(res.tree, WORKED))
+            out = prooflog.check_proof((net, region, prop),
+                                       prooflog.emit(res.tree, file_digest(WORKED)))
             assert out.accepted, out
 
     def test_sat_variant_yields_validated_witness(self):
@@ -213,7 +215,7 @@ class TestMergeDemo:
         assert res.status == "unsat"
         assert res.budget.lemmas >= 1
         out = prooflog.check_proof((worked_network(), worked_region(), worked_prop()),
-                                   prooflog.emit(res.tree, WORKED))
+                                   prooflog.emit(res.tree, file_digest(WORKED)))
         assert out.accepted, out
 
 
@@ -365,8 +367,9 @@ class TestGeneralMargins:
                     if res.status == "sat":
                         assert validate_witness(net, region, prop, res.witness).accepted, where
                         continue
+                    digest = file_digest(path)
                     out = prooflog.check_proof((net, region, prop),
-                                               prooflog.emit(res.tree, path), str(path))
+                                               prooflog.emit(res.tree, digest), digest)
                     assert out.accepted, (where, out)
         assert seen["sat"] >= 40 and seen["unsat"] >= 40 and seen["splits"] >= 1
 
@@ -405,8 +408,9 @@ class TestBranchingOracleAgreement:
                     if res.status == "sat":
                         assert validate_witness(net, region, tight, res.witness).accepted
                         continue
+                    digest = file_digest(path)
                     out = prooflog.check_proof((net, region, tight),
-                                               prooflog.emit(res.tree, path), str(path))
+                                               prooflog.emit(res.tree, digest), digest)
                     assert out.accepted, (idx, driver.__name__, out)
                     proofs += 1
                     splits = list(_splits(res.tree))
@@ -416,6 +420,55 @@ class TestBranchingOracleAgreement:
                     bounds += merged
         assert proofs == 4
         assert phase_splits >= 1 and bounds >= 1
+
+
+class TestTrimmedLeaves:
+    """A leaf keeps only the rows its certificates reach (`Store.cone`).
+    Against runs whose leaves keep every row of their store, as they did
+    before, on the first 40 problems of the acceptance suite with the
+    default flags and on three branching instances (margin-only templates,
+    a one-LP gate), under both drivers: the same verdicts, witnesses, Budget
+    counters and split trees; each leaf's rows a subset of its store's
+    rows, under the same ids; and every proof ACCEPTed."""
+
+    def test_trimming_changes_only_the_leaf_rows(self, tmp_path, monkeypatch):
+        from test_acceptance import _spec_suite
+
+        cone = Store.cone
+        runs = [(problem, Config()) for problem in _spec_suite(40)]
+        runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (42, 57, 89)]
+        seen = Counter()
+        for k, (problem, config) in enumerate(runs):
+            path = tmp_path / f"p{k}.json"
+            dump_problem(*problem, path)
+            digest = file_digest(path)
+            for driver in (icl_verify, hsrv_verify):
+                monkeypatch.setattr(Store, "cone",
+                                    lambda store, rids: list(store.constraints.items()))
+                full = driver(*problem, config)
+                monkeypatch.setattr(Store, "cone", cone)
+                res = driver(*problem, config)
+                where = (k, driver.__name__)
+                assert (res.status, res.witness, res.budget.counters()) == (
+                    full.status, full.witness, full.budget.counters()), where
+                seen[res.status] += 1
+                if res.tree is None:
+                    continue
+                assert [sp.kind for sp in _splits(res.tree)] == \
+                    [sp.kind for sp in _splits(full.tree)], where
+                region = problem[1]
+                for (leaf, _, _), (whole, _, _) in zip(scoped_leaves(res.tree, region),
+                                                       scoped_leaves(full.tree, region),
+                                                       strict=True):
+                    assert dict(leaf.rows).items() <= dict(whole.rows).items(), where
+                    assert (leaf.cover, leaf.evidence) == (whole.cover, whole.evidence), where
+                    seen["rows kept"] += len(leaf.rows)
+                    seen["rows"] += len(whole.rows)
+                out = prooflog.check_proof(problem, prooflog.emit(res.tree, digest), digest)
+                assert out.accepted, (where, out)
+                seen["splits"] += res.budget.splits
+        assert seen["sat"] >= 20 and seen["unsat"] >= 20 and seen["splits"] >= 10, seen
+        assert seen["rows kept"] < 0.8 * seen["rows"], seen
 
 
 def _propagation_results(monkeypatch):
@@ -485,7 +538,8 @@ class TestLpBudget:
                         runs += 1
                     assert res.status == full.status and res.witness == full.witness, where
                     if full.tree is not None:
-                        assert prooflog.emit(res.tree, path) == prooflog.emit(full.tree, path)
+                        digest = file_digest(path)
+                        assert prooflog.emit(res.tree, digest) == prooflog.emit(full.tree, digest)
         assert runs >= 400 and resource >= 350
 
     def test_no_split_once_the_budget_is_spent(self):
@@ -583,26 +637,30 @@ class TestProofPins:
     region and the root region dropped, every `stabilize` tag without its
     trailing 0, and the new format string.  All three were re-pinned when
     the format became `relucert-proof-8`: each proof is the
-    `relucert-proof-7` proof with only its format string replaced."""
+    `relucert-proof-7` proof with only its format string replaced.  All
+    three were re-pinned when a leaf came to keep only the rows its
+    certificates reach (`Store.cone`): each proof is the earlier one with
+    every other row of each leaf deleted, ids unchanged; every other byte
+    is the same."""
 
     PINS = {
-        "worked": "ee0019398b7a86410087cc5281883a55c91b5120a2529bb56c11f38528f8b4f1",
-        57: "69f01190e2b8b38f4b35480e04fe6643df62829d46c21f5e93d9fc5daa6cb6a3",
-        89: "7394dea9e354be0ab1a691fb231e35d9abb8713b49be164c5165ba9b9f5dca1a",
+        "worked": "3d7ad9f6c07bd75035603fb6b0ffe4b4e65ba001f9e44e35e02cee4dd5dcc80a",
+        57: "d78cf49b5098248dc23a5aeb0fce2979d49f5e4389a2c4d6e9084f529ee5745a",
+        89: "bf9122d11d80825cbdf1b235980ef92056de077070b35a8113d53b40bc2a26b1",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
         for driver in (icl_verify, hsrv_verify):
             res = driver(worked_network(), worked_region(), worked_prop(),
                          Config(first_split="domain"))
-            digest = hashlib.sha256(prooflog.emit(res.tree, WORKED)).hexdigest()
+            digest = hashlib.sha256(prooflog.emit(res.tree, file_digest(WORKED))).hexdigest()
             assert digest == self.PINS["worked"], driver.__name__
             for idx in (57, 89):
                 net, region, prop = tightened(idx)
                 path = tmp_path / f"p{idx}.json"
                 dump_problem(net, region, prop, path)
                 res = driver(net, region, prop, TestBranchingOracleAgreement.CONFIG)
-                digest = hashlib.sha256(prooflog.emit(res.tree, path)).hexdigest()
+                digest = hashlib.sha256(prooflog.emit(res.tree, file_digest(path))).hexdigest()
                 assert digest == self.PINS[idx], (idx, driver.__name__)
 
 

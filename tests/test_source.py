@@ -137,3 +137,14 @@ def test_only_the_layout_reads_margin_index():
     readers = [path.name for path in MODULES if path.name != "model.py"
                and "margin_index" in _read_attributes(ast.parse(path.read_text()))]
     assert not readers, f"modules reading margin_index: {readers}"
+
+
+def test_the_checker_builds_rows_in_integers_alone():
+    """`check` builds each leaf row straight into its integer form; no
+    second path through `LinearConstraint` and `normalize_constraint`,
+    which build rows in `Fraction`s, may come back beside it."""
+    tree = ast.parse(Path("src/relucert/prooflog.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {name for name, _ in _imported_names(tree)}
+    assert not names & {"LinearConstraint", "normalize_constraint"}, names
