@@ -27,10 +27,12 @@ over those rows and verifies that split annotations cover each parent.
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.
 `check` builds every non-derived row itself.  It builds the problem, region,
-phase, interval and hull rows with its own code, not with the functions of
+interval and hull rows with its own code, not with the functions of
 `store.py` and `propagate.py` that make them, on purpose: a fault in how the
-solver writes those rows cannot vouch for itself.  Its one rule beyond the rows'
-definitions is interval arithmetic: a unit's interval rows bound
+solver writes those rows cannot vouch for itself.  A phase's rows are a
+definition, not a derivation: it takes them, as the solver does, from
+`store.guard_rows`, the one place that defines them.  Its one rule beyond
+the rows' definitions is interval arithmetic: a unit's interval rows bound
 s = b + sum_k w_k src_k above or below over the interval that earlier rows
 prove for each source: an input's single-variable rows (its region rows);
 for z of the previous layer, [0, 0] after an inactive phase row of its unit
@@ -40,10 +42,13 @@ else z's single-variable rows (hull rows 0 and 3).  A source with no such
 interval rejects the row.  Intervals are kept in integers too, each end a
 pair (num, den).  From `store.py` it takes only the row containers, in
 which `IntRow` holds a row's integer form alone (all that the checks of
-`certs` read), and `int_form`, the integer form of a rational row, for the
-negated property and derived rows; `certs.extend_with_guards` adds the
-rows of a cover certificate's guards.  None of `certs`, `store` and
-`model` imports a solver module either.
+`certs` read), `int_form`, the integer form of a rational row, for the
+negated property and derived rows, and `guard_rows`, a phase's rows in
+integers, which it turns into forms once per (unit, phase) for guard and
+stabilize rows; `certs.extend_with_guards` adds the rows of a cover
+certificate's guards through `guard_norm_rows`, built on the same
+definition.  None of `certs`, `store` and `model` imports a solver module
+either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates over its
 rows, which contain the negated-property row.  A tree node may also carry
@@ -86,10 +91,12 @@ from .model import (
     unique_keys,
 )
 from .store import (
+    EQ,
     GuardLiteral,
     IntForm,
     IntRow,
     NormalizedSystem,
+    guard_rows,
     int_form,
 )
 
@@ -239,7 +246,8 @@ def _parse_guarded(obj, relu_units) -> GuardedCertificate:
 class _Problem:
     """The problem, and what the checker derives from it once per check:
     the integer forms of its negated property and, as leaves first read
-    them, of each unit's weights and bias and of its affine row."""
+    them, of each unit's weights and bias, of its affine row and of each
+    phase's rows."""
 
     def __init__(self, net: Network, region: Region, prop: SafetyProperty):
         self.net = net
@@ -251,6 +259,7 @@ class _Problem:
                               -prop.violation_threshold)]
         self._weights: dict = {}
         self._affine: dict = {}
+        self._phase_rows: dict = {}
 
     def weights(self, unit) -> tuple[int, list[int], int]:
         """s = b + sum_k w_k src_k of the unit as (den, [den w_k], den b),
@@ -280,20 +289,15 @@ class _Problem:
         return self._affine[unit]
 
     def phase_rows(self, unit, phase) -> list[list[IntForm]]:
-        """The phase's two rows, each as its sides: the phase equality
-        z - s = 0 or z = 0 (k = 0) and the sign row -s <= 0 or s <= 0
-        (k = 1), the guard consequences of `store.guard_consequences`."""
-        s = self.layout.pre_index(unit)
-        z = self.layout.post_index(unit)
-        if s == z:
-            raise ValueError(f"{unit} is not a ReLU unit")
-        if phase == ACTIVE:
-            eq, sign = {z: 1, s: -1}, {s: -1}
-        elif phase == INACTIVE:
-            eq, sign = {z: 1}, {s: 1}
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
-        return [_equality((1, eq, 0)), [(1, sign, 0)]]
+        """The phase's two rows of `store.guard_rows`, each as its sides:
+        the phase equality (k = 0) and the sign row (k = 1)."""
+        key = (unit, phase)
+        if key not in self._phase_rows:
+            lit = GuardLiteral(unit, phase)
+            self._phase_rows[key] = [
+                _equality((1, row, 0)) if relation == EQ else [(1, row, 0)]
+                for row, relation in guard_rows(self.layout, lit)]
+        return self._phase_rows[key]
 
 
 def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str | None:

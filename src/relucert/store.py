@@ -143,9 +143,10 @@ def normalize_constraint(cid, c: LinearConstraint) -> list[NormRow]:
     return rows
 
 
-def guard_consequences(layout: VariableLayout, lit: GuardLiteral) -> list[LinearConstraint]:
-    """Linear consequences of committing a ReLU phase, row k tagged
-    ("guard", layer, neuron, phase, k).
+def guard_rows(layout: VariableLayout, lit: GuardLiteral) -> list[tuple[dict[int, int], str]]:
+    """The rows of committing a ReLU phase, row k as (coefficients,
+    relation) over rhs 0, in integers: the one definition of a phase's rows,
+    from which the store's guard rows and the proof checker's are built.
 
     Active: z - s = 0 and -s <= 0.  Inactive: z = 0 and s <= 0.  A unit
     without a ReLU (z aliases s) has no phases.
@@ -155,14 +156,18 @@ def guard_consequences(layout: VariableLayout, lit: GuardLiteral) -> list[Linear
     if s == z:
         raise ValueError(f"{lit.unit} is not a ReLU unit")
     if lit.phase == ACTIVE:
-        rows = [({z: Fraction(1), s: Fraction(-1)}, EQ), ({s: Fraction(-1)}, LE)]
-    elif lit.phase == INACTIVE:
-        rows = [({z: Fraction(1)}, EQ), ({s: Fraction(1)}, LE)]
-    else:
-        raise ValueError(f"unknown phase {lit.phase!r}")
+        return [({z: 1, s: -1}, EQ), ({s: -1}, LE)]
+    if lit.phase == INACTIVE:
+        return [({z: 1}, EQ), ({s: 1}, LE)]
+    raise ValueError(f"unknown phase {lit.phase!r}")
+
+
+def guard_consequences(layout: VariableLayout, lit: GuardLiteral) -> list[LinearConstraint]:
+    """Linear consequences of committing a ReLU phase, `guard_rows`, row k
+    tagged ("guard", layer, neuron, phase, k)."""
     return [LinearConstraint(row, relation, Fraction(0), GUARD,
                              ("guard", lit.unit[0], lit.unit[1], lit.phase, k))
-            for k, (row, relation) in enumerate(rows)]
+            for k, (row, relation) in enumerate(guard_rows(layout, lit))]
 
 
 def guard_norm_rows(layout: VariableLayout, lit: GuardLiteral) -> list[NormRow]:
@@ -170,7 +175,7 @@ def guard_norm_rows(layout: VariableLayout, lit: GuardLiteral) -> list[NormRow]:
 
     Used when a guard set is materialized on top of a store (guarded
     certificates, the exactness gate); the solver and the proof checker build
-    identical rows and ids from this single helper.
+    identical rows and ids for a cover's guards from this single helper.
     """
     rows = []
     for c in guard_consequences(layout, lit):
@@ -278,24 +283,23 @@ class Store:
         variables their interval at its id: on each side it reads, the
         tightest single-variable row of smaller id.  An interval row also
         rests on the phase row, guard or `stabilize`, of smaller id that
-        fixes a source's phase.  This is the rule by which `check` rebuilds
-        those rows, so it rebuilds each row of the cone as the store holds
-        it.  One pass in id order finds what each row rests on, and one
-        pass back collects the cone."""
+        fixes a source's phase, its `phase_ids` entry.  This is the rule by
+        which `check` rebuilds those rows, so it rebuilds each row of the
+        cone as the store holds it.  One pass in id order finds what each
+        row rests on, and one pass back collects the cone."""
         layout = self.layout
         reads: dict[int, list[int]] = {}
         # per variable, (num, den, id) of its tightest bound row so far:
         # x <= num/den in `upper`, x >= num/den in `lower`, den > 0
         upper: dict[int, tuple[int, int, int]] = {}
         lower: dict[int, tuple[int, int, int]] = {}
-        phase_rows: dict[Unit, tuple[str, int]] = {}
 
         def interval(out: list[int], var: int):
             for side in (lower, upper):
                 if var in side:
                     out.append(side[var][2])
 
-        def sources(unit) -> list[int]:
+        def sources(unit, cid: int) -> list[int]:
             i, j = unit
             out = []
             for k, w in enumerate(self.net.layers[i - 1].weights[j]):
@@ -304,8 +308,11 @@ class Store:
                 if i == 1:
                     interval(out, layout.input_index(k))
                     continue
-                phase, pid = phase_rows.get((i - 1, k), (None, None))
-                if pid is not None:
+                # the source's phase, where its phase row comes before
+                pid = self.phase_ids.get((i - 1, k))
+                phase = None
+                if pid is not None and pid < cid:
+                    phase = self.phases[(i - 1, k)]
                     out.append(pid)
                 if phase == ACTIVE:
                     interval(out, layout.pre_index((i - 1, k)))
@@ -323,7 +330,7 @@ class Store:
                 if prev is not None and prev.derivation[:2] == tag[:2]:
                     reads[cid] = reads[cid - 1]
                 else:
-                    reads[cid] = sources(tag[1])
+                    reads[cid] = sources(tag[1], cid)
             elif kind == "derived":
                 reads[cid] = [rid[1] for rid, _ in tag[1].multipliers if rid[0] == "c"]
             elif kind == "hull":
@@ -332,9 +339,6 @@ class Store:
             elif kind == "stabilize":
                 side = lower if tag[2] == ACTIVE else upper
                 reads[cid] = [side[layout.pre_index(tag[1])][2]]
-                phase_rows.setdefault(tag[1], (tag[2], cid))
-            elif kind == "guard":
-                phase_rows.setdefault((tag[1], tag[2]), (tag[3], cid))
             if c.relation == LE and len(c.row) == 1:
                 _, coeffs, b = self.norm_rows[cid][0].ints
                 (j, a), = coeffs.items()
