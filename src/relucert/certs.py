@@ -5,8 +5,8 @@ wrong, but a claim accepted here holds by exact rational arithmetic.  They are
 the only multiplier checkers: propagation, the LP engine's self-checks and
 the proof checker all call them.  `_combine` forms lambda^T A and lambda^T b
 in integers over one common denominator, from each row's integer form
-`ints` (a `NormRow`'s, built once per row, or an `IntRow`'s, which `check`
-builds), and hands back `Fraction`s.  Cost is
+`NormRow.ints` (which the solver and `check` each build once per row), and
+hands back `Fraction`s.  Cost is
 linear in the number of nonzeros touched; a module-level counter adds one per
 row entry and one per rhs combined, so tests can assert the linear bound.
 Each certificate object here is one these checkers check; a stabilized

@@ -142,8 +142,8 @@ def _model_violates_exactness(store: Store, model: dict[int, Fraction], unit: Un
     for phase in (ACTIVE, INACTIVE):
         ok = True
         for r in guard_norm_rows(store.layout, GuardLiteral(unit, phase)):
-            lhs = sum((q * model.get(j, _ZERO) for j, q in r.row.items()), _ZERO)
-            if lhs > r.rhs:
+            _, coeffs, rhs = r.ints
+            if sum((a * model.get(j, _ZERO) for j, a in coeffs.items()), _ZERO) > rhs:
                 ok = False
                 break
         if ok:

@@ -11,9 +11,12 @@ lambda^T b = value; infeasible outcomes carry a Farkas vector with
 lambda^T A = 0 and lambda^T b < 0.  Both are re-verified against the rows of
 the system passed in by the checkers of `certs`, the one multiplier checker
 (`_check_dual`, `_check_farkas`); a point or ray is checked to satisfy every
-row in integers (`_check_holds`).  A failure raises `SelfCheckFailed`.  The
-engine reads each row's integer form `NormRow.ints`, built once per row and
-shared with every other system the row appears in.
+row in integers (`_check_holds`).  A failure raises `SelfCheckFailed`.  A
+system's rows are `store.NormRow`s, each an id and its integer form
+(den, den a, den b) alone, which the store builds straight from the
+problem's and the node's data, once per row, and shares with every other
+system the row appears in; the engine reads nothing else of a row and
+turns nothing of it into a `Fraction`.
 
 Equalities are eliminated before the tableau exists (`_Reduction`).  An
 equality is a pair of adjacent rows whose ids differ only in their last

@@ -26,13 +26,15 @@ over those rows and verifies that split annotations cover each parent.
 
 Trust boundary.  Acceptance rests on rational identities alone: the checker
 never imports the LP engine, and the exact checks are those of `certs`.
-`check` builds every non-derived row itself.  It builds the problem, region,
+`check` builds every non-derived row itself.  It builds the region,
 interval and hull rows with its own code, not with the functions of
 `store.py` and `propagate.py` that make them, on purpose: a fault in how the
-solver writes those rows cannot vouch for itself.  A phase's rows are a
-definition, not a derivation: it takes them, as the solver does, from
-`store.guard_rows`, the one place that defines them.  Its one rule beyond
-the rows' definitions is interval arithmetic: a unit's interval rows bound
+solver writes those rows cannot vouch for itself.  A unit's affine row and
+a phase's rows are definitions, not derivations: it takes them, as the
+solver does, from `store.affine_row` (over the unit's `store.unit_weights`,
+the problem's weights and bias in integers) and `store.guard_rows`, the one
+place that defines each.  Its one rule beyond the rows' definitions is
+interval arithmetic: a unit's interval rows bound
 s = b + sum_k w_k src_k above or below over the interval that earlier rows
 prove for each source: an input's single-variable rows (its region rows);
 for z of the previous layer, [0, 0] after an inactive phase row of its unit
@@ -40,15 +42,15 @@ and the interval of its s after an active one (a guard row's phase is
 committed on the path, a stabilize row's proved, so z = 0 or z = s there),
 else z's single-variable rows (hull rows 0 and 3).  A source with no such
 interval rejects the row.  Intervals are kept in integers too, each end a
-pair (num, den).  From `store.py` it takes only the row containers, in
-which `IntRow` holds a row's integer form alone (all that the checks of
+pair (num, den).  From `store.py` it takes besides only the row containers,
+in which a `NormRow` is a row's id and integer form (all that the checks of
 `certs` read), `int_form`, the integer form of a rational row, for the
-negated property and derived rows, and `guard_rows`, a phase's rows in
-integers, which it turns into forms once per (unit, phase) for guard and
-stabilize rows; `certs.extend_with_guards` adds the rows of a cover
-certificate's guards through `guard_norm_rows`, built on the same
-definition.  None of `certs`, `store` and `model` imports a solver module
-either.
+negated property and derived rows, `lowest_terms` and `equality`, the
+arithmetic of integer forms, and builds each affine row once per unit and
+each phase's rows once per (unit, phase) per check;
+`certs.extend_with_guards` adds the rows of a cover certificate's guards
+through `guard_norm_rows`, built on the same definition.  None of `certs`,
+`store` and `model` imports a solver module either.
 
 Every leaf has one kind: a cover of guarded Farkas certificates over its
 rows, which contain the negated-property row.  A tree node may also carry
@@ -67,7 +69,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .certs import (
     DualBoundCertificate,
@@ -91,13 +93,16 @@ from .model import (
     unique_keys,
 )
 from .store import (
-    EQ,
     GuardLiteral,
     IntForm,
-    IntRow,
     NormalizedSystem,
+    NormRow,
+    affine_row,
+    equality,
     guard_rows,
     int_form,
+    lowest_terms,
+    unit_weights,
 )
 
 FORMAT = "relucert-proof-8"
@@ -150,8 +155,9 @@ def _rows_json(rows) -> list:
     out = []
     for cid, c in rows:
         if c.derivation[0] == "derived":
-            out.append({"id": cid, "row": _row_json(c.row), "rhs": _q(c.rhs),
-                        "derivation": ["derived", _multipliers_json(c.derivation[1])]})
+            cert = c.derivation[1]
+            out.append({"id": cid, "row": _row_json(cert.objective), "rhs": _q(cert.bound),
+                        "derivation": ["derived", _multipliers_json(cert)]})
         else:
             out.append({"id": cid, "derivation": c.derivation})
     return out
@@ -262,30 +268,15 @@ class _Problem:
         self._phase_rows: dict = {}
 
     def weights(self, unit) -> tuple[int, list[int], int]:
-        """s = b + sum_k w_k src_k of the unit as (den, [den w_k], den b),
-        den the lcm of the denominators of its weights and bias."""
+        """s = b + sum_k w_k src_k of the unit, `store.unit_weights`."""
         if unit not in self._weights:
-            i, j = unit
-            layer = self.net.layers[i - 1]
-            wrow, b = layer.weights[j], layer.bias[j]
-            den = lcm(b.denominator, *(w.denominator for w in wrow))
-            self._weights[unit] = (den, [w.numerator * (den // w.denominator) for w in wrow],
-                                   b.numerator * (den // b.denominator))
+            self._weights[unit] = unit_weights(self.net, unit)
         return self._weights[unit]
 
     def affine(self, unit) -> list[IntForm]:
-        """The unit's affine row s - sum_k w_k src_k = b, its two sides."""
+        """The unit's affine row of `store.affine_row`, its two sides."""
         if unit not in self._affine:
-            s = self.layout.pre_index(unit)  # a unit of the network
-            den, weights, b = self.weights(unit)
-            row = {s: den}
-            i, _ = unit
-            for k, w in enumerate(weights):
-                if w:
-                    src = self.layout.input_index(k) if i == 1 else \
-                        self.layout.post_index((i - 1, k))
-                    row[src] = -w
-            self._affine[unit] = _equality((den, row, b))
+            self._affine[unit] = equality(affine_row(self.layout, unit, self.weights(unit)))
         return self._affine[unit]
 
     def phase_rows(self, unit, phase) -> list[list[IntForm]]:
@@ -293,10 +284,7 @@ class _Problem:
         the phase equality (k = 0) and the sign row (k = 1)."""
         key = (unit, phase)
         if key not in self._phase_rows:
-            lit = GuardLiteral(unit, phase)
-            self._phase_rows[key] = [
-                _equality((1, row, 0)) if relation == EQ else [(1, row, 0)]
-                for row, relation in guard_rows(self.layout, lit)]
+            self._phase_rows[key] = guard_rows(self.layout, GuardLiteral(unit, phase))
         return self._phase_rows[key]
 
 
@@ -318,21 +306,6 @@ class _Rejected(Exception):
 
 #: what reading a malformed row, certificate or split annotation raises
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
-
-
-def _reduced(den: int, coeffs: dict[int, int], rhs: int) -> IntForm:
-    """(den, coeffs, rhs) divided by their gcd: the row's integer form in
-    lowest terms, as `int_form` gives it."""
-    g = gcd(den, rhs, *coeffs.values())
-    if g == 1:
-        return den, coeffs, rhs
-    return den // g, {j: a // g for j, a in coeffs.items()}, rhs // g
-
-
-def _equality(form: IntForm) -> list[IntForm]:
-    """An equality's two sides, a^T v <= b and -a^T v <= -b."""
-    den, coeffs, rhs = form
-    return [form, (den, {j: -a for j, a in coeffs.items()}, -rhs)]
 
 
 def _shown(bound) -> Fraction | None:
@@ -360,8 +333,8 @@ def _hull_row(pb: _Problem, unit, k, interval: dict) -> list[IntForm]:
     if k == 2:
         # z - slope s <= -slope lo, slope = hi / (hi - lo) = hi_n lo_d / d
         d = hi_n * lo_d - lo_n * hi_d
-        return [_reduced(d, {z: d, s: -hi_n * lo_d}, -hi_n * lo_n)]
-    return [_reduced(hi_d, {z: hi_d}, hi_n)]
+        return [lowest_terms(d, {z: d, s: -hi_n * lo_d}, -hi_n * lo_n)]
+    return [lowest_terms(hi_d, {z: hi_d}, hi_n)]
 
 
 def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> list[IntForm]:
@@ -397,8 +370,8 @@ def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> list
         total += w * n * (m // d)
     s = pb.layout.pre_index(unit)
     if up:
-        return [_reduced(den * m, {s: den * m}, total)]
-    return [_reduced(den * m, {s: -den * m}, -total)]
+        return [lowest_terms(den * m, {s: den * m}, total)]
+    return [lowest_terms(den * m, {s: -den * m}, -total)]
 
 
 def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
@@ -505,7 +478,7 @@ def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tu
             return f"row {cid}: {exc}", None
         except _MALFORMED as exc:
             return f"row {cid}: malformed: {exc!r}", None
-        system.extend(IntRow(("c", cid, side), form) for side, form in zip(("le", "ge"), forms))
+        system.extend(NormRow(("c", cid, side), form) for side, form in zip(("le", "ge"), forms))
         tag = r["derivation"]
         if tag[0] == "guard":
             unit, phase = _unit(tag[1:3]), tag[3]

@@ -15,12 +15,20 @@ which also proves the margin bound the node's leaf records.  One function,
 back-substitution or a TGCT LP refutes first makes it for its bound alone.
 The root therefore makes no LP when back-substitution refutes it; a node
 below the root makes at least the one LP that proves its bound.
+
+Every row is built straight into its integer form (`store`): interval
+bounds are summed in integers over one common denominator
+(`store.affine_interval`), the hull chord over the common denominator of
+its interval's ends.  Back-substitution sums integer rows over one common
+denominator too, and makes a `Fraction` only for each multiplier it
+records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from . import certs as certmod
@@ -28,7 +36,15 @@ from . import lp
 from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, FarkasCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
-from .store import LE, REL, GuardLiteral, LinearConstraint, Store, guard_consequences
+from .store import (
+    REL,
+    GuardLiteral,
+    Store,
+    affine_interval,
+    bound_form,
+    guard_rows,
+    lowest_terms,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,9 +83,8 @@ def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    eq = guard_consequences(store.layout, GuardLiteral(unit, phase))[0]
-    store.phase_ids[unit] = store.add(
-        LinearConstraint(eq.row, eq.relation, eq.rhs, REL, ("stabilize", unit, phase)))
+    store.phase_ids[unit] = store.add(("stabilize", unit, phase), REL,
+                                      guard_rows(store.layout, GuardLiteral(unit, phase))[0])
     store.phases[unit] = phase
     store.unstable.discard(unit)
     return unit, phase
@@ -84,15 +99,17 @@ def hull_insert(store: Store, unit: Unit) -> list[int]:
         store.retire(cid)
     s = store.layout.pre_index(unit)
     z = store.layout.post_index(unit)
-    slope = hi / (hi - lo)
+    # row 2, the chord: z - slope s <= -slope lo, slope = hi / (hi - lo),
+    # over d = (hi - lo) lo_d hi_d > 0
+    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    d = hi_n * lo_d - lo_n * hi_d
     rows = [
-        ({z: -_ONE}, _ZERO),
-        ({s: _ONE, z: -_ONE}, _ZERO),
-        ({z: _ONE, s: -slope}, -slope * lo),
-        ({z: _ONE}, hi),
+        (1, {z: -1}, 0),
+        (1, {s: 1, z: -1}, 0),
+        lowest_terms(d, {z: d, s: -hi_n * lo_d}, -hi_n * lo_n),
+        bound_form(z, 1, hi),
     ]
-    ids = [store.add(LinearConstraint(row, LE, rhs, REL, ("hull", unit, k)))
-           for k, (row, rhs) in enumerate(rows)]
+    ids = [store.add(("hull", unit, k), REL, [row]) for k, row in enumerate(rows)]
     store.hull_ids[unit] = ids
     store.hull_bounds[unit] = (lo, hi)
     return ids
@@ -105,29 +122,26 @@ def _install_bound_rows(store: Store, unit: Unit) -> None:
     active (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  Written as
     two rows `("interval", unit, "up" | "lo")` that the checker rebuilds by
     the same sum."""
-    i, j = unit
-    layer = store.net.layers[i - 1]
-    upper = lower = layer.bias[j]
-    for k, w in enumerate(layer.weights[j]):
-        if w == 0:
-            continue
+    i, _ = unit
+    weights = store.shared.weights[unit]
+    ends = []
+    for k, w in enumerate(weights[1]):
         src = (i - 1, k)
         phase = store.phases.get(src)
-        if i == 1:
-            lo, hi = store.region.lower[k], store.region.upper[k]
-        elif phase == INACTIVE:
-            lo = hi = _ZERO
+        if w == 0 or phase == INACTIVE:
+            ends.append((_ZERO, _ZERO))
+        elif i == 1:
+            ends.append((store.region.lower[k], store.region.upper[k]))
         elif phase == ACTIVE:
             lo, hi = store.bounds.pre[src]
-            lo = max(_ZERO, lo)
+            ends.append((max(_ZERO, lo), hi))
         else:
-            lo, hi = _ZERO, store.hull_bounds[src][1]
-        upper += w * (hi if w > 0 else lo)
-        lower += w * (lo if w > 0 else hi)
+            ends.append((_ZERO, store.hull_bounds[src][1]))
+    lower, upper = affine_interval(weights, ends)
     s = store.layout.pre_index(unit)
     store.bound_rows[unit] = (
-        store.add(LinearConstraint({s: _ONE}, LE, upper, REL, ("interval", unit, "up"))),
-        store.add(LinearConstraint({s: -_ONE}, LE, -lower, REL, ("interval", unit, "lo"))))
+        store.add(("interval", unit, "up"), REL, [bound_form(s, 1, upper)]),
+        store.add(("interval", unit, "lo"), REL, [bound_form(s, -1, -lower)]))
     # authoritative row-backed bounds; equals the interval seed on feasible nodes
     store.bounds.pre[unit] = (lower, upper)
 
@@ -206,28 +220,40 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
     post = {layout.post_index(u): u for u in store.aff_ids
             if layout.post_index(u) != layout.pre_index(u)}
     inputs = {layout.input_index(k): k for k in range(store.net.input_dim)}
-    lam: dict = {}
-    coef: dict[int, Fraction] = {}
-    rho = _ZERO
+    rows = store.constraints
+    # the sum so far is coef^T v <= rho over the common denominator q > 0
+    q, coef, rho = rows[store.negp_id].sides[0].ints
+    coef = dict(coef)
+    lam = {("c", store.negp_id, "le"): _ONE}
 
-    def add(rid, m: Fraction):
-        nonlocal rho
-        lam[rid] = lam.get(rid, _ZERO) + m
-        row = store.norm_rows[rid[1]][0 if rid[2] == "le" else 1]
-        for j, q in row.row.items():
-            v = coef.get(j, _ZERO) + m * q
+    def add(side, j: int, a: int):
+        # a positive multiple of the row cancels coef_j = a: over q t' the
+        # sum is t' coef + c' row, with t', c' the row's |a_j| and |a| over
+        # their gcd, and the row's multiplier c' den / (q t')
+        nonlocal q, rho
+        den, coeffs, b = side.ints
+        t = abs(coeffs[j])
+        g = gcd(t, a)
+        t, c = t // g, abs(a) // g
+        lam[side.rid] = Fraction(c * den, q * t)
+        if t != 1:
+            for k in coef:
+                coef[k] *= t
+            q *= t
+            rho *= t
+        for k, v in coeffs.items():
+            v = coef.get(k, 0) + c * v
             if v:
-                coef[j] = v
+                coef[k] = v
             else:
-                coef.pop(j, None)
-        rho += m * row.rhs
+                del coef[k]
+        rho += c * b
 
-    def cancel_by_equality(cid: int, j: int, a: Fraction):
+    def cancel_by_equality(cid: int, j: int, a: int):
         # the "le" side carries coefficient c on j, the "ge" side -c
-        c = store.norm_rows[cid][0].row[j]
-        add(("c", cid, "le" if a * c < 0 else "ge"), abs(a / c))
+        le, ge = rows[cid].sides
+        add(le if (a > 0) != (le.ints[1][j] > 0) else ge, j, a)
 
-    add(("c", store.negp_id, "le"), _ONE)
     while coef:
         j = max(coef)
         a = coef[j]
@@ -238,12 +264,12 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
             else:
                 lo, hi = store.hull_bounds[unit]
                 k = 2 if a < 0 else 1 if hi > -lo else 0
-                add(("c", store.hull_ids[unit][k], "le"), abs(a))
+                add(rows[store.hull_ids[unit][k]].sides[0], j, a)
         elif j in pre:
             cancel_by_equality(store.aff_ids[pre[j]], j, a)
         else:
             hi_id, lo_id = store.region_ids[inputs[j]]
-            add(("c", hi_id if a < 0 else lo_id, "le"), abs(a))
+            add(rows[hi_id if a < 0 else lo_id].sides[0], j, a)
     return _checked_farkas(store, lam) if rho < 0 else None
 
 
@@ -277,8 +303,8 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             lo, hi = store.bounds.pre[unit]
             if out.status == lp.UNBOUNDED or out.value >= (hi if upper else -lo):
                 continue
-            cid = store.add(LinearConstraint(g, LE, out.value, REL, (
-                "derived", DualBoundCertificate.make(g, out.value, out.dual))))
+            cid = store.add(("derived", DualBoundCertificate.make(g, out.value, out.dual)), REL,
+                            [bound_form(s, 1 if upper else -1, out.value)])
             up_cid, lo_cid = store.bound_rows[unit]
             if upper:
                 store.bounds.tighten(unit, hi=out.value)

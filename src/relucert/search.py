@@ -51,7 +51,7 @@ from .model import (
     validate_witness,
 )
 from .propagate import propagate_node
-from .store import GuardLiteral, LinearConstraint, Store, build_initial_store
+from .store import GuardLiteral, ProblemRows, Store, StoreRow, build_initial_store
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -91,7 +91,7 @@ class ProofLeaf:
     # the rows of the node's store that its certificates reach
     # (`Store.cone`), retired ones included, as (id, constraint) under the
     # store's ids
-    rows: list[tuple[int, LinearConstraint]]
+    rows: list[tuple[int, StoreRow]]
     cover: list[GuardedCertificate]
     # the margin bound its rows prove without the negated property: a dual
     # certificate whose objective is the margin alone
@@ -115,7 +115,7 @@ class ClauseEntry:
 
     literals: frozenset[GuardLiteral]
     cert: GuardedCertificate
-    rows: list[tuple[int, LinearConstraint]]  # the rows of the leaf `cert` closed
+    rows: list[tuple[int, StoreRow]]  # the rows of the leaf `cert` closed
 
 
 class ClauseDB:
@@ -239,7 +239,7 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         blocked = clauses.blocking(alpha)
         if blocked is not None:
             return ProofLeaf(blocked.rows, [blocked.cert])
-        store = build_initial_store(net, layout, region, prop, alpha)
+        store = build_initial_store(net, layout, region, prop, alpha, shared)
         # below the root a leaf records the margin bound of its rows without
         # the negated property: the node's closing LP is that margin LP
         res = propagate_node(store, budget, templates=config.templates, margin=depth > 0)
@@ -277,6 +277,8 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         mid = tuple((lo + hi) * _HALF for lo, hi in zip(region.lower, region.upper))
         if validate_witness(net, region, prop, mid).accepted:
             raise sat(mid)
+        # the rows every node's store shares, built once the run needs a store
+        shared = ProblemRows(net, layout, prop)
         tree = solve(region, {}, 0)
     except Exhausted:
         return VerifyResult("unknown", reason="resource", budget=budget)
@@ -322,10 +324,11 @@ def oracle_verify(net: Network, region: Region, prop: SafetyProperty,
     if len(free) > cap:
         raise CapExceeded(f"{len(free)} unstable units exceed cap {cap}")
     budget = Budget()
+    shared = ProblemRows(net, layout, prop)
     for phases in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
         alpha = dict(fixed)
         alpha.update(zip(free, phases))
-        store = build_initial_store(net, layout, region, prop, alpha)
+        store = build_initial_store(net, layout, region, prop, alpha, shared)
         budget.count_lp()
         out = lp.lp_feasible(store.normalize())
         if out.status != lp.FEASIBLE:

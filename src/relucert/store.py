@@ -1,7 +1,18 @@
-"""Linear relaxation store: five constraint blocks, guard consequences,
-normalization to inequality form, and per-unit bound bookkeeping.
+"""Linear relaxation store: five constraint blocks, the row vocabulary,
+per-unit bound bookkeeping and interval arithmetic.
 
-Every constraint carries a `derivation` tag from which an independent checker
+Every row is built straight into its integer form (den, den a, den b),
+den > 0, in lowest terms, with no `Fraction` per coefficient: a
+`StoreRow` is its derivation tag, its block and its sides, one `NormRow`
+(id plus integer form) for a^T v <= b and an equality's two, the form
+the LP engine and the checkers of `certs` read.  The vocabulary defines
+the rows that are definitions, not derivations, once, in integers:
+`affine_row`, a unit's affine equality, and `guard_rows`, a phase's rows.
+A run builds each unit's affine row and the negated property once
+(`ProblemRows`), and every node's store holds those very rows under the
+same ids; no row is mutated once built.
+
+Every row carries a `derivation` tag from which an independent checker
 rebuilds it: base rows from the problem and the region, guard rows as row k
 of a phase's guard consequences, a unit's two interval rows by interval
 arithmetic over the intervals that earlier rows prove for its sources, hull
@@ -24,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -39,7 +50,6 @@ from .model import (
 )
 
 LE = "le"
-EQ = "eq"
 
 # blocks of the store
 AFF = "aff"
@@ -52,29 +62,14 @@ GUARD = "guard"
 #: ("g", layer, neuron, phase, k) for guard rows materialized outside a store.
 RowId = tuple
 
+#: a row a^T v <= b in integers, (den, den a, den b), den > 0
+IntForm = tuple[int, dict[int, int], int]
+
 
 @dataclass(frozen=True)
 class GuardLiteral:
     unit: Unit
     phase: str  # ACTIVE | INACTIVE
-
-
-@dataclass
-class LinearConstraint:
-    row: dict[int, Fraction]
-    relation: str  # LE | EQ
-    rhs: Fraction
-    block: str
-    derivation: tuple
-
-    def __post_init__(self):
-        self.row = {i: Fraction(q) for i, q in self.row.items() if q != 0}
-        if not self.row:
-            raise ValueError("empty constraint row")
-
-
-#: a row a^T v <= b in integers, (den, den a, den b), den > 0
-IntForm = tuple[int, dict[int, int], int]
 
 
 def int_form(row: dict[int, Fraction], rhs: Fraction) -> IntForm:
@@ -85,33 +80,61 @@ def int_form(row: dict[int, Fraction], rhs: Fraction) -> IntForm:
             rhs.numerator * (den // rhs.denominator))
 
 
-@dataclass(frozen=True)
-class NormRow:
-    """A row a^T v <= b under its id, with its integer form `ints`.  A
-    store builds each row once and every system it normalizes shares it,
-    so neither `row` nor `ints` may be mutated."""
-
-    row: dict[int, Fraction]
-    rhs: Fraction
-    rid: RowId
-    ints: IntForm = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ints", int_form(self.row, self.rhs))
+def lowest_terms(den: int, coeffs: dict[int, int], rhs: int) -> IntForm:
+    """(den, coeffs, rhs) divided by their gcd: the row's integer form in
+    lowest terms, as `int_form` gives it."""
+    g = gcd(den, rhs, *coeffs.values())
+    if g == 1:
+        return den, coeffs, rhs
+    return den // g, {j: a // g for j, a in coeffs.items()}, rhs // g
 
 
-class IntRow(NamedTuple):
-    """A row in its integer form alone, under its id: the form in which
-    `check` builds rows.  The checkers of `certs` read a row's `ints`
-    alone, so a system of `IntRow`s serves them as one of `NormRow`s."""
+def bound_form(j: int, sign: int, q: Fraction) -> IntForm:
+    """sign * v_j <= q, sign +1 or -1, in lowest terms."""
+    return q.denominator, {j: sign * q.denominator}, q.numerator
+
+
+def equality(form: IntForm) -> list[IntForm]:
+    """An equality's two sides, a^T v <= b and -a^T v <= -b."""
+    den, coeffs, rhs = form
+    return [form, (den, {j: -a for j, a in coeffs.items()}, -rhs)]
+
+
+class NormRow(NamedTuple):
+    """A row a^T v <= b under its id, in its integer form `ints` alone:
+    all that the LP engine and the checkers of `certs` read.  A store
+    builds each row once and every system it normalizes shares it, so
+    `ints` may not be mutated."""
 
     rid: RowId
     ints: IntForm
 
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.ints[2], self.ints[0])
+
+
+class StoreRow(NamedTuple):
+    """A store row: the derivation tag a checker rebuilds it from, its
+    block, and its sides as `NormRow`s under its id, one for a^T v <= b
+    and an equality's two, "le" then "ge"."""
+
+    derivation: tuple
+    block: str
+    sides: tuple[NormRow, ...]
+
+
+def store_row(cid: int, derivation: tuple, block: str, forms: list[IntForm]) -> StoreRow:
+    """The row with sides `forms` under the id `cid`."""
+    if len(forms) == 1:
+        return StoreRow(derivation, block, (NormRow(("c", cid, LE), forms[0]),))
+    le, ge = forms
+    return StoreRow(derivation, block, (NormRow(("c", cid, LE), le), NormRow(("c", cid, "ge"), ge)))
+
 
 class NormalizedSystem:
     """Pure inequality form A v <= b with stable per-row ids; its rows are
-    `NormRow`s or `IntRow`s."""
+    `NormRow`s."""
 
     def __init__(self, rows: list, n_vars: int):
         self.rows = rows
@@ -126,27 +149,63 @@ class NormalizedSystem:
             self.index[r.rid] = len(self.rows)
             self.rows.append(r)
 
-    def resolve(self, rid: RowId) -> NormRow | IntRow | None:
+    def resolve(self, rid: RowId) -> NormRow | None:
         k = self.index.get(rid)
         return None if k is None else self.rows[k]
 
 
-def _neg(row: dict[int, Fraction]) -> dict[int, Fraction]:
-    return {i: -q for i, q in row.items()}
+def unit_weights(net: Network, unit: Unit) -> tuple[int, list[int], int]:
+    """s = b + sum_k w_k src_k of the unit as (den, [den w_k], den b), den
+    the lcm of the denominators of its weights and bias."""
+    i, j = unit
+    layer = net.layers[i - 1]
+    wrow, b = layer.weights[j], layer.bias[j]
+    den = lcm(b.denominator, *(w.denominator for w in wrow))
+    return (den, [w.numerator * (den // w.denominator) for w in wrow],
+            b.numerator * (den // b.denominator))
 
 
-def normalize_constraint(cid, c: LinearConstraint) -> list[NormRow]:
-    """Eq rows expand to two adjacent LessEq rows; ids stay stable."""
-    rows = [NormRow(dict(c.row), c.rhs, ("c", cid, "le"))]
-    if c.relation == EQ:
-        rows.append(NormRow(_neg(c.row), -c.rhs, ("c", cid, "ge")))
-    return rows
+def affine_row(layout: VariableLayout, unit: Unit,
+               weights: tuple[int, list[int], int]) -> IntForm:
+    """The unit's affine row s - sum_k w_k src_k = b, its "le" side, in
+    integers, from its `unit_weights`: the one definition of it, from which
+    the store's affine rows and the proof checker's are built.  A source is
+    an input in layer 1, else the previous layer's post-activation."""
+    s = layout.pre_index(unit)  # a unit of the network, or KeyError
+    den, weights, b = weights
+    i, _ = unit
+    row = {s: den}
+    for k, w in enumerate(weights):
+        if w:
+            row[layout.input_index(k) if i == 1 else layout.post_index((i - 1, k))] = -w
+    return den, row, b
 
 
-def guard_rows(layout: VariableLayout, lit: GuardLiteral) -> list[tuple[dict[int, int], str]]:
-    """The rows of committing a ReLU phase, row k as (coefficients,
-    relation) over rhs 0, in integers: the one definition of a phase's rows,
-    from which the store's guard rows and the proof checker's are built.
+def affine_interval(weights: tuple[int, list[int], int],
+                    ends: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+    """[lo, hi] of s = b + sum_k w_k src_k over src_k in ends[k], with the
+    unit's `unit_weights`; summed in integers over one common denominator."""
+    den, ws, b = weights
+    terms = []  # per source: w_k and the ends lo and hi read, as (num, den)
+    m = 1
+    for w, (l, h) in zip(ws, ends):
+        if w:
+            if w < 0:
+                l, h = h, l
+            ld, hd = l.denominator, h.denominator
+            m = lcm(m, ld, hd)
+            terms.append((w, l.numerator, ld, h.numerator, hd))
+    lo = hi = b * m
+    for w, ln, ld, hn, hd in terms:
+        lo += w * ln * (m // ld)
+        hi += w * hn * (m // hd)
+    return Fraction(lo, den * m), Fraction(hi, den * m)
+
+
+def guard_rows(layout: VariableLayout, lit: GuardLiteral) -> list[list[IntForm]]:
+    """The rows of committing a ReLU phase, row k as its integer sides: the
+    one definition of a phase's rows, from which the store's guard and
+    `stabilize` rows and the proof checker's are built.
 
     Active: z - s = 0 and -s <= 0.  Inactive: z = 0 and s <= 0.  A unit
     without a ReLU (z aliases s) has no phases.
@@ -156,33 +215,47 @@ def guard_rows(layout: VariableLayout, lit: GuardLiteral) -> list[tuple[dict[int
     if s == z:
         raise ValueError(f"{lit.unit} is not a ReLU unit")
     if lit.phase == ACTIVE:
-        return [({z: 1, s: -1}, EQ), ({s: -1}, LE)]
+        return [equality((1, {z: 1, s: -1}, 0)), [(1, {s: -1}, 0)]]
     if lit.phase == INACTIVE:
-        return [({z: 1}, EQ), ({s: 1}, LE)]
+        return [equality((1, {z: 1}, 0)), [(1, {s: 1}, 0)]]
     raise ValueError(f"unknown phase {lit.phase!r}")
 
 
-def guard_consequences(layout: VariableLayout, lit: GuardLiteral) -> list[LinearConstraint]:
-    """Linear consequences of committing a ReLU phase, `guard_rows`, row k
-    tagged ("guard", layer, neuron, phase, k)."""
-    return [LinearConstraint(row, relation, Fraction(0), GUARD,
-                             ("guard", lit.unit[0], lit.unit[1], lit.phase, k))
-            for k, (row, relation) in enumerate(guard_rows(layout, lit))]
-
-
 def guard_norm_rows(layout: VariableLayout, lit: GuardLiteral) -> list[NormRow]:
-    """Guard consequences as normalized rows with store-independent ids.
+    """A phase's rows, `guard_rows`, as normalized rows with
+    store-independent ids.
 
     Used when a guard set is materialized on top of a store (guarded
     certificates, the exactness gate); the solver and the proof checker build
     identical rows and ids for a cover's guards from this single helper.
     """
-    rows = []
-    for c in guard_consequences(layout, lit):
-        rows.append(NormRow(dict(c.row), c.rhs, ("g", lit.unit[0], lit.unit[1], lit.phase, len(rows))))
-        if c.relation == EQ:
-            rows.append(NormRow(_neg(c.row), -c.rhs, ("g", lit.unit[0], lit.unit[1], lit.phase, len(rows))))
-    return rows
+    forms = [form for sides in guard_rows(layout, lit) for form in sides]
+    return [NormRow(("g", lit.unit[0], lit.unit[1], lit.phase, k), form)
+            for k, form in enumerate(forms)]
+
+
+class ProblemRows:
+    """The rows every node's store of one problem holds under the same ids,
+    built once per run: each unit's affine row, ids 0, 1, ... in unit
+    order, and the negated property, `-margin <= -(threshold + epsilon)`
+    over the outputs, after the region rows.  Every store built with it
+    shares these rows, which are never mutated."""
+
+    def __init__(self, net: Network, layout: VariableLayout, prop: SafetyProperty):
+        #: each unit's `unit_weights`
+        self.weights: dict[Unit, tuple[int, list[int], int]] = {}
+        self.affine: list[StoreRow] = []
+        self.aff_ids: dict[Unit, int] = {}
+        for i, layer in enumerate(net.layers, start=1):
+            for j in range(len(layer.weights)):
+                unit = (i, j)
+                weights = self.weights[unit] = unit_weights(net, unit)
+                cid = self.aff_ids[unit] = len(self.affine)
+                self.affine.append(store_row(cid, ("aff", i, j), AFF,
+                                             equality(affine_row(layout, unit, weights))))
+        self.negp_id = len(self.affine) + 2 * net.input_dim
+        self.negp = store_row(self.negp_id, ("negp",), NEGP, [int_form(
+            {j: -q for j, q in layout.margin.items()}, -prop.violation_threshold)])
 
 
 @dataclass
@@ -209,17 +282,19 @@ class Store:
     """Constraint store owned by a single search node."""
 
     def __init__(self, net: Network, layout: VariableLayout, region: Region,
-                 prop: SafetyProperty, alpha: dict[Unit, str]):
+                 prop: SafetyProperty, alpha: dict[Unit, str],
+                 shared: ProblemRows | None = None):
         self.net = net
         self.layout = layout
         self.region = region
         self.prop = prop
+        # the run's rows and unit weights, shared by every store of the run
+        self.shared = shared or ProblemRows(net, layout, prop)
         # the committed or stabilized phase of a unit, and the id of its
         # phase equality (row 0 of the phase's guard consequences)
         self.phases: dict[Unit, str] = dict(alpha)
         self.phase_ids: dict[Unit, int] = {}
-        self.constraints: dict[int, LinearConstraint] = {}
-        self.norm_rows: dict[int, list[NormRow]] = {}       # cid -> its normalized rows
+        self.constraints: dict[int, StoreRow] = {}
         self.retired: set[int] = set()
         self.bounds = BoundsMap()
         self.unstable: set[Unit] = set()
@@ -233,11 +308,13 @@ class Store:
 
     # -- mutation ---------------------------------------------------------
 
-    def add(self, c: LinearConstraint) -> int:
-        """Append a constraint under the next id and return that id."""
+    def add(self, derivation: tuple, block: str, forms: list[IntForm]) -> int:
+        """Append a row, given as its integer sides (one, or an equality's
+        two), under the next id and return that id."""
+        if not forms[0][1]:
+            raise ValueError("empty constraint row")
         cid = len(self.constraints)
-        self.constraints[cid] = c
-        self.norm_rows[cid] = normalize_constraint(cid, c)
+        self.constraints[cid] = store_row(cid, derivation, block, forms)
         return cid
 
     def retire(self, cid: int):
@@ -247,10 +324,10 @@ class Store:
 
     # -- views ------------------------------------------------------------
 
-    def active_constraints(self) -> list[tuple[int, LinearConstraint]]:
+    def active_constraints(self) -> list[tuple[int, StoreRow]]:
         return [(cid, c) for cid, c in self.constraints.items() if cid not in self.retired]
 
-    def normalize(self, exclude: Callable[[int, LinearConstraint], bool] | None = None) -> NormalizedSystem:
+    def normalize(self, exclude: Callable[[int, StoreRow], bool] | None = None) -> NormalizedSystem:
         """Inequality form of the active rows, insertion order, Eq expansion
         adjacent.  The rows are those `add` built, the same objects on every
         call."""
@@ -258,7 +335,7 @@ class Store:
         for cid, c in self.active_constraints():
             if exclude is not None and exclude(cid, c):
                 continue
-            rows.extend(self.norm_rows[cid])
+            rows.extend(c.sides)
         return NormalizedSystem(rows, self.layout.n_vars)
 
     def without_negp(self) -> NormalizedSystem:
@@ -271,11 +348,11 @@ class Store:
         or absent rows are left out."""
         rows = []
         for rid in rids:
-            if rid[0] == "c" and rid[1] not in self.retired:
-                rows.extend(r for r in self.norm_rows.get(rid[1], ()) if r.rid == rid)
+            if rid[0] == "c" and rid[1] not in self.retired and rid[1] in self.constraints:
+                rows.extend(r for r in self.constraints[rid[1]].sides if r.rid == rid)
         return NormalizedSystem(rows, self.layout.n_vars)
 
-    def cone(self, rids: Iterable[RowId]) -> list[tuple[int, LinearConstraint]]:
+    def cone(self, rids: Iterable[RowId]) -> list[tuple[int, StoreRow]]:
         """The rows that the rows named in `rids` rest on, transitively and
         them included, as (id, constraint) in id order, retired rows too.
         A derived row rests on the rows its certificate cites.  A hull,
@@ -339,8 +416,8 @@ class Store:
             elif kind == "stabilize":
                 side = lower if tag[2] == ACTIVE else upper
                 reads[cid] = [side[layout.pre_index(tag[1])][2]]
-            if c.relation == LE and len(c.row) == 1:
-                _, coeffs, b = self.norm_rows[cid][0].ints
+            _, coeffs, b = c.sides[0].ints
+            if len(c.sides) == 1 and len(coeffs) == 1:
                 (j, a), = coeffs.items()
                 if a > 0:
                     if j not in upper or b * upper[j][1] < upper[j][0] * a:
@@ -366,24 +443,16 @@ def _post_interval(phase: str | None, lo: Fraction, hi: Fraction) -> tuple[Fract
     return (zero, max(zero, hi))
 
 
-def interval_bounds(net: Network, region: Region, alpha: dict[Unit, str]) -> dict[Unit, tuple[Fraction, Fraction]]:
+def interval_bounds(net: Network, region: Region, alpha: dict[Unit, str],
+                    weights: dict | None = None) -> dict[Unit, tuple[Fraction, Fraction]]:
     """Exact interval arithmetic through the box, phase commitments applied
-    to post-activation ranges."""
-    zero = Fraction(0)
+    to post-activation ranges; `weights` maps each unit to its
+    `unit_weights`, which are computed here without it."""
     prev = list(zip(region.lower, region.upper))
     bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
     for i, layer in enumerate(net.layers, start=1):
-        pre = []
-        for row, b in zip(layer.weights, layer.bias):
-            lo = hi = b
-            for w, (plo, phi) in zip(row, prev):
-                if w > 0:
-                    lo += w * plo
-                    hi += w * phi
-                elif w < 0:
-                    lo += w * phi
-                    hi += w * plo
-            pre.append((lo, hi))
+        pre = [affine_interval(unit_weights(net, (i, j)) if weights is None else weights[(i, j)],
+                               prev) for j in range(len(layer.weights))]
         if layer.activation == RELU:
             nxt = []
             for j, (lo, hi) in enumerate(pre):
@@ -404,39 +473,34 @@ def interval_bounds(net: Network, region: Region, alpha: dict[Unit, str]) -> dic
 
 
 def build_initial_store(net: Network, layout: VariableLayout, region: Region,
-                        prop: SafetyProperty, alpha: dict[Unit, str]) -> Store:
+                        prop: SafetyProperty, alpha: dict[Unit, str],
+                        shared: ProblemRows | None = None) -> Store:
     """Base blocks: affine equalities, box rows, negated property and guard
-    consequences of alpha.  Bounds come from interval arithmetic; relaxation
-    rows are installed by propagation."""
-    store = Store(net, layout, region, prop, alpha)
-    one = Fraction(1)
-
-    for i, layer in enumerate(net.layers, start=1):
-        for j, (wrow, b) in enumerate(zip(layer.weights, layer.bias)):
-            row = {layout.pre_index((i, j)): one}
-            for k, w in enumerate(wrow):
-                if w == 0:
-                    continue
-                src = layout.input_index(k) if i == 1 else layout.post_index((i - 1, k))
-                row[src] = row.get(src, Fraction(0)) - w
-            store.aff_ids[(i, j)] = store.add(LinearConstraint(row, EQ, b, AFF, ("aff", i, j)))
+    consequences of alpha.  The affine rows and the negated property are
+    those of `shared`, the run's `ProblemRows`, or built afresh without
+    it.  Bounds come from interval arithmetic; relaxation rows are
+    installed by propagation."""
+    store = Store(net, layout, region, prop, alpha, shared)
+    shared = store.shared
+    store.constraints.update(enumerate(shared.affine))
+    store.aff_ids = shared.aff_ids
 
     for k in range(net.input_dim):
         xi = layout.input_index(k)
         store.region_ids[k] = (
-            store.add(LinearConstraint({xi: one}, LE, region.upper[k], REGION, ("region", k, "hi"))),
-            store.add(LinearConstraint({xi: -one}, LE, -region.lower[k], REGION, ("region", k, "lo"))))
+            store.add(("region", k, "hi"), REGION, [bound_form(xi, 1, region.upper[k])]),
+            store.add(("region", k, "lo"), REGION, [bound_form(xi, -1, -region.lower[k])]))
 
-    # the negated property, -margin <= -(threshold + epsilon), over the outputs
-    store.negp_id = store.add(LinearConstraint(_neg(layout.margin), LE, -prop.violation_threshold,
-                                               NEGP, ("negp",)))
+    store.negp_id = shared.negp_id
+    store.constraints[shared.negp_id] = shared.negp
 
     for unit in sorted(alpha):
         phase = alpha[unit]
-        cids = [store.add(c) for c in guard_consequences(layout, GuardLiteral(unit, phase))]
+        cids = [store.add(("guard", unit[0], unit[1], phase, k), GUARD, sides)
+                for k, sides in enumerate(guard_rows(layout, GuardLiteral(unit, phase)))]
         store.phase_ids[unit] = cids[0]
 
-    for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
+    for unit, (lo, hi) in interval_bounds(net, region, alpha, shared.weights).items():
         i, _ = unit
         if net.layers[i - 1].activation != RELU:
             continue

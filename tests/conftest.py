@@ -88,6 +88,20 @@ def layout_of(net, prop):
     return build_layout(net, prop)
 
 
+def norm_row(row, rhs, rid):
+    """The normalized row a^T v <= b, given as rationals, in its integer
+    form under the id `rid`."""
+    from relucert.store import NormRow, int_form
+
+    return NormRow(rid, int_form(dict(row), rhs))
+
+
+def rational_row(r):
+    """A normalized row's a (its nonzeros) and b as rationals."""
+    den, coeffs, b = r.ints
+    return {j: F(a, den) for j, a in coeffs.items()}, F(b, den)
+
+
 def mutate_rational_field(rng, doc):
     """Change one rational scalar somewhere in a parsed proof document to a
     different value; returns its path."""

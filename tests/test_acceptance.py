@@ -19,6 +19,7 @@ from conftest import (
     layout_of,
     leaf_system,
     mutate_rational_field,
+    norm_row,
     random_instance,
     scoped_leaves,
     worked_network,
@@ -50,7 +51,6 @@ from relucert.search import (
     oracle_verify,
 )
 from relucert.store import (
-    NormRow,
     NormalizedSystem,
     build_initial_store,
     interval_bounds,
@@ -101,10 +101,10 @@ class TestAcceptance:
         # rows over v = (z1, z2, y):
         #   (1) z1 <= 1   (2) -z2 <= 0   (3) -z1 + z2 + y <= 0   (4) -y <= -11/10
         sys = NormalizedSystem([
-            NormRow({0: F(1)}, F(1), ("c", 0, "le")),
-            NormRow({1: F(-1)}, F(0), ("c", 1, "le")),
-            NormRow({0: F(-1), 1: F(1), 2: F(1)}, F(0), ("c", 2, "le")),
-            NormRow({2: F(-1)}, F(-11, 10), ("c", 3, "le")),
+            norm_row({0: F(1)}, F(1), ("c", 0, "le")),
+            norm_row({1: F(-1)}, F(0), ("c", 1, "le")),
+            norm_row({0: F(-1), 1: F(1), 2: F(1)}, F(0), ("c", 2, "le")),
+            norm_row({2: F(-1)}, F(-11, 10), ("c", 3, "le")),
         ], 3)
         lam = FarkasCertificate.make({("c", i, "le"): F(1) for i in range(4)})
         combo, rhs = certs._combine(sys, lam.multipliers)
@@ -257,9 +257,9 @@ class TestAcceptance:
 
     def test_08_checker_cost_linear_in_nonzeros(self, report, monkeypatch):
         def chain(m):
-            rows = [NormRow({0: F(1)}, F(0), ("c", 0, "le"))]
+            rows = [norm_row({0: F(1)}, F(0), ("c", 0, "le"))]
             for i in range(m):
-                rows.append(NormRow({i + 1: F(1), i: F(-1)}, F(1), ("c", i + 1, "le")))
+                rows.append(norm_row({i + 1: F(1), i: F(-1)}, F(1), ("c", i + 1, "le")))
             sys = NormalizedSystem(rows, m + 1)
             dual = DualBoundCertificate.make(
                 {m: F(1)}, F(m), {("c", i, "le"): F(1) for i in range(m + 1)})
@@ -268,7 +268,7 @@ class TestAcceptance:
         per_nnz = {}
         for m in (10, 100, 1000):
             sys, dual = chain(m)
-            nnz = sum(len(r.row) for r in sys.rows)
+            nnz = sum(len(r.ints[1]) for r in sys.rows)
             certs.counter.reset()
             assert check_dual(sys, dual).ok
             per_nnz[m] = F(certs.counter.mults, nnz)
@@ -343,8 +343,7 @@ class TestAcceptance:
         assert res.status == "unsat" and res.tree.bound is not None
         # the root split's merged bound, margin <= beta, as one more row
         layout = build_layout(net, prop)
-        bound_row = NormRow(dict(layout.margin), res.tree.bound,
-                            ("c", 10 ** 6, "le"))
+        bound_row = norm_row(dict(layout.margin), res.tree.bound, ("c", 10 ** 6, "le"))
 
         checked = 0
         from relucert.store import guard_norm_rows

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
-from conftest import layout_of, worked_network, worked_prop, worked_region
+from conftest import layout_of, norm_row, worked_network, worked_prop, worked_region
 from relucert import certs
 from relucert.certs import (
     DualBoundCertificate,
@@ -14,13 +14,13 @@ from relucert.certs import (
     extend_with_guards,
 )
 from relucert.model import ACTIVE, INACTIVE
-from relucert.store import GuardLiteral, NormRow, NormalizedSystem, build_initial_store
+from relucert.store import GuardLiteral, NormalizedSystem, build_initial_store
 
 
 def _sys(rows):
     n = max((j for row, _ in rows for j in row), default=-1) + 1
     return NormalizedSystem(
-        [NormRow(dict(row), F(rhs), ("c", i, "le")) for i, (row, rhs) in enumerate(rows)], n)
+        [norm_row(dict(row), F(rhs), ("c", i, "le")) for i, (row, rhs) in enumerate(rows)], n)
 
 
 def hand_infeasible_system():
@@ -174,7 +174,7 @@ class TestOperationCounter:
         costs = {}
         for m in (10, 100, 1000):
             sys, cert = self._chain(m)
-            nnz = sum(len(r.row) for r in sys.rows)
+            nnz = sum(len(r.ints[1]) for r in sys.rows)
             certs.counter.reset()
             assert check_dual(sys, cert).ok
             costs[m] = certs.counter.mults / nnz
@@ -187,14 +187,15 @@ _DENS = (1, 2, 3, 7, 10, 12, 2**31 - 1, 10**20)
 _STEP = F(1, 10**40)
 
 
-def _reference_combine(sys, multipliers):
-    """lambda^T A (its nonzeros) and lambda^T b by plain Fraction sums."""
+def _reference_combine(rows, multipliers):
+    """lambda^T A (its nonzeros) and lambda^T b by plain Fraction sums over
+    `rows`, each row id's (a, b) as rationals."""
     acc, rhs = {}, F(0)
     for rid, m in multipliers:
-        r = sys.resolve(rid)
-        for j, a in r.row.items():
+        row, b = rows[rid]
+        for j, a in row.items():
             acc[j] = acc.get(j, F(0)) + m * a
-        rhs += m * r.rhs
+        rhs += m * b
     return {j: v for j, v in acc.items() if v}, rhs
 
 
@@ -204,8 +205,8 @@ def _rand_row(rng, n):
 
 
 def _reference_cases(seed, count=40):
-    """Seeded systems with their multiplier vectors, some entries 0 (a move
-    down makes them negative).  The last row is minus the combination of the
+    """Seeded systems with their multiplier vectors and their rows as
+    rationals by id, some entries 0 (a move down makes them negative).  The last row is minus the combination of the
     others, with its rhs 1/7 below minus theirs, so the vector with 1 on it
     is a Farkas certificate."""
     rng = random.Random(seed)
@@ -214,14 +215,14 @@ def _reference_cases(seed, count=40):
         rows = [(_rand_row(rng, n), F(rng.randint(-30, 30), rng.choice(_DENS)))
                 for _ in range(rng.randint(1, 7))]
         lam = [F(rng.randint(0, 20), rng.choice(_DENS)) for _ in rows]
-        norm = [NormRow(row, rhs, ("c", i, "le")) for i, (row, rhs) in enumerate(rows)]
-        combo, rhs = _reference_combine(NormalizedSystem(list(norm), n),
-                                        [(r.rid, m) for r, m in zip(norm, lam)])
+        rational = {("c", i, "le"): row for i, row in enumerate(rows)}
+        combo, rhs = _reference_combine(rational, list(zip(rational, lam)))
         if combo:
-            norm.append(NormRow({j: -v for j, v in combo.items()}, -rhs - F(1, 7),
-                                ("c", len(norm), "le")))
+            rational[("c", len(rows), "le")] = ({j: -v for j, v in combo.items()},
+                                                -rhs - F(1, 7))
             lam.append(F(1))
-        yield NormalizedSystem(norm, n), [(r.rid, m) for r, m in zip(norm, lam)]
+        norm = [norm_row(row, rhs, rid) for rid, (row, rhs) in rational.items()]
+        yield NormalizedSystem(norm, n), list(zip(rational, lam)), rational
 
 
 def _moved(multipliers):
@@ -239,20 +240,20 @@ class TestIntegerCombination:
     Fraction accumulation written here."""
 
     def test_combine_equals_the_fraction_reference(self):
-        for sys, lam in _reference_cases(11):
+        for sys, lam, rational in _reference_cases(11):
             for moved in _moved(lam):
                 certs.counter.reset()
-                assert certs._combine(sys, moved) == _reference_combine(sys, moved)
-                assert certs.counter.mults == sum(len(sys.resolve(rid).row) + 1
+                assert certs._combine(sys, moved) == _reference_combine(rational, moved)
+                assert certs.counter.mults == sum(len(rational[rid][0]) + 1
                                                   for rid, _ in moved)
 
     def test_checkers_agree_with_the_reference(self):
         seen, negative = set(), 0
-        for sys, lam in _reference_cases(12):
+        for sys, lam, rational in _reference_cases(12):
             # a dual objective and bound from the unmoved vector less its last entry
-            g, bound = _reference_combine(sys, lam[:-1])
+            g, bound = _reference_combine(rational, lam[:-1])
             for moved in _moved(lam):
-                combo, rhs = _reference_combine(sys, moved)
+                combo, rhs = _reference_combine(rational, moved)
                 negative += any(m < 0 for _, m in moved)
                 farkas = check_farkas(sys, FarkasCertificate(tuple(moved)))
                 assert farkas.ok == (all(m >= 0 for _, m in moved) and not combo and rhs < 0)
@@ -260,7 +261,7 @@ class TestIntegerCombination:
                 for b in (bound - _STEP, bound, bound + _STEP):
                     dual = check_dual(sys, DualBoundCertificate(tuple(g.items()), b,
                                                                 tuple(moved[:-1])))
-                    want_combo, want_rhs = _reference_combine(sys, moved[:-1])
+                    want_combo, want_rhs = _reference_combine(rational, moved[:-1])
                     want = (all(m >= 0 for _, m in moved[:-1]) and want_combo == g
                             and want_rhs <= b)
                     assert dual.ok == want
@@ -270,9 +271,9 @@ class TestIntegerCombination:
         assert negative
 
     def test_norm_row_ints_rebuild_each_row_in_lowest_terms(self):
-        for sys, _ in _reference_cases(13):
+        for sys, _, rational in _reference_cases(13):
             for r in sys.rows:
                 den, coeffs, b = r.ints
                 assert den > 0 and gcd(den, b, *coeffs.values()) == 1
-                assert {j: F(a, den) for j, a in coeffs.items()} == r.row
-                assert F(b, den) == r.rhs
+                assert ({j: F(a, den) for j, a in coeffs.items()}, F(b, den)) == rational[r.rid]
+                assert r.rhs == rational[r.rid][1]

@@ -7,9 +7,9 @@ from functools import partial
 
 import pytest
 
-from conftest import rand_rational
+from conftest import norm_row, rand_rational, rational_row
 from relucert import certs, lp
-from relucert.store import NormRow, NormalizedSystem
+from relucert.store import NormalizedSystem
 
 ZERO = F(0)
 
@@ -18,7 +18,7 @@ def _system(rows):
     """rows: list of (coef dict, rhs); ids assigned positionally."""
     n = max((j for row, _ in rows for j in row), default=-1) + 1
     return NormalizedSystem(
-        [NormRow(dict(row), F(rhs), ("c", i, "le")) for i, (row, rhs) in enumerate(rows)], n)
+        [norm_row(dict(row), F(rhs), ("c", i, "le")) for i, (row, rhs) in enumerate(rows)], n)
 
 
 def _boxed_random_system(rng, n_extra=4, max_den=4):
@@ -63,7 +63,7 @@ def _vertex_oracle(sys, g):
     """Exhaustive vertex enumeration: best g^T v over all feasible basic
     points.  Sound for bounded polytopes (box rows present)."""
     n = sys.n_vars
-    dense = [([r.row.get(j, ZERO) for j in range(n)], r.rhs) for r in sys.rows]
+    dense = [([rational_row(r)[0].get(j, ZERO) for j in range(n)], r.rhs) for r in sys.rows]
     best = None
     arg = None
     for combo in itertools.combinations(range(len(dense)), n):
@@ -127,7 +127,7 @@ class TestCertificates:
             for rid, q in out.dual.items():
                 assert q >= 0
                 row = sys.resolve(rid)
-                for j, a in row.row.items():
+                for j, a in rational_row(row)[0].items():
                     combo[j] = combo.get(j, ZERO) + q * a
                 rhs += q * row.rhs
             assert {j: v for j, v in combo.items() if v != 0} == g
@@ -142,7 +142,7 @@ class TestCertificates:
         for rid, q in out.dual.items():
             assert q >= 0
             row = sys.resolve(rid)
-            for j, a in row.row.items():
+            for j, a in rational_row(row)[0].items():
                 combo[j] = combo.get(j, ZERO) + q * a
             rhs += q * row.rhs
         assert not {j: v for j, v in combo.items() if v != 0}
@@ -219,15 +219,15 @@ class TestSelfCheck:
         # x + y = 1 with x <= 3/4 and y >= 0: maximize x - y at (3/4, 1/4),
         # certified by 2 on x <= 3/4 and 1 on the equality's "ge" row; with
         # y >= 1/3 and x >= 1 instead, the system is infeasible
-        eq = [NormRow({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
-              NormRow({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge"))]
-        sys = NormalizedSystem(eq + [NormRow({0: F(1)}, F(3, 4), ("c", 1, "le")),
-                                     NormRow({1: F(-1)}, ZERO, ("c", 2, "le"))], 2)
+        eq = [norm_row({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
+              norm_row({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge"))]
+        sys = NormalizedSystem(eq + [norm_row({0: F(1)}, F(3, 4), ("c", 1, "le")),
+                                     norm_row({1: F(-1)}, ZERO, ("c", 2, "le"))], 2)
         g = {0: F(1), 1: F(-1)}
         out = lp.lp_max(sys, g)
         assert out.dual == {("c", 0, "ge"): F(1), ("c", 1, "le"): F(2)}
-        infeasible = NormalizedSystem(eq + [NormRow({0: F(-1)}, F(-1), ("c", 1, "le")),
-                                            NormRow({1: F(-1)}, F(-1, 3), ("c", 2, "le"))], 2)
+        infeasible = NormalizedSystem(eq + [norm_row({0: F(-1)}, F(-1), ("c", 1, "le")),
+                                            norm_row({1: F(-1)}, F(-1, 3), ("c", 2, "le"))], 2)
         farkas = lp.lp_feasible(infeasible).dual
         assert len(farkas) == 3
         cases = [(partial(lp._check_dual, sys), (g,), out.dual, (out.value,)),
@@ -401,7 +401,7 @@ class TestIntegerTableau:
             out = lp.lp_max(sys, g)
             lp.lp_feasible(sys)
             if out.status == lp.OPTIMAL and g:
-                cut = NormRow(dict(g), out.value, ("c", 100, "le"))
+                cut = norm_row(dict(g), out.value, ("c", 100, "le"))
                 lp.lp_min(NormalizedSystem(sys.rows + [cut], sys.n_vars), g, warm=out.tableau)
         assert pivots >= 100 and reconciled >= 10
 
@@ -442,7 +442,7 @@ class TestWarmStart:
             g2 = {j: q for j, q in g2.items() if q != 0}
             if not g or not g2:
                 continue
-            looser = NormRow(dict(g), _above_box_max(sys, g), ("c", 100, "le"))
+            looser = norm_row(dict(g), _above_box_max(sys, g), ("c", 100, "le"))
             first_sys = NormalizedSystem(sys.rows + [looser], sys.n_vars)
             first = lp.lp_max(first_sys, g)
             if first.status == lp.OPTIMAL:
@@ -451,7 +451,7 @@ class TestWarmStart:
     def test_warm_solve_after_a_tighter_row_matches_cold(self):
         warm = 0
         for first_sys, first, g, g2 in self._cases(50):
-            rows = first_sys.rows[:-1] + [NormRow(dict(g), first.value, ("c", 101, "le"))]
+            rows = first_sys.rows[:-1] + [norm_row(dict(g), first.value, ("c", 101, "le"))]
             sys = NormalizedSystem(rows, first_sys.n_vars)
             tab = first.tableau
             for solve in (lp.lp_max, lp.lp_min):  # the second reuse leaves the rows as they are
@@ -482,7 +482,7 @@ class TestWarmStart:
         statuses = set()
         for first_sys, first, g, g2 in self._cases(52):
             tab = first.tableau
-            cut = NormRow(dict(g), first.value - F(1, 3), ("c", 101, "le"))
+            cut = norm_row(dict(g), first.value - F(1, 3), ("c", 101, "le"))
             sys = NormalizedSystem(first_sys.rows + [cut], first_sys.n_vars)
             before = repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids))
             assert not tab.reconcile(sys)
@@ -512,7 +512,7 @@ def _equality_system(rng, max_den=4):
                 else rand_rational(rng, max_den))
         le, ge = ((("c", 100 + t, "le"), ("c", 100 + t, "ge")) if t % 2 == 0
                   else (("g", 1, t, "active", 0), ("g", 1, t, "active", 1)))
-        pair = [NormRow(a, beta, le), NormRow({j: -q for j, q in a.items()}, -beta, ge)]
+        pair = [norm_row(a, beta, le), norm_row({j: -q for j, q in a.items()}, -beta, ge)]
         blocks.insert(rng.randint(0, len(blocks)), pair)
     return NormalizedSystem([r for b in blocks for r in b], n), g
 
@@ -520,7 +520,7 @@ def _equality_system(rng, max_den=4):
 def _equalities(sys):
     """(row, rhs) of the second row of each equality pair: every point of
     the system has row^T v = rhs."""
-    return [(r.row, r.rhs) for r in sys.rows if r.rid[-1] in ("ge", 1)]
+    return [rational_row(r) for r in sys.rows if r.rid[-1] in ("ge", 1)]
 
 
 def _meets_equalities(sys, point):
@@ -573,9 +573,9 @@ class TestEqualities:
     def test_duplicated_equality_is_dropped(self):
         # x + y = 1 twice, then maximize x - y over the unit box: the second
         # pair reduces to 0 = 0
-        rows = [NormRow({0: F(1)}, F(1), ("c", 0, "le")), NormRow({0: F(-1)}, ZERO, ("c", 1, "le")),
-                NormRow({1: F(1)}, F(1), ("c", 2, "le")), NormRow({1: F(-1)}, ZERO, ("c", 3, "le"))]
-        pairs = [NormRow({0: F(sign), 1: F(sign)}, F(sign), ("c", cid, side))
+        rows = [norm_row({0: F(1)}, F(1), ("c", 0, "le")), norm_row({0: F(-1)}, ZERO, ("c", 1, "le")),
+                norm_row({1: F(1)}, F(1), ("c", 2, "le")), norm_row({1: F(-1)}, ZERO, ("c", 3, "le"))]
+        pairs = [norm_row({0: F(sign), 1: F(sign)}, F(sign), ("c", cid, side))
                  for cid in (4, 5) for sign, side in ((1, "le"), (-1, "ge"))]
         sys = NormalizedSystem(rows + pairs, 2)
         tab = lp._Tableau(sys)
@@ -588,11 +588,11 @@ class TestEqualities:
     def test_inconsistent_equality_is_refuted(self):
         # x + y = 1 and x + y = 2: the second pair reduces to 0 = 1 and stays
         sys = NormalizedSystem([
-            NormRow({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
-            NormRow({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge")),
-            NormRow({0: F(1)}, F(3), ("c", 1, "le")),
-            NormRow({0: F(1), 1: F(1)}, F(2), ("g", 1, 0, "active", 0)),
-            NormRow({0: F(-1), 1: F(-1)}, F(-2), ("g", 1, 0, "active", 1)),
+            norm_row({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
+            norm_row({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge")),
+            norm_row({0: F(1)}, F(3), ("c", 1, "le")),
+            norm_row({0: F(1), 1: F(1)}, F(2), ("g", 1, 0, "active", 0)),
+            norm_row({0: F(-1), 1: F(-1)}, F(-2), ("g", 1, 0, "active", 1)),
         ], 2)
         tab = lp._Tableau(sys)
         assert tab.row_ids == [("c", 1, "le"), ("g", 1, 0, "active", 0), ("g", 1, 0, "active", 1)]
@@ -604,11 +604,11 @@ class TestEqualities:
         # x - y = 0 and z = x + y + 1 (as z - x - y = 1, a guard pair), x >= 0:
         # maximize z is unbounded along x = y, z = 2x
         sys = NormalizedSystem([
-            NormRow({0: F(1), 1: F(-1)}, ZERO, ("c", 0, "le")),
-            NormRow({0: F(-1), 1: F(1)}, ZERO, ("c", 0, "ge")),
-            NormRow({0: F(-1)}, ZERO, ("c", 1, "le")),
-            NormRow({2: F(1), 0: F(-1), 1: F(-1)}, F(1), ("g", 1, 0, "active", 0)),
-            NormRow({2: F(-1), 0: F(1), 1: F(1)}, F(-1), ("g", 1, 0, "active", 1)),
+            norm_row({0: F(1), 1: F(-1)}, ZERO, ("c", 0, "le")),
+            norm_row({0: F(-1), 1: F(1)}, ZERO, ("c", 0, "ge")),
+            norm_row({0: F(-1)}, ZERO, ("c", 1, "le")),
+            norm_row({2: F(1), 0: F(-1), 1: F(-1)}, F(1), ("g", 1, 0, "active", 0)),
+            norm_row({2: F(-1), 0: F(1), 1: F(1)}, F(-1), ("g", 1, 0, "active", 1)),
         ], 3)
         assert lp._Tableau(sys).n == 1
         out = lp.lp_max(sys, {2: F(1)})
@@ -630,11 +630,11 @@ class TestEqualities:
             if best is None or not g or not g2:
                 continue
             n = sys.n_vars
-            first_sys = NormalizedSystem(sys.rows + [NormRow(dict(g), best + 1, ("c", 200, "le"))], n)
+            first_sys = NormalizedSystem(sys.rows + [norm_row(dict(g), best + 1, ("c", 200, "le"))], n)
             first = lp.lp_max(first_sys, g)
             tab = first.tableau
             assert first.value == best and tab.red.pivots
-            step = NormalizedSystem(sys.rows + [NormRow(dict(g), best, ("c", 201, "le"))], n)
+            step = NormalizedSystem(sys.rows + [norm_row(dict(g), best, ("c", 201, "le"))], n)
             for solve, sense in ((lp.lp_max, "max"), (lp.lp_min, "min")):
                 out = solve(step, g2, warm=tab)
                 cold = solve(step, g2)
@@ -642,8 +642,8 @@ class TestEqualities:
                 assert (out.status, out.value) == (cold.status, cold.value)
                 _assert_certified(step, g2, out, sense)
             # one more equality: the reduction differs, so the LP starts cold
-            extra = [NormRow(dict(g), best, ("c", 202, "le")),
-                     NormRow({j: -q for j, q in g.items()}, -best, ("c", 202, "ge"))]
+            extra = [norm_row(dict(g), best, ("c", 202, "le")),
+                     norm_row({j: -q for j, q in g.items()}, -best, ("c", 202, "ge"))]
             more = NormalizedSystem(step.rows + extra, n)
             out = lp.lp_max(more, g2, warm=tab)
             assert out.tableau is not tab
@@ -720,7 +720,7 @@ class TestWarmStartPath:
                 for sign in (1, -1):
                     rhs = F(25) if rng.random() < 0.75 else rand_rational(rng, 4, span=4)
                     rid = ("c", 300 + 2 * t + (sign < 0), "le")
-                    rows.append(NormRow({j: sign * q for j, q in g.items()}, rhs, rid))
+                    rows.append(norm_row({j: sign * q for j, q in g.items()}, rhs, rid))
                     bound[t, sign] = rid, rhs
             tab = None
             fresh = 400
@@ -756,7 +756,7 @@ class TestWarmStartPath:
                         bound[other] = None, None
                     new = ("c", fresh, "le")
                     fresh += 1
-                    rows.append(NormRow({j: sign * q for j, q in g.items()}, beta, new))
+                    rows.append(norm_row({j: sign * q for j, q in g.items()}, beta, new))
                     bound[t, sign] = new, beta
         assert seen >= {(lp.OPTIMAL, True), (lp.OPTIMAL, False), (lp.INFEASIBLE, False)}
         assert answers == {None, True, False}

@@ -21,7 +21,7 @@ from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
 from relucert.model import ACTIVE, INACTIVE, SafetyProperty, build_layout, format_rational
 from relucert.search import Config, hsrv_verify, icl_verify
-from relucert.store import GuardLiteral, normalize_constraint
+from relucert.store import GuardLiteral
 
 
 def _problem():
@@ -1120,11 +1120,66 @@ class TestSolverCheckerAgreement:
             digest = file_digest(path)
             assert prooflog.check_proof(problem, prooflog.emit(tree, digest), digest).accepted
             leaves = [leaf for leaf, _, _ in scoped_leaves(tree, problem[1])]
-            assert built == [{cid: [r.ints for r in normalize_constraint(cid, c)]
-                              for cid, c in leaf.rows} for leaf in leaves], path
+            assert built == [{cid: [r.ints for r in c.sides] for cid, c in leaf.rows}
+                             for leaf in leaves], path
             kinds.update(c.derivation[0] for leaf in leaves for _, c in leaf.rows)
         assert sum(kinds.values()) > 300 and kinds["interval"] > 90, kinds
         assert kinds["derived"] and kinds["hull"] and kinds["stabilize"], kinds
+
+
+class TestSolverCheckerRowParity:
+    """The solver builds every store row straight into its integer form,
+    and `check` rebuilds each from its tag alone.  With `Store.cone`
+    patched to keep every row of a leaf's store, as `TestTrimmedLeaves`
+    does, every row the solver added, retired ones included, reaches the
+    checker: on the first 40 acceptance problems (default flags) and the
+    branching instances 42, 57 and 89 (margin-only templates, a one-LP
+    gate), under both drivers, each store row's integer sides equal the
+    ones `check` builds under the same id, and every proof is ACCEPTed."""
+
+    def test_every_store_row_is_the_row_check_rebuilds(self, monkeypatch, tmp_path):
+        from test_acceptance import _spec_suite
+        from test_search import TestBranchingOracleAgreement, tightened
+
+        from relucert.store import Store
+
+        built = []  # per replayed leaf: id -> the integer form of each side
+        replay, check_row = prooflog._check_snapshot, prooflog._check_snapshot_row
+
+        def replaying(*args):
+            built.append({})
+            return replay(*args)
+
+        def building(pb, r, *args):
+            forms = check_row(pb, r, *args)
+            built[-1][r["id"]] = forms
+            return forms
+
+        monkeypatch.setattr(prooflog, "_check_snapshot", replaying)
+        monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
+        monkeypatch.setattr(Store, "cone", lambda store, rids: list(store.constraints.items()))
+        runs = [(problem, Config()) for problem in _spec_suite(40)]
+        runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (42, 57, 89)]
+        kinds, proofs = Counter(), 0
+        for k, (problem, config) in enumerate(runs):
+            path = tmp_path / f"p{k}.json"
+            dump_problem(*problem, path)
+            digest = file_digest(path)
+            for driver in (icl_verify, hsrv_verify):
+                tree = driver(*problem, config).tree
+                if tree is None:
+                    continue
+                built.clear()
+                out = prooflog.check_proof(problem, prooflog.emit(tree, digest), digest)
+                assert out.accepted, (k, driver.__name__, out)
+                leaves = [leaf for leaf, _, _ in scoped_leaves(tree, problem[1])]
+                assert built == [{cid: [r.ints for r in c.sides] for cid, c in leaf.rows}
+                                 for leaf in leaves], (k, driver.__name__)
+                kinds.update(c.derivation[0] for leaf in leaves for _, c in leaf.rows)
+                proofs += 1
+        assert proofs >= 40 and set(kinds) == {
+            "aff", "region", "negp", "guard", "interval", "hull", "stabilize", "derived"}, kinds
+        assert min(kinds.values()) >= 10, kinds
 
 
 def _renumber(leaf, ids: dict, rewrite: bool = True):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
+from conftest import layout_of, random_instance, rational_row, worked_network, worked_prop, worked_region
 from relucert import certs, lp, propagate
 from relucert.budget import Budget, Exhausted
 from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval, trace_vector
@@ -17,14 +17,11 @@ from relucert.propagate import (
     tgct,
 )
 from relucert.store import (
-    EQ,
-    LE,
     NEGP,
     REGION,
     GuardLiteral,
-    LinearConstraint,
     build_initial_store,
-    guard_consequences,
+    guard_rows,
     interval_bounds,
 )
 
@@ -49,8 +46,14 @@ def _certificates_since(store, start):
 
 
 def _bound_rows(store, unit):
-    """The unit's (upper, lower) bound rows."""
-    return tuple(store.constraints[cid] for cid in store.bound_rows[unit])
+    """The unit's (upper, lower) bound rows, each its one side."""
+    return tuple(store.constraints[cid].sides[0] for cid in store.bound_rows[unit])
+
+
+def _holds(r, point):
+    """The normalized row holds at the point."""
+    _, coeffs, b = r.ints
+    return sum((a * point.get(j, F(0)) for j, a in coeffs.items()), F(0)) <= b
 
 
 class TestHullInsertion:
@@ -85,9 +88,7 @@ class TestHullInsertion:
             point = trace_vector(net, layout, (x,))
             for unit in ((1, 0), (1, 1)):
                 for cid in store.hull_ids[unit]:
-                    c = store.constraints[cid]
-                    lhs = sum((q * point.get(j, F(0)) for j, q in c.row.items()), F(0))
-                    assert lhs <= c.rhs
+                    assert all(_holds(r, point) for r in store.constraints[cid].sides)
 
 
 class TestBoundRows:
@@ -99,11 +100,12 @@ class TestBoundRows:
         ensure_relaxation(store)
         for unit, (lo, hi) in (((1, 0), (F(-1), F(1))), ((1, 1), (F(-1, 2), F(1, 2)))):
             s = store.layout.pre_index(unit)
-            up, low = _bound_rows(store, unit)
-            assert (up.row, up.relation, up.rhs, up.derivation) == (
-                {s: 1}, LE, hi, ("interval", unit, "up"))
-            assert (low.row, low.relation, low.rhs, low.derivation) == (
-                {s: -1}, LE, -lo, ("interval", unit, "lo"))
+            up_cid, lo_cid = store.bound_rows[unit]
+            up, low = store.constraints[up_cid], store.constraints[lo_cid]
+            assert ([rational_row(r) for r in up.sides], up.derivation) == (
+                [({s: 1}, hi)], ("interval", unit, "up"))
+            assert ([rational_row(r) for r in low.sides], low.derivation) == (
+                [({s: -1}, -lo)], ("interval", unit, "lo"))
 
     def test_bound_rows_match_interval_arithmetic(self):
         store = _store()
@@ -127,8 +129,7 @@ class TestBoundRows:
                 up, low = _bound_rows(store, unit)
                 assert (-low.rhs, up.rhs) == seed[unit] == store.bounds.pre[unit]
                 for point in points:
-                    for c in (up, low):
-                        assert sum(q * point[j] for j, q in c.row.items()) <= c.rhs
+                    assert _holds(up, point) and _holds(low, point)
 
 
 class TestStabilization:
@@ -183,13 +184,13 @@ class TestStabilization:
             assert sorted(c.derivation[1] for c in rows.values()) == sorted(store.phases)
             for cid, c in rows.items():
                 _, unit, phase = c.derivation
-                eq = guard_consequences(store.layout, GuardLiteral(unit, phase))[0]
-                assert (c.row, c.relation, c.rhs) == (eq.row, EQ, eq.rhs)
+                eq = guard_rows(store.layout, GuardLiteral(unit, phase))[0]
+                assert [r.ints for r in c.sides] == eq
                 assert store.phase_ids[unit] == cid
                 up_cid, lo_cid = store.bound_rows[unit]
                 sign_cid = lo_cid if phase == ACTIVE else up_cid
                 assert sign_cid < cid and sign_cid not in store.retired
-                assert store.constraints[sign_cid].rhs <= 0
+                assert store.constraints[sign_cid].sides[0].rhs <= 0
             stabilized += len(rows)
         assert stabilized >= 10
 
@@ -239,7 +240,7 @@ class TestTgct:
         negp = next(cid for cid, c in store.active_constraints() if c.block == NEGP)
         # x >= 15/16 lifts the margin's minimum above the threshold
         x = store.layout.input_index(0)
-        store.add(LinearConstraint({x: F(-1)}, LE, F(-15, 16), REGION, ("region", 0, "lo")))
+        store.add(("region", 0, "lo"), REGION, [(16, {x: -16}, -15)])
         for _ in range(2):
             rows = dict(store.bound_rows)
             bounds = dict(store.bounds.pre)
@@ -382,9 +383,7 @@ class TestFixedPoint:
             if margin < store.prop.violation_threshold:
                 continue  # the negated-property row rightly excludes this trace
             point = trace_vector(net, layout, x)
-            for r in store.normalize().rows:
-                lhs = sum((q * point.get(j, F(0)) for j, q in r.row.items()), F(0))
-                assert lhs <= r.rhs
+            assert all(_holds(r, point) for r in store.normalize().rows)
             checked += 1
         # without tightening LPs the sat variant stays open too
         store = _store("1/2")
@@ -436,3 +435,106 @@ class TestBackSubstitution:
             assert not certs.check_farkas(sys, rest).ok
             refuted += 1
         assert refuted >= 10 and feasible >= 10 and refuted > lp_only
+
+
+def _reference_back_substitution(store):
+    """DeepPoly's back-substitution, as `back_substitute` makes it, summed
+    here in `Fraction`s: the multipliers of the rows that cancel each
+    variable from the highest index down, and whether the sum refutes the
+    rows (0 <= rho with rho < 0)."""
+    layout = store.layout
+
+    def rational(rid):
+        return rational_row(store.constraints[rid[1]].sides[0 if rid[2] == "le" else 1])
+
+    def equality_side(cid, j, a):
+        row, _ = rational(("c", cid, "le"))
+        return ("c", cid, "le" if a * row[j] < 0 else "ge")
+
+    pre = {layout.pre_index(u): u for u in store.aff_ids}
+    post = {layout.post_index(u): u for u in store.aff_ids
+            if layout.post_index(u) != layout.pre_index(u)}
+    negp = ("c", store.negp_id, "le")
+    coef, rho = rational(negp)
+    lam = {negp: F(1)}
+    while coef:
+        j = max(coef)
+        a = coef[j]
+        if j in post and post[j] in store.phase_ids:
+            rid = equality_side(store.phase_ids[post[j]], j, a)
+        elif j in post:
+            lo, hi = store.hull_bounds[post[j]]
+            k = 2 if a < 0 else 1 if hi > -lo else 0
+            rid = ("c", store.hull_ids[post[j]][k], "le")
+        elif j in pre:
+            rid = equality_side(store.aff_ids[pre[j]], j, a)
+        else:
+            k = next(k for k in range(store.net.input_dim) if layout.input_index(k) == j)
+            rid = ("c", store.region_ids[k][0 if a < 0 else 1], "le")
+        row, b = rational(rid)
+        m = -a / row[j]
+        assert m > 0 and rid not in lam
+        lam[rid] = m
+        for i, v in row.items():
+            coef[i] = coef.get(i, F(0)) + m * v
+            if not coef[i]:
+                del coef[i]
+        rho += m * b
+    return lam, rho < 0
+
+
+class TestBackSubstitutionReference:
+    """`back_substitute` sums integer rows over one common denominator;
+    the plain `Fraction` sum above must give the same answer, refuted or
+    not, and where it refutes the same multipliers.  On every root store of
+    the acceptance suite with its relaxation installed, on every store that
+    propagation hands to `back_substitute` while the suite runs under both
+    drivers, and on every node of the branching instances 42, 57 and 89
+    (margin-only templates, a one-LP gate; below the root their
+    propagation makes no back-substitution) as propagation leaves it."""
+
+    def test_integer_sum_equals_the_fraction_reference(self, monkeypatch):
+        from test_acceptance import _spec_suite
+        from test_search import TestBranchingOracleAgreement, tightened
+
+        from relucert import search
+
+        seen = {"refuted": 0, "kept": 0, "below the root": 0}
+
+        def compare(store):
+            lam, refutes = _reference_back_substitution(store)
+            cert = back_substitute(store)
+            assert (cert is not None) == refutes
+            if refutes:
+                assert dict(cert.multipliers) == lam
+            seen["refuted" if refutes else "kept"] += 1
+            return cert
+
+        def spied_back_substitute(store):
+            return compare(store)
+
+        real_propagate = search.propagate_node
+
+        def spied_propagate(store, *args, **kwargs):
+            res = real_propagate(store, *args, **kwargs)
+            compare(store)
+            seen["below the root"] += any(c.derivation[0] == "guard"
+                                          for c in store.constraints.values())
+            return res
+
+        suite = _spec_suite(100)
+        for net, region, prop in suite:
+            store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+            ensure_relaxation(store)
+            compare(store)
+        monkeypatch.setattr(propagate, "back_substitute", spied_back_substitute)
+        for problem in suite:
+            for driver in (search.icl_verify, search.hsrv_verify):
+                driver(*problem)
+        monkeypatch.setattr(search, "propagate_node", spied_propagate)
+        for idx in (42, 57, 89):
+            for driver in (search.icl_verify, search.hsrv_verify):
+                res = driver(*tightened(idx), TestBranchingOracleAgreement.CONFIG)
+                assert res.status == "unsat" and res.budget.splits
+        assert seen["refuted"] >= 50 and seen["kept"] >= 50, seen
+        assert seen["below the root"] >= 20, seen

@@ -471,6 +471,58 @@ class TestTrimmedLeaves:
         assert seen["rows kept"] < 0.8 * seen["rows"], seen
 
 
+def _shared_value(shared):
+    """What a run's `ProblemRows` holds, by value."""
+    rows = [(r.derivation, r.block, [(side.rid, side.ints) for side in r.sides])
+            for r in shared.affine + [shared.negp]]
+    return rows, shared.aff_ids, shared.negp_id, shared.weights
+
+
+class TestSharedRows:
+    """A run builds its affine rows and its negated property once, and
+    every node's store holds those very objects.  After runs that split,
+    merge, tighten and learn, those rows still equal a fresh build: no
+    node, LP or proof has mutated a shared row."""
+
+    def test_shared_rows_are_never_mutated(self, monkeypatch):
+        from relucert import search, store as storemod
+
+        made, stores = [], 0
+        real_rows, real_build = search.ProblemRows, search.build_initial_store
+
+        def recording_rows(*args):
+            made.append((args, real_rows(*args)))
+            return made[-1][1]
+
+        def sharing_build(net, layout, region, prop, alpha, shared=None):
+            nonlocal stores
+            store = real_build(net, layout, region, prop, alpha, shared)
+            assert shared is made[-1][1] and store.shared is shared
+            assert all(store.constraints[cid] is row for cid, row in enumerate(shared.affine))
+            assert store.constraints[shared.negp_id] is shared.negp
+            stores += 1
+            return store
+
+        monkeypatch.setattr(search, "ProblemRows", recording_rows)
+        monkeypatch.setattr(search, "build_initial_store", sharing_build)
+        runs = [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (42, 57, 89)]
+        runs += [(tightened(57), Config()),
+                 ((worked_network(), worked_region(), worked_prop()),
+                  Config(first_split="domain"))]
+        splits = lemmas = 0
+        for problem, config in runs:
+            for driver in (icl_verify, hsrv_verify):
+                res = driver(*problem, config)
+                assert res.status == "unsat"
+                prooflog.emit(res.tree, "0" * 64)
+                splits += res.budget.splits
+                lemmas += res.budget.lemmas
+        assert len(made) == 2 * len(runs) and stores > len(made)
+        assert splits >= 10 and lemmas >= 5, (splits, lemmas)
+        for args, shared in made:
+            assert _shared_value(shared) == _shared_value(storemod.ProblemRows(*args))
+
+
 def _propagation_results(monkeypatch):
     """The list of every `PropagationResult` that `propagate_node` makes
     from now on, including one whose call a spent budget ends."""

@@ -140,11 +140,28 @@ def test_only_the_layout_reads_margin_index():
 
 
 def test_the_checker_builds_rows_in_integers_alone():
-    """`check` builds each leaf row straight into its integer form; no
-    second path through `LinearConstraint` and `normalize_constraint`,
-    which build rows in `Fraction`s, may come back beside it."""
+    """The solver and `check` build each row straight into its integer
+    form; no module defines or names `LinearConstraint` or
+    `normalize_constraint`, which built rows in `Fraction`s, so no such
+    second path may come back beside it.  A unit's affine row has one
+    definition, `store.affine_row`: `prooflog` builds its affine rows from
+    it and keeps no copy of its own."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {name for name, _ in _imported_names(tree)}
+        names |= {node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not names & {"LinearConstraint", "normalize_constraint"}, (path.name, names)
     tree = ast.parse(Path("src/relucert/prooflog.py").read_text())
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {name for name, _ in _imported_names(tree)}
-    assert not names & {"LinearConstraint", "normalize_constraint"}, names
+    assert ("affine_row", "store") in {(alias.name, node.module) for node in ast.walk(tree)
+                                       if isinstance(node, ast.ImportFrom)
+                                       for alias in node.names}
+    problem = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node.name == "_Problem")
+    affine = next(node for node in problem.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "affine")
+    named = {node.id for node in ast.walk(affine) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(affine) if isinstance(node, ast.Attribute)}
+    assert "affine_row" in named and not named & {"input_index", "post_index"}, named

@@ -7,19 +7,16 @@ from conftest import layout_of, random_instance, worked_network, worked_prop, wo
 from relucert.model import ACTIVE, INACTIVE, forward_eval, trace_vector
 from relucert.store import (
     AFF,
-    EQ,
     GUARD,
-    LE,
     NEGP,
     REGION,
     GuardLiteral,
-    LinearConstraint,
     Store,
     build_initial_store,
-    guard_consequences,
+    equality,
     guard_norm_rows,
+    guard_rows,
     interval_bounds,
-    normalize_constraint,
 )
 
 
@@ -28,42 +25,52 @@ def _fresh_store():
     return Store(net, layout_of(net, prop), worked_region(), prop, {})
 
 
+def _holds(r, point):
+    _, coeffs, b = r.ints
+    return sum((a * point.get(j, F(0)) for j, a in coeffs.items()), F(0)) <= b
+
+
 def _satisfies(sys, point):
-    return all(
-        sum((q * point.get(j, F(0)) for j, q in r.row.items()), F(0)) <= r.rhs
-        for r in sys.rows
-    )
+    return all(_holds(r, point) for r in sys.rows)
 
 
 class TestNormalization:
+    """`Store.add` takes a row's integer sides and keeps them as they are,
+    under the row's id."""
+
     def test_le_row_kept_verbatim(self):
-        c = LinearConstraint({0: F(2)}, LE, F(3), REGION, ("region", 0, "hi"))
-        rows = normalize_constraint(7, c)
-        assert len(rows) == 1
-        assert rows[0].rid == ("c", 7, "le")
-        assert rows[0].row == {0: F(2)} and rows[0].rhs == F(3)
+        store = _fresh_store()
+        form = (1, {0: 2}, 3)
+        cid = store.add(("region", 0, "hi"), REGION, [form])
+        (row,) = store.constraints[cid].sides
+        assert row.rid == ("c", cid, "le")
+        assert row.ints is form and row.rhs == F(3)
 
     def test_eq_expands_to_adjacent_pair(self):
-        c = LinearConstraint({0: F(1), 1: F(-1)}, EQ, F(5), AFF, ("aff", 1, 0))
-        rows = normalize_constraint(3, c)
-        assert [r.rid for r in rows] == [("c", 3, "le"), ("c", 3, "ge")]
-        assert rows[1].row == {0: F(-1), 1: F(1)} and rows[1].rhs == F(-5)
+        store = _fresh_store()
+        store.add(("region", 0, "hi"), REGION, [(1, {0: 1}, 1)])
+        cid = store.add(("aff", 1, 0), AFF, equality((2, {0: 2, 1: -1}, 5)))
+        rows = store.constraints[cid].sides
+        assert [r.rid for r in rows] == [("c", cid, "le"), ("c", cid, "ge")]
+        assert rows[1].ints == (2, {0: -2, 1: 1}, -5) and rows[1].rhs == F(-5, 2)
+        assert [r.rid for r in store.normalize().rows] == [
+            ("c", 0, "le"), ("c", cid, "le"), ("c", cid, "ge")]
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            LinearConstraint({0: F(0)}, LE, F(1), REGION, ("region", 0, "hi"))
+            _fresh_store().add(("region", 0, "hi"), REGION, [(1, {}, 1)])
 
 
 class TestStoreMutation:
     def test_retired_rows_leave_the_lp_but_stay_resolvable(self):
         store = _fresh_store()
-        cid = store.add(LinearConstraint({0: F(1)}, LE, F(1), REGION, ("region", 0, "hi")))
+        cid = store.add(("region", 0, "hi"), REGION, [(1, {0: 1}, 1)])
         store.retire(cid)
         assert store.active_constraints() == []
         # a proof leaf may still carry it
         assert store.cone([("c", cid, "le")]) == [(cid, store.constraints[cid])]
         # a retired row's slot is free for re-adding under a fresh id
-        cid2 = store.add(LinearConstraint({0: F(1)}, LE, F(1), REGION, ("region", 0, "hi")))
+        cid2 = store.add(("region", 0, "hi"), REGION, [(1, {0: 1}, 1)])
         assert cid2 != cid
 
     def test_normalize_excludes_by_predicate(self):
@@ -93,21 +100,21 @@ class TestGuardConsequences:
     def test_active_guard_rows(self):
         layout = layout_of(worked_network(), worked_prop())
         s, z = layout.pre_index((1, 0)), layout.post_index((1, 0))
-        eq, le = guard_consequences(layout, GuardLiteral((1, 0), ACTIVE))
-        assert eq.relation == EQ and eq.row == {z: F(1), s: F(-1)} and eq.rhs == F(0)
-        assert le.relation == LE and le.row == {s: F(-1)} and le.rhs == F(0)
+        eq, le = guard_rows(layout, GuardLiteral((1, 0), ACTIVE))
+        assert eq == [(1, {z: 1, s: -1}, 0), (1, {z: -1, s: 1}, 0)]
+        assert le == [(1, {s: -1}, 0)]
 
     def test_inactive_guard_rows(self):
         layout = layout_of(worked_network(), worked_prop())
         s, z = layout.pre_index((1, 1)), layout.post_index((1, 1))
-        eq, le = guard_consequences(layout, GuardLiteral((1, 1), INACTIVE))
-        assert eq.row == {z: F(1)} and eq.rhs == F(0)
-        assert le.row == {s: F(1)} and le.rhs == F(0)
+        eq, le = guard_rows(layout, GuardLiteral((1, 1), INACTIVE))
+        assert eq == [(1, {z: 1}, 0), (1, {z: -1}, 0)]
+        assert le == [(1, {s: 1}, 0)]
 
     def test_unknown_phase_rejected(self):
         layout = layout_of(worked_network(), worked_prop())
         with pytest.raises(ValueError):
-            guard_consequences(layout, GuardLiteral((1, 0), "sideways"))
+            guard_rows(layout, GuardLiteral((1, 0), "sideways"))
 
     def test_norm_rows_carry_store_independent_ids(self):
         layout = layout_of(worked_network(), worked_prop())
@@ -122,8 +129,7 @@ class TestGuardConsequences:
         point = trace_vector(net, layout, (F(1),))
         for lit in (GuardLiteral((1, 0), ACTIVE), GuardLiteral((1, 1), INACTIVE)):
             for r in guard_norm_rows(layout, lit):
-                lhs = sum((q * point.get(j, F(0)) for j, q in r.row.items()), F(0))
-                assert lhs <= r.rhs
+                assert _holds(r, point)
 
 
 class TestIntervalBounds:
@@ -166,7 +172,7 @@ class TestInitialStore:
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, alpha)
         # the id kept is the phase equality's, row 0 of the guard
         eq = store.constraints[store.phase_ids[(1, 0)]]
-        assert eq.derivation == ("guard", 1, 0, ACTIVE, 0) and eq.relation == EQ
+        assert eq.derivation == ("guard", 1, 0, ACTIVE, 0) and len(eq.sides) == 2
         assert store.phases == alpha
         assert store.unstable == {(1, 1)}
         assert any(c.block == GUARD for _, c in store.active_constraints())
@@ -192,5 +198,5 @@ class TestInitialStore:
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
         x = store.layout.input_index(0)
         hi, lo = (store.constraints[cid] for cid in store.region_ids[0])
-        assert (hi.row, hi.relation, hi.rhs, hi.derivation) == ({x: 1}, LE, 1, ("region", 0, "hi"))
-        assert (lo.row, lo.relation, lo.rhs, lo.derivation) == ({x: -1}, LE, 0, ("region", 0, "lo"))
+        assert ([r.ints for r in hi.sides], hi.derivation) == ([(1, {x: 1}, 1)], ("region", 0, "hi"))
+        assert ([r.ints for r in lo.sides], lo.derivation) == ([(1, {x: -1}, 0)], ("region", 0, "lo"))
