@@ -1,16 +1,16 @@
 """Certificate objects and their deterministic checkers.
 
-These checkers are the trust base: everything else in the pipeline may be
-wrong, but a claim accepted here holds by exact rational arithmetic.  They are
-the only multiplier checkers: propagation, the LP engine's self-checks and
-the proof checker all call them.  `_combine` forms lambda^T A and lambda^T b
-in integers over one common denominator, from each row's integer form
-`NormRow.ints` (which the solver and `check` each build once per row), and
-hands back `Fraction`s.  Cost is
-linear in the number of nonzeros touched; a module-level counter adds one per
-row entry and one per rhs combined, so tests can assert the linear bound.
-Each certificate object here is one these checkers check; a stabilized
-unit needs none, since the proof checker rebuilds its row and tests its
+These checkers are the core of the trust base: everything else in the
+pipeline may be wrong, but a claim accepted here holds by exact rational
+arithmetic.  They are the only multiplier checkers: propagation, the LP
+engine's self-checks and the proof checker all call them; `check_dual_exact`
+is the one exact dual check and `check_guarded` the one cover check.  They
+read systems of `rows.NormRow`s, never a solver store.  `_combine` forms
+lambda^T A and lambda^T b in integers over one common denominator, from
+each row's `NormRow.ints`, and hands back `Fraction`s.  Cost is linear in the number
+of nonzeros touched; a module-level counter adds one per row entry and one
+per rhs combined, so tests can assert the linear bound.  A stabilized unit
+needs no certificate: the proof checker rebuilds its row and tests its
 sign against the bound rows before it.
 """
 
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .store import (
-    GuardLiteral,
-    NormalizedSystem,
-    RowId,
-    Store,
-    guard_norm_rows,
-)
+from .rows import GuardLiteral, NormalizedSystem, RowId, guard_norm_rows
 
 
 class OpCounter:
@@ -161,19 +155,29 @@ def check_farkas(sys: NormalizedSystem, cert: FarkasCertificate) -> CheckResult:
     return ACCEPT
 
 
+def check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> CheckResult:
+    """`check_dual`, and lambda^T b = bound exactly: the solver records the
+    value a dual certificate achieves, so any slack marks a fault."""
+    res = check_dual(sys, cert)
+    if res.ok and res.value != cert.bound:
+        return CheckResult(False, f"certificate bound {cert.bound} differs from "
+                                  f"lambda^T b = {res.value}")
+    return res
+
+
 def extend_with_guards(sys: NormalizedSystem, layout, guards) -> NormalizedSystem:
+    """`sys` with its guards' rows, `guard_norm_rows`, appended."""
     rows = list(sys.rows)
     for lit in sorted(guards, key=lambda g: (g.unit, g.phase)):
-        if lit.unit not in layout._pre:
-            raise KeyError(f"unknown unit {lit.unit}")
         rows.extend(guard_norm_rows(layout, lit))
     return NormalizedSystem(rows, sys.n_vars)
 
 
-def check_guarded(store: Store, cert: GuardedCertificate) -> CheckResult:
-    """Materialize the guard consequences, then run the Farkas checker."""
+def check_guarded(sys: NormalizedSystem, layout, cert: GuardedCertificate) -> CheckResult:
+    """The one cover-certificate check: the Farkas checker over `sys` and
+    the guards' rows.  A guard that `guard_rows` refuses rejects."""
     try:
-        sys = extend_with_guards(store.normalize(), store.layout, cert.guards)
-    except KeyError as exc:
-        return CheckResult(False, f"unknown unit {exc}")
-    return check_farkas(sys, cert.inner)
+        extended = extend_with_guards(sys, layout, cert.guards)
+    except (KeyError, ValueError) as exc:
+        return CheckResult(False, f"guard without rows: {exc!r}")
+    return check_farkas(extended, cert.inner)

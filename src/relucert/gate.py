@@ -27,7 +27,8 @@ from . import lp
 from .budget import Budget
 from .certs import FarkasCertificate, GuardedCertificate
 from .model import ACTIVE, INACTIVE, Unit, validate_witness
-from .store import GuardLiteral, Store, guard_norm_rows
+from .rows import GuardLiteral, guard_norm_rows
+from .store import Store
 
 _ZERO = Fraction(0)
 

@@ -12,7 +12,7 @@ lambda^T A = 0 and lambda^T b < 0.  Both are re-verified against the rows of
 the system passed in by the checkers of `certs`, the one multiplier checker
 (`_check_dual`, `_check_farkas`); a point or ray is checked to satisfy every
 row in integers (`_check_holds`).  A failure raises `SelfCheckFailed`.  A
-system's rows are `store.NormRow`s, each an id and its integer form
+system's rows are `rows.NormRow`s, each an id and its integer form
 (den, den a, den b) alone, which the store builds straight from the
 problem's and the node's data, once per row, and shares with every other
 system the row appears in; the engine reads nothing else of a row and
@@ -58,7 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import certs
-from .store import NormalizedSystem, RowId
+from .rows import IntForm, NormalizedSystem, RowId
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -87,10 +87,6 @@ class SelfCheckFailed(Exception):
     """The simplex produced a result its own certificate does not support."""
 
 
-#: a row a^T v <= b as (den, den a, den b) in integers (`NormRow.ints`)
-_IntRow = tuple[int, dict[int, int], int]
-
-
 def _check_holds(sys: NormalizedSystem, x: dict[int, Fraction], homogeneous: bool = False):
     """Every row holds at the point x, or, if homogeneous (x is a ray),
     a^T x <= 0 on every row: x is scaled by the lcm d of its denominators
@@ -111,13 +107,11 @@ def _check_holds(sys: NormalizedSystem, x: dict[int, Fraction], homogeneous: boo
 
 def _check_dual(sys: NormalizedSystem, g: dict[int, Fraction], lam: dict[RowId, Fraction],
                 value: Fraction):
-    """`certs.check_dual` accepts lambda for g and lambda^T b equals value."""
-    res = certs.check_dual(sys, certs.DualBoundCertificate(tuple(g.items()), value,
-                                                           tuple(lam.items())))
+    """`certs.check_dual_exact` accepts lambda for g with bound value."""
+    res = certs.check_dual_exact(sys, certs.DualBoundCertificate(tuple(g.items()), value,
+                                                                 tuple(lam.items())))
     if not res.ok:
         raise SelfCheckFailed(f"dual rejected: {res.reason}")
-    if res.value != value:
-        raise SelfCheckFailed(f"dual bound {res.value} != optimum {value}")
 
 
 def _check_farkas(sys: NormalizedSystem, lam: dict[RowId, Fraction]):
@@ -238,7 +232,7 @@ class _Reduction:
         """Positions of the rows of `sys` the reduced LP keeps."""
         return [k for k, r in enumerate(sys.rows) if r.rid not in self.removed]
 
-    def reduce(self, row: _IntRow) -> _IntRow:
+    def reduce(self, row: IntForm) -> IntForm:
         """An integer row with the eliminated variables substituted, over the
         kept variables, in lowest terms."""
         den, e, c = row

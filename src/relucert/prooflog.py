@@ -24,33 +24,33 @@ cannot build, malformed or not following from the rows before it, is
 reported with its id at its leaf.  It then checks the leaf's certificates
 over those rows and verifies that split annotations cover each parent.
 
-Trust boundary.  Acceptance rests on rational identities alone: the checker
-never imports the LP engine, and the exact checks are those of `certs`.
-`check` builds every non-derived row itself.  It builds the region,
-interval and hull rows with its own code, not with the functions of
-`store.py` and `propagate.py` that make them, on purpose: a fault in how the
-solver writes those rows cannot vouch for itself.  A unit's affine row and
-a phase's rows are definitions, not derivations: it takes them, as the
-solver does, from `store.affine_row` (over the unit's `store.unit_weights`,
-the problem's weights and bias in integers) and `store.guard_rows`, the one
-place that defines each.  Its one rule beyond the rows' definitions is
-interval arithmetic: a unit's interval rows bound
-s = b + sum_k w_k src_k above or below over the interval that earlier rows
-prove for each source: an input's single-variable rows (its region rows);
-for z of the previous layer, [0, 0] after an inactive phase row of its unit
-and the interval of its s after an active one (a guard row's phase is
-committed on the path, a stabilize row's proved, so z = 0 or z = s there),
-else z's single-variable rows (hull rows 0 and 3).  A source with no such
-interval rejects the row.  Intervals are kept in integers too, each end a
-pair (num, den).  From `store.py` it takes besides only the row containers,
-in which a `NormRow` is a row's id and integer form (all that the checks of
-`certs` read), `int_form`, the integer form of a rational row, for the
-negated property and derived rows, `lowest_terms` and `equality`, the
-arithmetic of integer forms, and builds each affine row once per unit and
-each phase's rows once per (unit, phase) per check;
-`certs.extend_with_guards` adds the rows of a cover certificate's guards
-through `guard_norm_rows`, built on the same definition.  None of `certs`,
-`store` and `model` imports a solver module either.
+Trust boundary.  Acceptance rests on rational identities alone.  The trust
+base is this module, `certs`, `rows` and `model`: none of them imports a
+solver module (`store`, `lp`, `propagate`, `gate`, `search`, `budget`,
+`cli`), and the exact checks are those of `certs`.  `check` builds every
+non-derived row itself.  It builds the region, interval and hull rows with
+its own code, not with the functions of `store` and `propagate` that make
+them, on purpose: a fault in how the solver writes those rows cannot vouch
+for itself.  A unit's affine row and a phase's rows are definitions, not
+derivations: it takes them, as the solver does, from `rows.affine_row`
+(over the unit's `rows.unit_weights`, the problem's weights and bias in
+integers) and `rows.guard_rows`, the one place that defines each.  Its one
+rule beyond the rows' definitions is interval arithmetic: a unit's
+interval rows bound s = b + sum_k w_k src_k above or below over the
+interval that earlier rows prove for each source: an input's
+single-variable rows (its region rows); for z of the previous layer,
+[0, 0] after an inactive phase row of its unit and the interval of its s
+after an active one (a guard row's phase is committed on the path, a
+stabilize row's proved, so z = 0 or z = s there), else z's single-variable
+rows (hull rows 0 and 3).  A source with no such interval rejects the row.
+Intervals are kept in integers too, each end a pair (num, den).  From
+`rows` it takes besides only the row containers, in which a `NormRow` is a
+row's id and integer form (all that the checks of `certs` read), and the
+arithmetic of integer forms: `int_form` for the negated property and
+derived rows, `lowest_terms` and `equality`.  It builds each affine row
+once per unit and each phase's rows once per (unit, phase) per check.
+`certs.check_guarded`, the one cover check, adds a cover certificate's
+guard rows through `rows.guard_norm_rows`, built on the same definition.
 
 Every leaf has one kind: a cover of guarded Farkas certificates over its
 rows, which contain the negated-property row.  A tree node may also carry
@@ -75,9 +75,8 @@ from .certs import (
     DualBoundCertificate,
     FarkasCertificate,
     GuardedCertificate,
-    check_dual,
-    check_farkas,
-    extend_with_guards,
+    check_dual_exact,
+    check_guarded,
 )
 from .model import (
     ACTIVE,
@@ -92,7 +91,7 @@ from .model import (
     parse_rational,
     unique_keys,
 )
-from .store import (
+from .rows import (
     GuardLiteral,
     IntForm,
     NormalizedSystem,
@@ -268,36 +267,24 @@ class _Problem:
         self._phase_rows: dict = {}
 
     def weights(self, unit) -> tuple[int, list[int], int]:
-        """s = b + sum_k w_k src_k of the unit, `store.unit_weights`."""
+        """s = b + sum_k w_k src_k of the unit, `rows.unit_weights`."""
         if unit not in self._weights:
             self._weights[unit] = unit_weights(self.net, unit)
         return self._weights[unit]
 
     def affine(self, unit) -> list[IntForm]:
-        """The unit's affine row of `store.affine_row`, its two sides."""
+        """The unit's affine row of `rows.affine_row`, its two sides."""
         if unit not in self._affine:
             self._affine[unit] = equality(affine_row(self.layout, unit, self.weights(unit)))
         return self._affine[unit]
 
     def phase_rows(self, unit, phase) -> list[list[IntForm]]:
-        """The phase's two rows of `store.guard_rows`, each as its sides:
+        """The phase's two rows of `rows.guard_rows`, each as its sides:
         the phase equality (k = 0) and the sign row (k = 1)."""
         key = (unit, phase)
         if key not in self._phase_rows:
             self._phase_rows[key] = guard_rows(self.layout, GuardLiteral(unit, phase))
         return self._phase_rows[key]
-
-
-def _check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> str | None:
-    """Strict dual acceptance: lambda >= 0, lambda^T A = g^T and
-    lambda^T b = bound exactly.  The emitter always records the achieved
-    value, so any slack marks a tampered artifact."""
-    res = check_dual(sys, cert)
-    if not res.ok:
-        return res.reason
-    if res.value != cert.bound:
-        return f"certificate bound {cert.bound} differs from lambda^T b = {res.value}"
-    return None
 
 
 class _Rejected(Exception):
@@ -415,9 +402,9 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
                                          _parse_multipliers(multipliers))
         if not cert.objective:
             raise _Rejected("derived row with no nonzero coefficient")
-        reason = _check_dual_exact(system, cert)
-        if reason is not None:
-            raise _Rejected(f"derived-row certificate rejected: {reason}")
+        res = check_dual_exact(system, cert)
+        if not res.ok:
+            raise _Rejected(f"derived-row certificate rejected: {res.reason}")
         return [int_form(cert.objective_dict, cert.bound)]
     if kind == "stabilize":
         _, unit, phase = tag
@@ -605,7 +592,7 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
             cert = _parse_guarded(item, pb.relu_units)
         except _MALFORMED as exc:
             return _reject(path, f"cover[{idx}] certificate: malformed: {exc!r}"), None
-        res = check_farkas(extend_with_guards(system, pb.layout, cert.guards), cert.inner)
+        res = check_guarded(system, pb.layout, cert)
         if not res.ok:
             return _reject(path, f"cover[{idx}] rejected: {res.reason}"), None
         cover.append(cert)
@@ -621,7 +608,7 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
                                          _parse_multipliers(bound["multipliers"]))
     except _MALFORMED as exc:
         return _reject(path, f"bound certificate: malformed: {exc!r}"), None
-    reason = _check_dual_exact(system, cert)
-    if reason is not None:
-        return _reject(path, f"bound certificate rejected: {reason}"), None
+    res = check_dual_exact(system, cert)
+    if not res.ok:
+        return _reject(path, f"bound certificate rejected: {res.reason}"), None
     return ACCEPTED, cert.bound

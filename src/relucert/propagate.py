@@ -16,7 +16,7 @@ back-substitution or a TGCT LP refutes first makes it for its bound alone.
 The root therefore makes no LP when back-substitution refutes it; a node
 below the root makes at least the one LP that proves its bound.
 
-Every row is built straight into its integer form (`store`): interval
+Every row is built straight into its integer form (`rows`): interval
 bounds are summed in integers over one common denominator
 (`store.affine_interval`), the hull chord over the common denominator of
 its interval's ends.  Back-substitution sums integer rows over one common
@@ -36,15 +36,8 @@ from . import lp
 from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, FarkasCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
-from .store import (
-    REL,
-    GuardLiteral,
-    Store,
-    affine_interval,
-    bound_form,
-    guard_rows,
-    lowest_terms,
-)
+from .rows import GuardLiteral, guard_rows, lowest_terms
+from .store import REL, Store, affine_interval, bound_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

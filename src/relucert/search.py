@@ -51,7 +51,8 @@ from .model import (
     validate_witness,
 )
 from .propagate import propagate_node
-from .store import GuardLiteral, ProblemRows, Store, StoreRow, build_initial_store
+from .rows import GuardLiteral
+from .store import ProblemRows, Store, StoreRow, build_initial_store
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)

@@ -91,7 +91,7 @@ def layout_of(net, prop):
 def norm_row(row, rhs, rid):
     """The normalized row a^T v <= b, given as rationals, in its integer
     form under the id `rid`."""
-    from relucert.store import NormRow, int_form
+    from relucert.rows import NormRow, int_form
 
     return NormRow(rid, int_form(dict(row), rhs))
 

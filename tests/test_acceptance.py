@@ -50,11 +50,8 @@ from relucert.search import (
     icl_verify,
     oracle_verify,
 )
-from relucert.store import (
-    NormalizedSystem,
-    build_initial_store,
-    interval_bounds,
-)
+from relucert.rows import NormalizedSystem
+from relucert.store import build_initial_store, interval_bounds
 
 
 @pytest.fixture
@@ -346,7 +343,7 @@ class TestAcceptance:
         bound_row = norm_row(dict(layout.margin), res.tree.bound, ("c", 10 ** 6, "le"))
 
         checked = 0
-        from relucert.store import guard_norm_rows
+        from relucert.rows import guard_norm_rows
 
         for leaf, scope, alpha in scoped_leaves(res.tree, region):
             sys = leaf_system((net, region, prop), leaf, scope, alpha)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
+
 from conftest import layout_of, norm_row, worked_network, worked_prop, worked_region
 from relucert import certs
 from relucert.certs import (
@@ -14,7 +16,8 @@ from relucert.certs import (
     extend_with_guards,
 )
 from relucert.model import ACTIVE, INACTIVE
-from relucert.store import GuardLiteral, NormalizedSystem, build_initial_store
+from relucert.rows import GuardLiteral, NormalizedSystem
+from relucert.store import build_initial_store
 
 
 def _sys(rows):
@@ -124,12 +127,17 @@ class TestGuardedChecker:
         assert len(sys) == len(base) + 3
         assert sys.resolve(("g", 1, 0, ACTIVE, 2)) is not None
 
-    def test_unknown_unit_rejected(self):
+    @pytest.mark.parametrize("lit, error", [
+        (GuardLiteral((9, 9), ACTIVE), "KeyError((9, 9))"),
+        (GuardLiteral((2, 0), ACTIVE), "ValueError('(2, 0) is not a ReLU unit')"),
+        (GuardLiteral((1, 0), "bogus"), "ValueError(\"unknown phase 'bogus'\")"),
+    ], ids=["unknown-unit", "unit-without-a-relu", "unknown-phase"])
+    def test_guard_without_rows_rejected(self, lit, error):
+        """A guard that `guard_rows` refuses is a rejection, not a raise."""
         store = self._store({})
-        cert = GuardedCertificate.make(
-            [GuardLiteral((9, 9), ACTIVE)], FarkasCertificate.make({}))
-        res = check_guarded(store, cert)
-        assert not res.ok and "unknown unit" in res.reason
+        cert = GuardedCertificate.make([lit], FarkasCertificate.make({}))
+        res = check_guarded(store.normalize(), store.layout, cert)
+        assert not res.ok and res.reason == f"guard without rows: {error}", res
 
     def test_guarded_refutation_of_both_inactive(self):
         """With both units inactive, y = 0 yet the query demands y >= 11/10."""
@@ -141,7 +149,7 @@ class TestGuardedChecker:
         out = lp.lp_feasible(sys)
         assert out.status == lp.INFEASIBLE
         cert = GuardedCertificate.make(guards, FarkasCertificate.make(out.dual))
-        assert check_guarded(store, cert).ok
+        assert check_guarded(store.normalize(), store.layout, cert).ok
         # the same certificate without its guard rows must fail
         assert not check_farkas(store.normalize(), cert.inner).ok
 

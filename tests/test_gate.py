@@ -33,7 +33,8 @@ from relucert.model import (
     validate_witness,
 )
 from relucert.propagate import propagate_node
-from relucert.store import GuardLiteral, build_initial_store
+from relucert.rows import GuardLiteral
+from relucert.store import build_initial_store
 
 
 def _open_store(threshold="1/2"):
@@ -94,7 +95,7 @@ class TestExactSolve:
         assert res.status == UNSAT
         assigned = set()
         for cert in res.cover:
-            assert certs.check_guarded(store, cert).ok
+            assert certs.check_guarded(store.normalize(), store.layout, cert).ok
         # every total assignment must fall under some certificate's guards
         units = sorted(store.unstable)
         for phases in itertools.product((ACTIVE, INACTIVE), repeat=len(units)):
@@ -130,7 +131,7 @@ class TestExactSolve:
         assert budget.lp_calls == 3 and len(res.cover) == 3
         assert len({id(c) for c in res.cover}) == 3
         assert res.cover[1].guard_set == {GuardLiteral((1, 1), INACTIVE)}
-        assert all(certs.check_guarded(store, c).ok for c in res.cover)
+        assert all(certs.check_guarded(store.normalize(), store.layout, c).ok for c in res.cover)
         # the three guard sets still exclude every assignment of the two units
         for a0, a1 in itertools.product((ACTIVE, INACTIVE), repeat=2):
             sigma = {GuardLiteral((1, 0), a0), GuardLiteral((1, 1), a1)}
@@ -149,7 +150,7 @@ class TestCoreMinimization:
         for cert in res.cover:
             small = _drop_zero_guards(cert, store.layout)
             assert set(small.guards) <= set(cert.guards)
-            assert certs.check_guarded(store, small).ok
+            assert certs.check_guarded(store.normalize(), store.layout, small).ok
 
 
 class TestExactnessGate:
@@ -158,7 +159,7 @@ class TestExactnessGate:
         out = exactness_gate(store, Budget())
         assert out.status == PRUNE
         for cert in out.certificates:
-            assert certs.check_guarded(store, cert).ok
+            assert certs.check_guarded(store.normalize(), store.layout, cert).ok
 
     def test_sat_instance_extracts_validated_witness(self):
         store = _open_store("1/2")

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import norm_row, rand_rational, rational_row
 from relucert import certs, lp
-from relucert.store import NormalizedSystem
+from relucert.rows import NormalizedSystem
 
 ZERO = F(0)
 

@@ -20,8 +20,8 @@ from conftest import (
 from relucert import prooflog
 from relucert.certs import FarkasCertificate, GuardedCertificate
 from relucert.model import ACTIVE, INACTIVE, SafetyProperty, build_layout, format_rational
+from relucert.rows import GuardLiteral
 from relucert.search import Config, hsrv_verify, icl_verify
-from relucert.store import GuardLiteral
 
 
 def _problem():
@@ -372,7 +372,7 @@ class TestTargetedRejections:
 
     def test_stabilize_rows_run_no_dual_check(self, monkeypatch):
         checking, dual_checked = [], []
-        check_row, check_dual = prooflog._check_snapshot_row, prooflog.check_dual
+        check_row, check_dual = prooflog._check_snapshot_row, prooflog.check_dual_exact
 
         def row(pb, r, *args):
             checking.append(r["derivation"][0])
@@ -386,7 +386,7 @@ class TestTargetedRejections:
             return check_dual(*args)
 
         monkeypatch.setattr(prooflog, "_check_snapshot_row", row)
-        monkeypatch.setattr(prooflog, "check_dual", dual)
+        monkeypatch.setattr(prooflog, "check_dual_exact", dual)
         data = _proof_bytes(Config(first_split="domain"))
         tags = [r["derivation"] for leaf in _leaves(prooflog.parse_proof(data)["tree"])
                 for r in leaf["rows"]]

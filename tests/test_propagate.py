@@ -16,14 +16,8 @@ from relucert.propagate import (
     stabilize,
     tgct,
 )
-from relucert.store import (
-    NEGP,
-    REGION,
-    GuardLiteral,
-    build_initial_store,
-    guard_rows,
-    interval_bounds,
-)
+from relucert.rows import GuardLiteral, guard_rows
+from relucert.store import NEGP, REGION, build_initial_store, interval_bounds
 
 
 def _store(threshold="1", alpha=None, region=None):

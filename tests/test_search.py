@@ -51,7 +51,8 @@ from relucert.search import (
     refine,
 )
 from relucert.model import SafetyProperty
-from relucert.store import NEGP, NormalizedSystem, Store, build_initial_store, interval_bounds
+from relucert.rows import NormalizedSystem
+from relucert.store import NEGP, Store, build_initial_store, interval_bounds
 
 
 def _count_unstable(net, region):
@@ -223,7 +224,7 @@ class TestClauseLearning:
     def test_clause_db_blocks_supersets_of_its_literals(self):
         from relucert.certs import FarkasCertificate, GuardedCertificate
         from relucert.search import ClauseDB, ClauseEntry
-        from relucert.store import GuardLiteral
+        from relucert.rows import GuardLiteral
 
         db = ClauseDB()
         lits = frozenset({GuardLiteral((1, 0), ACTIVE)})

@@ -1,7 +1,15 @@
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from conftest import WORKED
 
 MODULES = sorted(Path("src/relucert").glob("*.py"))
 
@@ -33,9 +41,10 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path}: imported but never used: {unused}"
 
 
-#: the modules a proof check runs, and the solver modules they may not import
-TRUSTED = ("certs", "prooflog", "store", "model")
-SOLVER = {"lp", "propagate", "gate", "search", "budget", "cli"}
+#: the trust base, the modules a proof check runs, and the solver modules
+#: they may not import
+TRUSTED = ("model", "rows", "certs", "prooflog")
+SOLVER = {"store", "lp", "propagate", "gate", "search", "budget", "cli"}
 
 
 def _relucert_imports(path):
@@ -50,16 +59,77 @@ def _relucert_imports(path):
                         if alias.name.startswith("relucert."))
 
 
+def _other_imports(path):
+    """The top-level packages that the absolute imports of a source file
+    name, relucert aside."""
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        yield from (name.split(".")[0] for name in names if name.split(".")[0] != "relucert")
+
+
 def test_import_scan_sees_the_solver_importing_certs():
-    assert {"certs", "store"} <= set(_relucert_imports("src/relucert/lp.py"))
+    assert {"certs", "rows"} <= set(_relucert_imports("src/relucert/lp.py"))
+    assert {"fractions", "math", "dataclasses"} <= set(_other_imports("src/relucert/lp.py"))
 
 
 @pytest.mark.parametrize("name", TRUSTED)
 def test_trusted_modules_import_no_solver_module(name):
-    """The checker's trust base never reaches the solver: imports go only
-    from the solver to `certs`, `prooflog`, `store` and `model`."""
-    reached = SOLVER.intersection(_relucert_imports(f"src/relucert/{name}.py"))
-    assert not reached, f"{name}.py imports {sorted(reached)}"
+    """The checker's trust base never reaches the solver: a trusted module
+    imports only the standard library and the other trusted modules, and
+    imports go only from the solver to them."""
+    path = f"src/relucert/{name}.py"
+    reached = set(_relucert_imports(path))
+    assert not reached & SOLVER, f"{name}.py imports {sorted(reached & SOLVER)}"
+    assert reached <= set(TRUSTED), f"{name}.py imports {sorted(reached - set(TRUSTED))}"
+    foreign = set(_other_imports(path)) - sys.stdlib_module_names
+    assert not foreign, f"{name}.py imports {sorted(foreign)}"
+
+
+#: run in a fresh interpreter: check the proofs named on the command line
+#: against the problem, and report what of relucert that loaded
+_CHECK_ALONE = textwrap.dedent("""\
+    import json, sys
+    import relucert.prooflog
+    from relucert.model import parse_problem
+
+    raw = open(sys.argv[1], "rb").read()
+    digest = relucert.prooflog.problem_digest(raw)
+    accepted = [relucert.prooflog.check_proof(parse_problem(raw), open(p, "rb").read(),
+                                              digest).accepted for p in sys.argv[2:]]
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "relucert")
+    print(json.dumps({"accepted": accepted, "loaded": loaded}))
+""")
+
+
+def test_check_proof_loads_the_trust_base_alone(tmp_path):
+    """What the import rule cannot see: a proof check, which ACCEPTs the
+    worked proof and REJECTs a tampered copy, loads no relucert module but
+    the package and the trust base, so neither `__init__` nor an import
+    further down pulls in a solver module."""
+    from relucert import prooflog
+    from relucert.model import parse_problem
+    from relucert.search import icl_verify
+
+    raw = Path(WORKED).read_bytes()
+    proof = prooflog.emit(icl_verify(*parse_problem(raw)).tree, prooflog.problem_digest(raw))
+    doc = json.loads(proof)
+    mult = doc["tree"]["cover"][0]["farkas"]["multipliers"][0]
+    mult[1] = str(2 * Fraction(mult[1]))
+    good, bad = tmp_path / "good.proof", tmp_path / "bad.proof"
+    good.write_bytes(proof)
+    bad.write_text(json.dumps(doc))
+    run = subprocess.run([sys.executable, "-c", _CHECK_ALONE, WORKED, str(good), str(bad)],
+                         env={**os.environ, "PYTHONPATH": str(Path("src").resolve())},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "accepted": [True, False],
+        "loaded": sorted(["relucert"] + [f"relucert.{name}" for name in TRUSTED])}
 
 
 def _dataclass_fields(tree):
@@ -144,7 +214,7 @@ def test_the_checker_builds_rows_in_integers_alone():
     form; no module defines or names `LinearConstraint` or
     `normalize_constraint`, which built rows in `Fraction`s, so no such
     second path may come back beside it.  A unit's affine row has one
-    definition, `store.affine_row`: `prooflog` builds its affine rows from
+    definition, `rows.affine_row`: `prooflog` builds its affine rows from
     it and keeps no copy of its own."""
     for path in MODULES:
         tree = ast.parse(path.read_text())
@@ -155,9 +225,9 @@ def test_the_checker_builds_rows_in_integers_alone():
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not names & {"LinearConstraint", "normalize_constraint"}, (path.name, names)
     tree = ast.parse(Path("src/relucert/prooflog.py").read_text())
-    assert ("affine_row", "store") in {(alias.name, node.module) for node in ast.walk(tree)
-                                       if isinstance(node, ast.ImportFrom)
-                                       for alias in node.names}
+    assert ("affine_row", "rows") in {(alias.name, node.module) for node in ast.walk(tree)
+                                      if isinstance(node, ast.ImportFrom)
+                                      for alias in node.names}
     problem = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.ClassDef) and node.name == "_Problem")
     affine = next(node for node in problem.body

@@ -5,19 +5,8 @@ import pytest
 
 from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
 from relucert.model import ACTIVE, INACTIVE, forward_eval, trace_vector
-from relucert.store import (
-    AFF,
-    GUARD,
-    NEGP,
-    REGION,
-    GuardLiteral,
-    Store,
-    build_initial_store,
-    equality,
-    guard_norm_rows,
-    guard_rows,
-    interval_bounds,
-)
+from relucert.rows import GuardLiteral, equality, guard_norm_rows, guard_rows
+from relucert.store import AFF, GUARD, NEGP, REGION, Store, build_initial_store, interval_bounds
 
 
 def _fresh_store():
