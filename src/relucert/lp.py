@@ -1,4 +1,14 @@
-"""Exact rational LP over A v <= b with free variables v.
+"""Exact rational LP over A v <= b with free variables v, for bounded
+systems.
+
+Every system the solver builds bounds each of its variables: region rows
+the inputs, interval or derived rows the pre-activations, phase equalities
+or hull rows 0 and 3 the post-activations, affine rows the identity
+outputs.  So `lp_max` and `lp_min` require the objective to be bounded on
+the system; an unbounded direction (a ratio test with no leaving row)
+breaks that precondition and raises `SelfCheckFailed`, a fault, not a
+verdict.  Phase 1 is bounded by 0 on any system, so `lp_feasible` answers
+every system.
 
 Two-phase primal simplex with Bland's rule on a tableau whose rows are
 Python integers over one positive row denominator each, so pivots run on
@@ -10,8 +20,8 @@ Optimal outcomes carry a dual vector with lambda^T A = g^T and
 lambda^T b = value; infeasible outcomes carry a Farkas vector with
 lambda^T A = 0 and lambda^T b < 0.  Both are re-verified against the rows of
 the system passed in by the checkers of `certs`, the one multiplier checker
-(`_check_dual`, `_check_farkas`); a point or ray is checked to satisfy every
-row in integers (`_check_holds`).  A failure raises `SelfCheckFailed`.  A
+(`_check_dual`, `_check_farkas`); a point is checked to satisfy every row
+in integers (`_check_holds`).  A failure raises `SelfCheckFailed`.  A
 system's rows are `rows.NormRow`s, each an id and its integer form
 (den, den a, den b) alone, which the store builds straight from the
 problem's and the node's data, once per row, and shares with every other
@@ -27,14 +37,13 @@ its highest-index remaining variable: the pre-activation of an affine row,
 the post-activation of a phase row.  The simplex runs on the other rows,
 with those variables substituted out and the kept variables renumbered; an
 equality that reduces to 0 = 0 is dropped, one that reduces to 0 = b != 0
-stays as its two rows.  The results are lifted
-back: eliminated variables of the point follow by back-substitution, those
-of a ray from the homogeneous part; each eliminated equality gets the
-multiplier nu that makes its eliminated columns of lambda^T A - g vanish,
-on its "le" row when nu > 0 and as -nu on its other row when nu < 0 (g = 0
-for a Farkas vector); the optimal value adds back the constant the
-substitution took out of the objective.  A system without equality pairs is
-solved exactly as it is.
+stays as its two rows.  The results are lifted back: eliminated variables
+of the point follow by back-substitution; each eliminated equality gets
+the multiplier nu that makes its eliminated columns of lambda^T A - g
+vanish, on its "le" row when nu > 0 and as -nu on its other row when
+nu < 0 (g = 0 for a Farkas vector); the optimal value adds back the
+constant the substitution took out of the objective.  A system without
+equality pairs is solved exactly as it is.
 
 Warm start: an OPTIMAL outcome carries its final tableau, with its
 reduction, and `lp_max` (or `lp_min`) given that tableau back as `warm`
@@ -62,7 +71,6 @@ from .rows import IntForm, NormalizedSystem, RowId
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 FEASIBLE = "feasible"
 LIMIT = "limit"
 
@@ -77,20 +85,23 @@ class LpOutcome:
     value: Fraction | None = None
     primal: dict[int, Fraction] | None = None
     dual: dict[RowId, Fraction] | None = None
-    ray: dict[int, Fraction] | None = None
+    #: always None; read only by perfbench/spans.py, which ROADMAP item 8 replaces
+    ray: None = None
     iterations: int = 0
     #: the final tableau of an OPTIMAL `lp_max`/`lp_min`, to pass as `warm`
     tableau: _Tableau | None = None
 
 
 class SelfCheckFailed(Exception):
-    """The simplex produced a result its own certificate does not support."""
+    """A solver fault: a certificate that its checker rejects (the simplex's
+    own, or `propagate.back_substitute`'s refutation), or an unbounded
+    direction, which no system given to the simplex may have."""
 
 
-def _check_holds(sys: NormalizedSystem, x: dict[int, Fraction], homogeneous: bool = False):
-    """Every row holds at the point x, or, if homogeneous (x is a ray),
-    a^T x <= 0 on every row: x is scaled by the lcm d of its denominators
-    and each row compared in integers, (den a)^T (d x) <= (den b) d (or 0)."""
+def _check_holds(sys: NormalizedSystem, x: dict[int, Fraction]):
+    """Every row holds at the point x: x is scaled by the lcm d of its
+    denominators and each row compared in integers,
+    (den a)^T (d x) <= (den b) d."""
     d = lcm(*(q.denominator for q in x.values()))
     xi = {j: q.numerator * (d // q.denominator) for j, q in x.items()}
     for r in sys.rows:
@@ -100,9 +111,8 @@ def _check_holds(sys: NormalizedSystem, x: dict[int, Fraction], homogeneous: boo
             v = xi.get(j)
             if v:
                 lhs += a * v
-        if lhs > (0 if homogeneous else rhs * d):
-            raise SelfCheckFailed(
-                f"{'ray' if homogeneous else 'primal point'} violates row {r.rid}")
+        if lhs > rhs * d:
+            raise SelfCheckFailed(f"primal point violates row {r.rid}")
 
 
 def _check_dual(sys: NormalizedSystem, g: dict[int, Fraction], lam: dict[RowId, Fraction],
@@ -181,7 +191,7 @@ class _Pivot:
 class _Reduction:
     """The equalities of a system, each used to eliminate one variable (see
     the module docstring): the reduced rows, objective and renumbering, and
-    the lifts of a point, a ray and a multiplier vector back to the system."""
+    the lifts of a point and a multiplier vector back to the system."""
 
     def __init__(self, sys: NormalizedSystem):
         pairs = _equality_pairs(sys)
@@ -271,14 +281,13 @@ class _Reduction:
                 const += f * piv.c
         return cost, const
 
-    def lift(self, x: dict[int, Fraction], homogeneous: bool = False) -> dict[int, Fraction]:
-        """A point (a ray, if homogeneous) of the reduced LP in the original
-        variables."""
+    def lift(self, x: dict[int, Fraction]) -> dict[int, Fraction]:
+        """A point of the reduced LP in the original variables."""
         out = {self.keep[j]: q for j, q in x.items()}
         d = lcm(*(q.denominator for q in out.values()))
         xi = {j: q.numerator * (d // q.denominator) for j, q in out.items()}
         for piv in self.pivots:
-            num = 0 if homogeneous else piv.c * d
+            num = piv.c * d
             for j, a in piv.e.items():
                 v = xi.get(j)
                 if v:
@@ -349,8 +358,11 @@ class _Tableau:
     reads.  The entering label is the smallest eligible one (Bland) and
     ratio ties go to the smaller basic label, as on the full tableau, so
     the pivot path is the full tableau's over `Fraction`.  Values become
-    `Fraction` only in `primal`, `dual_from_obj`, `ray` and the optimal
-    value.
+    `Fraction` only in `primal`, `dual_from_obj` and the optimal value.
+
+    The system must be bounded in the objective `run` maximizes (see the
+    module docstring); a ratio test with no leaving row raises
+    `SelfCheckFailed`.
     """
 
     def __init__(self, sys: NormalizedSystem):
@@ -427,10 +439,11 @@ class _Tableau:
         self.basis[r], self.cols[q] = self.cols[q], self.basis[r]
         return nz, p
 
-    def run(self, cost: dict[int, Fraction], max_iters: int):
-        """Maximize; returns ("optimal", objrow, den) | ("unbounded", position,
-        direction) | ("limit",).  The reduced-cost row is maintained
-        incrementally."""
+    def run(self, cost: dict[int, Fraction], max_iters: int) -> tuple[list[int], int] | None:
+        """Maximize; returns the optimal objective row and its denominator,
+        or None at the iteration limit.  The reduced-cost row is maintained
+        incrementally.  An entering label that no row bounds raises
+        `SelfCheckFailed`: the system is not bounded in this objective."""
         obj, den = self.objective_row(cost)
         n, cols, basis = self.n, self.cols, self.basis
         while True:
@@ -441,9 +454,9 @@ class _Tableau:
                 if oj and (oj < 0 or c < n) and (enter < 0 or c < cols[enter]):
                     enter = k
             if enter < 0:
-                return ("optimal", obj, den)
+                return obj, den
             if self.iterations >= max_iters:
-                return ("limit",)
+                return None
             self.iterations += 1
             direction = 1 if obj[enter] < 0 else -1
             # Bland ratio test rhs_i / (direction * T_ij), the row denominator
@@ -463,7 +476,7 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[best_r]):
                         best_r, best_num, best_d = i, num, d
             if best_r < 0:
-                return ("unbounded", enter, direction)
+                raise SelfCheckFailed(f"unbounded: no row bounds entering label {cols[enter]}")
             nz, p = self._pivot(best_r, enter)
             obj, den = _eliminate(obj, den, enter, nz, p)
 
@@ -580,16 +593,6 @@ class _Tableau:
                 out[rid] = Fraction(obj[k], den)
         return out
 
-    def ray(self, q: int, direction: int) -> dict[int, Fraction]:
-        """The edge along which the label at position q enters unboundedly."""
-        enter = self.cols[q]
-        r = {enter: Fraction(direction)} if enter < self.n else {}
-        for i, b in enumerate(self.basis):
-            a = self.T[i][q]
-            if b < self.n and a:
-                r[b] = Fraction(-direction * a, self.D[i])
-        return r
-
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     """row / den in lowest terms; den > 0."""
@@ -626,11 +629,9 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
     if not tab.art_cols:
         return tab, None
     res = tab.run({j: Fraction(-1) for j in tab.art_cols}, max_iters)
-    if res[0] == "limit":
+    if res is None:
         return tab, LpOutcome(LIMIT, iterations=tab.iterations)
-    if res[0] != "optimal":
-        raise SelfCheckFailed("phase 1 cannot be unbounded")
-    _, obj, den = res
+    obj, den = res
     if obj[-1] < 0:
         lam = tab.red.lift_dual(tab.dual_from_obj(obj, den), {}, sys)
         _check_farkas(sys, lam)
@@ -640,10 +641,11 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
 
 def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
            max_iters: int = DEFAULT_MAX_ITERS, warm: _Tableau | None = None) -> LpOutcome:
-    """Maximize g^T v over the system; deterministic (Bland's rule).  `warm`,
-    the `tableau` of an earlier OPTIMAL outcome, is reused in place and
-    skips phase 1 when it reconciles with the system; else the LP starts
-    cold."""
+    """Maximize g^T v over the system, which must bound it (an unbounded
+    direction raises `SelfCheckFailed`); deterministic (Bland's rule).
+    `warm`, the `tableau` of an earlier OPTIMAL outcome, is reused in place
+    and skips phase 1 when it reconciles with the system; else the LP
+    starts cold."""
     g = {j: Fraction(q) for j, q in g.items() if q != 0}
     if warm is not None and warm.reconcile(sys):
         tab = warm
@@ -656,17 +658,9 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     red = tab.red
     cost, const = red.objective(g)
     res = tab.run(cost, max_iters)
-    if res[0] == "limit":
+    if res is None:
         return LpOutcome(LIMIT, iterations=tab.iterations)
-    if res[0] == "unbounded":
-        _, enter, direction = res
-        ray = red.lift(tab.ray(enter, direction), homogeneous=True)
-        _check_holds(sys, ray, homogeneous=True)
-        gain = sum((q * ray.get(j, _ZERO) for j, q in g.items()), _ZERO)
-        if gain <= 0:
-            raise SelfCheckFailed("unbounded ray does not improve the objective")
-        return LpOutcome(UNBOUNDED, ray=ray, iterations=tab.iterations)
-    _, obj, den = res
+    obj, den = res
     val = Fraction(obj[-1], den) + const
     point = red.lift(tab.primal())
     lam = red.lift_dual(tab.dual_from_obj(obj, den), g, sys)

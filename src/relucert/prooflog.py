@@ -230,17 +230,11 @@ def _parse_multipliers(obj) -> dict:
     return out
 
 
-def _parse_guarded(obj, relu_units) -> GuardedCertificate:
-    """A guarded certificate whose guards each name a phase of a unit in
-    `relu_units`."""
-    guards = []
-    for i, j, phase in obj["guards"]:
-        unit = _unit((i, j))
-        if unit not in relu_units:
-            raise ValueError(f"{unit} is not a ReLU unit")
-        if phase not in (ACTIVE, INACTIVE):
-            raise ValueError(f"unknown phase {phase!r}")
-        guards.append(GuardLiteral(unit, phase))
+def _parse_guarded(obj) -> GuardedCertificate:
+    """A guarded certificate whose guards each name a unit of two JSON
+    integers; `certs.check_guarded` rejects a guard on a unit without
+    phases, or with an unknown phase."""
+    guards = [GuardLiteral(_unit((i, j)), phase) for i, j, phase in obj["guards"]]
     return GuardedCertificate.make(
         guards, FarkasCertificate.make(_parse_multipliers(obj["farkas"]["multipliers"])))
 
@@ -589,7 +583,7 @@ def _check_tree(pb: _Problem, node: dict, region: Region, alpha: dict,
     cover = []
     for idx, item in enumerate(node["cover"]):
         try:
-            cert = _parse_guarded(item, pb.relu_units)
+            cert = _parse_guarded(item)
         except _MALFORMED as exc:
             return _reject(path, f"cover[{idx}] certificate: malformed: {exc!r}"), None
         res = check_guarded(system, pb.layout, cert)

@@ -187,10 +187,6 @@ def stabilize(store: Store) -> list[tuple[Unit, str]]:
     return out
 
 
-class RefutationRejected(Exception):
-    """A refutation built outside the LP engine failed its Farkas check."""
-
-
 def back_substitute(store: Store) -> FarkasCertificate | None:
     """Refute the node without an LP, if its rows allow it this way.
 
@@ -273,7 +269,8 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     checked; it tightens the unit's interval and retires the bound row it
     supersedes.  Short-circuits with a Farkas certificate if a solve reports
     infeasibility; raises `Exhausted` if the LP budget is spent or an LP hits
-    its iteration limit.
+    its iteration limit.  The unit's interval rows bound its pre-activation,
+    so every feasible LP here has an optimum.
 
     Each LP after the first starts from the optimal tableau of the one
     before: the store changes in between only by the derived row just added
@@ -294,7 +291,7 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             if out.status == lp.LIMIT:
                 raise Exhausted()
             lo, hi = store.bounds.pre[unit]
-            if out.status == lp.UNBOUNDED or out.value >= (hi if upper else -lo):
+            if out.value >= (hi if upper else -lo):
                 continue
             cid = store.add(("derived", DualBoundCertificate.make(g, out.value, out.dual)), REL,
                             [bound_form(s, 1 if upper else -1, out.value)])
@@ -313,11 +310,11 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
 
 def _checked_farkas(store: Store, lam: dict) -> FarkasCertificate:
     """`lam` as a Farkas certificate that `check_farkas` accepts over the
-    rows it cites."""
+    rows it cites; else the solver fault `lp.SelfCheckFailed`."""
     cert = FarkasCertificate.make(lam)
     res = certmod.check_farkas(store.cited_rows(lam), cert)
     if not res.ok:
-        raise RefutationRejected(f"Farkas certificate rejected: {res.reason}")
+        raise lp.SelfCheckFailed(f"Farkas certificate rejected: {res.reason}")
     return cert
 
 

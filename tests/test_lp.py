@@ -156,11 +156,14 @@ class TestCertificates:
 
 
 class TestEdgeCases:
-    def test_unbounded_direction_reported_with_improving_ray(self):
-        sys = _system([({0: F(-1)}, 0)])  # x >= 0, maximize x
-        out = lp.lp_max(sys, {0: F(1)})
-        assert out.status == lp.UNBOUNDED
-        assert sum(q * out.ray.get(j, ZERO) for j, q in {0: F(1)}.items()) > 0
+    def test_unbounded_direction_is_a_fault(self):
+        # x >= 0: maximizing x (minimizing -x) breaks the engine's bounded
+        # precondition, and finding a point does not
+        sys = _system([({0: F(-1)}, 0)])
+        for solve, g in ((lp.lp_max, {0: F(1)}), (lp.lp_min, {0: F(-1)})):
+            with pytest.raises(lp.SelfCheckFailed, match="no row bounds entering label 0"):
+                solve(sys, g)
+        assert lp.lp_feasible(sys).status == lp.FEASIBLE
 
     def test_free_variable_reaches_negative_optimum(self):
         sys = _system([({0: F(1)}, -3)])  # x <= -3, maximize x
@@ -273,21 +276,43 @@ class TestSelfCheck:
             lp._check_holds(sys, {0: F(1, 3), 1: F(2, 3), 2: F(1, 10**40)})
 
 
+#: the pivot-path key of a solve that raised the unbounded-direction fault
+_FAULT = "fault: unbounded"
+
+
 def _outcome_key(out):
+    """The outcome's fields as one string; `_FAULT` for None, a solve that
+    met an unbounded direction (`_corpus_solves`)."""
+    if out is None:
+        return _FAULT
+
     def items(d):
         return None if d is None else sorted(d.items())
     return repr((out.status, out.value, items(out.primal), items(out.dual),
                  items(out.ray), out.iterations))
 
 
+def _corpus_solves(sys, g):
+    """`lp_max`, `lp_min` and `lp_feasible` of the system, each outcome or
+    None where the solve met an unbounded direction."""
+    for solve, args in ((lp.lp_max, (g,)), (lp.lp_min, (g,)), (lp.lp_feasible, ())):
+        try:
+            yield solve(sys, *args)
+        except lp.SelfCheckFailed as exc:
+            if "no row bounds" not in str(exc):
+                raise
+            yield None
+
+
 class TestPivotPath:
     """The simplex's pivot path, pinned: status, value, primal point, dual
-    or Farkas vector, ray and pivot count over a seeded corpus hash to a
+    or Farkas vector and pivot count over a seeded corpus hash to a
     constant recorded on the dense Fraction tableau.  A change of arithmetic
     that keeps every sign and ratio exact keeps this hash.  Each boxed system
-    is also solved without its box rows, which reaches unbounded outcomes."""
+    is also solved without its box rows, which reaches the unbounded
+    fault, hashed as `_FAULT`."""
 
-    PINNED = "514f36ae068f0204bb11f5150510a5a687f6228c3c999cc81e711086471dc4e0"
+    PINNED = "797aecbeb0280feae28132c43b05e29df6a3503c74450e1155986724e6b06c1e"
 
     def _digest(self):
         rng = random.Random(20240824)
@@ -296,7 +321,7 @@ class TestPivotPath:
             boxed, g = _boxed_random_system(rng, n_extra=2 + k % 6, max_den=2 + k % 7)
             open_ = NormalizedSystem(boxed.rows[2 * boxed.n_vars:], boxed.n_vars)
             for sys in (boxed, open_):
-                for out in (lp.lp_max(sys, g), lp.lp_min(sys, g), lp.lp_feasible(sys)):
+                for out in _corpus_solves(sys, g):
                     h.update(_outcome_key(out).encode())
                     h.update(b"\n")
         return h.hexdigest()
@@ -600,9 +625,9 @@ class TestEqualities:
             assert out.status == lp.INFEASIBLE
             _assert_certified(sys, {}, out, "max")
 
-    def test_unbounded_ray_lifts_into_the_equalities(self):
+    def test_unbounded_direction_through_the_equalities_is_a_fault(self):
         # x - y = 0 and z = x + y + 1 (as z - x - y = 1, a guard pair), x >= 0:
-        # maximize z is unbounded along x = y, z = 2x
+        # z is unbounded above along x = y, z = 2x, on the reduced LP over x
         sys = NormalizedSystem([
             norm_row({0: F(1), 1: F(-1)}, ZERO, ("c", 0, "le")),
             norm_row({0: F(-1), 1: F(1)}, ZERO, ("c", 0, "ge")),
@@ -611,13 +636,12 @@ class TestEqualities:
             norm_row({2: F(-1), 0: F(1), 1: F(1)}, F(-1), ("g", 1, 0, "active", 1)),
         ], 3)
         assert lp._Tableau(sys).n == 1
-        out = lp.lp_max(sys, {2: F(1)})
-        assert out.status == lp.UNBOUNDED
-        d = out.ray
-        assert d.get(2, ZERO) > 0
-        for row, _ in _equalities(sys):
-            assert sum((q * d.get(j, ZERO) for j, q in row.items()), ZERO) == 0
-        assert -d.get(0, ZERO) <= 0
+        for solve, g in ((lp.lp_max, {2: F(1)}), (lp.lp_min, {2: F(-1)})):
+            with pytest.raises(lp.SelfCheckFailed, match="no row bounds entering label 0"):
+                solve(sys, g)
+        out = lp.lp_feasible(sys)
+        assert out.status == lp.FEASIBLE
+        _assert_certified(sys, {}, out, "max")
 
     def test_warm_step_matches_cold(self):
         rng = random.Random(61)
@@ -655,26 +679,32 @@ class TestEqualities:
 class TestEqualityPivotPath:
     """The pivot path of the reduced LP, pinned like `TestPivotPath` over a
     seeded corpus of equality systems, each also solved without its box
-    rows (ids ("c", k, "le") with k < 2n), which reaches unbounded outcomes.
-    A change to the reduction's choice of eliminated variables, its row
-    order or its renumbering moves this hash."""
+    rows (ids ("c", k, "le") with k < 2n), which reaches the unbounded
+    fault, hashed as `_FAULT` as there.  A change to the reduction's choice
+    of eliminated variables, its row order or its renumbering moves this
+    hash."""
 
-    PINNED = "7be51da8a85860de5564cec665b0c9f197705c16bca17d77f730f8d01b3eace7"
+    PINNED = "7bf5405387aa9e78f166f9f7482fa971c2c317d7a61c0eba217c40cfbb161631"
 
     def _digest(self):
         rng = random.Random(20250117)
         h = hashlib.sha256()
         statuses = set()
+        faults = 0
         for k in range(120):
             sys, g = _equality_system(rng, max_den=2 + k % 7)
             box = {("c", i, "le") for i in range(2 * sys.n_vars)}
             open_ = NormalizedSystem([r for r in sys.rows if r.rid not in box], sys.n_vars)
             for s in (sys, open_):
-                for out in (lp.lp_max(s, g), lp.lp_min(s, g), lp.lp_feasible(s)):
-                    statuses.add(out.status)
+                for out in _corpus_solves(s, g):
+                    if out is None:
+                        faults += 1
+                    else:
+                        statuses.add(out.status)
                     h.update(_outcome_key(out).encode())
                     h.update(b"\n")
-        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, lp.FEASIBLE}
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.FEASIBLE}
+        assert faults == 35
         return h.hexdigest()
 
     def test_corpus_hash_matches_the_recorded_pivot_path(self):

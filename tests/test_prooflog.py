@@ -454,8 +454,9 @@ class TestTargetedRejections:
                "tree": {"type": "leaf", "rows": [{"id": 0, "derivation": ["negp"]}],
                         "cover": [refutation("active", 1), refutation("inactive", 2)]}}
         out = prooflog.check_proof(problem, _dumps(doc))
-        assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
-        assert out.reason.startswith("cover[0] certificate: "), out
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason.startswith("cover[0] rejected: guard without rows: "), out
+        assert "(2, 0) is not a ReLU unit" in out.reason, out
         # well-formed cover guards, and the guard row on (2, 0) among the
         # leaf's rows
         for item in doc["tree"]["cover"]:
@@ -474,16 +475,19 @@ class TestTargetedRejections:
                                          worked_region(), None, {s: (F(-1), F(1))}, set())
 
     @pytest.mark.parametrize("guard, reason", [
-        ([9, 9, "active"], "(9, 9) is not a ReLU unit"),
+        ([9, 9, "active"], "KeyError((9, 9))"),
         ([2, 0, "active"], "(2, 0) is not a ReLU unit"),
         ([1, 0, "sideways"], "unknown phase 'sideways'"),
     ], ids=["unknown-unit", "unit-without-a-relu", "unknown-phase"])
     def test_cover_guard_outside_the_networks_phases_rejected_at_its_leaf(self, guard, reason):
+        # parsing checks only the unit's shape; `certs.check_guarded` finds
+        # no rows for the guard
         doc = prooflog.parse_proof(_proof_bytes(driver=hsrv_verify))
         doc["tree"]["cover"][0]["guards"].append(guard)
         out = prooflog.check_proof(_problem(), _dumps(doc))
         assert not out.accepted and out.path == "tree", out
-        assert out.reason.startswith("cover[0] certificate: ") and reason in out.reason, out
+        assert out.reason.startswith("cover[0] rejected: guard without rows: "), out
+        assert reason in out.reason, out
 
     def test_duplicated_row_id_rejected(self):
         doc = prooflog.parse_proof(_proof_bytes())

@@ -430,6 +430,20 @@ class TestBackSubstitution:
             refuted += 1
         assert refuted >= 10 and feasible >= 10 and refuted > lp_only
 
+    def test_a_corrupted_refutation_is_a_solver_fault(self):
+        # each multiplier of the worked refutation moved by 1/10**40 leaves
+        # lambda^T A nonzero, and `_checked_farkas` raises the LP engine's
+        # fault, as the engine does for its own certificates
+        store = _store()
+        ensure_relaxation(store)
+        cert = back_substitute(store)
+        lam = dict(cert.multipliers)
+        assert propagate._checked_farkas(store, lam) == cert
+        for rid in lam:
+            moved = {**lam, rid: lam[rid] + F(1, 10**40)}
+            with pytest.raises(lp.SelfCheckFailed, match="Farkas certificate rejected"):
+                propagate._checked_farkas(store, moved)
+
 
 def _reference_back_substitution(store):
     """DeepPoly's back-substitution, as `back_substitute` makes it, summed

@@ -209,6 +209,16 @@ def test_only_the_layout_reads_margin_index():
     assert not readers, f"modules reading margin_index: {readers}"
 
 
+def _named(tree) -> set[str]:
+    """Every name the tree uses, reads, imports or defines as a function or
+    class."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {name for name, _ in _imported_names(tree)}
+    return names | {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_the_checker_builds_rows_in_integers_alone():
     """The solver and `check` build each row straight into its integer
     form; no module defines or names `LinearConstraint` or
@@ -217,12 +227,7 @@ def test_the_checker_builds_rows_in_integers_alone():
     definition, `rows.affine_row`: `prooflog` builds its affine rows from
     it and keeps no copy of its own."""
     for path in MODULES:
-        tree = ast.parse(path.read_text())
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        names |= {name for name, _ in _imported_names(tree)}
-        names |= {node.name for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        names = _named(ast.parse(path.read_text()))
         assert not names & {"LinearConstraint", "normalize_constraint"}, (path.name, names)
     tree = ast.parse(Path("src/relucert/prooflog.py").read_text())
     assert ("affine_row", "rows") in {(alias.name, node.module) for node in ast.walk(tree)
@@ -235,3 +240,16 @@ def test_the_checker_builds_rows_in_integers_alone():
     named = {node.id for node in ast.walk(affine) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(affine) if isinstance(node, ast.Attribute)}
     assert "affine_row" in named and not named & {"input_index", "post_index"}, named
+
+
+def test_the_simplex_has_one_outcome_path_for_bounded_systems():
+    """The LP engine solves bounded systems only, and an unbounded direction
+    is a fault (`lp.SelfCheckFailed`), not a verdict: no module defines or
+    names an `UNBOUNDED` status, and `lp` defines no `ray` method, so no
+    second outcome path may come back beside it."""
+    for path in MODULES:
+        assert "UNBOUNDED" not in _named(ast.parse(path.read_text())), path.name
+    tree = ast.parse(Path("src/relucert/lp.py").read_text())
+    methods = {stmt.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+    assert "ray" not in methods and "lift" in methods, methods
