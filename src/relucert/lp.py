@@ -10,12 +10,27 @@ breaks that precondition and raises `SelfCheckFailed`, a fault, not a
 verdict.  Phase 1 is bounded by 0 on any system, so `lp_feasible` answers
 every system.
 
-Two-phase primal simplex with Bland's rule on a tableau whose rows are
-Python integers over one positive row denominator each, so pivots run on
-integer arithmetic and nothing rounds; results leave as `Fraction`.  The
-tableau stores only its nonbasic columns (`_Tableau`), so a phase-2 row
-holds one entry per free variable and the rhs, and pivots exactly as the
-full tableau would.
+Two-phase bounded-variable primal simplex with Bland's rule (Chvatal,
+Linear Programming, 1983, ch. 8) on a tableau whose rows are Python
+integers over one positive row denominator each, so pivots run on integer
+arithmetic and nothing rounds; results leave as `Fraction`.  The tableau
+stores only its nonbasic columns (`_Tableau`), so a phase-2 row holds one
+entry per variable and the rhs.
+
+Bounds: after the equalities are eliminated (below), every row with one
+nonzero coefficient bounds its variable.  Per variable and side the
+tightest such row is the bound, the first in row order on a tie; every
+looser one is implied, leaves the LP and never gets a multiplier, as does a
+row that reduces to 0 <= c with c >= 0.  The tableau holds only the other,
+general rows.  Each variable sits at one of its bounds when nonbasic and is
+measured from it, so every nonbasic label reads 0; a variable with no bound
+row is free.  The ratio test also stops at the bounds of basic variables,
+and an entering variable that reaches its own other bound flips there with
+no pivot.  Phase 1 needs an artificial only for a general row violated at
+the starting bounds, and two bounds of one variable that contradict are
+INFEASIBLE at once, their two rows the Farkas vector.  A nonbasic
+variable's reduced cost is the multiplier of the bound row it sits at,
+scaled by that row's coefficient; a slack's is its row's.
 Optimal outcomes carry a dual vector with lambda^T A = g^T and
 lambda^T b = value; infeasible outcomes carry a Farkas vector with
 lambda^T A = 0 and lambda^T b < 0.  Both are re-verified against the rows of
@@ -43,21 +58,25 @@ the multiplier nu that makes its eliminated columns of lambda^T A - g
 vanish, on its "le" row when nu > 0 and as -nu on its other row when
 nu < 0 (g = 0 for a Farkas vector); the optimal value adds back the
 constant the substitution took out of the objective.  A system without
-equality pairs is solved exactly as it is.
+equality pairs is solved exactly as it is, and one without single-variable
+rows has no bounds.
 
 Warm start: an OPTIMAL outcome carries its final tableau, with its
 reduction, and `lp_max` (or `lp_min`) given that tableau back as `warm`
 starts phase 2 from it, with no phase 1, when the new system has the same
 equalities and is otherwise the old one less some rows plus rows appended
-at the end (`_Tableau.reconcile`); only the appended rows are reduced.
-Template tightening makes exactly such steps, and the old basis stays
-feasible through them: the row it adds, g^T v <= beta with beta the optimum
-just found, holds with equality at the optimal point, so its slack enters
-the basis at 0; the row it retires is strictly looser, so its slack is
-positive at that point, hence basic, and its tableau row and slack column
-can go.  When either condition fails the LP starts cold.  Values and
-statuses do not depend on the start; dual multipliers of a degenerate
-optimum may.
+at the end (`_Tableau.reconcile`); only the appended rows are reduced,
+and the bounds are chosen again over the single-variable rows.  Template
+tightening makes exactly such steps, and the old basis stays feasible
+through them: the row it adds, g^T v <= beta with beta the optimum just
+found, holds with equality at the optimal point, so its slack enters the
+basis at 0, or, when it reduces to one variable, it tightens that
+variable's bound to a value the point meets; the row it retires is
+strictly looser, so its slack is positive at that point, hence basic, and
+its tableau row and slack column can go, or it was an implied row or a
+bound the point is strictly inside.  When either condition fails the LP
+starts cold.  Values and statuses do not depend on the start; dual
+multipliers of a degenerate optimum may.
 """
 
 from __future__ import annotations
@@ -67,7 +86,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import certs
-from .rows import IntForm, NormalizedSystem, RowId
+from .rows import IntForm, NormalizedSystem, RowId, lowest_terms
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -332,15 +351,89 @@ class _Reduction:
         return out
 
 
+#: a bound x_j <= num / d (upper) or x_j >= num / d (lower), d > 0, given
+#: by the row `rid` whose integer form has denominator `den`:
+#: (num, d, rid, den)
+_Bound = tuple[int, int, RowId, int]
+
+#: where a variable's label measures from: x_j = p / d + sigma y_j, with
+#: y_j >= 0 unless the variable is free: (sigma, p, d)
+_Offset = tuple[int, int, int]
+
+
+def _single(rid: RowId, form: IntForm) -> tuple[int, bool, _Bound]:
+    """A reduced row a x_j <= c with one nonzero coefficient, as (j, whether
+    it bounds x_j from above, its `_Bound`).  The rational row is
+    (a / den) x_j <= c / den, so its slack is |a| / den times x_j's distance
+    from the bound, and den / |a| is its multiplier per unit of reduced
+    cost of x_j there."""
+    den, coeffs, c = form
+    (j, a), = coeffs.items()
+    return (j, True, (c, a, rid, den)) if a > 0 else (j, False, (-c, -a, rid, den))
+
+
+def _bounds(singles: dict, n: int) -> tuple[list[_Bound | None], list[_Bound | None]]:
+    """The lower and upper bound of each of n variables, or None: on each
+    side the tightest of the `singles` (id -> `_single`, in row order), the
+    first in row order on a tie.  Every other single-variable row is implied
+    by these two."""
+    lo: list[_Bound | None] = [None] * n
+    hi: list[_Bound | None] = [None] * n
+    for j, upper, b in singles.values():
+        side = hi if upper else lo
+        cur = side[j]
+        if cur is None or (b[0] * cur[1] < cur[0] * b[1] if upper
+                           else b[0] * cur[1] > cur[0] * b[1]):
+            side[j] = b
+    return lo, hi
+
+
+def _in_labels(form: IntForm, off: list[_Offset]) -> IntForm:
+    """A reduced row over the variables' labels, each variable's `_Offset`
+    substituted, in lowest terms."""
+    den, coeffs, c = form
+    out = {}
+    num, q = 0, 1  # the sum of a_j p_j / d_j, as num / q
+    for j, a in coeffs.items():
+        sigma, p, d = off[j]
+        out[j] = a if sigma > 0 else -a
+        if p:
+            if d == q:
+                num += a * p
+            else:
+                m = lcm(q, d)
+                num = num * (m // q) + a * p * (m // d)
+                q = m
+    if q == 1:  # a common factor of den and every a_j divides num, not c
+        return den, out, c - num
+    return lowest_terms(den * q, {j: a * q for j, a in out.items()}, c * q - num)
+
+
 class _Tableau:
     """Gauss-Jordan simplex tableau over integers that stores only its
-    nonbasic columns, on the reduced rows of a system (`_Reduction`), which
-    travels with it as `red`.
+    nonbasic columns, on the general rows of a system's reduced LP
+    (`_Reduction`, which travels with it as `red`); the reduced LP's
+    single-variable rows are bounds, not rows.
 
-    Labels: 0..n-1 kept free variables, n..n+m-1 the slacks of the rows in
-    `row_ids` order, then artificials.  A row whose rhs is negative starts
-    with an artificial basic (column -e_i), so its initial row is negated
-    to make that column +e_i; every other row starts with its slack basic.
+    Bounds.  A reduced row with one nonzero coefficient bounds its
+    variable (`_single`); per variable and side the tightest such row is
+    its bound (`_bounds`), `lo` and `hi`, and every looser one is implied:
+    it leaves the LP and never gets a multiplier, as does a row that
+    reduces to 0 <= c with c >= 0.  Two bounds that contradict leave the
+    Farkas vector of their two rows in `conflict`.  Each variable's label
+    y_j >= 0 measures its distance from the bound it sits at, its `_Offset`
+    `off[j]`: x_j = lo + y_j at its lower bound, x_j = hi - y_j at its
+    upper one; a variable with no bound is free, x_j = y_j.  A label with
+    both bounds has the upper bound `width` = hi - lo, which the ratio test
+    also stops at; a fixed variable (width 0) never enters.
+
+    Labels: 0..n-1 the kept variables, n..n+m-1 the slacks of the general
+    rows in `row_ids` order, then artificials.  Every nonbasic label reads
+    0, so a variable starts at its lower bound, or its upper one when it
+    has no lower, and a general row is written over the labels.  A row
+    whose rhs is then negative starts with an artificial basic (column
+    -e_i), so its initial row is negated to make that column +e_i; every
+    other row starts with its slack basic.
 
     `cols` lists the nonbasic labels.  Row i is the list `T[i]` of its
     integer entries for `cols`, with the rhs numerator last, over the
@@ -348,30 +441,50 @@ class _Tableau:
     == 1).  Its entry for its basic label `basis[i]` is D[i] and its entry
     for every other basic label 0; neither is stored.  A pivot swaps the
     entering and leaving labels between `cols` and `basis` in place.
-    Artificial labels leave `cols` when phase 1 ends (`drop_artificials`),
-    so in phase 2 a row holds n entries and its rhs.  An objective row has
-    the same form, reduced costs for `cols` and the objective value last.
+    Artificial labels leave `cols` when phase 1 ends (`drop_artificials`).
+    An objective row has the same form, reduced costs for `cols` and the
+    objective value last.
 
-    A stored row is the full tableau's row (every column stored) without
-    its basic entries, scaled by a positive factor once the artificial
-    entries are gone, which changes no sign, ratio or value the simplex
-    reads.  The entering label is the smallest eligible one (Bland) and
-    ratio ties go to the smaller basic label, as on the full tableau, so
-    the pivot path is the full tableau's over `Fraction`.  Values become
+    A label that reaches its other bound is complemented, y' = width - y,
+    so every nonbasic label reads 0 again: an entering label whose own
+    bound is the nearest is flipped in every row and the objective row
+    (`_flip`), with no pivot; a basic label that leaves at its upper bound
+    is complemented in its row before the pivot.  The entering label is
+    the smallest eligible one (Bland) and ratio ties, the entering label's
+    own bound among them, go to the smaller label.  Values become
     `Fraction` only in `primal`, `dual_from_obj` and the optimal value.
 
     The system must be bounded in the objective `run` maximizes (see the
-    module docstring); a ratio test with no leaving row raises
+    module docstring); a ratio test that nothing stops raises
     `SelfCheckFailed`.
     """
 
     def __init__(self, sys: NormalizedSystem):
         self.red = red = _Reduction(sys)
-        kept = red.kept(sys)
-        rows = [red.reduce(sys.rows[k].ints) for k in kept]
         self.n = n = red.n
+        kept = red.kept(sys)
+        #: the id of every row of the reduced LP, in row order
+        self.ids = [sys.rows[k].rid for k in kept]
+        #: the single-variable rows, id -> `_single`, in row order
+        self.singles: dict[RowId, tuple[int, bool, _Bound]] = {}
+        general = []
+        for k in kept:
+            rid = sys.rows[k].rid
+            form = red.reduce(sys.rows[k].ints)
+            if len(form[1]) == 1:
+                self.singles[rid] = _single(rid, form)
+            elif form[1] or form[2] < 0:
+                general.append((rid, form))
+        lo, hi = _bounds(self.singles, n)
+        self._set_bounds(lo, hi, [(1, l[0], l[1]) if l else (-1, h[0], h[1]) if h else (1, 0, 1)
+                                  for l, h in zip(lo, hi)])
+        #: the Farkas vector, on the reduced rows, of the first variable
+        #: whose lower bound exceeds its upper one; None if there is none
+        self.conflict = next(({b[2]: Fraction(b[3], b[1]) for b in (lo[j], hi[j])}
+                              for j, (w, _) in self.width.items() if w < 0), None)
+        rows = [_in_labels(form, self.off) for _, form in general]
         self.m = m = len(rows)
-        self.row_ids = [sys.rows[k].rid for k in kept]
+        self.row_ids = [rid for rid, _ in general]
         negative = [i for i, (_, _, rhs) in enumerate(rows) if rhs < 0]
         #: the artificial labels, one per row with a negative rhs; empty
         #: once phase 2 starts
@@ -397,19 +510,43 @@ class _Tableau:
             self.D.append(den)
         self.iterations = 0
 
+    def _set_bounds(self, lo: list[_Bound | None], hi: list[_Bound | None],
+                    off: list[_Offset]):
+        self.lo, self.hi, self.off = lo, hi, off
+        #: hi - lo, in lowest terms, of each variable bounded on both sides
+        self.width = {j: _ratio(h[0] * l[1] - l[0] * h[1], h[1] * l[1])
+                      for j, (l, h) in enumerate(zip(lo, hi)) if l and h}
+        self.fixed = {j for j, (w, _) in self.width.items() if not w}
+        self.free = {j for j, (l, h) in enumerate(zip(lo, hi)) if not l and not h}
+
+    def _turn(self, j: int):
+        """Variable j now sits at its other bound."""
+        b = self.lo[j] if self.off[j][0] < 0 else self.hi[j]
+        self.off[j] = (-self.off[j][0], b[0], b[1])
+
     def is_artificial(self, j: int) -> bool:
         return j >= self.n + self.m
 
     def objective_row(self, cost: dict[int, Fraction]) -> tuple[list[int], int]:
         """Reduced costs z_j - c_j of the nonbasic labels and the current
         objective value (last), as numerators over one denominator, for the
-        cost c of each label."""
-        basic = [(cost[b], i) for i, b in enumerate(self.basis) if cost.get(b)]
-        den = lcm(*(q.denominator for q in cost.values()),
+        cost c of each variable (x_j, not its label) or artificial."""
+        n, off = self.n, self.off
+        shift = _ZERO  # the objective at the bounds the labels measure from
+        ycost = {}
+        for j, q in cost.items():
+            if j < n:
+                sigma, p, d = off[j]
+                if p:
+                    shift += q * Fraction(p, d)
+                q = -q if sigma < 0 else q
+            ycost[j] = q
+        basic = [(ycost[b], i) for i, b in enumerate(self.basis) if ycost.get(b)]
+        den = lcm(shift.denominator, *(q.denominator for q in ycost.values()),
                   *(q.denominator * self.D[i] for q, i in basic))
         obj = [0] * (len(self.cols) + 1)
         for k, c in enumerate(self.cols):
-            q = cost.get(c)
+            q = ycost.get(c)
             if q:
                 obj[k] = -q.numerator * (den // q.denominator)
         for q, i in basic:
@@ -417,6 +554,7 @@ class _Tableau:
             for k, a in enumerate(self.T[i]):
                 if a:
                     obj[k] += f * a
+        obj[-1] += shift.numerator * (den // shift.denominator)
         return _reduced(obj, den)
 
     def _pivot(self, r: int, q: int) -> tuple[list[tuple[int, int]], int]:
@@ -439,44 +577,78 @@ class _Tableau:
         self.basis[r], self.cols[q] = self.cols[q], self.basis[r]
         return nz, p
 
+    def _flip(self, q: int, obj: list[int], den: int) -> tuple[list[int], int]:
+        """Move the nonbasic label at position q to its other bound, in every
+        row and in the objective row obj over den, which is returned."""
+        c = self.cols[q]
+        u = self.width[c]
+        T, D = self.T, self.D
+        for i, row in enumerate(T):
+            if row[q]:
+                T[i], D[i] = _complemented(row, D[i], q, *u)
+        self._turn(c)
+        return _complemented(obj, den, q, *u)
+
     def run(self, cost: dict[int, Fraction], max_iters: int) -> tuple[list[int], int] | None:
         """Maximize; returns the optimal objective row and its denominator,
-        or None at the iteration limit.  The reduced-cost row is maintained
-        incrementally.  An entering label that no row bounds raises
-        `SelfCheckFailed`: the system is not bounded in this objective."""
+        or None at the iteration limit, which counts pivots and flips.  The
+        reduced-cost row is maintained incrementally.  An entering label
+        that no bound stops raises `SelfCheckFailed`: the system is not
+        bounded in this objective."""
         obj, den = self.objective_row(cost)
-        n, cols, basis = self.n, self.cols, self.basis
+        cols, basis, T, D = self.cols, self.basis, self.T, self.D
+        free, fixed, width = self.free, self.fixed, self.width
         while True:
             # Bland: the smallest label that is free with a nonzero reduced
-            # cost or bounded with a negative one
+            # cost, or neither free nor fixed with a negative one
             enter = -1
             for k, (c, oj) in enumerate(zip(cols, obj)):
-                if oj and (oj < 0 or c < n) and (enter < 0 or c < cols[enter]):
+                if oj and (enter < 0 or c < cols[enter]) and (
+                        c in free if oj > 0 else c not in fixed):
                     enter = k
             if enter < 0:
                 return obj, den
             if self.iterations >= max_iters:
                 return None
             self.iterations += 1
+            label = cols[enter]
             direction = 1 if obj[enter] < 0 else -1
-            # Bland ratio test rhs_i / (direction * T_ij), the row denominator
-            # cancelling; free basics never block
-            best_r = -1
-            best_num = best_d = 0
-            for i, row in enumerate(self.T):
-                if basis[i] < n:
-                    continue
+            # Bland ratio test over the steps num / d at which the entering
+            # label meets its own upper bound or a basic label meets one of
+            # its bounds (at 0, the row denominator cancelling; at its width
+            # u, (u D - rhs) / |entry|); free basics never stop it
+            best_r = -2  # -1: the entering label's own bound
+            u = width.get(label)
+            if u is not None:
+                best_r, (best_num, best_d), best_label, best_up = -1, u, label, False
+            for i, row in enumerate(T):
                 d = direction * row[enter]
+                if not d:
+                    continue
+                b = basis[i]
                 if d > 0:
-                    num = row[-1]
-                    if best_r < 0:
-                        best_r, best_num, best_d = i, num, d
+                    if b in free:
                         continue
+                    num, up = row[-1], False
+                else:
+                    w = width.get(b)
+                    if w is None:
+                        continue
+                    num, d, up = w[0] * D[i] - w[1] * row[-1], -d * w[1], True
+                if best_r != -2:
                     lhs, rhs = num * best_d, best_num * d
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best_r]):
-                        best_r, best_num, best_d = i, num, d
+                    if lhs > rhs or (lhs == rhs and b > best_label):
+                        continue
+                best_r, best_num, best_d, best_label, best_up = i, num, d, b, up
+            if best_r == -2:
+                raise SelfCheckFailed(f"unbounded: no row bounds entering label {label}")
             if best_r < 0:
-                raise SelfCheckFailed(f"unbounded: no row bounds entering label {cols[enter]}")
+                obj, den = self._flip(enter, obj, den)
+                continue
+            if best_up:  # the leaving label goes to its upper bound
+                b = basis[best_r]
+                T[best_r], D[best_r] = _shifted(T[best_r], D[best_r], -1, *width[b])
+                self._turn(b)
             nz, p = self._pivot(best_r, enter)
             obj, den = _eliminate(obj, den, enter, nz, p)
 
@@ -484,12 +656,13 @@ class _Tableau:
         """Pivot basic artificials out, then drop the artificial labels from
         `cols` and their entries from every row.  False on limit.
 
-        Every row of the full tableau has a nonzero entry among the free
-        and slack columns: its slack block is the basis inverse times a
-        diagonal of +-1, which is invertible.  In a row whose basic label is
-        artificial, every other basic label reads 0, so that entry is a
-        nonbasic label's.  So there is always a label to pivot on, and no
-        row of the tableau ever reads 0 = 0."""
+        Every row of the full tableau has a nonzero entry among the
+        variable and slack columns: its slack block is the basis inverse
+        times a diagonal of +-1, which is invertible.  In a row whose basic
+        label is artificial, every other basic label reads 0, so that entry
+        is a nonbasic label's.  So there is always a label to pivot on, and
+        no row of the tableau ever reads 0 = 0.  The artificial reads 0, so
+        the label entering for it stays at its bound."""
         bound = self.n + self.m
         cols = self.cols
         for i in range(self.m):
@@ -517,37 +690,76 @@ class _Tableau:
         `sys` must have the earlier system's equality pairs, and its other
         rows must be the earlier system's less some rows, the rest in their
         order, plus new rows after them; row ids name the same rows in both.
-        A dropped row must have its slack basic: no other row reads that
-        label, so its tableau row and its slack go, and the other slacks
-        are renumbered.  A new row is reduced, has its entries for basic
-        labels eliminated and its slack made basic, which is feasible only
-        if its rhs is then >= 0."""
-        if [sys.rows[k].rid for k in _equality_pairs(sys)] != self.red.eq_ids:
+        Only the new rows are reduced.  A dropped general row must have its
+        slack basic: no other row reads that label, so its tableau row and
+        its slack go, and the other slacks are renumbered.  The bounds are
+        chosen again over the single-variable rows left and new, so a new
+        single-variable row tightens its variable's bound and a dropped one
+        may loosen it.  Where a variable's bounds change, its current value
+        must satisfy them; a basic variable then measures from the same side
+        if that side still has a bound, else from the other, and a nonbasic
+        one must sit exactly at its new bound on the same side.  A new general row is written
+        over the labels, has its entries for basic labels eliminated and its
+        slack made basic, which is feasible only if its rhs is then >= 0."""
+        red = self.red
+        if [sys.rows[k].rid for k in _equality_pairs(sys)] != red.eq_ids:
             return False
         n = self.n
-        kept = self.red.kept(sys)
+        kept = red.kept(sys)
         ids = [sys.rows[k].rid for k in kept]
-        keep = [k for k, rid in enumerate(self.row_ids) if rid in sys.index]
-        if [self.row_ids[k] for k in keep] != ids[:len(keep)]:
+        old = [rid for rid in self.ids if rid in sys.index]
+        if old != ids[:len(old)]:
             return False
+        keep = [t for t, rid in enumerate(self.row_ids) if rid in sys.index]
         row_of = {b: i for i, b in enumerate(self.basis)}
         dropped = set()
-        for k in set(range(self.m)).difference(keep):
-            i = row_of.get(n + k)
+        for t in set(range(self.m)).difference(keep):
+            i = row_of.get(n + t)
             if i is None:
                 return False
             dropped.add(i)
-        label = {n + k: n + t for t, k in enumerate(keep)}
-        cols = [label.get(c, c) for c in self.cols]
-        pos = {c: k for k, c in enumerate(cols)}
+        singles = {rid: s for rid, s in self.singles.items() if rid in sys.index}
+        appended = []
+        for k in kept[len(old):]:
+            rid = sys.rows[k].rid
+            form = red.reduce(sys.rows[k].ints)
+            if len(form[1]) == 1:
+                singles[rid] = _single(rid, form)
+            elif form[1] or form[2] < 0:
+                appended.append((rid, form))
         T, D, basis = [], [], []
         for i, row in enumerate(self.T):
             if i not in dropped:
                 T.append(row)
                 D.append(self.D[i])
-                basis.append(label.get(self.basis[i], self.basis[i]))
-        for t in range(len(keep), len(ids)):
-            den, coeffs, rhs = self.red.reduce(sys.rows[kept[t]].ints)
+                basis.append(self.basis[i])
+        lo, hi = _bounds(singles, n)
+        off = list(self.off)
+        row_of = {b: i for i, b in enumerate(basis)}
+        for j, (l, h, ol, oh) in enumerate(zip(lo, hi, self.lo, self.hi)):
+            if _same(l, ol) and _same(h, oh):
+                continue
+            sigma, p, d = off[j]
+            beta = Fraction(p, d)
+            i = row_of.get(j)
+            x = beta if i is None else beta + sigma * Fraction(T[i][-1], D[i])
+            if (l and x < Fraction(l[0], l[1])) or (h and x > Fraction(h[0], h[1])):
+                return False
+            new = ((-1, h[0], h[1]) if h and (sigma < 0 or not l)
+                   else (1, l[0], l[1]) if l else (1, 0, 1))
+            if i is not None:
+                delta = new[0] * (beta - Fraction(new[1], new[2]))
+                T[i], D[i] = _shifted(T[i], D[i], sigma * new[0], delta.numerator,
+                                      delta.denominator)
+            elif new[0] != sigma or Fraction(new[1], new[2]) != beta:
+                return False  # a nonbasic variable must sit at its new bound
+            off[j] = new
+        label = {n + k: n + t for t, k in enumerate(keep)}
+        cols = [label.get(c, c) for c in self.cols]
+        basis = [label.get(b, b) for b in basis]
+        pos = {c: k for k, c in enumerate(cols)}
+        for _, form in appended:
+            den, coeffs, rhs = _in_labels(form, off)
             row = [0] * (len(cols) + 1)
             row[-1] = rhs
             on_basic = {}  # entries for basic labels, not yet eliminated
@@ -568,29 +780,51 @@ class _Tableau:
             row, den = _reduced(row, den)
             if row[-1] < 0:
                 return False
+            basis.append(n + len(T))
             T.append(row)
             D.append(den)
-            basis.append(n + t)
-        self.m = len(ids)
-        self.row_ids = ids
+        self.row_ids = [self.row_ids[k] for k in keep] + [rid for rid, _ in appended]
+        self.m = len(self.row_ids)
+        self.ids, self.singles = ids, singles
+        self._set_bounds(lo, hi, off)
         self.cols = cols
         self.T, self.D, self.basis = T, D, basis
         self.iterations = 0
         return True
 
     def primal(self) -> dict[int, Fraction]:
-        return {b: Fraction(self.T[i][-1], self.D[i]) for i, b in enumerate(self.basis)
-                if b < self.n and self.T[i][-1]}
+        """The point: each variable at its bound, plus its label's value if
+        basic."""
+        y = {b: i for i, b in enumerate(self.basis) if b < self.n}
+        out = {}
+        for j, (sigma, p, d) in enumerate(self.off):
+            i = y.get(j)
+            if i is None:
+                if p:
+                    out[j] = Fraction(p, d)
+                continue
+            num = p * self.D[i] + sigma * self.T[i][-1] * d
+            if num:
+                out[j] = Fraction(num, d * self.D[i])
+        return out
 
     def dual_from_obj(self, obj: list[int], den: int) -> dict[RowId, Fraction]:
-        """The reduced cost of each row's slack, in row order; a basic slack
-        has none."""
-        pos = {c: k for k, c in enumerate(self.cols)}
+        """The multiplier of each row whose nonbasic label has a reduced cost
+        r: a slack's row takes r; a variable's bound row takes r times its
+        `_single` scale, on the side the variable sits at, or on the other
+        side when r < 0, which only a fixed variable keeps.  A basic label
+        and a free one (r = 0 at an optimum) give none."""
+        n, m = self.n, self.m
         out = {}
-        for i, rid in enumerate(self.row_ids):
-            k = pos.get(self.n + i)
-            if k is not None and obj[k]:
-                out[rid] = Fraction(obj[k], den)
+        for k, c in enumerate(self.cols):
+            r = obj[k]
+            if not r or c >= n + m:
+                continue
+            if c >= n:
+                out[self.row_ids[c - n]] = Fraction(r, den)
+            else:
+                _, d, rid, row_den = (self.hi if (self.off[c][0] < 0) != (r < 0) else self.lo)[c]
+                out[rid] = Fraction(abs(r) * row_den, den * d)
         return out
 
 
@@ -621,11 +855,47 @@ def _eliminate(row: list[int], den: int, q: int, nz: list[tuple[int, int]], p: i
     return _reduced(row, den * ps)
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms; den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _same(a: _Bound | None, b: _Bound | None) -> bool:
+    """Both absent, or both present with equal values."""
+    return a is b or (a is not None and b is not None and a[0] * b[1] == b[0] * a[1])
+
+
+def _complemented(row: list[int], den: int, q: int, p: int, s: int) -> tuple[list[int], int]:
+    """row / den with the nonbasic label y at position q replaced by u - y'
+    (u = p / s, s > 0): its entry negated and the rhs less entry times u,
+    in lowest terms."""
+    a = row[q]
+    row = [v * s for v in row] if s != 1 else list(row)
+    row[q] = -row[q]
+    row[-1] -= a * p
+    return _reduced(row, den * s)
+
+
+def _shifted(row: list[int], den: int, sign: int, p: int, s: int) -> tuple[list[int], int]:
+    """row / den of a basic label y, rewritten for the label y' = sign y +
+    p / s (sign +-1, s > 0): den y' + sign T y_N = sign rhs + den p / s, in
+    lowest terms."""
+    out = [sign * s * v for v in row]
+    out[-1] += p * den
+    return _reduced(out, den * s)
+
+
 def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome | None]:
     """Drive the artificials of a fresh tableau to zero.  The outcome is LIMIT
-    or INFEASIBLE (with its self-checked Farkas vector) when phase 1 decides
-    the LP, None when the tableau is feasible."""
+    or INFEASIBLE (with its self-checked Farkas vector, at once when two
+    bounds contradict) when phase 1 decides the LP, None when the tableau
+    is feasible."""
     tab = _Tableau(sys)
+    if tab.conflict is not None:
+        lam = tab.red.lift_dual(tab.conflict, {}, sys)
+        _check_farkas(sys, lam)
+        return tab, LpOutcome(INFEASIBLE, dual=lam)
     if not tab.art_cols:
         return tab, None
     res = tab.run({j: Fraction(-1) for j in tab.art_cols}, max_iters)

@@ -123,11 +123,14 @@ def guard_rows(layout: VariableLayout, lit: GuardLiteral) -> list[list[IntForm]]
     `stabilize` rows and the proof checker's are built.
 
     Active: z - s = 0 and -s <= 0.  Inactive: z = 0 and s <= 0.  A unit
-    without a ReLU (z aliases s) has no phases.  A unit not in the layout
-    raises `KeyError`; one without phases, or an unknown phase, `ValueError`.
+    without a ReLU (z aliases s) has no phases.  A unit the layout does not
+    know, or one without phases, raises `ValueError("... is not a ReLU
+    unit")`; an unknown phase, `ValueError` too.
     """
-    s = layout.pre_index(lit.unit)
-    z = layout.post_index(lit.unit)
+    try:
+        s, z = layout.pre_index(lit.unit), layout.post_index(lit.unit)
+    except KeyError:
+        raise ValueError(f"{lit.unit} is not a ReLU unit") from None
     if s == z:
         raise ValueError(f"{lit.unit} is not a ReLU unit")
     if lit.phase == ACTIVE:

@@ -128,7 +128,7 @@ class TestGuardedChecker:
         assert sys.resolve(("g", 1, 0, ACTIVE, 2)) is not None
 
     @pytest.mark.parametrize("lit, error", [
-        (GuardLiteral((9, 9), ACTIVE), "KeyError((9, 9))"),
+        (GuardLiteral((9, 9), ACTIVE), "ValueError('(9, 9) is not a ReLU unit')"),
         (GuardLiteral((2, 0), ACTIVE), "ValueError('(2, 0) is not a ReLU unit')"),
         (GuardLiteral((1, 0), "bogus"), "ValueError(\"unknown phase 'bogus'\")"),
     ], ids=["unknown-unit", "unit-without-a-relu", "unknown-phase"])

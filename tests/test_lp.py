@@ -4,12 +4,15 @@ import math
 import random
 from fractions import Fraction as F
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from conftest import norm_row, rand_rational, rational_row
+from conftest import WORKED, norm_row, rand_rational, rational_row
 from relucert import certs, lp
+from relucert.model import parse_problem
 from relucert.rows import NormalizedSystem
+from relucert.search import Config, hsrv_verify, icl_verify
 
 ZERO = F(0)
 
@@ -59,29 +62,127 @@ def _solve_square(rows, rhs):
     return [M[r][n] for r in range(n)]
 
 
-def _vertex_oracle(sys, g):
-    """Exhaustive vertex enumeration: best g^T v over all feasible basic
-    points.  Sound for bounded polytopes (box rows present)."""
+def _vertices(sys):
+    """Exhaustive vertex enumeration: every feasible basic point."""
     n = sys.n_vars
     dense = [([rational_row(r)[0].get(j, ZERO) for j in range(n)], r.rhs) for r in sys.rows]
-    best = None
-    arg = None
     for combo in itertools.combinations(range(len(dense)), n):
         v = _solve_square([dense[i][0] for i in combo], [dense[i][1] for i in combo])
-        if v is None:
-            continue
-        if all(sum(a * x for a, x in zip(row, v)) <= rhs for row, rhs in dense):
-            val = sum(g.get(j, ZERO) * v[j] for j in range(n))
-            if best is None or val > best:
-                best, arg = val, v
+        if v is not None and all(sum(a * x for a, x in zip(row, v)) <= rhs
+                                 for row, rhs in dense):
+            yield v
+
+
+def _vertex_oracle(sys, g, vertices=None):
+    """Best g^T v over all feasible basic points (`_vertices`, or those
+    given).  Sound for bounded polytopes (box rows present)."""
+    best = None
+    arg = None
+    for v in _vertices(sys) if vertices is None else vertices:
+        val = sum(g.get(j, ZERO) * x for j, x in enumerate(v))
+        if best is None or val > best:
+            best, arg = val, v
     return best, arg
+
+
+#: the bound cases of `_bound_variants`
+BOUND_CASES = ("fixed", "repeated", "scaled", "one-sided", "free", "contradictory")
+
+
+def _bound_variants(rng, sys):
+    """(case, system) for each bound case of the simplex: `sys`, a
+    `_boxed_random_system` (or an `_equality_system` built on one), with the
+    box rows of one variable x_j, ("c", 2j, "le") x_j <= hi and
+    ("c", 2j + 1, "le") -x_j <= -lo, rewritten in place:
+
+    - fixed: x_j <= lo in place of x_j <= hi, a zero-width box;
+    - repeated: each box row with an exact tie (2 x_j <= 2 hi before it, a
+      copy of -x_j <= -lo after it) and a dominated row (x_j <= hi + 1,
+      x_j >= lo - 1);
+    - scaled: a x_j <= a hi and -(5/7) a x_j <= -(5/7) a lo, a a fraction;
+    - one-sided: x_j >= lo replaced by a two-variable row, so x_j has an
+      upper bound alone;
+    - free: both replaced by two-variable rows, so x_j has no bound, and
+      the rows still bound it through another variable x_k;
+    - contradictory: x_j >= hi + 1/2 added after x_j <= hi.
+
+    The polytope stays bounded, so the vertex oracle applies.  one-sided
+    and free need a second variable."""
+    n = sys.n_vars
+    j = rng.randrange(n)
+    k = (j + 1) % n
+    up, down = ("c", 2 * j, "le"), ("c", 2 * j + 1, "le")
+    hi, lo = sys.resolve(up).rhs, -sys.resolve(down).rhs
+    k_hi, k_lo = sys.resolve(("c", 2 * k, "le")).rhs, -sys.resolve(("c", 2 * k + 1, "le")).rhs
+    a = F(rng.randint(1, 9), rng.randint(2, 9))
+    new = iter(itertools.count(300))
+
+    def row(coeffs, rhs):
+        return norm_row({v: F(q) for v, q in coeffs.items()}, F(rhs), ("c", next(new), "le"))
+
+    def replaced(by):
+        return NormalizedSystem([r for old in sys.rows for r in by.get(old.rid, [old])], n)
+
+    yield "fixed", replaced({up: [row({j: 1}, lo)]})
+    yield "repeated", replaced({
+        up: [row({j: 2}, 2 * hi), sys.resolve(up), row({j: 1}, hi + 1)],
+        down: [sys.resolve(down), row({j: -1}, -lo), row({j: -1}, 1 - lo)]})
+    yield "scaled", replaced({up: [row({j: a}, a * hi)],
+                              down: [row({j: -a * F(5, 7)}, -a * F(5, 7) * lo)]})
+    if n > 1:
+        yield "one-sided", replaced({down: [row({j: -1, k: 1}, k_hi - lo)]})
+        yield "free", replaced({up: [row({j: 1, k: -1}, hi - k_lo)],
+                                down: [row({j: -1, k: 1}, k_hi - lo)]})
+    yield "contradictory", replaced({up: [sys.resolve(up), row({j: -1}, -hi - F(1, 2))]})
+
+
+def _assert_bound_case(sys, g):
+    """`sys` solved in both senses and by phase 1: statuses and values
+    those of the vertex oracle, every certificate accepted by the exact
+    checkers of `certs`, and no multiplier on an implied row (a
+    single-variable row that is not its variable's bound).  Then a TGCT
+    step on x_j, a variable the reduction keeps: maximize x_j, append
+    x_j <= that maximum, a row that reduces to x_j alone, and retire x_j's
+    upper bound row; the next solve starts warm and equals the cold one.
+    The step needs a feasible system and a kept variable."""
+    vertices = list(_vertices(sys))
+    want, _ = _vertex_oracle(sys, g, vertices)
+    low, _ = _vertex_oracle(sys, {j: -q for j, q in g.items()}, vertices)
+    outs = {"max": lp.lp_max(sys, g), "min": lp.lp_min(sys, g), "feasible": lp.lp_feasible(sys)}
+    if want is None:
+        assert {out.status for out in outs.values()} == {lp.INFEASIBLE}
+    else:
+        assert (outs["max"].status, outs["min"].status, outs["feasible"].status) == (
+            lp.OPTIMAL, lp.OPTIMAL, lp.FEASIBLE)
+        assert (outs["max"].value, outs["min"].value) == (want, -low)
+    tab = lp._Tableau(sys)
+    bounds = {b[2] for b in tab.lo + tab.hi if b}
+    implied = set(tab.ids) - set(tab.row_ids) - bounds
+    for sense, out in outs.items():
+        _assert_certified(sys, g, out, sense)
+        assert not implied & set(out.dual or ())
+    if want is None or not tab.red.keep:
+        return
+    j = tab.red.keep[0]
+    first = lp.lp_max(sys, {j: F(1)})
+    upper = tab.hi[0]  # x_j is the reduced LP's variable 0
+    rows = [r for r in sys.rows if upper is None or r.rid != upper[2]]
+    step = NormalizedSystem(rows + [norm_row({j: F(1)}, first.value, ("c", 400, "le"))],
+                            sys.n_vars)
+    warm, cold = lp.lp_max(step, g, warm=first.tableau), lp.lp_max(step, g)
+    assert warm.tableau is first.tableau
+    assert (warm.status, warm.value) == (cold.status, cold.value) == (lp.OPTIMAL, want)
+    _assert_certified(step, g, warm, "max")
 
 
 class TestAgainstVertexEnumeration:
     def test_lp_max_matches_oracle_on_random_boxed_systems(self):
-        rng = random.Random(42)
+        # system k also with one variable's box rows rewritten into bound
+        # case k mod 6 (`_bound_variants`, from its own generator)
+        rng, variants = random.Random(42), random.Random(142)
         optima = infeasible = 0
-        for _ in range(60):
+        cases = set()
+        for k in range(60):
             sys, g = _boxed_random_system(rng)
             want, _ = _vertex_oracle(sys, g)
             out = lp.lp_max(sys, g)
@@ -92,8 +193,13 @@ class TestAgainstVertexEnumeration:
                 assert out.status == lp.OPTIMAL
                 assert out.value == want
                 optima += 1
+            for case, variant in _bound_variants(variants, sys):
+                if case == BOUND_CASES[k % len(BOUND_CASES)]:
+                    _assert_bound_case(variant, g)
+                    cases.add(case)
         assert optima >= 20  # the suite must actually exercise the optimum path
         assert infeasible >= 1
+        assert cases == set(BOUND_CASES)
 
     def test_lp_min_is_negated_lp_max(self):
         rng = random.Random(43)
@@ -177,10 +283,16 @@ class TestEdgeCases:
         assert out.status == lp.OPTIMAL and out.value == F(5)
 
     def test_iteration_limit_reports_limit(self):
+        # a system whose single-variable rows decide it takes no iteration,
+        # so only the systems that need one can reach the limit
         rng = random.Random(46)
-        sys, g = _boxed_random_system(rng, n_extra=6)
-        out = lp.lp_max(sys, g, max_iters=0)
-        assert out.status == lp.LIMIT
+        limited = 0
+        for _ in range(10):
+            sys, g = _boxed_random_system(rng, n_extra=6)
+            if lp.lp_max(sys, g).iterations:
+                assert lp.lp_max(sys, g, max_iters=0).status == lp.LIMIT
+                limited += 1
+        assert limited >= 3
 
     def test_deterministic_across_runs(self):
         rng = random.Random(47)
@@ -307,12 +419,14 @@ def _corpus_solves(sys, g):
 class TestPivotPath:
     """The simplex's pivot path, pinned: status, value, primal point, dual
     or Farkas vector and pivot count over a seeded corpus hash to a
-    constant recorded on the dense Fraction tableau.  A change of arithmetic
-    that keeps every sign and ratio exact keeps this hash.  Each boxed system
-    is also solved without its box rows, which reaches the unbounded
-    fault, hashed as `_FAULT`."""
+    constant.  A change of arithmetic that keeps every sign and ratio exact
+    keeps this hash.  Each boxed system is also solved without its box
+    rows, which reaches the unbounded fault, hashed as `_FAULT`.  Re-pinned
+    when single-variable rows became bounds: every status and value is the
+    all-rows tableau's, and only iteration counts and the multipliers of
+    degenerate optima moved."""
 
-    PINNED = "797aecbeb0280feae28132c43b05e29df6a3503c74450e1155986724e6b06c1e"
+    PINNED = "a1c712af45944213c8ed36f3ec0926b049e5d58d1ecf070c3ba0dc0c158bc373"
 
     def _digest(self):
         rng = random.Random(20240824)
@@ -333,40 +447,64 @@ class TestPivotPath:
 def _assert_tableau_invariants(tab, phase2):
     """Positive row denominators, rows in lowest terms and one entry per
     nonbasic label plus the rhs wide; the nonbasic and basic labels
-    disjoint and together the live ones (free variables, slacks and, in
-    phase 1, artificials); in phase 2 no artificial label is left."""
+    disjoint and together the live ones (variables, slacks and, in phase
+    1, artificials); in phase 2 no artificial label is left.  Every basic
+    label but a free variable's lies within its bounds, 0 <= rhs / D <=
+    its width."""
     assert len(tab.T) == len(tab.D) == len(tab.basis) == tab.m == len(tab.row_ids)
     if phase2:
         assert not tab.art_cols
     live = [*range(tab.n + tab.m), *tab.art_cols]
     assert sorted(tab.cols + tab.basis) == live
-    for row, den in zip(tab.T, tab.D):
+    for row, den, b in zip(tab.T, tab.D, tab.basis):
         assert len(row) == len(tab.cols) + 1
         assert den > 0 and math.gcd(den, *row) == 1
+        if b not in tab.free:
+            assert row[-1] >= 0
+            if b in tab.width:
+                wn, wd = tab.width[b]
+                assert row[-1] * wd <= wn * den
+
+
+#: x + y >= 1 (row 0) and x + y <= 1 (row 1) with 0 <= y <= 2: labels x 0,
+#: y 1, the slacks 2 and 3, and row 0's artificial 4
+_TIED = [({0: F(-1), 1: F(-1)}, -1), ({0: F(1), 1: F(1)}, 1), ({1: F(-1)}, 0), ({1: F(1)}, 2)]
 
 
 class TestIntegerTableau:
     """Edge cases of the integer-row tableau."""
 
     def test_ratio_tie_leaves_by_smaller_basic_index(self):
-        # x >= 1 (row 0, artificial basic, column 3) and x <= 1 (row 1, slack
-        # basic, column 2) both bound x at ratio 1; the slack has the smaller
-        # index and leaves although its row comes second
-        tab = lp._Tableau(_system([({0: F(-1)}, -1), ({0: F(1)}, 1)]))
-        assert tab.basis == [3, 2]
-        tab.run({3: F(-1)}, max_iters=1)
+        # x, free, enters phase 1 first; row 0 (artificial basic, label 4)
+        # and row 1 (slack basic, label 3) both stop it at ratio 1; the
+        # slack has the smaller label and leaves although its row comes
+        # second
+        tab = lp._Tableau(_system(_TIED))
+        assert tab.basis == [4, 3]
+        tab.run({4: F(-1)}, max_iters=1)
         assert tab.iterations == 1
-        assert tab.basis == [3, 0]
+        assert tab.basis == [4, 0]
+
+    def test_ratio_tie_with_the_entering_labels_own_bound_flips_it(self):
+        # 0 <= x <= 1 and 0 <= y, with x + y <= 1: x enters, and its own
+        # bound and the row's slack (label 2) stop it at 1; x has the
+        # smaller label, so it moves to its upper bound with no pivot
+        tab = lp._Tableau(_system([({0: F(1)}, 1), ({0: F(-1)}, 0), ({1: F(-1)}, 0),
+                                   ({0: F(1), 1: F(1)}, 1)]))
+        assert (tab.basis, tab.off[0]) == ([2], (1, 0, 1))
+        obj, den = tab.run({0: F(1)}, lp.DEFAULT_MAX_ITERS)
+        assert (tab.iterations, tab.basis, tab.off[0]) == (1, [2], (-1, 1, 1))
+        assert (F(obj[-1], den), tab.primal()) == (1, {0: F(1)})
 
     def test_iteration_limit_in_phase_one(self):
-        sys = _system([({0: F(-1)}, -1), ({0: F(1)}, 1)])
+        sys = _system(_TIED)
         for out in (lp.lp_max(sys, {0: F(1)}, max_iters=0), lp.lp_feasible(sys, max_iters=0)):
             assert (out.status, out.iterations) == (lp.LIMIT, 0)
 
     def test_iteration_limit_while_dropping_artificials(self):
-        # phase 1 ends optimal after one pivot with the artificial of x >= 1
-        # still basic at zero; driving it out needs a second pivot
-        sys = _system([({0: F(-1)}, -1), ({0: F(1)}, 1)])
+        # phase 1 ends optimal after one pivot with the artificial of
+        # x + y >= 1 still basic at zero; driving it out needs a second pivot
+        sys = _system(_TIED)
         assert lp.lp_feasible(sys, max_iters=1).status == lp.FEASIBLE
         out = lp.lp_max(sys, {0: F(1)}, max_iters=1)
         assert (out.status, out.iterations) == (lp.LIMIT, 1)
@@ -374,12 +512,13 @@ class TestIntegerTableau:
         assert (out.status, out.value, out.iterations) == (lp.OPTIMAL, F(1), 2)
 
     def test_equality_written_twice_keeps_every_row(self):
-        # x = 3/2 as two copies of the pair x <= 3/2, -x <= -3/2: the copies
-        # are linearly dependent, yet each row keeps a nonzero slack entry
-        # (a basic slack reads the row denominator), so every artificial is
-        # pivoted out and no row is dropped
-        rows = [({0: F(1)}, F(3, 2)), ({0: F(-1)}, F(-3, 2))] * 2
-        sys = _system(rows)
+        # x + y = 3/2 as two copies of the pair x + y <= 3/2,
+        # -x - y <= -3/2, with 0 <= y <= 1: the copies are linearly
+        # dependent, yet each row keeps a nonzero slack entry (a basic slack
+        # reads the row denominator), so every artificial is pivoted out
+        # and no row is dropped; y's rows are bounds, not rows
+        rows = [({0: F(1), 1: F(1)}, F(3, 2)), ({0: F(-1), 1: F(-1)}, F(-3, 2))] * 2
+        sys = _system(rows + [({1: F(1)}, 1), ({1: F(-1)}, 0)])
         out = lp.lp_max(sys, {0: F(2)})
         assert (out.status, out.value) == (lp.OPTIMAL, F(3))
         tab, phase1 = lp._phase1(sys, lp.DEFAULT_MAX_ITERS)
@@ -390,11 +529,36 @@ class TestIntegerTableau:
         assert all(b in slacks or any(a for a, j in zip(row, tab.cols) if j in slacks)
                    for row, b in zip(tab.T, tab.basis))
 
+    def test_single_variable_rows_are_bounds_not_rows(self, monkeypatch):
+        """On every LP the solver builds for the worked problem and for a
+        branching instance, no tableau row starts with a single nonzero
+        coefficient, and so no artificial starts in a bound's row: each
+        single-variable row became a bound or left as implied."""
+        from test_search import TestBranchingOracleAgreement, tightened
+
+        init = lp._Tableau.__init__
+        starts = []  # per tableau, (variable nonzeros, artificial basic) of each row
+
+        def recording(tab, sys):
+            init(tab, sys)
+            starts.append([(sum(1 for a in row[:tab.n] if a), tab.is_artificial(b))
+                           for row, b in zip(tab.T, tab.basis)])
+
+        worked = parse_problem(Path(WORKED).read_bytes())
+        branching = tightened(57)
+        monkeypatch.setattr(lp._Tableau, "__init__", recording)
+        for driver in (icl_verify, hsrv_verify):
+            assert driver(*worked, Config()).status == "unsat"
+        assert icl_verify(*branching, TestBranchingOracleAgreement.CONFIG).status == "unsat"
+        rows = [row for tab in starts for row in tab]
+        assert len(starts) >= 5 and any(artificial for _, artificial in rows)
+        assert all(count != 1 for count, _ in rows)
+
     def test_rows_stay_in_lowest_terms_after_every_pivot(self, monkeypatch):
-        pivot, drop, reconcile = (lp._Tableau._pivot, lp._Tableau.drop_artificials,
-                                  lp._Tableau.reconcile)
+        pivot, flip, drop, reconcile = (lp._Tableau._pivot, lp._Tableau._flip,
+                                        lp._Tableau.drop_artificials, lp._Tableau.reconcile)
         past_phase1 = []  # the tableaux whose phase 2 has started
-        pivots = reconciled = 0
+        pivots = flips = reconciled = 0
 
         def checked_pivot(tab, r, q):
             nonlocal pivots
@@ -417,18 +581,26 @@ class TestIntegerTableau:
             _assert_tableau_invariants(tab, True)
             return ok
 
+        def checked_flip(tab, q, obj, den):
+            nonlocal flips
+            res = flip(tab, q, obj, den)
+            flips += 1
+            _assert_tableau_invariants(tab, any(t is tab for t in past_phase1))
+            return res
+
         monkeypatch.setattr(lp._Tableau, "_pivot", checked_pivot)
+        monkeypatch.setattr(lp._Tableau, "_flip", checked_flip)
         monkeypatch.setattr(lp._Tableau, "drop_artificials", checked_drop)
         monkeypatch.setattr(lp._Tableau, "reconcile", checked_reconcile)
         rng = random.Random(48)
-        for _ in range(30):
+        for _ in range(100):
             sys, g = _boxed_random_system(rng, n_extra=6, max_den=9)
             out = lp.lp_max(sys, g)
             lp.lp_feasible(sys)
             if out.status == lp.OPTIMAL and g:
                 cut = norm_row(dict(g), out.value, ("c", 100, "le"))
                 lp.lp_min(NormalizedSystem(sys.rows + [cut], sys.n_vars), g, warm=out.tableau)
-        assert pivots >= 100 and reconciled >= 10
+        assert pivots >= 100 and flips >= 50 and reconciled >= 20
 
 
 def _above_box_max(sys, g):
@@ -440,6 +612,16 @@ def _above_box_max(sys, g):
     return sum((q * (hi[j] if q > 0 else lo[j]) for j, q in g.items()), ZERO) + 1
 
 
+def _untied_bound_at(tab, j):
+    """The id of the bound row that nonbasic variable j sits at, or None
+    if another single-variable row of j on that side ties it."""
+    upper = tab.off[j][0] < 0
+    num, d, rid, _ = (tab.hi if upper else tab.lo)[j]
+    tied = any(other != rid and (i, up) == (j, upper) and b[0] * d == num * b[1]
+               for other, (i, up, b) in tab.singles.items())
+    return None if tied else rid
+
+
 class TestWarmStart:
     """A tableau reused the way template tightening reuses it: solve, append
     g^T v <= optimum, retire a looser row on g, solve another objective."""
@@ -449,10 +631,13 @@ class TestWarmStart:
         reconcile = lp._Tableau.reconcile
 
         def checked(tab, sys):
+            # these systems have no equalities: the reduced LP has every
+            # row, the tableau those with two or more variables
             ok = reconcile(tab, sys)
             _assert_tableau_invariants(tab, True)
             if ok:
-                assert tab.row_ids == [r.rid for r in sys.rows] and not tab.art_cols
+                assert tab.ids == [r.rid for r in sys.rows] and not tab.art_cols
+                assert tab.row_ids == [r.rid for r in sys.rows if len(r.ints[1]) > 1]
             return ok
 
         monkeypatch.setattr(lp._Tableau, "reconcile", checked)
@@ -489,11 +674,20 @@ class TestWarmStart:
         assert warm >= 40
 
     def test_dropped_row_with_nonbasic_slack_starts_cold(self):
-        fallbacks = 0
+        # the dropped row is the first general row whose slack is nonbasic,
+        # else the bound row a nonbasic variable sits at (its label is that
+        # row's slack, scaled) when dropping it moves the bound
+        fallbacks = kinds = 0
         for first_sys, first, _, g2 in self._cases(51):
             tab = first.tableau
-            k = next(k for k in range(tab.m) if tab.n + k not in tab.basis)
-            sys = NormalizedSystem(first_sys.rows[:k] + first_sys.rows[k + 1:], first_sys.n_vars)
+            at = [tab.row_ids[k] for k in range(tab.m) if tab.n + k not in tab.basis]
+            at += [_untied_bound_at(tab, j) for j in tab.cols
+                   if j < tab.n and j not in tab.free | tab.fixed]
+            rid = next((rid for rid in at if rid is not None), None)
+            if rid is None:
+                continue
+            kinds |= 1 << (rid in tab.singles)
+            sys = NormalizedSystem([r for r in first_sys.rows if r.rid != rid], first_sys.n_vars)
             before = repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids))
             assert not tab.reconcile(sys)
             assert repr((tab.cols, tab.T, tab.D, tab.basis, tab.row_ids)) == before
@@ -501,7 +695,7 @@ class TestWarmStart:
             assert out.tableau is not tab
             assert _outcome_key(out) == _outcome_key(lp.lp_max(sys, g2))
             fallbacks += 1
-        assert fallbacks >= 40
+        assert fallbacks >= 40 and kinds == 3
 
     def test_appended_row_the_point_violates_starts_cold(self):
         statuses = set()
@@ -555,13 +749,15 @@ def _meets_equalities(sys, point):
 
 def _assert_certified(sys, g, out, sense):
     """The outcome's certificate passes the exact checker of `certs` on the
-    system as given, and its point meets every equality exactly."""
+    system as given (a dual's lambda^T b equal to the optimum), and its
+    point meets every equality exactly."""
     if out.status == lp.INFEASIBLE:
         assert certs.check_farkas(sys, certs.FarkasCertificate.make(out.dual)).ok
     elif out.status == lp.OPTIMAL:
         obj = g if sense == "max" else {j: -q for j, q in g.items()}
         value = out.value if sense == "max" else -out.value
-        assert certs.check_dual(sys, certs.DualBoundCertificate.make(obj, value, out.dual)).ok
+        assert certs.check_dual_exact(
+            sys, certs.DualBoundCertificate.make(obj, value, out.dual)).ok
     if out.primal is not None:
         assert _meets_equalities(sys, out.primal)
 
@@ -570,11 +766,18 @@ class TestEqualities:
     """Systems with equality pairs, solved on the reduced LP and lifted back."""
 
     def test_statuses_and_values_match_the_oracle(self):
-        rng = random.Random(60)
+        # system k also with one variable's box rows rewritten into bound
+        # case k mod 6 (`_bound_variants`, from its own generator)
+        rng, variants = random.Random(60), random.Random(160)
         optima = infeasible = eliminated = 0
         multiplier_ids = set()
-        for _ in range(60):
+        cases = set()
+        for k in range(60):
             sys, g = _equality_system(rng)
+            for case, variant in _bound_variants(variants, sys):
+                if case == BOUND_CASES[k % len(BOUND_CASES)]:
+                    _assert_bound_case(variant, g)
+                    cases.add(case)
             eliminated += sys.n_vars - lp._Tableau(sys).n
             want, _ = _vertex_oracle(sys, g)
             low, _ = _vertex_oracle(sys, {j: -q for j, q in g.items()})
@@ -594,6 +797,7 @@ class TestEqualities:
             _assert_certified(sys, g, feas, "max")
         assert optima >= 20 and infeasible >= 5 and eliminated >= 60
         assert multiplier_ids == {"c", "g"}
+        assert cases == set(BOUND_CASES)
 
     def test_duplicated_equality_is_dropped(self):
         # x + y = 1 twice, then maximize x - y over the unit box: the second
@@ -604,14 +808,17 @@ class TestEqualities:
                  for cid in (4, 5) for sign, side in ((1, "le"), (-1, "ge"))]
         sys = NormalizedSystem(rows + pairs, 2)
         tab = lp._Tableau(sys)
-        assert tab.n == 1 and tab.row_ids == [r.rid for r in rows]
+        # y = 1 - x makes every box row a bound on x: the reduced LP has
+        # the box rows and neither pair, and the tableau no row
+        assert tab.n == 1 and tab.ids == [r.rid for r in rows] and tab.row_ids == []
         g = {0: F(1), 1: F(-1)}
         out = lp.lp_max(sys, g)
         assert (out.status, out.value, out.primal) == (lp.OPTIMAL, F(1), {0: F(1)})
         _assert_certified(sys, g, out, "max")
 
     def test_inconsistent_equality_is_refuted(self):
-        # x + y = 1 and x + y = 2: the second pair reduces to 0 = 1 and stays
+        # x + y = 1 and x + y = 2: the second pair reduces to 0 = 1, whose
+        # violated side stays
         sys = NormalizedSystem([
             norm_row({0: F(1), 1: F(1)}, F(1), ("c", 0, "le")),
             norm_row({0: F(-1), 1: F(-1)}, F(-1), ("c", 0, "ge")),
@@ -620,7 +827,10 @@ class TestEqualities:
             norm_row({0: F(-1), 1: F(-1)}, F(-2), ("g", 1, 0, "active", 1)),
         ], 2)
         tab = lp._Tableau(sys)
-        assert tab.row_ids == [("c", 1, "le"), ("g", 1, 0, "active", 0), ("g", 1, 0, "active", 1)]
+        # x <= 3 becomes x's bound, the pair's rows 0 <= 1, which leaves, and
+        # 0 <= -1, which stays in the tableau and takes phase 1's artificial
+        assert tab.ids == [("c", 1, "le"), ("g", 1, 0, "active", 0), ("g", 1, 0, "active", 1)]
+        assert tab.row_ids == [("g", 1, 0, "active", 1)] and tab.art_cols
         for out in (lp.lp_max(sys, {0: F(1)}), lp.lp_min(sys, {0: F(1)}), lp.lp_feasible(sys)):
             assert out.status == lp.INFEASIBLE
             _assert_certified(sys, {}, out, "max")
@@ -682,9 +892,9 @@ class TestEqualityPivotPath:
     rows (ids ("c", k, "le") with k < 2n), which reaches the unbounded
     fault, hashed as `_FAULT` as there.  A change to the reduction's choice
     of eliminated variables, its row order or its renumbering moves this
-    hash."""
+    hash.  Re-pinned with `TestPivotPath`, on the same terms."""
 
-    PINNED = "7bf5405387aa9e78f166f9f7482fa971c2c317d7a61c0eba217c40cfbb161631"
+    PINNED = "0d103f2a3b893d1930f6517a29e0848fc65be8a0e945f8670abb25dd55f19cea"
 
     def _digest(self):
         rng = random.Random(20250117)
@@ -721,9 +931,10 @@ class TestWarmStartPath:
     the end; now and then it appends a cut below the optimum instead, or
     also retires another bound row.  Every step's status, value, primal
     point, dual vector, pivot count and whether `reconcile` accepted the
-    old tableau hash to a constant recorded on the dense tableau."""
+    old tableau hash to a constant.  Re-pinned with `TestPivotPath`, on the
+    same terms."""
 
-    PINNED = "9c733344315230614469fab592f1550ba84fd2705e03a34c1b8710c063ace209"
+    PINNED = "b59f96744135dff81a63665a1ebec5323801264c7a9853ff816ad97f3eb8cfbd"
 
     def _digest(self, monkeypatch):
         accepted = []

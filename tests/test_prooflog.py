@@ -475,7 +475,7 @@ class TestTargetedRejections:
                                          worked_region(), None, {s: (F(-1), F(1))}, set())
 
     @pytest.mark.parametrize("guard, reason", [
-        ([9, 9, "active"], "KeyError((9, 9))"),
+        ([9, 9, "active"], "(9, 9) is not a ReLU unit"),
         ([2, 0, "active"], "(2, 0) is not a ReLU unit"),
         ([1, 0, "sideways"], "unknown phase 'sideways'"),
     ], ids=["unknown-unit", "unit-without-a-relu", "unknown-phase"])
@@ -739,7 +739,9 @@ class TestTrimmedProofs:
                 for cid in sorted(cited):
                     self._rejected_without(problem, base, path, at, {cid})
                     cases += 1
-        assert cases == 142, cases
+        # 142 with the all-rows tableau; the bounded-variable simplex finds
+        # other multipliers for degenerate optima, which cite fewer rows
+        assert cases == 138, cases
 
     def test_dropping_the_phase_rows_of_an_interval_rows_source_rejected(self, tmp_path):
         """Each source of an interval row past the first layer whose phase a

@@ -694,11 +694,15 @@ class TestProofPins:
     three were re-pinned when a leaf came to keep only the rows its
     certificates reach (`Store.cone`): each proof is the earlier one with
     every other row of each leaf deleted, ids unchanged; every other byte
-    is the same."""
+    is the same.  57 was re-pinned when the simplex came to keep
+    single-variable rows as bounds: its tree, splits, guards and leaves are
+    the earlier proof's, and only the multipliers of degenerate optima, and
+    so the rows each leaf keeps, moved; the worked proof and 89 held their
+    pins."""
 
     PINS = {
         "worked": "3d7ad9f6c07bd75035603fb6b0ffe4b4e65ba001f9e44e35e02cee4dd5dcc80a",
-        57: "d78cf49b5098248dc23a5aeb0fce2979d49f5e4389a2c4d6e9084f529ee5745a",
+        57: "84226b552b8b7ad95931f331e7c78801a475df90b9eb482acf8806ccee159f08",
         89: "bf9122d11d80825cbdf1b235980ef92056de077070b35a8113d53b40bc2a26b1",
     }
 
