@@ -178,6 +178,6 @@ def check_guarded(sys: NormalizedSystem, layout, cert: GuardedCertificate) -> Ch
     the guards' rows.  A guard that `guard_rows` refuses rejects."""
     try:
         extended = extend_with_guards(sys, layout, cert.guards)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         return CheckResult(False, f"guard without rows: {exc!r}")
     return check_farkas(extended, cert.inner)

@@ -247,17 +247,6 @@ def forward_eval(net: Network, x) -> Trace:
     return Trace(tuple(pre), tuple(post))
 
 
-def trace_vector(net: Network, layout: VariableLayout, x) -> dict[int, Fraction]:
-    """Full assignment of the layout variables induced by an exact trace."""
-    trace = forward_eval(net, x)
-    v = {layout.input_index(k): Fraction(q) for k, q in enumerate(x)}
-    for i in range(1, len(net.layers) + 1):
-        for j in range(len(net.layers[i - 1].weights)):
-            v[layout.pre_index((i, j))] = trace.pre[i - 1][j]
-            v[layout.post_index((i, j))] = trace.post[i - 1][j]
-    return v
-
-
 @dataclass(frozen=True)
 class WitnessVerdict:
     accepted: bool

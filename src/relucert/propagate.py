@@ -1,25 +1,27 @@
 """Certificate-driven node propagation.
 
-One fixed-point pass interleaves: bound-row installation (interval
-arithmetic, as rows the checker rebuilds from their tag), hull insertion
-for unstable units, a back-substitution of the negated property through
-those rows that prunes with a Farkas certificate and no LP, LP tightening
-of the unstable units' pre-activations with dual certificates (the only
-derived rows), stabilization of units whose bound rows fix their sign
-(the unit's phase equality replaces its hull rows; the bound row stays and
-states the sign), and one closing LP that prunes with a Farkas
-certificate or leaves the node open at a point of its rows.  Below the
-root the closing LP maximizes the margin without the negated property,
-which also proves the margin bound the node's leaf records.  One function,
-`_margin_lp`, makes every such bound LP: a node below the root that
-back-substitution or a TGCT LP refutes first makes it for its bound alone.
-The root therefore makes no LP when back-substitution refutes it; a node
-below the root makes at least the one LP that proves its bound.
+One fixed-point pass interleaves: bound-row installation (two rows per
+unit that state its interval, the store's seed by `store.interval_bounds`
+over the node's scope, and that the checker rebuilds from their tag by the
+same sum; on an infeasible scope an interval may be crossed, and its rows
+then refute the node), hull insertion for unstable units, a
+back-substitution of the negated property through those rows that prunes
+with a Farkas certificate and no LP, LP tightening of the unstable units'
+pre-activations with dual certificates (the only derived rows),
+stabilization of units whose bound rows fix their sign (the unit's phase
+equality replaces its hull rows; the bound row stays and states the sign),
+and one closing LP that prunes with a Farkas certificate or leaves the
+node open at a point of its rows.  Below the root the closing LP maximizes
+the margin without the negated property, which also proves the margin
+bound the node's leaf records.  One function, `_margin_lp`, makes every
+such bound LP: a node below the root that back-substitution or a TGCT LP
+refutes first makes it for its bound alone.  The root therefore makes no
+LP when back-substitution refutes it; a node below the root makes at least
+the one LP that proves its bound.
 
-Every row is built straight into its integer form (`rows`): interval
-bounds are summed in integers over one common denominator
-(`store.affine_interval`), the hull chord over the common denominator of
-its interval's ends.  Back-substitution sums integer rows over one common
+Every row is built straight into its integer form (`rows`): an interval
+row from its bound, the hull chord over the common denominator of its
+interval's ends.  Back-substitution sums integer rows over one common
 denominator too, and makes a `Fraction` only for each multiplier it
 records.
 """
@@ -37,9 +39,8 @@ from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, FarkasCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
 from .rows import GuardLiteral, guard_rows, lowest_terms
-from .store import REL, Store, affine_interval, bound_form
+from .store import Store, bound_form
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: cap on the fixed-point passes of one node
@@ -76,7 +77,7 @@ def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
-    store.phase_ids[unit] = store.add(("stabilize", unit, phase), REL,
+    store.phase_ids[unit] = store.add(("stabilize", unit, phase),
                                       guard_rows(store.layout, GuardLiteral(unit, phase))[0])
     store.phases[unit] = phase
     store.unstable.discard(unit)
@@ -102,41 +103,28 @@ def hull_insert(store: Store, unit: Unit) -> list[int]:
         lowest_terms(d, {z: d, s: -hi_n * lo_d}, -hi_n * lo_n),
         bound_form(z, 1, hi),
     ]
-    ids = [store.add(("hull", unit, k), REL, [row]) for k, row in enumerate(rows)]
+    ids = [store.add(("hull", unit, k), [row]) for k, row in enumerate(rows)]
     store.hull_ids[unit] = ids
     store.hull_bounds[unit] = (lo, hi)
     return ids
 
 
 def _install_bound_rows(store: Store, unit: Unit) -> None:
-    """Interval arithmetic for one pre-activation over the intervals that
-    the rows prove for its sources: an input's box rows; for z of the
-    previous layer, [0, 0] when inactive, [max(0, lo), hi] of its s when
-    active (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  Written as
-    two rows `("interval", unit, "up" | "lo")` that the checker rebuilds by
-    the same sum."""
-    i, _ = unit
-    weights = store.shared.weights[unit]
-    ends = []
-    for k, w in enumerate(weights[1]):
-        src = (i - 1, k)
-        phase = store.phases.get(src)
-        if w == 0 or phase == INACTIVE:
-            ends.append((_ZERO, _ZERO))
-        elif i == 1:
-            ends.append((store.region.lower[k], store.region.upper[k]))
-        elif phase == ACTIVE:
-            lo, hi = store.bounds.pre[src]
-            ends.append((max(_ZERO, lo), hi))
-        else:
-            ends.append((_ZERO, store.hull_bounds[src][1]))
-    lower, upper = affine_interval(weights, ends)
+    """Write the unit's interval, the store's seed `bounds.pre[unit]`, as
+    two rows `("interval", unit, "up" | "lo")`, in the first sweep, before
+    any row tightens the seed.  The seed is interval arithmetic
+    (`store.interval_bounds`) over the intervals that the rows before these
+    prove for the unit's sources, so the checker rebuilds the rows from
+    their tag by the same sum: an input's box rows; for z of the previous
+    layer, [0, 0] when inactive, [max(0, lo), hi] of its s when active
+    (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  On an infeasible
+    scope the interval may be crossed, lo > hi; the rows then refute the
+    node."""
+    lower, upper = store.bounds.pre[unit]
     s = store.layout.pre_index(unit)
     store.bound_rows[unit] = (
-        store.add(("interval", unit, "up"), REL, [bound_form(s, 1, upper)]),
-        store.add(("interval", unit, "lo"), REL, [bound_form(s, -1, -lower)]))
-    # authoritative row-backed bounds; equals the interval seed on feasible nodes
-    store.bounds.pre[unit] = (lower, upper)
+        store.add(("interval", unit, "up"), [bound_form(s, 1, upper)]),
+        store.add(("interval", unit, "lo"), [bound_form(s, -1, -lower)]))
 
 
 def ensure_relaxation(store: Store) -> list[tuple[Unit, str]]:
@@ -293,7 +281,7 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             lo, hi = store.bounds.pre[unit]
             if out.value >= (hi if upper else -lo):
                 continue
-            cid = store.add(("derived", DualBoundCertificate.make(g, out.value, out.dual)), REL,
+            cid = store.add(("derived", DualBoundCertificate.make(g, out.value, out.dual)),
                             [bound_form(s, 1 if upper else -1, out.value)])
             up_cid, lo_cid = store.bound_rows[unit]
             if upper:

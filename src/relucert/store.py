@@ -1,7 +1,8 @@
 """Linear relaxation store: five constraint blocks, per-unit bound
 bookkeeping and interval arithmetic.
 
-A `StoreRow` is a row's derivation tag, block and sides (`rows.NormRow`s).
+A `StoreRow` is a row's derivation tag and sides (`rows.NormRow`s); its
+block follows from the tag.
 A run builds each unit's affine row and the negated property once
 (`ProblemRows`); every node's store holds those very rows under the same
 ids, and no row is mutated once built.
@@ -71,21 +72,27 @@ def bound_form(j: int, sign: int, q: Fraction) -> IntForm:
 
 
 class StoreRow(NamedTuple):
-    """A store row: the derivation tag a checker rebuilds it from, its
-    block, and its sides as `NormRow`s under its id, one for a^T v <= b
-    and an equality's two, "le" then "ge"."""
+    """A store row: the derivation tag a checker rebuilds it from and its
+    sides as `NormRow`s under its id, one for a^T v <= b and an equality's
+    two, "le" then "ge"."""
 
     derivation: tuple
-    block: str
     sides: tuple[NormRow, ...]
 
+    @property
+    def block(self) -> str:
+        """The row's block, named by its derivation kind; every other kind
+        (interval, hull, stabilize, derived) is a relaxation row, REL."""
+        kind = self.derivation[0]
+        return kind if kind in (AFF, REGION, NEGP, GUARD) else REL
 
-def store_row(cid: int, derivation: tuple, block: str, forms: list[IntForm]) -> StoreRow:
+
+def store_row(cid: int, derivation: tuple, forms: list[IntForm]) -> StoreRow:
     """The row with sides `forms` under the id `cid`."""
     if len(forms) == 1:
-        return StoreRow(derivation, block, (NormRow(("c", cid, LE), forms[0]),))
+        return StoreRow(derivation, (NormRow(("c", cid, LE), forms[0]),))
     le, ge = forms
-    return StoreRow(derivation, block, (NormRow(("c", cid, LE), le), NormRow(("c", cid, "ge"), ge)))
+    return StoreRow(derivation, (NormRow(("c", cid, LE), le), NormRow(("c", cid, "ge"), ge)))
 
 
 def affine_interval(weights: tuple[int, list[int], int],
@@ -126,23 +133,21 @@ class ProblemRows:
                 unit = (i, j)
                 weights = self.weights[unit] = unit_weights(net, unit)
                 cid = self.aff_ids[unit] = len(self.affine)
-                self.affine.append(store_row(cid, ("aff", i, j), AFF,
+                self.affine.append(store_row(cid, ("aff", i, j),
                                              equality(affine_row(layout, unit, weights))))
         self.negp_id = len(self.affine) + 2 * net.input_dim
-        self.negp = store_row(self.negp_id, ("negp",), NEGP, [int_form(
+        self.negp = store_row(self.negp_id, ("negp",), [int_form(
             {j: -q for j, q in layout.margin.items()}, -prop.violation_threshold)])
 
 
 @dataclass
 class BoundsMap:
-    """Per pre-activation interval [l, u]; only ever tightens."""
+    """Per pre-activation interval [l, u]: the `interval_bounds` seed of
+    the node's scope, which its interval rows state, tightened by derived
+    rows and never widened.  On an infeasible scope the seed may be
+    crossed, l > u."""
 
     pre: dict[Unit, tuple[Fraction, Fraction]] = field(default_factory=dict)
-
-    def set_initial(self, unit: Unit, lo: Fraction, hi: Fraction):
-        if lo > hi:
-            raise ValueError(f"bounds crossed for {unit}: {lo} > {hi}")
-        self.pre[unit] = (lo, hi)
 
     def tighten(self, unit: Unit, lo: Fraction | None = None, hi: Fraction | None = None):
         old_lo, old_hi = self.pre[unit]
@@ -183,13 +188,13 @@ class Store:
 
     # -- mutation ---------------------------------------------------------
 
-    def add(self, derivation: tuple, block: str, forms: list[IntForm]) -> int:
+    def add(self, derivation: tuple, forms: list[IntForm]) -> int:
         """Append a row, given as its integer sides (one, or an equality's
         two), under the next id and return that id."""
         if not forms[0][1]:
             raise ValueError("empty constraint row")
         cid = len(self.constraints)
-        self.constraints[cid] = store_row(cid, derivation, block, forms)
+        self.constraints[cid] = store_row(cid, derivation, forms)
         return cid
 
     def retire(self, cid: int):
@@ -314,7 +319,7 @@ def _post_interval(phase: str | None, lo: Fraction, hi: Fraction) -> tuple[Fract
     if phase == INACTIVE:
         return (zero, zero)
     if phase == ACTIVE:
-        return (max(zero, lo), max(zero, hi))
+        return (max(zero, lo), hi)
     return (zero, max(zero, hi))
 
 
@@ -322,7 +327,14 @@ def interval_bounds(net: Network, region: Region, alpha: dict[Unit, str],
                     weights: dict | None = None) -> dict[Unit, tuple[Fraction, Fraction]]:
     """Exact interval arithmetic through the box, phase commitments applied
     to post-activation ranges; `weights` maps each unit to its
-    `unit_weights`, which are computed here without it."""
+    `unit_weights`, which are computed here without it.  This is the one
+    place the solver sums a unit's interval: a node's store is seeded with
+    it and propagation writes each ReLU unit's interval rows from that
+    seed, by the rule `check` rebuilds them with.  The post-activation of
+    a source is [0, 0] when inactive, [max(0, lo), hi] when active (z = s
+    and s >= 0), else [0, max(0, hi)].  A scope that commits a unit to a
+    phase its interval excludes is infeasible, and the intervals after it
+    may be crossed, lo > hi."""
     prev = list(zip(region.lower, region.upper))
     bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
     for i, layer in enumerate(net.layers, start=1):
@@ -353,8 +365,8 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
     """Base blocks: affine equalities, box rows, negated property and guard
     consequences of alpha.  The affine rows and the negated property are
     those of `shared`, the run's `ProblemRows`, or built afresh without
-    it.  Bounds come from interval arithmetic; relaxation rows are
-    installed by propagation."""
+    it.  `bounds.pre` is seeded with `interval_bounds` of the scope, and
+    propagation writes the interval rows and relaxation rows from it."""
     store = Store(net, layout, region, prop, alpha, shared)
     shared = store.shared
     store.constraints.update(enumerate(shared.affine))
@@ -363,15 +375,15 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
     for k in range(net.input_dim):
         xi = layout.input_index(k)
         store.region_ids[k] = (
-            store.add(("region", k, "hi"), REGION, [bound_form(xi, 1, region.upper[k])]),
-            store.add(("region", k, "lo"), REGION, [bound_form(xi, -1, -region.lower[k])]))
+            store.add(("region", k, "hi"), [bound_form(xi, 1, region.upper[k])]),
+            store.add(("region", k, "lo"), [bound_form(xi, -1, -region.lower[k])]))
 
     store.negp_id = shared.negp_id
     store.constraints[shared.negp_id] = shared.negp
 
     for unit in sorted(alpha):
         phase = alpha[unit]
-        cids = [store.add(("guard", unit[0], unit[1], phase, k), GUARD, sides)
+        cids = [store.add(("guard", unit[0], unit[1], phase, k), sides)
                 for k, sides in enumerate(guard_rows(layout, GuardLiteral(unit, phase)))]
         store.phase_ids[unit] = cids[0]
 
@@ -379,7 +391,7 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
         i, _ = unit
         if net.layers[i - 1].activation != RELU:
             continue
-        store.bounds.set_initial(unit, lo, hi)
+        store.bounds.pre[unit] = (lo, hi)
         if lo < 0 < hi and unit not in alpha:
             store.unstable.add(unit)
     return store

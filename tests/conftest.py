@@ -14,6 +14,7 @@ from relucert.model import (
     SafetyProperty,
     build_layout,
     format_rational,
+    forward_eval,
 )
 
 WORKED = "problems/worked.json"
@@ -82,6 +83,17 @@ def file_digest(path) -> str:
     from relucert import prooflog
 
     return prooflog.problem_digest(Path(path).read_bytes())
+
+
+def trace_vector(net: Network, layout, x) -> dict:
+    """Full assignment of the layout variables induced by an exact trace."""
+    trace = forward_eval(net, x)
+    v = {layout.input_index(k): F(q) for k, q in enumerate(x)}
+    for i in range(1, len(net.layers) + 1):
+        for j in range(len(net.layers[i - 1].weights)):
+            v[layout.pre_index((i, j))] = trace.pre[i - 1][j]
+            v[layout.post_index((i, j))] = trace.post[i - 1][j]
+    return v
 
 
 def layout_of(net, prop):

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
+from conftest import (
+    layout_of,
+    random_instance,
+    trace_vector,
+    worked_network,
+    worked_prop,
+    worked_region,
+)
 from relucert.model import (
     DimensionError,
     IDENTITY,
@@ -22,7 +29,6 @@ from relucert.model import (
     parse_problem,
     parse_rational,
     problem_from_dict,
-    trace_vector,
     validate_witness,
 )
 

@@ -3,10 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import layout_of, random_instance, rational_row, worked_network, worked_prop, worked_region
+from conftest import (
+    layout_of,
+    random_instance,
+    rational_row,
+    trace_vector,
+    worked_network,
+    worked_prop,
+    worked_region,
+)
 from relucert import certs, lp, propagate
 from relucert.budget import Budget, Exhausted
-from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval, trace_vector
+from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval
 from relucert.propagate import (
     NotUnstable,
     back_substitute,
@@ -17,7 +25,7 @@ from relucert.propagate import (
     tgct,
 )
 from relucert.rows import GuardLiteral, guard_rows
-from relucert.store import NEGP, REGION, build_initial_store, interval_bounds
+from relucert.store import NEGP, build_initial_store, interval_bounds
 
 
 def _store(threshold="1", alpha=None, region=None):
@@ -48,6 +56,27 @@ def _holds(r, point):
     """The normalized row holds at the point."""
     _, coeffs, b = r.ints
     return sum((a * point.get(j, F(0)) for j, a in coeffs.items()), F(0)) <= b
+
+
+def _check_interval_rows(net, region, prop, alpha):
+    """Build the store of the scope and install its relaxation; each unit's
+    interval rows state its `interval_bounds` seed, and hold on every trace
+    of the box that agrees with `alpha`.  Returns the store."""
+    store = build_initial_store(net, build_layout(net, prop), region, prop, alpha)
+    ensure_relaxation(store)
+    seed = interval_bounds(net, region, alpha)
+    pre = store.layout.pre_index
+    points = [trace_vector(net, store.layout, tuple(
+        lo + (hi - lo) * F(t, 4) for lo, hi in zip(region.lower, region.upper)))
+        for t in range(5)]
+    points = [p for p in points if all(
+        p[pre(u)] >= 0 if phase == ACTIVE else p[pre(u)] <= 0 for u, phase in alpha.items())]
+    for unit in store.bound_rows:
+        up, low = _bound_rows(store, unit)
+        assert (-low.rhs, up.rhs) == seed[unit] == store.bounds.pre[unit]
+        for point in points:
+            assert _holds(up, point) and _holds(low, point)
+    return store
 
 
 class TestHullInsertion:
@@ -108,22 +137,32 @@ class TestBoundRows:
         assert store.bounds.pre[(1, 1)] == (F(-1, 2), F(1, 2))
 
     def test_random_bound_rows_equal_interval_arithmetic_and_hold_on_traces(self):
-        # with no phase committed each unit's rows bound it by the interval
-        # seed of the store, and every true trace of the box satisfies them
-        rng = random.Random(5)
+        # each unit's rows bound it by the interval seed of the store, with
+        # no phase committed and under committed phases, and every true
+        # trace of the box that agrees with the committed phases satisfies
+        # them
+        rng, pick = random.Random(5), random.Random(6)
         for _ in range(10):
-            store = _random_store(rng)
-            ensure_relaxation(store)
-            seed = interval_bounds(store.net, store.region, {})
-            region = store.region
-            points = [trace_vector(store.net, store.layout, tuple(
-                lo + (hi - lo) * F(t, 4) for lo, hi in zip(region.lower, region.upper)))
-                for t in range(5)]
-            for unit in store.bound_rows:
-                up, low = _bound_rows(store, unit)
-                assert (-low.rhs, up.rhs) == seed[unit] == store.bounds.pre[unit]
-                for point in points:
-                    assert _holds(up, point) and _holds(low, point)
+            net, region, prop = random_instance(rng)
+            units = net.hidden_units
+            scopes = [{}] + [{u: pick.choice((ACTIVE, INACTIVE))
+                              for u in pick.sample(units, pick.randint(1, len(units)))}
+                             for _ in range(3)]
+            for alpha in scopes:
+                _check_interval_rows(net, region, prop, alpha)
+        # acceptance-suite instance 4 under a scope that commits (2, 0),
+        # whose s is -1/2, active: its z has the crossed interval [0, -1/2],
+        # so (3, 0)'s is crossed too, a legal seed that propagation prunes
+        from test_acceptance import _spec_suite
+
+        net, region, prop = _spec_suite(5)[4]
+        alpha = {(1, 1): INACTIVE, (2, 0): ACTIVE}
+        store = _check_interval_rows(net, region, prop, alpha)
+        assert store.bounds.pre[(3, 0)] == (F(-11, 16), F(-5, 4))
+        store = build_initial_store(net, store.layout, region, prop, alpha)
+        res = propagate_node(store, Budget())
+        assert res.status == "prune"
+        assert certs.check_farkas(store.normalize(), res.farkas).ok
 
 
 class TestStabilization:
@@ -234,7 +273,7 @@ class TestTgct:
         negp = next(cid for cid, c in store.active_constraints() if c.block == NEGP)
         # x >= 15/16 lifts the margin's minimum above the threshold
         x = store.layout.input_index(0)
-        store.add(("region", 0, "lo"), REGION, [(16, {x: -16}, -15)])
+        store.add(("region", 0, "lo"), [(16, {x: -16}, -15)])
         for _ in range(2):
             rows = dict(store.bound_rows)
             bounds = dict(store.bounds.pre)

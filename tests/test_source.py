@@ -209,14 +209,26 @@ def test_only_the_layout_reads_margin_index():
     assert not readers, f"modules reading margin_index: {readers}"
 
 
+def _uses(tree, skip=None) -> set[str]:
+    """The names the tree reads or imports, as `ast.Name`, attribute or
+    import alias, leaving out those inside the node `skip`."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = {name for name, _ in _imported_names(tree)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def _named(tree) -> set[str]:
     """Every name the tree uses, reads, imports or defines as a function or
     class."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {name for name, _ in _imported_names(tree)}
-    return names | {node.name for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return _uses(tree) | {node.name for node in ast.walk(tree)
+                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_the_checker_builds_rows_in_integers_alone():
@@ -253,3 +265,25 @@ def test_the_simplex_has_one_outcome_path_for_bounded_systems():
     methods = {stmt.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
     assert "ray" not in methods and "lift" in methods, methods
+
+
+def test_every_trusted_definition_is_used():
+    """The trust base holds only what the program runs: every top-level
+    function or class of a trusted module is named in the package or the
+    benchmark harness outside its own definition.  A helper only tests call
+    belongs in the tests."""
+    readers = {path: ast.parse(path.read_text())
+               for path in MODULES + sorted(Path("perfbench").glob("*.py"))}
+    others = {path: _uses(tree) for path, tree in readers.items()}
+    unused = []
+    for name in TRUSTED:
+        path = Path(f"src/relucert/{name}.py")
+        tree = readers[path]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            named = _uses(tree, skip=node).union(
+                *(uses for other, uses in others.items() if other != path))
+            if node.name not in named:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"trusted definitions nothing uses: {unused}"

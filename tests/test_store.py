@@ -3,10 +3,27 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
-from relucert.model import ACTIVE, INACTIVE, forward_eval, trace_vector
+from conftest import (
+    layout_of,
+    random_instance,
+    trace_vector,
+    worked_network,
+    worked_prop,
+    worked_region,
+)
+from relucert.model import ACTIVE, INACTIVE, forward_eval
 from relucert.rows import GuardLiteral, equality, guard_norm_rows, guard_rows
-from relucert.store import AFF, GUARD, NEGP, REGION, Store, build_initial_store, interval_bounds
+from relucert.propagate import ensure_relaxation
+from relucert.store import (
+    AFF,
+    GUARD,
+    NEGP,
+    REGION,
+    REL,
+    Store,
+    build_initial_store,
+    interval_bounds,
+)
 
 
 def _fresh_store():
@@ -30,15 +47,15 @@ class TestNormalization:
     def test_le_row_kept_verbatim(self):
         store = _fresh_store()
         form = (1, {0: 2}, 3)
-        cid = store.add(("region", 0, "hi"), REGION, [form])
+        cid = store.add(("region", 0, "hi"), [form])
         (row,) = store.constraints[cid].sides
         assert row.rid == ("c", cid, "le")
         assert row.ints is form and row.rhs == F(3)
 
     def test_eq_expands_to_adjacent_pair(self):
         store = _fresh_store()
-        store.add(("region", 0, "hi"), REGION, [(1, {0: 1}, 1)])
-        cid = store.add(("aff", 1, 0), AFF, equality((2, {0: 2, 1: -1}, 5)))
+        store.add(("region", 0, "hi"), [(1, {0: 1}, 1)])
+        cid = store.add(("aff", 1, 0), equality((2, {0: 2, 1: -1}, 5)))
         rows = store.constraints[cid].sides
         assert [r.rid for r in rows] == [("c", cid, "le"), ("c", cid, "ge")]
         assert rows[1].ints == (2, {0: -2, 1: 1}, -5) and rows[1].rhs == F(-5, 2)
@@ -47,19 +64,19 @@ class TestNormalization:
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            _fresh_store().add(("region", 0, "hi"), REGION, [(1, {}, 1)])
+            _fresh_store().add(("region", 0, "hi"), [(1, {}, 1)])
 
 
 class TestStoreMutation:
     def test_retired_rows_leave_the_lp_but_stay_resolvable(self):
         store = _fresh_store()
-        cid = store.add(("region", 0, "hi"), REGION, [(1, {0: 1}, 1)])
+        cid = store.add(("region", 0, "hi"), [(1, {0: 1}, 1)])
         store.retire(cid)
         assert store.active_constraints() == []
         # a proof leaf may still carry it
         assert store.cone([("c", cid, "le")]) == [(cid, store.constraints[cid])]
         # a retired row's slot is free for re-adding under a fresh id
-        cid2 = store.add(("region", 0, "hi"), REGION, [(1, {0: 1}, 1)])
+        cid2 = store.add(("region", 0, "hi"), [(1, {0: 1}, 1)])
         assert cid2 != cid
 
     def test_normalize_excludes_by_predicate(self):
@@ -154,6 +171,11 @@ class TestInitialStore:
         blocks = {c.block for _, c in store.active_constraints()}
         assert blocks == {AFF, REGION, NEGP}
         assert store.unstable == {(1, 0), (1, 1)}
+        # a row's block follows from its derivation kind: interval and hull
+        # rows are relaxation rows
+        ensure_relaxation(store)
+        blocks = {c.block for _, c in store.active_constraints()}
+        assert blocks == {AFF, REGION, NEGP, REL}
 
     def test_alpha_adds_guard_rows_and_removes_instability(self):
         net, prop = worked_network(), worked_prop()
