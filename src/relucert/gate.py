@@ -15,6 +15,11 @@ unit, `most_violated`: the unit of largest exact ReLU residual.  An exact
 unit's guard rows force its residual to zero, so picking one again raises
 `RefinementFailed`.  The gate proves no margin bound: a leaf it closes
 carries the one its node's propagation made.
+
+A query's LPs read the store's rows (`Store.normalize`) but the hull rows
+of the units it makes exact: over the unit's interval, which the rows kept
+imply, either phase's guard rows imply all four.  The gate writes nothing
+to the store; propagation is the one writer of a node's rows.
 """
 
 from __future__ import annotations
@@ -86,12 +91,16 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
     certificate is in the cover already, so the cover stays exhaustive and
     lists each certificate once.  LIMIT means `local_limit` LPs were made
     or an LP hit the solver's pivot limit; a spent `budget` raises
-    `Exhausted`.
+    `Exhausted`.  Each theory LP solves the store's rows without the hull
+    rows of the subset's units, plus the guard rows of a full assignment;
+    a certificate over those rows is one over the store's.
     """
     if budget is None:
         budget = Budget()
     units = sorted(subset)
-    base = store.normalize()
+    # an exact unit's guard rows imply its hull rows over its interval
+    hull = {cid for unit in units for cid in store.hull_ids.get(unit, ())}
+    base = store.normalize(exclude=lambda cid, c: cid in hull)
     cover: list[GuardedCertificate] = []
     calls = 0
 
@@ -159,9 +168,10 @@ def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = Non
 
     Sat models are validated by exact forward evaluation; spurious models
     grow S by the most-violated unit, which provably eliminates them.  At
-    most |U| refinements can occur.  `point`, a point of every active row
-    of the store (the open node's LP point), answers the query S = {}
-    without an LP.  The gate defers once it has answered `gate_lp_limit`
+    most |U| refinements can occur.  Each query leaves out the hull rows
+    of the units of S (`exact_solve`); the store is not changed.  `point`,
+    a point of every active row of the store (the open node's LP point),
+    answers the query S = {} without an LP.  The gate defers once it has answered `gate_lp_limit`
     queries, when an LP hits the solver's limit, or when an exact model is
     no counterexample.
     """
@@ -196,8 +206,6 @@ def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = Non
         # that violates one is no model of the query
         if unit in subset or not _model_violates_exactness(store, model, unit):
             raise RefinementFailed(f"unit {unit} does not refute the model")
-        for cid in store.hull_ids.get(unit, []):
-            store.retire(cid)
         subset.add(unit)
         refinements += 1
         if refinements > len(unstable):

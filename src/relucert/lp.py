@@ -1,14 +1,16 @@
 """Exact rational LP over A v <= b with free variables v, for bounded
 systems.
 
-Every system the solver builds bounds each of its variables: region rows
-the inputs, interval or derived rows the pre-activations, phase equalities
-or hull rows 0 and 3 the post-activations, affine rows the identity
-outputs.  So `lp_max` and `lp_min` require the objective to be bounded on
-the system; an unbounded direction (a ratio test with no leaving row)
-breaks that precondition and raises `SelfCheckFailed`, a fault, not a
-verdict.  Phase 1 is bounded by 0 on any system, so `lp_feasible` answers
-every system.
+Every system the solver builds bounds each of its variables, layer by
+layer: region rows the inputs, phase equalities or hull rows 0 and 3 the
+post-activations, and affine rows the pre-activations and identity outputs
+through their sources, with derived rows where tightening proved more.
+No system holds a unit's interval rows, which those rows imply
+(`Store.normalize`).  So `lp_max` and `lp_min` require the objective to be
+bounded on the system; an unbounded direction (a ratio test with no
+leaving row) breaks that precondition and raises `SelfCheckFailed`, a
+fault, not a verdict.  Phase 1 is bounded by 0 on any system, so
+`lp_feasible` answers every system.
 
 Two-phase bounded-variable primal simplex with Bland's rule (Chvatal,
 Linear Programming, 1983, ch. 8) on a tableau whose rows are Python
@@ -71,12 +73,13 @@ tightening makes exactly such steps, and the old basis stays feasible
 through them: the row it adds, g^T v <= beta with beta the optimum just
 found, holds with equality at the optimal point, so its slack enters the
 basis at 0, or, when it reduces to one variable, it tightens that
-variable's bound to a value the point meets; the row it retires is
-strictly looser, so its slack is positive at that point, hence basic, and
-its tableau row and slack column can go, or it was an implied row or a
-bound the point is strictly inside.  When either condition fails the LP
-starts cold.  Values and statuses do not depend on the start; dual
-multipliers of a degenerate optimum may.
+variable's bound to a value the point meets.  The row it retires is a
+unit's interval row, which was never in the system, or a derived row
+strictly looser than the new one, so its slack is positive at that point,
+hence basic, and its tableau row and slack column can go, or it was an
+implied row or a bound the point is strictly inside.  When either
+condition fails the LP starts cold.  Values and statuses do not depend on
+the start; dual multipliers of a degenerate optimum may.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 One fixed-point pass interleaves: bound-row installation (two rows per
 unit that state its interval, the store's seed by `store.interval_bounds`
 over the node's scope, and that the checker rebuilds from their tag by the
-same sum; on an infeasible scope an interval may be crossed, and its rows
-then refute the node), hull insertion for unstable units, a
+same sum; no LP reads them, since the rows it does read imply them
+(`Store.normalize`), and on an infeasible scope, where an interval may be
+crossed, those rows refute the node), hull insertion for unstable units, a
 back-substitution of the negated property through those rows that prunes
 with a Farkas certificate and no LP, LP tightening of the unstable units'
 pre-activations with dual certificates (the only derived rows),
@@ -117,9 +118,10 @@ def _install_bound_rows(store: Store, unit: Unit) -> None:
     prove for the unit's sources, so the checker rebuilds the rows from
     their tag by the same sum: an input's box rows; for z of the previous
     layer, [0, 0] when inactive, [max(0, lo), hi] of its s when active
-    (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  On an infeasible
-    scope the interval may be crossed, lo > hi; the rows then refute the
-    node."""
+    (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  The rows are
+    implied by those others and stay out of every LP (`Store.normalize`).
+    On an infeasible scope the interval may be crossed, lo > hi; the rows
+    that imply it then refute the node."""
     lower, upper = store.bounds.pre[unit]
     s = store.layout.pre_index(unit)
     store.bound_rows[unit] = (
@@ -255,14 +257,16 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     unit's pre-activation over the store's rows.  A strictly tighter optimum
     becomes a derived row, backed by the dual certificate the LP engine has
     checked; it tightens the unit's interval and retires the bound row it
-    supersedes.  Short-circuits with a Farkas certificate if a solve reports
-    infeasibility; raises `Exhausted` if the LP budget is spent or an LP hits
-    its iteration limit.  The unit's interval rows bound its pre-activation,
-    so every feasible LP here has an optimum.
+    supersedes, an interval row, which no LP reads, or a looser derived
+    row.  Short-circuits with a Farkas certificate if a solve reports
+    infeasibility; raises `Exhausted` if the LP budget is spent or an LP
+    hits its iteration limit.  The unit's affine row bounds its
+    pre-activation through its bounded sources, so every feasible LP here
+    has an optimum.
 
     Each LP after the first starts from the optimal tableau of the one
-    before: the store changes in between only by the derived row just added
-    and the looser row it retires (see `lp`)."""
+    before: the system changes in between only by the derived row just
+    added and the looser derived row it may retire (see `lp`)."""
     res = TgctResult()
     tab = None
     for unit in units:
@@ -326,10 +330,11 @@ def _margin_lp(store: Store, budget: Budget,
     INFEASIBLE refutes the node and proves no bound; an optimum beta is the
     node's margin bound, and refutes it when beta < threshold + epsilon,
     by the dual plus the negated-property row; a larger optimum is a point
-    of every row, the negated property included.  Every variable of a
-    node's rows is bounded, by region, interval or derived rows, phase
-    equalities, hull rows 0 and 3 or, for an identity output, its affine
-    row, so the margin has a maximum whenever the rows are feasible."""
+    of every row, the negated property included.  Every variable of the
+    LP's rows is bounded, layer by layer: an input by its region rows, a
+    post-activation by its phase equality or hull rows 0 and 3, and a
+    pre-activation or identity output by its affine row over its sources
+    (`lp`), so the margin has a maximum whenever the rows are feasible."""
     budget.count_lp()
     g = store.layout.margin
     out = lp.lp_max(store.without_negp(), g)

@@ -261,8 +261,8 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         if g.status == SAT:
             raise sat(g.witness)
         if g.status == PRUNE:
-            # the margin bound of the rows before the gate, whose refinements
-            # retire hull rows; at least the violation threshold, since the
+            # the margin bound of the node's rows, which the gate reads and
+            # does not change; at least the violation threshold, since the
             # node's rows with the negated property are feasible
             return close(region, alpha, store, g.certificates, res.evidence)
         # a split's children need LPs the spent budget cannot pay for

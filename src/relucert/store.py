@@ -21,6 +21,11 @@ the dual certificate that proves it.  A proof leaf keeps only the rows its
 certificates reach, `Store.cone`, by the same rule by which the checker
 rebuilds them.
 
+The proof needs a unit's interval rows; no LP does.  The rows an LP reads,
+`Store.normalize`, leave them out: each is a nonnegative combination of
+rows the LP keeps, so its answer is the same without them.  Hull rows,
+stabilization, `Store.cone` and the checker read them in the store.
+
 One map, `Store.phases`, holds the phase of each committed or stabilized
 unit, and `Store.phase_ids` the id of its phase equality, z = s or z = 0;
 propagation reads the two kinds of unit alike.
@@ -199,7 +204,9 @@ class Store:
 
     def retire(self, cid: int):
         """Exclude a row from future LPs; it stays resolvable, and a proof
-        leaf whose certificates reach it keeps it."""
+        leaf whose certificates reach it keeps it.  An `interval` row is in
+        no LP, so retiring one changes no LP; it marks the row superseded
+        by a derived row."""
         self.retired.add(cid)
 
     # -- views ------------------------------------------------------------
@@ -208,12 +215,20 @@ class Store:
         return [(cid, c) for cid, c in self.constraints.items() if cid not in self.retired]
 
     def normalize(self, exclude: Callable[[int, StoreRow], bool] | None = None) -> NormalizedSystem:
-        """Inequality form of the active rows, insertion order, Eq expansion
-        adjacent.  The rows are those `add` built, the same objects on every
-        call."""
+        """Inequality form of the active rows but the `interval` rows, and
+        but those `exclude` names, in insertion order with an equality's two
+        sides adjacent: the system every LP of the node solves.  The rows
+        are those `add` built, the same objects on every call.  A unit's
+        interval row is interval arithmetic over source ends that rows kept
+        state: box rows for an input; hull rows 0 and 3 for an unstable
+        source; for a committed or stabilized one its phase equality and
+        its sign row or a bound the kept rows imply.  So, by induction over
+        layers, it is a nonnegative combination of the rows kept: leaving
+        it out moves no feasible set, optimum or status, and a certificate
+        over the rows kept is one over the store."""
         rows: list[NormRow] = []
         for cid, c in self.active_constraints():
-            if exclude is not None and exclude(cid, c):
+            if c.derivation[0] == "interval" or exclude is not None and exclude(cid, c):
                 continue
             rows.extend(c.sides)
         return NormalizedSystem(rows, self.layout.n_vars)

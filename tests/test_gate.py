@@ -4,7 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import layout_of, random_instance, worked_network, worked_prop, worked_region
+from conftest import (
+    active_rows,
+    layout_of,
+    random_instance,
+    worked_network,
+    worked_prop,
+    worked_region,
+)
 from relucert import certs, gate, lp
 from relucert.budget import Budget, Exhausted
 from relucert.gate import (
@@ -275,3 +282,63 @@ class TestNodePoint:
                 assert budget.lp_calls == 0 and out.refinements == 1
                 deferred += 1
         assert deferred >= 3
+
+
+class TestGateReadsTheStore:
+    """The gate sends each theory LP the store's rows without the hull rows
+    of the units its query makes exact, whose guard rows imply them over
+    the unit's interval, and it changes nothing of the store: neither its
+    rows nor which of them are retired, under either start.  Every cover
+    certificate passes `check_guarded` over the store's rows.  On every
+    gate call of both drivers on the branching instances 42, 57 and 89,
+    with either template set and no gate budget."""
+
+    def test_no_hull_row_of_an_exact_unit_and_no_write(self, monkeypatch):
+        from test_search import tightened
+
+        from relucert import search
+        from relucert.search import Config
+
+        queries = []  # (subset, system) of each theory LP
+        subset_now = [None]  # the subset of the query being solved
+        real_gate, real_solve, real_feasible = (search.exactness_gate, gate.exact_solve,
+                                                lp.lp_feasible)
+        seen = {"refined": 0, "exact start": 0, "other hulls": 0}
+
+        def spied_gate(store, budget, gate_lp_limit=None, start=(), point=None):
+            rows, retired = dict(store.constraints), set(store.retired)
+            hull = {unit: set(cids) for unit, cids in store.hull_ids.items()}
+            del queries[:]
+            out = real_gate(store, budget, gate_lp_limit, start, point)
+            assert (store.constraints, store.retired) == (rows, retired)
+            for subset, sys in queries:
+                cids = {r.rid[1] for r in sys.rows if r.rid[0] == "c"}
+                assert not cids & set().union(*(hull[u] for u in subset)), subset
+                seen["other hulls"] += any(cids & c for u, c in hull.items() if u not in subset)
+            for cert in out.certificates:
+                assert certs.check_guarded(active_rows(store), store.layout, cert).ok
+            seen["refined"] += out.status == PRUNE and out.refinements > 0
+            seen["exact start"] += out.status == PRUNE and bool(start)
+            return out
+
+        def spied_solve(store, subset, *args, **kwargs):
+            subset_now[0] = set(subset)
+            try:
+                return real_solve(store, subset, *args, **kwargs)
+            finally:
+                subset_now[0] = None
+
+        def spied_feasible(sys, *args, **kwargs):
+            if subset_now[0] is not None:
+                queries.append((subset_now[0], sys))
+            return real_feasible(sys, *args, **kwargs)
+
+        monkeypatch.setattr(search, "exactness_gate", spied_gate)
+        monkeypatch.setattr(gate, "exact_solve", spied_solve)
+        monkeypatch.setattr(lp, "lp_feasible", spied_feasible)
+        for config in (Config(), Config(templates="margin-only")):
+            for idx in (42, 57, 89):
+                for driver in (search.icl_verify, search.hsrv_verify):
+                    assert driver(*tightened(idx), config).status == "unsat"
+        assert seen["refined"] >= 3 and seen["exact start"] >= 3, seen
+        assert seen["other hulls"] >= 1, seen

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    active_rows,
     layout_of,
     random_instance,
     rational_row,
@@ -163,6 +164,62 @@ class TestBoundRows:
         res = propagate_node(store, Budget())
         assert res.status == "prune"
         assert certs.check_farkas(store.normalize(), res.farkas).ok
+
+
+class TestIntervalRowsStayOutOfLps:
+    """A unit's interval rows are interval arithmetic over ends that other
+    rows of the store state, so `Store.normalize` leaves them out of every
+    LP and the LP's answer cannot change.  On the first 20 acceptance-suite
+    problems, at the root and under each one-unit commitment of a
+    root-unstable unit, after propagation with either template set: no
+    system an LP reads holds an interval row; every active interval row is
+    implied by the rows kept (or those rows are infeasible); and every
+    variable still has a maximum and a minimum over them, the bounded
+    precondition of `lp`, now that no interval row bounds a
+    pre-activation.  Acceptance-suite instance 4 under the crossed scope
+    {(1, 1): inactive, (2, 0): active} still prunes, with a Farkas
+    certificate `check_farkas` accepts over the store's rows."""
+
+    def _scopes(self):
+        from test_acceptance import _root_unstable, _spec_suite
+
+        suite = _spec_suite(20)
+        for net, region, prop in suite:
+            yield net, region, prop, {}
+            for unit in _root_unstable(net, region):
+                for phase in (ACTIVE, INACTIVE):
+                    yield net, region, prop, {unit: phase}
+        net, region, prop = suite[4]
+        yield net, region, prop, {(1, 1): INACTIVE, (2, 0): ACTIVE}
+
+    def test_interval_rows_are_implied_and_left_out(self):
+        seen = {"implied": 0, "infeasible": 0, "variables": 0}
+        for templates in ("default", "margin-only"):
+            for net, region, prop, alpha in self._scopes():
+                store = build_initial_store(net, build_layout(net, prop), region, prop, alpha)
+                res = propagate_node(store, Budget(), templates=templates, margin=bool(alpha))
+                sys = store.normalize()
+                for lp_sys in (sys, store.without_negp()):
+                    kinds = {store.constraints[r.rid[1]].derivation[0] for r in lp_sys.rows}
+                    assert "interval" not in kinds, (alpha, templates)
+                if alpha == {(1, 1): INACTIVE, (2, 0): ACTIVE}:
+                    assert res.status == "prune"
+                    assert certs.check_farkas(active_rows(store), res.farkas).ok
+                if lp.lp_feasible(sys).status == lp.INFEASIBLE:
+                    seen["infeasible"] += 1
+                    continue
+                for _, c in store.active_constraints():
+                    if c.derivation[0] != "interval":
+                        continue
+                    g, rhs = rational_row(c.sides[0])
+                    out = lp.lp_max(sys, g)
+                    assert out.status == lp.OPTIMAL and out.value <= rhs, c.derivation
+                    seen["implied"] += 1
+                for j in range(store.layout.n_vars):
+                    for solve in (lp.lp_max, lp.lp_min):
+                        assert solve(sys, {j: F(1)}).status == lp.OPTIMAL, (alpha, j)
+                    seen["variables"] += 1
+        assert seen["implied"] >= 500 and seen["infeasible"] >= 5, seen
 
 
 class TestStabilization:

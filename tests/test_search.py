@@ -472,6 +472,49 @@ class TestTrimmedLeaves:
         assert seen["rows kept"] < 0.8 * seen["rows"], seen
 
 
+class TestIntervalRowsLeftOut:
+    """`Store.normalize` leaves each unit's interval rows out of every LP,
+    since the rows it keeps imply them.  Against runs whose LPs keep them,
+    as they did before, on the first 40 problems of the acceptance suite
+    with the default flags and on three branching instances (margin-only
+    templates, a one-LP gate), under both drivers: the same verdicts,
+    witnesses, Budget counters, split trees and proof bytes."""
+
+    def test_leaving_interval_rows_out_moves_no_decision(self, tmp_path, monkeypatch):
+        from test_acceptance import _spec_suite
+
+        normalize = Store.normalize
+
+        def with_interval_rows(store, exclude=None):
+            return NormalizedSystem([r for cid, c in store.active_constraints()
+                                     if exclude is None or not exclude(cid, c)
+                                     for r in c.sides], store.layout.n_vars)
+
+        runs = [(problem, Config()) for problem in _spec_suite(40)]
+        runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (42, 57, 89)]
+        seen = Counter()
+        for k, (problem, config) in enumerate(runs):
+            path = tmp_path / f"p{k}.json"
+            dump_problem(*problem, path)
+            digest = file_digest(path)
+            for driver in (icl_verify, hsrv_verify):
+                monkeypatch.setattr(Store, "normalize", with_interval_rows)
+                full = driver(*problem, config)
+                monkeypatch.setattr(Store, "normalize", normalize)
+                res = driver(*problem, config)
+                where = (k, driver.__name__)
+                assert (res.status, res.witness, res.budget.counters()) == (
+                    full.status, full.witness, full.budget.counters()), where
+                seen[res.status] += 1
+                if res.tree is None:
+                    continue
+                assert [sp.kind for sp in _splits(res.tree)] == \
+                    [sp.kind for sp in _splits(full.tree)], where
+                assert prooflog.emit(res.tree, digest) == prooflog.emit(full.tree, digest), where
+                seen["splits"] += res.budget.splits
+        assert seen["sat"] >= 20 and seen["unsat"] >= 20 and seen["splits"] >= 10, seen
+
+
 def _shared_value(shared):
     """What a run's `ProblemRows` holds, by value."""
     rows = [(r.derivation, r.block, [(side.rid, side.ints) for side in r.sides])

@@ -287,3 +287,23 @@ def test_every_trusted_definition_is_used():
             if node.name not in named:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"trusted definitions nothing uses: {unused}"
+
+
+def test_propagation_is_the_one_writer_of_a_nodes_rows():
+    """After `build_initial_store`, propagation alone adds or retires a
+    node's rows: no module but `store` and `propagate` calls a store's
+    `add` or `retire`, so the gate and the search read a node's rows and
+    never change them.  A store's `add` is one called on a name or an
+    attribute that names a store; `retire` is a store's alone."""
+    def receiver(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+    writers = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and (node.func.attr == "retire" or node.func.attr == "add"
+                         and "store" in receiver(node.func.value))):
+                writers.setdefault(path.stem, []).append(f"{path.name}:{node.lineno}")
+    assert {"store", "propagate"} <= writers.keys(), writers
+    assert writers.keys() <= {"store", "propagate"}, writers
