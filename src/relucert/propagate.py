@@ -7,8 +7,9 @@ same sum; no LP reads them, since the rows it does read imply them
 (`Store.normalize`), and on an infeasible scope, where an interval may be
 crossed, those rows refute the node), hull insertion for unstable units, a
 back-substitution of the negated property through those rows that prunes
-with a Farkas certificate and no LP, LP tightening of the unstable units'
-pre-activations with dual certificates (the only derived rows),
+with a Farkas certificate and no LP (the search reads its multipliers on
+the hull chords to choose a phase split), LP tightening of the unstable
+units' pre-activations with dual certificates (the only derived rows),
 stabilization of units whose bound rows fix their sign (the unit's phase
 equality replaces its hull rows; the bound row stays and states the sign),
 and one closing LP that prunes with a Farkas certificate or leaves the
@@ -32,14 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import certs as certmod
 from . import lp
 from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, FarkasCertificate
 from .model import ACTIVE, INACTIVE, RELU, Unit
-from .rows import GuardLiteral, guard_rows, lowest_terms
+from .rows import GuardLiteral, RowId, guard_rows, lowest_terms
 from .store import Store, bound_form
 
 _ONE = Fraction(1)
@@ -177,8 +178,16 @@ def stabilize(store: Store) -> list[tuple[Unit, str]]:
     return out
 
 
-def back_substitute(store: Store) -> FarkasCertificate | None:
-    """Refute the node without an LP, if its rows allow it this way.
+class Substitution(NamedTuple):
+    """The sum `back_substitution` ends on, `0 <= rho`, and the multiplier
+    it puts on each row it adds, by row id."""
+
+    multipliers: dict[RowId, Fraction]
+    rho: Fraction
+
+
+def back_substitution(store: Store) -> Substitution | None:
+    """Back-substitute the negated property through the node's rows.
 
     Start from the negated property `-margin <= -(threshold + epsilon)`, and
     cancel the highest-index variable left, again and again, with one row
@@ -189,11 +198,11 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
     unit's post-activation the hull chord (row 2) as its upper bound, and
     as its lower bound `z >= s` (row 1) when `hi > -lo`, else `z >= 0`
     (row 0); the region rows for an input.
-    This is a DeepPoly back-substitution of the margin's upper bound.  If
-    the sum reads `0 <= rho` with rho < 0, its multipliers are a Farkas
-    certificate, checked over the rows they cite and returned; else None.
-    The node's next LP would run phase 1 on these same rows and find them
-    infeasible too, so pruning here moves no decision."""
+    This is a DeepPoly back-substitution of the margin's upper bound.  The
+    sum reads `0 <= rho`; each multiplier it records, times that row's
+    right-hand side, is that row's term of rho.  None if a post-activation
+    has neither a phase equality nor hull rows yet: a store that
+    propagation has not relaxed."""
     layout = store.layout
     pre = {layout.pre_index(u): u for u in store.aff_ids}
     post = {layout.post_index(u): u for u in store.aff_ids
@@ -240,16 +249,29 @@ def back_substitute(store: Store) -> FarkasCertificate | None:
             unit = post[j]
             if unit in store.phase_ids:
                 cancel_by_equality(store.phase_ids[unit], j, a)
-            else:
+            elif unit in store.hull_ids:
                 lo, hi = store.hull_bounds[unit]
                 k = 2 if a < 0 else 1 if hi > -lo else 0
                 add(rows[store.hull_ids[unit][k]].sides[0], j, a)
+            else:
+                return None
         elif j in pre:
             cancel_by_equality(store.aff_ids[pre[j]], j, a)
         else:
             hi_id, lo_id = store.region_ids[inputs[j]]
             add(rows[hi_id if a < 0 else lo_id].sides[0], j, a)
-    return _checked_farkas(store, lam) if rho < 0 else None
+    return Substitution(lam, Fraction(rho, q))
+
+
+def back_substitute(store: Store) -> FarkasCertificate | None:
+    """Refute the node without an LP, if its rows allow it this way: if the
+    sum of `back_substitution` reads `0 <= rho` with rho < 0, its
+    multipliers are a Farkas certificate, checked over the rows they cite
+    and returned; else None.  Propagation calls it on relaxed rows only.
+    The node's next LP would run phase 1 on these same rows and find them
+    infeasible too, so pruning here moves no decision."""
+    sub = back_substitution(store)
+    return _checked_farkas(store, sub.multipliers) if sub.rho < 0 else None
 
 
 def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:

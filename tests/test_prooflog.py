@@ -741,7 +741,9 @@ class TestTrimmedProofs:
                     cases += 1
         # 142 with the all-rows tableau; the bounded-variable simplex finds
         # other multipliers for degenerate optima, which cite fewer rows
-        assert cases == 138, cases
+        # (138); splits on the largest chord term leave 57 and 89 fewer
+        # leaves, which cite fewer rows in all (92)
+        assert cases == 92, cases
 
     def test_dropping_the_phase_rows_of_an_interval_rows_source_rejected(self, tmp_path):
         """Each source of an interval row past the first layer whose phase a
@@ -772,7 +774,9 @@ class TestTrimmedProofs:
                             dropped.add(ids)
                             self._rejected_without(problem, base, path, at, ids)
                 cases += len(dropped)
-        assert cases == 19, cases
+        # 19 until splits on the largest chord term left 57 and 89 fewer
+        # leaves under fewer guards
+        assert cases == 9, cases
 
     def test_dropping_the_bound_row_under_a_hull_row_rejected(self, tmp_path):
         """Each row bounding a hull row's pre-activation before it, dropped:
@@ -833,14 +837,15 @@ class TestStructuralFuzzing:
 
     def test_sign_rows_moved_past_each_stabilize_row_rejected(self, tmp_path):
         # a stabilized unit has one stabilize row, and a leaf keeps one
-        # row bounding its pre-activation on the side of its sign; instance
-        # 42 under the branching configuration adds 13 stabilize rows to the
-        # 12 of the worked, 57 and 89 proofs.  The hsrv proofs are replayed
-        # too, but where one equals the icl proof byte for byte it adds no
-        # case
+        # row bounding its pre-activation on the side of its sign; instances
+        # 42 and 181 under the branching configuration add 5 and 20
+        # stabilize rows to the 8 of the worked, 57 and 89 proofs.  The hsrv
+        # proofs are replayed too, but where one equals the icl proof byte
+        # for byte it adds no case
         cases = 0
         seen = set()
-        for problem, data, path in _proofs(tmp_path, (icl_verify, hsrv_verify), (57, 89, 42)):
+        for problem, data, path in _proofs(tmp_path, (icl_verify, hsrv_verify),
+                                           (57, 89, 42, 181)):
             if data in seen:
                 continue
             seen.add(data)
@@ -867,12 +872,15 @@ class TestStructuralFuzzing:
         assert cases >= 20
 
     def test_tree_mutations_all_rejected(self, tmp_path):
-        """Each split of the icl and hsrv proofs of both branching instances
-        in turn loses a child, gains a third, has its children swapped or
-        child 0 copied over child 1, or is retyped as a leaf; each leaf is
-        retyped as a split, loses its cover, or loses its rows."""
+        """Each split of the icl and hsrv proofs of the branching instances
+        57, 89 and 181 in turn loses a child, gains a third, has its
+        children swapped or child 0 copied over child 1, or is retyped as a
+        leaf; each leaf is retyped as a split, loses its cover, or loses its
+        rows.  181 keeps the count above the 108 that the deeper trees of 57
+        and 89 gave before splits on the largest chord term."""
         mutations = 0
-        for problem, data, path in _branching(tmp_path, (icl_verify, hsrv_verify)):
+        for problem, data, path in _branching(tmp_path, (icl_verify, hsrv_verify),
+                                              (57, 89, 181)):
             base = prooflog.parse_proof(data)
             for at, node in _tree_nodes(base["tree"]):
                 for mutate in _SPLIT_MUTATIONS if node["type"] == "split" else _LEAF_MUTATIONS:
@@ -881,7 +889,7 @@ class TestStructuralFuzzing:
                     out = prooflog.check_proof(problem, _dumps(doc), file_digest(path))
                     assert not out.accepted, (path, at, mutate.__name__)
                     mutations += 1
-        assert mutations == 108
+        assert mutations == 114
 
     def test_domain_split_mutations_all_rejected(self):
         """The worked proofs' domain split of dimension 0 at 1/2, moved to 0,
@@ -921,11 +929,11 @@ class TestStructuralFuzzing:
                              ids=["layer-string", "layer-float", "neuron-string",
                                   "neuron-float", "neuron-bool"])
     def test_non_canonical_phase_split_rejected(self, tmp_path, coord, value):
-        """The root phase split on unit (2, 1) of a branching proof, with
+        """The root phase split on unit (2, 0) of a branching proof, with
         one coordinate written as a string, a float or a bool."""
         problem, data, path = next(_branching(tmp_path, (icl_verify,)))
         doc = prooflog.parse_proof(data)
-        assert doc["tree"]["kind"] == ["phase", [2, 1]]
+        assert doc["tree"]["kind"] == ["phase", [2, 0]]
         doc["tree"]["kind"][1][coord] = value
         out = prooflog.check_proof(problem, _dumps(doc), file_digest(path))
         assert not out.accepted and "split annotation" in out.reason, out
@@ -968,10 +976,13 @@ class TestStructuralFuzzing:
 
     def test_split_bound_mutations_all_rejected(self, tmp_path):
         """Each split bound of the worked domain proofs and of the branching
-        proofs, moved by 1/1000 either way, or set to the smaller child
-        bound where the two children's differ."""
+        proofs of 57, 89 and 181, moved by 1/1000 either way, or set to the
+        smaller child bound where the two children's differ.  181 keeps the
+        count above the 22 that the deeper trees of 57 and 89 gave before
+        splits on the largest chord term."""
         mutations = 0
-        proofs = (*_worked_domain_proofs(), *_branching(tmp_path, (icl_verify, hsrv_verify)))
+        proofs = (*_worked_domain_proofs(),
+                  *_branching(tmp_path, (icl_verify, hsrv_verify), (57, 89, 181)))
         for problem, data, path in proofs:
             base = prooflog.parse_proof(data)
             for at, node in _tree_nodes(base["tree"]):
@@ -987,7 +998,7 @@ class TestStructuralFuzzing:
                     out = prooflog.check_proof(problem, _dumps(doc), file_digest(path))
                     assert not out.accepted and "split bound" in out.reason, (path, at, value)
                     mutations += 1
-        assert mutations == 22
+        assert mutations == 30
 
     def test_rows_renumbered_in_order_accepted(self, tmp_path):
         """Each leaf's row ids mapped by a random strictly increasing map,
@@ -1018,9 +1029,12 @@ class TestStructuralFuzzing:
         unit's pre-activation, a stabilize row with a row proving its sign.
         The row then has the id of the row it needs, and cannot be built
         there.  Interval rows of later layers are swapped in
-        `TestIntervalRows`."""
+        `TestIntervalRows`.  181 keeps each kind above the 24 interval, 27
+        hull and 15 stabilize cases that the deeper trees of 57 and 89 gave
+        before splits on the largest chord term."""
         cases = Counter()
-        for problem, data, path in (*_proofs(tmp_path, (icl_verify,)), _tgct_proof(tmp_path)):
+        for problem, data, path in (*_proofs(tmp_path, (icl_verify,), (57, 89, 181)),
+                                    _tgct_proof(tmp_path)):
             net = problem[0]
             layout = build_layout(net, problem[2])
             base = prooflog.parse_proof(data)
@@ -1039,7 +1053,7 @@ class TestStructuralFuzzing:
                     assert not out.accepted and f"row {target}: " in out.reason, (
                         path, at, r, out)
                     cases[r["derivation"][0]] += 1
-        assert cases == {"derived": 2, "interval": 24, "hull": 27, "stabilize": 15}, cases
+        assert cases == {"derived": 2, "interval": 38, "hull": 56, "stabilize": 31}, cases
 
 
 def _worked_domain_proofs():
@@ -1121,7 +1135,8 @@ class TestSolverCheckerAgreement:
         dump_problem(*tightened(57), tgct)
         for problem, tree, path in ((_problem(), worked, WORKED),
                                     (tightened(57), icl_verify(*tightened(57)).tree, tgct),
-                                    *_branching_trees(tmp_path, (icl_verify, hsrv_verify))):
+                                    *_branching_trees(tmp_path, (icl_verify, hsrv_verify),
+                                                      (57, 89, 181))):
             built.clear()
             digest = file_digest(path)
             assert prooflog.check_proof(problem, prooflog.emit(tree, digest), digest).accepted

@@ -30,6 +30,7 @@ from relucert.model import (
     ACTIVE,
     IDENTITY,
     INACTIVE,
+    RELU,
     Layer,
     Network,
     Region,
@@ -63,11 +64,60 @@ def _count_unstable(net, region):
 
 
 class TestRefinement:
-    def test_phase_split_prefers_widest_straddling_unit(self):
+    def test_phase_split_prefers_the_largest_chord_term(self):
+        # the root store of instance 57 under margin-only templates: the
+        # back-substitution leans on the chord of (2, 0) most, and not at
+        # all on that of (2, 1), the widest-straddling unit
+        net, region, prop = tightened(57)
+        store = build_initial_store(net, layout_of(net, prop), region, prop, {})
+        assert propagate_node(store, Budget(), templates="margin-only").status == "open"
+        sub = propagate.back_substitution(store)
+        # each multiplier times its row's right-hand side is that row's term
+        # of rho
+        cited = store.cited_rows(sub.multipliers).rows
+        assert len(cited) == len(sub.multipliers)
+        assert sum(sub.multipliers[r.rid] * r.rhs for r in cited) == sub.rho
+        terms, straddle = {}, {}
+        for unit in store.unstable:
+            lo, hi = store.hull_bounds[unit]
+            chord = store.constraints[store.hull_ids[unit][2]].sides[0]
+            assert chord.rhs == -lo * hi / (hi - lo)
+            terms[unit] = sub.multipliers.get(chord.rid, F(0)) * chord.rhs
+            lo, hi = store.bounds.pre[unit]
+            straddle[unit] = min(-lo, hi)
+        assert max(straddle, key=straddle.get) == (2, 1) and terms[(2, 1)] == 0
+        assert max(terms, key=terms.get) == (2, 0)
+        assert pick_split(store) == ("phase", (2, 0))
+
+    def test_zero_chord_terms_fall_back_to_the_widest_straddle_then_the_unit(self):
+        # x in [-1, 1]; s0 = x, s1 = 2x, s2 = -2x; y = -(z0 + z1 + z2).
+        # The margin y falls as each z rises, so back-substitution bounds
+        # every z from below and leans on no chord; (1, 1) and (1, 2) tie
+        # on the widest straddle, 2, and (1, 1) comes first
+        net = Network((
+            Layer(((F(1),), (F(2),), (F(-2),)), (F(0), F(0), F(0)), RELU),
+            Layer(((F(-1), F(-1), F(-1)),), (F(0),), IDENTITY),
+        ), 1, 1)
+        region = Region((F(-1),), (F(1),))
+        prop = SafetyProperty(((0, F(1)),), F(-10), F(1, 10))
+        store = build_initial_store(net, layout_of(net, prop), region, prop, {})
+        assert propagate_node(store, Budget(), templates="margin-only").status == "open"
+        assert store.unstable == {(1, 0), (1, 1), (1, 2)}
+        sub = propagate.back_substitution(store)
+        chords = {store.constraints[ids[2]].sides[0].rid for ids in store.hull_ids.values()}
+        assert sub is not None and not chords & set(sub.multipliers)
+        assert pick_split(store) == ("phase", (1, 1))
+        store.unstable.discard((1, 1))
+        assert pick_split(store) == ("phase", (1, 2))
+
+    def test_a_store_without_hull_rows_splits_the_widest_straddle(self):
+        # before propagation no unstable unit has hull rows, and no
+        # back-substitution can end: every score is zero
         net, prop = worked_network(), worked_prop("1/2")
         store = build_initial_store(net, layout_of(net, prop), worked_region(), prop, {})
-        kind = pick_split(store)
-        assert kind == ("phase", (1, 0))  # min(-l, u) = 1 beats 1/2
+        assert store.unstable and not store.hull_ids
+        assert propagate.back_substitution(store) is None
+        assert pick_split(store) == ("phase", (1, 0))  # min(-l, u) = 1 beats 1/2
 
     def test_no_unstable_unit_is_a_fault(self):
         # every unit then has its phase equality, so the node's LP point is
@@ -83,9 +133,11 @@ class TestRefinement:
 
     def test_every_split_finds_an_unstable_unit(self, monkeypatch):
         """Over the acceptance suite with the default flags and the
-        benchmark's `branching` family (both family seeds) with its own,
-        under both drivers, every node that asks for a split has an
-        unstable unit."""
+        benchmark's `branching` family with its own, at both benchmark
+        family seeds and at 1001 and 1002, under both drivers, every node
+        that asks for a split has an unstable unit.  The two further seeds
+        keep the count of splits at 60 or more, now that splits on the
+        largest chord term make smaller trees."""
         from relucert import search
         from test_acceptance import _spec_suite
 
@@ -96,7 +148,7 @@ class TestRefinement:
         assert branching.flags == ("--templates", "margin-only", "--gate-budget", "1")
         runs = [(problem, Config()) for problem in _spec_suite(100)]
         runs += [(inst.problem, TestBranchingOracleAgreement.CONFIG)
-                 for seed in (families.MIXED_SEED, families.HELD_OUT_SEED)
+                 for seed in (families.MIXED_SEED, families.HELD_OUT_SEED, 1001, 1002)
                  for inst in families.family(branching, seed)]
         unstable = []
         pick = search.pick_split
@@ -290,7 +342,8 @@ def _max_margin(net, region, prop):
 def _suite_maximum(idx):
     from test_acceptance import _spec_suite
 
-    net, region, prop = _spec_suite(90)[idx]
+    # the suite is one stream: its first idx + 1 problems end on problem idx
+    net, region, prop = _spec_suite(idx + 1)[idx]
     return net, region, prop, _max_margin(net, region, prop)
 
 
@@ -549,7 +602,10 @@ class TestSharedRows:
 
         monkeypatch.setattr(search, "ProblemRows", recording_rows)
         monkeypatch.setattr(search, "build_initial_store", sharing_build)
-        runs = [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (42, 57, 89)]
+        # 181 keeps the splits and lemmas at their floors, now that splits
+        # on the largest chord term make smaller trees
+        runs = [(tightened(idx), TestBranchingOracleAgreement.CONFIG)
+                for idx in (42, 57, 89, 181)]
         runs += [(tightened(57), Config()),
                  ((worked_network(), worked_region(), worked_prop()),
                   Config(first_split="domain"))]
@@ -592,7 +648,9 @@ class TestStabilizedCount:
     def test_branching_runs_count_each_stabilized_unit_once(self, monkeypatch):
         made = _propagation_results(monkeypatch)
         stabilized = 0
-        for idx in (42, 57, 89):
+        # 181 keeps the count at its floor, now that splits on the largest
+        # chord term make smaller trees
+        for idx in (42, 57, 89, 181):
             for driver in (icl_verify, hsrv_verify):
                 made.clear()
                 res = driver(*tightened(idx), TestBranchingOracleAgreement.CONFIG)
@@ -611,9 +669,10 @@ class TestLpBudget:
     def test_every_budget_up_to_the_runs_own_lp_count(self, tmp_path, monkeypatch):
         made = _propagation_results(monkeypatch)
         runs = resource = 0
-        # instance 32 keeps the sweep at 400 runs or more, now that the
-        # other four make fewer LPs
-        for idx, gap in itertools.product((32, 42, 53, 57, 89), (F(1, 1000), F(-1, 1000))):
+        # instances 32 and 181 keep the sweep at 400 runs or more, now that
+        # the others make fewer LPs
+        for idx, gap in itertools.product((32, 42, 53, 57, 89, 181),
+                                          (F(1, 1000), F(-1, 1000))):
             net, region, prop = tightened(idx, gap)
             path = tmp_path / f"p{idx}.json"
             dump_problem(net, region, prop, path)
@@ -662,8 +721,9 @@ class TestMaxDepth:
     def test_each_level_of_depth_allows_one_more_split(self):
         # per level one pass with one LP, and the gate's one query: answered
         # by the node's point under icl, an LP with the unstable units exact
-        # under hsrv
-        net, region, prop = tightened(57)
+        # under hsrv.  Instance 415's search is three levels deep and its
+        # first two levels stay open
+        net, region, prop = tightened(415)
         for driver, per_level in ((icl_verify, 1), (hsrv_verify, 2)):
             for max_depth in (0, 1, 2):
                 config = dataclasses.replace(TestBranchingOracleAgreement.CONFIG,
@@ -674,7 +734,8 @@ class TestMaxDepth:
                 assert res.budget.lp_calls == per_level * (max_depth + 1)
 
     def test_a_proof_is_no_deeper_than_the_cap(self):
-        net, region, prop = tightened(89)
+        # instance 57's search splits twice, one split under the other
+        net, region, prop = tightened(57)
         config = dataclasses.replace(TestBranchingOracleAgreement.CONFIG, max_depth=2)
 
         def depth(entry):
@@ -741,12 +802,17 @@ class TestProofPins:
     single-variable rows as bounds: its tree, splits, guards and leaves are
     the earlier proof's, and only the multipliers of degenerate optima, and
     so the rows each leaf keeps, moved; the worked proof and 89 held their
-    pins."""
+    pins.  57 and 89 were re-pinned when a phase split came to split the
+    unit whose hull chord adds most to the node's back-substituted margin
+    bound: 57 splits (2, 0) at its root where it split (2, 1), in 2 splits
+    where it made 4, and 89 makes 1 split where it made 2.  The parent's
+    and the new proofs give the same verdicts and are both ACCEPTed by the
+    same checker; the worked proof, a domain split, held its pin."""
 
     PINS = {
         "worked": "3d7ad9f6c07bd75035603fb6b0ffe4b4e65ba001f9e44e35e02cee4dd5dcc80a",
-        57: "84226b552b8b7ad95931f331e7c78801a475df90b9eb482acf8806ccee159f08",
-        89: "bf9122d11d80825cbdf1b235980ef92056de077070b35a8113d53b40bc2a26b1",
+        57: "41c854d4886717ecd31a67040d59740e33a101d5168df9ffc341a034ebd47929",
+        89: "5e1e8aa8fadfcfe7454c7d0759a5f3b536984bc47bb641c62a04a687ae0569a6",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
@@ -856,7 +922,7 @@ class TestLeafBounds:
         worked = (worked_network(), worked_region(), worked_prop())
         runs = [(worked, Config(first_split="domain"))]
         runs += [(tightened(idx), Config(first_split="domain")) for idx in (42, 57, 89)]
-        runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (57, 89)]
+        runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (57, 89, 181)]
         for problem, config in runs:
             layout = build_layout(problem[0], problem[2])
             for driver in (icl_verify, hsrv_verify):
@@ -883,21 +949,25 @@ class TestDecisionPins:
     units, merge lemmas and conflict clauses.  The conflict clauses of the
     default-configuration gate prunes of 42 and 89 were re-pinned when the
     gate's cover came to list each certificate once: each count fell by
-    exactly the certificates the cover had listed a second time."""
+    exactly the certificates the cover had listed a second time.  The
+    branching-configuration counters were re-pinned when a phase split came
+    to split the unit whose hull chord adds most to the node's
+    back-substituted margin bound: the trees are smaller, and the verdicts
+    and the acceptance of every proof held (old values in CHANGES.md)."""
 
     PINS = {
         (42, "default", "icl"): (0, 1, 2, 0, 3),
         (42, "default", "hsrv"): (0, 1, 2, 0, 8),
-        (42, "branching", "icl"): (6, 6, 27, 0, 7),
-        (42, "branching", "hsrv"): (6, 6, 27, 0, 7),
+        (42, "branching", "icl"): (2, 2, 10, 0, 3),
+        (42, "branching", "hsrv"): (2, 2, 10, 0, 3),
         (57, "default", "icl"): (0, 0, 3, 0, 0),
         (57, "default", "hsrv"): (0, 0, 3, 0, 0),
-        (57, "branching", "icl"): (4, 4, 9, 1, 5),
-        (57, "branching", "hsrv"): (4, 4, 9, 1, 5),
+        (57, "branching", "icl"): (2, 2, 5, 0, 3),
+        (57, "branching", "hsrv"): (2, 2, 5, 0, 3),
         (89, "default", "icl"): (0, 1, 1, 0, 2),
         (89, "default", "hsrv"): (0, 1, 1, 0, 4),
-        (89, "branching", "icl"): (2, 2, 7, 2, 3),
-        (89, "branching", "hsrv"): (2, 2, 7, 2, 3),
+        (89, "branching", "icl"): (1, 1, 3, 1, 2),
+        (89, "branching", "hsrv"): (1, 1, 3, 1, 2),
     }
 
     def test_counters_are_pinned(self):
@@ -910,3 +980,33 @@ class TestDecisionPins:
             assert tuple(counters[key] for key in ("splits", "gate_invocations",
                                                    "stabilized_units", "lemmas_learned",
                                                    "clauses_learned")) == pin, (idx, config, driver)
+
+
+class TestBranchingSplitCounts:
+    """The splits and LP calls of the benchmark's `branching` family, summed
+    over its eight instances, at both family seeds, under both drivers.  A
+    change to the split rule shows up here.  Splitting the widest-straddling
+    unit made 18 splits and 43 LPs (icl) and 18 and 61 (hsrv) at the first
+    seed, and 13 and 33, 13 and 46 at the held-out seed."""
+
+    PINS = {
+        ("mixed-seed", "icl"): (8, 23),
+        ("mixed-seed", "hsrv"): (8, 31),
+        ("held-out", "icl"): (6, 19),
+        ("held-out", "hsrv"): (6, 25),
+    }
+
+    def test_totals_are_pinned(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import families
+
+        seeds = {"mixed-seed": families.MIXED_SEED, "held-out": families.HELD_OUT_SEED}
+        drivers = {"icl": icl_verify, "hsrv": hsrv_verify}
+        for (seed, driver), pin in self.PINS.items():
+            splits = lps = 0
+            for inst in families.family(families.WORKLOADS["branching"], seeds[seed]):
+                res = drivers[driver](*inst.problem, TestBranchingOracleAgreement.CONFIG)
+                assert res.status == "unsat", (seed, driver, inst.idx)
+                splits += res.budget.splits
+                lps += res.budget.lp_calls
+            assert (splits, lps) == pin, (seed, driver)
