@@ -1,7 +1,13 @@
 """Network representation, variable layout, exact forward evaluation, parsing.
 
-All numbers are `fractions.Fraction`: arbitrary precision, always in lowest
-terms, positive denominator.  Nothing in this package ever rounds.
+Every number a problem states is a `fractions.Fraction`: arbitrary
+precision, always in lowest terms, positive denominator.  Nothing in this
+package ever rounds.  A network also holds its weights in integers, one
+table computed once on first use (`Network.ints`): each unit's
+s = b + sum_k w_k src_k as (den, (den w_k)_k, den b).  The forward pass,
+and so the witness check, runs over that table in integers, and the
+store's and the checker's affine rows and interval sums read it; no other
+module rescales the weights.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable
 
 RELU = "relu"
@@ -18,6 +27,10 @@ IDENTITY = "identity"
 #: (layer, neuron) pair identifying a hidden ReLU unit.  Layers are 1-based
 #: to match the layer list of the network (layer 0 is the input).
 Unit = tuple[int, int]
+
+#: a unit's s = b + sum_k w_k src_k in integers, (den, (den w_k)_k, den b),
+#: den > 0 the lcm of the denominators of its weights and bias
+UnitInts = tuple[int, tuple[int, ...], int]
 
 ACTIVE = "active"
 INACTIVE = "inactive"
@@ -102,6 +115,25 @@ class Network:
             prev = len(layer.weights)
         if prev != self.output_dim:
             raise DimensionError(f"output_dim {self.output_dim} != final width {prev}")
+
+    @cached_property
+    def ints(self) -> tuple[tuple[UnitInts, ...], ...]:
+        """Per layer, each unit's `UnitInts`: the one integer form of the
+        weights, computed once per network, on first use."""
+        table = []
+        for layer in self.layers:
+            units = []
+            for wrow, b in zip(layer.weights, layer.bias):
+                den = lcm(b.denominator, *[w.denominator for w in wrow])
+                units.append((den, tuple([w.numerator * (den // w.denominator) for w in wrow]),
+                              b.numerator * (den // b.denominator)))
+            table.append(tuple(units))
+        return tuple(table)
+
+    def unit_weights(self, unit: Unit) -> UnitInts:
+        """The unit's row of `ints`."""
+        i, j = unit
+        return self.ints[i - 1][j]
 
     @property
     def hidden_units(self) -> list[Unit]:
@@ -225,26 +257,37 @@ class Trace:
         return self.post[-1]
 
 
-def forward_eval(net: Network, x) -> Trace:
-    """Exact forward pass; z = max(0, s) componentwise on ReLU layers."""
-    x = tuple(Fraction(v) for v in x)
+def _scaled(net: Network, x) -> tuple[int, list[int]]:
+    """x as exact rationals scaled to the lcm d of their denominators:
+    (d, X) with x = X / d."""
+    x = [v if type(v) is Fraction else Fraction(v) for v in x]
     if len(x) != net.input_dim:
         raise DimensionError(f"expected {net.input_dim} inputs, got {len(x)}")
-    pre, post = [], []
-    cur = x
-    for layer in net.layers:
-        s = tuple(
-            sum((w * c for w, c in zip(row, cur)), b)
-            for row, b in zip(layer.weights, layer.bias)
-        )
-        if layer.activation == RELU:
-            z = tuple(max(Fraction(0), v) for v in s)
-        else:
-            z = s
-        pre.append(s)
-        post.append(z)
-        cur = z
-    return Trace(tuple(pre), tuple(post))
+    d = lcm(*[v.denominator for v in x])
+    return d, [v.numerator * (d // v.denominator) for v in x]
+
+
+def _forward(net: Network, d: int, cur: list[int]) -> list[tuple[int, list[int], list[int]]]:
+    """The exact forward pass in integers over `net.ints`, from the inputs
+    cur / d: per layer (d', S, Z), its pre-activations S / d' and
+    post-activations Z / d'.  Each layer rescales to the lcm of its units'
+    denominators, d' = d den, and applies z = max(0, s) on a ReLU layer."""
+    out = []
+    for units, layer in zip(net.ints, net.layers):
+        den = lcm(*[u for u, _, _ in units])
+        # s = (B d + sum_k W_k X_k) / (u d) over the unit's u, times den / u
+        pre = [(b * d + sum(map(mul, ws, cur))) * (den // u) for u, ws, b in units]
+        d *= den
+        cur = [v if v > 0 else 0 for v in pre] if layer.activation == RELU else pre
+        out.append((d, pre, cur))
+    return out
+
+
+def forward_eval(net: Network, x) -> Trace:
+    """Exact forward pass; z = max(0, s) componentwise on ReLU layers."""
+    layers = _forward(net, *_scaled(net, x))
+    return Trace(tuple(tuple(Fraction(v, d) for v in pre) for d, pre, _ in layers),
+                 tuple(tuple(Fraction(v, d) for v in post) for d, _, post in layers))
 
 
 @dataclass(frozen=True)
@@ -254,16 +297,23 @@ class WitnessVerdict:
 
 
 def validate_witness(net: Network, region: Region, prop: SafetyProperty, x) -> WitnessVerdict:
-    """Exact check that x is a counterexample: in the region and margin >= threshold + epsilon."""
-    x = tuple(Fraction(v) for v in x)
-    if len(x) != net.input_dim:
-        raise DimensionError(f"expected {net.input_dim} inputs, got {len(x)}")
-    if not region.contains(x):
+    """Exact check that x is a counterexample: in the region and margin >=
+    threshold + epsilon.  In integers throughout: with x = X / d, the box
+    test lo <= X_k / d <= hi and, with the outputs Y / d' and c the lcm of
+    the margin coefficients' denominators, the margin M / (c d') against
+    threshold + epsilon, each by cross-multiplication."""
+    d, cur = _scaled(net, x)
+    if len(region.lower) != len(cur) or any(
+            v * lo.denominator < lo.numerator * d or v * hi.denominator > hi.numerator * d
+            for lo, v, hi in zip(region.lower, cur, region.upper)):
         return WitnessVerdict(False, "region")
-    m = prop.margin_value(forward_eval(net, x).outputs)
-    if m >= prop.violation_threshold:
+    d, _, y = _forward(net, d, cur)[-1]
+    c = lcm(*[q.denominator for _, q in prop.margin])
+    m = sum([q.numerator * (c // q.denominator) * y[idx] for idx, q in prop.margin])
+    t = prop.violation_threshold
+    if m * t.denominator >= t.numerator * c * d:
         return WitnessVerdict(True)
-    return WitnessVerdict(False, f"margin {m} < {prop.violation_threshold}")
+    return WitnessVerdict(False, f"margin {Fraction(m, c * d)} < {t}")
 
 
 def _parse_matrix(obj, what: str):

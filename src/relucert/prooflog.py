@@ -33,9 +33,9 @@ its own code, not with the functions of `store` and `propagate` that make
 them, on purpose: a fault in how the solver writes those rows cannot vouch
 for itself.  A unit's affine row and a phase's rows are definitions, not
 derivations: it takes them, as the solver does, from `rows.affine_row`
-(over the unit's `rows.unit_weights`, the problem's weights and bias in
-integers) and `rows.guard_rows`, the one place that defines each.  Its one
-rule beyond the rows' definitions is interval arithmetic: a unit's
+(over the unit's `Network.unit_weights`, the problem's weights and bias
+in integers) and `rows.guard_rows`, the one place that defines each.
+Its one rule beyond the rows' definitions is interval arithmetic: a unit's
 interval rows bound s = b + sum_k w_k src_k above or below over the
 interval that earlier rows prove for each source: an input's
 single-variable rows (its region rows); for z of the previous layer,
@@ -101,7 +101,6 @@ from .rows import (
     guard_rows,
     int_form,
     lowest_terms,
-    unit_weights,
 )
 
 FORMAT = "relucert-proof-8"
@@ -245,8 +244,9 @@ def _parse_guarded(obj) -> GuardedCertificate:
 class _Problem:
     """The problem, and what the checker derives from it once per check:
     the integer forms of its negated property and, as leaves first read
-    them, of each unit's weights and bias, of its affine row and of each
-    phase's rows."""
+    them, of each unit's affine row and of each phase's rows.  A unit's
+    weights and bias in integers are the network's own table,
+    `Network.unit_weights`."""
 
     def __init__(self, net: Network, region: Region, prop: SafetyProperty):
         self.net = net
@@ -256,20 +256,13 @@ class _Problem:
         self.relu_units = frozenset(net.hidden_units)
         self.negp = [int_form({j: -q for j, q in self.layout.margin.items()},
                               -prop.violation_threshold)]
-        self._weights: dict = {}
         self._affine: dict = {}
         self._phase_rows: dict = {}
-
-    def weights(self, unit) -> tuple[int, list[int], int]:
-        """s = b + sum_k w_k src_k of the unit, `rows.unit_weights`."""
-        if unit not in self._weights:
-            self._weights[unit] = unit_weights(self.net, unit)
-        return self._weights[unit]
 
     def affine(self, unit) -> list[IntForm]:
         """The unit's affine row of `rows.affine_row`, its two sides."""
         if unit not in self._affine:
-            self._affine[unit] = equality(affine_row(self.layout, unit, self.weights(unit)))
+            self._affine[unit] = equality(affine_row(self.layout, unit))
         return self._affine[unit]
 
     def phase_rows(self, unit, phase) -> list[list[IntForm]]:
@@ -327,7 +320,7 @@ def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> list
         raise _Rejected(f"no interval side {side!r}")
     i, j = unit
     up = side == "up"
-    den, weights, total = pb.weights(unit)
+    den, weights, total = pb.net.unit_weights(unit)
     ends = []  # (den w_k, (num, den) of the end of src_k's interval it reads)
     for k, w in enumerate(weights):
         src = (i - 1, k)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .model import ACTIVE, INACTIVE, Network, Unit, VariableLayout
+from .model import ACTIVE, INACTIVE, Unit, VariableLayout
 
 #: Normalized row ids: ("c", cid, "le"|"ge") for store rows, or
 #: ("g", layer, neuron, phase, k) for guard rows materialized outside a store.
@@ -90,25 +90,14 @@ class NormalizedSystem:
         return None if k is None else self.rows[k]
 
 
-def unit_weights(net: Network, unit: Unit) -> tuple[int, list[int], int]:
-    """s = b + sum_k w_k src_k of the unit as (den, [den w_k], den b), den
-    the lcm of the denominators of its weights and bias."""
-    i, j = unit
-    layer = net.layers[i - 1]
-    wrow, b = layer.weights[j], layer.bias[j]
-    den = lcm(b.denominator, *(w.denominator for w in wrow))
-    return (den, [w.numerator * (den // w.denominator) for w in wrow],
-            b.numerator * (den // b.denominator))
-
-
-def affine_row(layout: VariableLayout, unit: Unit,
-               weights: tuple[int, list[int], int]) -> IntForm:
+def affine_row(layout: VariableLayout, unit: Unit) -> IntForm:
     """The unit's affine row s - sum_k w_k src_k = b, its "le" side, in
-    integers, from its `unit_weights`: the one definition of it, from which
-    the store's affine rows and the proof checker's are built.  A source is
-    an input in layer 1, else the previous layer's post-activation."""
+    integers, from its `Network.unit_weights`: the one definition of it,
+    from which the store's affine rows and the proof checker's are built.
+    A source is an input in layer 1, else the previous layer's
+    post-activation."""
     s = layout.pre_index(unit)  # a unit of the network, or KeyError
-    den, weights, b = weights
+    den, weights, b = layout.net.unit_weights(unit)
     i, _ = unit
     row = {s: den}
     for k, w in enumerate(weights):

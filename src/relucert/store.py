@@ -46,6 +46,7 @@ from .model import (
     Region,
     SafetyProperty,
     Unit,
+    UnitInts,
     VariableLayout,
 )
 from .rows import (
@@ -58,7 +59,6 @@ from .rows import (
     equality,
     guard_rows,
     int_form,
-    unit_weights,
 )
 
 LE = "le"
@@ -100,10 +100,11 @@ def store_row(cid: int, derivation: tuple, forms: list[IntForm]) -> StoreRow:
     return StoreRow(derivation, (NormRow(("c", cid, LE), le), NormRow(("c", cid, "ge"), ge)))
 
 
-def affine_interval(weights: tuple[int, list[int], int],
+def affine_interval(weights: UnitInts,
                     ends: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
     """[lo, hi] of s = b + sum_k w_k src_k over src_k in ends[k], with the
-    unit's `unit_weights`; summed in integers over one common denominator."""
+    unit's `Network.unit_weights`; summed in integers over one common
+    denominator."""
     den, ws, b = weights
     terms = []  # per source: w_k and the ends lo and hi read, as (num, den)
     m = 1
@@ -129,17 +130,13 @@ class ProblemRows:
     shares these rows, which are never mutated."""
 
     def __init__(self, net: Network, layout: VariableLayout, prop: SafetyProperty):
-        #: each unit's `unit_weights`
-        self.weights: dict[Unit, tuple[int, list[int], int]] = {}
         self.affine: list[StoreRow] = []
         self.aff_ids: dict[Unit, int] = {}
         for i, layer in enumerate(net.layers, start=1):
             for j in range(len(layer.weights)):
-                unit = (i, j)
-                weights = self.weights[unit] = unit_weights(net, unit)
-                cid = self.aff_ids[unit] = len(self.affine)
+                cid = self.aff_ids[(i, j)] = len(self.affine)
                 self.affine.append(store_row(cid, ("aff", i, j),
-                                             equality(affine_row(layout, unit, weights))))
+                                             equality(affine_row(layout, (i, j)))))
         self.negp_id = len(self.affine) + 2 * net.input_dim
         self.negp = store_row(self.negp_id, ("negp",), [int_form(
             {j: -q for j, q in layout.margin.items()}, -prop.violation_threshold)])
@@ -173,7 +170,7 @@ class Store:
         self.layout = layout
         self.region = region
         self.prop = prop
-        # the run's rows and unit weights, shared by every store of the run
+        # the run's rows, shared by every store of the run
         self.shared = shared or ProblemRows(net, layout, prop)
         # the committed or stabilized phase of a unit, and the id of its
         # phase equality (row 0 of the phase's guard consequences)
@@ -274,8 +271,8 @@ class Store:
         def sources(unit, cid: int) -> list[int]:
             i, j = unit
             out = []
-            for k, w in enumerate(self.net.layers[i - 1].weights[j]):
-                if not w.numerator:
+            for k, w in enumerate(self.net.unit_weights(unit)[1]):
+                if not w:
                     continue
                 if i == 1:
                     interval(out, layout.input_index(k))
@@ -338,23 +335,21 @@ def _post_interval(phase: str | None, lo: Fraction, hi: Fraction) -> tuple[Fract
     return (zero, max(zero, hi))
 
 
-def interval_bounds(net: Network, region: Region, alpha: dict[Unit, str],
-                    weights: dict | None = None) -> dict[Unit, tuple[Fraction, Fraction]]:
+def interval_bounds(net: Network, region: Region,
+                    alpha: dict[Unit, str]) -> dict[Unit, tuple[Fraction, Fraction]]:
     """Exact interval arithmetic through the box, phase commitments applied
-    to post-activation ranges; `weights` maps each unit to its
-    `unit_weights`, which are computed here without it.  This is the one
-    place the solver sums a unit's interval: a node's store is seeded with
-    it and propagation writes each ReLU unit's interval rows from that
-    seed, by the rule `check` rebuilds them with.  The post-activation of
-    a source is [0, 0] when inactive, [max(0, lo), hi] when active (z = s
-    and s >= 0), else [0, max(0, hi)].  A scope that commits a unit to a
+    to post-activation ranges, over the units' `Network.unit_weights`.
+    This is the one place the solver sums a unit's interval: a node's store
+    is seeded with it and propagation writes each ReLU unit's interval rows
+    from that seed, by the rule `check` rebuilds them with.  The
+    post-activation of a source is [0, 0] when inactive, [max(0, lo), hi]
+    when active (z = s and s >= 0), else [0, max(0, hi)].  A scope that commits a unit to a
     phase its interval excludes is infeasible, and the intervals after it
     may be crossed, lo > hi."""
     prev = list(zip(region.lower, region.upper))
     bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
-    for i, layer in enumerate(net.layers, start=1):
-        pre = [affine_interval(unit_weights(net, (i, j)) if weights is None else weights[(i, j)],
-                               prev) for j in range(len(layer.weights))]
+    for i, (layer, units) in enumerate(zip(net.layers, net.ints), start=1):
+        pre = [affine_interval(weights, prev) for weights in units]
         if layer.activation == RELU:
             nxt = []
             for j, (lo, hi) in enumerate(pre):
@@ -402,7 +397,7 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
                 for k, sides in enumerate(guard_rows(layout, GuardLiteral(unit, phase)))]
         store.phase_ids[unit] = cids[0]
 
-    for unit, (lo, hi) in interval_bounds(net, region, alpha, shared.weights).items():
+    for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
         i, _ = unit
         if net.layers[i - 1].activation != RELU:
             continue

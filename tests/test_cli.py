@@ -27,7 +27,7 @@ from relucert.cli import (
     build_parser,
     main,
 )
-from relucert.model import IDENTITY, Layer, Network, SafetyProperty, validate_witness
+from relucert.model import IDENTITY, Layer, Network, Region, SafetyProperty, validate_witness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +39,13 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cli_o(*argv):
+    """The command line under `python -O`, which strips assert statements."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-O", "-m", "relucert.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
 
 
 class TestVerify:
@@ -241,23 +248,37 @@ class TestCheck:
     def test_round_trip_and_tampered_multiplier_under_python_o(self, tmp_path):
         """`python -O` strips assert statements: the checker must still
         accept the proof and reject it with one multiplier changed."""
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-
-        def cli_o(*argv):
-            return subprocess.run([sys.executable, "-O", "-m", "relucert.cli", *argv],
-                                  cwd=ROOT, env=env, capture_output=True, text=True)
-
         proof = tmp_path / "out.proof"
-        run = cli_o("verify", WORKED, "--emit-proof", str(proof))
+        run = _cli_o("verify", WORKED, "--emit-proof", str(proof))
         assert run.returncode == EXIT_UNSAT and "UNSAT" in run.stdout, run
-        run = cli_o("check", WORKED, str(proof))
+        run = _cli_o("check", WORKED, str(proof))
         assert run.returncode == 0 and run.stdout.strip() == "ACCEPT", run
         doc = json.loads(proof.read_text())
         mult = doc["tree"]["cover"][0]["farkas"]["multipliers"][0]
         mult[1] = str(2 * F(mult[1]))
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        run = cli_o("check", WORKED, str(proof))
+        run = _cli_o("check", WORKED, str(proof))
         assert run.returncode == 1 and run.stdout.startswith("REJECT path=tree "), run
+
+    def test_witness_at_the_violation_threshold_under_python_o(self, tmp_path):
+        """The witness check is exact under `python -O` too.  On the box of
+        the one point x = 3/4, where y = 1/2, a margin equal to threshold +
+        epsilon = 1/2 is a counterexample; with threshold + epsilon 10^-9
+        above it the run is UNSAT, with a proof that `check` accepts."""
+        point = Region((F(3, 4),), (F(3, 4),))
+        at, above = tmp_path / "at.json", tmp_path / "above.json"
+        for path, threshold in ((at, F(2, 5)), (above, F(2, 5) + F(1, 10**9))):
+            dump_problem(worked_network(), point,
+                         SafetyProperty(((0, F(1)),), threshold, F(1, 10)), path)
+        witness, proof = tmp_path / "at.witness", tmp_path / "above.proof"
+        run = _cli_o("verify", str(at), "--witness", str(witness))
+        assert run.returncode == EXIT_SAT and "SAT witness=[3/4]" in run.stdout, run
+        assert re.search(r"^lp_calls=0$", run.stdout, re.M), run
+        assert witness.read_text().split() == ["3/4"]
+        run = _cli_o("verify", str(above), "--emit-proof", str(proof))
+        assert run.returncode == EXIT_UNSAT and "UNSAT" in run.stdout, run
+        run = _cli_o("check", str(above), str(proof))
+        assert run.returncode == 0 and run.stdout.strip() == "ACCEPT", run
 
 
 class TestOneRead:

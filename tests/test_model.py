@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     layout_of,
@@ -214,6 +214,119 @@ class TestWitnessValidation:
     def test_rejects_insufficient_margin(self):
         verdict = validate_witness(worked_network(), worked_region(), worked_prop(), (F(1),))
         assert not verdict.accepted and "margin" in verdict.reason
+
+    # exact at the boundary: a margin equal to threshold + epsilon is a
+    # counterexample, one 10^-9 below it is not
+    def test_margin_at_the_violation_threshold_is_accepted(self):
+        # y = 2x - 1 on [1/2, 1]: y(3/4) = 1/2 = 2/5 + 1/10
+        prop = SafetyProperty(((0, F(1)),), F(2, 5), F(1, 10))
+        assert validate_witness(worked_network(), worked_region(), prop, (F(3, 4),)).accepted
+
+    def test_margin_one_billionth_below_is_rejected(self):
+        prop = SafetyProperty(((0, F(1)),), F(2, 5), F(1, 10))
+        x = (F(3, 4) - F(1, 2 * 10**9),)  # y = 1/2 - 10^-9
+        verdict = validate_witness(worked_network(), worked_region(), prop, x)
+        assert not verdict.accepted
+        assert verdict.reason == f"margin {F(1, 2) - F(1, 10**9)} < 1/2"
+        above = SafetyProperty(((0, F(1)),), F(2, 5) + F(1, 10**9), F(1, 10))
+        assert not validate_witness(worked_network(), worked_region(), above, (F(3, 4),)).accepted
+
+
+def _reference_eval(net: Network, x) -> tuple[list[tuple], list[tuple]]:
+    """The forward pass in `Fraction`s, layer by layer: (pre, post), the
+    reference the integer evaluator of `model` is held to."""
+    pre, post = [], []
+    cur = tuple(F(v) for v in x)
+    for layer in net.layers:
+        s = tuple(sum((w * c for w, c in zip(row, cur)), b)
+                  for row, b in zip(layer.weights, layer.bias))
+        cur = tuple(max(F(0), v) for v in s) if layer.activation == RELU else s
+        pre.append(s)
+        post.append(cur)
+    return pre, post
+
+
+#: weights, biases and bounds with denominators up to 10^6
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+_unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+@st.composite
+def _networks(draw):
+    """A network of 1-3 inputs, 0-2 hidden ReLU layers and 1-3 outputs on
+    an identity or ReLU layer; about half of its weight rows are all zero."""
+    nin = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 3), max_size=2)) + [draw(st.integers(1, 3))]
+    last = draw(st.sampled_from((IDENTITY, RELU)))
+    layers, prev = [], nin
+    for i, width in enumerate(widths):
+        zero = tuple(F(0) for _ in range(prev))
+        rows = tuple(draw(st.just(zero) | st.tuples(*[_coeff] * prev)) for _ in range(width))
+        bias = tuple(draw(_coeff) for _ in range(width))
+        layers.append(Layer(rows, bias, last if i == len(widths) - 1 else RELU))
+        prev = width
+    return Network(tuple(layers), nin, prev)
+
+
+@st.composite
+def _witness_cases(draw):
+    """(net, region, margin, x): a margin over a nonempty set of outputs,
+    with negative and zero coefficients, one nonzero; and x on a vertex of
+    the box, on an edge, inside it, or just outside it."""
+    net = draw(_networks())
+    lo = tuple(draw(_coeff) for _ in range(net.input_dim))
+    hi = tuple(v + draw(st.one_of(st.just(F(0)), _unit_interval)) for v in lo)
+    idx = draw(st.lists(st.integers(0, net.output_dim - 1), min_size=1,
+                        max_size=net.output_dim, unique=True))
+    coeffs = [draw(_coeff.filter(bool))] + [draw(_coeff | st.just(F(0))) for _ in idx[1:]]
+    margin = tuple(sorted(zip(idx, coeffs)))
+    x = [draw(st.sampled_from((a, b))) for a, b in zip(lo, hi)]
+    kind = draw(st.sampled_from(("vertex", "edge", "inside", "outside")))
+    if kind == "vertex":
+        free = ()
+    elif kind == "inside":
+        free = range(net.input_dim)
+    else:
+        free = [draw(st.integers(0, net.input_dim - 1))]
+    for k in free:
+        t = draw(_unit_interval)
+        if kind == "outside":
+            gap = t + F(1, 10**9)
+            x[k] = draw(st.sampled_from((lo[k] - gap, hi[k] + gap)))
+        else:
+            x[k] = lo[k] + t * (hi[k] - lo[k])
+    return net, Region(lo, hi), margin, tuple(x)
+
+
+class TestIntegerEvaluator:
+    """`forward_eval` and `validate_witness` run one forward pass in
+    integers over the network's table; both agree exactly with a forward
+    pass in `Fraction`s, at the boundary of the margin test too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_witness_cases(), st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+           st.one_of(st.just(F(0)), _coeff))
+    def test_agrees_with_the_fraction_reference(self, case, epsilon, offset):
+        net, region, margin, x = case
+        pre, post = _reference_eval(net, x)
+        trace = forward_eval(net, x)
+        assert trace.pre == tuple(pre) and trace.post == tuple(post)
+        # threshold + epsilon is the margin at x itself when offset is 0
+        m = sum(c * post[-1][j] for j, c in margin)
+        prop = SafetyProperty(margin, m - epsilon + offset, epsilon)
+        verdict = validate_witness(net, region, prop, x)
+        inside = all(lo <= v <= hi for lo, v, hi in zip(region.lower, x, region.upper))
+        assert verdict.accepted == (inside and offset <= 0)
+        if not inside:
+            assert verdict.reason == "region"
+        elif offset > 0:
+            assert verdict.reason == f"margin {m} < {m + offset}"
+
+    def test_table_is_each_units_weights_over_their_lcm(self):
+        net = worked_network()
+        assert net.ints == (((1, (2,), -1), (2, (-2,), 1)), ((1, (1, -1), 0),))
+        assert net.unit_weights((1, 1)) == (2, (-2,), 1)
+        assert net.ints is net.ints
 
 
 class TestProblemParsing:

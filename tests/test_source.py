@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WORKED
+from conftest import WORKED, worked_network, worked_prop, worked_region
 
 MODULES = sorted(Path("src/relucert").glob("*.py"))
 
@@ -307,3 +307,44 @@ def test_propagation_is_the_one_writer_of_a_nodes_rows():
                 writers.setdefault(path.stem, []).append(f"{path.name}:{node.lineno}")
     assert {"store", "propagate"} <= writers.keys(), writers
     assert writers.keys() <= {"store", "propagate"}, writers
+
+
+#: what reads a number's integer form
+_INTEGER_FORM = {"numerator", "denominator", "as_integer_ratio"}
+
+
+def _weight_rescalers(path) -> list[str]:
+    """The functions of a source file that read a layer's `weights` or
+    `bias` and also a number's integer form: those that rescale weights."""
+    return [f"{Path(path).name}:{node.lineno} {node.name}"
+            for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and (attrs := {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+            & {"weights", "bias"} and attrs & _INTEGER_FORM]
+
+
+def test_the_network_holds_the_one_integer_table_of_its_weights():
+    """A unit's weights and bias in integers are the network's own table,
+    `Network.ints`, computed once per network.  `store` and `prooflog` keep
+    no per-unit weight cache beside it, so there is no `ProblemRows.weights`
+    and no `_Problem._weights`; no module but `model` rescales a layer's
+    weights; and `model` imports no relucert module, so no solver module."""
+    from relucert import prooflog
+    from relucert.model import build_layout
+    from relucert.store import ProblemRows
+
+    for name, cls in (("store", "ProblemRows"), ("prooflog", "_Problem")):
+        tree = ast.parse(Path(f"src/relucert/{name}.py").read_text())
+        node = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
+        kept = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"
+                and "weight" in n.attr}
+        assert not kept, (cls, kept)
+    net, region, prop = worked_network(), worked_region(), worked_prop()
+    assert not hasattr(ProblemRows(net, build_layout(net, prop), prop), "weights")
+    assert not hasattr(prooflog._Problem(net, region, prop), "_weights")
+    assert _weight_rescalers("src/relucert/model.py"), "the scan sees model's table"
+    rescalers = [f for path in MODULES if path.name != "model.py"
+                 for f in _weight_rescalers(path)]
+    assert not rescalers, f"weights rescaled outside model: {rescalers}"
+    assert not set(_relucert_imports("src/relucert/model.py"))
