@@ -11,7 +11,8 @@ each row's `NormRow.ints`, and hands back `Fraction`s.  Cost is linear in the nu
 of nonzeros touched; a module-level counter adds one per row entry and one
 per rhs combined, so tests can assert the linear bound.  A stabilized unit
 needs no certificate: the proof checker rebuilds its row and tests its
-sign against the bound rows before it.
+sign against the unit's interval, the seed of the leaf's scope as the rows
+before it tighten it.
 """
 
 from __future__ import annotations

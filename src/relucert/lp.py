@@ -5,8 +5,7 @@ Every system the solver builds bounds each of its variables, layer by
 layer: region rows the inputs, phase equalities or hull rows 0 and 3 the
 post-activations, and affine rows the pre-activations and identity outputs
 through their sources, with derived rows where tightening proved more.
-No system holds a unit's interval rows, which those rows imply
-(`Store.normalize`).  So `lp_max` and `lp_min` require the objective to be
+So `lp_max` and `lp_min` require the objective to be
 bounded on the system; an unbounded direction (a ratio test with no
 leaving row) breaks that precondition and raises `SelfCheckFailed`, a
 fault, not a verdict.  Phase 1 is bounded by 0 on any system, so
@@ -73,11 +72,10 @@ tightening makes exactly such steps, and the old basis stays feasible
 through them: the row it adds, g^T v <= beta with beta the optimum just
 found, holds with equality at the optimal point, so its slack enters the
 basis at 0, or, when it reduces to one variable, it tightens that
-variable's bound to a value the point meets.  The row it retires is a
-unit's interval row, which was never in the system, or a derived row
-strictly looser than the new one, so its slack is positive at that point,
-hence basic, and its tableau row and slack column can go, or it was an
-implied row or a bound the point is strictly inside.  When either
+variable's bound to a value the point meets.  The row it retires, if
+any, is a derived row strictly looser than the new one, so its slack is
+positive at that point, hence basic, and its tableau row and slack column
+can go, or it was an implied row or a bound the point is strictly inside.  When either
 condition fails the LP starts cold.  Values and statuses do not depend on
 the start; dual multipliers of a degenerate optimum may.
 """

@@ -11,46 +11,47 @@ splits above the leaf, and the phases the phase splits above it commit.
 It accepts any rows that replay so, whatever the store held besides.
 It builds them in id order, each straight into its integer form
 (den, den a, den b), with no `Fraction` per coefficient: affine rows and
-the negated property,
-`-margin <= -(threshold + epsilon)` as a row over the outputs, from the
-problem, region rows from the scope's region, guard rows as row k of a
-phase's guard consequences (a guard row may commit only a phase the path
-commits), a stabilize row as row 0 of them, its phase equality, a unit's
-interval rows by interval arithmetic over the intervals that earlier rows
-prove for its sources, hull rows as row k of the envelope over the
-interval that earlier single-variable rows prove, and derived rows by
-checking their certificate over the rows built so far.  A row the checker
-cannot build, malformed or not following from the rows before it, is
-reported with its id at its leaf.  It then checks the leaf's certificates
-over those rows and verifies that split annotations cover each parent.
+the negated property, `-margin <= -(threshold + epsilon)` as a row over
+the outputs, from the problem, region rows from the scope's region, guard
+rows as row k of a phase's guard consequences (a guard row may commit only
+a phase the path commits), a stabilize row as row 0 of them, its phase
+equality, where the unit's interval fixes that sign, hull rows as row k of
+the envelope over the unit's interval, and derived rows by checking their
+certificate over the rows built so far.  A unit's interval is the scope's
+seed (below), tightened only by the single-variable rows on its
+pre-activation that come before the row read.  A row the checker cannot
+build, malformed or not following from the rows before it, is reported
+with its id at its leaf.  It then checks the leaf's certificates over
+those rows and verifies that split annotations cover each parent.
 
 Trust boundary.  Acceptance rests on rational identities alone.  The trust
 base is this module, `certs`, `rows` and `model`: none of them imports a
 solver module (`store`, `lp`, `propagate`, `gate`, `search`, `budget`,
 `cli`), and the exact checks are those of `certs`.  `check` builds every
-non-derived row itself.  It builds the region, interval and hull rows with
-its own code, not with the functions of `store` and `propagate` that make
-them, on purpose: a fault in how the solver writes those rows cannot vouch
-for itself.  A unit's affine row and a phase's rows are definitions, not
-derivations: it takes them, as the solver does, from `rows.affine_row`
-(over the unit's `Network.unit_weights`, the problem's weights and bias
-in integers) and `rows.guard_rows`, the one place that defines each.
-Its one rule beyond the rows' definitions is interval arithmetic: a unit's
-interval rows bound s = b + sum_k w_k src_k above or below over the
-interval that earlier rows prove for each source: an input's
-single-variable rows (its region rows); for z of the previous layer,
-[0, 0] after an inactive phase row of its unit and the interval of its s
-after an active one (a guard row's phase is committed on the path, a
-stabilize row's proved, so z = 0 or z = s there), else z's single-variable
-rows (hull rows 0 and 3).  A source with no such interval rejects the row.
-Intervals are kept in integers too, each end a pair (num, den).  From
-`rows` it takes besides only the row containers, in which a `NormRow` is a
-row's id and integer form (all that the checks of `certs` read), and the
-arithmetic of integer forms: `int_form` for the negated property and
-derived rows, `lowest_terms` and `equality`.  It builds each affine row
-once per unit and each phase's rows once per (unit, phase) per check.
-`certs.check_guarded`, the one cover check, adds a cover certificate's
-guard rows through `rows.guard_norm_rows`, built on the same definition.
+non-derived row itself.  It builds the region and hull rows, and the seed
+they read, with its own code, not with the functions of `store` and
+`propagate` that make them, on purpose: a fault in how the solver writes
+those rows cannot vouch for itself.  A unit's affine row and a phase's rows
+are definitions, not derivations: it takes them, as the solver does, from
+`rows.affine_row` (over the unit's `Network.unit_weights`, the problem's
+weights and bias in integers) and `rows.guard_rows`, the one place that
+defines each.  Its one rule beyond the rows' definitions is interval
+arithmetic, the seed of a leaf's scope: layer by layer from the scope's
+region, s = b + sum_k w_k src_k over each source's interval, an input's
+edge of the region or the previous layer's post-activation.  A
+post-activation is [0, 0] when inactive, [max(0, lo), hi] when active, and
+[0, max(0, hi)] otherwise; a unit is active or inactive when the path
+commits it, and else active when lo >= 0, inactive when hi <= 0.  The seed
+holds on every trace of the scope.  On an infeasible scope the intervals
+may cross, lo > hi, as the solver's do.  Intervals are kept in integers
+too, each end a pair (num, den).  From `rows` it takes besides only the
+row containers, in which a `NormRow` is a row's id and integer form (all
+that the checks of `certs` read), and the arithmetic of integer forms:
+`int_form` for the negated property and derived rows, `lowest_terms` and
+`equality`.  It builds each affine row once per unit and each phase's rows
+once per (unit, phase) per check.  `certs.check_guarded`, the one cover
+check, adds a cover certificate's guard rows through
+`rows.guard_norm_rows`, built on the same definition.
 
 Every leaf has one kind: a cover of guarded Farkas certificates over its
 rows, which contain the negated-property row.  A tree node may also carry
@@ -69,7 +70,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .certs import (
     DualBoundCertificate,
@@ -81,6 +82,7 @@ from .certs import (
 from .model import (
     ACTIVE,
     INACTIVE,
+    RELU,
     Network,
     Region,
     SafetyProperty,
@@ -103,7 +105,10 @@ from .rows import (
     lowest_terms,
 )
 
-FORMAT = "relucert-proof-8"
+FORMAT = "relucert-proof-9"
+
+#: the interval end 0, (num, den)
+_ZERO = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -282,21 +287,58 @@ class _Rejected(Exception):
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
-def _shown(bound) -> Fraction | None:
-    """An interval end (num, den), or None, as a rational for a reason."""
-    return None if bound is None else Fraction(*bound)
+def _seed(pb: _Problem, region: Region, alpha: dict) -> dict:
+    """The seed of the scope (`region`, phase commitments `alpha`): each
+    ReLU pre-activation's interval by the interval arithmetic of the module
+    docstring, keyed by its variable, each end (num, den) in lowest terms."""
+    prev = [((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+            for lo, hi in zip(region.lower, region.upper)]
+    seed = {}
+    for i, (layer, units) in enumerate(zip(pb.net.layers, pb.net.ints), start=1):
+        if layer.activation != RELU:
+            break  # the identity output layer, the last
+        nxt = []
+        for j, (den, weights, b) in enumerate(units):
+            # den s = den b + sum_k den w_k src_k over the common denominator
+            # m of the ends read: src_k's upper end for the upper end of s
+            # where w_k > 0, its lower end where w_k < 0
+            m = 1
+            terms = []
+            for w, (l, h) in zip(weights, prev):
+                if w:
+                    if w < 0:
+                        l, h = h, l
+                    m = lcm(m, l[1], h[1])
+                    terms.append((w, l, h))
+            lo = hi = b * m
+            for w, (ln, ld), (hn, hd) in terms:
+                lo += w * ln * (m // ld)
+                hi += w * hn * (m // hd)
+            d = den * m
+            g, h = gcd(lo, d), gcd(hi, d)
+            lo, hi = (lo // g, d // g), (hi // h, d // h)
+            seed[pb.layout.pre_index((i, j))] = (lo, hi)
+            phase = alpha.get((i, j))
+            if phase == INACTIVE or phase is None and lo[0] < 0 and hi[0] <= 0:
+                lo = hi = _ZERO
+            elif lo[0] < 0:
+                lo = _ZERO  # max(0, lo) when active, else lo < 0 < hi
+            nxt.append((lo, hi))
+        prev = nxt
+    return seed
 
 
 def _hull_row(pb: _Problem, unit, k, interval: dict) -> list[IntForm]:
-    """Row k of the convex envelope of z = relu(s) over the interval that
-    earlier rows prove for s."""
+    """Row k of the convex envelope of z = relu(s) over the unit's
+    interval."""
     s = pb.layout.pre_index(unit)
     z = pb.layout.post_index(unit)
     if s == z:
         raise _Rejected(f"hull row for {unit}, which is not a ReLU unit")
-    lo, hi = interval.get(s, (None, None))
-    if lo is None or hi is None or not lo[0] < 0 < hi[0]:
-        raise _Rejected(f"certified bounds [{_shown(lo)}, {_shown(hi)}] do not straddle zero")
+    lo, hi = interval[s]
+    if not lo[0] < 0 < hi[0]:
+        raise _Rejected(f"certified bounds [{Fraction(*lo)}, {Fraction(*hi)}] "
+                        "do not straddle zero")
     if _json_int(k) not in range(4):
         raise _Rejected(f"no hull row {k!r}")
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
@@ -311,54 +353,15 @@ def _hull_row(pb: _Problem, unit, k, interval: dict) -> list[IntForm]:
     return [lowest_terms(hi_d, {z: hi_d}, hi_n)]
 
 
-def _interval_row(pb: _Problem, unit, side, interval: dict, phases: set) -> list[IntForm]:
-    """The upper ("up") or lower ("lo") interval-arithmetic bound on the
-    unit's pre-activation, by the rule of the module docstring."""
-    if unit not in pb.relu_units:
-        raise _Rejected(f"interval row for {unit}, which is not a ReLU unit")
-    if side not in ("up", "lo"):
-        raise _Rejected(f"no interval side {side!r}")
-    i, j = unit
-    up = side == "up"
-    den, weights, total = pb.net.unit_weights(unit)
-    ends = []  # (den w_k, (num, den) of the end of src_k's interval it reads)
-    for k, w in enumerate(weights):
-        src = (i - 1, k)
-        if w == 0 or (src, INACTIVE) in phases:
-            continue  # no term, or z = 0
-        if i == 1:
-            var = pb.layout.input_index(k)
-        elif (src, ACTIVE) in phases:
-            var = pb.layout.pre_index(src)  # z = s
-        else:
-            var = pb.layout.post_index(src)
-        lo, hi = interval.get(var, (None, None))
-        if lo is None or hi is None:
-            raise _Rejected(f"no certified interval [{_shown(lo)}, {_shown(hi)}] "
-                            f"for source {k} of {unit}")
-        ends.append((w, hi if (w > 0) == up else lo))
-    # den s <= den b + sum_k den w_k end_k, over the ends' common denominator
-    m = lcm(*(d for _, (_, d) in ends))
-    total *= m
-    for w, (n, d) in ends:
-        total += w * n * (m // d)
-    s = pb.layout.pre_index(unit)
-    if up:
-        return [lowest_terms(den * m, {s: den * m}, total)]
-    return [lowest_terms(den * m, {s: -den * m}, -total)]
-
-
 def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
-                        system: NormalizedSystem, interval: dict,
-                        phases: set) -> list[IntForm]:
+                        system: NormalizedSystem, interval: dict) -> list[IntForm]:
     """The integer forms of the row that r's derivation yields, one side or
     an equality's two; raises `_Rejected` when the derivation does not
     hold, and one of `_MALFORMED` when it is malformed.
 
-    `system` holds the rows of smaller id, all built before this one,
-    `interval` maps a variable to the tightest (lo, hi) they prove, each a
-    pair (num, den) with den > 0 or None, and `phases` holds the
-    (unit, phase) of each guard and stabilize row among them."""
+    `system` holds the rows of smaller id, all built before this one, and
+    `interval` maps each ReLU pre-activation to its seed as they tighten
+    it, (lo, hi), each a pair (num, den) with den > 0."""
     tag = r["derivation"]
     kind = tag[0]
     if kind == "aff":
@@ -397,34 +400,32 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
         _, unit, phase = tag
         unit = _unit(unit)
         rows = pb.phase_rows(unit, phase)[0]
-        lo, hi = interval.get(pb.layout.pre_index(unit), (None, None))
-        if phase == ACTIVE and (lo is None or lo[0] < 0) or \
-                phase == INACTIVE and (hi is None or hi[0] > 0):
-            raise _Rejected(f"certified bounds [{_shown(lo)}, {_shown(hi)}] "
+        lo, hi = interval[pb.layout.pre_index(unit)]
+        if phase == ACTIVE and lo[0] < 0 or phase == INACTIVE and hi[0] > 0:
+            raise _Rejected(f"certified bounds [{Fraction(*lo)}, {Fraction(*hi)}] "
                             f"do not fix the {phase} sign")
         return rows
     if kind == "hull":
         _, unit, k = tag
         return _hull_row(pb, _unit(unit), k, interval)
-    if kind == "interval":
-        _, unit, side = tag
-        return _interval_row(pb, _unit(unit), side, interval, phases)
     raise _Rejected(f"unknown derivation kind {kind}")
 
 
 def _tighten(interval: dict, form: IntForm) -> None:
-    """Record the bound that a single-variable row a x <= b states on x in
-    `interval`, where it is tighter: x <= b/a for a > 0, x >= -b/-a for
-    a < 0."""
+    """Record the bound that a single-variable row a x <= b states on a
+    ReLU pre-activation x in `interval`, where it is tighter: x <= b/a for
+    a > 0, x >= -b/-a for a < 0."""
     _, coeffs, b = form
     if len(coeffs) != 1:
         return
     (j, a), = coeffs.items()
-    lo, hi = interval.get(j, (None, None))
+    if j not in interval:
+        return
+    lo, hi = interval[j]
     if a > 0:
-        if hi is None or b * hi[1] < hi[0] * a:
+        if b * hi[1] < hi[0] * a:
             interval[j] = (lo, (b, a))
-    elif lo is None or b * lo[1] < lo[0] * a:
+    elif b * lo[1] < lo[0] * a:
         interval[j] = ((-b, -a), hi)
 
 
@@ -442,12 +443,11 @@ def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tu
         if a["id"] == b["id"]:
             return f"duplicate row id {a['id']}", None
     system = NormalizedSystem([], pb.layout.n_vars)
-    interval: dict[int, tuple] = {}
-    phases = set()
+    interval = _seed(pb, region, alpha)
     for r in rows:
         cid = r["id"]
         try:
-            forms = _check_snapshot_row(pb, r, region, system, interval, phases)
+            forms = _check_snapshot_row(pb, r, region, system, interval)
         except _Rejected as exc:
             return f"row {cid}: {exc}", None
         except _MALFORMED as exc:
@@ -458,9 +458,6 @@ def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tu
             unit, phase = _unit(tag[1:3]), tag[3]
             if alpha.get(unit) != phase:
                 return f"row {cid}: guard row for uncommitted phase {unit}:{phase}", None
-            phases.add((unit, phase))
-        elif tag[0] == "stabilize":
-            phases.add((_unit(tag[1]), tag[2]))
         if len(forms) == 1:
             _tighten(interval, forms[0])
     return None, system

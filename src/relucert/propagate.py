@@ -1,28 +1,24 @@
 """Certificate-driven node propagation.
 
-One fixed-point pass interleaves: bound-row installation (two rows per
-unit that state its interval, the store's seed by `store.interval_bounds`
-over the node's scope, and that the checker rebuilds from their tag by the
-same sum; no LP reads them, since the rows it does read imply them
-(`Store.normalize`), and on an infeasible scope, where an interval may be
-crossed, those rows refute the node), hull insertion for unstable units, a
-back-substitution of the negated property through those rows that prunes
-with a Farkas certificate and no LP (the search reads its multipliers on
-the hull chords to choose a phase split), LP tightening of the unstable
-units' pre-activations with dual certificates (the only derived rows),
-stabilization of units whose bound rows fix their sign (the unit's phase
-equality replaces its hull rows; the bound row stays and states the sign),
-and one closing LP that prunes with a Farkas certificate or leaves the
-node open at a point of its rows.  Below the root the closing LP maximizes
-the margin without the negated property, which also proves the margin
-bound the node's leaf records.  One function, `_margin_lp`, makes every
-such bound LP: a node below the root that back-substitution or a TGCT LP
+One fixed-point pass interleaves: hull insertion for unstable units over
+their interval, the store's seed by `store.interval_bounds` over the node's
+scope as derived rows tighten it, a back-substitution of the negated
+property through those rows that prunes with a Farkas certificate and no
+LP (the search reads its multipliers on the hull chords to choose a phase
+split), LP tightening of the unstable units' pre-activations with dual
+certificates (the only derived rows), stabilization of units whose interval
+fixes their sign (the unit's phase equality replaces its hull rows), and
+one closing LP that prunes with a Farkas certificate or leaves the node
+open at a point of its rows.  Below the root the closing LP maximizes the
+margin without the negated property, which also proves the margin bound
+the node's leaf records.  One function, `_margin_lp`, makes every such
+bound LP: a node below the root that back-substitution or a TGCT LP
 refutes first makes it for its bound alone.  The root therefore makes no
 LP when back-substitution refutes it; a node below the root makes at least
 the one LP that proves its bound.
 
-Every row is built straight into its integer form (`rows`): an interval
-row from its bound, the hull chord over the common denominator of its
+Every row is built straight into its integer form (`rows`): a derived row
+from its bound, the hull chord over the common denominator of its
 interval's ends.  Back-substitution sums integer rows over one common
 denominator too, and makes a `Fraction` only for each multiplier it
 records.
@@ -39,7 +35,7 @@ from . import certs as certmod
 from . import lp
 from .budget import Budget, Exhausted
 from .certs import DualBoundCertificate, FarkasCertificate
-from .model import ACTIVE, INACTIVE, RELU, Unit
+from .model import ACTIVE, INACTIVE, Unit
 from .rows import GuardLiteral, RowId, guard_rows, lowest_terms
 from .store import Store, bound_form
 
@@ -74,8 +70,8 @@ class PropagationResult:
 def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     """Replace the unit's relaxation by its exact linear specialization: the
     phase equality a guard on the phase would add, `z = s` or `z = 0`.  The
-    guard's sign row is not written: the unit's active bound row, of
-    smaller id, proves the sign and stays in the store."""
+    guard's sign row is not written: the unit's interval, its seed or a
+    derived row of smaller id, proves the sign."""
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
@@ -111,47 +107,22 @@ def hull_insert(store: Store, unit: Unit) -> list[int]:
     return ids
 
 
-def _install_bound_rows(store: Store, unit: Unit) -> None:
-    """Write the unit's interval, the store's seed `bounds.pre[unit]`, as
-    two rows `("interval", unit, "up" | "lo")`, in the first sweep, before
-    any row tightens the seed.  The seed is interval arithmetic
-    (`store.interval_bounds`) over the intervals that the rows before these
-    prove for the unit's sources, so the checker rebuilds the rows from
-    their tag by the same sum: an input's box rows; for z of the previous
-    layer, [0, 0] when inactive, [max(0, lo), hi] of its s when active
-    (z = s and s >= 0), else hull rows 0 and 3, [0, hi].  The rows are
-    implied by those others and stay out of every LP (`Store.normalize`).
-    On an infeasible scope the interval may be crossed, lo > hi; the rows
-    that imply it then refute the node."""
-    lower, upper = store.bounds.pre[unit]
-    s = store.layout.pre_index(unit)
-    store.bound_rows[unit] = (
-        store.add(("interval", unit, "up"), [bound_form(s, 1, upper)]),
-        store.add(("interval", unit, "lo"), [bound_form(s, -1, -lower)]))
-
-
 def ensure_relaxation(store: Store) -> list[tuple[Unit, str]]:
-    """Layer-order sweep installing bound rows and relaxation rows.
+    """Layer-order sweep over the ReLU units, the keys of `bounds.pre`,
+    installing relaxation rows.
 
     On later passes only refreshes hull rows whose bounds were tightened.
     """
     stab: list[tuple[Unit, str]] = []
-    for i, layer in enumerate(store.net.layers, start=1):
-        if layer.activation != RELU:
+    for unit, bounds in store.bounds.pre.items():
+        if unit in store.phases:
             continue
-        for j in range(len(layer.weights)):
-            unit = (i, j)
-            if unit not in store.bound_rows:
-                _install_bound_rows(store, unit)
-            lo, hi = store.bounds.pre[unit]
-            if unit in store.phases:
-                continue
-            settled = _stabilize_settled(store, unit)
-            if settled is not None:
-                stab.append(settled)
-            elif store.hull_bounds.get(unit) != (lo, hi):
-                hull_insert(store, unit)
-                store.unstable.add(unit)
+        settled = _stabilize_settled(store, unit)
+        if settled is not None:
+            stab.append(settled)
+        elif store.hull_bounds.get(unit) != bounds:
+            hull_insert(store, unit)
+            store.unstable.add(unit)
     return stab
 
 
@@ -278,11 +249,10 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     """Template-guided certified tightening: maximize, then minimize, each
     unit's pre-activation over the store's rows.  A strictly tighter optimum
     becomes a derived row, backed by the dual certificate the LP engine has
-    checked; it tightens the unit's interval and retires the bound row it
-    supersedes, an interval row, which no LP reads, or a looser derived
-    row.  Short-circuits with a Farkas certificate if a solve reports
-    infeasibility; raises `Exhausted` if the LP budget is spent or an LP
-    hits its iteration limit.  The unit's affine row bounds its
+    checked; it tightens the unit's interval and retires the looser derived
+    row it supersedes, if any.  Short-circuits with a Farkas certificate if
+    a solve reports infeasibility; raises `Exhausted` if the LP budget is
+    spent or an LP hits its iteration limit.  The unit's affine row bounds its
     pre-activation through its bounded sources, so every feasible LP here
     has an optimum.
 
@@ -309,15 +279,14 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
                 continue
             cid = store.add(("derived", DualBoundCertificate.make(g, out.value, out.dual)),
                             [bound_form(s, 1 if upper else -1, out.value)])
-            up_cid, lo_cid = store.bound_rows[unit]
             if upper:
                 store.bounds.tighten(unit, hi=out.value)
-                store.retire(up_cid)  # superseded; stays resolvable for proof export
-                store.bound_rows[unit] = (cid, lo_cid)
             else:
                 store.bounds.tighten(unit, lo=-out.value)
-                store.retire(lo_cid)
-                store.bound_rows[unit] = (up_cid, cid)
+            old = store.bound_rows.get((unit, upper))
+            if old is not None:
+                store.retire(old)  # superseded; stays resolvable for proof export
+            store.bound_rows[unit, upper] = cid
             res.rows_added += 1
     return res
 

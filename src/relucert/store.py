@@ -9,22 +9,18 @@ ids, and no row is mutated once built.
 
 Every row carries a `derivation` tag from which an independent checker
 rebuilds it: base rows from the problem and the region, guard rows as row k
-of a phase's guard consequences, a unit's two interval rows by interval
-arithmetic over the intervals that earlier rows prove for its sources, hull
-rows as row k of the envelope over the interval that the bound rows before
-them prove.  A committed phase adds both guard rows; a stabilized unit adds
-only a `stabilize` row, row 0 of them, its phase equality, since its bound
-row already proves the sign that row 1 would state.  A proof records such a
-row by its tag alone.  A derived row, a bound an LP proved, is the one kind
-the tag does not determine: the proof records the row, and its tag carries
-the dual certificate that proves it.  A proof leaf keeps only the rows its
-certificates reach, `Store.cone`, by the same rule by which the checker
-rebuilds them.
-
-The proof needs a unit's interval rows; no LP does.  The rows an LP reads,
-`Store.normalize`, leave them out: each is a nonnegative combination of
-rows the LP keeps, so its answer is the same without them.  Hull rows,
-stabilization, `Store.cone` and the checker read them in the store.
+of a phase's guard consequences, hull rows as row k of the envelope over
+the unit's interval at their id.  A committed phase adds both guard rows; a
+stabilized unit adds only a `stabilize` row, row 0 of them, its phase
+equality, since its interval already proves the sign that row 1 would
+state.  A unit's interval starts at the seed of the node's scope,
+`interval_bounds`, which `check` recomputes for a leaf's scope with its own
+code, and only the derived rows on its pre-activation tighten it.  A proof
+records such a row by its tag alone.  A derived row, a bound an LP proved,
+is the one kind the tag does not determine: the proof records the row, and
+its tag carries the dual certificate that proves it.  A proof leaf keeps
+only the rows its certificates reach, `Store.cone`, by the same rule by
+which the checker rebuilds them.
 
 One map, `Store.phases`, holds the phase of each committed or stabilized
 unit, and `Store.phase_ids` the id of its phase equality, z = s or z = 0;
@@ -87,7 +83,7 @@ class StoreRow(NamedTuple):
     @property
     def block(self) -> str:
         """The row's block, named by its derivation kind; every other kind
-        (interval, hull, stabilize, derived) is a relaxation row, REL."""
+        (hull, stabilize, derived) is a relaxation row, REL."""
         kind = self.derivation[0]
         return kind if kind in (AFF, REGION, NEGP, GUARD) else REL
 
@@ -145,9 +141,8 @@ class ProblemRows:
 @dataclass
 class BoundsMap:
     """Per pre-activation interval [l, u]: the `interval_bounds` seed of
-    the node's scope, which its interval rows state, tightened by derived
-    rows and never widened.  On an infeasible scope the seed may be
-    crossed, l > u."""
+    the node's scope, tightened by derived rows and never widened.  On an
+    infeasible scope the seed may be crossed, l > u."""
 
     pre: dict[Unit, tuple[Fraction, Fraction]] = field(default_factory=dict)
 
@@ -181,7 +176,8 @@ class Store:
         self.bounds = BoundsMap()
         self.unstable: set[Unit] = set()
         # per-unit bookkeeping for certificate construction
-        self.bound_rows: dict[Unit, tuple[int, int]] = {}   # (upper cid, lower cid)
+        # (unit, upper) -> id of the derived row that bounds that side now
+        self.bound_rows: dict[tuple[Unit, bool], int] = {}
         self.hull_ids: dict[Unit, list[int]] = {}
         self.hull_bounds: dict[Unit, tuple[Fraction, Fraction]] = {}
         self.aff_ids: dict[Unit, int] = {}
@@ -201,9 +197,7 @@ class Store:
 
     def retire(self, cid: int):
         """Exclude a row from future LPs; it stays resolvable, and a proof
-        leaf whose certificates reach it keeps it.  An `interval` row is in
-        no LP, so retiring one changes no LP; it marks the row superseded
-        by a derived row."""
+        leaf whose certificates reach it keeps it."""
         self.retired.add(cid)
 
     # -- views ------------------------------------------------------------
@@ -212,22 +206,14 @@ class Store:
         return [(cid, c) for cid, c in self.constraints.items() if cid not in self.retired]
 
     def normalize(self, exclude: Callable[[int, StoreRow], bool] | None = None) -> NormalizedSystem:
-        """Inequality form of the active rows but the `interval` rows, and
-        but those `exclude` names, in insertion order with an equality's two
-        sides adjacent: the system every LP of the node solves.  The rows
-        are those `add` built, the same objects on every call.  A unit's
-        interval row is interval arithmetic over source ends that rows kept
-        state: box rows for an input; hull rows 0 and 3 for an unstable
-        source; for a committed or stabilized one its phase equality and
-        its sign row or a bound the kept rows imply.  So, by induction over
-        layers, it is a nonnegative combination of the rows kept: leaving
-        it out moves no feasible set, optimum or status, and a certificate
-        over the rows kept is one over the store."""
+        """Inequality form of the active rows but those `exclude` names, in
+        insertion order with an equality's two sides adjacent: the system
+        every LP of the node solves.  The rows are those `add` built, the
+        same objects on every call."""
         rows: list[NormRow] = []
         for cid, c in self.active_constraints():
-            if c.derivation[0] == "interval" or exclude is not None and exclude(cid, c):
-                continue
-            rows.extend(c.sides)
+            if exclude is None or not exclude(cid, c):
+                rows.extend(c.sides)
         return NormalizedSystem(rows, self.layout.n_vars)
 
     def without_negp(self) -> NormalizedSystem:
@@ -247,67 +233,35 @@ class Store:
     def cone(self, rids: Iterable[RowId]) -> list[tuple[int, StoreRow]]:
         """The rows that the rows named in `rids` rest on, transitively and
         them included, as (id, constraint) in id order, retired rows too.
-        A derived row rests on the rows its certificate cites.  A hull,
-        `stabilize` or `interval` row rests on the rows that give its
-        variables their interval at its id: on each side it reads, the
-        tightest single-variable row of smaller id.  An interval row also
-        rests on the phase row, guard or `stabilize`, of smaller id that
-        fixes a source's phase, its `phase_ids` entry.  This is the rule by
-        which `check` rebuilds those rows, so it rebuilds each row of the
-        cone as the store holds it.  One pass in id order finds what each
-        row rests on, and one pass back collects the cone."""
-        layout = self.layout
+        A derived row rests on the rows its certificate cites.  A hull or
+        `stabilize` row rests on the rows that tighten its unit's
+        pre-activation s beyond the seed of the scope by its id: on each
+        end of s's interval it reads, the tightest single-variable row on s
+        of smaller id, if any.  The chord, hull row 2, reads both ends and
+        hull row 3 the upper one; rows 0 and 1 read none, since the seed,
+        which contains the interval, straddles zero as the interval does.  A
+        `stabilize` row reads the end that fixes its sign, and where the
+        seed fixes it, rests on no row.  This is the rule by which `check`
+        rebuilds those rows, so it rebuilds each row of the cone as the
+        store holds it.  One pass in id order finds what each row rests on,
+        and one pass back collects the cone."""
         reads: dict[int, list[int]] = {}
         # per variable, (num, den, id) of its tightest bound row so far:
         # x <= num/den in `upper`, x >= num/den in `lower`, den > 0
         upper: dict[int, tuple[int, int, int]] = {}
         lower: dict[int, tuple[int, int, int]] = {}
-
-        def interval(out: list[int], var: int):
-            for side in (lower, upper):
-                if var in side:
-                    out.append(side[var][2])
-
-        def sources(unit, cid: int) -> list[int]:
-            i, j = unit
-            out = []
-            for k, w in enumerate(self.net.unit_weights(unit)[1]):
-                if not w:
-                    continue
-                if i == 1:
-                    interval(out, layout.input_index(k))
-                    continue
-                # the source's phase, where its phase row comes before
-                pid = self.phase_ids.get((i - 1, k))
-                phase = None
-                if pid is not None and pid < cid:
-                    phase = self.phases[(i - 1, k)]
-                    out.append(pid)
-                if phase == ACTIVE:
-                    interval(out, layout.pre_index((i - 1, k)))
-                elif phase is None:
-                    interval(out, layout.post_index((i - 1, k)))
-            return out
-
         for cid, c in self.constraints.items():
             tag = c.derivation
             kind = tag[0]
-            if kind == "interval":
-                # a unit's two interval rows are adjacent, and the first
-                # bounds none of the sources the second reads
-                prev = self.constraints.get(cid - 1)
-                if prev is not None and prev.derivation[:2] == tag[:2]:
-                    reads[cid] = reads[cid - 1]
-                else:
-                    reads[cid] = sources(tag[1], cid)
-            elif kind == "derived":
+            if kind == "derived":
                 reads[cid] = [rid[1] for rid, _ in tag[1].multipliers if rid[0] == "c"]
-            elif kind == "hull":
-                reads[cid] = []
-                interval(reads[cid], layout.pre_index(tag[1]))
-            elif kind == "stabilize":
-                side = lower if tag[2] == ACTIVE else upper
-                reads[cid] = [side[layout.pre_index(tag[1])][2]]
+            elif kind in ("hull", "stabilize"):
+                s = self.layout.pre_index(tag[1])
+                if kind == "hull":
+                    sides = ((), (), (upper, lower), (upper,))[tag[2]]
+                else:
+                    sides = (lower,) if tag[2] == ACTIVE else (upper,)
+                reads[cid] = [side[s][2] for side in sides if s in side]
             _, coeffs, b = c.sides[0].ints
             if len(c.sides) == 1 and len(coeffs) == 1:
                 (j, a), = coeffs.items()
@@ -340,9 +294,9 @@ def interval_bounds(net: Network, region: Region,
     """Exact interval arithmetic through the box, phase commitments applied
     to post-activation ranges, over the units' `Network.unit_weights`.
     This is the one place the solver sums a unit's interval: a node's store
-    is seeded with it and propagation writes each ReLU unit's interval rows
-    from that seed, by the rule `check` rebuilds them with.  The
-    post-activation of a source is [0, 0] when inactive, [max(0, lo), hi]
+    is seeded with it, and `check` starts each ReLU pre-activation of a leaf
+    at the same seed of the leaf's scope, which it sums with its own code.
+    The post-activation of a source is [0, 0] when inactive, [max(0, lo), hi]
     when active (z = s and s >= 0), else [0, max(0, hi)].  A scope that commits a unit to a
     phase its interval excludes is infeasible, and the intervals after it
     may be crossed, lo > hi."""
@@ -376,7 +330,7 @@ def build_initial_store(net: Network, layout: VariableLayout, region: Region,
     consequences of alpha.  The affine rows and the negated property are
     those of `shared`, the run's `ProblemRows`, or built afresh without
     it.  `bounds.pre` is seeded with `interval_bounds` of the scope, and
-    propagation writes the interval rows and relaxation rows from it."""
+    propagation writes the relaxation rows from it."""
     store = Store(net, layout, region, prop, alpha, shared)
     shared = store.shared
     store.constraints.update(enumerate(shared.affine))

@@ -108,15 +108,6 @@ def norm_row(row, rhs, rid):
     return NormRow(rid, int_form(dict(row), rhs))
 
 
-def active_rows(store):
-    """The system of every side of the store's active rows, its interval
-    rows included: the rows an LP reads and the rows it leaves out."""
-    from relucert.rows import NormalizedSystem
-
-    return NormalizedSystem([r for _, c in store.active_constraints() for r in c.sides],
-                            store.layout.n_vars)
-
-
 def rational_row(r):
     """A normalized row's a (its nonzeros) and b as rationals."""
     den, coeffs, b = r.ints

@@ -215,14 +215,16 @@ class TestCheck:
         proof = tmp_path / "out.proof"
         _run(capsys, "verify", WORKED, "--emit-proof", str(proof))
         doc = json.loads(proof.read_text())
-        # every interval row now bounds its unit from below: no row proves
-        # the upper end of the interval a hull row needs
-        for row in doc["tree"]["rows"]:
-            if row["derivation"][0] == "interval":
-                row["derivation"][2] = "lo"
+        # the hull chord the cover cites retagged as hull row 3, z <= hi:
+        # the cover's multipliers no longer cancel over the rows rebuilt
+        chords = [row for row in doc["tree"]["rows"] if row["derivation"][0] == "hull"
+                  and row["derivation"][2] == 2]
+        assert chords
+        for row in chords:
+            row["derivation"][2] = 3
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         code, out, _ = _run(capsys, "check", WORKED, str(proof))
-        assert code == 1 and "REJECT path=" in out
+        assert code == 1 and "REJECT path=tree " in out, out
 
     def test_general_margin_proof_round_trips(self, capsys, tmp_path):
         # outputs y0 = relu(2x-1) - relu(1/2-x) and y1 = relu(1/2-x); the
@@ -259,6 +261,31 @@ class TestCheck:
         proof.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         run = _cli_o("check", WORKED, str(proof))
         assert run.returncode == 1 and run.stdout.startswith("REJECT path=tree "), run
+
+    def test_proof_8_document_and_interval_row_rejected_under_python_o(self, tmp_path):
+        """`relucert-proof-8` wrote each unit's interval as two `interval`
+        rows.  Under `python -O` a document of that format is a REJECT at
+        `document`, and an `interval` row in a current document a REJECT of
+        that row at its leaf, as an unknown derivation kind; neither
+        raises."""
+        proof = tmp_path / "out.proof"
+        run = _cli_o("verify", WORKED, "--emit-proof", str(proof))
+        assert run.returncode == EXIT_UNSAT, run
+        doc = json.loads(proof.read_text())
+        assert doc["format"] == "relucert-proof-9"
+        old = tmp_path / "old.proof"
+        old.write_text(json.dumps({**doc, "format": "relucert-proof-8"}))
+        run = _cli_o("check", WORKED, str(old))
+        assert run.returncode == 1 and run.stdout.startswith("REJECT path=document "), run
+        assert not run.stderr, run
+        ids = {row["id"] for row in doc["tree"]["rows"]}
+        free = min(set(range(max(ids))) - ids)
+        doc["tree"]["rows"].append({"id": free, "derivation": ["interval", [1, 0], "up"]})
+        proof.write_text(json.dumps(doc))
+        run = _cli_o("check", WORKED, str(proof))
+        assert run.returncode == 1 and run.stdout.strip() == (
+            f"REJECT path=tree reason=rows: row {free}: unknown derivation kind interval"), run
+        assert not run.stderr, run
 
     def test_witness_at_the_violation_threshold_under_python_o(self, tmp_path):
         """The witness check is exact under `python -O` too.  On the box of

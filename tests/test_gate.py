@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
-    active_rows,
     layout_of,
     random_instance,
     worked_network,
@@ -316,7 +315,7 @@ class TestGateReadsTheStore:
                 assert not cids & set().union(*(hull[u] for u in subset)), subset
                 seen["other hulls"] += any(cids & c for u, c in hull.items() if u not in subset)
             for cert in out.certificates:
-                assert certs.check_guarded(active_rows(store), store.layout, cert).ok
+                assert certs.check_guarded(store.normalize(), store.layout, cert).ok
             seen["refined"] += out.status == PRUNE and out.refinements > 0
             seen["exact start"] += out.status == PRUNE and bool(start)
             return out

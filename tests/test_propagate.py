@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
-    active_rows,
     layout_of,
     random_instance,
     rational_row,
@@ -13,9 +14,20 @@ from conftest import (
     worked_prop,
     worked_region,
 )
-from relucert import certs, lp, propagate
+from relucert import certs, lp, prooflog, propagate
 from relucert.budget import Budget, Exhausted
-from relucert.model import ACTIVE, INACTIVE, build_layout, forward_eval
+from relucert.model import (
+    ACTIVE,
+    IDENTITY,
+    INACTIVE,
+    RELU,
+    Layer,
+    Network,
+    Region,
+    SafetyProperty,
+    build_layout,
+    forward_eval,
+)
 from relucert.propagate import (
     NotUnstable,
     back_substitute,
@@ -26,7 +38,7 @@ from relucert.propagate import (
     tgct,
 )
 from relucert.rows import GuardLiteral, guard_rows
-from relucert.store import NEGP, build_initial_store, interval_bounds
+from relucert.store import build_initial_store, interval_bounds
 
 
 def _store(threshold="1", alpha=None, region=None):
@@ -48,36 +60,80 @@ def _certificates_since(store, start):
             if store.constraints[cid].derivation[0] == "derived"]
 
 
-def _bound_rows(store, unit):
-    """The unit's (upper, lower) bound rows, each its one side."""
-    return tuple(store.constraints[cid].sides[0] for cid in store.bound_rows[unit])
-
-
 def _holds(r, point):
     """The normalized row holds at the point."""
     _, coeffs, b = r.ints
     return sum((a * point.get(j, F(0)) for j, a in coeffs.items()), F(0)) <= b
 
 
-def _check_interval_rows(net, region, prop, alpha):
-    """Build the store of the scope and install its relaxation; each unit's
-    interval rows state its `interval_bounds` seed, and hold on every trace
-    of the box that agrees with `alpha`.  Returns the store."""
+def _check_seed(net, region, prop, alpha, points):
+    """The store of the scope, relaxed; its bounds, the solver's seed
+    `interval_bounds` and the seed `check` sums for the same scope, each
+    end (num, den) in lowest terms, are one interval per ReLU unit, which
+    holds on each of the box's `points` whose trace agrees with `alpha`.
+    Returns the store."""
     store = build_initial_store(net, build_layout(net, prop), region, prop, alpha)
     ensure_relaxation(store)
-    seed = interval_bounds(net, region, alpha)
+    seed = {u: interval_bounds(net, region, alpha)[u] for u in net.hidden_units}
+    assert store.bounds.pre == seed
     pre = store.layout.pre_index
-    points = [trace_vector(net, store.layout, tuple(
-        lo + (hi - lo) * F(t, 4) for lo, hi in zip(region.lower, region.upper)))
-        for t in range(5)]
-    points = [p for p in points if all(
-        p[pre(u)] >= 0 if phase == ACTIVE else p[pre(u)] <= 0 for u, phase in alpha.items())]
-    for unit in store.bound_rows:
-        up, low = _bound_rows(store, unit)
-        assert (-low.rhs, up.rhs) == seed[unit] == store.bounds.pre[unit]
-        for point in points:
-            assert _holds(up, point) and _holds(low, point)
+    assert prooflog._seed(prooflog._Problem(net, region, prop), region, alpha) == {
+        pre(u): ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+        for u, (lo, hi) in seed.items()}
+    for x in points:
+        point = trace_vector(net, store.layout, x)
+        if all(point[pre(u)] >= 0 if phase == ACTIVE else point[pre(u)] <= 0
+               for u, phase in alpha.items()):
+            for unit, (lo, hi) in seed.items():
+                assert lo <= point[pre(unit)] <= hi, (unit, x)
     return store
+
+
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_width = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=12))
+
+
+@st.composite
+def _scopes(draw):
+    """(net, region, alpha, points): 1-3 inputs, 1-3 hidden ReLU layers of
+    1-3 units and an identity output, about a third of the weight rows all
+    zero; a box whose edges may have zero width; phases committed on a
+    random subset of the units, which may contradict a unit's interval;
+    and the box's vertices (up to 8) and points inside it."""
+    nin = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    layers, prev = [], nin
+    for width in widths + [1]:
+        zero = tuple(F(0) for _ in range(prev))
+        rows = tuple(draw(st.sampled_from((True, False, False)).flatmap(
+            lambda z: st.just(zero) if z else st.tuples(*[_coeff] * prev))) for _ in range(width))
+        bias = tuple(draw(_coeff) for _ in range(width))
+        layers.append(Layer(rows, bias, RELU if len(layers) < len(widths) else IDENTITY))
+        prev = width
+    net = Network(tuple(layers), nin, 1)
+    lo = tuple(draw(_coeff) for _ in range(nin))
+    hi = tuple(v + draw(_width) for v in lo)
+    units = net.hidden_units
+    alpha = {u: draw(st.sampled_from((ACTIVE, INACTIVE)))
+             for u in draw(st.lists(st.sampled_from(units), unique=True))}
+    vertices = [tuple(hi[k] if m >> k & 1 else lo[k] for k in range(nin))
+                for m in range(1 << nin)]
+    inside = [tuple(a + t * (b - a) for a, b, t in zip(lo, hi, ts)) for ts in draw(
+        st.lists(st.tuples(*[st.fractions(0, 1, max_denominator=8)] * nin), max_size=3))]
+    return net, Region(lo, hi), alpha, vertices + inside
+
+
+def _chain(*biases):
+    """A chain of one-unit ReLU layers s_i = z_{i-1} + b_i over x in [0, 1],
+    with an identity output."""
+    layers = [Layer(((F(1),),), (F(b),), RELU) for b in biases]
+    return Network(tuple(layers) + (Layer(((F(1),),), (F(0),), IDENTITY),), 1, 1)
+
+
+#: (1, 0) committed active over s in [-2, -1] gives z the crossed [0, -1];
+#: (2, 0), uncommitted, then has s in [1, 0], both lo >= 0 and hi <= 0,
+#: which the seed reads as active (lo >= 0 first), so (3, 0) has [1, 0]
+_CROSSED_TIE = (_chain(-2, 1, 0), Region((F(0),), (F(1),)), {(1, 0): ACTIVE}, [(F(0),), (F(1),)])
 
 
 class TestHullInsertion:
@@ -116,41 +172,29 @@ class TestHullInsertion:
 
 
 class TestBoundRows:
-    """A unit's bound rows are two interval rows, tagged with the unit and
-    side and carrying no certificate: `s <= hi` and `-s <= -lo`."""
-
-    def test_bound_rows_are_tagged_interval_rows(self):
-        store = _store()
-        ensure_relaxation(store)
-        for unit, (lo, hi) in (((1, 0), (F(-1), F(1))), ((1, 1), (F(-1, 2), F(1, 2)))):
-            s = store.layout.pre_index(unit)
-            up_cid, lo_cid = store.bound_rows[unit]
-            up, low = store.constraints[up_cid], store.constraints[lo_cid]
-            assert ([rational_row(r) for r in up.sides], up.derivation) == (
-                [({s: 1}, hi)], ("interval", unit, "up"))
-            assert ([rational_row(r) for r in low.sides], low.derivation) == (
-                [({s: -1}, -lo)], ("interval", unit, "lo"))
+    """A unit's interval starts at the seed of the node's scope,
+    `store.interval_bounds`, which `check` sums again with its own code
+    (`prooflog._seed`); no row states it."""
 
     def test_bound_rows_match_interval_arithmetic(self):
         store = _store()
         ensure_relaxation(store)
         assert store.bounds.pre[(1, 0)] == (F(-1), F(1))
         assert store.bounds.pre[(1, 1)] == (F(-1, 2), F(1, 2))
+        assert not store.bound_rows
+        assert all(c.derivation[0] != "interval" for c in store.constraints.values())
 
-    def test_random_bound_rows_equal_interval_arithmetic_and_hold_on_traces(self):
-        # each unit's rows bound it by the interval seed of the store, with
-        # no phase committed and under committed phases, and every true
-        # trace of the box that agrees with the committed phases satisfies
-        # them
-        rng, pick = random.Random(5), random.Random(6)
-        for _ in range(10):
-            net, region, prop = random_instance(rng)
-            units = net.hidden_units
-            scopes = [{}] + [{u: pick.choice((ACTIVE, INACTIVE))
-                              for u in pick.sample(units, pick.randint(1, len(units)))}
-                             for _ in range(3)]
-            for alpha in scopes:
-                _check_interval_rows(net, region, prop, alpha)
+    @settings(max_examples=200, deadline=None)
+    @given(_scopes())
+    @example(_CROSSED_TIE)
+    def test_checker_seed_is_the_solvers_and_holds_on_traces(self, scope):
+        # if the two sums ever differ, `check` rebuilds hull rows over
+        # another interval than the store's and REJECTs the proof
+        net, region, alpha, points = scope
+        prop = SafetyProperty(((0, F(1)),), F(0), F(1, 10))
+        _check_seed(net, region, prop, alpha, points)
+
+    def test_crossed_seed_is_the_checkers_and_prunes(self):
         # acceptance-suite instance 4 under a scope that commits (2, 0),
         # whose s is -1/2, active: its z has the crossed interval [0, -1/2],
         # so (3, 0)'s is crossed too, a legal seed that propagation prunes
@@ -158,7 +202,7 @@ class TestBoundRows:
 
         net, region, prop = _spec_suite(5)[4]
         alpha = {(1, 1): INACTIVE, (2, 0): ACTIVE}
-        store = _check_interval_rows(net, region, prop, alpha)
+        store = _check_seed(net, region, prop, alpha, ())
         assert store.bounds.pre[(3, 0)] == (F(-11, 16), F(-5, 4))
         store = build_initial_store(net, store.layout, region, prop, alpha)
         res = propagate_node(store, Budget())
@@ -167,16 +211,15 @@ class TestBoundRows:
 
 
 class TestIntervalRowsStayOutOfLps:
-    """A unit's interval rows are interval arithmetic over ends that other
-    rows of the store state, so `Store.normalize` leaves them out of every
-    LP and the LP's answer cannot change.  On the first 20 acceptance-suite
-    problems, at the root and under each one-unit commitment of a
-    root-unstable unit, after propagation with either template set: no
-    system an LP reads holds an interval row; every active interval row is
-    implied by the rows kept (or those rows are infeasible); and every
-    variable still has a maximum and a minimum over them, the bounded
-    precondition of `lp`, now that no interval row bounds a
-    pre-activation.  Acceptance-suite instance 4 under the crossed scope
+    """`relucert-proof-8` wrote a unit's seed interval as two rows that no
+    LP read, since the rows an LP reads imply them.  No store holds such a
+    row now.  On the first 20 acceptance-suite problems, at the root and
+    under each one-unit commitment of a root-unstable unit, after
+    propagation with either template set: no row is tagged `interval`;
+    each ReLU unit's seed holds on the rows an LP reads (or those rows are
+    infeasible), so leaving it out moves no LP; and every variable has a
+    maximum and a minimum over them, the bounded precondition of `lp`.
+    Acceptance-suite instance 4 under the crossed scope
     {(1, 1): inactive, (2, 0): active} still prunes, with a Farkas
     certificate `check_farkas` accepts over the store's rows."""
 
@@ -198,23 +241,23 @@ class TestIntervalRowsStayOutOfLps:
             for net, region, prop, alpha in self._scopes():
                 store = build_initial_store(net, build_layout(net, prop), region, prop, alpha)
                 res = propagate_node(store, Budget(), templates=templates, margin=bool(alpha))
+                kinds = {c.derivation[0] for c in store.constraints.values()}
+                assert "interval" not in kinds, (alpha, templates)
                 sys = store.normalize()
-                for lp_sys in (sys, store.without_negp()):
-                    kinds = {store.constraints[r.rid[1]].derivation[0] for r in lp_sys.rows}
-                    assert "interval" not in kinds, (alpha, templates)
                 if alpha == {(1, 1): INACTIVE, (2, 0): ACTIVE}:
                     assert res.status == "prune"
-                    assert certs.check_farkas(active_rows(store), res.farkas).ok
+                    assert certs.check_farkas(sys, res.farkas).ok
                 if lp.lp_feasible(sys).status == lp.INFEASIBLE:
                     seen["infeasible"] += 1
                     continue
-                for _, c in store.active_constraints():
-                    if c.derivation[0] != "interval":
+                for unit, (lo, hi) in interval_bounds(net, region, alpha).items():
+                    if unit not in net.hidden_units:
                         continue
-                    g, rhs = rational_row(c.sides[0])
-                    out = lp.lp_max(sys, g)
-                    assert out.status == lp.OPTIMAL and out.value <= rhs, c.derivation
-                    seen["implied"] += 1
+                    s = store.layout.pre_index(unit)
+                    top, bottom = lp.lp_max(sys, {s: F(1)}), lp.lp_min(sys, {s: F(1)})
+                    assert top.status == bottom.status == lp.OPTIMAL, (alpha, unit)
+                    assert lo <= bottom.value and top.value <= hi, (alpha, unit)
+                    seen["implied"] += 2
                 for j in range(store.layout.n_vars):
                     for solve in (lp.lp_max, lp.lp_min):
                         assert solve(sys, {j: F(1)}).status == lp.OPTIMAL, (alpha, j)
@@ -230,10 +273,9 @@ class TestStabilization:
         stab = ensure_relaxation(store)
         assert dict(stab) == {(1, 0): ACTIVE, (1, 1): INACTIVE}
         assert not store.unstable
-        # the bound row on the pinned side proves the sign
-        for unit, phase in stab:
-            up, lo = _bound_rows(store, unit)
-            assert (lo if phase == ACTIVE else up).rhs <= 0
+        # the seed proves the sign, with no row
+        assert store.bounds.pre == {(1, 0): (F(0), F(1)), (1, 1): (F(-1, 2), F(0))}
+        assert not store.bound_rows
 
     def test_specialization_replaces_the_hull(self):
         from relucert.model import Region
@@ -254,7 +296,8 @@ class TestStabilization:
 
     def test_each_stabilized_unit_adds_one_row_its_active_bound_row_implies(self, monkeypatch):
         # the phase equality alone: the guard's sign row would repeat what
-        # the unit's active bound row already proves
+        # the unit's active bound already proves, its seed or the derived
+        # row that bounds it on the side of the sign
         specialize = propagate._specialize
 
         def one_row(store, unit, phase):
@@ -264,10 +307,11 @@ class TestStabilization:
             return out
 
         monkeypatch.setattr(propagate, "_specialize", one_row)
-        stabilized = 0
+        stabilized = Counter()
         rng = random.Random(17)
         for _ in range(40):
             store = _random_store(rng)
+            seed = interval_bounds(store.net, store.region, {})
             propagate_node(store, Budget())
             rows = {cid: c for cid, c in store.constraints.items()
                     if c.derivation[0] == "stabilize"}
@@ -277,12 +321,16 @@ class TestStabilization:
                 eq = guard_rows(store.layout, GuardLiteral(unit, phase))[0]
                 assert [r.ints for r in c.sides] == eq
                 assert store.phase_ids[unit] == cid
-                up_cid, lo_cid = store.bound_rows[unit]
-                sign_cid = lo_cid if phase == ACTIVE else up_cid
+                lo, hi = seed[unit]
+                if (lo if phase == ACTIVE else -hi) >= 0:
+                    assert (unit, phase == INACTIVE) not in store.bound_rows
+                    stabilized["seed"] += 1
+                    continue
+                sign_cid = store.bound_rows[unit, phase == INACTIVE]
                 assert sign_cid < cid and sign_cid not in store.retired
                 assert store.constraints[sign_cid].sides[0].rhs <= 0
-            stabilized += len(rows)
-        assert stabilized >= 10
+                stabilized["derived"] += 1
+        assert stabilized["seed"] >= 80 and stabilized["derived"] >= 4, stabilized
 
 
 class TestTgct:
@@ -325,27 +373,29 @@ class TestTgct:
         assert len(active) <= len(before) + res.rows_added
 
     def test_retires_only_superseded_bound_rows(self):
-        store = _store("1/2")
-        ensure_relaxation(store)
-        negp = next(cid for cid, c in store.active_constraints() if c.block == NEGP)
-        # x >= 15/16 lifts the margin's minimum above the threshold
-        x = store.layout.input_index(0)
-        store.add(("region", 0, "lo"), [(16, {x: -16}, -15)])
-        for _ in range(2):
-            rows = dict(store.bound_rows)
-            bounds = dict(store.bounds.pre)
-            retired = set(store.retired)
-            tgct(store, sorted(store.unstable), Budget())
-            assert negp not in store.retired
-            for cid in store.retired - retired:
-                unit, side = next((u, k) for u, pair in rows.items()
-                                  for k, c in enumerate(pair) if c == cid)
-                new = store.bound_rows[unit][side]
-                assert new != cid and store.constraints[new].derivation[0] == "derived"
-                # the replacement bounds the same side strictly tighter
-                lo, hi = store.bounds.pre[unit]
-                assert hi < bounds[unit][1] if side == 0 else lo > bounds[unit][0]
-        assert store.retired
+        # over the propagation of random stores, each retired row that is no
+        # stale hull row is a derived row on a unit's pre-activation that a
+        # later, strictly tighter derived row on the same side supersedes:
+        # the one `bound_rows` names, which stays active
+        rng = random.Random(17)
+        superseded = 0
+        for _ in range(40):
+            store = _random_store(rng)
+            propagate_node(store, Budget())
+            units = {store.layout.pre_index(u): u for u in store.bounds.pre}
+            for cid in store.bound_rows.values():
+                assert cid not in store.retired
+                assert store.constraints[cid].derivation[0] == "derived"
+            for cid in sorted(store.retired):
+                c = store.constraints[cid]
+                if c.derivation[0] == "hull":
+                    continue
+                assert c.derivation[0] == "derived", c.derivation
+                (j, a), = c.sides[0].ints[1].items()
+                new = store.bound_rows[units[j], a > 0]
+                assert new > cid and store.constraints[new].sides[0].rhs < c.sides[0].rhs
+                superseded += 1
+        assert superseded >= 5, superseded
 
     def test_budget_exhaustion_reported(self):
         store = _store("1/2")

@@ -52,7 +52,7 @@ from relucert.search import (
     refine,
 )
 from relucert.model import SafetyProperty
-from relucert.rows import NormalizedSystem
+from relucert.rows import NormalizedSystem, NormRow
 from relucert.store import NEGP, Store, build_initial_store, interval_bounds
 
 
@@ -287,6 +287,40 @@ class TestClauseLearning:
         assert hit is not None and hit.cert is cert
         assert db.blocking({(1, 0): INACTIVE}) is None
         assert db.blocking({}) is None
+
+    def test_no_run_makes_a_blocked_clause_leaf(self, monkeypatch):
+        """A blocked-clause leaf would replay another node's rows, hull rows
+        among them, under the seed of its own scope.  No run makes one:
+        over the benchmark's `branching` family at both family seeds and
+        the worked `first_split="domain"` proof, under both drivers,
+        `ClauseDB.blocking` answers every node with None, although the runs
+        learn clauses."""
+        from relucert import search
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import families
+
+        answers = []
+        blocking = search.ClauseDB.blocking
+
+        def spy(db, alpha):
+            answers.append(blocking(db, alpha))
+            return answers[-1]
+
+        monkeypatch.setattr(search.ClauseDB, "blocking", spy)
+        runs = [(inst.problem, TestBranchingOracleAgreement.CONFIG)
+                for seed in (families.MIXED_SEED, families.HELD_OUT_SEED)
+                for inst in families.family(families.WORKLOADS["branching"], seed)]
+        runs.append(((worked_network(), worked_region(), worked_prop()),
+                     Config(first_split="domain")))
+        learned = 0
+        for problem, config in runs:
+            for driver in (icl_verify, hsrv_verify):
+                res = driver(*problem, config)
+                assert res.status == "unsat"
+                learned += res.budget.clauses
+        assert (len(answers), learned) == (92, 44)
+        assert [a for a in answers if a is not None] == []
 
 
 class TestOracle:
@@ -526,26 +560,53 @@ class TestTrimmedLeaves:
 
 
 class TestIntervalRowsLeftOut:
-    """`Store.normalize` leaves each unit's interval rows out of every LP,
-    since the rows it keeps imply them.  Against runs whose LPs keep them,
-    as they did before, on the first 40 problems of the acceptance suite
-    with the default flags and on three branching instances (margin-only
-    templates, a one-LP gate), under both drivers: the same verdicts,
-    witnesses, Budget counters, split trees and proof bytes."""
+    """No LP holds a row that states a unit's seed interval, which
+    `relucert-proof-8` kept in the store as two `interval` rows, since the
+    rows an LP reads imply it.  Against runs whose LPs read each ReLU
+    unit's seed as two such rows besides, where that format's store held
+    them (before the unit's first hull or `stabilize` row, and every one
+    before the first derived row), on the first 40 problems of the
+    acceptance suite with the default flags and on three branching
+    instances (margin-only templates, a one-LP gate), under both drivers:
+    the same verdicts, witnesses, Budget counters, split trees and proof
+    bytes."""
 
     def test_leaving_interval_rows_out_moves_no_decision(self, tmp_path, monkeypatch):
         from test_acceptance import _spec_suite
 
-        normalize = Store.normalize
+        from relucert import search
+        from relucert.store import bound_form
+
+        normalize, build = Store.normalize, search.build_initial_store
+        seeds = {}  # id of a store -> (unit, its seed as two rows), in unit order
+
+        def seeded(*args):
+            store = build(*args)
+            seeds[id(store)] = [(unit, [NormRow(("seed", unit, side), bound_form(
+                store.layout.pre_index(unit), sign, sign * end))
+                for side, sign, end in (("up", 1, hi), ("lo", -1, lo))])
+                for unit, (lo, hi) in store.bounds.pre.items()]
+            return store
 
         def with_interval_rows(store, exclude=None):
-            return NormalizedSystem([r for cid, c in store.active_constraints()
-                                     if exclude is None or not exclude(cid, c)
-                                     for r in c.sides], store.layout.n_vars)
+            pending = list(seeds[id(store)])
+            rows = []
+            for cid, c in store.active_constraints():
+                if exclude is not None and exclude(cid, c):
+                    continue
+                kind = c.derivation[0]
+                while pending and (kind == "derived" or kind in ("hull", "stabilize")
+                                   and pending[0][0] <= c.derivation[1]):
+                    rows.extend(pending.pop(0)[1])
+                rows.extend(c.sides)
+            for _, seed in pending:
+                rows.extend(seed)
+            return NormalizedSystem(rows, store.layout.n_vars)
 
         runs = [(problem, Config()) for problem in _spec_suite(40)]
         runs += [(tightened(idx), TestBranchingOracleAgreement.CONFIG) for idx in (42, 57, 89)]
         seen = Counter()
+        monkeypatch.setattr(search, "build_initial_store", seeded)
         for k, (problem, config) in enumerate(runs):
             path = tmp_path / f"p{k}.json"
             dump_problem(*problem, path)
@@ -811,12 +872,22 @@ class TestProofPins:
     bound: 57 splits (2, 0) at its root where it split (2, 1), in 2 splits
     where it made 4, and 89 makes 1 split where it made 2.  The parent's
     and the new proofs give the same verdicts and are both ACCEPTed by the
-    same checker; the worked proof, a domain split, held its pin."""
+    same checker; the worked proof, a domain split, held its pin.  All
+    three were re-pinned when the format became `relucert-proof-9`, which
+    has no `interval` rows: `check` seeds each unit's interval from the
+    leaf's scope.  Each proof is the earlier one with the new format
+    string, its interval rows dropped, and with them the region, hull and
+    `stabilize` rows that only they rested on, its other rows renumbered in
+    order; each cover and bound is the earlier one over the renumbered
+    rows (compared leaf by leaf).  Under both drivers the verdicts, Budget
+    counters and split kinds equal the parent's, and both checkers ACCEPT
+    their proofs.  The proofs shrank from 1,581, 3,333 and
+    3,102 bytes to 1,310, 2,411 and 1,256."""
 
     PINS = {
-        "worked": "3d7ad9f6c07bd75035603fb6b0ffe4b4e65ba001f9e44e35e02cee4dd5dcc80a",
-        57: "41c854d4886717ecd31a67040d59740e33a101d5168df9ffc341a034ebd47929",
-        89: "5e1e8aa8fadfcfe7454c7d0759a5f3b536984bc47bb641c62a04a687ae0569a6",
+        "worked": "dc635101f8a8bc9fefce2687ba0d948d7fbeb209273a11a9e5d0a65a7096e50f",
+        57: "45678a4c3e579c40af1f4d4b0f9694c9c480f15c016addcd13513a114777fcd0",
+        89: "962624e7cd7112f7e30bce33a5079437cda308f38c4697a232769873b6762b08",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):

@@ -348,3 +348,23 @@ def test_the_network_holds_the_one_integer_table_of_its_weights():
                  for f in _weight_rescalers(path)]
     assert not rescalers, f"weights rescaled outside model: {rescalers}"
     assert not set(_relucert_imports("src/relucert/model.py"))
+
+
+def _string_constants(path) -> set[str]:
+    return {node.value for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_no_module_writes_or_reads_an_interval_row():
+    """A unit's interval starts at the seed of the scope, which `store` and
+    `check` each sum; no row states it.  No module names an `"interval"`
+    derivation, and neither `prooflog` nor `propagate` defines a function
+    that builds one (`_interval_row`, `_install_bound_rows`), so no second
+    path to a unit's interval comes back beside the seed."""
+    assert "stabilize" in _string_constants("src/relucert/prooflog.py"), "the scan sees tags"
+    for path in MODULES:
+        assert "interval" not in _string_constants(path), path.name
+    for name in ("prooflog", "propagate"):
+        tree = ast.parse(Path(f"src/relucert/{name}.py").read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_interval_row", "_install_bound_rows"}, (name, defined)
