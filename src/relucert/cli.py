@@ -2,8 +2,10 @@
 
 Exit codes are frozen for CI: 0 = UNSAT (safe), 1 = SAT (counterexample),
 2 = UNKNOWN, 3 = usage or parse error or an unwritable output path,
-4 = oracle cap exceeded.  Counters are printed as key=value lines for
-machine parsing.
+4 = oracle cap exceeded, 5 = an internal fault (an exception that escapes
+a command, such as `lp.SelfCheckFailed`), reported as one
+`error: <type>: <message>` line on stderr and never as a verdict.
+Counters are printed as key=value lines for machine parsing.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ EXIT_SAT = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_CAP = 4
+EXIT_FAULT = 5
 
 
 def _load(path):
@@ -67,9 +70,10 @@ def cmd_verify(args) -> int:
     if result.budget is not None:
         _print_counters(result.budget)
     if result.status == "unsat":
+        # built before the verdict line, so a fault in `emit` prints none
+        proof = args.emit_proof and prooflog.emit(result.tree, prooflog.problem_digest(raw))
         print("UNSAT")
-        if args.emit_proof and not _write(args.emit_proof, "wb",
-                                          prooflog.emit(result.tree, prooflog.problem_digest(raw))):
+        if proof and not _write(args.emit_proof, "wb", proof):
             return EXIT_USAGE
         return EXIT_UNSAT
     if result.status == "sat":
@@ -171,7 +175,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a fault, which must not read as a verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

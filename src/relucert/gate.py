@@ -9,9 +9,9 @@ guard sets exhaust all assignments.  The query with S empty, the first of
 the incremental strategy, asks for a point of the store's rows; the open
 node's last LP found one, so that query makes no LP.  The gate's own query
 ceiling (`gate_lp_limit`, which counts every query answered, that one
-included) or a solver limit makes it defer; a spent run budget raises
-`Exhausted` out of it.  A model that is no counterexample grows S by one
-unit, `most_violated`: the unit of largest exact ReLU residual.  An exact
+included) makes it defer; a spent run budget raises `Exhausted` out of
+it.  A model that is no counterexample grows S by one unit,
+`most_violated`: the unit of largest exact ReLU residual.  An exact
 unit's guard rows force its residual to zero, so picking one again raises
 `RefinementFailed`.  The gate proves no margin bound: a leaf it closes
 carries the one its node's propagation made.
@@ -89,11 +89,11 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
     The guarded certificates of branches already closed in this call prune
     any later partial assignment containing their full guard set; that
     certificate is in the cover already, so the cover stays exhaustive and
-    lists each certificate once.  LIMIT means `local_limit` LPs were made
-    or an LP hit the solver's pivot limit; a spent `budget` raises
-    `Exhausted`.  Each theory LP solves the store's rows without the hull
-    rows of the subset's units, plus the guard rows of a full assignment;
-    a certificate over those rows is one over the store's.
+    lists each certificate once.  LIMIT means `local_limit` LPs were made;
+    a spent `budget` raises `Exhausted`.  Each theory LP solves the store's
+    rows without the hull rows of the subset's units, plus the guard rows
+    of a full assignment; a certificate over those rows is one over the
+    store's.
     """
     if budget is None:
         budget = Budget()
@@ -112,8 +112,6 @@ def exact_solve(store: Store, subset, budget: Budget | None = None,
         calls += 1
         sys = certmod.extend_with_guards(base, store.layout, lits)
         out = lp.lp_feasible(sys)
-        if out.status == lp.LIMIT:
-            return ExactResult(LIMIT)
         if out.status == lp.INFEASIBLE:
             cert = GuardedCertificate.make(lits, FarkasCertificate.make(out.dual))
             cover.append(_drop_zero_guards(cert, store.layout))
@@ -171,9 +169,9 @@ def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = Non
     most |U| refinements can occur.  Each query leaves out the hull rows
     of the units of S (`exact_solve`); the store is not changed.  `point`,
     a point of every active row of the store (the open node's LP point),
-    answers the query S = {} without an LP.  The gate defers once it has answered `gate_lp_limit`
-    queries, when an LP hits the solver's limit, or when an exact model is
-    no counterexample.
+    answers the query S = {} without an LP.  The gate defers once it has
+    answered `gate_lp_limit` queries, or when an exact model is no
+    counterexample.
     """
     budget.gate_calls += 1
     unstable = sorted(store.unstable)

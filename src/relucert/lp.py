@@ -14,9 +14,10 @@ fault, not a verdict.  Phase 1 is bounded by 0 on any system, so
 Two-phase bounded-variable primal simplex with Bland's rule (Chvatal,
 Linear Programming, 1983, ch. 8) on a tableau whose rows are Python
 integers over one positive row denominator each, so pivots run on integer
-arithmetic and nothing rounds; results leave as `Fraction`.  The tableau
-stores only its nonbasic columns (`_Tableau`), so a phase-2 row holds one
-entry per variable and the rhs.
+arithmetic and nothing rounds; results leave as `Fraction`.  Bland's rule
+cannot cycle (Bland 1977), so every LP runs to its answer, uncapped.  The
+tableau stores only its nonbasic columns (`_Tableau`), so a phase-2 row
+holds one entry per variable and the rhs.
 
 Bounds: after the equalities are eliminated (below), every row with one
 nonzero coefficient bounds its variable.  Per variable and side the
@@ -92,11 +93,8 @@ from .rows import IntForm, NormalizedSystem, RowId, lowest_terms
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
-LIMIT = "limit"
 
 _ZERO = Fraction(0)
-
-DEFAULT_MAX_ITERS = 50_000
 
 
 @dataclass
@@ -590,12 +588,12 @@ class _Tableau:
         self._turn(c)
         return _complemented(obj, den, q, *u)
 
-    def run(self, cost: dict[int, Fraction], max_iters: int) -> tuple[list[int], int] | None:
-        """Maximize; returns the optimal objective row and its denominator,
-        or None at the iteration limit, which counts pivots and flips.  The
-        reduced-cost row is maintained incrementally.  An entering label
-        that no bound stops raises `SelfCheckFailed`: the system is not
-        bounded in this objective."""
+    def run(self, cost: dict[int, Fraction]) -> tuple[list[int], int]:
+        """Maximize; returns the optimal objective row and its denominator.
+        `iterations` counts pivots and flips.  The reduced-cost row is
+        maintained incrementally.  An entering label that no bound stops
+        raises `SelfCheckFailed`: the system is not bounded in this
+        objective."""
         obj, den = self.objective_row(cost)
         cols, basis, T, D = self.cols, self.basis, self.T, self.D
         free, fixed, width = self.free, self.fixed, self.width
@@ -609,8 +607,6 @@ class _Tableau:
                     enter = k
             if enter < 0:
                 return obj, den
-            if self.iterations >= max_iters:
-                return None
             self.iterations += 1
             label = cols[enter]
             direction = 1 if obj[enter] < 0 else -1
@@ -653,9 +649,9 @@ class _Tableau:
             nz, p = self._pivot(best_r, enter)
             obj, den = _eliminate(obj, den, enter, nz, p)
 
-    def drop_artificials(self, max_iters: int) -> bool:
+    def drop_artificials(self):
         """Pivot basic artificials out, then drop the artificial labels from
-        `cols` and their entries from every row.  False on limit.
+        `cols` and their entries from every row.
 
         Every row of the full tableau has a nonzero entry among the
         variable and slack columns: its slack block is the basis inverse
@@ -668,8 +664,6 @@ class _Tableau:
         cols = self.cols
         for i in range(self.m):
             if self.is_artificial(self.basis[i]):
-                if self.iterations >= max_iters:
-                    return False
                 self.iterations += 1
                 row = self.T[i]
                 self._pivot(i, min((k for k, c in enumerate(cols) if c < bound and row[k]),
@@ -680,7 +674,6 @@ class _Tableau:
             for i, row in enumerate(self.T):
                 self.T[i], self.D[i] = _reduced([row[k] for k in live] + [row[-1]], self.D[i])
             self.art_cols = []
-        return True
 
     def reconcile(self, sys: NormalizedSystem) -> bool:
         """Make this optimal (or feasible) phase-2 tableau of an earlier
@@ -887,9 +880,9 @@ def _shifted(row: list[int], den: int, sign: int, p: int, s: int) -> tuple[list[
     return _reduced(out, den * s)
 
 
-def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome | None]:
-    """Drive the artificials of a fresh tableau to zero.  The outcome is LIMIT
-    or INFEASIBLE (with its self-checked Farkas vector, at once when two
+def _phase1(sys: NormalizedSystem) -> tuple[_Tableau, LpOutcome | None]:
+    """Drive the artificials of a fresh tableau to zero.  The outcome is
+    INFEASIBLE (with its self-checked Farkas vector, at once when two
     bounds contradict) when phase 1 decides the LP, None when the tableau
     is feasible."""
     tab = _Tableau(sys)
@@ -899,10 +892,7 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
         return tab, LpOutcome(INFEASIBLE, dual=lam)
     if not tab.art_cols:
         return tab, None
-    res = tab.run({j: Fraction(-1) for j in tab.art_cols}, max_iters)
-    if res is None:
-        return tab, LpOutcome(LIMIT, iterations=tab.iterations)
-    obj, den = res
+    obj, den = tab.run({j: Fraction(-1) for j in tab.art_cols})
     if obj[-1] < 0:
         lam = tab.red.lift_dual(tab.dual_from_obj(obj, den), {}, sys)
         _check_farkas(sys, lam)
@@ -911,7 +901,7 @@ def _phase1(sys: NormalizedSystem, max_iters: int) -> tuple[_Tableau, LpOutcome 
 
 
 def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
-           max_iters: int = DEFAULT_MAX_ITERS, warm: _Tableau | None = None) -> LpOutcome:
+           warm: _Tableau | None = None) -> LpOutcome:
     """Maximize g^T v over the system, which must bound it (an unbounded
     direction raises `SelfCheckFailed`); deterministic (Bland's rule).
     `warm`, the `tableau` of an earlier OPTIMAL outcome, is reused in place
@@ -921,17 +911,13 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     if warm is not None and warm.reconcile(sys):
         tab = warm
     else:
-        tab, out = _phase1(sys, max_iters)
+        tab, out = _phase1(sys)
         if out is not None:
             return out
-        if not tab.drop_artificials(max_iters):
-            return LpOutcome(LIMIT, iterations=tab.iterations)
+        tab.drop_artificials()
     red = tab.red
     cost, const = red.objective(g)
-    res = tab.run(cost, max_iters)
-    if res is None:
-        return LpOutcome(LIMIT, iterations=tab.iterations)
-    obj, den = res
+    obj, den = tab.run(cost)
     val = Fraction(obj[-1], den) + const
     point = red.lift(tab.primal())
     lam = red.lift_dual(tab.dual_from_obj(obj, den), g, sys)
@@ -945,17 +931,17 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
 
 
 def lp_min(sys: NormalizedSystem, g: dict[int, Fraction],
-           max_iters: int = DEFAULT_MAX_ITERS, warm: _Tableau | None = None) -> LpOutcome:
+           warm: _Tableau | None = None) -> LpOutcome:
     """Minimize g^T v.  The returned dual certifies -g^T v <= -value."""
-    out = lp_max(sys, {j: -q for j, q in g.items()}, max_iters, warm)
+    out = lp_max(sys, {j: -q for j, q in g.items()}, warm)
     if out.status == OPTIMAL:
         out.value = -out.value
     return out
 
 
-def lp_feasible(sys: NormalizedSystem, max_iters: int = DEFAULT_MAX_ITERS) -> LpOutcome:
+def lp_feasible(sys: NormalizedSystem) -> LpOutcome:
     """Phase-1 feasibility: Feasible(point) or Infeasible(Farkas lambda)."""
-    tab, out = _phase1(sys, max_iters)
+    tab, out = _phase1(sys)
     if out is not None:
         return out
     point = tab.red.lift(tab.primal())

@@ -292,8 +292,17 @@ def forward_eval(net: Network, x) -> Trace:
 
 @dataclass(frozen=True)
 class WitnessVerdict:
+    """Whether x is a counterexample.  `reason` is formatted only when read:
+    a margin of thousands of digits is past the digit limit of `str`."""
     accepted: bool
-    reason: str = ""
+    #: (margin, threshold + epsilon) of a point in the region that falls short
+    shortfall: tuple[Fraction, Fraction] | None = None
+
+    @property
+    def reason(self) -> str:
+        if self.shortfall is None:
+            return "" if self.accepted else "region"
+        return "margin {} < {}".format(*self.shortfall)
 
 
 def validate_witness(net: Network, region: Region, prop: SafetyProperty, x) -> WitnessVerdict:
@@ -306,14 +315,14 @@ def validate_witness(net: Network, region: Region, prop: SafetyProperty, x) -> W
     if len(region.lower) != len(cur) or any(
             v * lo.denominator < lo.numerator * d or v * hi.denominator > hi.numerator * d
             for lo, v, hi in zip(region.lower, cur, region.upper)):
-        return WitnessVerdict(False, "region")
+        return WitnessVerdict(False)
     d, _, y = _forward(net, d, cur)[-1]
     c = lcm(*[q.denominator for _, q in prop.margin])
     m = sum([q.numerator * (c // q.denominator) * y[idx] for idx, q in prop.margin])
     t = prop.violation_threshold
     if m * t.denominator >= t.numerator * c * d:
         return WitnessVerdict(True)
-    return WitnessVerdict(False, f"margin {Fraction(m, c * d)} < {t}")
+    return WitnessVerdict(False, (Fraction(m, c * d), t))
 
 
 def _parse_matrix(obj, what: str):

@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 from . import certs as certmod
 from . import lp
-from .budget import Budget, Exhausted
+from .budget import Budget
 from .certs import DualBoundCertificate, FarkasCertificate
 from .model import ACTIVE, INACTIVE, Unit
 from .rows import GuardLiteral, RowId, guard_rows, lowest_terms
@@ -252,9 +252,8 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     checked; it tightens the unit's interval and retires the looser derived
     row it supersedes, if any.  Short-circuits with a Farkas certificate if
     a solve reports infeasibility; raises `Exhausted` if the LP budget is
-    spent or an LP hits its iteration limit.  The unit's affine row bounds its
-    pre-activation through its bounded sources, so every feasible LP here
-    has an optimum.
+    spent.  The unit's affine row bounds its pre-activation through its
+    bounded sources, so every feasible LP here has an optimum.
 
     Each LP after the first starts from the optimal tableau of the one
     before: the system changes in between only by the derived row just
@@ -272,8 +271,6 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             if out.status == lp.INFEASIBLE:
                 res.farkas = FarkasCertificate.make(out.dual)
                 return res
-            if out.status == lp.LIMIT:
-                raise Exhausted()
             lo, hi = store.bounds.pre[unit]
             if out.value >= (hi if upper else -lo):
                 continue
@@ -309,8 +306,6 @@ def _feasibility_lp(store: Store, budget: Budget,
     feas = lp.lp_feasible(store.normalize())
     if feas.status == lp.INFEASIBLE:
         return FarkasCertificate.make(feas.dual)
-    if feas.status == lp.LIMIT:
-        raise Exhausted()
     result.feasible_point = feas.primal
     return None
 
@@ -329,8 +324,6 @@ def _margin_lp(store: Store, budget: Budget,
     budget.count_lp()
     g = store.layout.margin
     out = lp.lp_max(store.without_negp(), g)
-    if out.status == lp.LIMIT:
-        raise Exhausted()
     if out.status == lp.INFEASIBLE:
         return FarkasCertificate.make(out.dual)
     result.evidence = DualBoundCertificate.make(g, out.value, out.dual)
@@ -354,8 +347,7 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
     makes no LP, and the leaf then carries no bound.  Either way
     `evidence` is the bound of the final rows.  Prune carries an accepted
     Farkas certificate, an open node a point of all its rows.  Raises
-    `Exhausted` as `tgct` does, and when a margin LP hits its iteration
-    limit."""
+    `Exhausted` as `tgct` does."""
     result = PropagationResult("open")
     for _ in range(MAX_PASSES):
         result.iterations += 1

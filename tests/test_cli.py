@@ -17,9 +17,10 @@ from conftest import (
     worked_prop,
     worked_region,
 )
-from relucert import cli
+from relucert import cli, gate, lp, prooflog, search
 from relucert.cli import (
     EXIT_CAP,
+    EXIT_FAULT,
     EXIT_SAT,
     EXIT_UNKNOWN,
     EXIT_UNSAT,
@@ -28,6 +29,7 @@ from relucert.cli import (
     main,
 )
 from relucert.model import IDENTITY, Layer, Network, Region, SafetyProperty, validate_witness
+from test_search import tightened
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -195,6 +197,64 @@ class TestVerify:
             assert code == EXIT_CAP
         else:
             assert code == EXIT_UNSAT and "UNSAT" in out
+
+    def test_margin_past_the_int_digit_limit_verifies_unsat(self, capsys, tmp_path):
+        """y = sum_i (1 + 1/(10^1500 + 7 + i)) x_i on [0, 1]^3 never reaches
+        10 + 1/10.  The midpoint's margin has about 4,500 digits, past the
+        limit of `str` on an int; it is no counterexample, and the run says
+        UNSAT, in process and under `python -O`."""
+        big = 10**1500 + 7
+        net = Network((Layer(((F(1) + F(1, big), F(1) + F(1, big + 1), F(1) + F(1, big + 2)),),
+                             (F(0),), IDENTITY),), 3, 1)
+        problem = tmp_path / "big.json"
+        dump_problem(net, Region((F(0),) * 3, (F(1),) * 3),
+                     SafetyProperty(((0, F(1)),), F(10), F(1, 10)), problem)
+        for strategy in ("icl", "hsrv"):
+            code, out, err = _run(capsys, "verify", str(problem), "--strategy", strategy)
+            assert (code, out.splitlines()[-1], err) == (EXIT_UNSAT, "UNSAT", ""), strategy
+            run = _cli_o("verify", str(problem), "--strategy", strategy)
+            assert run.returncode == EXIT_UNSAT and run.stdout.splitlines()[-1] == "UNSAT", run
+
+
+def _raising(exc):
+    def fault(*args, **kwargs):
+        raise exc
+    return fault
+
+
+#: where a fault is injected on a branching instance, with the exception
+#: it raises: an LP's point check, the gate's refutation of a spurious
+#: model, the search's choice of a split, and the proof's emission, which
+#: comes before the verdict line
+FAULTS = {
+    "emit": (prooflog, "emit", _raising(ValueError("Exceeds the limit (4300 digits)")),
+             "ValueError"),
+    "lp": (lp, "_check_holds", _raising(lp.SelfCheckFailed("primal point violates row")),
+           "SelfCheckFailed"),
+    "gate": (gate, "_model_violates_exactness", lambda *args: False, "RefinementFailed"),
+    "search": (search, "pick_split", _raising(search.NothingToSplit()), "NothingToSplit"),
+}
+
+
+class TestFaults:
+    """A fault is no verdict: an exception that escapes a command exits
+    EXIT_FAULT, with one error line on stderr and no verdict line."""
+
+    @pytest.mark.parametrize("where", sorted(FAULTS))
+    def test_injected_fault_exits_with_the_fault_code(self, capsys, tmp_path, monkeypatch,
+                                                      where):
+        problem = tmp_path / "branching.json"
+        dump_problem(*tightened(57), problem)
+        argv = ("verify", str(problem), "--templates", "margin-only", "--gate-budget", "1",
+                "--emit-proof", str(tmp_path / "branching.proof"))
+        code, out, _ = _run(capsys, *argv)  # reaches every injection point
+        assert code == EXIT_UNSAT and re.search(r"^splits=[1-9]", out, re.M), out
+        module, name, fault, kind = FAULTS[where]
+        monkeypatch.setattr(module, name, fault)
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_FAULT == 5
+        assert not re.search(r"^(UNSAT|SAT|UNKNOWN)\b", out, re.M), out
+        assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
 
 
 class TestCheck:

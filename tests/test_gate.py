@@ -228,15 +228,6 @@ class TestExactnessGate:
         out = exactness_gate(store, Budget(), gate_lp_limit=0)
         assert out.status == DEFER
 
-    def test_solver_limit_defers(self, monkeypatch):
-        # an LP that hits the pivot limit leaves the node to the search,
-        # which may still split and close it; only a spent budget ends a run
-        monkeypatch.setattr(lp, "lp_feasible", lambda sys: lp.LpOutcome(lp.LIMIT))
-        store = _raw_store("1")
-        budget = Budget(lp_limit=5)
-        out = exactness_gate(store, budget)
-        assert out.status == DEFER and budget.lp_calls == 1
-
 
 class TestNodePoint:
     """The node's point answers the gate's query with no unit exact: that

@@ -261,6 +261,22 @@ class TestCertificates:
         assert out.primal.get(1, ZERO) == F(2)
 
 
+#: LPs over x >= 0 on which the simplex method cycles when the largest
+#: reduced cost enters: (rows, objective, maximum, optimal point, the
+#: iterations Bland's rule takes); Beale 1955, and Chvatal, Linear
+#: Programming, 1983, ch. 3
+_CYCLING = {
+    "beale": ([({0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)}, 0),
+               ({0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)}, 0),
+               ({2: F(1)}, 1)],
+              {0: F(3, 4), 1: F(-150), 2: F(1, 50), 3: F(-6)}, F(1, 20), (F(1, 25), 0, 1, 0), 6),
+    "chvatal": ([({0: F(1, 2), 1: F(-11, 2), 2: F(-5, 2), 3: F(9)}, 0),
+                 ({0: F(1, 2), 1: F(-3, 2), 2: F(-1, 2), 3: F(1)}, 0),
+                 ({0: F(1)}, 1)],
+                {0: F(10), 1: F(-57), 2: F(-9), 3: F(-24)}, F(1), (1, 0, 1, 0), 7),
+}
+
+
 class TestEdgeCases:
     def test_unbounded_direction_is_a_fault(self):
         # x >= 0: maximizing x (minimizing -x) breaks the engine's bounded
@@ -282,17 +298,16 @@ class TestEdgeCases:
         out = lp.lp_max(sys, {0: F(5)})
         assert out.status == lp.OPTIMAL and out.value == F(5)
 
-    def test_iteration_limit_reports_limit(self):
-        # a system whose single-variable rows decide it takes no iteration,
-        # so only the systems that need one can reach the limit
-        rng = random.Random(46)
-        limited = 0
-        for _ in range(10):
-            sys, g = _boxed_random_system(rng, n_extra=6)
-            if lp.lp_max(sys, g).iterations:
-                assert lp.lp_max(sys, g, max_iters=0).status == lp.LIMIT
-                limited += 1
-        assert limited >= 3
+    @pytest.mark.parametrize("name", sorted(_CYCLING))
+    def test_cycling_example_ends_at_its_optimum(self, name):
+        # with no pivot cap, these stand as the evidence that every LP ends
+        rows, g, value, point, pivots = _CYCLING[name]
+        sys = _system(rows + [({j: F(-1)}, 0) for j in range(4)])
+        out = lp.lp_max(sys, g)
+        assert (out.status, out.value, out.iterations) == (lp.OPTIMAL, value, pivots)
+        assert tuple(out.primal.get(j, ZERO) for j in range(4)) == point
+        cert = certs.DualBoundCertificate(tuple(g.items()), value, tuple(out.dual.items()))
+        assert certs.check_dual_exact(sys, cert).ok
 
     def test_deterministic_across_runs(self):
         rng = random.Random(47)
@@ -474,16 +489,25 @@ _TIED = [({0: F(-1), 1: F(-1)}, -1), ({0: F(1), 1: F(1)}, 1), ({1: F(-1)}, 0), (
 class TestIntegerTableau:
     """Edge cases of the integer-row tableau."""
 
-    def test_ratio_tie_leaves_by_smaller_basic_index(self):
+    def test_ratio_tie_leaves_by_smaller_basic_index(self, monkeypatch):
         # x, free, enters phase 1 first; row 0 (artificial basic, label 4)
         # and row 1 (slack basic, label 3) both stop it at ratio 1; the
         # slack has the smaller label and leaves although its row comes
         # second
         tab = lp._Tableau(_system(_TIED))
         assert tab.basis == [4, 3]
-        tab.run({4: F(-1)}, max_iters=1)
-        assert tab.iterations == 1
-        assert tab.basis == [4, 0]
+        pivot = lp._Tableau._pivot
+        first = []  # (iterations, basis) after the first pivot
+
+        def recording(tab, r, q):
+            res = pivot(tab, r, q)
+            if not first:
+                first.append((tab.iterations, list(tab.basis)))
+            return res
+
+        monkeypatch.setattr(lp._Tableau, "_pivot", recording)
+        tab.run({4: F(-1)})
+        assert first == [(1, [4, 0])]
 
     def test_ratio_tie_with_the_entering_labels_own_bound_flips_it(self):
         # 0 <= x <= 1 and 0 <= y, with x + y <= 1: x enters, and its own
@@ -492,23 +516,17 @@ class TestIntegerTableau:
         tab = lp._Tableau(_system([({0: F(1)}, 1), ({0: F(-1)}, 0), ({1: F(-1)}, 0),
                                    ({0: F(1), 1: F(1)}, 1)]))
         assert (tab.basis, tab.off[0]) == ([2], (1, 0, 1))
-        obj, den = tab.run({0: F(1)}, lp.DEFAULT_MAX_ITERS)
+        obj, den = tab.run({0: F(1)})
         assert (tab.iterations, tab.basis, tab.off[0]) == (1, [2], (-1, 1, 1))
         assert (F(obj[-1], den), tab.primal()) == (1, {0: F(1)})
-
-    def test_iteration_limit_in_phase_one(self):
-        sys = _system(_TIED)
-        for out in (lp.lp_max(sys, {0: F(1)}, max_iters=0), lp.lp_feasible(sys, max_iters=0)):
-            assert (out.status, out.iterations) == (lp.LIMIT, 0)
 
     def test_iteration_limit_while_dropping_artificials(self):
         # phase 1 ends optimal after one pivot with the artificial of
         # x + y >= 1 still basic at zero; driving it out needs a second pivot
         sys = _system(_TIED)
-        assert lp.lp_feasible(sys, max_iters=1).status == lp.FEASIBLE
-        out = lp.lp_max(sys, {0: F(1)}, max_iters=1)
-        assert (out.status, out.iterations) == (lp.LIMIT, 1)
-        out = lp.lp_max(sys, {0: F(1)}, max_iters=2)
+        out = lp.lp_feasible(sys)
+        assert (out.status, out.iterations) == (lp.FEASIBLE, 1)
+        out = lp.lp_max(sys, {0: F(1)})
         assert (out.status, out.value, out.iterations) == (lp.OPTIMAL, F(1), 2)
 
     def test_equality_written_twice_keeps_every_row(self):
@@ -521,8 +539,9 @@ class TestIntegerTableau:
         sys = _system(rows + [({1: F(1)}, 1), ({1: F(-1)}, 0)])
         out = lp.lp_max(sys, {0: F(2)})
         assert (out.status, out.value) == (lp.OPTIMAL, F(3))
-        tab, phase1 = lp._phase1(sys, lp.DEFAULT_MAX_ITERS)
-        assert phase1 is None and tab.drop_artificials(lp.DEFAULT_MAX_ITERS)
+        tab, phase1 = lp._phase1(sys)
+        assert phase1 is None
+        tab.drop_artificials()
         assert len(tab.T) == tab.m == 4
         assert not tab.art_cols and not any(tab.is_artificial(j) for j in tab.cols + tab.basis)
         slacks = range(tab.n, tab.n + tab.m)
@@ -567,12 +586,10 @@ class TestIntegerTableau:
             _assert_tableau_invariants(tab, any(t is tab for t in past_phase1))
             return res
 
-        def checked_drop(tab, max_iters):
-            ok = drop(tab, max_iters)
-            if ok:
-                past_phase1.append(tab)
-                _assert_tableau_invariants(tab, True)
-            return ok
+        def checked_drop(tab):
+            drop(tab)
+            past_phase1.append(tab)
+            _assert_tableau_invariants(tab, True)
 
         def checked_reconcile(tab, sys):
             nonlocal reconciled

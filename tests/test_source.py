@@ -258,13 +258,26 @@ def test_the_simplex_has_one_outcome_path_for_bounded_systems():
     """The LP engine solves bounded systems only, and an unbounded direction
     is a fault (`lp.SelfCheckFailed`), not a verdict: no module defines or
     names an `UNBOUNDED` status, and `lp` defines no `ray` method, so no
-    second outcome path may come back beside it."""
+    second outcome path may come back beside it.  Bland's rule cannot
+    cycle, so every LP runs to its answer: `lp` defines no `LIMIT` status
+    and no `DEFAULT_MAX_ITERS`, none of its functions takes `max_iters`,
+    and no module reads `lp.LIMIT`."""
     for path in MODULES:
-        assert "UNBOUNDED" not in _named(ast.parse(path.read_text())), path.name
+        tree = ast.parse(path.read_text())
+        assert "UNBOUNDED" not in _named(tree), path.name
+        reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr == "LIMIT" and getattr(node.value, "id", None) == "lp"]
+        assert not reads, f"{path.name}: lp.LIMIT read at lines {reads}"
     tree = ast.parse(Path("src/relucert/lp.py").read_text())
     methods = {stmt.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
     assert "ray" not in methods and "lift" in methods, methods
+    assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert "OPTIMAL" in assigned and not assigned & {"LIMIT", "DEFAULT_MAX_ITERS"}, assigned
+    capped = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and "max_iters" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
+    assert not capped, f"functions with a max_iters parameter: {capped}"
 
 
 def test_every_trusted_definition_is_used():
