@@ -171,6 +171,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its numbers have no length limit: CPython's limit
+    on int <-> str conversion (4,300 digits) is lifted while the command
+    runs and restored when it returns."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _command(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _command(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

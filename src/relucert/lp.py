@@ -112,7 +112,7 @@ class LpOutcome:
 
 class SelfCheckFailed(Exception):
     """A solver fault: a certificate that its checker rejects (the simplex's
-    own, or `propagate.back_substitute`'s refutation), or an unbounded
+    own, or `propagate.Substitution.refutation`), or an unbounded
     direction, which no system given to the simplex may have."""
 
 

@@ -4,18 +4,19 @@ One fixed-point pass interleaves: hull insertion for unstable units over
 their interval, the store's seed by `store.interval_bounds` over the node's
 scope as derived rows tighten it, a back-substitution of the negated
 property through those rows that prunes with a Farkas certificate and no
-LP (the search reads its multipliers on the hull chords to choose a phase
-split), LP tightening of the unstable units' pre-activations with dual
-certificates (the only derived rows), stabilization of units whose interval
-fixes their sign (the unit's phase equality replaces its hull rows), and
-one closing LP that prunes with a Farkas certificate or leaves the node
-open at a point of its rows.  Below the root the closing LP maximizes the
-margin without the negated property, which also proves the margin bound
-the node's leaf records.  One function, `_margin_lp`, makes every such
-bound LP: a node below the root that back-substitution or a TGCT LP
-refutes first makes it for its bound alone.  The root therefore makes no
-LP when back-substitution refutes it; a node below the root makes at least
-the one LP that proves its bound.
+LP, LP tightening with dual certificates (the only derived rows) of the
+pre-activations of the unstable units whose hull chord that sum uses (the
+search reads the same chord multipliers to choose a phase split),
+stabilization of units whose interval fixes their sign (the unit's phase
+equality replaces its hull rows), and one closing LP that prunes with a
+Farkas certificate or leaves the node open at a point of its rows.  Below
+the root the closing LP maximizes the margin without the negated
+property, which also proves the margin bound the node's leaf records.
+One function, `_margin_lp`, makes every such bound LP: a node below the
+root that back-substitution or a TGCT LP refutes first makes it for its
+bound alone.  The root therefore makes no LP when back-substitution
+refutes it; a node below the root makes at least the one LP that proves
+its bound.
 
 Every row is built straight into its integer form (`rows`): a derived row
 from its bound, the hull chord over the common denominator of its
@@ -39,6 +40,7 @@ from .model import ACTIVE, INACTIVE, Unit
 from .rows import GuardLiteral, RowId, guard_rows, lowest_terms
 from .store import Store, bound_form
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: cap on the fixed-point passes of one node
@@ -156,6 +158,22 @@ class Substitution(NamedTuple):
     multipliers: dict[RowId, Fraction]
     rho: Fraction
 
+    def chord(self, store: Store, unit: Unit) -> Fraction | None:
+        """The multiplier on the unit's hull chord, hull row 2: 0 where the
+        sum does not use it, None for a unit without hull rows."""
+        ids = store.hull_ids.get(unit)
+        if ids is None:
+            return None
+        return self.multipliers.get(store.constraints[ids[2]].sides[0].rid, _ZERO)
+
+    def refutation(self, store: Store) -> FarkasCertificate | None:
+        """Refute the node without an LP, if its rows allow it this way: if
+        the sum reads `0 <= rho` with rho < 0, its multipliers are a Farkas
+        certificate, checked over the rows they cite and returned; else
+        None.  The node's next LP would run phase 1 on these same rows and
+        find them infeasible too, so pruning here moves no decision."""
+        return _checked_farkas(store, self.multipliers) if self.rho < 0 else None
+
 
 def back_substitution(store: Store) -> Substitution | None:
     """Back-substitute the negated property through the node's rows.
@@ -234,26 +252,17 @@ def back_substitution(store: Store) -> Substitution | None:
     return Substitution(lam, Fraction(rho, q))
 
 
-def back_substitute(store: Store) -> FarkasCertificate | None:
-    """Refute the node without an LP, if its rows allow it this way: if the
-    sum of `back_substitution` reads `0 <= rho` with rho < 0, its
-    multipliers are a Farkas certificate, checked over the rows they cite
-    and returned; else None.  Propagation calls it on relaxed rows only.
-    The node's next LP would run phase 1 on these same rows and find them
-    infeasible too, so pruning here moves no decision."""
-    sub = back_substitution(store)
-    return _checked_farkas(store, sub.multipliers) if sub.rho < 0 else None
-
-
 def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     """Template-guided certified tightening: maximize, then minimize, each
-    unit's pre-activation over the store's rows.  A strictly tighter optimum
-    becomes a derived row, backed by the dual certificate the LP engine has
-    checked; it tightens the unit's interval and retires the looser derived
-    row it supersedes, if any.  Short-circuits with a Farkas certificate if
-    a solve reports infeasibility; raises `Exhausted` if the LP budget is
-    spent.  The unit's affine row bounds its pre-activation through its
-    bounded sources, so every feasible LP here has an optimum.
+    unit's pre-activation over the store's rows; `propagate_node` passes
+    the unstable units whose hull chord its back-substitution uses.  A
+    strictly tighter optimum becomes a derived row, backed by the dual
+    certificate the LP engine has checked; it tightens the unit's interval
+    and retires the looser derived row it supersedes, if any.
+    Short-circuits with a Farkas certificate if a solve reports
+    infeasibility; raises `Exhausted` if the LP budget is spent.  The
+    unit's affine row bounds its pre-activation through its bounded
+    sources, so every feasible LP here has an optimum.
 
     Each LP after the first starts from the optimal tableau of the one
     before: the system changes in between only by the derived row just
@@ -336,22 +345,27 @@ def _margin_lp(store: Store, budget: Budget,
 def propagate_node(store: Store, budget: Budget, templates: str = "default",
                    margin: bool = False) -> PropagationResult:
     """Fixed-point loop Hull -> back-substitution -> TGCT -> Stabilize ->
-    closing LP.  `templates` "default" tightens every unstable unit in
-    every pass; "margin-only" tightens none.  `back_substitute` may prune a
-    pass before its first LP.  The closing LP is the feasibility LP or,
+    closing LP.  `templates` "default" runs `back_substitution` once per
+    pass and tightens the unstable units whose hull chord that sum uses, at
+    a positive multiplier (`Substitution.chord`; a unit without hull rows
+    would be tightened too); "margin-only" tightens none.  The sum prunes
+    the pass before its first LP if it refutes the node
+    (`Substitution.refutation`).  The closing LP is the feasibility LP or,
     with `margin` (a node whose leaf records the margin bound of its rows
     without the negated property), the margin LP over those rows, which
-    both decides the node and proves the bound (`_margin_lp`).  A node
-    with `margin` that back-substitution or a TGCT LP refutes first makes
-    that LP for the bound alone and keeps its refutation; a spent budget
-    makes no LP, and the leaf then carries no bound.  Either way
-    `evidence` is the bound of the final rows.  Prune carries an accepted
-    Farkas certificate, an open node a point of all its rows.  Raises
-    `Exhausted` as `tgct` does."""
+    both decides the node and proves the bound (`_margin_lp`).  A pass
+    whose closing LP would see the rows of the last closing LP ends the
+    loop before it, and that LP's point and bound stand.  A node with
+    `margin` that back-substitution or a TGCT LP refutes first makes that
+    LP for the bound alone and keeps its refutation; a spent budget makes
+    no LP, and the leaf then carries no bound.  Either way `evidence` is
+    the bound of the final rows.  Prune carries an accepted Farkas
+    certificate, an open node a point of all its rows.  Raises `Exhausted`
+    as `tgct` does."""
     result = PropagationResult("open")
+    closed = None  # the ids of the rows of the last closing LP
     for _ in range(MAX_PASSES):
         result.iterations += 1
-        result.evidence = None
         before = (frozenset(store.unstable), frozenset(store.phases))
         settled = ensure_relaxation(store)
         result.stability_certs.extend(settled)
@@ -359,14 +373,23 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
         units = sorted(store.unstable) if templates == "default" else []
         # the margin LP is made for the bound even where back-substitution
         # refutes the node, so there a refutation saves only TGCT's LPs
-        farkas = back_substitute(store) if units or not margin else None
+        sub = back_substitution(store) if units or not margin else None
+        farkas = None if sub is None else sub.refutation(store)
         if farkas is None:
+            if sub is not None:
+                units = [u for u in units if (m := sub.chord(store, u)) is None or m > 0]
             tres = tgct(store, units, budget)
             farkas = tres.farkas
         if farkas is None:
             settled = stabilize(store)
             result.stability_certs.extend(settled)
             budget.stabilized += len(settled)
+            rows = [cid for cid, _ in store.active_constraints()]
+            if rows == closed:
+                break
+            closed = rows
+        result.evidence = None
+        if farkas is None:
             farkas = (_margin_lp if margin else _feasibility_lp)(store, budget, result)
         elif margin and budget.lp_ok():
             _margin_lp(store, budget, result)

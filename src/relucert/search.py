@@ -151,10 +151,11 @@ def pick_split(store: Store) -> tuple:
     node's back-substituted margin bound (BaBSR, Bunel et al. 2020).
 
     `propagate.back_substitution` of the negated property through the
-    node's final rows puts a multiplier lam_u on each chord it uses, hull
-    row 2, `z <= hi (s - lo) / (hi - lo)` over the unit's `hull_bounds`
-    [lo, hi].  The chord's intercept, -lo hi / (hi - lo) > 0, adds
-    lam_u times itself to the bound, and a phase split on the unit
+    node's final rows puts a multiplier lam_u (`Substitution.chord`, which
+    propagation reads too, to choose the units it tightens) on each chord
+    it uses, hull row 2, `z <= hi (s - lo) / (hi - lo)` over the unit's
+    `hull_bounds` [lo, hi].  The chord's intercept, -lo hi / (hi - lo) > 0,
+    adds lam_u times itself to the bound, and a phase split on the unit
     replaces the chord by an exact phase equality, which removes that
     term.  The score is that product, an exact `Fraction`.  Ties, zero
     scores and units without hull rows fall back to the widest straddle,
@@ -165,14 +166,13 @@ def pick_split(store: Store) -> tuple:
     if not store.unstable:
         raise NothingToSplit()
     sub = back_substitution(store)
-    lam = {} if sub is None else sub.multipliers
 
     def key(unit: Unit):
         score = _ZERO
-        if unit in store.hull_ids:
+        lam = None if sub is None else sub.chord(store, unit)
+        if lam is not None:
             lo, hi = store.hull_bounds[unit]
-            chord = store.constraints[store.hull_ids[unit][2]].sides[0].rid
-            score = lam.get(chord, _ZERO) * (-lo * hi / (hi - lo))
+            score = lam * (-lo * hi / (hi - lo))
         lo, hi = store.bounds.pre[unit]
         return (-score, -min(-lo, hi), unit)
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -214,6 +215,54 @@ class TestVerify:
             assert (code, out.splitlines()[-1], err) == (EXIT_UNSAT, "UNSAT", ""), strategy
             run = _cli_o("verify", str(problem), "--strategy", strategy)
             assert run.returncode == EXIT_UNSAT and run.stdout.splitlines()[-1] == "UNSAT", run
+
+
+def _long_digits(idx):
+    """Acceptance-suite instance `idx` of the `tight-unsat` construction
+    (threshold + epsilon 1/1000 above its maximum margin) with each weight
+    w scaled by 1 + 1/(10^1500 + 7 + i), i the weight's running index, and
+    the threshold raised by 1/2000: UNSAT still, with 1,500-digit weights."""
+    net, region, prop = tightened(idx)
+    big = 10**1500 + 7
+    scale = (F(1) + F(1, big + i) for i in itertools.count())
+    layers = tuple(Layer(tuple(tuple(w * next(scale) for w in row) for row in layer.weights),
+                         layer.bias, layer.activation) for layer in net.layers)
+    return (Network(layers, net.input_dim, net.output_dim), region,
+            SafetyProperty(prop.margin, prop.threshold + F(1, 2000), prop.epsilon))
+
+
+class TestLongNumbers:
+    """A command's numbers have no length limit: `main` lifts CPython's
+    4,300-digit limit on int <-> str conversion while the command runs, and
+    gives the caller its own limit back."""
+
+    def test_proofs_past_the_digit_limit_are_written_and_accepted(self, capsys, tmp_path):
+        # before the limit was lifted, `verify --emit-proof` exited 5 on each
+        # of these in `prooflog.emit`, after the search had proved it UNSAT
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            for idx in (3, 12, 18):
+                problem, proof = tmp_path / f"p{idx}.json", tmp_path / f"p{idx}.proof"
+                dump_problem(*_long_digits(idx), problem)
+                code, out, err = _run(capsys, "verify", str(problem), "--emit-proof", str(proof))
+                assert (code, out.splitlines()[-1], err) == (EXIT_UNSAT, "UNSAT", ""), idx
+                assert sys.get_int_max_str_digits() == 5000
+                assert max(map(len, re.findall(rb"\d+", proof.read_bytes()))) > 5000, idx
+                code, out, _ = _run(capsys, "check", str(problem), str(proof))
+                assert (code, out) == (0, "ACCEPT\n"), idx
+                assert sys.get_int_max_str_digits() == 5000
+                run = _cli_o("verify", str(problem), "--emit-proof", str(proof))
+                assert run.returncode == EXIT_UNSAT and run.stdout.splitlines()[-1] == "UNSAT", run
+                run = _cli_o("check", str(problem), str(proof))
+                assert (run.returncode, run.stdout) == (0, "ACCEPT\n"), run
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_the_limit_is_restored_after_a_usage_error(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, _, _ = _run(capsys, "verify", WORKED, "--lp-budget", "-1")
+        assert code == EXIT_USAGE and sys.get_int_max_str_digits() == before
 
 
 def _raising(exc):

@@ -30,7 +30,7 @@ from relucert.model import (
 )
 from relucert.propagate import (
     NotUnstable,
-    back_substitute,
+    back_substitution,
     ensure_relaxation,
     hull_insert,
     propagate_node,
@@ -39,6 +39,11 @@ from relucert.propagate import (
 )
 from relucert.rows import GuardLiteral, guard_rows
 from relucert.store import build_initial_store, interval_bounds
+
+
+def back_substitute(store):
+    """The refutation of the store's back-substituted sum, if any."""
+    return back_substitution(store).refutation(store)
 
 
 def _store(threshold="1", alpha=None, region=None):
@@ -379,7 +384,7 @@ class TestTgct:
         # the one `bound_rows` names, which stays active
         rng = random.Random(17)
         superseded = 0
-        for _ in range(40):
+        for _ in range(200):
             store = _random_store(rng)
             propagate_node(store, Budget())
             units = {store.layout.pre_index(u): u for u in store.bounds.pre}
@@ -430,33 +435,39 @@ class TestFixedPoint:
             assert certs.check_farkas(store.normalize(), res.farkas).ok
 
     def test_each_pass_pays_two_lps_per_templated_unit_and_one_feasibility_lp(self, monkeypatch):
-        # default templates every unit unstable when the pass's TGCT starts,
-        # margin-only none
+        # default templates the units whose chord the pass's back-substitution
+        # uses, margin-only none.  Only the last pass may skip its
+        # feasibility LP: when it added no row, so that LP would see the rows
+        # of the one before
         real = propagate.tgct
         for templates in ("default", "margin-only"):
             stores = [_store("1/2")] + [_random_store(random.Random(k)) for k in range(12)]
-            opened = unstable = 0
+            opened = templated = 0
             for store in stores:
                 budget = Budget()
                 passes = []
 
                 def spy(store, units, budget):
-                    passes.append((len(store.unstable), budget.lp_calls))
-                    return real(store, units, budget)
+                    units = list(units)
+                    passes.append([len(units), budget.lp_calls, len(store.constraints)])
+                    out = real(store, units, budget)
+                    passes[-1][2] = len(store.constraints) - passes[-1][2]
+                    return out
 
                 monkeypatch.setattr(propagate, "tgct", spy)
                 res = propagate_node(store, budget, templates=templates)
                 if res.status != "open":
                     continue
                 opened += 1
-                unstable += sum(units for units, _ in passes)
-                ends = [lps for _, lps in passes[1:]] + [budget.lp_calls]
-                paid = [end - start for (_, start), end in zip(passes, ends)]
-                if templates == "default":
-                    assert paid == [2 * units + 1 for units, _ in passes]
-                else:
-                    assert paid == [1] * len(passes)
-            assert opened >= 3 and unstable > 0
+                templated += sum(units for units, _, _ in passes)
+                ends = [lps for _, lps, _ in passes[1:]] + [budget.lp_calls]
+                closing = [end - start - 2 * units for (units, start, _), end in zip(passes, ends)]
+                assert closing[:-1] == [1] * (len(passes) - 1)
+                assert closing[-1] == 1 or (closing[-1] == 0 and passes[-1][2] == 0
+                                            and len(passes) > 1)
+                if templates == "margin-only":
+                    assert closing == [1] * len(passes) and templated == 0
+            assert opened >= 3 and (templated > 0) == (templates == "default")
 
     def test_sat_variant_stays_open_with_feasible_point(self):
         store = _store("1/2")
@@ -529,6 +540,79 @@ class TestFixedPoint:
         store = _store("1/2")
         res = propagate_node(store, Budget(), templates="margin-only")
         assert res.status == "open"
+
+
+class TestChordSelection:
+    """Each pass under default templates tightens exactly the unstable units
+    whose hull chord that pass's back-substitution uses, at a positive
+    multiplier (`Substitution.chord`)."""
+
+    def test_each_pass_tightens_the_units_whose_chord_the_sum_uses(self, monkeypatch):
+        real_sum, real_tgct = propagate.back_substitution, propagate.tgct
+        sums = []
+        seen = Counter()
+
+        def summed(store):
+            sums.append(real_sum(store))
+            return sums[-1]
+
+        def tightening(store, units, budget):
+            units = list(units)
+            lam = {u: sums[-1].chord(store, u) for u in store.unstable}
+            assert all(m is not None for m in lam.values())
+            assert units == sorted(u for u, m in lam.items() if m > 0)
+            seen["selected"] += len(units)
+            seen["left out"] += len(lam) - len(units)
+            return real_tgct(store, units, budget)
+
+        monkeypatch.setattr(propagate, "back_substitution", summed)
+        monkeypatch.setattr(propagate, "tgct", tightening)
+        rng = random.Random(5)
+        for _ in range(200):
+            sums.clear()
+            propagate_node(_random_store(rng), Budget())
+        assert seen["selected"] >= 20 and seen["left out"] >= 20, seen
+
+    def test_a_unit_off_the_sum_gets_no_lp(self, monkeypatch):
+        # the root of instance 57 with threshold + epsilon just below its
+        # maximum margin: the sum leans on the chords of (2, 0) and (2, 2)
+        # alone, and their four LPs stabilize both.  The second pass's sum
+        # uses no chord, so it makes no TGCT LP, and its feasibility LP
+        # would see the rows of the first pass's: it makes none, and the
+        # node stays open at the first pass's point
+        from test_search import tightened
+
+        net, region, prop = tightened(57, F(-1, 1000))
+        store = build_initial_store(net, layout_of(net, prop), region, prop, {})
+        objectives = []
+        real_max = lp.lp_max
+
+        def solving(sys, g, *args, **kwargs):
+            objectives.append(dict(g))
+            return real_max(sys, g, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "lp_max", solving)
+        sub = None
+
+        def summed(store):
+            nonlocal sub
+            sub = back_substitution(store)
+            return sub
+
+        monkeypatch.setattr(propagate, "back_substitution", summed)
+        budget = Budget()
+        ensure_relaxation(store)
+        first = back_substitution(store)
+        lam = {u: first.chord(store, u) for u in store.unstable}
+        assert lam == {(2, 0): F(7, 4), (2, 1): 0, (2, 2): F(4, 3), (2, 3): 0}
+        res = propagate_node(store, budget)
+        pre = store.layout.pre_index
+        assert sorted(objectives, key=str) == sorted(
+            ({pre(u): F(sign)} for u in ((2, 0), (2, 2)) for sign in (1, -1)), key=str)
+        assert {(2, 0), (2, 2)} <= store.phases.keys() and store.unstable == {(2, 1), (2, 3)}
+        assert all(sub.chord(store, u) == 0 for u in store.unstable)
+        assert res.status == "open" and res.iterations == 2 and budget.lp_calls == 5
+        assert res.feasible_point is not None
 
 
 class TestBackSubstitution:
@@ -638,11 +722,11 @@ def _reference_back_substitution(store):
 
 
 class TestBackSubstitutionReference:
-    """`back_substitute` sums integer rows over one common denominator;
+    """`back_substitution` sums integer rows over one common denominator;
     the plain `Fraction` sum above must give the same answer, refuted or
     not, and where it refutes the same multipliers.  On every root store of
     the acceptance suite with its relaxation installed, on every store that
-    propagation hands to `back_substitute` while the suite runs under both
+    propagation hands to `back_substitution` while the suite runs under both
     drivers, and on every node of the branching instances 42, 57 and 89
     (margin-only templates, a one-LP gate; below the root their
     propagation makes no back-substitution) as propagation leaves it."""
@@ -664,8 +748,9 @@ class TestBackSubstitutionReference:
             seen["refuted" if refutes else "kept"] += 1
             return cert
 
-        def spied_back_substitute(store):
-            return compare(store)
+        def spied_back_substitution(store):
+            compare(store)
+            return back_substitution(store)
 
         real_propagate = search.propagate_node
 
@@ -681,7 +766,7 @@ class TestBackSubstitutionReference:
             store = build_initial_store(net, build_layout(net, prop), region, prop, {})
             ensure_relaxation(store)
             compare(store)
-        monkeypatch.setattr(propagate, "back_substitute", spied_back_substitute)
+        monkeypatch.setattr(propagate, "back_substitution", spied_back_substitution)
         for problem in suite:
             for driver in (search.icl_verify, search.hsrv_verify):
                 driver(*problem)
