@@ -63,22 +63,13 @@ constant the substitution took out of the objective.  A system without
 equality pairs is solved exactly as it is, and one without single-variable
 rows has no bounds.
 
-Warm start: an OPTIMAL outcome carries its final tableau, with its
-reduction, and `lp_max` (or `lp_min`) given that tableau back as `warm`
-starts phase 2 from it, with no phase 1, when the new system has the same
-equalities and is otherwise the old one less some rows plus rows appended
-at the end (`_Tableau.reconcile`); only the appended rows are reduced,
-and the bounds are chosen again over the single-variable rows.  Template
-tightening makes exactly such steps, and the old basis stays feasible
-through them: the row it adds, g^T v <= beta with beta the optimum just
-found, holds with equality at the optimal point, so its slack enters the
-basis at 0, or, when it reduces to one variable, it tightens that
-variable's bound to a value the point meets.  The row it retires, if
-any, is a derived row strictly looser than the new one, so its slack is
-positive at that point, hence basic, and its tableau row and slack column
-can go, or it was an implied row or a bound the point is strictly inside.  When either
-condition fails the LP starts cold.  Values and statuses do not depend on
-the start; dual multipliers of a degenerate optimum may.
+Warm start: an OPTIMAL outcome carries its final tableau, which records
+the system it solves, and `lp_max` (or `lp_min`) given that tableau back as
+`warm` for that very system object runs phase 2 from its basis, with no
+phase 1 and no new reduction; the tableau of any other system is ignored
+and the LP starts cold.  Only the objective changes, so the old basis stays
+primal feasible (Chvatal 1983, ch. 10).  Values and statuses do not depend
+on the start; dual multipliers of a degenerate optimum may.
 """
 
 from __future__ import annotations
@@ -107,6 +98,7 @@ class LpOutcome:
     ray: None = None
     iterations: int = 0
     #: the final tableau of an OPTIMAL `lp_max`/`lp_min`, to pass as `warm`
+    #: to another objective's LP over the same system object
     tableau: _Tableau | None = None
 
 
@@ -212,14 +204,11 @@ class _Reduction:
     the lifts of a point and a multiplier vector back to the system."""
 
     def __init__(self, sys: NormalizedSystem):
-        pairs = _equality_pairs(sys)
-        #: the "le" row id of every equality pair, in row order
-        self.eq_ids = [sys.rows[k].rid for k in pairs]
         #: ("le" id, other id, den) of each equality that eliminated a variable
         self.eqs: list[tuple[RowId, RowId, int]] = []
         self.pivots: list[_Pivot] = []
         removed: set[RowId] = set()
-        for k in pairs:
+        for k in _equality_pairs(sys):
             den, coeffs, rhs = sys.rows[k].ints
             e, c, m = dict(coeffs), rhs, {len(self.eqs): 1}
             for piv in self.pivots:
@@ -255,10 +244,6 @@ class _Reduction:
         self.keep = [j for j in range(sys.n_vars) if j not in eliminated]
         self.col = {j: i for i, j in enumerate(self.keep)}
         self.n = len(self.keep)
-
-    def kept(self, sys: NormalizedSystem) -> list[int]:
-        """Positions of the rows of `sys` the reduced LP keeps."""
-        return [k for k, r in enumerate(sys.rows) if r.rid not in self.removed]
 
     def reduce(self, row: IntForm) -> IntForm:
         """An integer row with the eliminated variables substituted, over the
@@ -371,14 +356,14 @@ def _single(rid: RowId, form: IntForm) -> tuple[int, bool, _Bound]:
     return (j, True, (c, a, rid, den)) if a > 0 else (j, False, (-c, -a, rid, den))
 
 
-def _bounds(singles: dict, n: int) -> tuple[list[_Bound | None], list[_Bound | None]]:
+def _bounds(singles: list, n: int) -> tuple[list[_Bound | None], list[_Bound | None]]:
     """The lower and upper bound of each of n variables, or None: on each
-    side the tightest of the `singles` (id -> `_single`, in row order), the
+    side the tightest of the `singles` (`_single`s, in row order), the
     first in row order on a tie.  Every other single-variable row is implied
     by these two."""
     lo: list[_Bound | None] = [None] * n
     hi: list[_Bound | None] = [None] * n
-    for j, upper, b in singles.values():
+    for j, upper, b in singles:
         side = hi if upper else lo
         cur = side[j]
         if cur is None or (b[0] * cur[1] < cur[0] * b[1] if upper
@@ -459,24 +444,27 @@ class _Tableau:
     """
 
     def __init__(self, sys: NormalizedSystem):
+        #: the system this tableau solves, the one `lp_max` may reuse it for
+        self.sys = sys
         self.red = red = _Reduction(sys)
         self.n = n = red.n
-        kept = red.kept(sys)
-        #: the id of every row of the reduced LP, in row order
-        self.ids = [sys.rows[k].rid for k in kept]
-        #: the single-variable rows, id -> `_single`, in row order
-        self.singles: dict[RowId, tuple[int, bool, _Bound]] = {}
-        general = []
-        for k in kept:
-            rid = sys.rows[k].rid
-            form = red.reduce(sys.rows[k].ints)
+        singles, general = [], []
+        for r in sys.rows:
+            if r.rid in red.removed:
+                continue
+            form = red.reduce(r.ints)
             if len(form[1]) == 1:
-                self.singles[rid] = _single(rid, form)
+                singles.append(_single(r.rid, form))
             elif form[1] or form[2] < 0:
-                general.append((rid, form))
-        lo, hi = _bounds(self.singles, n)
-        self._set_bounds(lo, hi, [(1, l[0], l[1]) if l else (-1, h[0], h[1]) if h else (1, 0, 1)
-                                  for l, h in zip(lo, hi)])
+                general.append((r.rid, form))
+        self.lo, self.hi = lo, hi = _bounds(singles, n)
+        self.off: list[_Offset] = [(1, l[0], l[1]) if l else (-1, h[0], h[1]) if h else (1, 0, 1)
+                                   for l, h in zip(lo, hi)]
+        #: hi - lo, in lowest terms, of each variable bounded on both sides
+        self.width = {j: _ratio(h[0] * l[1] - l[0] * h[1], h[1] * l[1])
+                      for j, (l, h) in enumerate(zip(lo, hi)) if l and h}
+        self.fixed = {j for j, (w, _) in self.width.items() if not w}
+        self.free = {j for j, (l, h) in enumerate(zip(lo, hi)) if not l and not h}
         #: the Farkas vector, on the reduced rows, of the first variable
         #: whose lower bound exceeds its upper one; None if there is none
         self.conflict = next(({b[2]: Fraction(b[3], b[1]) for b in (lo[j], hi[j])}
@@ -508,15 +496,6 @@ class _Tableau:
             self.T.append(row)
             self.D.append(den)
         self.iterations = 0
-
-    def _set_bounds(self, lo: list[_Bound | None], hi: list[_Bound | None],
-                    off: list[_Offset]):
-        self.lo, self.hi, self.off = lo, hi, off
-        #: hi - lo, in lowest terms, of each variable bounded on both sides
-        self.width = {j: _ratio(h[0] * l[1] - l[0] * h[1], h[1] * l[1])
-                      for j, (l, h) in enumerate(zip(lo, hi)) if l and h}
-        self.fixed = {j for j, (w, _) in self.width.items() if not w}
-        self.free = {j for j, (l, h) in enumerate(zip(lo, hi)) if not l and not h}
 
     def _turn(self, j: int):
         """Variable j now sits at its other bound."""
@@ -675,117 +654,6 @@ class _Tableau:
                 self.T[i], self.D[i] = _reduced([row[k] for k in live] + [row[-1]], self.D[i])
             self.art_cols = []
 
-    def reconcile(self, sys: NormalizedSystem) -> bool:
-        """Make this optimal (or feasible) phase-2 tableau of an earlier
-        system a feasible tableau of `sys`, ready for phase 2; False,
-        leaving the tableau as it was, when that takes more than the steps
-        below.
-
-        `sys` must have the earlier system's equality pairs, and its other
-        rows must be the earlier system's less some rows, the rest in their
-        order, plus new rows after them; row ids name the same rows in both.
-        Only the new rows are reduced.  A dropped general row must have its
-        slack basic: no other row reads that label, so its tableau row and
-        its slack go, and the other slacks are renumbered.  The bounds are
-        chosen again over the single-variable rows left and new, so a new
-        single-variable row tightens its variable's bound and a dropped one
-        may loosen it.  Where a variable's bounds change, its current value
-        must satisfy them; a basic variable then measures from the same side
-        if that side still has a bound, else from the other, and a nonbasic
-        one must sit exactly at its new bound on the same side.  A new general row is written
-        over the labels, has its entries for basic labels eliminated and its
-        slack made basic, which is feasible only if its rhs is then >= 0."""
-        red = self.red
-        if [sys.rows[k].rid for k in _equality_pairs(sys)] != red.eq_ids:
-            return False
-        n = self.n
-        kept = red.kept(sys)
-        ids = [sys.rows[k].rid for k in kept]
-        old = [rid for rid in self.ids if rid in sys.index]
-        if old != ids[:len(old)]:
-            return False
-        keep = [t for t, rid in enumerate(self.row_ids) if rid in sys.index]
-        row_of = {b: i for i, b in enumerate(self.basis)}
-        dropped = set()
-        for t in set(range(self.m)).difference(keep):
-            i = row_of.get(n + t)
-            if i is None:
-                return False
-            dropped.add(i)
-        singles = {rid: s for rid, s in self.singles.items() if rid in sys.index}
-        appended = []
-        for k in kept[len(old):]:
-            rid = sys.rows[k].rid
-            form = red.reduce(sys.rows[k].ints)
-            if len(form[1]) == 1:
-                singles[rid] = _single(rid, form)
-            elif form[1] or form[2] < 0:
-                appended.append((rid, form))
-        T, D, basis = [], [], []
-        for i, row in enumerate(self.T):
-            if i not in dropped:
-                T.append(row)
-                D.append(self.D[i])
-                basis.append(self.basis[i])
-        lo, hi = _bounds(singles, n)
-        off = list(self.off)
-        row_of = {b: i for i, b in enumerate(basis)}
-        for j, (l, h, ol, oh) in enumerate(zip(lo, hi, self.lo, self.hi)):
-            if _same(l, ol) and _same(h, oh):
-                continue
-            sigma, p, d = off[j]
-            beta = Fraction(p, d)
-            i = row_of.get(j)
-            x = beta if i is None else beta + sigma * Fraction(T[i][-1], D[i])
-            if (l and x < Fraction(l[0], l[1])) or (h and x > Fraction(h[0], h[1])):
-                return False
-            new = ((-1, h[0], h[1]) if h and (sigma < 0 or not l)
-                   else (1, l[0], l[1]) if l else (1, 0, 1))
-            if i is not None:
-                delta = new[0] * (beta - Fraction(new[1], new[2]))
-                T[i], D[i] = _shifted(T[i], D[i], sigma * new[0], delta.numerator,
-                                      delta.denominator)
-            elif new[0] != sigma or Fraction(new[1], new[2]) != beta:
-                return False  # a nonbasic variable must sit at its new bound
-            off[j] = new
-        label = {n + k: n + t for t, k in enumerate(keep)}
-        cols = [label.get(c, c) for c in self.cols]
-        basis = [label.get(b, b) for b in basis]
-        pos = {c: k for k, c in enumerate(cols)}
-        for _, form in appended:
-            den, coeffs, rhs = _in_labels(form, off)
-            row = [0] * (len(cols) + 1)
-            row[-1] = rhs
-            on_basic = {}  # entries for basic labels, not yet eliminated
-            for j, a in coeffs.items():
-                k = pos.get(j)
-                if k is None:
-                    on_basic[j] = a
-                else:
-                    row[k] = a
-            for i, b in enumerate(basis):
-                f = on_basic.pop(b, 0)
-                if f:  # row * ps - fs * T[i], which reads 0 for b
-                    g = gcd(D[i], f)
-                    ps, fs = D[i] // g, f // g
-                    row = [a * ps - fs * v for a, v in zip(row, T[i])]
-                    on_basic = {j: a * ps for j, a in on_basic.items()}
-                    den *= ps
-            row, den = _reduced(row, den)
-            if row[-1] < 0:
-                return False
-            basis.append(n + len(T))
-            T.append(row)
-            D.append(den)
-        self.row_ids = [self.row_ids[k] for k in keep] + [rid for rid, _ in appended]
-        self.m = len(self.row_ids)
-        self.ids, self.singles = ids, singles
-        self._set_bounds(lo, hi, off)
-        self.cols = cols
-        self.T, self.D, self.basis = T, D, basis
-        self.iterations = 0
-        return True
-
     def primal(self) -> dict[int, Fraction]:
         """The point: each variable at its bound, plus its label's value if
         basic."""
@@ -855,11 +723,6 @@ def _ratio(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _same(a: _Bound | None, b: _Bound | None) -> bool:
-    """Both absent, or both present with equal values."""
-    return a is b or (a is not None and b is not None and a[0] * b[1] == b[0] * a[1])
-
-
 def _complemented(row: list[int], den: int, q: int, p: int, s: int) -> tuple[list[int], int]:
     """row / den with the nonbasic label y at position q replaced by u - y'
     (u = p / s, s > 0): its entry negated and the rhs less entry times u,
@@ -905,11 +768,13 @@ def lp_max(sys: NormalizedSystem, g: dict[int, Fraction],
     """Maximize g^T v over the system, which must bound it (an unbounded
     direction raises `SelfCheckFailed`); deterministic (Bland's rule).
     `warm`, the `tableau` of an earlier OPTIMAL outcome, is reused in place
-    and skips phase 1 when it reconciles with the system; else the LP
-    starts cold."""
+    when it records this very system object (identity, not equality): phase
+    2 runs from its basis, and `iterations` counts this LP's steps alone.
+    Any other `warm` is ignored and the LP starts cold."""
     g = {j: Fraction(q) for j, q in g.items() if q != 0}
-    if warm is not None and warm.reconcile(sys):
+    if warm is not None and warm.sys is sys:
         tab = warm
+        tab.iterations = 0
     else:
         tab, out = _phase1(sys)
         if out is not None:

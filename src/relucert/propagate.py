@@ -43,9 +43,6 @@ from .store import Store, bound_form
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-#: cap on the fixed-point passes of one node
-MAX_PASSES = 25
-
 
 class NotUnstable(Exception):
     """hull_insert called for a unit whose bounds do not straddle zero."""
@@ -264,10 +261,18 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     unit's affine row bounds its pre-activation through its bounded
     sources, so every feasible LP here has an optimum.
 
-    Each LP after the first starts from the optimal tableau of the one
-    before: the system changes in between only by the derived row just
-    added and the looser derived row it may retire (see `lp`)."""
+    Every LP of a call solves the one system the store normalizes to when
+    the call begins, and each LP after the first starts from the optimal
+    tableau of the one before, with only the objective swapped (see `lp`).
+    The rows the call adds and retires do not change that polytope: a
+    derived row's bound is an optimum over the call's rows, so those rows
+    imply it, and the row it retires is looser still.  So every LP has the
+    value it would have over the store's rows at that moment, and each
+    certificate cites only rows that existed when the call began.  A call
+    with no unit normalizes nothing."""
     res = TgctResult()
+    units = list(units)
+    sys = store.normalize() if units else None
     tab = None
     for unit in units:
         s = store.layout.pre_index(unit)
@@ -275,7 +280,7 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             # the lower bound l is the upper bound -l of -s
             g = {s: _ONE if upper else -_ONE}
             budget.count_lp()
-            out = lp.lp_max(store.normalize(), g, warm=tab)
+            out = lp.lp_max(sys, g, warm=tab)
             tab = out.tableau
             if out.status == lp.INFEASIBLE:
                 res.farkas = FarkasCertificate.make(out.dual)
@@ -361,10 +366,15 @@ def propagate_node(store: Store, budget: Budget, templates: str = "default",
     no LP, and the leaf then carries no bound.  Either way `evidence` is
     the bound of the final rows.  Prune carries an accepted Farkas
     certificate, an open node a point of all its rows.  Raises `Exhausted`
-    as `tgct` does."""
+    as `tgct` does.
+
+    The loop always ends: after the first pass the unstable units only
+    shrink and the stabilized ones only grow, and a later pass goes on
+    only if it stabilizes a unit, so a node makes at most |ReLU units| + 2
+    passes."""
     result = PropagationResult("open")
     closed = None  # the ids of the rows of the last closing LP
-    for _ in range(MAX_PASSES):
+    while True:
         result.iterations += 1
         before = (frozenset(store.unstable), frozenset(store.phases))
         settled = ensure_relaxation(store)

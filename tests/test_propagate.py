@@ -38,7 +38,7 @@ from relucert.propagate import (
     tgct,
 )
 from relucert.rows import GuardLiteral, guard_rows
-from relucert.store import build_initial_store, interval_bounds
+from relucert.store import Store, build_initial_store, interval_bounds
 
 
 def back_substitute(store):
@@ -402,6 +402,73 @@ class TestTgct:
                 superseded += 1
         assert superseded >= 5, superseded
 
+    def test_every_lp_of_a_call_solves_the_calls_system(self, monkeypatch):
+        # over the propagation of random stores, every LP of a TGCT call
+        # runs on the one system of the rows active when the call began,
+        # and its status and value are those of a cold LP over the store's
+        # rows just before it, which the call may have changed by then;
+        # each derived row's certificate cites only rows older than the call
+        real_tgct, real_max = propagate.tgct, lp.lp_max
+        call = None  # (store, the systems of the call's LPs)
+        seen = Counter()
+
+        def tightening(store, units, budget):
+            nonlocal call
+            units = list(units)
+            start = len(store.constraints)
+            active = [cid for cid, _ in store.active_constraints()]
+            call = (store, [])
+            try:
+                res = real_tgct(store, units, budget)
+            finally:
+                systems = call[1]
+                call = None
+            assert all(sys is systems[0] for sys in systems)
+            if systems:
+                assert list(dict.fromkeys(r.rid[1] for r in systems[0].rows)) == active
+            for cid in list(store.constraints)[start:]:
+                derivation = store.constraints[cid].derivation
+                assert derivation[0] == "derived"
+                assert all(rid[1] < start for rid, _ in derivation[1].multipliers)
+                seen["derived"] += 1
+            seen["calls with 2+ units"] += len(units) >= 2
+            return res
+
+        def solving(sys, g, warm=None):
+            if call is None:
+                return real_max(sys, g, warm)
+            store, systems = call
+            systems.append(sys)
+            now = store.normalize()
+            cold = real_max(now, g)
+            out = real_max(sys, g, warm)
+            assert (out.status, out.value) == (cold.status, cold.value)
+            seen["lps"] += 1
+            seen["lps over changed rows"] += [r.rid for r in now.rows] != [r.rid for r in sys.rows]
+            return out
+
+        monkeypatch.setattr(propagate, "tgct", tightening)
+        monkeypatch.setattr(lp, "lp_max", solving)
+        rng = random.Random(33)
+        for _ in range(400):
+            propagate_node(_random_store(rng), Budget())
+        assert seen["calls with 2+ units"] >= 20 and seen["lps over changed rows"] >= 20, seen
+
+    def test_a_call_normalizes_the_store_once_and_only_with_a_unit(self, monkeypatch):
+        normalize = Store.normalize
+        counted = []
+
+        def counting(store, *args, **kwargs):
+            counted.append(store)
+            return normalize(store, *args, **kwargs)
+
+        monkeypatch.setattr(Store, "normalize", counting)
+        store = _store("1/2")
+        ensure_relaxation(store)
+        assert tgct(store, [], Budget()).rows_added == 0 and counted == []
+        res = tgct(store, sorted(store.unstable), Budget())
+        assert res.rows_added > 0 and counted == [store]
+
     def test_budget_exhaustion_reported(self):
         store = _store("1/2")
         ensure_relaxation(store)
@@ -412,6 +479,20 @@ class TestTgct:
 
 
 class TestFixedPoint:
+    def test_passes_are_bounded_by_the_relu_units(self):
+        # after the first pass a pass goes on only if it stabilizes a unit,
+        # so no node makes more than |ReLU units| + 2 passes
+        rng = random.Random(34)
+        passes = Counter()
+        for k in range(1000):
+            net, region, prop = random_instance(rng, max_hidden_layers=3)
+            store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+            res = propagate_node(store, Budget(), templates=("default", "margin-only")[k % 2],
+                                 margin=k % 3 == 0)
+            assert res.iterations <= len(net.hidden_units) + 2
+            passes[res.iterations] += 1
+        assert sum(n for p, n in passes.items() if p >= 3) >= 3, passes
+
     def test_worked_instance_prunes_with_checked_farkas(self):
         store = _store()
         res = propagate_node(store, Budget())
