@@ -94,7 +94,8 @@ class LpOutcome:
     value: Fraction | None = None
     primal: dict[int, Fraction] | None = None
     dual: dict[RowId, Fraction] | None = None
-    #: always None; read only by perfbench/spans.py, which ROADMAP item 8 replaces
+    #: always None; read only by perfbench/spans.py, and gone with it once
+    #: the run report that replaces spans.py lands
     ray: None = None
     iterations: int = 0
     #: the final tableau of an OPTIMAL `lp_max`/`lp_min`, to pass as `warm`

@@ -134,7 +134,7 @@ def problem_digest(raw: bytes) -> str:
 
 
 def _q(v: Fraction) -> str:
-    return format_rational(Fraction(v))
+    return format_rational(v)
 
 
 def _row_json(row) -> dict:

@@ -225,7 +225,6 @@ class _Verdict(Exception):
 
 def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
          hybrid: bool) -> VerifyResult:
-    layout = build_layout(net, prop)
     budget = Budget(lp_limit=config.lp_budget)
     clauses = ClauseDB()
     root_region = region
@@ -302,7 +301,9 @@ def _run(net: Network, region: Region, prop: SafetyProperty, config: Config,
         mid = tuple((lo + hi) * _HALF for lo, hi in zip(region.lower, region.upper))
         if validate_witness(net, region, prop, mid).accepted:
             raise sat(mid)
-        # the rows every node's store shares, built once the run needs a store
+        # the layout and the rows every node's store shares, built once the
+        # run needs a store
+        layout = build_layout(net, prop)
         shared = ProblemRows(net, layout, prop)
         tree = solve(region, {}, 0)
     except Exhausted:

@@ -26,7 +26,6 @@ from relucert.cli import (
     EXIT_UNKNOWN,
     EXIT_UNSAT,
     EXIT_USAGE,
-    build_parser,
     main,
 )
 from relucert.model import IDENTITY, Layer, Network, Region, SafetyProperty, validate_witness
@@ -171,17 +170,11 @@ class TestVerify:
         code, _, _ = _run(capsys, "verify", WORKED, "--no-such-flag")
         assert code == EXIT_USAGE
 
-    def test_parser_is_built_once_and_keeps_no_flags(self, capsys, monkeypatch):
-        # the budget of the first call must not carry over to the second,
-        # which reuses the parser the first one built.  The SAT variant
-        # needs an LP (the worked query is refuted with none)
+    def test_flags_do_not_carry_over_to_the_next_call(self, capsys):
+        # the budget of the first call must not carry over to the second.
+        # The SAT variant needs an LP (the worked query is refuted with none)
         code, out, _ = _run(capsys, "verify", WORKED_SAT, "--lp-budget", "0")
         assert code == EXIT_UNKNOWN and "UNKNOWN" in out
-
-        def rebuilt():
-            raise AssertionError("parser built twice")
-
-        monkeypatch.setattr(cli, "build_parser", rebuilt)
         code, out, _ = _run(capsys, "verify", WORKED_SAT)
         assert code == EXIT_SAT and "SAT witness=" in out
 
@@ -490,11 +483,104 @@ class TestDeterminism:
 
 
 class TestDocumentedFlags:
+    @staticmethod
+    def _documented(heading):
+        section = (ROOT / "README.md").read_text().split(heading, 1)[1].split("\n\n", 1)[0]
+        return set(re.findall(r"`(--[a-z-]+)", section))
+
     def test_readme_lists_exactly_the_verify_flags(self):
-        readme = ROOT / "README.md"
-        section = readme.read_text().split("Flags for `verify`:", 1)[1].split("\n\n", 1)[0]
-        documented = set(re.findall(r"`(--[a-z-]+)", section))
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        defined = {opt for action in sub.choices["verify"]._actions
-                   for opt in action.option_strings if opt.startswith("--")} - {"--help"}
-        assert documented == defined
+        assert self._documented("Flags for `verify`:") == set(cli.COMMANDS["verify"].flags)
+        assert self._documented("Flag for `oracle`:") == set(cli.COMMANDS["oracle"].flags)
+        assert set(cli.COMMANDS["oracle"].flags) == {"--cap"}
+
+
+class TestGrammar:
+    """The command line is read by one table: flags are spelled out in
+    full, as `--flag VALUE` or `--flag=VALUE`, the last of a repeated flag
+    wins, `--` ends the flags, and `-h`/`--help` prints the usage on stdout
+    and exits 0.  Any other command line is a usage error: exit 3, nothing
+    on stdout, one `error:` line and the usage on stderr."""
+
+    #: (argv, exit code): each flag form, with a budget of 0 LPs where it
+    #: takes effect (the SAT variant needs an LP) and no budget where not
+    ACCEPTED = [
+        (("verify", WORKED_SAT, "--lp-budget=0"), EXIT_UNKNOWN),
+        (("verify", WORKED_SAT, "--lp-budget", "0", "--lp-budget=5"), EXIT_SAT),
+        (("verify", WORKED_SAT, "--lp-budget=5", "--lp-budget", "0"), EXIT_UNKNOWN),
+        (("verify", "--lp-budget", "0", WORKED_SAT), EXIT_UNKNOWN),
+        (("verify", "--lp-budget", "0", "--", WORKED_SAT), EXIT_UNKNOWN),
+        (("verify", WORKED_SAT, "--strategy=hsrv", "--templates=margin-only"), EXIT_SAT),
+        (("check", "--", WORKED, "no-such.proof"), EXIT_USAGE),
+        (("oracle", WORKED, "--cap=1"), EXIT_CAP),
+    ]
+    HELP = [("-h",), ("--help",), ("verify", "--help"), ("verify", WORKED, "-h"),
+            ("check", "-h"), ("oracle", WORKED, "--help")]
+    #: (argv, what the error line says)
+    ERRORS = [
+        ((), "no command"),
+        (("prove", WORKED), "unknown command 'prove'"),
+        (("--strategy", "icl", "verify", WORKED), "unknown command '--strategy'"),
+        (("verify", WORKED, "--strat", "hsrv"), "unknown flag --strat"),
+        (("verify", WORKED, "--strat=hsrv"), "unknown flag --strat"),
+        (("verify", WORKED, "-s", "hsrv"), "unknown flag -s"),
+        (("oracle", WORKED, "--lp-budget", "1"), "unknown flag --lp-budget"),
+        (("verify",), "missing PROBLEM"),
+        (("check", WORKED), "missing PROOF"),
+        (("verify", WORKED, WORKED), f"unexpected argument {WORKED!r}"),
+        (("verify", WORKED, "--", "--lp-budget", "1"), "unexpected argument '--lp-budget'"),
+        (("verify", WORKED, "--strategy", "dfs"), "argument --strategy: invalid choice 'dfs'"),
+        (("verify", WORKED, "--templates="), "argument --templates: invalid choice ''"),
+        (("verify", WORKED, "--lp-budget", "1.5"),
+         "argument --lp-budget: '1.5' is not an integer"),
+        (("oracle", WORKED, "--cap", "x"), "argument --cap: 'x' is not an integer"),
+        (("verify", WORKED, "--max-depth", "-3"), "argument --max-depth: -3 is negative"),
+        (("verify", WORKED, "--lp-budget"), "argument --lp-budget: expected a value"),
+        (("verify", WORKED, "--emit-proof", "--witness", "w"),
+         "argument --emit-proof: expected a value"),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", ACCEPTED, ids=lambda v: " ".join(v)
+                             if isinstance(v, tuple) else None)
+    def test_flag_forms(self, capsys, argv, expected):
+        code, out, _ = _run(capsys, *argv)
+        assert code == expected, out
+
+    def test_double_dash_reads_a_path_that_looks_like_a_flag(self, capsys, tmp_path,
+                                                             monkeypatch):
+        (tmp_path / "-w.json").write_bytes(Path(WORKED).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert _run(capsys, "verify", "--", "-w.json")[0] == EXIT_UNSAT
+        code, out, err = _run(capsys, "verify", "-w.json")
+        assert (code, out) == (EXIT_USAGE, "") and "error: unknown flag -w.json" in err
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_prints_the_usage_and_exits_zero(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: relucert ")
+        commands = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+        for name in commands:
+            assert all(flag in out for flag in cli.COMMANDS[name].flags), name
+            assert f"relucert {name} " in out, name
+
+    @pytest.mark.parametrize("argv,message", ERRORS, ids=lambda v: " ".join(v)
+                             if isinstance(v, tuple) else None)
+    def test_usage_errors_exit_3_with_one_error_line(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], err
+        assert "usage: relucert " in err
+
+    def test_the_grammar_under_python_o(self):
+        for argv, expected in self.ACCEPTED:
+            run = _cli_o(*argv)
+            assert run.returncode == expected, (argv, run.stderr)
+        for argv in self.HELP:
+            run = _cli_o(*argv)
+            assert (run.returncode, run.stderr) == (0, ""), argv
+            assert run.stdout.startswith("usage: relucert "), argv
+        for argv, message in self.ERRORS:
+            run = _cli_o(*argv)
+            errors = [line for line in run.stderr.splitlines() if line.startswith("error:")]
+            assert (run.returncode, run.stdout) == (EXIT_USAGE, ""), argv
+            assert len(errors) == 1 and message in errors[0], (argv, run.stderr)

@@ -24,7 +24,7 @@ from conftest import (
     worked_prop,
     worked_region,
 )
-from relucert import certs, lp, prooflog, propagate
+from relucert import certs, lp, prooflog, propagate, search
 from relucert.budget import Budget
 from relucert.model import (
     ACTIVE,
@@ -238,6 +238,28 @@ class TestMidpointProbe:
             assert res.witness == (F(1, 2),)
             assert res.budget.lp_calls == 0
             assert validate_witness(net, region, prop, res.witness).accepted
+
+    def test_midpoint_sat_builds_no_layout_and_no_shared_rows(self, monkeypatch):
+        """The SAT fast path builds nothing it does not read: a run that
+        ends at the midpoint builds neither the variable layout nor the
+        rows every node's store shares, and an UNSAT run builds each once."""
+        made = Counter()
+
+        def spied(name, real):
+            def build(*args, **kwargs):
+                made[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(search, name, build)
+
+        spied("build_layout", search.build_layout)
+        spied("ProblemRows", search.ProblemRows)
+        net, region = worked_network(), worked_region()
+        for driver in (icl_verify, hsrv_verify):
+            made.clear()
+            assert driver(net, region, worked_prop("-1/2")).status == "sat"
+            assert not made, driver.__name__
+            assert driver(net, region, worked_prop()).status == "unsat"
+            assert made == {"build_layout": 1, "ProblemRows": 1}, driver.__name__
 
 
 class TestMergeDemo:

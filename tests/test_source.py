@@ -77,6 +77,16 @@ def test_import_scan_sees_the_solver_importing_certs():
     assert {"fractions", "math", "dataclasses"} <= set(_other_imports("src/relucert/lp.py"))
 
 
+def test_no_module_imports_argparse():
+    """The command line is parsed by `cli.COMMANDS` and a plain loop.
+    An argparse parse was the largest piece of library code a call ran
+    (about a seventh of a `verify` call that makes no LP), so no module
+    brings it back."""
+    assert "sys" in set(_other_imports("src/relucert/cli.py")), "the scan sees cli's imports"
+    importers = [path.name for path in MODULES if "argparse" in set(_other_imports(path))]
+    assert not importers, f"modules importing argparse: {importers}"
+
+
 @pytest.mark.parametrize("name", TRUSTED)
 def test_trusted_modules_import_no_solver_module(name):
     """The checker's trust base never reaches the solver: a trusted module
