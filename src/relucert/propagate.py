@@ -66,6 +66,15 @@ class PropagationResult:
     evidence: DualBoundCertificate | None = None
 
 
+def _bound_row(store: Store, unit: Unit, upper: bool) -> tuple[int, ...]:
+    """The id of the derived row that bounds that end of the unit's
+    pre-activation now, or none.  TGCT writes such a row only where it is
+    strictly tighter, so it is the tightest row on that end so far, the
+    one `check` tightens the interval with."""
+    cid = store.bound_rows.get((unit, upper))
+    return () if cid is None else (cid,)
+
+
 def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     """Replace the unit's relaxation by its exact linear specialization: the
     phase equality a guard on the phase would add, `z = s` or `z = 0`.  The
@@ -74,8 +83,11 @@ def _specialize(store: Store, unit: Unit, phase: str) -> tuple[Unit, str]:
     for cid in store.hull_ids.pop(unit, []):
         store.retire(cid)
     store.hull_bounds.pop(unit, None)
+    # the row rests on the derived row on the side that fixes its sign, if
+    # one does; else the seed fixes it
     store.phase_ids[unit] = store.add(("stabilize", unit, phase),
-                                      guard_rows(store.layout, GuardLiteral(unit, phase))[0])
+                                      guard_rows(store.layout, GuardLiteral(unit, phase))[0],
+                                      _bound_row(store, unit, phase == INACTIVE))
     store.phases[unit] = phase
     store.unstable.discard(unit)
     return unit, phase
@@ -100,7 +112,12 @@ def hull_insert(store: Store, unit: Unit) -> list[int]:
         lowest_terms(d, {z: d, s: -hi_n * lo_d}, -hi_n * lo_n),
         bound_form(z, 1, hi),
     ]
-    ids = [store.add(("hull", unit, k), [row]) for k, row in enumerate(rows)]
+    # the rows rest on the derived rows that bound the ends of s they read:
+    # the chord both, row 3 the upper one; rows 0 and 1 read none, since
+    # the seed straddles zero as the interval does
+    up, down = _bound_row(store, unit, True), _bound_row(store, unit, False)
+    premises = ((), (), up + down, up)
+    ids = [store.add(("hull", unit, k), [row], premises[k]) for k, row in enumerate(rows)]
     store.hull_ids[unit] = ids
     store.hull_bounds[unit] = (lo, hi)
     return ids
@@ -288,8 +305,9 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
             lo, hi = store.bounds.pre[unit]
             if out.value >= (hi if upper else -lo):
                 continue
-            cid = store.add(("derived", DualBoundCertificate.make(g, out.value, out.dual)),
-                            [bound_form(s, 1 if upper else -1, out.value)])
+            cert = DualBoundCertificate.make(g, out.value, out.dual)
+            cid = store.add(("derived", cert), [bound_form(s, 1 if upper else -1, out.value)],
+                            tuple(rid[1] for rid, _ in cert.multipliers))
             if upper:
                 store.bounds.tighten(unit, hi=out.value)
             else:

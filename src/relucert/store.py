@@ -18,9 +18,10 @@ state.  A unit's interval starts at the seed of the node's scope,
 code, and only the derived rows on its pre-activation tighten it.  A proof
 records such a row by its tag alone.  A derived row, a bound an LP proved,
 is the one kind the tag does not determine: the proof records the row, and
-its tag carries the dual certificate that proves it.  A proof leaf keeps
-only the rows its certificates reach, `Store.cone`, by the same rule by
-which the checker rebuilds them.
+its tag carries the dual certificate that proves it.  Propagation, which
+writes a row, records the rows it rests on, the ones the checker rebuilds
+it from; a proof leaf keeps only the rows its certificates reach through
+those records, `Store.cone`.
 
 One map, `Store.phases`, holds the phase of each committed or stabilized
 unit, and `Store.phase_ids` the id of its phase equality, z = s or z = 0;
@@ -173,6 +174,8 @@ class Store:
         self.phase_ids: dict[Unit, int] = {}
         self.constraints: dict[int, StoreRow] = {}
         self.retired: set[int] = set()
+        # id -> the ids of the rows of smaller id that the row rests on
+        self.premises: dict[int, tuple[int, ...]] = {}
         self.bounds = BoundsMap()
         self.unstable: set[Unit] = set()
         # per-unit bookkeeping for certificate construction
@@ -186,13 +189,18 @@ class Store:
 
     # -- mutation ---------------------------------------------------------
 
-    def add(self, derivation: tuple, forms: list[IntForm]) -> int:
+    def add(self, derivation: tuple, forms: list[IntForm],
+            premises: tuple[int, ...] = ()) -> int:
         """Append a row, given as its integer sides (one, or an equality's
-        two), under the next id and return that id."""
+        two), under the next id and return that id.  `premises` are the ids
+        of the rows it rests on, which a proof leaf that keeps it keeps too
+        (`cone`)."""
         if not forms[0][1]:
             raise ValueError("empty constraint row")
         cid = len(self.constraints)
         self.constraints[cid] = store_row(cid, derivation, forms)
+        if premises:
+            self.premises[cid] = premises
         return cid
 
     def retire(self, cid: int):
@@ -232,49 +240,16 @@ class Store:
 
     def cone(self, rids: Iterable[RowId]) -> list[tuple[int, StoreRow]]:
         """The rows that the rows named in `rids` rest on, transitively and
-        them included, as (id, constraint) in id order, retired rows too.
-        A derived row rests on the rows its certificate cites.  A hull or
-        `stabilize` row rests on the rows that tighten its unit's
-        pre-activation s beyond the seed of the scope by its id: on each
-        end of s's interval it reads, the tightest single-variable row on s
-        of smaller id, if any.  The chord, hull row 2, reads both ends and
-        hull row 3 the upper one; rows 0 and 1 read none, since the seed,
-        which contains the interval, straddles zero as the interval does.  A
-        `stabilize` row reads the end that fixes its sign, and where the
-        seed fixes it, rests on no row.  This is the rule by which `check`
-        rebuilds those rows, so it rebuilds each row of the cone as the
-        store holds it.  One pass in id order finds what each row rests on,
-        and one pass back collects the cone."""
-        reads: dict[int, list[int]] = {}
-        # per variable, (num, den, id) of its tightest bound row so far:
-        # x <= num/den in `upper`, x >= num/den in `lower`, den > 0
-        upper: dict[int, tuple[int, int, int]] = {}
-        lower: dict[int, tuple[int, int, int]] = {}
-        for cid, c in self.constraints.items():
-            tag = c.derivation
-            kind = tag[0]
-            if kind == "derived":
-                reads[cid] = [rid[1] for rid, _ in tag[1].multipliers if rid[0] == "c"]
-            elif kind in ("hull", "stabilize"):
-                s = self.layout.pre_index(tag[1])
-                if kind == "hull":
-                    sides = ((), (), (upper, lower), (upper,))[tag[2]]
-                else:
-                    sides = (lower,) if tag[2] == ACTIVE else (upper,)
-                reads[cid] = [side[s][2] for side in sides if s in side]
-            _, coeffs, b = c.sides[0].ints
-            if len(c.sides) == 1 and len(coeffs) == 1:
-                (j, a), = coeffs.items()
-                if a > 0:
-                    if j not in upper or b * upper[j][1] < upper[j][0] * a:
-                        upper[j] = (b, a, cid)
-                elif j not in lower or b * lower[j][1] < lower[j][0] * a:
-                    lower[j] = (-b, -a, cid)  # a x <= b with a < 0: x >= -b/-a
-        keep = {rid[1] for rid in rids if rid[0] == "c"}
-        for cid in reversed(self.constraints):
-            if cid in keep:
-                keep.update(reads.get(cid, ()))
-        return [(cid, c) for cid, c in self.constraints.items() if cid in keep]
+        them included, as (id, constraint) in id order, retired rows too:
+        a walk over the premises `add` recorded."""
+        keep: set[int] = set()
+        todo = [rid[1] for rid in rids if rid[0] == "c"]
+        while todo:
+            cid = todo.pop()
+            if cid not in keep:
+                keep.add(cid)
+                todo.extend(self.premises.get(cid, ()))
+        return [(cid, self.constraints[cid]) for cid in sorted(keep)]
 
 
 # -- initial store ---------------------------------------------------------

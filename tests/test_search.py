@@ -586,6 +586,83 @@ class TestTrimmedLeaves:
         assert seen["rows kept"] < 0.8 * seen["rows"], seen
 
 
+def _reference_reads(store) -> dict:
+    """Per row id, the ids of the rows it rests on, by the rule `check`
+    rebuilds rows by, found over the store's rows alone in one id-order
+    rescan (as `Store.cone` once did): a derived row rests on the rows its
+    certificate cites; a hull or `stabilize` row rests, per end of its
+    unit's pre-activation s that it reads, on the tightest single-variable
+    row on s of smaller id.  The chord reads both ends, hull row 3 the
+    upper one, rows 0 and 1 none, and a `stabilize` row the end that fixes
+    its sign."""
+    reads = {}
+    # per variable and end (True: upper), the (bound, id) of its tightest
+    # single-variable row so far
+    tightest = {}
+    for cid, c in sorted(store.constraints.items()):
+        kind, *tag = c.derivation
+        if kind == "derived":
+            reads[cid] = {rid[1] for rid, _ in tag[0].multipliers if rid[0] == "c"}
+        elif kind in ("hull", "stabilize"):
+            s = store.layout.pre_index(tag[0])
+            if kind == "hull":
+                ends = ((), (), (True, False), (True,))[tag[1]]
+            else:
+                ends = (tag[1] == INACTIVE,)
+            reads[cid] = {tightest[s, up][1] for up in ends if (s, up) in tightest}
+        _, coeffs, b = c.sides[0].ints
+        if len(c.sides) == 1 and len(coeffs) == 1:
+            (j, a), = coeffs.items()
+            # a x <= b: x <= bound for a > 0, -x <= bound for a < 0
+            up, bound = a > 0, F(b, abs(a))
+            if (j, up) not in tightest or bound < tightest[j, up][0]:
+                tightest[j, up] = (bound, cid)
+    return {cid: ids for cid, ids in reads.items() if ids}
+
+
+class TestConeWalk:
+    """`Store.cone` walks the premises propagation records when it writes a
+    row.  `close` calls it once per leaf; spied there, on the default
+    flags and margin-only templates with a one-LP gate, over the
+    branching instances whose default proofs keep hull rows built over
+    derived rows (`test_prooflog._REFRESHED`) and 57 and 89, under both
+    drivers: every row of the leaf's store records the premises
+    `_reference_reads` finds, and the leaf's cone is their closure from the
+    rows its certificates cite, in id order."""
+
+    def test_every_leaf_cone_is_the_rebuild_rule_closure(self, monkeypatch):
+        from test_prooflog import _REFRESHED
+
+        cone = Store.cone
+        seen = Counter()
+
+        def spy(store, rids):
+            rids = list(rids)
+            reads = _reference_reads(store)
+            assert {cid: set(ids) for cid, ids in store.premises.items()} == reads
+            keep = {rid[1] for rid in rids if rid[0] == "c"}
+            for cid in sorted(store.constraints, reverse=True):
+                if cid in keep:
+                    keep.update(reads.get(cid, ()))
+            rows = cone(store, rids)
+            assert rows == [(cid, store.constraints[cid]) for cid in sorted(keep)]
+            seen["leaves"] += 1
+            seen.update(c.derivation[0] for cid, c in rows if cid in reads)
+            seen.update(f"hull {c.derivation[2]}" for cid, c in store.constraints.items()
+                        if cid in reads and c.derivation[0] == "hull")
+            return rows
+
+        monkeypatch.setattr(Store, "cone", spy)
+        for idx in (*_REFRESHED, 57, 89):
+            for config in (Config(), TestBranchingOracleAgreement.CONFIG):
+                for driver in (icl_verify, hsrv_verify):
+                    assert driver(*tightened(idx), config).status == "unsat", (idx, config)
+        # rows in cones that rest on others, of each kind propagation
+        # writes, and store rows of hull rows 2 and 3 that do
+        assert seen["leaves"] >= 70 and min(seen[k] for k in (
+            "derived", "hull", "stabilize", "hull 2", "hull 3")) >= 10, seen
+
+
 class TestIntervalRowsLeftOut:
     """No LP holds a row that states a unit's seed interval, which
     `relucert-proof-8` kept in the store as two `interval` rows, since the

@@ -391,3 +391,15 @@ def test_no_module_writes_or_reads_an_interval_row():
         tree = ast.parse(Path(f"src/relucert/{name}.py").read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & {"_interval_row", "_install_bound_rows"}, (name, defined)
+
+
+def test_the_store_interprets_no_relaxation_derivation():
+    """Propagation records the rows a row rests on when it writes the row,
+    and `Store.cone` walks those records.  `store` names no `hull`,
+    `stabilize` or `derived` derivation kind, so the rule for what such a
+    row rests on stays where rows are written, in `propagate`, and in the
+    checker's own copy, and no second copy comes back in the store."""
+    kinds = {"hull", "stabilize", "derived"}
+    assert "region" in _string_constants("src/relucert/store.py"), "the scan sees tags"
+    assert kinds <= _string_constants("src/relucert/propagate.py")
+    assert not kinds & _string_constants("src/relucert/store.py")

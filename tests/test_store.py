@@ -79,6 +79,21 @@ class TestStoreMutation:
         cid2 = store.add(("region", 0, "hi"), [(1, {0: 1}, 1)])
         assert cid2 != cid
 
+    def test_cone_walks_the_recorded_premises(self):
+        # the walk reads the premises `add` recorded, not the rows' tags or
+        # coefficients: region tags here rest on rows as propagation's do
+        store = _fresh_store()
+        a = store.add(("region", 0, "hi"), [(1, {0: 1}, 1)])
+        b = store.add(("region", 0, "lo"), [(1, {0: -1}, 0)])
+        c = store.add(("region", 0, "hi"), [(2, {0: 2}, 1)], (a,))
+        d = store.add(("region", 0, "hi"), [(4, {0: 4}, 1)], (c, b, c))
+        store.retire(a)
+        assert store.premises == {c: (a,), d: (c, b, c)}
+        cone = store.cone([("c", d, "le"), ("c", c, "le")])
+        assert cone == [(cid, store.constraints[cid]) for cid in (a, b, c, d)]
+        assert [cid for cid, _ in store.cone([("c", c, "le")])] == [a, c]
+        assert [cid for cid, _ in store.cone([("g", 1, 0, ACTIVE, 0), ("c", b, "le")])] == [b]
+
     def test_normalize_excludes_by_predicate(self):
         store = build_initial_store(worked_network(), layout_of(worked_network(), worked_prop()),
                                     worked_region(), worked_prop(), {})
