@@ -46,22 +46,28 @@ system the row appears in; the engine reads nothing else of a row and
 turns nothing of it into a `Fraction`.
 
 Equalities are eliminated before the tableau exists (`_Reduction`).  An
-equality is a pair of adjacent rows whose ids differ only in their last
-part and which are exact negations: a store equality's ("c", cid, "le") and
-("c", cid, "ge") rows, or the two halves of a guard equality.  In row order,
-each equality, with the variables already eliminated substituted, eliminates
-its highest-index remaining variable: the pre-activation of an affine row,
-the post-activation of a phase row.  The simplex runs on the other rows,
-with those variables substituted out and the kept variables renumbered; an
-equality that reduces to 0 = 0 is dropped, one that reduces to 0 = b != 0
-stays as its two rows.  The results are lifted back: eliminated variables
-of the point follow by back-substitution; each eliminated equality gets
-the multiplier nu that makes its eliminated columns of lambda^T A - g
-vanish, on its "le" row when nu > 0 and as -nu on its other row when
-nu < 0 (g = 0 for a Farkas vector); the optimal value adds back the
-constant the substitution took out of the objective.  A system without
-equality pairs is solved exactly as it is, and one without single-variable
-rows has no bounds.
+equality is a pair of adjacent nonzero rows whose ids differ only in their
+last part and which are exact negations: a store equality's ("c", cid,
+"le") and ("c", cid, "ge") rows, or the two halves of a guard equality.
+Each equality eliminates the variable it defines, the highest index in its
+rows: an affine row its pre-activation, a phase, guard or `stabilize`
+row its post-activation.  A pair whose variable an earlier pair already
+eliminates stays as its two rows, under the rules for rows: one that
+reduces to 0 <= 0 leaves, and one that reduces to 0 <= c < 0 is refuted
+by phase 1.  A forward sweep in increasing variable order writes each
+eliminated variable over kept variables only, substituting the finished
+expressions of the smaller ones; each other row then has the eliminated
+variables it mentions substituted once each, and the simplex runs on those
+rows over the kept variables, renumbered.  The results are lifted back:
+eliminated variables of the point follow from their expressions; a
+backward sweep in decreasing variable order gives each equality the
+multiplier nu that zeroes its variable's column of lambda^T A - g (g = 0
+for a Farkas vector), on its row with a positive coefficient there when
+nu > 0 and as -nu on the other row when nu < 0, and takes nu times its row
+off the smaller columns; the optimal value adds back the constant the
+substitution took out of the objective.  A system without equality pairs
+is solved exactly as it is, and one without single-variable rows has no
+bounds.
 
 Warm start: an OPTIMAL outcome carries its final tableau, which records
 the system it solves, and `lp_max` (or `lp_min`) given that tableau back as
@@ -79,7 +85,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import certs
-from .rows import IntForm, NormalizedSystem, RowId, lowest_terms
+from .rows import IntForm, NormalizedSystem, NormRow, RowId, lowest_terms
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -144,14 +150,14 @@ def _check_farkas(sys: NormalizedSystem, lam: dict[RowId, Fraction]):
 
 def _equality_pairs(sys: NormalizedSystem) -> list[int]:
     """Positions k at which rows k and k + 1 form an equality: ids equal but
-    for their last part, and integer rows that are exact negations."""
+    for their last part, and nonzero integer rows that are exact negations."""
     rows = sys.rows
     out = []
     k = 0
     while k + 1 < len(rows):
         (da, ca, ba), (db, cb, bb) = rows[k].ints, rows[k + 1].ints
         if (rows[k].rid[:-1] == rows[k + 1].rid[:-1] and da == db and bb == -ba
-                and cb == {j: -a for j, a in ca.items()}):
+                and ca and len(ca) == len(cb) and all(cb.get(j) == -a for j, a in ca.items())):
             out.append(k)
             k += 2
         else:
@@ -159,107 +165,68 @@ def _equality_pairs(sys: NormalizedSystem) -> list[int]:
     return out
 
 
-def _axpy(x: dict, a: int, y: dict, b: int) -> dict:
-    """a x - b y over sparse integer vectors."""
-    out = {k: a * v for k, v in x.items()} if a != 1 else dict(x)
-    for k, v in y.items():
-        w = out.get(k, 0) - b * v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-class _Pivot:
-    """An eliminated variable p: d v_p + e^T v = c with d > 0 and e over kept
-    variables only, which is the combination sum_t m_t (den_t a_t^T v = den_t
-    b_t) of the integer "le" rows of the eliminated equalities; in lowest
-    terms over d, e, c and m together, so m stays integral."""
-
-    __slots__ = ("p", "d", "e", "c", "m")
-
-    def __init__(self, p: int, d: int, e: dict[int, int], c: int, m: dict[int, int]):
-        self.p, self.d, self.e, self.c, self.m = p, d, e, c, m
-
-    def substitute(self, e: dict[int, int], c: int, f: int):
-        """Take f v_p out of e^T v = c (f = e's entry at p, already removed):
-        returns a > 0 and b with the row scaled by a less the pivot row
-        scaled by b."""
-        g = gcd(self.d, f)
-        a, b = self.d // g, f // g
-        return a, b, _axpy(e, a, self.e, b), a * c - b * self.c
-
-    def normalize(self):
-        g = gcd(self.d, self.c, *self.e.values(), *self.m.values())
-        if g != 1:
-            self.d //= g
-            self.c //= g
-            self.e = {j: v // g for j, v in self.e.items()}
-            self.m = {t: v // g for t, v in self.m.items()}
-
-
 class _Reduction:
-    """The equalities of a system, each used to eliminate one variable (see
-    the module docstring): the reduced rows, objective and renumbering, and
-    the lifts of a point and a multiplier vector back to the system."""
+    """The equalities of a system, each eliminating the variable it defines
+    (see the module docstring): the reduced rows, objective and renumbering,
+    and the lifts of a point and a multiplier vector back to the system."""
 
     def __init__(self, sys: NormalizedSystem):
-        #: ("le" id, other id, den) of each equality that eliminated a variable
-        self.eqs: list[tuple[RowId, RowId, int]] = []
-        self.pivots: list[_Pivot] = []
-        removed: set[RowId] = set()
+        rows = sys.rows
+        #: per eliminated variable p, its equality's row with a positive
+        #: coefficient on p, then the other row
+        self.eq: dict[int, tuple[NormRow, NormRow]] = {}
         for k in _equality_pairs(sys):
-            den, coeffs, rhs = sys.rows[k].ints
-            e, c, m = dict(coeffs), rhs, {len(self.eqs): 1}
-            for piv in self.pivots:
-                f = e.pop(piv.p, 0)
-                if f:
-                    a, b, e, c = piv.substitute(e, c, f)
-                    m = _axpy(m, a, piv.m, b)
-            if not e:
-                if c == 0:  # implied by the equalities before it
-                    removed.update((sys.rows[k].rid, sys.rows[k + 1].rid))
-                continue  # 0 = c != 0: kept, and phase 1 refutes it
-            p = max(e)
-            d = e.pop(p)
-            if d < 0:
-                d, c = -d, -c
-                e = {j: -v for j, v in e.items()}
-                m = {t: -v for t, v in m.items()}
-            new = _Pivot(p, d, e, c, m)
-            new.normalize()
-            for piv in self.pivots:  # keep every pivot row free of p
-                f = piv.e.pop(p, 0)
-                if f:
-                    a, b, piv.e, piv.c = new.substitute(piv.e, piv.c, f)
-                    piv.m = _axpy(piv.m, a, new.m, b)
-                    piv.d *= a
-                    piv.normalize()
-            self.pivots.append(new)
-            self.eqs.append((sys.rows[k].rid, sys.rows[k + 1].rid, den))
-            removed.update((sys.rows[k].rid, sys.rows[k + 1].rid))
-        self.removed = removed
-        eliminated = {piv.p for piv in self.pivots}
+            coeffs = rows[k].ints[1]
+            p = max(coeffs)
+            if p not in self.eq:
+                pair = rows[k], rows[k + 1]
+                self.eq[p] = pair if coeffs[p] > 0 else pair[::-1]
+        self.removed = {r.rid for pair in self.eq.values() for r in pair}
+        #: per eliminated variable p, in increasing order, d v_p + e^T v = c
+        #: with d > 0 and e over kept variables only, in lowest terms: its
+        #: equality with the smaller eliminated variables substituted
+        self.expr: dict[int, tuple[int, dict[int, int], int]] = {}
+        for p in sorted(self.eq):
+            _, coeffs, c = self.eq[p][0].ints
+            e = dict(coeffs)
+            d, e, c = self._substitute(e.pop(p), e, c)
+            g = gcd(d, c, *e.values())
+            self.expr[p] = d // g, {j: v // g for j, v in e.items()}, c // g
         #: the kept variables in order; the reduced LP's variable i is keep[i]
-        self.keep = [j for j in range(sys.n_vars) if j not in eliminated]
+        self.keep = [j for j in range(sys.n_vars) if j not in self.eq]
         self.col = {j: i for i, j in enumerate(self.keep)}
         self.n = len(self.keep)
+
+    def _substitute(self, den: int, e: dict[int, int], c: int) -> tuple[int, dict[int, int], int]:
+        """e^T v = c over den with each eliminated variable that e mentions
+        substituted from its expression, which must be finished: for f v_p,
+        the row scaled by a > 0 less the expression scaled by b, with a / b
+        = d / f in lowest terms.  e is changed in place."""
+        expr = self.expr
+        for p in [j for j in e if j in expr]:
+            f = e.pop(p)
+            d, ep, cp = expr[p]
+            g = gcd(d, f)
+            a, b = d // g, f // g
+            if a != 1:
+                for j in e:
+                    e[j] *= a
+                den, c = den * a, c * a
+            for j, v in ep.items():
+                w = e.get(j, 0) - b * v
+                if w:
+                    e[j] = w
+                else:
+                    del e[j]
+            c -= b * cp
+        return den, e, c
 
     def reduce(self, row: IntForm) -> IntForm:
         """An integer row with the eliminated variables substituted, over the
         kept variables, in lowest terms."""
         den, e, c = row
-        touched = False
-        for piv in self.pivots:
-            f = e.get(piv.p)
-            if f:
-                if not touched:
-                    e, touched = dict(e), True
-                del e[piv.p]
-                a, _, e, c = piv.substitute(e, c, f)
-                den *= a
-        if touched:
+        if not self.expr.keys().isdisjoint(e):
+            den, e, c = self._substitute(den, dict(e), c)
             g = gcd(den, c, *e.values())
             if g != 1:
                 den, c = den // g, c // g
@@ -272,32 +239,32 @@ class _Reduction:
         col = self.col
         cost = {col[j]: q for j, q in g.items() if j in col}
         const = _ZERO
-        for piv in self.pivots:
-            f = g.get(piv.p)
+        for p, (d, e, c) in self.expr.items():
+            f = g.get(p)
             if f:
-                f /= piv.d
-                for j, a in piv.e.items():
+                f /= d
+                for j, a in e.items():
                     v = cost.get(col[j], _ZERO) - f * a
                     if v:
                         cost[col[j]] = v
                     else:
                         cost.pop(col[j], None)
-                const += f * piv.c
+                const += f * c
         return cost, const
 
     def lift(self, x: dict[int, Fraction]) -> dict[int, Fraction]:
         """A point of the reduced LP in the original variables."""
         out = {self.keep[j]: q for j, q in x.items()}
-        d = lcm(*(q.denominator for q in out.values()))
-        xi = {j: q.numerator * (d // q.denominator) for j, q in out.items()}
-        for piv in self.pivots:
-            num = piv.c * d
-            for j, a in piv.e.items():
+        dx = lcm(*(q.denominator for q in out.values()))
+        xi = {j: q.numerator * (dx // q.denominator) for j, q in out.items()}
+        for p, (d, e, c) in self.expr.items():
+            num = c * dx
+            for j, a in e.items():
                 v = xi.get(j)
                 if v:
                     num -= a * v
             if num:
-                out[piv.p] = Fraction(num, piv.d * d)
+                out[p] = Fraction(num, d * dx)
         return out
 
     def lift_dual(self, lam: dict[RowId, Fraction], g: dict[int, Fraction],
@@ -305,34 +272,41 @@ class _Reduction:
         """Multipliers on the kept rows, with lam^T A' = g'^T, extended by the
         equalities' so that lam^T A = g^T on the original rows.
 
-        With w = lam^T A on the eliminated columns, pivot i's row carries
-        mu_i = (g_p - w_p) / d_i, and equality t gets nu_t = den_t sum_i mu_i
-        m_it; computed over the common denominator q * lcm(d_i)."""
+        w = q (g - lam^T A) on the eliminated columns, over a common
+        denominator q.  Walking them in decreasing order, as
+        `propagate.back_substitution` does, the equality of column p gets the
+        multiplier nu = w_p den / (q a_p) that zeroes it, on its row with
+        a_p > 0 when nu > 0 and as -nu on the other row when nu < 0, and
+        takes nu times its row off w's smaller columns; q grows by what keeps
+        w integral."""
         terms = [(mult, sys.resolve(rid).ints) for rid, mult in lam.items()]
-        gp = [g.get(piv.p, _ZERO) for piv in self.pivots]
+        gp = {p: g.get(p, _ZERO) for p in self.expr}
         q = lcm(*(mult.denominator * den for mult, (den, _, _) in terms),
-                *(f.denominator for f in gp))
-        pos = {piv.p: i for i, piv in enumerate(self.pivots)}
-        w = [f.numerator * (q // f.denominator) for f in gp]
+                *(f.denominator for f in gp.values()))
+        w = {p: f.numerator * (q // f.denominator) for p, f in gp.items()}
         for mult, (den, coeffs, _) in terms:
             s = mult.numerator * (q // (mult.denominator * den))
             for j, a in coeffs.items():
-                i = pos.get(j)
-                if i is not None:
-                    w[i] -= s * a
-        dd = lcm(*(piv.d for piv in self.pivots))
-        nu = [0] * len(self.eqs)
-        for wi, piv in zip(w, self.pivots):
-            if wi:
-                wi *= dd // piv.d
-                for t, mt in piv.m.items():
-                    nu[t] += wi * mt
+                if j in w:
+                    w[j] -= s * a
         out = dict(lam)
-        for v, (le, other, den) in zip(nu, self.eqs):
-            if v > 0:
-                out[le] = Fraction(v * den, q * dd)
-            elif v < 0:
-                out[other] = Fraction(-v * den, q * dd)
+        for p in reversed(self.expr):
+            wp = w.pop(p)
+            if not wp:
+                continue
+            pos, neg = self.eq[p]
+            den, coeffs, _ = pos.ints
+            a = coeffs[p]
+            out[(pos if wp > 0 else neg).rid] = Fraction(abs(wp) * den, q * a)
+            h = gcd(a, wp)
+            t, c = a // h, wp // h  # w_p / a_p = c / t, t > 0
+            if t != 1:
+                for j in w:
+                    w[j] *= t
+                q *= t
+            for j, v in coeffs.items():
+                if j in w:
+                    w[j] -= c * v
         return out
 
 

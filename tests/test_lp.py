@@ -793,18 +793,22 @@ class TestEqualities:
         assert cases == set(BOUND_CASES)
 
     def test_duplicated_equality_is_dropped(self):
-        # x + y = 1 twice, then maximize x - y over the unit box: the second
-        # pair reduces to 0 = 0
+        # x + y = 1 twice, then maximize x - y over the unit box: the first
+        # pair eliminates y; the second would eliminate y too, so it stays,
+        # and its two rows reduce to 0 <= 0
         rows = [norm_row({0: F(1)}, F(1), ("c", 0, "le")), norm_row({0: F(-1)}, ZERO, ("c", 1, "le")),
                 norm_row({1: F(1)}, F(1), ("c", 2, "le")), norm_row({1: F(-1)}, ZERO, ("c", 3, "le"))]
         pairs = [norm_row({0: F(sign), 1: F(sign)}, F(sign), ("c", cid, side))
                  for cid in (4, 5) for sign, side in ((1, "le"), (-1, "ge"))]
         sys = NormalizedSystem(rows + pairs, 2)
         tab = lp._Tableau(sys)
-        # y = 1 - x makes every box row a bound on x: the reduced LP has
-        # the box rows and neither pair, and the tableau no row
+        assert list(tab.red.expr) == [1]
+        assert [r.rid for r in sys.rows if r.rid not in tab.red.removed] == [
+            r.rid for r in rows + pairs[2:]]
+        assert [tab.red.reduce(r.ints) for r in pairs[2:]] == [(1, {}, 0)] * 2
+        # y = 1 - x makes every box row a bound on x, and the rows that read
+        # 0 <= 0 leave: the tableau has no row
         assert tab.n == 1 and tab.row_ids == []
-        assert [r.rid for r in sys.rows if r.rid not in tab.red.removed] == [r.rid for r in rows]
         g = {0: F(1), 1: F(-1)}
         out = lp.lp_max(sys, g)
         assert (out.status, out.value, out.primal) == (lp.OPTIMAL, F(1), {0: F(1)})
@@ -864,7 +868,7 @@ class TestEqualities:
             n = sys.n_vars
             first = lp.lp_max(sys, g)
             tab = first.tableau
-            assert first.value == best and tab.red.pivots
+            assert first.value == best and tab.red.expr
             for solve, sense in ((lp.lp_max, "max"), (lp.lp_min, "min")):
                 out = solve(sys, g2, warm=tab)
                 cold = solve(sys, g2)
@@ -888,9 +892,13 @@ class TestEqualityPivotPath:
     rows (ids ("c", k, "le") with k < 2n), which reaches the unbounded
     fault, hashed as `_FAULT` as there.  A change to the reduction's choice
     of eliminated variables, its row order or its renumbering moves this
-    hash.  Re-pinned with `TestPivotPath`, on the same terms."""
+    hash.  Re-pinned with `TestPivotPath`, on the same terms, and again when
+    each equality came to eliminate the variable it defines: a pair whose
+    highest variable an earlier pair eliminates now stays as two rows, so
+    some multipliers, pivot counts and points of alternative optima moved,
+    and every status and value stayed."""
 
-    PINNED = "0d103f2a3b893d1930f6517a29e0848fc65be8a0e945f8670abb25dd55f19cea"
+    PINNED = "2a3c91bd0487266015bd1a2c4ad092cb24473fc06ac148d6bfdc0204edb656ef"
 
     def _digest(self):
         rng = random.Random(20250117)
@@ -931,9 +939,11 @@ class TestWarmStartPath:
     and value are those of a cold solve over the rows as they stand at that
     LP.  Every LP's status, value, primal point, dual vector, pivot count,
     and whether it was handed a tableau and reused it, hash to a constant.
-    Re-pinned with `TestPivotPath`, on the same terms."""
+    Re-pinned with `TestPivotPath`, on the same terms, and with
+    `TestEqualityPivotPath` when each equality came to eliminate the
+    variable it defines (some multipliers moved)."""
 
-    PINNED = "0a8b4fccb539c3ffec180612253f2096d3fa65223955eb73a0089f23780dc011"
+    PINNED = "b0e2aec949295e8a0a321020676a47b9b98e0180292901d4f1d4954a186470de"
 
     def _digest(self):
         rng = random.Random(20261018)
@@ -986,3 +996,70 @@ class TestWarmStartPath:
 
     def test_corpus_hash_matches_the_recorded_warm_start_path(self):
         assert self._digest() == self.PINNED
+
+
+class TestEachEqualityDefinesItsVariable:
+    """In every system the solver builds, each equality defines its own
+    variable, the highest index in its row: spied on `lp_max` and
+    `lp_feasible` over the first 100 acceptance problems with the default
+    flags and over two branching networks, each at an UNSAT and a SAT
+    threshold, with margin-only templates and a one-LP gate, under both
+    drivers, every pair `_equality_pairs` finds is eliminated at its first
+    row's highest variable.  The same system with the second row of each
+    pair renamed, so that nothing pairs and the simplex runs on every row,
+    gives the same status and value, and the checkers of `certs` accept its
+    certificate."""
+
+    def test_every_pair_eliminates_its_highest_variable(self, monkeypatch):
+        from test_acceptance import _spec_suite
+        from test_search import TestBranchingOracleAgreement, tightened
+
+        seen = {"systems": 0, "pairs": 0, "guard pairs": 0, lp.INFEASIBLE: 0}
+
+        def check(sys, out, solve, g=None):
+            rows = sys.rows
+            pairs = lp._equality_pairs(sys)
+            red = lp._Reduction(sys)
+            assert len(red.expr) == len(pairs)
+            for k in pairs:
+                p = max(rows[k].ints[1])
+                assert {r.rid for r in red.eq[p]} == {rows[k].rid, rows[k + 1].rid}
+            unpaired = {rows[k + 1].rid for k in pairs}
+            renamed = NormalizedSystem([r._replace(rid=(*r.rid, "unpaired")) if r.rid in unpaired
+                                        else r for r in rows], sys.n_vars)
+            assert lp._equality_pairs(renamed) == [] and not lp._Reduction(renamed).expr
+            alone = solve(renamed)
+            assert (alone.status, alone.value) == (out.status, out.value)
+            if alone.status == lp.INFEASIBLE:
+                assert certs.check_farkas(renamed, certs.FarkasCertificate.make(alone.dual)).ok
+            elif alone.status == lp.OPTIMAL:
+                assert certs.check_dual_exact(renamed, certs.DualBoundCertificate.make(
+                    g, alone.value, alone.dual)).ok
+            seen["systems"] += 1
+            seen["pairs"] += len(pairs)
+            seen["guard pairs"] += sum(rows[k].rid[0] == "g" for k in pairs)
+            seen[lp.INFEASIBLE] += out.status == lp.INFEASIBLE
+
+        lp_max, lp_feasible = lp.lp_max, lp.lp_feasible
+
+        def spy_max(sys, g, warm=None):
+            out = lp_max(sys, g, warm)
+            g = {j: F(q) for j, q in g.items() if q}
+            check(sys, out, lambda s: lp_max(s, g), g)
+            return out
+
+        def spy_feasible(sys):
+            out = lp_feasible(sys)
+            check(sys, out, lp_feasible)
+            return out
+
+        runs = [(problem, Config()) for problem in _spec_suite(100)]
+        runs += [(tightened(idx, gap), TestBranchingOracleAgreement.CONFIG)
+                 for idx in (57, 89) for gap in (F(1, 1000), F(-1, 1000))]
+        monkeypatch.setattr(lp, "lp_max", spy_max)
+        monkeypatch.setattr(lp, "lp_feasible", spy_feasible)
+        for problem, config in runs:
+            for driver in (icl_verify, hsrv_verify):
+                driver(*problem, config)
+        assert (seen["systems"] >= 80 and seen["pairs"] >= 700 and seen["guard pairs"] >= 50
+                and seen[lp.INFEASIBLE] >= 25), seen
