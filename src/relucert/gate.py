@@ -1,25 +1,36 @@
-"""Exactness gate: partial exact encodings, violation-driven refinement.
+"""Exactness gate: one DPLL over guard assignments, refined by spurious models.
 
-The relaxation left the node open, so exact ReLU semantics are enforced on a
-growing subset S of the unstable units.  Each partial exact query is decided
-by a small DPLL over the 2^|S| guard assignments with an LP feasibility check
-per full assignment; every infeasible branch yields a guarded Farkas
-certificate, and an unsat answer returns a cover of such certificates whose
-guard sets exhaust all assignments.  The query with S empty, the first of
-the incremental strategy, asks for a point of the store's rows; the open
-node's last LP found one, so that query makes no LP.  The gate's own query
-ceiling (`gate_lp_limit`, which counts every query answered, that one
-included) makes it defer; a spent run budget raises `Exhausted` out of
-it.  A model that is no counterexample grows S by one unit,
-`most_violated`: the unit of largest exact ReLU residual.  An exact
-unit's guard rows force its residual to zero, so picking one again raises
-`RefinementFailed`.  The gate proves no margin bound: a leaf it closes
-carries the one its node's propagation made.
+The relaxation left the node open.  The gate answers SAT with a witness,
+or closes the node with a cover of guarded Farkas certificates whose guard
+sets exhaust every phase assignment, or defers.  `exact_solve` is its one
+recursion, over guard assignments sigma: a phase for some unstable units,
+each of which is exact there.  At each sigma, in turn:
 
-A query's LPs read the store's rows (`Store.normalize`) but the hull rows
-of the units it makes exact: over the unit's interval, which the rows kept
-imply, either phase's guard rows imply all four.  The gate writes nothing
-to the store; propagation is the one writer of a node's rows.
+- a cover certificate whose guard set sigma contains closes sigma, no LP;
+- a `start` unit with no phase in sigma is branched on, in sorted order
+  and active first, with no LP (hsrv starts with every unstable unit
+  exact, icl with none);
+- otherwise sigma's query is answered.  The node's point, a point of every
+  active row of the store, answers sigma = {} with no LP; any other query
+  is an LP over the store's rows (`Store.normalize`) without the hull
+  rows of sigma's units, plus sigma's guard rows.  Over an exact unit's
+  interval, which the rows kept imply, either phase's guard rows imply
+  its hull rows, so a certificate of that LP is one over the store's
+  rows, and an infeasible LP adds it to the cover.  A model whose input
+  is a witness is SAT.  A spurious model is branched on at
+  `most_violated`, the unit of largest exact ReLU residual, whose two
+  phases both refute it.  An exact unit's guard rows force its residual
+  to zero, so picking one on sigma raises `RefinementFailed`.
+
+Each sigma is visited once, so no query is answered twice in a call and
+no certificate is dropped: lazy abstraction refinement (CEGAR, Clarke et
+al. 2000) run as DPLL(T) (Nieuwenhuis, Oliveras & Tinelli 2006).  The
+gate's query ceiling (`gate_lp_limit`, which counts every query answered,
+the point's included) makes it defer, as does a model exact on every
+unstable unit that is no witness; a spent run budget raises `Exhausted`
+out of it.  The gate proves no margin bound: a leaf it closes carries the
+one its node's propagation made.  The gate writes nothing to the store;
+propagation is the one writer of a node's rows.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from . import lp
 from .budget import Budget
 from .certs import FarkasCertificate, GuardedCertificate
 from .model import ACTIVE, INACTIVE, Unit, validate_witness
-from .rows import GuardLiteral, guard_norm_rows
+from .rows import GuardLiteral, NormalizedSystem, guard_norm_rows
 from .store import Store
 
 _ZERO = Fraction(0)
@@ -41,11 +52,11 @@ SAT = "sat"
 UNSAT = "unsat"
 PRUNE = "prune"
 DEFER = "defer"
-LIMIT = "limit"
 
 
 class RefinementFailed(Exception):
-    """A refinement kept the spurious model or exceeded |U| steps."""
+    """A spurious model's most violated unit is exact on its assignment,
+    or does not refute the model."""
 
 
 def most_violated(model: dict[int, Fraction], layout, units) -> Unit | None:
@@ -63,10 +74,10 @@ def most_violated(model: dict[int, Fraction], layout, units) -> Unit | None:
 
 @dataclass
 class ExactResult:
-    status: str  # SAT | UNSAT | LIMIT
-    model: dict[int, Fraction] | None = None
+    status: str  # SAT | UNSAT | DEFER
+    witness: tuple[Fraction, ...] | None = None
     cover: list[GuardedCertificate] = field(default_factory=list)
-    queries: int = 0  # theory queries answered
+    refinements: int = 0  # distinct units a spurious model made exact
 
 
 def _drop_zero_guards(cert: GuardedCertificate, layout) -> GuardedCertificate:
@@ -82,59 +93,69 @@ def _drop_zero_guards(cert: GuardedCertificate, layout) -> GuardedCertificate:
     return GuardedCertificate.make(kept, cert.inner)
 
 
-def exact_solve(store: Store, subset, budget: Budget | None = None,
-                local_limit: int | None = None) -> ExactResult:
-    """DPLL over the guard assignments of the subset, LP as theory check.
-
-    The guarded certificates of branches already closed in this call prune
-    any later partial assignment containing their full guard set; that
-    certificate is in the cover already, so the cover stays exhaustive and
-    lists each certificate once.  LIMIT means `local_limit` LPs were made;
-    a spent `budget` raises `Exhausted`.  Each theory LP solves the store's
-    rows without the hull rows of the subset's units, plus the guard rows
-    of a full assignment; a certificate over those rows is one over the
-    store's.
-    """
+def exact_solve(store: Store, budget: Budget | None = None, local_limit: int | None = None,
+                start=(), point: dict[int, Fraction] | None = None) -> ExactResult:
+    """The gate's DPLL over guard assignments, from the empty one (module
+    docstring).  The cover lists each certificate of the call once, and
+    refutes every assignment if UNSAT.  DEFER means `local_limit` queries
+    were answered, or a model exact on every unstable unit is no witness."""
     if budget is None:
         budget = Budget()
-    units = sorted(subset)
-    # an exact unit's guard rows imply its hull rows over its interval
-    hull = {cid for unit in units for cid in store.hull_ids.get(unit, ())}
-    base = store.normalize(exclude=lambda cid, c: cid in hull)
+    layout = store.layout
+    start = sorted(start)
     cover: list[GuardedCertificate] = []
-    calls = 0
+    refined: set[Unit] = set()
+    bases: dict[frozenset[Unit], NormalizedSystem] = {}
+    queries = 0
 
-    def theory(lits) -> ExactResult | None:
-        nonlocal calls
-        if local_limit is not None and calls >= local_limit:
-            return ExactResult(LIMIT)
+    def theory(lits: tuple[GuardLiteral, ...]) -> dict[int, Fraction] | None:
+        """The model of sigma's LP, or None with its certificate in the cover."""
+        exact = frozenset(lit.unit for lit in lits)
+        if exact not in bases:
+            # an exact unit's guard rows imply its hull rows over its interval
+            hull = {cid for unit in exact for cid in store.hull_ids.get(unit, ())}
+            bases[exact] = store.normalize(exclude=lambda cid, c: cid in hull)
         budget.count_lp()
-        calls += 1
-        sys = certmod.extend_with_guards(base, store.layout, lits)
-        out = lp.lp_feasible(sys)
+        out = lp.lp_feasible(certmod.extend_with_guards(bases[exact], layout, lits))
         if out.status == lp.INFEASIBLE:
             cert = GuardedCertificate.make(lits, FarkasCertificate.make(out.dual))
-            cover.append(_drop_zero_guards(cert, store.layout))
+            cover.append(_drop_zero_guards(cert, layout))
             return None
-        return ExactResult(SAT, model=out.primal)
+        return out.primal
 
-    def solve(idx: int, lits: tuple[GuardLiteral, ...]) -> ExactResult | None:
+    def solve(lits: tuple[GuardLiteral, ...]) -> tuple[str, tuple | None] | None:
+        """(status, witness) if sigma ends the call, None once it is refuted."""
+        nonlocal queries
         here = set(lits)
         if any(cert.guard_set <= here for cert in cover):
             return None
-        if idx == len(units):
-            return theory(lits)
+        phased = {lit.unit for lit in lits}
+        unit = next((u for u in start if u not in phased), None)
+        if unit is None:
+            if local_limit is not None and queries >= local_limit:
+                return DEFER, None
+            queries += 1
+            model = point if not lits and point is not None else theory(lits)
+            if model is None:
+                return None
+            x = tuple(model.get(layout.input_index(k), _ZERO)
+                      for k in range(store.net.input_dim))
+            if validate_witness(store.net, store.region, store.prop, x).accepted:
+                return SAT, x
+            unit = most_violated(model, layout, store.unstable)
+            if unit is None:
+                return DEFER, None
+            if unit in phased or not _model_violates_exactness(store, model, unit):
+                raise RefinementFailed(f"unit {unit} does not refute the model")
+            refined.add(unit)
         for phase in (ACTIVE, INACTIVE):
-            r = solve(idx + 1, lits + (GuardLiteral(units[idx], phase),))
-            if r is not None:
-                return r
+            res = solve(lits + (GuardLiteral(unit, phase),))
+            if res is not None:
+                return res
         return None
 
-    res = solve(0, ())
-    if res is None:
-        res = ExactResult(UNSAT, cover=cover)
-    res.queries = calls
-    return res
+    status, witness = solve(()) or (UNSAT, None)
+    return ExactResult(status, witness, cover, len(refined))
 
 
 @dataclass
@@ -161,50 +182,11 @@ def _model_violates_exactness(store: Store, model: dict[int, Fraction], unit: Un
 
 def exactness_gate(store: Store, budget: Budget, gate_lp_limit: int | None = None,
                    start=(), point: dict[int, Fraction] | None = None) -> GateOutcome:
-    """Abstraction-refinement loop over exact subsets S, starting from
-    S = start (the empty set, or every unstable unit for the hybrid strategy).
-
-    Sat models are validated by exact forward evaluation; spurious models
-    grow S by the most-violated unit, which provably eliminates them.  At
-    most |U| refinements can occur.  Each query leaves out the hull rows
-    of the units of S (`exact_solve`); the store is not changed.  `point`,
-    a point of every active row of the store (the open node's LP point),
-    answers the query S = {} without an LP.  The gate defers once it has
-    answered `gate_lp_limit` queries, or when an exact model is no
-    counterexample.
-    """
+    """One gate call: `exact_solve` from no unit exact but `start` (every
+    unstable unit for the hybrid strategy), with `point` answering the
+    query of the empty assignment and `gate_lp_limit` queries at most."""
     budget.gate_calls += 1
-    unstable = sorted(store.unstable)
-    subset: set[Unit] = set(start)
-    refinements = 0
-    queries = 0
-    while True:
-        remaining = None if gate_lp_limit is None else gate_lp_limit - queries
-        if remaining is not None and remaining <= 0:
-            return GateOutcome(DEFER, refinements=refinements)
-        if point is not None and not subset:
-            res = ExactResult(SAT, model=point, queries=1)
-        else:
-            res = exact_solve(store, subset, budget, local_limit=remaining)
-        queries += res.queries
-        if res.status == LIMIT:
-            return GateOutcome(DEFER, refinements=refinements)
-        if res.status == UNSAT:
-            return GateOutcome(PRUNE, certificates=res.cover, refinements=refinements)
-        model = res.model
-        x = tuple(model.get(store.layout.input_index(k), _ZERO)
-                  for k in range(store.net.input_dim))
-        verdict = validate_witness(store.net, store.region, store.prop, x)
-        if verdict.accepted:
-            return GateOutcome(SAT, witness=x, refinements=refinements)
-        unit = most_violated(model, store.layout, store.unstable)
-        if unit is None:
-            return GateOutcome(DEFER, refinements=refinements)
-        # an exact unit's guard rows force its residual to 0, so a model
-        # that violates one is no model of the query
-        if unit in subset or not _model_violates_exactness(store, model, unit):
-            raise RefinementFailed(f"unit {unit} does not refute the model")
-        subset.add(unit)
-        refinements += 1
-        if refinements > len(unstable):
-            raise RefinementFailed(f"{refinements} refinements for {len(unstable)} units")
+    res = exact_solve(store, budget, gate_lp_limit, start, point)
+    if res.status == UNSAT:
+        return GateOutcome(PRUNE, certificates=res.cover, refinements=res.refinements)
+    return GateOutcome(res.status, witness=res.witness, refinements=res.refinements)

@@ -79,7 +79,9 @@ class OracleFault(Exception):
 class Config:
     max_depth: int = 64
     lp_budget: int | None = None
-    gate_budget: int | None = None  # LP theory calls per gate invocation
+    # queries answered per gate invocation: each is one LP, but the query
+    # with no unit exact, which the open node's point answers with none
+    gate_budget: int | None = None
     templates: str = "default"  # "default" | "margin-only"
     first_split: str | None = None  # "domain" forces a root domain split
 

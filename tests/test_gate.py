@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,6 @@ from relucert.gate import (
     PRUNE,
     SAT,
     UNSAT,
-    ExactResult,
     RefinementFailed,
     _drop_zero_guards,
     _model_violates_exactness,
@@ -97,7 +97,7 @@ class TestViolationReport:
 class TestExactSolve:
     def test_unsat_subset_produces_exhaustive_checked_cover(self):
         store = _raw_store("1")  # y >= 11/10 unreachable exactly
-        res = exact_solve(store, store.unstable)
+        res = exact_solve(store, start=store.unstable)
         assert res.status == UNSAT
         assigned = set()
         for cert in res.cover:
@@ -109,16 +109,13 @@ class TestExactSolve:
             assert any(all(sigma.get(g.unit) == g.phase for g in c.guards)
                        for c in res.cover)
 
-    def test_sat_subset_returns_model_with_assignment(self):
-        # the model is exact on every unit of the subset: no ReLU residual
+    def test_sat_start_returns_a_validated_witness(self):
+        # the model is exact on every unit of the start, so no unit is refined
         store = _raw_store("1/2")
         assert len(store.unstable) == 2
-        res = exact_solve(store, store.unstable)
-        assert res.status == SAT
-        assert most_violated(res.model, store.layout, store.unstable) is None
-        x = tuple(res.model.get(store.layout.input_index(k), F(0))
-                  for k in range(store.net.input_dim))
-        assert validate_witness(store.net, store.region, store.prop, x).accepted
+        res = exact_solve(store, start=store.unstable)
+        assert res.status == SAT and res.refinements == 0
+        assert validate_witness(store.net, store.region, store.prop, res.witness).accepted
 
     def test_learned_certificates_prune_and_join_the_cover(self):
         # y = -relu(x) on x in [-1, 1] never reaches 1/10, and (1,0) feeds
@@ -132,7 +129,7 @@ class TestExactSolve:
                                     prop, {})
         assert store.unstable == {(1, 0), (1, 1)}
         budget = Budget()
-        res = exact_solve(store, store.unstable, budget)
+        res = exact_solve(store, budget, start=store.unstable)
         assert res.status == UNSAT
         assert budget.lp_calls == 3 and len(res.cover) == 3
         assert len({id(c) for c in res.cover}) == 3
@@ -145,14 +142,14 @@ class TestExactSolve:
 
     def test_local_limit_defers(self):
         store = _raw_store("1")
-        res = exact_solve(store, store.unstable, local_limit=0)
-        assert res.status == "limit"
+        res = exact_solve(store, local_limit=0, start=store.unstable)
+        assert res.status == DEFER
 
 
 class TestCoreMinimization:
     def test_zero_multiplier_guards_dropped(self):
         store = _raw_store("1")
-        res = exact_solve(store, store.unstable)
+        res = exact_solve(store, start=store.unstable)
         for cert in res.cover:
             small = _drop_zero_guards(cert, store.layout)
             assert set(small.guards) <= set(cert.guards)
@@ -203,20 +200,22 @@ class TestExactnessGate:
         layout = store.layout
         bad = {layout.input_index(0): F(0), layout.pre_index((1, 0)): F(-1),
                layout.post_index((1, 0)): F(1)}
-        subsets = []
+        solved = []  # the guard literals of each LP's system
 
-        def solve(store, subset, budget=None, local_limit=None):
-            subsets.append(set(subset))
-            return ExactResult(SAT, model=bad, queries=1)
+        def feasible(sys):
+            solved.append(_guards(sys))
+            return lp.LpOutcome(lp.FEASIBLE, primal=bad)
 
-        monkeypatch.setattr(gate, "exact_solve", solve)
+        monkeypatch.setattr(lp, "lp_feasible", feasible)
         with pytest.raises(RefinementFailed):
             exactness_gate(store, Budget())
-        assert subsets == [set(), {(1, 0)}]
-        subsets.clear()
+        # icl: the empty assignment's model makes (1,0) exact, and the same
+        # model on (1,0)'s active branch picks it again
+        assert solved == [set(), {GuardLiteral((1, 0), ACTIVE)}]
+        solved.clear()
         with pytest.raises(RefinementFailed):
             exactness_gate(store, Budget(), start=store.unstable)
-        assert subsets == [store.unstable]
+        assert solved == [{GuardLiteral(u, ACTIVE) for u in store.unstable}]
 
     def test_lp_budget_defers(self):
         store = _raw_store("1")
@@ -259,29 +258,144 @@ class TestNodePoint:
             refined += plain.refinements > 0
         assert refined >= 3
 
-    def test_gate_budget_counts_the_answered_query(self):
-        # one query, answered by the point: the gate defers with no LP
-        deferred = 0
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_gate_budget_counts_the_answered_query(self, k):
+        # k queries answered at most, the point's among them when given: at
+        # most k LPs, k - 1 with the point, and a gate that defers at k
+        # queries has made them all
+        spent = {None: 0, "point": 0}
         for problem, point in self._open():
             net, region, prop = problem
-            store = build_initial_store(net, build_layout(net, prop), region, prop, {})
-            propagate_node(store, Budget())
-            budget = Budget()
-            out = exactness_gate(store, budget, gate_lp_limit=1, point=point)
-            if out.status == DEFER:
-                assert budget.lp_calls == 0 and out.refinements == 1
-                deferred += 1
-        assert deferred >= 3
+            for given in (None, "point"):
+                store = build_initial_store(net, build_layout(net, prop), region, prop, {})
+                propagate_node(store, Budget())
+                budget = Budget()
+                out = exactness_gate(store, budget, gate_lp_limit=k,
+                                     point=point if given else None)
+                assert budget.lp_calls <= k - bool(given), (k, given, budget.lp_calls)
+                if out.status == DEFER:
+                    assert budget.lp_calls == k - bool(given)
+                    spent[given] += 1
+                if k == 1 and out.status == DEFER:
+                    # the first model made one unit exact, then the budget ran out
+                    assert out.refinements == 1
+        # one query defers every node whose first model is spurious; two or
+        # three decide all but the few that refine twice
+        floor = 3 if k == 1 else 1
+        assert spent[None] >= floor and spent["point"] >= floor, spent
+
+
+def _guards(sys) -> set[GuardLiteral]:
+    """The guard literals whose rows a gate LP's system holds: its query's
+    assignment."""
+    return {GuardLiteral((r.rid[1], r.rid[2]), r.rid[3]) for r in sys.rows if r.rid[0] == "g"}
+
+
+def _spy_gate_lps(monkeypatch) -> list:
+    """Record each `exact_solve` call as (its LPs, its result), each LP as
+    (system, outcome), in the order made."""
+    calls = []
+    real_solve, real_feasible = gate.exact_solve, lp.lp_feasible
+    lps = [None]  # the LPs of the call being solved
+
+    def spied_solve(*args, **kwargs):
+        lps[0] = []
+        try:
+            res = real_solve(*args, **kwargs)
+            calls.append((lps[0], res))
+            return res
+        finally:
+            lps[0] = None
+
+    def spied_feasible(sys, *args, **kwargs):
+        out = real_feasible(sys, *args, **kwargs)
+        if lps[0] is not None:
+            lps[0].append((sys, out))
+        return out
+
+    monkeypatch.setattr(gate, "exact_solve", spied_solve)
+    monkeypatch.setattr(lp, "lp_feasible", spied_feasible)
+    return calls
+
+
+class TestOneSearch:
+    """A gate call is one DPLL over guard assignments: no assignment reaches
+    an LP twice, and none that a certificate the call has already found
+    refutes.  The i-th infeasible LP of a call gives its cover's i-th
+    certificate."""
+
+    def test_no_assignment_solved_twice_or_after_its_refutation(self, monkeypatch):
+        from test_acceptance import _spec_suite
+        from test_search import tightened
+
+        from relucert import search
+        from relucert.search import Config
+
+        calls = _spy_gate_lps(monkeypatch)
+        runs = [(problem, Config()) for problem in _spec_suite(100)]
+        runs += [(tightened(idx), Config(templates=templates))
+                 for templates in ("default", "margin-only") for idx in (42, 57, 89)]
+        for problem, config in runs:
+            for driver in (search.icl_verify, search.hsrv_verify):
+                driver(*problem, config)
+        pruned = 0  # LPs made with a nonempty cover, none of which refutes them
+        for solved, res in calls:
+            cover, seen, found = iter(res.cover), [], []
+            for sys, out in solved:
+                sigma = _guards(sys)
+                assert sigma not in seen, sigma
+                assert not any(c.guard_set <= sigma for c in found), sigma
+                pruned += bool(found)
+                seen.append(sigma)
+                if out.status == lp.INFEASIBLE:
+                    found.append(next(cover))
+            assert next(cover, None) is None
+        assert pruned >= 3, pruned
+        assert any(res.refinements >= 2 for _, res in calls)
+
+    def test_a_cover_over_two_refined_units_is_checked_whole(self, monkeypatch, tmp_path):
+        """Branching instance 42 under icl: one gate call makes two units
+        exact and closes its node.  `check` accepts the proof, and rejects
+        it at that leaf once any one certificate of the cover is dropped."""
+        from conftest import dump_problem, file_digest
+        from test_prooflog import _dumps, _leaf_nodes, _tree_node
+        from test_search import tightened
+
+        from relucert import prooflog, search
+
+        calls = _spy_gate_lps(monkeypatch)
+        problem = tightened(42)
+        res = search.icl_verify(*problem)
+        assert res.status == "unsat"
+        [(_, out)] = [call for call in calls if call[1].refinements >= 2]
+        assert out.status == UNSAT and out.refinements == 2
+        assert len({g.unit for c in out.cover for g in c.guards}) == 2
+        path = tmp_path / "p42.json"
+        dump_problem(*problem, path)
+        digest = file_digest(path)
+        data = prooflog.emit(res.tree, digest)
+        assert prooflog.check_proof(problem, data, digest).accepted
+        base = prooflog.parse_proof(data)
+        [(at, leaf)] = [(at, leaf) for at, leaf in _leaf_nodes(base["tree"])
+                        if len(leaf["cover"]) == len(out.cover)]
+        for k in range(len(out.cover)):
+            doc = json.loads(json.dumps(base))
+            del _tree_node(doc, at)["cover"][k]
+            checked = prooflog.check_proof(problem, _dumps(doc), digest)
+            assert not checked.accepted, k
+            assert checked.path == "/".join(("tree", *map(str, at))), (k, checked)
+            assert checked.reason.startswith("cover: "), (k, checked)
 
 
 class TestGateReadsTheStore:
     """The gate sends each theory LP the store's rows without the hull rows
-    of the units its query makes exact, whose guard rows imply them over
-    the unit's interval, and it changes nothing of the store: neither its
-    rows nor which of them are retired, under either start.  Every cover
-    certificate passes `check_guarded` over the store's rows.  On every
-    gate call of both drivers on the branching instances 42, 57 and 89,
-    with either template set and no gate budget."""
+    of the units its query makes exact, read from the guard rows of the
+    LP's system, whose guard rows imply them over the unit's interval, and
+    it changes nothing of the store: neither its rows nor which of them are
+    retired, under either start.  Every cover certificate passes
+    `check_guarded` over the store's rows.  On every gate call of both
+    drivers on the branching instances 42, 57 and 89, with either template
+    set and no gate budget."""
 
     def test_no_hull_row_of_an_exact_unit_and_no_write(self, monkeypatch):
         from test_search import tightened
@@ -289,43 +403,29 @@ class TestGateReadsTheStore:
         from relucert import search
         from relucert.search import Config
 
-        queries = []  # (subset, system) of each theory LP
-        subset_now = [None]  # the subset of the query being solved
-        real_gate, real_solve, real_feasible = (search.exactness_gate, gate.exact_solve,
-                                                lp.lp_feasible)
+        calls = _spy_gate_lps(monkeypatch)
+        real_gate = search.exactness_gate
         seen = {"refined": 0, "exact start": 0, "other hulls": 0}
 
         def spied_gate(store, budget, gate_lp_limit=None, start=(), point=None):
             rows, retired = dict(store.constraints), set(store.retired)
             hull = {unit: set(cids) for unit, cids in store.hull_ids.items()}
-            del queries[:]
+            del calls[:]
             out = real_gate(store, budget, gate_lp_limit, start, point)
             assert (store.constraints, store.retired) == (rows, retired)
-            for subset, sys in queries:
+            [(solved, _)] = calls
+            for sys, _ in solved:
+                exact = {g.unit for g in _guards(sys)}
                 cids = {r.rid[1] for r in sys.rows if r.rid[0] == "c"}
-                assert not cids & set().union(*(hull[u] for u in subset)), subset
-                seen["other hulls"] += any(cids & c for u, c in hull.items() if u not in subset)
+                assert not cids & set().union(*(hull[u] for u in exact)), exact
+                seen["other hulls"] += any(cids & c for u, c in hull.items() if u not in exact)
             for cert in out.certificates:
                 assert certs.check_guarded(store.normalize(), store.layout, cert).ok
             seen["refined"] += out.status == PRUNE and out.refinements > 0
             seen["exact start"] += out.status == PRUNE and bool(start)
             return out
 
-        def spied_solve(store, subset, *args, **kwargs):
-            subset_now[0] = set(subset)
-            try:
-                return real_solve(store, subset, *args, **kwargs)
-            finally:
-                subset_now[0] = None
-
-        def spied_feasible(sys, *args, **kwargs):
-            if subset_now[0] is not None:
-                queries.append((subset_now[0], sys))
-            return real_feasible(sys, *args, **kwargs)
-
         monkeypatch.setattr(search, "exactness_gate", spied_gate)
-        monkeypatch.setattr(gate, "exact_solve", spied_solve)
-        monkeypatch.setattr(lp, "lp_feasible", spied_feasible)
         for config in (Config(), Config(templates="margin-only")):
             for idx in (42, 57, 89):
                 for driver in (search.icl_verify, search.hsrv_verify):

@@ -747,7 +747,11 @@ class TestTrimmedProofs:
                 for cid in sorted(needed):
                     self._rejected_without(problem, base, path, at, {cid})
                 cases += len(needed)
-        assert cases == 16, cases
+        # 16 while each refinement round of the gate restarted its search;
+        # as one search, 46's gate refutes the inactive phase of its first
+        # refined unit with that unit alone exact, and its leaf keeps 7 rows
+        # of 14 (14)
+        assert cases == 14, cases
 
 
 class TestMutationFuzzing:
@@ -1020,7 +1024,10 @@ class TestStructuralFuzzing:
                     if r["derivation"][0] != "hull":
                         assert f"row {target}: " in out.reason, (path, at, r, out)
                     cases[r["derivation"][0]] += 1
-        assert cases == {"derived": 31, "hull": 11, "stabilize": 13}, cases
+        # {31, 11, 13} while each refinement round of the gate restarted its
+        # search: as one search, 46's gate closes its leaf with 3
+        # certificates of 4, which cite 7 of its 14 rows
+        assert cases == {"derived": 28, "hull": 9, "stabilize": 13}, cases
 
 
 def _worked_domain_proofs():
