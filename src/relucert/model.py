@@ -78,6 +78,24 @@ def unique_keys(pairs) -> dict:
     return out
 
 
+#: the decoder of every document read, a problem or a proof; `json.loads`
+#: with a hook would build a decoder and its scanner on each call
+_DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
+
+
+def decode_json(doc: str | bytes):
+    """`json.loads(doc, object_pairs_hook=unique_keys)`, with one held
+    decoder: bytes are decoded as `json.loads` decodes them, in the
+    encoding `json.detect_encoding` finds with surrogates passed, and a str
+    that starts with a BOM is rejected, as `json.loads` rejects it."""
+    if isinstance(doc, str):
+        if doc.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", doc, 0)
+    else:
+        doc = doc.decode(json.detect_encoding(doc), "surrogatepass")
+    return _DECODER.decode(doc)
+
+
 def parse_key(key: str) -> int:
     """An object key naming a nonnegative integer, written as relucert
     writes it: canonical decimal, so no two keys name one integer."""
@@ -379,7 +397,7 @@ def parse_problem(raw: bytes) -> tuple[Network, Region, SafetyProperty]:
     strings).  The caller reads the file, once: a proof's digest is taken
     of the same bytes."""
     try:
-        doc = json.loads(raw, object_pairs_hook=unique_keys)
+        doc = decode_json(raw)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return problem_from_dict(doc)

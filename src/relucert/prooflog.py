@@ -1,66 +1,81 @@
 """Proof log serialization and the independent replay checker.
 
-A proof is its split tree, and it states each fact once.  Each leaf carries
-the rows its certificates reach, under its store's ids: the rows they cite
-and, transitively, the rows each of those is built from (`Store.cone`).
-A row is written as an id and a derivation; only a derived row also
-carries its row and rhs, since its tag, a dual certificate over earlier
-rows, does not determine them.  The checker replays a leaf's rows once,
-over the scope its path gives: the problem's region cut down by the domain
-splits above the leaf, and the phases the phase splits above it commit.
-It accepts any rows that replay so, whatever the store held besides.
-It builds them in id order, each straight into its integer form
-(den, den a, den b), with no `Fraction` per coefficient: affine rows and
-the negated property, `-margin <= -(threshold + epsilon)` as a row over
-the outputs, from the problem, region rows from the scope's region, guard
-rows as row k of a phase's guard consequences (a guard row may commit only
-a phase the path commits), a stabilize row as row 0 of them, its phase
-equality, where the unit's interval fixes that sign, hull rows as row k of
-the envelope over the unit's interval, and derived rows by checking their
-certificate over the rows built so far.  A unit's interval is the scope's
-seed (below), tightened only by the single-variable rows on its
-pre-activation that come before the row read.  A row the checker cannot
-build, malformed or not following from the rows before it, is reported
-with its id at its leaf.  It then checks the leaf's certificates over
-those rows and verifies that split annotations cover each parent.
+A proof is its split tree, and it states each fact once.  A leaf's scope
+is the problem's region cut down by the domain splits above it, and the
+phases the phase splits above it commit.  Its base rows are fixed by the
+scope, at fixed ids: with k units (identity outputs included) and d
+inputs, unit n's affine row in layer-then-neuron order at n, the region
+rows hi and lo of input m at k + 2m and k + 2m + 1, the negated property,
+`-margin <= -(threshold + epsilon)` as a row over the outputs, at k + 2d,
+then each committed unit's phase equality and sign row, rows 0 and 1 of
+its phase's guard consequences, in sorted unit order; the scope's first
+non-base id follows them.  A leaf lists only the rows its certificates
+reach past the base rows, under its store's ids: the hull, stabilize and
+derived rows they cite and, transitively, the rows each of those is built
+from (`Store.cone`).  A row is written as an id and a derivation; only a
+derived row also carries its row and rhs, since its tag, a dual
+certificate over earlier rows, does not determine them.  A listed row with
+a base tag (`aff`, `region`, `negp`, `guard`) or an id below the scope's
+first non-base id is rejected.  No leaf ever reuses another node's rows (a
+conflict clause never blocks a node, `search`), and were one to, its base
+rows would be built from its own scope: `check` could only reject it or
+accept rows that hold there.
+
+The checker replays a leaf once, over its scope, and accepts any rows that
+replay so, whatever the store held besides.  It builds each row straight
+into its integer form (den, den a, den b), with no `Fraction` per
+coefficient, in id order: first each base row that a cover, bound or
+derived-row certificate of the leaf cites, and only those, affine rows and
+the negated property from the problem, region rows from the scope's region
+and phase rows from the path's commitments; then the listed rows, a
+stabilize row as its phase equality, where the unit's interval fixes that
+sign, hull rows as row k of the envelope over the unit's interval, and
+derived rows by checking their certificate over the rows built so far.  A
+unit's interval is the scope's seed (below), tightened only by the
+single-variable rows on its pre-activation that come before the row read.
+A row the checker cannot build, malformed or not following from the rows
+before it, is reported with its id at its leaf.  It then checks the leaf's
+certificates over those rows and verifies that split annotations cover
+each parent.
 
 Trust boundary.  Acceptance rests on rational identities alone.  The trust
 base is this module, `certs`, `rows` and `model`: none of them imports a
 solver module (`store`, `lp`, `propagate`, `gate`, `search`, `budget`,
 `cli`), and the exact checks are those of `certs`.  `check` builds every
-non-derived row itself.  It builds the region and hull rows, and the seed
-they read, with its own code, not with the functions of `store` and
-`propagate` that make them, on purpose: a fault in how the solver writes
-those rows cannot vouch for itself.  A unit's affine row and a phase's rows
-are definitions, not derivations: it takes them, as the solver does, from
-`rows.affine_row` (over the unit's `Network.unit_weights`, the problem's
-weights and bias in integers) and `rows.guard_rows`, the one place that
-defines each.  Its one rule beyond the rows' definitions is interval
-arithmetic, the seed of a leaf's scope: layer by layer from the scope's
-region, s = b + sum_k w_k src_k over each source's interval, an input's
-edge of the region or the previous layer's post-activation.  A
-post-activation is [0, 0] when inactive, [max(0, lo), hi] when active, and
-[0, max(0, hi)] otherwise; a unit is active or inactive when the path
-commits it, and else active when lo >= 0, inactive when hi <= 0.  The seed
-holds on every trace of the scope.  On an infeasible scope the intervals
-may cross, lo > hi, as the solver's do.  Intervals are kept in integers
-too, each end a pair (num, den).  From `rows` it takes besides only the
-row containers, in which a `NormRow` is a row's id and integer form (all
-that the checks of `certs` read), and the arithmetic of integer forms:
-`int_form` for the negated property and derived rows, `lowest_terms` and
-`equality`.  It builds each affine row once per unit and each phase's rows
-once per (unit, phase) per check.  `certs.check_guarded`, the one cover
-check, adds a cover certificate's guard rows through
-`rows.guard_norm_rows`, built on the same definition.
+non-derived row itself, and places each base row at its id itself.  It
+builds the region and hull rows, and the seed they read, with its own code,
+not with the functions of `store` and `propagate` that make them, on
+purpose: a fault in how the solver writes those rows cannot vouch for
+itself.  A unit's affine row and a phase's rows are definitions, not
+derivations: it takes them, as the solver does, from `rows.affine_row`
+(over the unit's `Network.unit_weights`, the problem's weights and bias in
+integers) and `rows.guard_rows`, the one place that defines each.  Its one
+rule beyond the rows' definitions is interval arithmetic, the seed of a
+leaf's scope: layer by layer from the scope's region, s = b + sum_k w_k
+src_k over each source's interval, an input's edge of the region or the
+previous layer's post-activation.  A post-activation is [0, 0] when
+inactive, [max(0, lo), hi] when active, and [0, max(0, hi)] otherwise; a
+unit is active or inactive when the path commits it, and else active when
+lo >= 0, inactive when hi <= 0.  The seed holds on every trace of the
+scope.  On an infeasible scope the intervals may cross, lo > hi, as the
+solver's do.  Intervals are kept in integers too, each end a pair (num,
+den).  From `rows` it takes besides only the row containers, in which a
+`NormRow` is a row's id and integer form (all that the checks of `certs`
+read), and the arithmetic of integer forms: `int_form` for the negated
+property and derived rows, `lowest_terms` and `equality`.  It builds each
+affine row once per unit and each phase's rows once per (unit, phase) per
+check.  `certs.check_guarded`, the one cover check, adds a cover
+certificate's guard rows through `rows.guard_norm_rows`, built on the same
+definition.
 
 Every leaf has one kind: a cover of guarded Farkas certificates over its
-rows, which contain the negated-property row.  A tree node may also carry
-a margin bound `margin <= beta` over its scope: a leaf by a dual
-certificate over its rows whose objective is the margin's row over the
-outputs, a split by the maximum of its two children's bounds, since their
-scopes split the parent's.  Derived rows, the rows
-built over their bounds, and margin bounds therefore hold only given the
-negated property.  That is sound for the one claim a proof makes, UNSAT:
+rows, its scope's base rows among them, the negated property too.  A tree
+node may also carry a margin bound `margin <= beta` over its scope: a leaf
+by a dual certificate over its rows whose objective is the margin's row
+over the outputs, a split by the maximum of its two children's bounds,
+since their scopes split the parent's.  Derived rows, the rows built over
+their bounds, and margin bounds therefore hold only given the negated
+property.  That is sound for the one claim a proof makes, UNSAT:
 the tree shows that the negated property is infeasible on every path.
 """
 
@@ -88,10 +103,10 @@ from .model import (
     SafetyProperty,
     VariableLayout,
     build_layout,
+    decode_json,
     format_rational,
     parse_key,
     parse_rational,
-    unique_keys,
 )
 from .rows import (
     GuardLiteral,
@@ -105,7 +120,11 @@ from .rows import (
     lowest_terms,
 )
 
-FORMAT = "relucert-proof-9"
+FORMAT = "relucert-proof-10"
+
+#: the derivation kinds of the base rows, which `check` builds at their
+#: fixed ids of a leaf's scope and a leaf never lists
+BASE_KINDS = ("aff", "region", "negp", "guard")
 
 #: the interval end 0, (num, den)
 _ZERO = (0, 1)
@@ -153,10 +172,13 @@ def _guarded_json(cert: GuardedCertificate) -> dict:
 
 
 def _rows_json(rows) -> list:
-    """A derived row as its row, rhs and multipliers; any other row as its
-    derivation alone, from which the checker rebuilds it."""
+    """A derived row as its row, rhs and multipliers; a hull or stabilize
+    row as its derivation alone, from which the checker rebuilds it.  A
+    base row is left out: the checker builds it at its fixed id."""
     out = []
     for cid, c in rows:
+        if c.derivation[0] in BASE_KINDS:
+            continue
         if c.derivation[0] == "derived":
             cert = c.derivation[1]
             out.append({"id": cid, "row": _row_json(cert.objective), "rhs": _q(cert.bound),
@@ -194,7 +216,7 @@ def emit(tree, digest: str) -> bytes:
 
 
 def parse_proof(data: bytes) -> dict:
-    doc = json.loads(data.decode(), object_pairs_hook=unique_keys)
+    doc = decode_json(data.decode())
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError("not a recognized proof document")
     return doc
@@ -259,6 +281,11 @@ class _Problem:
         self.prop = prop
         self.layout: VariableLayout = build_layout(net, prop)
         self.relu_units = frozenset(net.hidden_units)
+        # every unit, identity outputs included, in layer-then-neuron order:
+        # unit n's affine row has id n
+        self.units = [(i, j) for i, layer in enumerate(net.layers, start=1)
+                      for j in range(len(layer.weights))]
+        self.negp_id = len(self.units) + 2 * net.input_dim
         self.negp = [int_form({j: -q for j, q in self.layout.margin.items()},
                               -prop.violation_threshold)]
         self._affine: dict = {}
@@ -353,6 +380,52 @@ def _hull_row(pb: _Problem, unit, k, interval: dict) -> list[IntForm]:
     return [lowest_terms(hi_d, {z: hi_d}, hi_n)]
 
 
+def _base_row(pb: _Problem, cid: int, region: Region, alpha: dict,
+              committed: list) -> list[IntForm]:
+    """The integer forms of the scope's base row with id `cid`, below the
+    scope's first non-base id: unit n's affine row at n, input m's region
+    rows hi and lo at k + 2m and k + 2m + 1 (k units), the negated property
+    at k + 2d (d inputs), then each committed unit's phase equality and
+    sign row, in `committed`, the sorted units of `alpha`."""
+    k = len(pb.units)
+    if cid < k:
+        return pb.affine(pb.units[cid])
+    if cid < pb.negp_id:
+        m, lo_side = divmod(cid - k, 2)
+        xi = pb.layout.input_index(m)
+        if lo_side:
+            lo = region.lower[m]
+            return [(lo.denominator, {xi: -lo.denominator}, -lo.numerator)]
+        hi = region.upper[m]
+        return [(hi.denominator, {xi: hi.denominator}, hi.numerator)]
+    if cid == pb.negp_id:
+        return pb.negp
+    n, row = divmod(cid - pb.negp_id - 1, 2)
+    unit = committed[n]
+    return pb.phase_rows(unit, alpha[unit])[row]
+
+
+def _cited_base(leaf: dict, rows: list, first: int) -> list[int]:
+    """The base ids, those below `first`, that the leaf's certificates
+    cite, in order: its cover's, its bound's and its derived rows'.  A
+    malformed certificate cites none here; its own parse rejects it."""
+    cited: set[int] = set()
+
+    def add(multipliers):
+        try:
+            cited.update(rid[1] for rid, _ in multipliers()
+                         if rid[0] == "c" and type(rid[1]) is int and 0 <= rid[1] < first)
+        except _MALFORMED:
+            pass
+
+    add(lambda: [m for item in leaf["cover"] for m in item["farkas"]["multipliers"]])
+    if "bound" in leaf:
+        add(lambda: leaf["bound"]["multipliers"])
+    for r in rows:
+        add(lambda: r["derivation"][1] if r["derivation"][0] == "derived" else ())
+    return sorted(cited)
+
+
 def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
                         system: NormalizedSystem, interval: dict) -> list[IntForm]:
     """The integer forms of the row that r's derivation yields, one side or
@@ -364,27 +437,8 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
     it, (lo, hi), each a pair (num, den) with den > 0."""
     tag = r["derivation"]
     kind = tag[0]
-    if kind == "aff":
-        _, i, j = tag
-        return pb.affine(_unit((i, j)))
-    if kind == "region":
-        _, k, side = tag
-        if _json_int(k) not in range(pb.net.input_dim) or side not in ("lo", "hi"):
-            raise _Rejected("malformed region tag")
-        xi = pb.layout.input_index(k)
-        if side == "hi":
-            hi = region.upper[k]
-            return [(hi.denominator, {xi: hi.denominator}, hi.numerator)]
-        lo = region.lower[k]
-        return [(lo.denominator, {xi: -lo.denominator}, -lo.numerator)]
-    if kind == "negp":
-        return pb.negp
-    if kind == "guard":
-        _, i, j, phase, k = tag
-        rows = pb.phase_rows(_unit((i, j)), phase)
-        if _json_int(k) not in range(len(rows)):
-            raise _Rejected(f"no phase row {k!r}")
-        return rows[k]
+    if kind in BASE_KINDS:
+        raise _Rejected(f"a leaf lists no {kind} row: check builds it at its base id")
     if kind == "derived":
         # the row and rhs are the objective and bound the certificate proves
         _, multipliers = tag
@@ -429,12 +483,23 @@ def _tighten(interval: dict, form: IntForm) -> None:
         interval[j] = ((-b, -a), hi)
 
 
+def _add_row(system: NormalizedSystem, interval: dict, cid: int, forms: list[IntForm]) -> None:
+    """Append the row's sides under its id, and tighten `interval` by it."""
+    system.extend(NormRow(("c", cid, side), form) for side, form in zip(("le", "ge"), forms))
+    if len(forms) == 1:
+        _tighten(interval, forms[0])
+
+
 def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tuple:
-    """Replay a leaf's rows once, over its path's scope (region and phase
-    commitments `alpha`): build them in id order, each from its derivation
-    and the rows before it.  Returns (reason, system): a rejection reason or
-    None, and the normalized system.  The benchmark counts the calls to this
-    function and to `_check_snapshot_row` by these names."""
+    """Replay a leaf over its path's scope (region and phase commitments
+    `alpha`): build the base rows its certificates cite at their fixed ids,
+    then its listed rows, each at an id past the base rows, in id order,
+    each from its derivation and the rows before it.  Returns (reason,
+    system): a rejection reason or None, and the normalized system.  The
+    benchmark counts the calls to this function and to
+    `_check_snapshot_row` by these names."""
+    committed = sorted(alpha)
+    first = pb.negp_id + 1 + 2 * len(committed)
     try:
         rows = sorted(leaf["rows"], key=lambda r: _json_int(r["id"]))
     except _MALFORMED as exc:
@@ -442,8 +507,12 @@ def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tu
     for a, b in zip(rows, rows[1:]):
         if a["id"] == b["id"]:
             return f"duplicate row id {a['id']}", None
+    if rows and rows[0]["id"] < first:
+        return f"row {rows[0]['id']}: id below the scope's first non-base id {first}", None
     system = NormalizedSystem([], pb.layout.n_vars)
     interval = _seed(pb, region, alpha)
+    for cid in _cited_base(leaf, rows, first):
+        _add_row(system, interval, cid, _base_row(pb, cid, region, alpha, committed))
     for r in rows:
         cid = r["id"]
         try:
@@ -452,14 +521,7 @@ def _check_snapshot(pb: _Problem, leaf: dict, region: Region, alpha: dict) -> tu
             return f"row {cid}: {exc}", None
         except _MALFORMED as exc:
             return f"row {cid}: malformed: {exc!r}", None
-        system.extend(NormRow(("c", cid, side), form) for side, form in zip(("le", "ge"), forms))
-        tag = r["derivation"]
-        if tag[0] == "guard":
-            unit, phase = _unit(tag[1:3]), tag[3]
-            if alpha.get(unit) != phase:
-                return f"row {cid}: guard row for uncommitted phase {unit}:{phase}", None
-        if len(forms) == 1:
-            _tighten(interval, forms[0])
+        _add_row(system, interval, cid, forms)
     return None, system
 
 

@@ -5,19 +5,24 @@ points.  Before any store is built, the box midpoint is evaluated exactly;
 if it is a counterexample the run ends there with SAT and no LP.  Otherwise
 `solve(region, alpha, depth)` closes the node by propagation or by the
 exactness gate and returns its leaf, or splits it and returns the split over
-its two solved children, active phase and lower half first.  The
-incremental strategy (icl) starts the gate with no unit exact and refines,
-the hybrid strategy (hsrv) starts it with every unstable unit exact.  Every
-leaf carries Farkas certificates and, below the root, the margin bound its
-store proves, with the rows of its store that they reach (`Store.cone`),
-under the store's ids; a split whose two children both carry a bound
-carries their maximum (the merge lemma `margin <= max(beta1, beta2)`).  Propagation
-makes the bound: below the root `propagate_node(..., margin=True)` closes
-the node with an LP that maximizes the margin without the negated
-property, and makes that LP for the bound alone if it refuted the node
-first; the search reads the bound from the result.  The open node's LP
-point answers the gate's query with no unit exact.  Conflict clauses are
-still recorded at root-region nodes, but no later node can match one.
+its two solved children, active phase and lower half first.  The incremental
+strategy (icl) starts the gate with no unit exact and refines, the hybrid
+strategy (hsrv) starts it with every unstable unit exact.  Every leaf
+carries Farkas certificates and, below the root, the margin bound its store
+proves, with the rows of its store that they reach (`Store.cone`), under the
+store's ids; a proof lists only those past its scope's base rows, which
+`check` builds at the same ids.  A split whose two children both carry a
+bound carries their maximum (the merge lemma `margin <= max(beta1, beta2)`).
+Propagation makes the bound: below the root
+`propagate_node(..., margin=True)` closes the node with an LP that
+maximizes the margin without the negated property, and makes that LP for the
+bound alone if it refuted the node first; the search reads the bound from
+the result.  The open node's LP point answers the gate's query with no unit
+exact.  Conflict clauses are still recorded at root-region nodes, but no
+later node can match one: a clause holds its node's commitments, and every
+later node differs from it in the phase of a split.  So no leaf is a
+blocked-clause leaf, which would carry another node's rows and not the base
+rows of its own scope.
 
 SAT and UNKNOWN leave the recursion through one exception that `_run`
 catches; so does `budget.Exhausted`, raised at the first LP the budget

@@ -7,21 +7,31 @@ A run builds each unit's affine row and the negated property once
 (`ProblemRows`); every node's store holds those very rows under the same
 ids, and no row is mutated once built.
 
-Every row carries a `derivation` tag from which an independent checker
-rebuilds it: base rows from the problem and the region, guard rows as row k
-of a phase's guard consequences, hull rows as row k of the envelope over
-the unit's interval at their id.  A committed phase adds both guard rows; a
-stabilized unit adds only a `stabilize` row, row 0 of them, its phase
-equality, since its interval already proves the sign that row 1 would
-state.  A unit's interval starts at the seed of the node's scope,
-`interval_bounds`, which `check` recomputes for a leaf's scope with its own
-code, and only the derived rows on its pre-activation tighten it.  A proof
-records such a row by its tag alone.  A derived row, a bound an LP proved,
-is the one kind the tag does not determine: the proof records the row, and
-its tag carries the dual certificate that proves it.  Propagation, which
-writes a row, records the rows it rests on, the ones the checker rebuilds
-it from; a proof leaf keeps only the rows its certificates reach through
-those records, `Store.cone`.
+Every row carries a `derivation` tag, which names its block.  A proof
+writes the tag of a hull or stabilize row, from which an independent
+checker rebuilds it: a hull row as row k of the envelope over the unit's
+interval at its id, a stabilize row as row 0 of a phase's guard
+consequences.  A committed phase adds both guard rows; a stabilized unit
+adds only a `stabilize` row, row 0 of them, its phase equality, since its
+interval already proves the sign that row 1 would state.  A unit's
+interval starts at the seed of the node's scope, `interval_bounds`, which
+`check` recomputes for a leaf's scope with its own code, and only the
+derived rows on its pre-activation tighten it.  A derived row, a bound an
+LP proved, is the one kind the tag does not determine: the proof records
+the row, and its tag carries the dual certificate that proves it.
+Propagation, which writes a row, records the rows it rests on, the ones
+the checker rebuilds it from; a proof leaf keeps only the rows its
+certificates reach through those records, `Store.cone`.
+
+Base rows.  `build_initial_store` writes the base rows of the node's scope
+first, at ids that the scope fixes and that `check` rebuilds on its own,
+so a proof lists none of them: with k units (identity outputs included)
+and d inputs, unit n's affine row in layer-then-neuron order at n
+(`ProblemRows`), the region rows hi and lo of input m at k + 2m and
+k + 2m + 1, the negated property at k + 2d, then each committed unit's
+phase equality and sign row (`guard` rows 0 and 1) in sorted unit order.
+Every other row follows them.  `tests/test_store.py` checks this layout
+against `prooflog._base_row`, the checker's.
 
 One map, `Store.phases`, holds the phase of each committed or stabilized
 unit, and `Store.phase_ids` the id of its phase equality, z = s or z = 0;

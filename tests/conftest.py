@@ -175,11 +175,11 @@ def scoped_leaves(entry, region, alpha=None):
 
 
 def leaf_system(problem, leaf, region, alpha):
-    """The normalized system that `check` builds from a leaf's rows over
-    its scope."""
+    """The normalized system that `check` builds for a leaf over its
+    scope: its listed rows and the base rows its certificates cite."""
     from relucert import prooflog
 
-    leaf_doc = {"rows": prooflog._rows_json(leaf.rows)}
+    leaf_doc = prooflog._tree_json(leaf)
     reason, system = prooflog._check_snapshot(prooflog._Problem(*problem), leaf_doc, region, alpha)
     assert reason is None, reason
     return system

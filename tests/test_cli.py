@@ -341,7 +341,10 @@ class TestCheck:
             code, out, _ = _run(capsys, "verify", str(problem), "--strategy", strategy,
                                 "--emit-proof", str(proof))
             assert code == EXIT_UNSAT and "UNSAT" in out, strategy
-            assert b'["negp"]' in proof.read_bytes()
+            # the negated property over both outputs is cited at its base
+            # id k + 2d (4 units, 1 input), and no leaf lists it
+            data = proof.read_bytes()
+            assert b'["c",6,"le"]' in data and b'"negp"' not in data
             code, out, _ = _run(capsys, "check", str(problem), str(proof))
             assert code == 0 and out.strip() == "ACCEPT", strategy
 
@@ -366,22 +369,22 @@ class TestCheck:
 
     def test_proof_8_document_and_interval_row_rejected_under_python_o(self, tmp_path):
         """`relucert-proof-8` wrote each unit's interval as two `interval`
-        rows.  Under `python -O` a document of that format is a REJECT at
-        `document`, and an `interval` row in a current document a REJECT of
-        that row at its leaf, as an unknown derivation kind; neither
-        raises."""
+        rows, and `relucert-proof-9` listed each leaf's base rows.  Under
+        `python -O` a document of either format is a REJECT at `document`,
+        and an `interval` row in a current document a REJECT of that row at
+        its leaf, as an unknown derivation kind; neither raises."""
         proof = tmp_path / "out.proof"
         run = _cli_o("verify", WORKED, "--emit-proof", str(proof))
         assert run.returncode == EXIT_UNSAT, run
         doc = json.loads(proof.read_text())
-        assert doc["format"] == "relucert-proof-9"
+        assert doc["format"] == "relucert-proof-10"
         old = tmp_path / "old.proof"
-        old.write_text(json.dumps({**doc, "format": "relucert-proof-8"}))
-        run = _cli_o("check", WORKED, str(old))
-        assert run.returncode == 1 and run.stdout.startswith("REJECT path=document "), run
-        assert not run.stderr, run
-        ids = {row["id"] for row in doc["tree"]["rows"]}
-        free = min(set(range(max(ids))) - ids)
+        for n in (8, 9):
+            old.write_text(json.dumps({**doc, "format": f"relucert-proof-{n}"}))
+            run = _cli_o("check", WORKED, str(old))
+            assert run.returncode == 1 and run.stdout.startswith("REJECT path=document "), run
+            assert not run.stderr, run
+        free = max(row["id"] for row in doc["tree"]["rows"]) + 1
         doc["tree"]["rows"].append({"id": free, "derivation": ["interval", [1, 0], "up"]})
         proof.write_text(json.dumps(doc))
         run = _cli_o("check", WORKED, str(proof))

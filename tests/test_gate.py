@@ -432,3 +432,60 @@ class TestGateReadsTheStore:
                     assert driver(*tightened(idx), config).status == "unsat"
         assert seen["refined"] >= 3 and seen["exact start"] >= 3, seen
         assert seen["other hulls"] >= 1, seen
+
+
+class TestGateOnTheBenchmark:
+    """The acceptance suite hardly reaches the gate (2 gate calls in 200
+    runs), so the instances whose node the gate closes are found where it
+    closes some: spying `gate.exact_solve` over the benchmark's
+    `tight-unsat` family at both family seeds, under both drivers.  On
+    each such instance both drivers' verdicts match `oracle_verify`, and
+    `check` accepts each proof, in this process and under `python -O`."""
+
+    def test_tight_unsat_nodes_the_gate_closes(self, monkeypatch, tmp_path):
+        from pathlib import Path
+
+        from conftest import dump_problem, file_digest
+        from test_cli import _cli_o
+
+        from relucert import prooflog, search
+
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import families
+
+        closed = []
+        real = gate.exact_solve
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            closed.append(res.status == UNSAT)
+            return res
+
+        monkeypatch.setattr(gate, "exact_solve", spy)
+        found = []
+        for seed in (families.MIXED_SEED, families.HELD_OUT_SEED):
+            for inst in families.family(families.WORKLOADS["tight-unsat"], seed):
+                for driver in (search.icl_verify, search.hsrv_verify):
+                    del closed[:]
+                    driver(*inst.problem)
+                    if any(closed) and (seed, inst) not in found:
+                        found.append((seed, inst))
+        monkeypatch.setattr(gate, "exact_solve", real)
+        assert [(seed, inst.idx) for seed, inst in found] == [
+            (families.MIXED_SEED, 42), (families.MIXED_SEED, 46), (families.HELD_OUT_SEED, 25)]
+        for seed, inst in found:
+            problem = inst.problem
+            path = tmp_path / f"p{seed}-{inst.idx}.json"
+            dump_problem(*problem, path)
+            digest = file_digest(path)
+            truth = search.oracle_verify(*problem)
+            for driver in (search.icl_verify, search.hsrv_verify):
+                res = driver(*problem)
+                assert res.status == truth.status == "unsat", (seed, inst.idx, driver.__name__)
+                data = prooflog.emit(res.tree, digest)
+                assert prooflog.check_proof(problem, data, digest).accepted
+                proof = tmp_path / f"p{seed}-{inst.idx}.{driver.__name__}.proof"
+                proof.write_bytes(data)
+                run = _cli_o("check", str(path), str(proof))
+                assert run.returncode == 0 and run.stdout.strip() == "ACCEPT", run

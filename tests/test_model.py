@@ -369,3 +369,34 @@ class TestProblemParsing:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_problem(b"{nope")
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        lambda text: text.encode("utf-16"),
+        lambda text: text.encode("utf-16-le"),
+        lambda text: text.encode("utf-32"),
+    ], ids=["utf-8-bom", "utf-16", "utf-16-le", "utf-32"])
+    def test_problem_in_another_json_encoding_read(self, encode):
+        # a problem's bytes are decoded as `json.loads` decodes them
+        raw = Path("problems/worked.json").read_bytes()
+        assert parse_problem(encode(raw.decode())) == parse_problem(raw)
+
+    @pytest.mark.parametrize("doc", [
+        b'{"a": 1}', b"\xef\xbb\xbf{}", '{"a": 1}'.encode("utf-16"), b'["\xed\xa0\x80"]',
+        b'{"a": 1, "a": 2}', b"{nope", b"[1] 2", b"\xff\xfe\x00", b"[" * 5000,
+        '{"a": 1}', "\ufeff{}", '"\ud800"',
+    ], ids=["object", "utf-8-bom", "utf-16", "surrogate-bytes", "duplicated-key",
+            "invalid", "extra-data", "bad-bytes", "deep", "str", "str-bom", "str-surrogate"])
+    def test_decode_json_is_json_loads_with_unique_keys(self, doc):
+        """The held decoder accepts and rejects what `json.loads` with the
+        `unique_keys` hook does, with the same value or exception."""
+        from relucert.model import decode_json, unique_keys
+
+        def outcome(load):
+            try:
+                return "value", load(doc)
+            except (ValueError, RecursionError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(decode_json) == outcome(
+            lambda d: json.loads(d, object_pairs_hook=unique_keys))

@@ -97,7 +97,7 @@ class TestSerialization:
     def _old_format_rejected(self, n, config=None):
         data = _proof_bytes(config)
         current = f'"format":"{prooflog.FORMAT}"'.encode()
-        assert prooflog.FORMAT == "relucert-proof-9" and current in data
+        assert prooflog.FORMAT == "relucert-proof-10" and current in data
         old = data.replace(current, f'"format":"relucert-proof-{n}"'.encode())
         out = prooflog.check_proof(_problem(), old, file_digest(WORKED))
         assert not out.accepted and out.path == "document"
@@ -136,6 +136,21 @@ class TestSerialization:
         # proof-8 wrote each unit's interval as two `interval` rows, which
         # `check` rebuilt by interval arithmetic over the rows before them
         self._old_format_rejected(8, Config(first_split="domain"))
+
+    def test_format_9_document_rejected(self):
+        # proof-9 listed each leaf's affine, region, negated-property and
+        # guard rows, which `check` now builds at their fixed ids
+        self._old_format_rejected(9, Config(first_split="domain"))
+
+    @pytest.mark.parametrize("encode", [lambda data: b"\xef\xbb\xbf" + data,
+                                        lambda data: data.decode().encode("utf-16")],
+                             ids=["utf-8-bom", "utf-16"])
+    def test_proof_other_than_plain_utf8_rejected(self, encode):
+        # a proof is read as strict UTF-8 with no byte-order mark, unlike a
+        # problem file
+        out = prooflog.check_proof(_problem(), encode(_proof_bytes()), file_digest(WORKED))
+        assert not out.accepted and out.path == "document", out
+        assert out.reason.startswith("unparseable: "), out
 
     def test_only_derived_rows_carry_a_row(self):
         doc = prooflog.parse_proof(_proof_bytes(Config(first_split="domain")))
@@ -196,7 +211,8 @@ class TestTargetedRejections:
         # the violation threshold 11/10 flipped to -11/10 its rhs flips sign,
         # and the certificate combination no longer reaches a negative total
         data = _proof_bytes()
-        assert b'["negp"]' in data
+        # the cover cites the negated property at its base id k + 2d = 3 + 2
+        assert b'["c",5,"le"]' in data
         problem = (worked_network(), worked_region(), worked_prop("-6/5"))
         assert problem[2].violation_threshold == -F(11, 10)
         out = prooflog.check_proof(problem, data)
@@ -234,6 +250,8 @@ class TestTargetedRejections:
         assert not out.accepted and out.path == "document"
 
     def test_foreign_guard_row_rejected(self):
+        # a guard row is a base row, built from the path's commitments at
+        # its fixed id: listed, it is a REJECT whatever phase it commits
         doc = prooflog.parse_proof(_proof_bytes())
         rows = doc["tree"]["rows"]
         next_id = max(r["id"] for r in rows) + 1
@@ -241,7 +259,66 @@ class TestTargetedRejections:
         data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         out = prooflog.check_proof(_problem(), data)
         assert not out.accepted and out.reason.endswith(
-            f"row {next_id}: guard row for uncommitted phase (1, 0):active"), out
+            f"row {next_id}: a leaf lists no guard row: check builds it at its base id"), out
+
+    @pytest.mark.parametrize("tag", [["aff", 1, 0], ["region", 0, "hi"], ["negp"]],
+                             ids=["aff", "region", "negp"])
+    def test_listed_base_row_rejected(self, tag):
+        """A row with a base tag, listed past the scope's base rows (ids 0
+        to 5 of the worked root scope: 3 affine rows, 2 region rows, the
+        negated property), is a REJECT of that row at its leaf, under
+        `python -O` too: `check` builds base rows itself.  A listed guard
+        row is `test_foreign_guard_row_rejected`."""
+        doc = prooflog.parse_proof(_proof_bytes())
+        rows = doc["tree"]["rows"]
+        next_id = max(r["id"] for r in rows) + 1
+        rows.append({"id": next_id, "derivation": tag})
+        out = prooflog.check_proof(_problem(), _dumps(doc), file_digest(WORKED))
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason == (f"rows: row {next_id}: a leaf lists no {tag[0]} row: "
+                              "check builds it at its base id"), out
+
+    @pytest.mark.parametrize("cid", [0, 5])
+    def test_listed_row_in_the_base_range_rejected(self, cid):
+        """A listed hull row moved to a base id of the worked root scope,
+        the first affine row or the negated property, with the multiplier
+        citing it rewritten: the base ids are `check`'s own."""
+        doc = prooflog.parse_proof(_proof_bytes())
+        _renumber(doc["tree"], {8: cid, 10: 10})
+        out = prooflog.check_proof(_problem(), _dumps(doc), file_digest(WORKED))
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason == f"rows: row {cid}: id below the scope's first non-base id 6", out
+
+    def test_certificate_citing_past_the_base_rows_or_a_missing_side_rejected(self):
+        """The worked root scope has base rows 0 to 5 and lists rows 8 and
+        10.  A cover multiplier moved to id 6, past the base rows and not
+        listed, to -1, which must not wrap to the last row, or to the `ge`
+        side of the one-sided negated property (5) or region row (3), cites
+        a row the leaf does not have."""
+        for rid in (["c", 6, "le"], ["c", -1, "le"], ["c", 5, "ge"], ["c", 3, "ge"]):
+            doc = prooflog.parse_proof(_proof_bytes())
+            mults = doc["tree"]["cover"][0]["farkas"]["multipliers"]
+            assert [m[0] for m in mults].count(["c", 5, "le"]) == 1
+            mults[0][0] = rid
+            out = prooflog.check_proof(_problem(), _dumps(doc), file_digest(WORKED))
+            assert not out.accepted and out.path == "tree", out
+            assert out.reason == f"cover[0] rejected: unknown row {tuple(rid)}", out
+
+    def test_domain_child_certificate_over_the_parent_box_rejected(self):
+        """The worked root leaf, whose hull chord 8 is the envelope of
+        s(1,0) over the whole box, copied into both children of a domain
+        split at x = 1/2: `check` builds each child's rows over the child's
+        box, where s(1,0) no longer straddles zero, and the certificate
+        that held over the parent's box has no chord to cite."""
+        root = prooflog.parse_proof(_proof_bytes())
+        leaf = root["tree"]
+        assert _leaf_rows(root)[8]["derivation"] == ["hull", [1, 0], 2]
+        root["tree"] = {"type": "split", "kind": ["domain", 0, "1/2"],
+                        "children": [leaf, json.loads(json.dumps(leaf))]}
+        out = prooflog.check_proof(_problem(), _dumps(root), file_digest(WORKED))
+        assert not out.accepted and out.path == "tree/0", out
+        assert out.reason.startswith("rows: row 8: certified bounds "), out
+        assert out.reason.endswith("do not straddle zero"), out
 
     def test_margin_def_row_rejected(self, tmp_path):
         # the margin is a row over the outputs and has no variable to define
@@ -267,24 +344,30 @@ class TestTargetedRejections:
 
     def test_rows_moved_to_the_other_phase_of_a_split_rejected(self, tmp_path):
         """Each phase split of the branching proofs whose children are both
-        leaves, with the two leaves' rows swapped: each leaf's guard row on
-        the split's unit then commits the phase of the other child."""
+        leaves, with the two leaves swapped: a cover cites the split unit's
+        phase rows at their base ids, which `check` builds for the phase of
+        the path, the other child's."""
         cases = 0
         for problem, data, path in _branching(tmp_path, (icl_verify, hsrv_verify)):
             base = prooflog.parse_proof(data)
+            pb = prooflog._Problem(*problem)
             for at, node in _tree_nodes(base["tree"]):
                 if node["type"] != "split" or node["kind"][0] != "phase" or any(
                         child["type"] != "leaf" for child in node["children"]):
                     continue
+                alpha = _path_commitments(base, at)
+                unit = tuple(node["kind"][1])
+                eq_id = pb.negp_id + 1 + 2 * sorted({**alpha, unit: ACTIVE}).index(unit)
+                assert any(rid[:2] in (["c", eq_id], ["c", eq_id + 1])
+                           for child in node["children"] for item in child["cover"]
+                           for rid, _ in item["farkas"]["multipliers"]), (path, at)
                 doc = json.loads(json.dumps(base))
-                active, inactive = _tree_node(doc, at)["children"]
-                active["rows"], inactive["rows"] = inactive["rows"], active["rows"]
-                (i, j) = node["kind"][1]
+                _tree_node(doc, at)["children"].reverse()
                 out = prooflog.check_proof(problem, _dumps(doc), file_digest(path))
-                assert not out.accepted and out.path == "/".join(("tree", *map(str, at), "0"))
-                assert f"guard row for uncommitted phase ({i}, {j}):inactive" in out.reason, out
+                assert not out.accepted and out.path.startswith(
+                    "/".join(("tree", *map(str, at)))), out
                 cases += 1
-        assert cases >= 4
+        assert cases >= 4, cases
 
 
     def test_derived_row_citing_its_own_or_a_later_row_rejected(self, tmp_path):
@@ -437,14 +520,24 @@ class TestTargetedRejections:
         assert not out.accepted and out.reason == "cover[0] rejected: lambda^T A != 0", out
 
     def test_phase_row_index_out_of_range_rejected(self):
-        # a guard has two phase rows; -1 must not wrap to the last one
-        for k in (2, -1):
-            doc = prooflog.parse_proof(_proof_bytes())
-            rows = doc["tree"]["rows"]
-            last = max(r["id"] for r in rows) + 1
-            rows.append({"id": last, "derivation": ["guard", 1, 0, "active", k]})
-            out = prooflog.check_proof(_problem(), _dumps(doc))
-            assert not out.accepted and out.reason.endswith(f"row {last}: no phase row {k}"), out
+        # under a phase split on (1, 0) the worked root leaf, its rows moved
+        # two ids up, is a proof; the committed unit's two phase rows sit at
+        # base ids 6 and 7, and a certificate citing 8, one past them, or
+        # -1, which must not wrap to the last one, cites a row the leaf
+        # does not have
+        doc = prooflog.parse_proof(_proof_bytes())
+        leaf = doc["tree"]
+        _renumber(leaf, {8: 10, 10: 12})
+        doc["tree"] = {"type": "split", "kind": ["phase", [1, 0]],
+                       "children": [leaf, json.loads(json.dumps(leaf))]}
+        assert prooflog.check_proof(_problem(), _dumps(doc)).accepted
+        for cid in (8, -1):
+            mutated = json.loads(json.dumps(doc))
+            mutated["tree"]["children"][0]["cover"][0]["farkas"]["multipliers"][0][0] = [
+                "c", cid, "le"]
+            out = prooflog.check_proof(_problem(), _dumps(mutated))
+            assert not out.accepted and out.path == "tree/0", out
+            assert out.reason == f"cover[0] rejected: unknown row ('c', {cid}, 'le')", out
 
     def test_hull_row_index_out_of_range_rejected(self):
         # an envelope has four rows; -1 must not wrap to the last one
@@ -464,24 +557,24 @@ class TestTargetedRejections:
         box = {"lower": ["0"], "upper": ["1"]}
 
         def refutation(phase, k):
-            mults = [[["c", 0, "le"], "1"], [["g", 2, 0, phase, k], "1"]]
+            # the negated property at its base id k + 2d = 3 + 2
+            mults = [[["c", 5, "le"], "1"], [["g", 2, 0, phase, k], "1"]]
             return {"guards": [[2, 0, phase]], "farkas": {"multipliers": mults}}
 
         doc = {"format": prooflog.FORMAT, "digest": "",
-               "tree": {"type": "leaf", "rows": [{"id": 0, "derivation": ["negp"]}],
+               "tree": {"type": "leaf", "rows": [],
                         "cover": [refutation("active", 1), refutation("inactive", 2)]}}
         out = prooflog.check_proof(problem, _dumps(doc))
         assert not out.accepted and out.path == "tree", out
         assert out.reason.startswith("cover[0] rejected: guard without rows: "), out
         assert "(2, 0) is not a ReLU unit" in out.reason, out
-        # well-formed cover guards, and the guard row on (2, 0) among the
-        # leaf's rows
-        for item in doc["tree"]["cover"]:
-            item["guards"][0][:2] = [1, 0]
-        doc["tree"]["rows"].append({"id": 1, "derivation": ["guard", 2, 0, "active", 0]})
+        # nor can a path commit (2, 0), whose phase rows would be base rows
+        # of its children's scopes
+        doc["tree"] = {"type": "split", "kind": ["phase", [2, 0]],
+                       "children": [doc["tree"], doc["tree"]]}
         out = prooflog.check_proof(problem, _dumps(doc))
-        assert not out.accepted and "(2, 0) is not a ReLU unit" in out.reason, out
-        assert out.reason.startswith("rows: row 1: "), out
+        assert not out.accepted and out.path == "tree", out
+        assert out.reason == "phase split on unknown unit (2, 0)", out
 
     def test_hull_row_of_a_unit_without_a_relu_rejected(self):
         pb = prooflog._Problem(*_problem())
@@ -597,15 +690,16 @@ class TestBounds:
         assert not out.accepted and out.path == "tree/1", out
 
     def test_leaf_bound_snapshot_with_a_guard_outside_alpha_rejected(self):
-        # the rows of the leaf of [0, 1/2], which its bound reads as its
-        # cover does, with one more row: a guard on (1,0):active, which the
-        # path never commits
+        # the bound of the leaf of [0, 1/2], which reads the leaf's rows as
+        # its cover does, citing id 8, where a guard row on (1, 0) would
+        # stand had the path committed it (after rows 6 and 7): the path
+        # commits no unit, so its scope's base rows end at 5, and the leaf
+        # lists only 6 and 7
         doc = self._doc()
-        rows = doc["tree"]["children"][0]["rows"]
-        last = max(r["id"] for r in rows) + 1
-        rows.append({"id": last, "derivation": ["guard", 1, 0, "active", 0]})
-        self._rejected(doc, "tree/0",
-                       f"rows: row {last}: guard row for uncommitted phase (1, 0):active")
+        leaf = doc["tree"]["children"][0]
+        assert sorted(r["id"] for r in leaf["rows"]) == [6, 7]
+        leaf["bound"]["multipliers"][0][0] = ["c", 8, "le"]
+        self._rejected(doc, "tree/0", "bound certificate rejected: unknown row ('c', 8, 'le')")
 
 
 class TestNeverRaises:
@@ -715,20 +809,24 @@ class TestTrimmedProofs:
             path, at, ids, out)
 
     def test_dropping_a_row_a_cover_certificate_cites_rejected(self, tmp_path):
+        # a cited base row is not listed, and `check` builds it: only the
+        # listed rows a cover cites can be dropped
         cases = 0
         for problem, data, path in self._proofs(tmp_path):
             base = prooflog.parse_proof(data)
             for at, leaf in _leaf_nodes(base["tree"]):
+                listed = {r["id"] for r in leaf["rows"]}
                 cited = {rid[1] for item in leaf["cover"]
                          for rid, _ in item["farkas"]["multipliers"] if rid[0] == "c"}
-                for cid in sorted(cited):
+                for cid in sorted(cited & listed):
                     self._rejected_without(problem, base, path, at, {cid})
                     cases += 1
         # 142 with the all-rows tableau; the bounded-variable simplex finds
         # other multipliers for degenerate optima, which cite fewer rows
         # (138); splits on the largest chord term leave 57 and 89 fewer
-        # leaves, which cite fewer rows in all (92)
-        assert cases == 92, cases
+        # leaves, which cite fewer rows in all (92); of those, the base
+        # rows are no longer listed (27)
+        assert cases == 27, cases
 
     def test_dropping_the_bound_row_under_a_hull_row_rejected(self, tmp_path):
         """Each derived row bounding a hull row's pre-activation before it,
@@ -906,26 +1004,28 @@ class TestStructuralFuzzing:
         assert not out.accepted and "split annotation" in out.reason, out
 
     @pytest.mark.parametrize("mutate", [
-        "row-id-float", "row-id-string", "multiplier-row-id-float", "aff-layer-float",
-        "guard-layer-string", "hull-unit-float", "stabilize-unit-float", "guard-float",
+        "row-id-float", "row-id-string", "multiplier-row-id-float", "base-id-float",
+        "derived-base-id-float", "hull-unit-float", "stabilize-unit-float", "guard-float",
         "row-key-leading-zero"])
     def test_non_canonical_integer_rejected(self, tmp_path, mutate):
         """An integer field of a branching proof written in a form `emit`
         never writes but Python reads as the same integer: a float, a
         numeric string, or an object key other than its canonical decimal.
-        The guarded certificate is taken from the hsrv proof of instance 42
-        under the default configuration, whose gate prunes its root, and the
-        derived and stabilize rows from the icl proof of 57 under that
-        configuration, whose stabilize rows rest on derived rows.  A
-        bad integer in a row is reported with its row at its leaf, and one
-        in a certificate, at the leaf that carries it."""
+        A cited base row's id, which no listed row carries, is such a field
+        of a cover or derived-row certificate.  The guarded certificate is
+        taken from the hsrv proof of instance 42 under the default
+        configuration, whose gate prunes its root, and the derived and
+        stabilize rows from the icl proof of 57 under that configuration,
+        whose stabilize rows rest on derived rows.  A bad integer in a row
+        is reported with its row at its leaf, and one in a certificate, at
+        the leaf that carries it."""
         from test_search import TestBranchingOracleAgreement, tightened
 
         config = TestBranchingOracleAgreement.CONFIG
         idx, driver = 57, icl_verify
         if mutate == "guard-float":
             idx, config, driver = 42, Config(), hsrv_verify
-        elif mutate in ("row-key-leading-zero", "stabilize-unit-float"):
+        elif mutate in ("row-key-leading-zero", "stabilize-unit-float", "derived-base-id-float"):
             config = Config()
         problem = tightened(idx)
         path = str(tmp_path / f"p{idx}.json")
@@ -939,7 +1039,7 @@ class TestStructuralFuzzing:
         assert out.path.startswith("tree"), out
         if mutate.startswith("row-id"):
             assert out.reason.startswith("rows: malformed: "), out
-        elif mutate.startswith(("row-", "aff-", "guard-layer", "hull-", "stabilize-")):
+        elif mutate.startswith(("row-", "derived-", "hull-", "stabilize-")):
             assert re.match(r"rows: row [0-9]+: malformed: ", out.reason), out
 
     def test_split_bound_mutations_all_rejected(self, tmp_path):
@@ -969,10 +1069,11 @@ class TestStructuralFuzzing:
         assert mutations == 30
 
     def test_rows_renumbered_in_order_accepted(self, tmp_path):
-        """Each leaf's row ids mapped by a random strictly increasing map,
-        and every multiplier citing them rewritten to match: each row is
-        still built after the same rows, from the same rows.  Left
-        unrewritten, the multipliers cite rows the leaf no longer has."""
+        """Each leaf's row ids mapped by a random strictly increasing map
+        that keeps them past the scope's base rows, and every multiplier
+        citing them rewritten to match: each row is still built after the
+        same rows, from the same rows.  Left unrewritten, the multipliers
+        cite rows the leaf no longer has."""
         rng = random.Random(13)
         proofs = 0
         for problem, data, path in (*_proofs(tmp_path, (icl_verify, hsrv_verify)),
@@ -982,7 +1083,11 @@ class TestStructuralFuzzing:
                 doc = json.loads(json.dumps(base))
                 for _, leaf in _leaf_nodes(doc["tree"]):
                     old = sorted(r["id"] for r in leaf["rows"])
-                    new = sorted(rng.sample(range(3 * len(old) + 10), len(old)))
+                    if not old:
+                        continue
+                    # past the scope's base rows, which the first listed
+                    # row's id is
+                    new = sorted(rng.sample(range(old[0], old[0] + 3 * len(old) + 10), len(old)))
                     _renumber(leaf, dict(zip(old, new)), rewrite)
                 out = prooflog.check_proof(problem, _dumps(doc), file_digest(path))
                 assert out.accepted == rewrite, (path, rewrite, out)
@@ -1095,28 +1200,54 @@ def _proofs(tmp_path, drivers, instances=(57, 89)):
     yield from _branching(tmp_path, drivers, instances)
 
 
+def _built_rows(monkeypatch) -> list:
+    """Spy on `check`: per replayed leaf, a map from each id it builds, of
+    a base row or a listed row, to the integer form of each side."""
+    built = []
+    replay, check_row, base_row = (prooflog._check_snapshot, prooflog._check_snapshot_row,
+                                   prooflog._base_row)
+
+    def replaying(*args):
+        built.append({})
+        return replay(*args)
+
+    def building(pb, r, *args):
+        forms = check_row(pb, r, *args)
+        built[-1][r["id"]] = forms
+        return forms
+
+    def building_base(pb, cid, *args):
+        forms = base_row(pb, cid, *args)
+        built[-1][cid] = forms
+        return forms
+
+    monkeypatch.setattr(prooflog, "_check_snapshot", replaying)
+    monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
+    monkeypatch.setattr(prooflog, "_base_row", building_base)
+    return built
+
+
+def _assert_built_rows_are_the_stores(built, leaves, where):
+    """Each row `check` built for a leaf is the solver's row under the same
+    id, and it built every row the leaf lists."""
+    assert len(built) == len(leaves), where
+    for got, leaf in zip(built, leaves):
+        rows = dict(leaf.rows)
+        assert got == {cid: [r.ints for r in rows[cid].sides] for cid in got}, where
+        listed = {cid for cid, c in leaf.rows if c.derivation[0] not in prooflog.BASE_KINDS}
+        assert listed <= set(got), where
+
+
 class TestSolverCheckerAgreement:
-    """`check` builds every leaf row from its derivation alone, in
-    integers.  The row it builds must be the one the solver's store held:
-    its integer form, in lowest terms, that of the store's row."""
+    """`check` builds every listed leaf row from its derivation alone, and
+    every base row a certificate cites from its id, in integers.  The row
+    it builds must be the one the solver's store held: its integer form,
+    in lowest terms, that of the store's row."""
 
     def test_every_built_row_is_the_stores_row(self, monkeypatch, tmp_path):
         from test_search import tightened
 
-        built = []  # per replayed leaf: id -> the integer form of each side
-        replay, check_row = prooflog._check_snapshot, prooflog._check_snapshot_row
-
-        def replaying(*args):
-            built.append({})
-            return replay(*args)
-
-        def building(pb, r, *args):
-            forms = check_row(pb, r, *args)
-            built[-1][r["id"]] = forms
-            return forms
-
-        monkeypatch.setattr(prooflog, "_check_snapshot", replaying)
-        monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
+        built = _built_rows(monkeypatch)
         kinds = Counter()
         worked = icl_verify(*_problem(), Config(first_split="domain")).tree
         tgct = tmp_path / "p57-default.json"
@@ -1129,19 +1260,22 @@ class TestSolverCheckerAgreement:
             digest = file_digest(path)
             assert prooflog.check_proof(problem, prooflog.emit(tree, digest), digest).accepted
             leaves = [leaf for leaf, _, _ in scoped_leaves(tree, problem[1])]
-            assert built == [{cid: [r.ints for r in c.sides] for cid, c in leaf.rows}
-                             for leaf in leaves], path
-            kinds.update(c.derivation[0] for leaf in leaves for _, c in leaf.rows)
+            _assert_built_rows_are_the_stores(built, leaves, path)
+            kinds.update(dict(leaf.rows)[cid].derivation[0]
+                         for got, leaf in zip(built, leaves) for cid in got)
         assert sum(kinds.values()) > 250 and kinds["hull"] > 50, kinds
         assert kinds["derived"] and kinds["hull"] and kinds["stabilize"], kinds
+        assert kinds["aff"] and kinds["region"] and kinds["negp"] and kinds["guard"], kinds
 
 
 class TestSolverCheckerRowParity:
     """The solver builds every store row straight into its integer form,
-    and `check` rebuilds each from its tag alone.  With `Store.cone`
-    patched to keep every row of a leaf's store, as `TestTrimmedLeaves`
-    does, every row the solver added, retired ones included, reaches the
-    checker: on the first 40 acceptance problems (default flags) and the
+    and `check` rebuilds each: a listed row from its tag alone, a base row
+    from its id and the leaf's scope.  With `Store.cone` patched to keep
+    every row of a leaf's store, as `TestTrimmedLeaves` does, every row
+    the solver added, retired ones included, reaches the checker, the base
+    rows through `_base_row` at each id below the scope's first non-base
+    id: on the first 40 acceptance problems (default flags) and the
     branching instances 42, 57 and 89 (default flags, whose TGCT LPs leave
     most of the derived rows, and margin-only templates with a one-LP
     gate), under both drivers, each store row's integer sides equal the
@@ -1153,20 +1287,8 @@ class TestSolverCheckerRowParity:
 
         from relucert.store import Store
 
-        built = []  # per replayed leaf: id -> the integer form of each side
-        replay, check_row = prooflog._check_snapshot, prooflog._check_snapshot_row
-
-        def replaying(*args):
-            built.append({})
-            return replay(*args)
-
-        def building(pb, r, *args):
-            forms = check_row(pb, r, *args)
-            built[-1][r["id"]] = forms
-            return forms
-
-        monkeypatch.setattr(prooflog, "_check_snapshot", replaying)
-        monkeypatch.setattr(prooflog, "_check_snapshot_row", building)
+        base_row = prooflog._base_row
+        built = _built_rows(monkeypatch)
         monkeypatch.setattr(Store, "cone", lambda store, rids: list(store.constraints.items()))
         runs = [(problem, Config()) for problem in _spec_suite(40)]
         runs += [(tightened(idx), config) for idx in (42, 57, 89)
@@ -1176,6 +1298,7 @@ class TestSolverCheckerRowParity:
             path = tmp_path / f"p{k}.json"
             dump_problem(*problem, path)
             digest = file_digest(path)
+            pb = prooflog._Problem(*problem)
             for driver in (icl_verify, hsrv_verify):
                 tree = driver(*problem, config).tree
                 if tree is None:
@@ -1183,10 +1306,19 @@ class TestSolverCheckerRowParity:
                 built.clear()
                 out = prooflog.check_proof(problem, prooflog.emit(tree, digest), digest)
                 assert out.accepted, (k, driver.__name__, out)
-                leaves = [leaf for leaf, _, _ in scoped_leaves(tree, problem[1])]
-                assert built == [{cid: [r.ints for r in c.sides] for cid, c in leaf.rows}
-                                 for leaf in leaves], (k, driver.__name__)
-                kinds.update(c.derivation[0] for leaf in leaves for _, c in leaf.rows)
+                scoped = list(scoped_leaves(tree, problem[1]))
+                _assert_built_rows_are_the_stores(built, [leaf for leaf, _, _ in scoped],
+                                                  (k, driver.__name__))
+                for leaf, region, alpha in scoped:
+                    first = pb.negp_id + 1 + 2 * len(alpha)
+                    for cid, c in leaf.rows:
+                        if cid < first:
+                            assert c.derivation[0] in prooflog.BASE_KINDS, (k, cid, c)
+                            assert [r.ints for r in c.sides] == base_row(
+                                pb, cid, region, alpha, sorted(alpha)), (k, cid, c)
+                        else:
+                            assert c.derivation[0] not in prooflog.BASE_KINDS, (k, cid, c)
+                kinds.update(c.derivation[0] for leaf, _, _ in scoped for _, c in leaf.rows)
                 proofs += 1
         assert proofs >= 40 and set(kinds) == {
             "aff", "region", "negp", "guard", "hull", "stabilize", "derived"}, kinds
@@ -1196,10 +1328,11 @@ class TestSolverCheckerRowParity:
 def _renumber(leaf, ids: dict, rewrite: bool = True):
     """Give the leaf's rows the ids `ids` maps theirs to; with `rewrite`,
     also the ids that multipliers over its rows cite: those of its derived
-    rows, its certificates and its bound."""
+    rows, its certificates and its bound.  A cited base id, which no listed
+    row has, stays."""
     def cite(multipliers):
         for rid, _ in multipliers:
-            if rewrite and rid[0] == "c":
+            if rewrite and rid[0] == "c" and rid[1] in ids:
                 rid[1] = ids[rid[1]]
 
     for r in leaf["rows"]:
@@ -1213,8 +1346,9 @@ def _renumber(leaf, ids: dict, rewrite: bool = True):
 
 
 def _needed_rows(layout, rows, r) -> list[int]:
-    """Ids of earlier rows that row `r` cannot be built without: for a
-    derived row the rows its certificate cites; for a hull chord (row 2)
+    """Ids of earlier listed rows that row `r` cannot be built without: for
+    a derived row the listed rows its certificate cites, not the base rows
+    `check` builds; for a hull chord (row 2)
     every derived row bounding its unit's pre-activation, for hull row 3
     every such upper bound; for a stabilize row every such row on the side
     of its sign; none for other rows.  The seed of the leaf's scope bounds
@@ -1222,7 +1356,8 @@ def _needed_rows(layout, rows, r) -> list[int]:
     the envelope is built, so hull rows 0 and 1 need no row."""
     tag = r["derivation"]
     if tag[0] == "derived":
-        return [rid[1] for rid, _ in tag[1] if rid[0] == "c"]
+        listed = {q["id"] for q in rows}
+        return [rid[1] for rid, _ in tag[1] if rid[0] == "c" and rid[1] in listed]
     if tag[0] in ("hull", "stabilize"):
         s = str(layout.pre_index(tuple(tag[1])))
         # the sign of the coefficient on s of each derived row on s alone
@@ -1241,6 +1376,17 @@ def _tree_nodes(node, at=()):
     if node["type"] == "split":
         for k, child in enumerate(node["children"]):
             yield from _tree_nodes(child, at + (k,))
+
+
+def _path_commitments(doc, at) -> dict:
+    """The phase commitments of the splits above the node at child-index
+    path `at`."""
+    alpha, node = {}, doc["tree"]
+    for k in at:
+        if node["kind"][0] == "phase":
+            alpha[tuple(node["kind"][1])] = (ACTIVE, INACTIVE)[k]
+        node = node["children"][k]
+    return alpha
 
 
 def _tree_node(doc, at):
@@ -1309,13 +1455,22 @@ def _retype(container, key, kind=float):
     container[key] = kind(container[key])
 
 
+def _first_base_cite(multipliers):
+    """The first row id in `multipliers` of an affine or region row of
+    instance 57 (6 units and 1 input, ids 0 to 7), which are base rows of
+    every scope."""
+    return next(rid for rid, _ in multipliers if rid[0] == "c" and rid[1] < 8)
+
+
 _NON_CANONICAL = {
-    "row-id-float": lambda doc: _retype(_first_row(doc, "aff"), "id"),
-    "row-id-string": lambda doc: _retype(_first_row(doc, "aff"), "id", str),
+    "row-id-float": lambda doc: _retype(_first_row(doc, "hull"), "id"),
+    "row-id-string": lambda doc: _retype(_first_row(doc, "hull"), "id", str),
     "multiplier-row-id-float": lambda doc: _retype(
         _cover_items(doc)[0]["farkas"]["multipliers"][0][0], 1),
-    "aff-layer-float": lambda doc: _retype(_first_row(doc, "aff")["derivation"], 1),
-    "guard-layer-string": lambda doc: _retype(_first_row(doc, "guard")["derivation"], 1, str),
+    "base-id-float": lambda doc: _retype(
+        _first_base_cite(_cover_items(doc)[0]["farkas"]["multipliers"]), 1),
+    "derived-base-id-float": lambda doc: _retype(
+        _first_base_cite(_first_row(doc, "derived")["derivation"][1]), 1),
     "hull-unit-float": lambda doc: _retype(_first_row(doc, "hull")["derivation"][1], 0),
     "stabilize-unit-float": lambda doc: _retype(_first_row(doc, "stabilize")["derivation"][1], 0),
     "guard-float": lambda doc: _retype(next(

@@ -317,11 +317,14 @@ class TestClauseLearning:
 
     def test_no_run_makes_a_blocked_clause_leaf(self, monkeypatch):
         """A blocked-clause leaf would replay another node's rows, hull rows
-        among them, under the seed of its own scope.  No run makes one:
-        over the benchmark's `branching` family at both family seeds and
-        the worked `first_split="domain"` proof, under both drivers,
-        `ClauseDB.blocking` answers every node with None, although the runs
-        learn clauses."""
+        among them, under the seed of its own scope, and its certificates
+        would cite the base rows of the other node's scope.  The fixed ids
+        of `relucert-proof-10`'s base rows, guard rows among them, rely on
+        no run making one: over the benchmark's `branching`, `mixed` and
+        `tight-unsat` families, each under its workload's configuration, at
+        both family seeds, and the worked `first_split="domain"` proof,
+        under both drivers, `ClauseDB.blocking` answers every node with
+        None, although the runs learn clauses."""
         from relucert import search
 
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -335,18 +338,21 @@ class TestClauseLearning:
             return answers[-1]
 
         monkeypatch.setattr(search.ClauseDB, "blocking", spy)
-        runs = [(inst.problem, TestBranchingOracleAgreement.CONFIG)
+        configs = {"branching": TestBranchingOracleAgreement.CONFIG,
+                   "mixed": Config(), "tight-unsat": Config()}
+        runs = [(inst.problem, config, inst.expected)
+                for name, config in configs.items()
                 for seed in (families.MIXED_SEED, families.HELD_OUT_SEED)
-                for inst in families.family(families.WORKLOADS["branching"], seed)]
+                for inst in families.family(families.WORKLOADS[name], seed)]
         runs.append(((worked_network(), worked_region(), worked_prop()),
-                     Config(first_split="domain")))
+                     Config(first_split="domain"), "unsat"))
         learned = 0
-        for problem, config in runs:
+        for problem, config, expected in runs:
             for driver in (icl_verify, hsrv_verify):
                 res = driver(*problem, config)
-                assert res.status == "unsat"
+                assert res.status == expected
                 learned += res.budget.clauses
-        assert (len(answers), learned) == (92, 44)
+        assert (len(runs), len(answers), learned) == (285, 532, 81)
         assert [a for a in answers if a is not None] == []
 
 
@@ -986,12 +992,16 @@ class TestProofPins:
     rows (compared leaf by leaf).  Under both drivers the verdicts, Budget
     counters and split kinds equal the parent's, and both checkers ACCEPT
     their proofs.  The proofs shrank from 1,581, 3,333 and
-    3,102 bytes to 1,310, 2,411 and 1,256."""
+    3,102 bytes to 1,310, 2,411 and 1,256.  All three were re-pinned when
+    the format became `relucert-proof-10`, whose leaves list no base row:
+    each proof is the earlier one with the new format string and every
+    `aff`, `region`, `negp` and `guard` row deleted, ids unchanged; every
+    other byte is the same.  They shrank to 1,033, 1,719 and 959 bytes."""
 
     PINS = {
-        "worked": "dc635101f8a8bc9fefce2687ba0d948d7fbeb209273a11a9e5d0a65a7096e50f",
-        57: "45678a4c3e579c40af1f4d4b0f9694c9c480f15c016addcd13513a114777fcd0",
-        89: "962624e7cd7112f7e30bce33a5079437cda308f38c4697a232769873b6762b08",
+        "worked": "902780e53467948c6f1937ac6a1cc35f1460626dda4d78b3bc6f7e225108a7f0",
+        57: "babf08b6ab1f8cb61c14c9a19ea869db68111d75719e1125286eebf151141846",
+        89: "066ae95bc28101772a250eae25466a0f6ab7e3fab0af75be2048f6c586550d77",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):

@@ -226,3 +226,39 @@ class TestInitialStore:
         hi, lo = (store.constraints[cid] for cid in store.region_ids[0])
         assert ([r.ints for r in hi.sides], hi.derivation) == ([(1, {x: 1}, 1)], ("region", 0, "hi"))
         assert ([r.ints for r in lo.sides], lo.derivation) == ([(1, {x: -1}, 0)], ("region", 0, "lo"))
+
+
+class TestBaseRowLayout:
+    """The store writes a scope's base rows at the ids `check` rebuilds
+    them at (`prooflog._base_row`), so a proof lists none of them: unit
+    n's affine row at n, input m's region rows hi and lo at k + 2m and
+    k + 2m + 1, the negated property at k + 2d, then each committed unit's
+    phase equality and sign row in sorted unit order.  On random problems,
+    boxes and commitments, the store built for the scope holds exactly
+    those rows below the scope's first non-base id, and every row
+    propagation adds after them has a non-base tag."""
+
+    def test_store_and_checker_place_each_base_row_alike(self):
+        from relucert import prooflog
+
+        rng = random.Random(11)
+        scopes = 0
+        for _ in range(60):
+            net, region, prop = random_instance(rng, max_hidden_layers=2, max_width=3)
+            layout = layout_of(net, prop)
+            units = sorted(net.hidden_units)
+            alpha = {u: rng.choice((ACTIVE, INACTIVE))
+                     for u in rng.sample(units, rng.randint(0, len(units)))}
+            store = build_initial_store(net, layout, region, prop, alpha)
+            pb = prooflog._Problem(net, region, prop)
+            first = pb.negp_id + 1 + 2 * len(alpha)
+            assert sorted(store.constraints) == list(range(first))
+            for cid, c in store.constraints.items():
+                assert c.derivation[0] in prooflog.BASE_KINDS, (cid, c)
+                assert [r.ints for r in c.sides] == prooflog._base_row(
+                    pb, cid, region, alpha, sorted(alpha)), (cid, c)
+            ensure_relaxation(store)
+            assert all(c.derivation[0] not in prooflog.BASE_KINDS
+                       for cid, c in store.constraints.items() if cid >= first)
+            scopes += 1
+        assert scopes == 60
