@@ -3,8 +3,12 @@
 These checkers are the core of the trust base: everything else in the
 pipeline may be wrong, but a claim accepted here holds by exact rational
 arithmetic.  They are the only multiplier checkers: propagation, the LP
-engine's self-checks and the proof checker all call them; `check_dual_exact`
-is the one exact dual check and `check_guarded` the one cover check.  They
+engine's self-checks and the proof checker all call them; `check_guarded`
+is the one cover check.  `check_dual` accepts a bound at or above the
+lambda^T b its multipliers achieve, which is how the proof checker reads
+a derived row, since TGCT rounds each bound outward; `check_dual_exact`
+holds the bound to lambda^T b and serves only the LP self-check and a
+leaf's margin bound.  They
 read systems of `rows.NormRow`s, never a solver store.  `_combine` forms
 lambda^T A and lambda^T b in integers over one common denominator, from
 each row's `NormRow.ints`, and hands back `Fraction`s.  Cost is linear in the number
@@ -157,8 +161,10 @@ def check_farkas(sys: NormalizedSystem, cert: FarkasCertificate) -> CheckResult:
 
 
 def check_dual_exact(sys: NormalizedSystem, cert: DualBoundCertificate) -> CheckResult:
-    """`check_dual`, and lambda^T b = bound exactly: the solver records the
-    value a dual certificate achieves, so any slack marks a fault."""
+    """`check_dual`, and lambda^T b = bound exactly: the LP self-check and
+    a leaf's margin bound record the value a dual certificate achieves, so
+    any slack marks a fault.  A derived row's bound is rounded outward and
+    is checked by `check_dual` alone."""
     res = check_dual(sys, cert)
     if res.ok and res.value != cert.bound:
         return CheckResult(False, f"certificate bound {cert.bound} differs from "

@@ -30,7 +30,9 @@ the negated property from the problem, region rows from the scope's region
 and phase rows from the path's commitments; then the listed rows, a
 stabilize row as its phase equality, where the unit's interval fixes that
 sign, hull rows as row k of the envelope over the unit's interval, and
-derived rows by checking their certificate over the rows built so far.  A
+derived rows by checking their certificate over the rows built so far,
+which holds when lambda^T b <= rhs (`certs.check_dual`): the solver rounds
+each TGCT bound outward, and a looser bound is still implied.  A
 unit's interval is the scope's seed (below), tightened only by the
 single-variable rows on its pre-activation that come before the row read.
 A row the checker cannot build, malformed or not following from the rows
@@ -41,7 +43,9 @@ each parent.
 Trust boundary.  Acceptance rests on rational identities alone.  The trust
 base is this module, `certs`, `rows` and `model`: none of them imports a
 solver module (`store`, `lp`, `propagate`, `gate`, `search`, `budget`,
-`cli`), and the exact checks are those of `certs`.  `check` builds every
+`cli`), and the exact checks are those of `certs`: `check_dual` for a
+derived row, `check_dual_exact`, which also holds the bound to lambda^T b,
+for a leaf's margin bound, and `check_guarded` for a cover.  `check` builds every
 non-derived row itself, and places each base row at its id itself.  It
 builds the region and hull rows, and the seed they read, with its own code,
 not with the functions of `store` and `propagate` that make them, on
@@ -72,7 +76,8 @@ Every leaf has one kind: a cover of guarded Farkas certificates over its
 rows, its scope's base rows among them, the negated property too.  A tree
 node may also carry a margin bound `margin <= beta` over its scope: a leaf
 by a dual certificate over its rows whose objective is the margin's row
-over the outputs, a split by the maximum of its two children's bounds,
+over the outputs and whose lambda^T b is beta exactly, a split by the
+maximum of its two children's bounds,
 since their scopes split the parent's.  Derived rows, the rows built over
 their bounds, and margin bounds therefore hold only given the negated
 property.  That is sound for the one claim a proof makes, UNSAT:
@@ -91,6 +96,7 @@ from .certs import (
     DualBoundCertificate,
     FarkasCertificate,
     GuardedCertificate,
+    check_dual,
     check_dual_exact,
     check_guarded,
 )
@@ -120,7 +126,7 @@ from .rows import (
     lowest_terms,
 )
 
-FORMAT = "relucert-proof-10"
+FORMAT = "relucert-proof-11"
 
 #: the derivation kinds of the base rows, which `check` builds at their
 #: fixed ids of a leaf's scope and a leaf never lists
@@ -446,7 +452,7 @@ def _check_snapshot_row(pb: _Problem, r: dict, region: Region,
                                          _parse_multipliers(multipliers))
         if not cert.objective:
             raise _Rejected("derived row with no nonzero coefficient")
-        res = check_dual_exact(system, cert)
+        res = check_dual(system, cert)
         if not res.ok:
             raise _Rejected(f"derived-row certificate rejected: {res.reason}")
         return [int_form(cert.objective_dict, cert.bound)]

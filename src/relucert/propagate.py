@@ -18,6 +18,13 @@ bound alone.  The root therefore makes no LP when back-substitution
 refutes it; a node below the root makes at least the one LP that proves
 its bound.
 
+A TGCT bound is the LP optimum rounded outward, exactly, to the simplest
+rational within a fixed share of the unit's interval width past it
+(`simplest_in`), so the bit length of a bound does not pass on to every
+later hull slope and LP.  The LP self-check of `lp` still holds the dual
+to the optimum exactly (`certs.check_dual_exact`); a derived row's
+certificate then proves its looser bound, as `certs.check_dual` checks.
+
 Every row is built straight into its integer form (`rows`): a derived row
 from its bound, the hull chord over the common denominator of its
 interval's ends.  Back-substitution sums integer rows over one common
@@ -42,6 +49,11 @@ from .store import Store, bound_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+#: a TGCT bound lies at most (hi - lo) / ROUNDING past the LP optimum,
+#: over the unit's interval [lo, hi] before the LP
+ROUNDING = 1 << 10
 
 
 class NotUnstable(Exception):
@@ -266,13 +278,41 @@ def back_substitution(store: Store) -> Substitution | None:
     return Substitution(lam, Fraction(rho, q))
 
 
+def simplest_in(a: Fraction, b: Fraction) -> Fraction:
+    """The simplest rational in [a, b], a <= b: the one of smallest
+    denominator, and of smallest magnitude among those; so 0 whenever
+    a <= 0 <= b, and never positive when b < 0.  A continued-fraction
+    walk: while no integer lies in the interval, take off the integer part
+    f that both ends share and go on over the reciprocals of what is left,
+    [1/(b - f), 1/(a - f)], keeping the last two convergents h/k; the
+    walk ends on the least integer t of the interval, its last term."""
+    if a <= 0 <= b:
+        return _ZERO
+    if b < 0:
+        return -simplest_in(-b, -a)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        t = -(-an // ad)
+        if t * bd <= bn:
+            return Fraction(t * h1 + h0, t * k1 + k0)
+        f = t - 1
+        an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
+        h0, h1, k0, k1 = h1, f * h1 + h0, k1, f * k1 + k0
+
+
 def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     """Template-guided certified tightening: maximize, then minimize, each
     unit's pre-activation over the store's rows; `propagate_node` passes
-    the unstable units whose hull chord its back-substitution uses.  A
-    strictly tighter optimum becomes a derived row, backed by the dual
-    certificate the LP engine has checked; it tightens the unit's interval
-    and retires the looser derived row it supersedes, if any.
+    the unstable units whose hull chord its back-substitution uses.  Each
+    optimum v is rounded outward to the simplest rational in
+    [v, v + (hi - lo) / ROUNDING] (`simplest_in`), over the unit's interval
+    [lo, hi] before the LP; that is 0 whenever the range holds 0, so the
+    rounded bound fixes a sign exactly when v does.  A strictly tighter
+    rounded bound becomes a derived row, backed by the dual certificate the
+    LP engine has checked against v, which proves any bound at least v; it
+    tightens the unit's interval and retires the looser derived row it
+    supersedes, if any.
     Short-circuits with a Farkas certificate if a solve reports
     infeasibility; raises `Exhausted` if the LP budget is spent.  The
     unit's affine row bounds its pre-activation through its bounded
@@ -282,10 +322,10 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
     the call begins, and each LP after the first starts from the optimal
     tableau of the one before, with only the objective swapped (see `lp`).
     The rows the call adds and retires do not change that polytope: a
-    derived row's bound is an optimum over the call's rows, so those rows
-    imply it, and the row it retires is looser still.  So every LP has the
-    value it would have over the store's rows at that moment, and each
-    certificate cites only rows that existed when the call began.  A call
+    derived row's bound is at least an optimum over the call's rows, so
+    those rows imply it, and the row it retires is looser still.  So every
+    LP has the value it would have over the store's rows at that moment,
+    and each certificate cites only rows that existed when the call began.  A call
     with no unit normalizes nothing."""
     res = TgctResult()
     units = list(units)
@@ -303,15 +343,16 @@ def tgct(store: Store, units: Iterable[Unit], budget: Budget) -> TgctResult:
                 res.farkas = FarkasCertificate.make(out.dual)
                 return res
             lo, hi = store.bounds.pre[unit]
-            if out.value >= (hi if upper else -lo):
+            bound = simplest_in(out.value, out.value + (hi - lo) / ROUNDING)
+            if bound >= (hi if upper else -lo):
                 continue
-            cert = DualBoundCertificate.make(g, out.value, out.dual)
-            cid = store.add(("derived", cert), [bound_form(s, 1 if upper else -1, out.value)],
+            cert = DualBoundCertificate.make(g, bound, out.dual)
+            cid = store.add(("derived", cert), [bound_form(s, 1 if upper else -1, bound)],
                             tuple(rid[1] for rid, _ in cert.multipliers))
             if upper:
-                store.bounds.tighten(unit, hi=out.value)
+                store.bounds.tighten(unit, hi=bound)
             else:
-                store.bounds.tighten(unit, lo=-out.value)
+                store.bounds.tighten(unit, lo=-bound)
             old = store.bound_rows.get((unit, upper))
             if old is not None:
                 store.retire(old)  # superseded; stays resolvable for proof export

@@ -369,17 +369,18 @@ class TestCheck:
 
     def test_proof_8_document_and_interval_row_rejected_under_python_o(self, tmp_path):
         """`relucert-proof-8` wrote each unit's interval as two `interval`
-        rows, and `relucert-proof-9` listed each leaf's base rows.  Under
-        `python -O` a document of either format is a REJECT at `document`,
+        rows, `relucert-proof-9` listed each leaf's base rows, and
+        `relucert-proof-10` held a derived row's rhs to lambda^T b exactly.
+        Under `python -O` a document of any of them is a REJECT at `document`,
         and an `interval` row in a current document a REJECT of that row at
         its leaf, as an unknown derivation kind; neither raises."""
         proof = tmp_path / "out.proof"
         run = _cli_o("verify", WORKED, "--emit-proof", str(proof))
         assert run.returncode == EXIT_UNSAT, run
         doc = json.loads(proof.read_text())
-        assert doc["format"] == "relucert-proof-10"
+        assert doc["format"] == "relucert-proof-11"
         old = tmp_path / "old.proof"
-        for n in (8, 9):
+        for n in (8, 9, 10):
             old.write_text(json.dumps({**doc, "format": f"relucert-proof-{n}"}))
             run = _cli_o("check", WORKED, str(old))
             assert run.returncode == 1 and run.stdout.startswith("REJECT path=document "), run

@@ -18,7 +18,7 @@ from conftest import (
     worked_region,
 )
 from relucert import prooflog
-from relucert.certs import FarkasCertificate, GuardedCertificate
+from relucert.certs import DualBoundCertificate, FarkasCertificate, GuardedCertificate
 from relucert.model import ACTIVE, INACTIVE, SafetyProperty, build_layout, format_rational
 from relucert.rows import GuardLiteral
 from relucert.search import Config, hsrv_verify, icl_verify
@@ -97,7 +97,7 @@ class TestSerialization:
     def _old_format_rejected(self, n, config=None):
         data = _proof_bytes(config)
         current = f'"format":"{prooflog.FORMAT}"'.encode()
-        assert prooflog.FORMAT == "relucert-proof-10" and current in data
+        assert prooflog.FORMAT == "relucert-proof-11" and current in data
         old = data.replace(current, f'"format":"relucert-proof-{n}"'.encode())
         out = prooflog.check_proof(_problem(), old, file_digest(WORKED))
         assert not out.accepted and out.path == "document"
@@ -141,6 +141,11 @@ class TestSerialization:
         # proof-9 listed each leaf's affine, region, negated-property and
         # guard rows, which `check` now builds at their fixed ids
         self._old_format_rejected(9, Config(first_split="domain"))
+
+    def test_format_10_document_rejected(self):
+        # proof-10 held a derived row's rhs to lambda^T b exactly, so a
+        # proof-10 checker rejects a TGCT bound rounded outward
+        self._old_format_rejected(10, Config(first_split="domain"))
 
     @pytest.mark.parametrize("encode", [lambda data: b"\xef\xbb\xbf" + data,
                                         lambda data: data.decode().encode("utf-16")],
@@ -410,14 +415,15 @@ class TestTargetedRejections:
         problem, data, path = _default_proof(tmp_path, 30)
         doc = prooflog.parse_proof(data)
         rows = _leaf_rows(doc)
-        # rows 21 and 22 prove s(1,0) <= 173007221/176886600 and
-        # s(1,0) >= -436768243/125320200, the interval that hull chord 28
+        # rows 21 and 22 prove s(1,0) <= 45/46 and s(1,0) >= -122/35, the
+        # TGCT optima 173007221/176886600 and -436768243/125320200 rounded
+        # outward, the interval that hull chord 28
         # envelopes; renumbered past every other row they no longer precede
         # it, and the chord is rebuilt over the looser seed, which derived
         # row 34's certificate cannot use
         s = str(build_layout(problem[0], problem[2]).pre_index((1, 0)))
         assert [(rows[k]["row"], rows[k]["rhs"]) for k in (21, 22)] == [
-            ({s: "1"}, "173007221/176886600"), ({s: "-1"}, "436768243/125320200")]
+            ({s: "1"}, "45/46"), ({s: "-1"}, "122/35")]
         assert rows[28]["derivation"] == ["hull", [1, 0], 2]
         assert ["c", 28, "le"] in [rid for rid, _ in rows[34]["derivation"][1]]
         for k, cid in enumerate((21, 22), start=1):
@@ -682,6 +688,18 @@ class TestBounds:
         doc["tree"]["children"][0]["bound"]["beta"] = "1/2"
         self._rejected(doc, "tree/0", "differs from lambda^T b = 0")
 
+    def test_leaf_bound_with_any_slack_rejected(self):
+        # unlike a derived row's rhs, a margin bound is held to its
+        # certificate's lambda^T b exactly: 10^-30 above it rejects, on
+        # either leaf, with the root's bound still their maximum
+        for k in (0, 1):
+            doc = self._doc()
+            bound = doc["tree"]["children"][k]["bound"]
+            bound["beta"] = format_rational(F(bound["beta"]) + F(1, 10**30))
+            doc["tree"]["bound"] = format_rational(
+                max(F(c["bound"]["beta"]) for c in doc["tree"]["children"]))
+            self._rejected(doc, f"tree/{k}", "differs from lambda^T b = ")
+
     def test_leaf_bound_multiplier_changed_rejected(self):
         doc = self._doc()
         mults = doc["tree"]["children"][1]["bound"]["multipliers"]
@@ -700,6 +718,72 @@ class TestBounds:
         assert sorted(r["id"] for r in leaf["rows"]) == [6, 7]
         leaf["bound"]["multipliers"][0][0] = ["c", 8, "le"]
         self._rejected(doc, "tree/0", "bound certificate rejected: unknown row ('c', 8, 'le')")
+
+
+class TestRoundedDerivedRows:
+    """TGCT rounds each optimum outward, so a derived row's rhs may exceed
+    its certificate's lambda^T b: `check` holds a derived row to
+    lambda^T b <= rhs, which a looser bound still satisfies, and rejects
+    one whose rhs is below lambda^T b."""
+
+    def _values(self, tmp_path, monkeypatch):
+        """The default-configuration proofs of `_REFRESHED`, each replayed,
+        and the lambda^T b that `check` finds for each derived row's
+        certificate, keyed by the certificate."""
+        values = {}
+        check = prooflog.check_dual
+
+        def spy(system, cert):
+            res = check(system, cert)
+            values[cert] = res.value
+            return res
+
+        monkeypatch.setattr(prooflog, "check_dual", spy)
+        proofs = [_default_proof(tmp_path, idx) for idx in _REFRESHED]
+        for problem, data, path in proofs:
+            assert prooflog.check_proof(problem, data, file_digest(path)).accepted, path
+        monkeypatch.setattr(prooflog, "check_dual", check)
+        return proofs, values
+
+    @staticmethod
+    def _cert(row):
+        return DualBoundCertificate.make(prooflog._parse_row(row["row"]), F(row["rhs"]),
+                                         prooflog._parse_multipliers(row["derivation"][1]))
+
+    def test_derived_row_with_slack_accepted(self, tmp_path, monkeypatch):
+        proofs, values = self._values(tmp_path, monkeypatch)
+        slack = Counter()
+        for _, data, _ in proofs:
+            for leaf in _leaves(prooflog.parse_proof(data)["tree"]):
+                for r in leaf["rows"]:
+                    if r["derivation"][0] == "derived":
+                        value = values[self._cert(r)]
+                        assert value <= F(r["rhs"]), r
+                        slack[value < F(r["rhs"])] += 1
+        assert slack[True] >= 20 and slack[True] >= slack[False], slack
+
+    def test_derived_row_below_lambda_b_rejected(self, tmp_path, monkeypatch):
+        # 10^-12 below lambda^T b, at each derived row in turn: the rows
+        # before it are as they were, so it is that row that rejects
+        proofs, values = self._values(tmp_path, monkeypatch)
+        cases = 0
+        for problem, data, path in proofs:
+            base = prooflog.parse_proof(data)
+            for at, leaf in _leaf_nodes(base["tree"]):
+                for r in leaf["rows"]:
+                    if r["derivation"][0] != "derived":
+                        continue
+                    doc = json.loads(json.dumps(base))
+                    row = _leaf_rows(doc, at)[r["id"]]
+                    row["rhs"] = format_rational(values[self._cert(r)] - F(1, 10**12))
+                    out = prooflog.check_proof(problem, _dumps(doc), file_digest(path))
+                    assert not out.accepted, out
+                    assert out.path == "/".join(("tree", *map(str, at))), out
+                    assert out.reason.startswith(
+                        f"rows: row {r['id']}: derived-row certificate rejected: "
+                        f"lambda^T b = "), out
+                    cases += 1
+        assert cases >= 20, cases
 
 
 class TestNeverRaises:
@@ -1131,8 +1215,11 @@ class TestStructuralFuzzing:
                     cases[r["derivation"][0]] += 1
         # {31, 11, 13} while each refinement round of the gate restarted its
         # search: as one search, 46's gate closes its leaf with 3
-        # certificates of 4, which cite 7 of its 14 rows
-        assert cases == {"derived": 28, "hull": 9, "stabilize": 13}, cases
+        # certificates of 4, which cite 7 of its 14 rows.  {28, 9, 13}
+        # before TGCT rounded its bounds outward: 178's rounded bounds no
+        # longer let back-substitution refute its node after one pass, and
+        # its second pass leaves one more derived row and a stabilize row
+        assert cases == {"derived": 29, "hull": 9, "stabilize": 14}, cases
 
 
 def _worked_domain_proofs():

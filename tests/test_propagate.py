@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import ceil, floor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +34,9 @@ from relucert.propagate import (
     back_substitution,
     ensure_relaxation,
     hull_insert,
+    ROUNDING,
     propagate_node,
+    simplest_in,
     stabilize,
     tgct,
 )
@@ -352,6 +355,58 @@ class TestTgct:
         for cert in added:
             assert certs.check_dual(sys, cert).ok
 
+    def test_bounds_are_optima_rounded_outward(self, monkeypatch):
+        # over the propagation of random stores, each derived row's bound is
+        # `simplest_in` of [v, v + (hi - lo) / ROUNDING], v its LP's optimum
+        # and [lo, hi] the unit's interval before the LP: at least v, so
+        # its certificate proves it; at most 0 exactly when v is; and
+        # written only where it is strictly tighter than that interval
+        real_tgct, real_max = propagate.tgct, lp.lp_max
+        call = None  # (store, (objective, optimum, unit's interval) of each LP)
+        seen = Counter()
+
+        def tightening(store, units, budget):
+            nonlocal call
+            start = len(store.constraints)
+            call = (store, [])
+            try:
+                res = real_tgct(store, units, budget)
+            finally:
+                lps = call[1]
+                call = None
+            derived = [store.constraints[cid].derivation[1]
+                       for cid in list(store.constraints)[start:]]
+            for g, value, (lo, hi) in lps:
+                if value is None:
+                    continue
+                bound = simplest_in(value, value + (hi - lo) / ROUNDING)
+                (sign,) = g.values()
+                written = [c for c in derived if c.objective_dict == g]
+                if bound < (hi if sign > 0 else -lo):
+                    cert, = written
+                    assert cert.bound == bound and (bound <= 0) == (value <= 0)
+                    seen["rounded"] += bound != value
+                    seen["rows"] += 1
+                else:
+                    assert not written
+            return res
+
+        def solving(sys, g, warm=None):
+            out = real_max(sys, g, warm)
+            if call is not None:
+                store, lps = call
+                (j, _), = g.items()
+                unit = next(u for u in store.bounds.pre if store.layout.pre_index(u) == j)
+                lps.append((g, out.value, store.bounds.pre[unit]))
+            return out
+
+        monkeypatch.setattr(propagate, "tgct", tightening)
+        monkeypatch.setattr(lp, "lp_max", solving)
+        rng = random.Random(33)
+        for _ in range(200):
+            propagate_node(_random_store(rng), Budget())
+        assert seen["rows"] >= 20 and seen["rounded"] >= seen["rows"] // 2, seen
+
     def test_row_budget_per_call(self):
         store = _store("1/2")
         ensure_relaxation(store)
@@ -476,6 +531,45 @@ class TestTgct:
         with pytest.raises(Exhausted):
             tgct(store, sorted(store.unstable), budget)
         assert budget.lp_calls == 1
+
+
+class TestSimplestIn:
+    """`simplest_in` against brute force over small denominators."""
+
+    @staticmethod
+    def _brute(a, b):
+        # the first denominator q with a numerator p in [a q, b q], and the
+        # p of least magnitude there
+        q = 1
+        while True:
+            lo, hi = ceil(a * q), floor(b * q)
+            if lo <= hi:
+                return F(min(range(lo, hi + 1), key=abs), q)
+            q += 1
+
+    def test_matches_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            a = F(rng.randint(-80, 80), rng.randint(1, 60))
+            b = a + F(rng.randint(0, 40), rng.randint(1, 400))
+            got = simplest_in(a, b)
+            assert a <= got <= b, (a, b, got)
+            assert got == self._brute(a, b), (a, b, got)
+            if a <= 0:
+                assert got <= 0, (a, b, got)
+            if a <= 0 <= b:
+                assert got == 0, (a, b, got)
+
+    def test_point_interval_is_its_point(self):
+        for v in (F(0), F(3), F(-7, 3), F(173007221, 176886600)):
+            assert simplest_in(v, v) == v
+
+    def test_long_ends_give_a_short_rational(self):
+        # a 1,000-bit optimum, rounded over a width of 2^-10, has a
+        # denominator of at most 2^10
+        v = F(3**629 + 1, 2**997)
+        got = simplest_in(v, v + F(1, 2**10))
+        assert v <= got <= v + F(1, 2**10) and got.denominator <= 2**10, got
 
 
 class TestFixedPoint:

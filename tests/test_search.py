@@ -996,12 +996,16 @@ class TestProofPins:
     the format became `relucert-proof-10`, whose leaves list no base row:
     each proof is the earlier one with the new format string and every
     `aff`, `region`, `negp` and `guard` row deleted, ids unchanged; every
-    other byte is the same.  They shrank to 1,033, 1,719 and 959 bytes."""
+    other byte is the same.  They shrank to 1,033, 1,719 and 959 bytes.
+    All three were re-pinned when the format became `relucert-proof-11`,
+    whose derived rows hold TGCT bounds rounded outward: none of them holds
+    a derived row, so each proof is the earlier one with only its format
+    string replaced."""
 
     PINS = {
-        "worked": "902780e53467948c6f1937ac6a1cc35f1460626dda4d78b3bc6f7e225108a7f0",
-        57: "babf08b6ab1f8cb61c14c9a19ea869db68111d75719e1125286eebf151141846",
-        89: "066ae95bc28101772a250eae25466a0f6ab7e3fab0af75be2048f6c586550d77",
+        "worked": "6bda2bf379c21c730b9a21dc65a6ebd70f30223eebcadab8d16087cbfe172dc9",
+        57: "2b238276bd87f305dcdc757017248a4f85527eb39734d6730a2666aac06ea5cf",
+        89: "50570df544692bc138cf9e4411dccd2211d4ee57ba4212d10f3b3c5dd61aaeef",
     }
 
     def test_proof_bytes_are_pinned(self, tmp_path):
